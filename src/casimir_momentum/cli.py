@@ -291,6 +291,7 @@ def _handle_renorm(p: dict[str, Any]):
     for label, mass in (("electron", const.electron_mass),
                         ("proton", const.proton_mass)):
         lam = p["cutoff_ratio"] * mass * const.light_speed_c0 / const.hbar
+        _require(math.isfinite(lam), f"cutoff-ratio overflows the {label} cutoff")
         dm = renorm.delta_mass(mass, lam)
         deltas[label] = dm
         results[f"delta_mass_{label}"] = {"value": dm, "error": None}
@@ -299,6 +300,8 @@ def _handle_renorm(p: dict[str, Any]):
             "int k dk/(hbar^2k^2/2m + hbar c0 k) at hbar*Lambda/(m c0) = "
             f"{p['cutoff_ratio']:g}")
     big = p["big_ratio"] * const.electron_mass * const.light_speed_c0 / const.hbar
+    grid = [big * 2.0**k for k in range(5)]
+    _require(math.isfinite(grid[-1]), "big-ratio overflows the electron cutoff")
     increment = (renorm.delta_mass(const.electron_mass, 2 * big)
                  - renorm.delta_mass(const.electron_mass, big))
     limit = (8 * const.fine_structure_alpha * const.electron_mass
@@ -320,7 +323,6 @@ def _handle_renorm(p: dict[str, Any]):
         "1/mu when both masses absorb their self-energy")
 
     fn = lambda lam: renorm.delta_mass(const.electron_mass, lam)
-    grid = [big * 2.0**k for k in range(5)]
     slope = renorm.divergence_exponent(fn, grid)
     results["delta_mass_log_slope"] = {"value": slope, "error": None}
     provenance["delta_mass_log_slope"] = (

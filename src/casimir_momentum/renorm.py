@@ -158,10 +158,10 @@ def delta_mass(mass: float, lambda_cut: float, route: str = "closed_form",
     (2 m c0)): logarithmically divergent. Both routes are always computed
     and must agree to 1e-10 relative.
     """
-    if mass <= 0:
-        raise ValueError("mass must be positive")
-    if lambda_cut < 0:
-        raise ValueError("cutoff must be >= 0")
+    if not 0 < mass < math.inf:
+        raise ValueError("mass must be positive and finite")
+    if not 0 <= lambda_cut < math.inf:
+        raise ValueError("cutoff must be finite and >= 0")
     if route not in ("closed_form", "quadrature"):
         raise ValueError(f"unknown route {route!r}")
     const = const or constants()

@@ -112,6 +112,15 @@ def test_validation_exit_codes():
     assert _run("rho-c", "--model", "free-electron", "--n-e", "-1").returncode == 2
 
 
+def test_renorm_overflowing_cutoff_exit_2(capsys):
+    # In-process: an inf cutoff must be refused before delta_mass's breakpoint
+    # loop, which never ends on it.
+    for flag in ("--cutoff-ratio", "--big-ratio"):
+        for value in ("1e300", "inf"):
+            assert run(["renorm", flag, value]) == 2
+            assert flag[2:] in capsys.readouterr().err
+
+
 def test_unknown_flag_usage_exit_2():
     proc = _run("kappas", "--frobnicate", "1")
     assert proc.returncode == 2

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -129,8 +130,37 @@ def test_gordon_product_form_cross_check():
         assert radial_record(n).I3 == pytest.approx(math.exp(log_gordon), rel=1e-11)
 
 
+def _radial_integral_exact(n: int, p: int) -> float:
+    """Exact-arithmetic I_p(n), the reference for the float closed forms.
+
+    I_p(n) = 8 n^(p-1) T / ((n+1)^(n+p) sqrt((n-1) n (n+1))) with the integer
+
+        T = sum_{j=0}^{n-2} (-1)^j C(n+1, n-2-j) (j+1)...(j+p+1) 2^j
+            (n+1)^(n-2-j)
+
+    obtained by integrating each power of the Laguerre expansion against
+    2 e^(-r) r^(p+1); float rounding happens only on return.
+    """
+    acc = 0
+    for j in range(n - 1):
+        poly = math.prod(range(j + 1, j + p + 2))
+        term = math.comb(n + 1, n - 2 - j) * poly * (1 << j)
+        acc = acc * (n + 1) + (term if j % 2 == 0 else -term)
+    exact = Fraction(8 * n ** (p - 1) * acc, (n + 1) ** (n + p))
+    return float(exact) / math.sqrt((n - 1) * n * (n + 1))
+
+
+@pytest.mark.parametrize("n", [*range(2, 61), 100, 250, 400])
+def test_closed_form_matches_exact_sum(n):
+    record = radial_record(n, "closed_form")
+    for p in (1, 2, 3):
+        exact = _radial_integral_exact(n, p)
+        assert abs(record.integral(p) - exact) <= 1e-13 * abs(exact)
+
+
 def test_dual_route_agreement_sampled():
-    for n in (2, 5, 17, 60, 123, 200):
+    # Up to n = 1000: the two routes are independent at every n.
+    for n in (2, 5, 17, 60, 123, 200, 401, 700, 1000):
         for p in (1, 2, 3):
             closed = radial_record(n, "closed_form").integral(p)
             quad = radial_record(n, "quadrature").integral(p)
@@ -138,10 +168,11 @@ def test_dual_route_agreement_sampled():
 
 
 def test_route_mismatch_raises(monkeypatch):
-    monkeypatch.setattr(hyd, "_radial_integral_quadrature",
-                        lambda n, p: hyd._radial_integral_exact(n, p) * 1.001)
-    with pytest.raises(RadialIntegralMismatch):
-        radial_integral(5, 3)
+    monkeypatch.setattr(hyd, "_quadrature_integrals",
+                        lambda n: [v * 1.001 for v in hyd._closed_form(n)])
+    for n in (5, 450):
+        with pytest.raises(RadialIntegralMismatch):
+            radial_integral(n, 3)
 
 
 def test_oscillator_strengths():

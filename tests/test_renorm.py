@@ -120,6 +120,11 @@ def test_delta_mass_validation():
         delta_mass(CONST.electron_mass, -1.0)
     with pytest.raises(ValueError):
         delta_mass(CONST.electron_mass, 1.0, route="symbolic")
+    for mass, cut in ((math.nan, 1.0), (math.inf, 1.0),
+                      (CONST.electron_mass, math.inf),
+                      (CONST.electron_mass, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            delta_mass(mass, cut)
 
 
 def test_delta_mass_route_mismatch_raises(monkeypatch):
