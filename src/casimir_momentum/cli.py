@@ -145,14 +145,24 @@ def _parse_triple(text: str, flag: str) -> list[float]:
     if len(parts) != 3:
         raise CliValidationError(f"{flag} expects three comma-separated numbers")
     try:
-        return [float(x) for x in parts]
+        values = [float(x) for x in parts]
     except ValueError:
         raise CliValidationError(f"{flag}: could not parse {text!r}") from None
+    _require(all(map(math.isfinite, values)), f"{flag} values must be finite")
+    return values
 
 
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise CliValidationError(message)
+
+
+def _require_finite(params: dict[str, Any]) -> None:
+    """Refuse nan and +-inf in any float parameter, naming its flag."""
+    for key, value in params.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise CliValidationError(
+                f"--{key.replace('_', '-')} must be finite, got {value!r}")
 
 
 def _tail_flag(value: str) -> bool:
@@ -264,6 +274,7 @@ def _handle_continuum(p: dict[str, Any]):
         raise CliValidationError(
             f"could not parse ymin-grid {p['ymin_grid']!r}") from None
     _require(len(grid) >= 1, "ymin-grid must contain at least one value")
+    _require(all(map(math.isfinite, grid)), "ymin-grid values must be finite")
     _require(all(b > a for a, b in zip(grid, grid[1:])),
              "ymin-grid must be strictly ascending")
     _require(all(y >= 0 for y in grid), "ymin values must be >= 0")
@@ -584,6 +595,7 @@ def run(argv: list[str] | None = None) -> int:
 
     try:
         params, loaded = _effective_params(args)
+        _require_finite(params)
         fmt = args.format or loaded.get("format") or "json"
         out_path = args.output
         config = RunConfig(subcommand=args.subcommand, params=params,

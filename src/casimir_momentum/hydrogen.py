@@ -189,7 +189,7 @@ def radial_integral(n: int, p: int) -> float:
     if p not in (1, 2, 3):
         raise ValueError("p must be 1, 2 or 3")
     closed = radial_record(n).integral(p)
-    quad = _quadrature_integrals(n)[p - 1]
+    quad = radial_record(n, "quadrature").integral(p)
     rel = abs(quad - closed) / abs(closed)
     if rel > 1e-8:
         raise RadialIntegralMismatch(

@@ -4,7 +4,9 @@ All sums run over the 1s -> np series in a fixed ascending index order and
 accumulate with Neumaier compensation, so results are bit-identical from run
 to run regardless of how the term values were produced. Truncation beyond
 n_max is handled by fitting the term sequence to a/n^3 + b/n^4 on the upper
-half of the window and summing the model analytically (Hurwitz zeta).
+half of the window and summing the model analytically with the Hurwitz zeta,
+computed in-house by `hurwitz_zeta` (direct terms, then an Euler-Maclaurin
+tail).
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import zeta as hurwitz_zeta
 
 from .hydrogen import radial_record, transition_energy
 
@@ -23,6 +24,41 @@ DEFAULT_N_MAX_POLARIZABILITY = 400
 DEFAULT_LAMB_LOG = -8.35     # standard excitation-log value, supplied, never computed
 
 _MIN_TAIL_POINTS = 8
+
+_ZETA_EM_START = 25.0
+# B_2k / (2k)! for k = 1..5, the Euler-Maclaurin coefficients used by hurwitz_zeta.
+_ZETA_EM_COEFFS = (1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0, -1.0 / 1209600.0,
+                   1.0 / 47900160.0)
+
+
+def hurwitz_zeta(s: float, a: float) -> float:
+    """Hurwitz zeta sum_{k >= 0} (a + k)^-s for finite s > 1 and a > 0.
+
+    Sums (a + k)^-s directly while a + k < 25, then adds the Euler-Maclaurin
+    tail from x = a + k: x^(1-s)/(s-1) + x^-s/2 + sum_k B_2k/(2k)!
+    s(s+1)...(s+2k-2) x^(-s-2k+1), k = 1..5. The first term left out (B_12)
+    is below 4e-16 relative at x >= 25 for s <= 4; starting the tail at 10
+    instead would leave it at 2e-11.
+    """
+    if not (math.isfinite(s) and math.isfinite(a) and s > 1.0 and a > 0.0):
+        raise ValueError(f"hurwitz_zeta needs finite s > 1 and a > 0, got s={s!r}, a={a!r}")
+    n_direct = max(0, math.ceil(_ZETA_EM_START - a))
+    x = a + n_direct
+    x_s = x**-s
+    power = x_s / x                 # x^(-s-2k+1) for k = 1
+    rising = s                      # s(s+1)...(s+2k-2) for k = 1
+    em_terms = []
+    for k, coeff in enumerate(_ZETA_EM_COEFFS, start=1):
+        em_terms.append(coeff * rising * power)
+        rising *= (s + 2 * k - 1) * (s + 2 * k)
+        power /= x * x
+    total = 0.0
+    for t in reversed(em_terms):    # smallest first
+        total += t
+    total += x * x_s / (s - 1.0) + 0.5 * x_s
+    for k in reversed(range(n_direct)):
+        total += (a + k) ** -s
+    return total
 
 
 def neumaier_cumsum(terms: Sequence[float]) -> list[float]:
@@ -73,8 +109,8 @@ def tail_extrapolate(ns: Sequence[int], terms: Sequence[float]) -> TailEstimate:
     n_last = float(n_arr[-1])
     design = np.column_stack([n_arr**-3.0, n_arr**-4.0])
     coef, *_ = np.linalg.lstsq(design, t_arr, rcond=None)
-    z3 = float(hurwitz_zeta(3.0, n_last + 1.0))
-    z4 = float(hurwitz_zeta(4.0, n_last + 1.0))
+    z3 = hurwitz_zeta(3.0, n_last + 1.0)
+    z4 = hurwitz_zeta(4.0, n_last + 1.0)
     tail = coef[0] * z3 + coef[1] * z4
 
     coef1, *_ = np.linalg.lstsq(design[:, :1], t_arr, rcond=None)
@@ -112,7 +148,7 @@ class SpectralSumResult:
 def _crude_tail_bound(n_max: int, last_term: float) -> float:
     # Upper bound on the dropped tail assuming t_n * n^3 is nonincreasing,
     # which holds for every series in this module; factor 2 of slack.
-    return 2.0 * abs(last_term) * n_max**3 * float(hurwitz_zeta(3.0, n_max + 1.0))
+    return 2.0 * abs(last_term) * n_max**3 * hurwitz_zeta(3.0, n_max + 1.0)
 
 
 def _spectral_sum(name: str, term: Callable[[int], float], n_max: int,

@@ -121,6 +121,31 @@ def test_renorm_overflowing_cutoff_exit_2(capsys):
             assert flag[2:] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["budget", "--E0", "nan,0,0"], "--E0"),
+    (["budget", "--B0", "0,inf,0"], "--B0"),
+    (["budget", "--kappa1", "nan"], "--kappa1"),
+    (["bethe", "--log-value", "nan"], "--log-value"),
+    (["rho-c", "--omega-max", "inf"], "--omega-max"),
+    (["kappas", "--ymin", "inf"], "--ymin"),
+    (["continuum", "--ymin-grid", "0,-inf"], "ymin-grid"),
+    (["continuum", "--ymin-grid", "0,nan"], "ymin-grid"),
+])
+def test_non_finite_input_exit_2(capsys, argv, flag):
+    # In-process: refused before any computation, so no late JSON failure
+    # and no numpy RuntimeWarning (an error under this suite's filter).
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert flag in err and "finite" in err
+
+
+def test_non_finite_config_load_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"subcommand": "budget", "kappa2": NaN}')
+    assert run(["budget", "--config-load", str(cfg)]) == 2
+    assert "--kappa2 must be finite" in capsys.readouterr().err
+
+
 def test_unknown_flag_usage_exit_2():
     proc = _run("kappas", "--frobnicate", "1")
     assert proc.returncode == 2

@@ -1,0 +1,45 @@
+"""numpy is the package's only runtime dependency; scipy must never load."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import casimir_momentum
+
+SRC = str(Path(casimir_momentum.__file__).resolve().parent.parent)
+PYPROJECT = Path(SRC).parent / "pyproject.toml"
+
+
+def _python(code: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+def test_import_leaves_scipy_unloaded():
+    proc = _python("import sys, casimir_momentum\n"
+                   "assert 'scipy' not in sys.modules, 'scipy was imported'")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_subcommands_run_with_scipy_blocked():
+    # A None entry makes any `import scipy...`, hidden or lazy, raise ImportError.
+    proc = _python("import sys\n"
+                   "sys.modules['scipy'] = None\n"
+                   "from casimir_momentum.cli import run\n"
+                   "assert run(['budget']) == 0\n"
+                   "assert run(['polarizability', '--n-max', '100']) == 0")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_pyproject_lists_only_numpy():
+    tomllib = pytest.importorskip("tomllib")
+    with open(PYPROJECT, "rb") as fh:
+        deps = tomllib.load(fh)["project"]["dependencies"]
+    names = [re.split(r"[\s<>=!~;\[]", d, maxsplit=1)[0].lower() for d in deps]
+    assert names == ["numpy"]

@@ -168,11 +168,17 @@ def test_dual_route_agreement_sampled():
 
 
 def test_route_mismatch_raises(monkeypatch):
+    # radial_integral reads the memoized quadrature record: clear it so the
+    # patched route fills it, and again so the bad records do not outlive the test.
+    radial_record.cache_clear()
     monkeypatch.setattr(hyd, "_quadrature_integrals",
                         lambda n: [v * 1.001 for v in hyd._closed_form(n)])
-    for n in (5, 450):
-        with pytest.raises(RadialIntegralMismatch):
-            radial_integral(n, 3)
+    try:
+        for n in (5, 450):
+            with pytest.raises(RadialIntegralMismatch):
+                radial_integral(n, 3)
+    finally:
+        radial_record.cache_clear()
 
 
 def test_oscillator_strengths():

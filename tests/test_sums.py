@@ -7,6 +7,7 @@ from casimir_momentum.sums import (
     PerturbedGroundState,
     bethe_sum,
     first_moment_residual,
+    hurwitz_zeta,
     kappa1_discrete,
     kappa2_discrete,
     neumaier_cumsum,
@@ -23,6 +24,30 @@ I3_2 = 768.0 / (243.0 * SQRT6)
 
 # Direct high-precision summation oracle for sum_{n>100} n^-3 (Hurwitz).
 ZETA3_TAIL_AT_100 = 4.9502499916674999e-5
+
+
+# --- Hurwitz zeta -------------------------------------------------------------
+
+def test_hurwitz_zeta_known_values():
+    assert hurwitz_zeta(4.0, 1.0) == pytest.approx(math.pi**4 / 90.0, rel=1e-15)
+    assert hurwitz_zeta(3.0, 1.0) == pytest.approx(1.2020569031595942, rel=1e-15)
+    assert hurwitz_zeta(3.0, 101.0) == pytest.approx(ZETA3_TAIL_AT_100, rel=1e-15)
+
+
+@pytest.mark.parametrize("s", [3.0, 4.0])
+@pytest.mark.parametrize("a", [1.0, 9.0, 24.5, 25.0, 201.0, 1e6])
+def test_hurwitz_zeta_recurrence(s, a):
+    # Pairs straddle the switch to the Euler-Maclaurin tail at a + k = 25.
+    assert hurwitz_zeta(s, a) == pytest.approx(hurwitz_zeta(s, a + 1.0) + a**-s,
+                                               rel=1e-14)
+
+
+@pytest.mark.parametrize("s, a", [(1.0, 2.0), (0.5, 2.0), (3.0, 0.0), (3.0, -1.0),
+                                  (math.nan, 2.0), (3.0, math.nan),
+                                  (math.inf, 2.0), (3.0, math.inf)])
+def test_hurwitz_zeta_domain(s, a):
+    with pytest.raises(ValueError):
+        hurwitz_zeta(s, a)
 
 
 # --- tail extrapolation -----------------------------------------------------
