@@ -140,6 +140,11 @@ _DEFAULTS: dict[str, dict[str, Any]] = {
 }
 
 
+# Largest accepted magnitude of a field component, --Q0 component and kappa:
+# far above any physical value, it keeps every product in the budget finite.
+_BUDGET_MAGNITUDE_MAX = 1e50
+
+
 def _parse_triple(text: str, flag: str) -> list[float]:
     parts = str(text).split(",")
     if len(parts) != 3:
@@ -149,7 +154,28 @@ def _parse_triple(text: str, flag: str) -> list[float]:
     except ValueError:
         raise CliValidationError(f"{flag}: could not parse {text!r}") from None
     _require(all(map(math.isfinite, values)), f"{flag} values must be finite")
+    _require(all(abs(v) <= _BUDGET_MAGNITUDE_MAX for v in values),
+             f"{flag} components must be at most {_BUDGET_MAGNITUDE_MAX:g} "
+             f"in magnitude")
     return values
+
+
+def _parse_grid(text: str, flag: str) -> list[float]:
+    try:
+        grid = [float(x) for x in str(text).split(",") if x != ""]
+    except ValueError:
+        raise CliValidationError(f"{flag}: could not parse {text!r}") from None
+    _require(len(grid) >= 1, f"{flag} must contain at least one value")
+    _require(all(map(math.isfinite, grid)), f"{flag} values must be finite")
+    return grid
+
+
+# String parameters and their parsers. They run before --config-dump, so a
+# dumped config always replays, and the handlers receive the parsed values.
+_STRING_PARSERS: dict[str, Callable[[str, str], list[float]]] = {
+    "E0": _parse_triple, "B0": _parse_triple, "Q0": _parse_triple,
+    "ymin_grid": _parse_grid,
+}
 
 
 def _require(cond: bool, message: str) -> None:
@@ -157,12 +183,19 @@ def _require(cond: bool, message: str) -> None:
         raise CliValidationError(message)
 
 
-def _require_finite(params: dict[str, Any]) -> None:
-    """Refuse nan and +-inf in any float parameter, naming its flag."""
+def _flag(key: str) -> str:
+    return f"--{key.replace('_', '-')}"
+
+
+def _checked_params(params: dict[str, Any]) -> dict[str, Any]:
+    """Refuse nan and +-inf in any float parameter, naming its flag, and
+    return the parameters with the string-valued ones parsed."""
     for key, value in params.items():
         if isinstance(value, float) and not math.isfinite(value):
-            raise CliValidationError(
-                f"--{key.replace('_', '-')} must be finite, got {value!r}")
+            raise CliValidationError(f"{_flag(key)} must be finite, got {value!r}")
+    return {key: _STRING_PARSERS[key](value, _flag(key))
+            if key in _STRING_PARSERS else value
+            for key, value in params.items()}
 
 
 def _tail_flag(value: str) -> bool:
@@ -178,7 +211,9 @@ def _sum_entry(res: sums.SpectralSumResult) -> dict[str, Any]:
 
 def _handle_kappas(p: dict[str, Any]):
     _require(p["n_max"] >= 2, "n-max must be >= 2")
-    _require(p["ymin"] >= 0 and p["ymin2"] >= 0, "ymin must be >= 0")
+    for key in ("ymin", "ymin2"):
+        _require(0 <= p[key] <= quadrature.Y_MIN_MAX,
+                 f"{_flag(key)} must be in [0, {quadrature.Y_MIN_MAX:g}]")
     _require(p["rel_tol"] > 0 and p["abs_tol"] > 0, "tolerances must be positive")
     tail = _tail_flag(p["tail"])
     spec = QuadratureSpec(abs_tol=p["abs_tol"], rel_tol=p["rel_tol"])
@@ -268,16 +303,11 @@ def _handle_continuum(p: dict[str, Any]):
     _require(p["which"] in ("kappa1", "kappa2", "both"),
              "which must be kappa1, kappa2 or both")
     _require(p["rel_tol"] > 0 and p["abs_tol"] > 0, "tolerances must be positive")
-    try:
-        grid = [float(x) for x in str(p["ymin_grid"]).split(",") if x != ""]
-    except ValueError:
-        raise CliValidationError(
-            f"could not parse ymin-grid {p['ymin_grid']!r}") from None
-    _require(len(grid) >= 1, "ymin-grid must contain at least one value")
-    _require(all(map(math.isfinite, grid)), "ymin-grid values must be finite")
+    grid = p["ymin_grid"]
     _require(all(b > a for a, b in zip(grid, grid[1:])),
              "ymin-grid must be strictly ascending")
-    _require(all(y >= 0 for y in grid), "ymin values must be >= 0")
+    _require(all(0 <= y <= quadrature.Y_MIN_MAX for y in grid),
+             f"--ymin-grid values must be in [0, {quadrature.Y_MIN_MAX:g}]")
     spec = QuadratureSpec(abs_tol=p["abs_tol"], rel_tol=p["rel_tol"])
     names = ("kappa1", "kappa2") if p["which"] == "both" else (p["which"],)
     results: dict[str, dict[str, Any]] = {}
@@ -349,19 +379,31 @@ def _handle_rho_c(p: dict[str, Any]):
     if p["model"] == "dispersionless":
         _require(p["eps_r"] > 1, "eps-r must be > 1")
         model = DispersionModel.dispersionless(p["eps_r"])
+        model_key = "eps_r"
     else:
         _require(p["n_e"] > 0, "n-e must be positive")
         model = DispersionModel.free_electron(p["n_e"])
+        model_key = "n_e"
     if p["omega_max"] is not None:
         _require(p["omega_max"] > 0, "omega-max must be positive")
         cutoff = CutoffScheme.frequency(p["omega_max"])
+        cutoff_key = "omega_max"
     else:
         l_min = p["l_min"] if p["l_min"] is not None \
             else const.classical_electron_radius
         _require(l_min > 0, "l-min must be positive")
         cutoff = CutoffScheme.length(l_min)
-    value = renorm.casimir_mass_density(model, cutoff, const)
+        cutoff_key = "l_min"
     omega = cutoff.omega_max(const)
+    fit = _tail_flag(p["fit_exponent"])
+    try:
+        value = renorm.casimir_mass_density(model, cutoff, const)
+        if fit:
+            grid = [omega * 2.0**k for k in range(4)]
+            slope = renorm.divergence_exponent(model, grid, const)
+    except renorm.MassDensityOverflow as exc:
+        raise CliValidationError(
+            f"{exc} (set by {_flag(cutoff_key)} and {_flag(model_key)})") from None
     results = {
         "rho_c": {"value": value, "error": None},
         "omega_max": {"value": omega, "error": None},
@@ -380,9 +422,7 @@ def _handle_rho_c(p: dict[str, Any]):
         provenance["reference_mass_density"] = "n_e m_e / alpha"
         provenance["ratio_to_reference"] = ("|rho_c| / (n_e m_e/alpha); order "
                                             "unity at the electron-radius cutoff")
-    if _tail_flag(p["fit_exponent"]):
-        grid = [omega * 2.0**k for k in range(4)]
-        slope = renorm.divergence_exponent(model, grid, const)
+    if fit:
         results["divergence_exponent"] = {"value": slope, "error": None}
         provenance["divergence_exponent"] = (
             "least-squares slope of log|rho_c| against log omega_max over a "
@@ -392,14 +432,14 @@ def _handle_rho_c(p: dict[str, Any]):
 
 
 def _handle_budget(p: dict[str, Any]):
-    e0 = _parse_triple(p["E0"], "--E0")
-    b0 = _parse_triple(p["B0"], "--B0")
-    q0 = _parse_triple(p["Q0"], "--Q0")
+    for key in ("kappa1", "kappa2"):
+        _require(abs(p[key]) <= _BUDGET_MAGNITUDE_MAX,
+                 f"{_flag(key)} must be at most {_BUDGET_MAGNITUDE_MAX:g} in magnitude")
     choice = str(p["polarizability"]).replace("-", "_")
     _require(choice in budget.POLARIZABILITY_CHOICES,
              f"polarizability must be one of "
              f"{tuple(c.replace('_', '-') for c in budget.POLARIZABILITY_CHOICES)}")
-    fields = budget.FieldConfiguration(E0=e0, B0=b0, Q0=q0)
+    fields = budget.FieldConfiguration(E0=p["E0"], B0=p["B0"], Q0=p["Q0"])
     bud = budget.assemble_budget(fields, kappa1=p["kappa1"], kappa2=p["kappa2"],
                                  polarizability_choice=choice)
     results = {
@@ -595,7 +635,7 @@ def run(argv: list[str] | None = None) -> int:
 
     try:
         params, loaded = _effective_params(args)
-        _require_finite(params)
+        checked = _checked_params(params)
         fmt = args.format or loaded.get("format") or "json"
         out_path = args.output
         config = RunConfig(subcommand=args.subcommand, params=params,
@@ -607,7 +647,7 @@ def run(argv: list[str] | None = None) -> int:
             return 0
 
         t0 = time.perf_counter()
-        results, provenance = _HANDLERS[args.subcommand](params)
+        results, provenance = _HANDLERS[args.subcommand](checked)
         elapsed = time.perf_counter() - t0
         report = ReportEnvelope(artifact_version=__version__, config=config,
                                 results=results, provenance=provenance,

@@ -12,7 +12,11 @@ Every radial integral I_p(n) = int_0^inf R_10(r) R_n1(r) r^p dr, p in
   Salpeter 1957); all three follow from integrating the Laguerre expansion
   of R_n1 against 2 e^(-r) r^(p+1) term by term;
 * quadrature  -- adaptive Gauss-Kronrod integration of the numerically
-  evaluated wavefunctions on [0, r_cut(n)], r_cut(n) = 2n(n+15).
+  evaluated wavefunctions on [0, 64] for every n. The cut rests on a proven
+  bound: |L_k^a(x)| <= C(k+a, k) e^(x/2) for x, a >= 0 (DLMF 18.14.8) gives
+  |R_n1(r)| <= 2r/(3 n^1.5), so |2 e^(-r) R_n1(r) r^p| <= (4/3) 2^-1.5
+  r^(p+1) e^(-r) for n >= 2, and the part beyond r = 64 is at most
+  (4/3) 2^-1.5 Gamma(p+2, 64), 1.4e-21 for p = 3.
 
 The two routes form the module's built-in oracle and must agree to 1e-10
 in relative terms; a disagreement beyond 1e-8 raises hard.
@@ -30,7 +34,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .quadrature import QuadratureSpec, integrate_adaptive
+from .quadrature import QuadratureSpec, integrate_adaptive, tail_bound_ok
 
 
 @dataclass(frozen=True)
@@ -139,30 +143,47 @@ def _closed_form(n: int) -> tuple[float, float, float]:
     return c * (n / (n + 1)) ** 3 * s, i2, i3
 
 
-def integration_cutoff(n: int) -> float:
-    """Upper limit 2n(n+15) for the quadrature route, in Bohr radii."""
-    return 2.0 * n * (n + 15.0)
-
-
-def _geometric_breakpoints(r_max: float, first: float = 0.5) -> list[float]:
+def _geometric_breakpoints(r_max: float, first: float = 0.5,
+                           ratio: float = 2.0) -> list[float]:
     pts = []
     r = first
     while r < r_max:
         pts.append(r)
-        r *= 2.0
+        r *= ratio
     return pts
 
 
+def _radial_tail_bound(p: int, r_cut: float) -> float:
+    """Bound on |int_{r_cut}^inf 2 e^(-r) R_n1(r) r^p dr| valid for every n >= 2.
+
+    With k = n-2 and a = 3, DLMF 18.14.8 bounds |L_k^3(x)| by
+    C(n+1, 3) e^(x/2); inserted into R_n1 at x = 2r/n this cancels e^(-r/n)
+    and leaves |R_n1(r)| <= (2r/(3n^3)) sqrt((n-1) n (n+1)) <= 2r/(3 n^1.5).
+    The integrand is then at most (4/3) 2^-1.5 r^(p+1) e^(-r), whose tail is
+    the upper incomplete gamma Gamma(p+2, r_cut) = (p+1)! e^(-r_cut)
+    sum_{j<=p+1} r_cut^j/j! (integer order).
+    """
+    gamma_upper = math.factorial(p + 1) * math.exp(-r_cut) * math.fsum(
+        r_cut**j / math.factorial(j) for j in range(p + 2))
+    return (4.0 / 3.0) * 2.0**-1.5 * gamma_upper
+
+
 _RADIAL_QUAD_SPEC = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-12,
-                                   max_subdivisions=4000)
+                                   max_subdivisions=4000, upper_cut=64.0)
+if not all(tail_bound_ok(_radial_tail_bound(p, _RADIAL_QUAD_SPEC.upper_cut),
+                         _RADIAL_QUAD_SPEC) for p in (1, 2, 3)):
+    raise RuntimeError("the radial quadrature cut leaves a tail above abs_tol/10")
+# Seed partition 1, sqrt 2, 2, ..., 45.25 (13 segments on [0, 64]): fine
+# enough that every n converges without subdividing.
+_RADIAL_BREAKPOINTS = _geometric_breakpoints(_RADIAL_QUAD_SPEC.upper_cut,
+                                             first=1.0, ratio=math.sqrt(2.0))
 
 
 def _quadrature_integrals(n: int) -> tuple[float, float, float]:
-    """(I1, I2, I3) by adaptive quadrature in one pass: the engine places its
-    nodes by segment alone and the integrands differ only by r^p, so
-    2 e^(-r) R_n1(r) is evaluated once per node array."""
+    """(I1, I2, I3) by adaptive quadrature on [0, upper_cut] in one pass: the
+    engine places its nodes by segment alone and the integrands differ only
+    by r^p, so 2 e^(-r) R_n1(r) is evaluated once per node array."""
     state = BoundStateLabel(n, 1)
-    r_cut = integration_cutoff(n)
     weights: dict[bytes, np.ndarray] = {}
 
     def f(r: np.ndarray, p: int) -> np.ndarray:
@@ -171,8 +192,9 @@ def _quadrature_integrals(n: int) -> tuple[float, float, float]:
             weights[key] = 2.0 * np.exp(-r) * radial_wavefunction(state, r)
         return weights[key] * r**p
 
-    return tuple(integrate_adaptive(partial(f, p=p), 0.0, r_cut, _RADIAL_QUAD_SPEC,
-                                    breakpoints=_geometric_breakpoints(r_cut)).value
+    return tuple(integrate_adaptive(partial(f, p=p), 0.0,
+                                    _RADIAL_QUAD_SPEC.upper_cut, _RADIAL_QUAD_SPEC,
+                                    breakpoints=_RADIAL_BREAKPOINTS).value
                  for p in (1, 2, 3))
 
 

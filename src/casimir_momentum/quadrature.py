@@ -248,6 +248,17 @@ def kappa2_continuum_integrand(y: np.ndarray) -> np.ndarray:
     return 256.0 / (27.0 * math.pi) * y**4 / (y * y + 1.0) ** 6
 
 
+# Largest accepted lower cutoff. Beyond it both continuum integrals are below
+# 1e-24, under any tolerance; below it the nodes of the rational map stay
+# under about 1e16, where every power in the two integrands is finite.
+Y_MIN_MAX = 1e6
+
+
+def _check_y_min(y_min: float) -> None:
+    if not 0 <= y_min <= Y_MIN_MAX:
+        raise ValueError(f"y_min must be in [0, {Y_MIN_MAX:g}], got {y_min!r}")
+
+
 def kappa1_continuum(y_min: float = 1.0,
                      spec: QuadratureSpec = DEFAULT_SPEC) -> ContinuumResult:
     """Continuum (plane-wave) part of the first vacuum-coupling coefficient.
@@ -256,8 +267,7 @@ def kappa1_continuum(y_min: float = 1.0,
     kappa1_continuum_integrand; that is the quantity the adopted coefficient
     totals are built from (0.0139 at y_min = 0, 0.0094 at y_min = 1).
     """
-    if y_min < 0:
-        raise ValueError("y_min must be >= 0")
+    _check_y_min(y_min)
     res = integrate_to_inf(kappa1_continuum_integrand, y_min, spec)
     return ContinuumResult(value=res.value, y_min=y_min,
                            estimated_error=res.error)
@@ -270,8 +280,7 @@ def kappa2_continuum(y_min: float = 1.0,
     At y_min = 0 the value has the closed form
     (256/27pi) * (3pi/512) = 1/18; the quadrature is held to it at 1e-9.
     """
-    if y_min < 0:
-        raise ValueError("y_min must be >= 0")
+    _check_y_min(y_min)
     res = integrate_to_inf(kappa2_continuum_integrand, y_min, spec)
     return ContinuumResult(value=res.value, y_min=y_min,
                            estimated_error=res.error)

@@ -107,6 +107,10 @@ class CutoffScheme:
         return math.pi * c0 / self.l_min
 
 
+class MassDensityOverflow(ValueError):
+    """The regularized mass density is not representable at this cutoff."""
+
+
 class PlasmaCutoffWarning(UserWarning):
     """Cutoff below the plasma frequency: the eps_r - 1 model is invalid there."""
 
@@ -119,26 +123,36 @@ def casimir_mass_density(model: DispersionModel, cutoff: CutoffScheme,
     d omega, by the closed-form antiderivative of each model:
     dispersionless integrands give omega_max^4/4 scaling, the free-electron
     model omega_max^2/2 with a negative sign (eps_r < 1 above the plasma
-    frequency). The prefactor is taken as given and not re-derived.
+    frequency). The prefactor is taken as given and not re-derived. Raises
+    MassDensityOverflow if the density overflows the float range.
     """
     const = const or constants()
     omega_max = cutoff.omega_max(const)
     front = (2.0 / 3.0) * const.hbar / (math.pi**3 * const.light_speed_c0**5)
     if model.kind == "dispersionless":
-        return front * (model.eps_r - 1.0) * omega_max**4 / 4.0
-    omega_p = model.plasma_frequency(const)
-    if omega_max < omega_p:
-        warnings.warn(
-            f"cutoff {omega_max:.3e} rad/s is below the plasma frequency "
-            f"{omega_p:.3e} rad/s; the free-electron eps_r - 1 is not a "
-            "valid model there",
-            PlasmaCutoffWarning,
-            stacklevel=2,
+        weight, power = model.eps_r - 1.0, 4
+    else:
+        omega_p = model.plasma_frequency(const)
+        if omega_max < omega_p:
+            warnings.warn(
+                f"cutoff {omega_max:.3e} rad/s is below the plasma frequency "
+                f"{omega_p:.3e} rad/s; the free-electron eps_r - 1 is not a "
+                "valid model there",
+                PlasmaCutoffWarning,
+                stacklevel=2,
+            )
+        weight = -model.n_e * const.elementary_charge_e**2 / (
+            const.vacuum_permittivity_eps0 * const.electron_mass
         )
-    chi_weight = -model.n_e * const.elementary_charge_e**2 / (
-        const.vacuum_permittivity_eps0 * const.electron_mass
-    )
-    return front * chi_weight * omega_max**2 / 2.0
+        power = 2
+    try:
+        value = front * weight * omega_max**power / power
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise MassDensityOverflow(
+            f"the mass density overflows at omega_max = {omega_max:.3e} rad/s")
+    return value
 
 
 class MassShiftMismatch(RuntimeError):

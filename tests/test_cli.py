@@ -139,6 +139,43 @@ def test_non_finite_input_exit_2(capsys, argv, flag):
     assert flag in err and "finite" in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["rho-c", "--omega-max", "1e300"], "--omega-max"),
+    (["rho-c", "--model", "dispersionless", "--l-min", "1e-300"], "--l-min"),
+    (["kappas", "--ymin", "1e300"], "--ymin"),
+    (["kappas", "--ymin2", "1e7"], "--ymin2"),
+    (["continuum", "--ymin-grid", "0,1e300"], "--ymin-grid"),
+    (["budget", "--E0", "1e200,0,0", "--B0", "0,1e200,0"], "--E0"),
+    (["budget", "--kappa1", "1e300"], "--kappa1"),
+])
+def test_large_finite_input_exit_2(capsys, argv, flag):
+    # In-process: a finite value that would overflow is refused with its
+    # flag named, before any numpy RuntimeWarning (an error in this suite).
+    assert run(argv) == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_budget_at_magnitude_ceiling_finite(capsys):
+    # The largest accepted fields, pseudo-momentum and kappas still give a
+    # finite report without a numpy RuntimeWarning.
+    assert run(["budget", "--E0=1e50,-1e50,1e50", "--B0=-1e50,1e50,1e50",
+                "--Q0=1e50,1e50,-1e50", "--kappa1=-1e50", "--kappa2=1e50"]) == 0
+    json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["budget", "--E0", "nan,0,0"], "--E0"),
+    (["budget", "--Q0", "1,2"], "--Q0"),
+    (["continuum", "--ymin-grid", "0,inf"], "--ymin-grid"),
+])
+def test_config_dump_refuses_bad_strings(capsys, argv, flag):
+    # A dumped config must replay: string parameters are checked first.
+    assert run(argv + ["--config-dump"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in captured.err
+
+
 def test_non_finite_config_load_exit_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"subcommand": "budget", "kappa2": NaN}')

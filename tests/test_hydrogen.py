@@ -15,7 +15,12 @@ from casimir_momentum.hydrogen import (
     radial_wavefunction,
     transition_energy,
 )
-from casimir_momentum.quadrature import QuadratureSpec, integrate_adaptive
+from casimir_momentum.quadrature import (
+    QuadratureSpec,
+    integrate_adaptive,
+    integrate_to_inf,
+    tail_bound_ok,
+)
 
 SQRT6 = math.sqrt(6.0)
 
@@ -73,9 +78,15 @@ def test_unsupported_l_rejected():
 _NORM_SPEC = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-12, max_subdivisions=4000)
 
 
+def integration_cutoff(n: int) -> float:
+    """Upper limit 2n(n+15), in Bohr radii, for integrals of R_n1 products
+    that carry no e^(-r) factor (normalization, orthogonality)."""
+    return 2.0 * n * (n + 15.0)
+
+
 def _radial_overlap(n1: int, n2: int) -> float:
     s1, s2 = BoundStateLabel(n1, 1), BoundStateLabel(n2, 1)
-    r_cut = hyd.integration_cutoff(max(n1, n2))
+    r_cut = integration_cutoff(max(n1, n2))
 
     def f(r):
         return radial_wavefunction(s1, r) * radial_wavefunction(s2, r) * r * r
@@ -167,6 +178,29 @@ def test_dual_route_agreement_sampled():
             assert abs(quad - closed) / abs(closed) < 1e-10
 
 
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_radial_tail_bound_at_cut(p):
+    spec = hyd._RADIAL_QUAD_SPEC
+    bound = hyd._radial_tail_bound(p, spec.upper_cut)
+    assert tail_bound_ok(bound, spec)
+    # The incomplete-gamma closed form against quadrature of the envelope.
+    envelope = integrate_to_inf(
+        lambda r: (4.0 / 3.0) * 2.0**-1.5 * r ** (p + 1) * np.exp(-r),
+        spec.upper_cut, QuadratureSpec(abs_tol=1e-40, rel_tol=1e-12))
+    assert bound == pytest.approx(envelope.value, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 200, 1000])
+def test_radial_integrand_envelope(n):
+    # |2 e^(-r) R_n1(r) r^p| <= (4/3) 2^-1.5 r^(p+1) e^(-r), the bound that
+    # justifies cutting the quadrature route at r = 64.
+    r = np.linspace(0.0, 200.0, 4001)
+    weight = 2.0 * np.exp(-r) * radial_wavefunction(BoundStateLabel(n, 1), r)
+    for p in (1, 2, 3):
+        envelope = (4.0 / 3.0) * 2.0**-1.5 * r ** (p + 1) * np.exp(-r)
+        assert np.all(np.abs(weight * r**p) <= envelope * (1.0 + 1e-12))
+
+
 def test_route_mismatch_raises(monkeypatch):
     # radial_integral reads the memoized quadrature record: clear it so the
     # patched route fills it, and again so the bad records do not outlive the test.
@@ -223,6 +257,6 @@ def test_wavefunction_vectorized_matches_scalar():
 
 def test_large_n_wavefunction_finite_everywhere():
     state = BoundStateLabel(400, 1)
-    r = np.geomspace(1e-3, hyd.integration_cutoff(400), 500)
+    r = np.geomspace(1e-3, integration_cutoff(400), 500)
     vals = radial_wavefunction(state, r)
     assert np.all(np.isfinite(vals))

@@ -7,6 +7,7 @@ from casimir_momentum.quadrature import (
     DEFAULT_SPEC,
     KAPPA1_CONTINUUM_AT_ZERO,
     KAPPA2_CONTINUUM_AT_ZERO,
+    Y_MIN_MAX,
     ContinuumResult,
     QuadratureError,
     QuadratureSpec,
@@ -137,6 +138,17 @@ def test_negative_ymin_rejected():
         kappa1_continuum(-0.1)
     with pytest.raises(ValueError):
         kappa2_continuum(-2.0)
+
+
+def test_ymin_ceiling():
+    # At the ceiling both integrals are negligible and evaluate without
+    # overflow (a RuntimeWarning is an error in this suite); above it, refused.
+    assert 0.0 <= kappa1_continuum(Y_MIN_MAX).value < 1e-24
+    assert 0.0 <= kappa2_continuum(Y_MIN_MAX).value < 1e-24
+    for op in (kappa1_continuum, kappa2_continuum):
+        for y in (2.0 * Y_MIN_MAX, 1e300, math.nan):
+            with pytest.raises(ValueError):
+                op(y)
 
 
 def test_continuum_error_contract():

@@ -6,6 +6,7 @@ import casimir_momentum.renorm as rn
 from casimir_momentum.renorm import (
     CutoffScheme,
     DispersionModel,
+    MassDensityOverflow,
     MassShiftMismatch,
     PlasmaCutoffWarning,
     casimir_mass_density,
@@ -57,6 +58,17 @@ def test_plasma_warning():
     omega_p = model.plasma_frequency(CONST)
     with pytest.warns(PlasmaCutoffWarning):
         casimir_mass_density(model, CutoffScheme.frequency(omega_p / 10.0))
+
+
+@pytest.mark.parametrize("model", [DispersionModel.dispersionless(2.0),
+                                   DispersionModel.free_electron(2.5e28)])
+def test_mass_density_overflow_raises(model):
+    # omega_max**power overflows (OverflowError) or the product reaches inf.
+    for omega in (1e300, 1e160, math.inf):
+        with pytest.raises(MassDensityOverflow):
+            casimir_mass_density(model, CutoffScheme.frequency(omega))
+    with pytest.raises(MassDensityOverflow):
+        divergence_exponent(model, [1e300 * 2.0**k for k in range(4)])
 
 
 def test_rho_c_linear_in_hbar():
