@@ -17,7 +17,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from . import __version__, budget, quadrature, renorm, sums, units
 from .hydrogen import RadialIntegralMismatch
@@ -121,61 +121,15 @@ def serialize(report: ReportEnvelope, output_format: str) -> bytes:
     raise CliValidationError(f"unknown output format {output_format!r}")
 
 
-# --- per-subcommand defaults (materialized into the config echo) -----------
-
-_DEFAULTS: dict[str, dict[str, Any]] = {
-    "kappas": {"n_max": 200, "tail": "on", "ymin": 1.0, "ymin2": 1.0,
-               "rel_tol": 1e-10, "abs_tol": 1e-14},
-    "polarizability": {"n_max": 400, "tail": "on"},
-    "bethe": {"n_max": 200, "tail": "on", "log_value": -8.35},
-    "continuum": {"which": "both", "ymin_grid": "0,0.5,1,2",
-                  "rel_tol": 1e-10, "abs_tol": 1e-14},
-    "renorm": {"cutoff_ratio": 2.0, "big_ratio": 1e4},
-    "rho-c": {"model": "free-electron", "eps_r": 2.0, "n_e": 2.5e28,
-              "l_min": None, "omega_max": None, "fit_exponent": "on"},
-    "budget": {"E0": "1e5,0,0", "B0": "0,1,0", "Q0": "0,0,0",
-               "kappa1": budget.ADOPTED_KAPPA1, "kappa2": budget.ADOPTED_KAPPA2,
-               "polarizability": "exact"},
-    "verify": {},
-}
-
+# --- parameters: each declared once, as a Param in SUBCOMMANDS -------------
 
 # Largest accepted magnitude of a field component, --Q0 component and kappa:
 # far above any physical value, it keeps every product in the budget finite.
 _BUDGET_MAGNITUDE_MAX = 1e50
 
-
-def _parse_triple(text: str, flag: str) -> list[float]:
-    parts = str(text).split(",")
-    if len(parts) != 3:
-        raise CliValidationError(f"{flag} expects three comma-separated numbers")
-    try:
-        values = [float(x) for x in parts]
-    except ValueError:
-        raise CliValidationError(f"{flag}: could not parse {text!r}") from None
-    _require(all(map(math.isfinite, values)), f"{flag} values must be finite")
-    _require(all(abs(v) <= _BUDGET_MAGNITUDE_MAX for v in values),
-             f"{flag} components must be at most {_BUDGET_MAGNITUDE_MAX:g} "
-             f"in magnitude")
-    return values
-
-
-def _parse_grid(text: str, flag: str) -> list[float]:
-    try:
-        grid = [float(x) for x in str(text).split(",") if x != ""]
-    except ValueError:
-        raise CliValidationError(f"{flag}: could not parse {text!r}") from None
-    _require(len(grid) >= 1, f"{flag} must contain at least one value")
-    _require(all(map(math.isfinite, grid)), f"{flag} values must be finite")
-    return grid
-
-
-# String parameters and their parsers. They run before --config-dump, so a
-# dumped config always replays, and the handlers receive the parsed values.
-_STRING_PARSERS: dict[str, Callable[[str, str], list[float]]] = {
-    "E0": _parse_triple, "B0": _parse_triple, "Q0": _parse_triple,
-    "ymin_grid": _parse_grid,
-}
+# Largest accepted --n-max: a radial record is cached for every n up to it,
+# and kappas at the ceiling takes about 1.3 s and 100 MB peak.
+_N_MAX_CEILING = 100_000
 
 
 def _require(cond: bool, message: str) -> None:
@@ -183,24 +137,103 @@ def _require(cond: bool, message: str) -> None:
         raise CliValidationError(message)
 
 
-def _flag(key: str) -> str:
-    return f"--{key.replace('_', '-')}"
+def _parse_floats(text: str, flag: str) -> list[float]:
+    """Comma-separated finite numbers (--E0/--B0/--Q0 and --ymin-grid)."""
+    try:
+        values = [float(x) for x in text.split(",")]
+    except ValueError:
+        raise CliValidationError(f"{flag}: could not parse {text!r}") from None
+    _require(all(map(math.isfinite, values)), f"{flag} values must be finite")
+    return values
 
 
-def _checked_params(params: dict[str, Any]) -> dict[str, Any]:
-    """Refuse nan and +-inf in any float parameter, naming its flag, and
-    return the parameters with the string-valued ones parsed."""
-    for key, value in params.items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise CliValidationError(f"{_flag(key)} must be finite, got {value!r}")
-    return {key: _STRING_PARSERS[key](value, _flag(key))
-            if key in _STRING_PARSERS else value
-            for key, value in params.items()}
+@dataclass(frozen=True)
+class Param:
+    """One subcommand parameter: the single source of its flag, default,
+    config-echo key and input check.
+
+    `check` pairs a rule on the parsed value with the text that states it;
+    `parse` turns a string parameter into the value the handler gets. A
+    default of None marks an optional parameter that may stay unset.
+    """
+
+    name: str
+    type: type
+    default: Any
+    help: str
+    choices: tuple[str, ...] | None = None
+    check: tuple[Callable[[Any], bool], str] | None = None
+    parse: Callable[[str, str], Any] | None = None
+
+    @property
+    def flag(self) -> str:
+        return f"--{self.name.replace('_', '-')}"
+
+    def checked(self, value: Any) -> Any:
+        """The value the handler gets, or CliValidationError naming the flag.
+
+        Flag values arrive typed by argparse, --config-load values as raw
+        JSON, so both pass the same type, finiteness, choice and range checks.
+        """
+        if value is None and self.default is None:
+            return None
+        accepted = (int, float) if self.type is float else self.type
+        _require(isinstance(value, accepted) and not isinstance(value, bool),
+                 f"{self.flag} must be of type {self.type.__name__}, got {value!r}")
+        if self.type is float:
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:           # a JSON integer beyond the float range
+                finite = False
+            _require(finite, f"{self.flag} must be finite, got {value!r}")
+        if self.choices is not None:
+            _require(value in self.choices, f"{self.flag} must be one of "
+                     f"{', '.join(self.choices)}, got {value!r}")
+        if self.parse is not None:
+            value = self.parse(value, self.flag)
+        if self.check is not None:
+            rule, text = self.check
+            _require(rule(value), f"{self.flag} {text}")
+        return value
 
 
-def _tail_flag(value: str) -> bool:
-    _require(value in ("on", "off"), f"tail must be on or off, got {value!r}")
-    return value == "on"
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_Y_MIN_RANGE = f"[0, {quadrature.Y_MIN_MAX:g}]"
+_Y_MIN = (lambda y: 0 <= y <= quadrature.Y_MIN_MAX, f"must be in {_Y_MIN_RANGE}")
+_Y_MIN_GRID = (lambda g: all(map(_Y_MIN[0], g))
+               and all(b > a for a, b in zip(g, g[1:])),
+               f"must be strictly ascending values in {_Y_MIN_RANGE}")
+_KAPPA = (lambda v: abs(v) <= _BUDGET_MAGNITUDE_MAX,
+          f"must be at most {_BUDGET_MAGNITUDE_MAX:g} in magnitude")
+
+
+def _n_max(default: int) -> Param:
+    return Param("n_max", int, default, "last n summed term by term", check=(
+        lambda n: 2 <= n <= _N_MAX_CEILING, f"must be in [2, {_N_MAX_CEILING}]"))
+
+
+def _triple(name: str, default: str, unit: str) -> Param:
+    return Param(name, str, default, f"{unit}, comma-separated triple",
+                 parse=_parse_floats, check=(
+                     lambda v: len(v) == 3 and all(map(_KAPPA[0], v)),
+                     f"must be three comma-separated numbers, each at most "
+                     f"{_BUDGET_MAGNITUDE_MAX:g} in magnitude"))
+
+
+def _switch(name: str, help: str) -> Param:
+    """An on/off parameter; the handler gets a bool."""
+    return Param(name, str, "on", help, choices=("on", "off"),
+                 parse=lambda text, flag: text == "on")
+
+
+_TAIL = _switch("tail", "power-law tail beyond n_max")
+_TOLERANCES = (
+    Param("rel_tol", float, quadrature.DEFAULT_SPEC.rel_tol,
+          "relative tolerance of the continuum quadrature", check=_POSITIVE),
+    Param("abs_tol", float, quadrature.DEFAULT_SPEC.abs_tol,
+          "absolute tolerance of the continuum quadrature", check=_POSITIVE))
+_FORMAT = Param("format", str, "json", "report format",
+                choices=("json", "csv", "text"))
 
 
 def _sum_entry(res: sums.SpectralSumResult) -> dict[str, Any]:
@@ -210,15 +243,9 @@ def _sum_entry(res: sums.SpectralSumResult) -> dict[str, Any]:
 
 
 def _handle_kappas(p: dict[str, Any]):
-    _require(p["n_max"] >= 2, "n-max must be >= 2")
-    for key in ("ymin", "ymin2"):
-        _require(0 <= p[key] <= quadrature.Y_MIN_MAX,
-                 f"{_flag(key)} must be in [0, {quadrature.Y_MIN_MAX:g}]")
-    _require(p["rel_tol"] > 0 and p["abs_tol"] > 0, "tolerances must be positive")
-    tail = _tail_flag(p["tail"])
     spec = QuadratureSpec(abs_tol=p["abs_tol"], rel_tol=p["rel_tol"])
-    k1d = sums.kappa1_discrete(p["n_max"], tail)
-    k2d = sums.kappa2_discrete(p["n_max"], tail)
+    k1d = sums.kappa1_discrete(p["n_max"], p["tail"])
+    k2d = sums.kappa2_discrete(p["n_max"], p["tail"])
     k1c = quadrature.kappa1_continuum(p["ymin"], spec)
     k2c = quadrature.kappa2_continuum(p["ymin2"], spec)
     k1 = k1d.value + k1c.value
@@ -254,10 +281,8 @@ def _handle_kappas(p: dict[str, Any]):
 
 
 def _handle_polarizability(p: dict[str, Any]):
-    _require(p["n_max"] >= 2, "n-max must be >= 2")
-    tail = _tail_flag(p["tail"])
-    pol = sums.polarizability_discrete(p["n_max"], tail)
-    osc = sums.oscillator_strength_sum(p["n_max"], tail)
+    pol = sums.polarizability_discrete(p["n_max"], p["tail"])
+    osc = sums.oscillator_strength_sum(p["n_max"], p["tail"])
     results = {
         "polarizability_discrete": _sum_entry(pol),
         "polarizability_exact_total": {"value": sums.POLARIZABILITY_EXACT_AU,
@@ -279,9 +304,7 @@ def _handle_polarizability(p: dict[str, Any]):
 
 
 def _handle_bethe(p: dict[str, Any]):
-    _require(p["n_max"] >= 2, "n-max must be >= 2")
-    tail = _tail_flag(p["tail"])
-    sb = sums.bethe_sum(p["n_max"], tail)
+    sb = sums.bethe_sum(p["n_max"], p["tail"])
     coeff = sums.normalization_constant(p["log_value"], sb)
     results = {
         "bethe_sum": _sum_entry(sb),
@@ -300,20 +323,12 @@ def _handle_bethe(p: dict[str, Any]):
 
 
 def _handle_continuum(p: dict[str, Any]):
-    _require(p["which"] in ("kappa1", "kappa2", "both"),
-             "which must be kappa1, kappa2 or both")
-    _require(p["rel_tol"] > 0 and p["abs_tol"] > 0, "tolerances must be positive")
-    grid = p["ymin_grid"]
-    _require(all(b > a for a, b in zip(grid, grid[1:])),
-             "ymin-grid must be strictly ascending")
-    _require(all(0 <= y <= quadrature.Y_MIN_MAX for y in grid),
-             f"--ymin-grid values must be in [0, {quadrature.Y_MIN_MAX:g}]")
     spec = QuadratureSpec(abs_tol=p["abs_tol"], rel_tol=p["rel_tol"])
     names = ("kappa1", "kappa2") if p["which"] == "both" else (p["which"],)
     results: dict[str, dict[str, Any]] = {}
     provenance: dict[str, str] = {}
     for name in names:
-        for row in quadrature.ymin_sensitivity(name, grid, spec):
+        for row in quadrature.ymin_sensitivity(name, p["ymin_grid"], spec):
             key = f"{name}_continuum[ymin={row.y_min:g}]"
             results[key] = {"value": row.value, "error": row.estimated_error}
             provenance[key] = ("plane-wave continuum integral, lower cutoff "
@@ -322,9 +337,6 @@ def _handle_continuum(p: dict[str, Any]):
 
 
 def _handle_renorm(p: dict[str, Any]):
-    _require(p["cutoff_ratio"] > 0, "cutoff-ratio must be positive")
-    _require(p["big_ratio"] >= 1e4, "big-ratio must be >= 1e4 for the "
-             "logarithmic-increment check")
     const = constants()
     results: dict[str, dict[str, Any]] = {}
     provenance: dict[str, str] = {}
@@ -332,9 +344,8 @@ def _handle_renorm(p: dict[str, Any]):
     for label, mass in (("electron", const.electron_mass),
                         ("proton", const.proton_mass)):
         lam = p["cutoff_ratio"] * mass * const.light_speed_c0 / const.hbar
-        _require(math.isfinite(lam), f"cutoff-ratio overflows the {label} cutoff")
-        dm = renorm.delta_mass(mass, lam)
-        deltas[label] = dm
+        _require(math.isfinite(lam), f"--cutoff-ratio overflows the {label} cutoff")
+        deltas[label] = dm = renorm.delta_mass(mass, lam)
         results[f"delta_mass_{label}"] = {"value": dm, "error": None}
         provenance[f"delta_mass_{label}"] = (
             "electromagnetic self-mass (4 alpha hbar^2/3pi) "
@@ -342,7 +353,7 @@ def _handle_renorm(p: dict[str, Any]):
             f"{p['cutoff_ratio']:g}")
     big = p["big_ratio"] * const.electron_mass * const.light_speed_c0 / const.hbar
     grid = [big * 2.0**k for k in range(5)]
-    _require(math.isfinite(grid[-1]), "big-ratio overflows the electron cutoff")
+    _require(math.isfinite(grid[-1]), "--big-ratio overflows the electron cutoff")
     increment = (renorm.delta_mass(const.electron_mass, 2 * big)
                  - renorm.delta_mass(const.electron_mass, big))
     limit = (8 * const.fine_structure_alpha * const.electron_mass
@@ -373,37 +384,26 @@ def _handle_renorm(p: dict[str, Any]):
 
 
 def _handle_rho_c(p: dict[str, Any]):
-    _require(p["model"] in ("dispersionless", "free-electron"),
-             "model must be dispersionless or free-electron")
     const = constants()
     if p["model"] == "dispersionless":
-        _require(p["eps_r"] > 1, "eps-r must be > 1")
-        model = DispersionModel.dispersionless(p["eps_r"])
-        model_key = "eps_r"
+        model, model_flag = DispersionModel.dispersionless(p["eps_r"]), "--eps-r"
     else:
-        _require(p["n_e"] > 0, "n-e must be positive")
-        model = DispersionModel.free_electron(p["n_e"])
-        model_key = "n_e"
+        model, model_flag = DispersionModel.free_electron(p["n_e"]), "--n-e"
     if p["omega_max"] is not None:
-        _require(p["omega_max"] > 0, "omega-max must be positive")
-        cutoff = CutoffScheme.frequency(p["omega_max"])
-        cutoff_key = "omega_max"
+        cutoff, cutoff_flag = CutoffScheme.frequency(p["omega_max"]), "--omega-max"
     else:
         l_min = p["l_min"] if p["l_min"] is not None \
             else const.classical_electron_radius
-        _require(l_min > 0, "l-min must be positive")
-        cutoff = CutoffScheme.length(l_min)
-        cutoff_key = "l_min"
+        cutoff, cutoff_flag = CutoffScheme.length(l_min), "--l-min"
     omega = cutoff.omega_max(const)
-    fit = _tail_flag(p["fit_exponent"])
     try:
         value = renorm.casimir_mass_density(model, cutoff, const)
-        if fit:
+        if p["fit_exponent"]:
             grid = [omega * 2.0**k for k in range(4)]
             slope = renorm.divergence_exponent(model, grid, const)
     except renorm.MassDensityOverflow as exc:
         raise CliValidationError(
-            f"{exc} (set by {_flag(cutoff_key)} and {_flag(model_key)})") from None
+            f"{exc} (set by {cutoff_flag} and {model_flag})") from None
     results = {
         "rho_c": {"value": value, "error": None},
         "omega_max": {"value": omega, "error": None},
@@ -422,7 +422,7 @@ def _handle_rho_c(p: dict[str, Any]):
         provenance["reference_mass_density"] = "n_e m_e / alpha"
         provenance["ratio_to_reference"] = ("|rho_c| / (n_e m_e/alpha); order "
                                             "unity at the electron-radius cutoff")
-    if fit:
+    if p["fit_exponent"]:
         results["divergence_exponent"] = {"value": slope, "error": None}
         provenance["divergence_exponent"] = (
             "least-squares slope of log|rho_c| against log omega_max over a "
@@ -432,39 +432,21 @@ def _handle_rho_c(p: dict[str, Any]):
 
 
 def _handle_budget(p: dict[str, Any]):
-    for key in ("kappa1", "kappa2"):
-        _require(abs(p[key]) <= _BUDGET_MAGNITUDE_MAX,
-                 f"{_flag(key)} must be at most {_BUDGET_MAGNITUDE_MAX:g} in magnitude")
-    choice = str(p["polarizability"]).replace("-", "_")
-    _require(choice in budget.POLARIZABILITY_CHOICES,
-             f"polarizability must be one of "
-             f"{tuple(c.replace('_', '-') for c in budget.POLARIZABILITY_CHOICES)}")
+    choice = p["polarizability"].replace("-", "_")
     fields = budget.FieldConfiguration(E0=p["E0"], B0=p["B0"], Q0=p["Q0"])
     bud = budget.assemble_budget(fields, kappa1=p["kappa1"], kappa2=p["kappa2"],
                                  polarizability_choice=choice)
-    results = {
-        "abraham": {"value": bud.abraham, "error": None},
-        "casimir_correction": {"value": bud.casimir_correction, "error": None},
-        "casimir_relative_shift": {"value": bud.casimir_relative_shift,
-                                   "error": None},
-        "kinetic": {"value": bud.kinetic, "error": None},
-        "kinetic_mass_factor": {"value": bud.kinetic_mass_factor, "error": None},
-        "kinetic_correction": {"value": bud.kinetic_correction, "error": None},
-        "total": {"value": bud.total(), "error": None},
-        "transverse_bound": {"value": bud.transverse_bound, "error": None},
-        "relativistic_field_bound": {"value": bud.relativistic_field_bound,
-                                     "error": None},
-        "polarizability_vacuum_item": {"value": bud.polarizability_vacuum_item,
-                                       "error": None},
-        "alpha0_si": {"value": bud.alpha0_si, "error": None},
-        "kappa1": {"value": bud.kappa1, "error": None},
-        "kappa2": {"value": bud.kappa2, "error": None},
-    }
+    results = {name: {"value": bud.total() if name == "total" else getattr(bud, name),
+                      "error": None}
+               for name in ("abraham", "casimir_correction", "casimir_relative_shift",
+                            "kinetic", "kinetic_mass_factor", "kinetic_correction",
+                            "total", "transverse_bound", "relativistic_field_bound",
+                            "polarizability_vacuum_item", "alpha0_si", "kappa1",
+                            "kappa2")}
     for key, frac in bud.relativistic_terms.items():
         results[f"relativistic_{key}"] = {"value": float(frac), "error": None}
     provenance = dict(bud.provenance)
     provenance.update({
-        "abraham": bud.provenance["abraham"],
         "total": "abraham + casimir_correction + kinetic + kinetic_correction; "
                  "bounds excluded",
         "alpha0_si": f"polarizability volume [m^3], choice = {choice}",
@@ -485,29 +467,85 @@ def _handle_verify(p: dict[str, Any]):
     checks = verify.run_checks()
     results: dict[str, dict[str, Any]] = {}
     provenance: dict[str, str] = {}
-    n_fail = 0
     for chk in checks:
         results[chk.name] = {"value": chk.value, "error": None,
                              "pass": bool(chk.passed), "target": chk.target}
         provenance[chk.name] = ("PASS " if chk.passed else "FAIL ") + chk.target
-        if not chk.passed:
-            n_fail += 1
-    results["checks_failed"] = {"value": n_fail, "error": None}
+    results["checks_failed"] = {"value": sum(not c.passed for c in checks),
+                                "error": None}
     provenance["checks_failed"] = "number of failed oracle/invariant checks"
     return results, provenance
 
 
-_HANDLERS: dict[str, Callable] = {
-    "kappas": _handle_kappas,
-    "polarizability": _handle_polarizability,
-    "bethe": _handle_bethe,
-    "continuum": _handle_continuum,
-    "renorm": _handle_renorm,
-    "rho-c": _handle_rho_c,
-    "budget": _handle_budget,
-    "verify": _handle_verify,
-}
+class Subcommand(NamedTuple):
+    help: str
+    handler: Callable[[dict[str, Any]], tuple[dict, dict]]
+    params: tuple[Param, ...] = ()
 
+
+SUBCOMMANDS: dict[str, Subcommand] = {
+    "kappas": Subcommand(
+        "discrete and continuum coupling coefficients and their adopted totals",
+        _handle_kappas, (
+            _n_max(sums.DEFAULT_N_MAX_KAPPA), _TAIL,
+            Param("ymin", float, 1.0, "kappa1 continuum cutoff", check=_Y_MIN),
+            Param("ymin2", float, 1.0, "kappa2 continuum cutoff", check=_Y_MIN),
+            *_TOLERANCES)),
+    "polarizability": Subcommand(
+        "discrete static polarizability and oscillator-strength sums",
+        _handle_polarizability,
+        (_n_max(sums.DEFAULT_N_MAX_POLARIZABILITY), _TAIL)),
+    "bethe": Subcommand(
+        "constant-log matrix-element sum and the normalization coefficient",
+        _handle_bethe, (
+            _n_max(sums.DEFAULT_N_MAX_KAPPA), _TAIL,
+            Param("log_value", float, sums.DEFAULT_LAMB_LOG,
+                  "excitation-spectrum logarithm, supplied from outside"))),
+    "continuum": Subcommand(
+        "lower-cutoff sensitivity scan of the continuum integrals",
+        _handle_continuum, (
+            Param("which", str, "both", "integral to scan",
+                  choices=("kappa1", "kappa2", "both")),
+            Param("ymin_grid", str, "0,0.5,1,2", "comma-separated cutoffs",
+                  parse=_parse_floats, check=_Y_MIN_GRID),
+            *_TOLERANCES)),
+    "renorm": Subcommand(
+        "electromagnetic self-mass, its logarithmic divergence, and the "
+        "reduced-mass shift", _handle_renorm, (
+            Param("cutoff_ratio", float, 2.0, "self-mass cutoff hbar*Lambda/(m c0)",
+                  check=_POSITIVE),
+            Param("big_ratio", float, 1e4, "cutoff of the doubling check", check=(
+                lambda v: v >= 1e4,
+                "must be >= 1e4 for the logarithmic-increment check")))),
+    "rho-c": Subcommand(
+        "regularized vacuum mass density and its cutoff scaling",
+        _handle_rho_c, (
+            Param("model", str, "free-electron", "dispersion model",
+                  choices=("dispersionless", "free-electron")),
+            Param("eps_r", float, 2.0, "dispersionless permittivity",
+                  check=(lambda v: v > 1, "must be > 1")),
+            Param("n_e", float, 2.5e28, "electron density [m^-3]", check=_POSITIVE),
+            Param("l_min", float, None, "length cutoff [m], default the "
+                  "classical electron radius", check=_POSITIVE),
+            Param("omega_max", float, None, "frequency cutoff [rad/s], "
+                  "replaces --l-min", check=_POSITIVE),
+            _switch("fit_exponent", "fit the cutoff power"))),
+    "budget": Subcommand(
+        "itemized momentum budget for given external fields",
+        _handle_budget, (
+            _triple("E0", "1e5,0,0", "V/m"), _triple("B0", "0,1,0", "T"),
+            _triple("Q0", "0,0,0", "kg m/s"),
+            Param("kappa1", float, budget.ADOPTED_KAPPA1, "first vacuum "
+                  "coupling", check=_KAPPA),
+            Param("kappa2", float, budget.ADOPTED_KAPPA2, "second vacuum "
+                  "coupling", check=_KAPPA),
+            Param("polarizability", str, "exact", "alpha(0) in the budget",
+                  choices=tuple(c.replace("_", "-")
+                                for c in budget.POLARIZABILITY_CHOICES)))),
+    "verify": Subcommand(
+        "run the oracle/invariant suite and print a pass/fail table",
+        _handle_verify),
+}
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -518,88 +556,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
-
-    def add_common(sp):
-        sp.add_argument("--format", choices=("json", "csv", "text"), default=None)
+    for name, cmd in SUBCOMMANDS.items():
+        sp = sub.add_parser(name, help=cmd.help)
+        for p in (*cmd.params, _FORMAT):
+            # default=None, so a config-file value can stand in for the flag.
+            default = "" if p.default is None else f" (default {p.default})"
+            sp.add_argument(p.flag, dest=p.name, type=p.type, choices=p.choices,
+                            default=None, help=p.help + default)
         sp.add_argument("--output", default=None, metavar="PATH")
         sp.add_argument("--config-load", default=None, metavar="FILE")
         sp.add_argument("--config-dump", action="store_true")
-
-    sp = sub.add_parser("kappas", help="discrete and continuum coupling "
-                        "coefficients and their adopted totals")
-    sp.add_argument("--n-max", type=int, default=None, dest="n_max")
-    sp.add_argument("--tail", choices=("on", "off"), default=None)
-    sp.add_argument("--ymin", type=float, default=None)
-    sp.add_argument("--ymin2", type=float, default=None)
-    sp.add_argument("--rel-tol", type=float, default=None, dest="rel_tol")
-    sp.add_argument("--abs-tol", type=float, default=None, dest="abs_tol")
-    add_common(sp)
-
-    sp = sub.add_parser("polarizability", help="discrete static "
-                        "polarizability and oscillator-strength sums")
-    sp.add_argument("--n-max", type=int, default=None, dest="n_max")
-    sp.add_argument("--tail", choices=("on", "off"), default=None)
-    add_common(sp)
-
-    sp = sub.add_parser("bethe", help="constant-log matrix-element sum and "
-                        "the normalization coefficient")
-    sp.add_argument("--n-max", type=int, default=None, dest="n_max")
-    sp.add_argument("--tail", choices=("on", "off"), default=None)
-    sp.add_argument("--log-value", type=float, default=None, dest="log_value")
-    add_common(sp)
-
-    sp = sub.add_parser("continuum", help="lower-cutoff sensitivity scan of "
-                        "the continuum integrals")
-    sp.add_argument("--which", choices=("kappa1", "kappa2", "both"), default=None)
-    sp.add_argument("--ymin-grid", default=None, dest="ymin_grid")
-    sp.add_argument("--rel-tol", type=float, default=None, dest="rel_tol")
-    sp.add_argument("--abs-tol", type=float, default=None, dest="abs_tol")
-    add_common(sp)
-
-    sp = sub.add_parser("renorm", help="electromagnetic self-mass, its "
-                        "logarithmic divergence, and the reduced-mass shift")
-    sp.add_argument("--cutoff-ratio", type=float, default=None, dest="cutoff_ratio")
-    sp.add_argument("--big-ratio", type=float, default=None, dest="big_ratio")
-    add_common(sp)
-
-    sp = sub.add_parser("rho-c", help="regularized vacuum mass density and "
-                        "its cutoff scaling")
-    sp.add_argument("--model", choices=("dispersionless", "free-electron"),
-                    default=None)
-    sp.add_argument("--eps-r", type=float, default=None, dest="eps_r")
-    sp.add_argument("--n-e", type=float, default=None, dest="n_e")
-    sp.add_argument("--l-min", type=float, default=None, dest="l_min")
-    sp.add_argument("--omega-max", type=float, default=None, dest="omega_max")
-    sp.add_argument("--fit-exponent", choices=("on", "off"), default=None,
-                    dest="fit_exponent")
-    add_common(sp)
-
-    sp = sub.add_parser("budget", help="itemized momentum budget for given "
-                        "external fields")
-    sp.add_argument("--E0", default=None, help="V/m, comma-separated triple")
-    sp.add_argument("--B0", default=None, help="T, comma-separated triple")
-    sp.add_argument("--Q0", default=None, help="kg m/s, comma-separated triple")
-    sp.add_argument("--kappa1", type=float, default=None)
-    sp.add_argument("--kappa2", type=float, default=None)
-    sp.add_argument("--polarizability",
-                    choices=("exact", "computed-discrete",
-                             "relativistic-corrected"),
-                    default=None)
-    add_common(sp)
-
-    sp = sub.add_parser("verify", help="run the oracle/invariant suite and "
-                        "print a pass/fail table")
-    add_common(sp)
-
     return parser
 
 
-def _effective_params(args: argparse.Namespace) -> tuple[dict[str, Any], dict[str, Any]]:
-    """Materialize parameters: explicit flag > config file > default.
-
-    Returns (params, loaded-config-file contents).
-    """
-    defaults = _DEFAULTS[args.subcommand]
+def _effective_params(args: argparse.Namespace,
+                      params: tuple[Param, ...]) -> dict[str, Any]:
+    """Materialize parameters as given: explicit flag > config file > default."""
     loaded: dict[str, Any] = {}
     if args.config_load:
         try:
@@ -607,20 +579,18 @@ def _effective_params(args: argparse.Namespace) -> tuple[dict[str, Any], dict[st
                 loaded = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise CliValidationError(f"cannot load config: {exc}") from exc
+        _require(isinstance(loaded, dict),
+                 f"config file {args.config_load!r} must hold a JSON object")
         if loaded.get("subcommand") not in (None, args.subcommand):
             raise CliValidationError(
                 f"config file is for subcommand {loaded.get('subcommand')!r}, "
                 f"not {args.subcommand!r}")
-    params: dict[str, Any] = {}
-    for key, default in defaults.items():
-        user = getattr(args, key, None)
-        if user is not None:
-            params[key] = user
-        elif key in loaded and loaded[key] is not None:
-            params[key] = loaded[key]
-        else:
-            params[key] = default
-    return params, loaded
+        unknown = sorted(set(loaded) - {p.name for p in params}
+                         - {"subcommand", "output"})
+        _require(not unknown, f"config file {args.config_load!r} has keys "
+                 f"{args.subcommand} does not take: {', '.join(unknown)}")
+    return {p.name: next((v for v in (getattr(args, p.name), loaded.get(p.name))
+                          if v is not None), p.default) for p in params}
 
 
 def run(argv: list[str] | None = None) -> int:
@@ -634,9 +604,10 @@ def run(argv: list[str] | None = None) -> int:
         return 2
 
     try:
-        params, loaded = _effective_params(args)
-        checked = _checked_params(params)
-        fmt = args.format or loaded.get("format") or "json"
+        cmd = SUBCOMMANDS[args.subcommand]
+        params = _effective_params(args, (*cmd.params, _FORMAT))
+        fmt = _FORMAT.checked(params.pop("format"))
+        checked = {p.name: p.checked(params[p.name]) for p in cmd.params}
         out_path = args.output
         config = RunConfig(subcommand=args.subcommand, params=params,
                            output_format=fmt, output_path=out_path)
@@ -647,7 +618,7 @@ def run(argv: list[str] | None = None) -> int:
             return 0
 
         t0 = time.perf_counter()
-        results, provenance = _HANDLERS[args.subcommand](checked)
+        results, provenance = cmd.handler(checked)
         elapsed = time.perf_counter() - t0
         report = ReportEnvelope(artifact_version=__version__, config=config,
                                 results=results, provenance=provenance,
@@ -667,9 +638,6 @@ def run(argv: list[str] | None = None) -> int:
         if args.subcommand == "verify":
             return 0 if results["checks_failed"]["value"] == 0 else 1
         return 0
-    except CliValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (QuadratureError, RadialIntegralMismatch, MassShiftMismatch) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1

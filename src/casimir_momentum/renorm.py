@@ -124,7 +124,8 @@ def casimir_mass_density(model: DispersionModel, cutoff: CutoffScheme,
     dispersionless integrands give omega_max^4/4 scaling, the free-electron
     model omega_max^2/2 with a negative sign (eps_r < 1 above the plasma
     frequency). The prefactor is taken as given and not re-derived. Raises
-    MassDensityOverflow if the density overflows the float range.
+    MassDensityOverflow if the density is not representable: it overflows
+    the float range, or underflows to 0 (its true value is never 0).
     """
     const = const or constants()
     omega_max = cutoff.omega_max(const)
@@ -149,9 +150,10 @@ def casimir_mass_density(model: DispersionModel, cutoff: CutoffScheme,
         value = front * weight * omega_max**power / power
     except OverflowError:
         value = math.inf
-    if not math.isfinite(value):
+    if value == 0 or not math.isfinite(value):
         raise MassDensityOverflow(
-            f"the mass density overflows at omega_max = {omega_max:.3e} rad/s")
+            f"the mass density {'underflows to 0' if value == 0 else 'overflows'}"
+            f" at omega_max = {omega_max:.3e} rad/s")
     return value
 
 

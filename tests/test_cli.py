@@ -3,10 +3,14 @@ import io
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
-from casimir_momentum.cli import ReportEnvelope, RunConfig, run, serialize
+from casimir_momentum import sums, verify
+from casimir_momentum.cli import (SUBCOMMANDS, ReportEnvelope, RunConfig, run,
+                                  serialize)
+from casimir_momentum.renorm import PlasmaCutoffWarning
 
 BASE = [sys.executable, "-m", "casimir_momentum"]
 
@@ -147,12 +151,24 @@ def test_non_finite_input_exit_2(capsys, argv, flag):
     (["continuum", "--ymin-grid", "0,1e300"], "--ymin-grid"),
     (["budget", "--E0", "1e200,0,0", "--B0", "0,1e200,0"], "--E0"),
     (["budget", "--kappa1", "1e300"], "--kappa1"),
+    (["rho-c", "--omega-max", "1e-300"], "--omega-max"),
+    (["rho-c", "--l-min", "1e300"], "--l-min"),
+    (["rho-c", "--n-e", "1e-300", "--fit-exponent", "off"], "--n-e"),
+    (["rho-c", "--n-e", "1e-280", "--fit-exponent", "off"], "--n-e"),
 ])
 def test_large_finite_input_exit_2(capsys, argv, flag):
-    # In-process: a finite value that would overflow is refused with its
-    # flag named, before any numpy RuntimeWarning (an error in this suite).
+    # In-process: a finite value that would overflow, or underflow the rho-c
+    # mass density to 0, is refused with its flag named, before any numpy
+    # RuntimeWarning (an error in this suite).
     assert run(argv) == 2
     assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["100001", "100000000", "1e8"])
+def test_n_max_ceiling_refused_before_table_fill(capsys, monkeypatch, value):
+    monkeypatch.setattr(sums, "kappa1_discrete", lambda *a: pytest.fail("ran"))
+    assert run(["kappas", "--n-max", value]) == 2
+    assert "--n-max" in capsys.readouterr().err
 
 
 def test_budget_at_magnitude_ceiling_finite(capsys):
@@ -181,6 +197,75 @@ def test_non_finite_config_load_exit_2(tmp_path, capsys):
     cfg.write_text('{"subcommand": "budget", "kappa2": NaN}')
     assert run(["budget", "--config-load", str(cfg)]) == 2
     assert "--kappa2 must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand, content, named", [
+    ("kappas", '{"n_max": "40"}', "--n-max"),
+    ("kappas", '{"n_max": 40.5}', "--n-max"),
+    ("polarizability", '{"n_max": 40.5}', "--n-max"),
+    ("kappas", '{"n_max": true}', "--n-max"),
+    ("kappas", '{"ymin": true}', "--ymin"),
+    ("kappas", '{"n_max": 100001}', "--n-max"),
+    ("kappas", '{"ymin": "1"}', "--ymin"),
+    ("bethe", '{"log_value": 1%s}' % ("0" * 400), "--log-value"),
+    ("budget", '{"E0": [1, 0, 0]}', "--E0"),
+    ("budget", '{"polarizability": "computed_discrete"}', "--polarizability"),
+    ("rho-c", '{"fit_exponent": "maybe"}', "--fit-exponent"),
+    ("kappas", '[1, 2]', "cfg.json"),
+    ("kappas", '{"nmax": 5}', "nmax"),
+    ("verify", '{"format": "xml"}', "--format"),
+])
+def test_config_load_checked_like_flags(tmp_path, capsys, monkeypatch,
+                                        subcommand, content, named):
+    # Config values pass the same type, choice and range checks as flags,
+    # before --config-dump and before any computation.
+    monkeypatch.setattr(verify, "run_checks", lambda: pytest.fail("ran"))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(content)
+    for extra in ([], ["--config-dump"]):
+        assert run([subcommand, "--config-load", str(cfg)] + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert named in captured.err and "Traceback" not in captured.err
+
+
+_FLOAT_PROBES = ("nan", "1e308", "-1e308", "1e-308", "-1e-308", "0", "-1")
+
+
+def test_every_float_parameter_exits_cleanly(capsys):
+    # Bounded, deterministic sweep of every float parameter in the table:
+    # a finite report, a numerical failure, or exit 2 naming the flag.
+    for name, cmd in SUBCOMMANDS.items():
+        for p in cmd.params:
+            if p.type is not float:
+                continue
+            for value in _FLOAT_PROBES:
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    code = run([name, f"{p.flag}={value}"])
+                out, err = capsys.readouterr()
+                case = f"{name} {p.flag}={value}: exit {code}, {err!r}"
+                assert all(issubclass(w.category, PlasmaCutoffWarning)
+                           for w in caught), case
+                assert "Traceback" not in err, case
+                if code == 0:
+                    json.loads(out, parse_constant=lambda c: pytest.fail(case))
+                elif code == 1:
+                    assert "numerical failure:" in err, case
+                else:
+                    assert code == 2 and p.flag in err, case
+
+
+def test_table_drives_help_and_config_dump(capsys):
+    for name, cmd in SUBCOMMANDS.items():
+        assert run([name, "--help"]) == 0
+        helptext = capsys.readouterr().out
+        assert all(p.flag in helptext for p in cmd.params)
+        assert run([name, "--config-dump"]) == 0
+        dumped = json.loads(capsys.readouterr().out)
+        assert set(dumped) == ({p.name for p in cmd.params}
+                               | {"subcommand", "format", "output"})
+        assert all(dumped[p.name] == p.default for p in cmd.params)
 
 
 def test_unknown_flag_usage_exit_2():
