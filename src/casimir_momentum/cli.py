@@ -468,6 +468,7 @@ def _handle_verify(p: dict[str, Any]):
     results: dict[str, dict[str, Any]] = {}
     provenance: dict[str, str] = {}
     for chk in checks:
+        print(f"# check {chk.name}: {chk.seconds:.3f} s", file=sys.stderr)
         results[chk.name] = {"value": chk.value, "error": None,
                              "pass": bool(chk.passed), "target": chk.target}
         provenance[chk.name] = ("PASS " if chk.passed else "FAIL ") + chk.target

@@ -126,13 +126,13 @@ def casimir_mass_density(model: DispersionModel, cutoff: CutoffScheme,
     frequency). The prefactor is taken as given and not re-derived. Raises
     MassDensityOverflow if the density is not representable: it overflows
     the float range, or underflows to 0 (its true value is never 0).
+    Otherwise warns PlasmaCutoffWarning for a free-electron cutoff below the
+    plasma frequency.
     """
     const = const or constants()
     omega_max = cutoff.omega_max(const)
-    front = (2.0 / 3.0) * const.hbar / (math.pi**3 * const.light_speed_c0**5)
-    if model.kind == "dispersionless":
-        weight, power = model.eps_r - 1.0, 4
-    else:
+    value = _mass_density(model, omega_max, const)
+    if model.kind == "free_electron":
         omega_p = model.plasma_frequency(const)
         if omega_max < omega_p:
             warnings.warn(
@@ -142,6 +142,16 @@ def casimir_mass_density(model: DispersionModel, cutoff: CutoffScheme,
                 PlasmaCutoffWarning,
                 stacklevel=2,
             )
+    return value
+
+
+def _mass_density(model: DispersionModel, omega_max: float,
+                  const: PhysicalConstants) -> float:
+    """The closed form of casimir_mass_density, without the model warning."""
+    front = (2.0 / 3.0) * const.hbar / (math.pi**3 * const.light_speed_c0**5)
+    if model.kind == "dispersionless":
+        weight, power = model.eps_r - 1.0, 4
+    else:
         weight = -model.n_e * const.elementary_charge_e**2 / (
             const.vacuum_permittivity_eps0 * const.electron_mass
         )
@@ -229,8 +239,10 @@ def divergence_exponent(model_or_fn: DispersionModel | Callable[[float], float],
                         const: PhysicalConstants | None = None) -> float:
     """Power of the cutoff in a regularized value: slope of log|v| vs log w.
 
-    Accepts a dispersion model (swept through casimir_mass_density) or any
-    callable mapping a cutoff to a value. Needs at least 4 geometrically
+    Accepts a dispersion model or any callable mapping a cutoff to a value.
+    A model is swept through the closed form of casimir_mass_density
+    without its PlasmaCutoffWarning, which the caller gets once for the
+    cutoff of interest, not once per fit point. Needs at least 4 geometrically
     spaced cutoffs; |values| must be monotone in the cutoff, otherwise a
     power law is not present and the fit refuses.
     """
@@ -245,7 +257,8 @@ def divergence_exponent(model_or_fn: DispersionModel | Callable[[float], float],
 
     if isinstance(model_or_fn, DispersionModel):
         model = model_or_fn
-        fn = lambda w: casimir_mass_density(model, CutoffScheme.frequency(w), const)
+        const = const or constants()
+        fn = lambda w: _mass_density(model, w, const)
     else:
         fn = model_or_fn
     values = [abs(fn(w)) for w in grid]

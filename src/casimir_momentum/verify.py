@@ -1,16 +1,19 @@
 """Oracle and invariant suite backing the `verify` subcommand.
 
-Each check recomputes a quantity and compares it against its pinned target
-band or identity. The same bands are asserted independently by the test
-suite; this module exists so a deployed artifact can audit itself from the
-command line.
+Every acceptance band and invariant of the reproduced numbers is written
+once, as a row of CHECKS: its name, its target and the computation of the
+value it bounds. `run_checks()` evaluates the rows in order, so a deployed
+artifact can audit itself from the command line, and the acceptance gate
+(tests/test_acceptance.py) asserts the same rows. The benchmark keeps its
+own copy of five of these bands in bench/spec.py.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Any, Callable
 
 import numpy as np
 
@@ -24,146 +27,131 @@ class CheckResult:
     value: float | None   # None where a value would break byte-determinism
     target: str
     passed: bool
+    seconds: float = field(default=0.0, compare=False)  # cost of the value
 
 
-def _band(name: str, value: float, center: float, tol: float) -> CheckResult:
-    return CheckResult(name=name, value=float(value),
-                       target=f"{center:g} +/- {tol:g}",
-                       passed=abs(value - center) <= tol)
+class _Memo:
+    """The intermediates one run_checks() call shares between its checks.
+
+    `memo(fn, *args)` computes fn(*args) on first use and returns the same
+    result afterwards; `cost` holds the seconds each finished check took.
+    """
+
+    def __init__(self) -> None:
+        self._values: dict[tuple, Any] = {}
+        self.cost: dict[str, float] = {}
+
+    def __call__(self, fn: Callable, *args: Any) -> Any:
+        key = (fn, args)
+        if key not in self._values:
+            self._values[key] = fn(*args)
+        return self._values[key]
 
 
-def _rel_band(name: str, value: float, center: float, rel: float) -> CheckResult:
-    return CheckResult(name=name, value=float(value),
-                       target=f"{center:g} +/- {rel * 100:g}%",
-                       passed=abs(value - center) <= rel * abs(center))
+@dataclass(frozen=True)
+class Check:
+    """One criterion: its name, the computation of its value and its target.
+
+    The target is a band around `center`, of half-width `tol` or of the
+    fraction `rel` of |center|, or else a `rule` on the value, stated by
+    `text` (which also overrides a band's own wording). A value that is not
+    `shown` is checked but reported as None: a run time, which would break
+    byte-identical reports, or a bare yes/no.
+    """
+
+    name: str
+    compute: Callable[[_Memo], Any]
+    center: float | None = None
+    tol: float | None = None
+    rel: float | None = None
+    rule: Callable[[Any], bool] | None = None
+    text: str | None = None
+    shown: bool = True
+
+    @property
+    def target(self) -> str:
+        if self.text is not None:
+            return self.text
+        if self.rel is not None:
+            return f"{self.center:g} +/- {self.rel * 100:g}%"
+        return f"{self.center:g} +/- {self.tol:g}"
+
+    def passes(self, value: Any) -> bool:
+        if self.rule is not None:
+            return bool(self.rule(value))
+        bound = self.tol if self.rel is None else self.rel * abs(self.center)
+        return abs(value - self.center) <= bound
 
 
-def run_checks() -> list[CheckResult]:
-    const = constants()
-    alpha = const.fine_structure_alpha
-    out: list[CheckResult] = []
+_C = constants()
+_GRID = [1e16 * 2.0**k for k in range(5)]   # cutoffs of the exponent fits
 
-    # Constant-set consistency.
-    hartree_ratio = const.hartree_energy / (
-        alpha**2 * const.electron_mass * const.light_speed_c0**2)
-    out.append(_rel_band("units_hartree_identity", hartree_ratio, 1.0, 1e-9))
-    bohr_ratio = const.bohr_radius_a0 * const.electron_mass \
-        * const.light_speed_c0 * alpha / const.hbar
-    out.append(_rel_band("units_bohr_identity", bohr_ratio, 1.0, 1e-9))
-    coulomb_ratio = const.elementary_charge_e**2 / (
-        4 * math.pi * const.vacuum_permittivity_eps0 * const.bohr_radius_a0
-        * const.hartree_energy)
-    out.append(_rel_band("units_coulomb_identity", coulomb_ratio, 1.0, 1e-9))
 
-    # Discrete sums with tails.
-    t0 = time.perf_counter()
-    k1d = sums.kappa1_discrete(200, tail=True)
-    k1_runtime = time.perf_counter() - t0
-    out.append(_band("kappa1_discrete_200", k1d.value, 0.21, 0.005))
-    out.append(CheckResult("kappa1_discrete_runtime", None,
-                           "under 60 s", k1_runtime < 60.0))
-    k2d = sums.kappa2_discrete(200, tail=True)
-    out.append(_band("kappa2_discrete_200", k2d.value, 0.0796, 0.0005))
+def _value_of(fn: Callable, *args: Any) -> Callable[[_Memo], float]:
+    """The `.value` of fn(*args), computed once per run."""
+    return lambda m: m(fn, *args).value
 
-    # Continuum integrals.
-    k1c0 = quadrature.kappa1_continuum(0.0)
-    k1c1 = quadrature.kappa1_continuum(1.0)
-    out.append(_rel_band("kappa1_continuum_ymin0", k1c0.value, 1.4e-2, 0.02))
-    out.append(_rel_band("kappa1_continuum_ymin1", k1c1.value, 9.3e-3, 0.02))
-    k2c1 = quadrature.kappa2_continuum(1.0)
-    out.append(_rel_band("kappa2_continuum_ymin1", k2c1.value, 0.018, 0.05))
-    k2c0 = quadrature.kappa2_continuum(0.0)
-    out.append(CheckResult(
-        "kappa2_continuum_closed_form", k2c0.value, "1/18 to 1e-9",
-        abs(k2c0.value - quadrature.KAPPA2_CONTINUUM_AT_ZERO) <= 1e-9))
-    beta = quadrature.integrate_adaptive(
-        lambda y: y**4 / (1 + y * y)**6, 0.0,
-        quadrature.DEFAULT_SPEC.upper_cut)
-    out.append(CheckResult(
-        "beta_integral_closed_form", beta.value, "3 pi/512 to 1e-9",
-        abs(beta.value - 3 * math.pi / 512) <= 1e-9))
 
-    # Adopted totals and the net relative shift.
-    k1_total = k1d.value + k1c1.value
-    k2_total = k2d.value + k2c1.value
-    net = -k1_total + k2_total
-    out.append(_band("kappa1_total", k1_total, 0.22, 0.01))
-    out.append(_band("kappa2_total", k2_total, 0.098, 0.005))
-    out.append(_band("net_coefficient", net, -0.12, 0.01))
-    out.append(_rel_band("relative_shift_magnitude", abs(net) * alpha**2,
-                         6e-6, 0.10))
+_K1_DISCRETE = _value_of(sums.kappa1_discrete, 200, True)
+_K2_DISCRETE = _value_of(sums.kappa2_discrete, 200, True)
+_K1_CONTINUUM = _value_of(quadrature.kappa1_continuum, 1.0)
+_K2_CONTINUUM = _value_of(quadrature.kappa2_continuum, 1.0)
+_POLARIZABILITY = _value_of(sums.polarizability_discrete, 400, True)
 
-    # Constant-log sum and the normalization coefficient.
-    sb = sums.bethe_sum(200, tail=True)
-    out.append(_band("bethe_sum_200", sb.value, 0.336, 0.002))
-    out.append(_band("normalization_coefficient",
-                     sums.normalization_constant(-8.35, sb), 0.84, 0.01))
 
-    # Polarizability and oscillator strengths.
-    pol = sums.polarizability_discrete(400, tail=True)
-    out.append(_band("polarizability_discrete_400", pol.value, 3.663, 0.001))
-    out.append(CheckResult("polarizability_below_exact", pol.value,
-                           "below 4.5", pol.value < sums.POLARIZABILITY_EXACT_AU))
-    osc = sums.oscillator_strength_sum(400, tail=True)
-    out.append(_band("oscillator_strength_sum_400", osc.value, 0.5650, 0.001))
-    out.append(CheckResult(
-        "oscillator_partials_below_one",
-        max(v for _, v in osc.partial_sums), "below 1 for all truncations",
-        all(v < 1.0 for _, v in osc.partial_sums)))
+def _kappa1_total(m: _Memo) -> float:
+    return _K1_DISCRETE(m) + _K1_CONTINUUM(m)
 
-    # Regularization scaling.
-    disp = renorm.DispersionModel.dispersionless(2.0)
-    grid = [1e16 * 2.0**k for k in range(5)]
-    out.append(_band("divergence_exponent_dispersionless",
-                     renorm.divergence_exponent(disp, grid), 4.00, 0.01))
-    free = renorm.DispersionModel.free_electron(2.5e28)
-    out.append(_band("divergence_exponent_free_electron",
-                     renorm.divergence_exponent(free, grid), 2.00, 0.01))
-    m_e = const.electron_mass
-    big = 1e4 * m_e * const.light_speed_c0 / const.hbar
+
+def _kappa2_total(m: _Memo) -> float:
+    return _K2_DISCRETE(m) + _K2_CONTINUUM(m)
+
+
+def _net(m: _Memo) -> float:
+    return -_kappa1_total(m) + _kappa2_total(m)
+
+
+def _doubling_over_limit(m: _Memo) -> float:
+    m_e = _C.electron_mass
+    big = 1e4 * m_e * _C.light_speed_c0 / _C.hbar
     increment = renorm.delta_mass(m_e, 2 * big) - renorm.delta_mass(m_e, big)
-    limit = (8 * alpha * m_e / (3 * math.pi)) * math.log(2.0)
-    out.append(_rel_band("delta_mass_doubling_increment",
-                         increment / limit, 1.0, 1e-3))
-    rho = renorm.casimir_mass_density(
-        free, renorm.CutoffScheme.length(const.classical_electron_radius))
-    ratio = abs(rho) / (free.n_e * m_e / alpha)
-    out.append(CheckResult("rho_c_order_of_magnitude", ratio,
-                           "within factor 10 of n_e m_e/alpha",
-                           0.1 <= ratio <= 10.0))
+    limit = (8 * _C.fine_structure_alpha * m_e / (3 * math.pi)) * math.log(2.0)
+    return increment / limit
 
-    # Identity suite.
+
+def _rho_c_over_reference(m: _Memo) -> float:
+    free = renorm.DispersionModel.free_electron(2.5e28)
+    rho = renorm.casimir_mass_density(
+        free, renorm.CutoffScheme.length(_C.classical_electron_radius))
+    return abs(rho) / (free.n_e * _C.electron_mass / _C.fine_structure_alpha)
+
+
+def _reduced_mass_shift_error(m: _Memo) -> float:
+    """Relative gap of the first-order formula to the two-sided 1/mu change."""
     atom = units.AtomicParams.hydrogen()
-    dm1 = renorm.delta_mass(const.proton_mass,
-                            2 * const.proton_mass * const.light_speed_c0 / const.hbar
-                            ) / const.electron_mass
-    dm2 = renorm.delta_mass(m_e, 2 * m_e * const.light_speed_c0 / const.hbar
-                            ) / const.electron_mass
+    dm1, dm2 = (renorm.delta_mass(mass, 2 * mass * _C.light_speed_c0 / _C.hbar)
+                / _C.electron_mass
+                for mass in (_C.proton_mass, _C.electron_mass))
     formula = renorm.reduced_mass_shift(atom, dm1, dm2)
     up = units.AtomicParams(m1=atom.m1 + dm1, m2=atom.m2 + dm2)
     down = units.AtomicParams(m1=atom.m1 - dm1, m2=atom.m2 - dm2)
     centered = 0.5 * (1.0 / up.reduced_mass - 1.0 / down.reduced_mass)
-    rel_err = abs(formula - centered) / abs(centered)
-    out.append(CheckResult("reduced_mass_shift_first_order", float(rel_err),
-                           "matches two-sided perturbed 1/mu to 1e-3",
-                           rel_err <= 1e-3))
-    net_coeff = (budget.DARWIN_MASS_COEFF + budget.P4_MASS_COEFF)
-    out.append(CheckResult("mass_coefficient_itemization", float(net_coeff),
-                           "8/3 - 5/3 = 1 exactly", net_coeff == 1))
-    residual = sums.first_moment_residual(sums.PerturbedGroundState.build(40))
-    out.append(CheckResult("first_moment_residual", residual,
-                           "0 to 1e-14", residual <= 1e-14))
+    return float(abs(formula - centered) / abs(centered))
 
+
+def _radial_route_gap(m: _Memo) -> float:
+    """Worst relative gap of the quadrature to the closed form, n <= 200."""
     worst = 0.0
     for n in range(2, 201):
+        closed = hydrogen.radial_record(n, "closed_form")
+        quad = hydrogen.radial_record(n, "quadrature")
         for p in (1, 2, 3):
-            closed = hydrogen.radial_record(n, "closed_form").integral(p)
-            quad = hydrogen.radial_record(n, "quadrature").integral(p)
-            worst = max(worst, abs(quad - closed) / abs(closed))
-    out.append(CheckResult("radial_dual_route_nle200", float(worst),
-                           "agree to 1e-10 relative", worst <= 1e-10))
+            worst = max(worst, abs(quad.integral(p) - closed.integral(p))
+                        / abs(closed.integral(p)))
+    return float(worst)
 
-    # Determinism of the serialized report for a fixed configuration.
+
+def _serialization_repeats(m: _Memo) -> bool:
     from .cli import ReportEnvelope, RunConfig, serialize
     cfg = RunConfig(subcommand="budget", params={"probe": 1.0},
                     output_format="json", output_path=None)
@@ -172,19 +160,115 @@ def run_checks() -> list[CheckResult]:
                                         "error": None}},
                          provenance={"q": "determinism probe"},
                          timing_seconds=0.0)
-    out.append(CheckResult("serialization_deterministic", None,
-                           "byte-identical repeated serialization",
-                           serialize(env, "json") == serialize(env, "json")))
+    return serialize(env, "json") == serialize(env, "json")
 
-    budget_fields = budget.FieldConfiguration(E0=[1e5, 0, 0], B0=[0, 1, 0],
-                                              Q0=[0, 0, 0])
-    bud = budget.assemble_budget(budget_fields)
-    cross = np.cross(budget_fields.B0, budget_fields.E0)
-    dot = float(bud.abraham @ cross)
-    parallel = abs(dot - float(np.linalg.norm(bud.abraham))
-                   * float(np.linalg.norm(cross)))
-    out.append(CheckResult("abraham_parallel_to_BxE", float(parallel),
-                           "parallel to B0 x E0",
-                           parallel <= 1e-12 * float(np.linalg.norm(bud.abraham))
-                           * float(np.linalg.norm(cross)) + 1e-300))
+
+def _abraham_off_axis(m: _Memo) -> float:
+    """|a.c - |a||c|| / (|a||c|) for the Abraham item a and c = B0 x E0."""
+    fields = budget.FieldConfiguration(E0=[1e5, 0, 0], B0=[0, 1, 0],
+                                       Q0=[0, 0, 0])
+    abraham = budget.assemble_budget(fields).abraham
+    cross = np.cross(fields.B0, fields.E0)
+    scale = float(np.linalg.norm(abraham)) * float(np.linalg.norm(cross))
+    return abs(float(abraham @ cross) - scale) / scale
+
+
+CHECKS: tuple[Check, ...] = (
+    # Constant-set consistency.
+    Check("units_hartree_identity", lambda m: _C.hartree_energy / (
+        _C.fine_structure_alpha**2 * _C.electron_mass * _C.light_speed_c0**2),
+        1.0, rel=1e-9),
+    Check("units_bohr_identity", lambda m: _C.bohr_radius_a0 * _C.electron_mass
+          * _C.light_speed_c0 * _C.fine_structure_alpha / _C.hbar,
+          1.0, rel=1e-9),
+    Check("units_coulomb_identity", lambda m: _C.elementary_charge_e**2 / (
+        4 * math.pi * _C.vacuum_permittivity_eps0 * _C.bohr_radius_a0
+        * _C.hartree_energy), 1.0, rel=1e-9),
+
+    # Discrete sums with tails.
+    Check("kappa1_discrete_200", _K1_DISCRETE, 0.21, 0.005),
+    Check("kappa1_discrete_runtime", lambda m: m.cost["kappa1_discrete_200"],
+          rule=lambda seconds: seconds < 60.0, text="under 60 s", shown=False),
+    Check("kappa2_discrete_200", _K2_DISCRETE, 0.0796, 0.0005),
+
+    # Continuum integrals.
+    Check("kappa1_continuum_ymin0", _value_of(quadrature.kappa1_continuum, 0.0),
+          1.4e-2, rel=0.02),
+    Check("kappa1_continuum_ymin1", _K1_CONTINUUM, 9.3e-3, rel=0.02),
+    Check("kappa2_continuum_ymin1", _K2_CONTINUUM, 0.018, rel=0.05),
+    Check("kappa2_continuum_closed_form",
+          _value_of(quadrature.kappa2_continuum, 0.0),
+          quadrature.KAPPA2_CONTINUUM_AT_ZERO, 1e-9, text="1/18 to 1e-9"),
+    Check("beta_integral_closed_form", lambda m: quadrature.integrate_adaptive(
+        lambda y: y**4 / (1 + y * y)**6, 0.0,
+        quadrature.DEFAULT_SPEC.upper_cut).value,
+        3 * math.pi / 512, 1e-9, text="3 pi/512 to 1e-9"),
+
+    # Adopted totals and the net relative shift.
+    Check("kappa1_total", _kappa1_total, 0.22, 0.01),
+    Check("kappa2_total", _kappa2_total, 0.098, 0.005),
+    Check("net_coefficient", _net, -0.12, 0.01),
+    Check("relative_shift_magnitude",
+          lambda m: abs(_net(m)) * _C.fine_structure_alpha**2, 6e-6, rel=0.10),
+
+    # Constant-log sum and the normalization coefficient.
+    Check("bethe_sum_200", _value_of(sums.bethe_sum, 200, True), 0.336, 0.002),
+    Check("normalization_coefficient", lambda m: sums.normalization_constant(
+        -8.35, m(sums.bethe_sum, 200, True)), 0.84, 0.01),
+
+    # Polarizability and oscillator strengths.
+    Check("polarizability_discrete_400", _POLARIZABILITY, 3.663, 0.001),
+    Check("polarizability_below_exact", _POLARIZABILITY,
+          rule=lambda v: v < sums.POLARIZABILITY_EXACT_AU, text="below 4.5"),
+    Check("oscillator_strength_sum_400",
+          _value_of(sums.oscillator_strength_sum, 400, True), 0.5650, 0.001),
+    Check("oscillator_partials_below_one", lambda m: max(
+        v for _, v in m(sums.oscillator_strength_sum, 400, True).partial_sums),
+        rule=lambda v: v < 1.0, text="below 1 for all truncations"),
+
+    # Regularization scaling.
+    Check("divergence_exponent_dispersionless",
+          lambda m: renorm.divergence_exponent(
+              renorm.DispersionModel.dispersionless(2.0), _GRID), 4.00, 0.01),
+    Check("divergence_exponent_free_electron",
+          lambda m: renorm.divergence_exponent(
+              renorm.DispersionModel.free_electron(2.5e28), _GRID), 2.00, 0.01),
+    Check("delta_mass_doubling_increment", _doubling_over_limit, 1.0, rel=1e-3),
+    Check("rho_c_order_of_magnitude", _rho_c_over_reference,
+          rule=lambda v: 0.1 <= v <= 10.0,
+          text="within factor 10 of n_e m_e/alpha"),
+
+    # Identity suite.
+    Check("reduced_mass_shift_first_order", _reduced_mass_shift_error,
+          rule=lambda v: v <= 1e-3,
+          text="matches two-sided perturbed 1/mu to 1e-3"),
+    Check("mass_coefficient_itemization",
+          lambda m: budget.DARWIN_MASS_COEFF + budget.P4_MASS_COEFF,
+          rule=lambda v: v == 1, text="8/3 - 5/3 = 1 exactly"),
+    Check("first_moment_residual", lambda m: sums.first_moment_residual(
+        sums.PerturbedGroundState.build(40)),
+        rule=lambda v: v <= 1e-14, text="0 to 1e-14"),
+    Check("radial_dual_route_nle200", _radial_route_gap,
+          rule=lambda v: v <= 1e-10, text="agree to 1e-10 relative"),
+    Check("serialization_deterministic", _serialization_repeats,
+          rule=lambda same: same, text="byte-identical repeated serialization",
+          shown=False),
+    Check("abraham_parallel_to_BxE", _abraham_off_axis,
+          rule=lambda v: v <= 1e-12, text="parallel to B0 x E0"),
+)
+
+
+def run_checks() -> list[CheckResult]:
+    """Every row of CHECKS, in order, with the seconds its value took.
+
+    A check's cost includes the shared intermediates it is the first to need.
+    """
+    memo = _Memo()
+    out = []
+    for chk in CHECKS:
+        t0 = time.perf_counter()
+        value = chk.compute(memo)
+        memo.cost[chk.name] = seconds = time.perf_counter() - t0
+        out.append(CheckResult(chk.name, float(value) if chk.shown else None,
+                               chk.target, chk.passes(value), seconds))
     return out

