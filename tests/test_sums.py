@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from casimir_momentum import verify
 from casimir_momentum.sums import (
     POLARIZABILITY_EXACT_AU,
     PerturbedGroundState,
@@ -116,6 +117,19 @@ def test_bethe_first_term():
     res = bethe_sum(n_max=2, tail=False)
     assert res.value == pytest.approx(I2_2**2, rel=1e-12)
     assert res.value == pytest.approx(0.234069, abs=1e-4)
+
+
+# The bands are the rows of verify.CHECKS, applied to a direct call.
+_BAND = {chk.name: chk for chk in verify.CHECKS}
+
+
+def test_kappa_values_at_default_truncation():
+    assert _BAND["kappa1_discrete_200"].passes(kappa1_discrete(200, tail=True).value)
+    assert _BAND["kappa2_discrete_200"].passes(kappa2_discrete(200, tail=True).value)
+
+
+def test_bethe_value():
+    assert _BAND["bethe_sum_200"].passes(bethe_sum(200, tail=True).value)
 
 
 def test_polarizability_values():
