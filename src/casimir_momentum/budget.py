@@ -5,6 +5,8 @@ Assembles the conserved-momentum decomposition: classical field-induced
 binding-energy correction to the kinetic momentum with its Darwin and p^4
 parts itemized, and order-of-magnitude bounds that are reported but never
 added into totals. All vectors are SI (kg m/s); inputs are SI field vectors.
+Vectors are 3-tuples of floats (Vec3); cross, dot, norm and scaling are the
+four helpers below.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
-
-import numpy as np
 
 from .units import HARTREE_ENERGY, AtomicParams, PhysicalConstants, constants
 
@@ -42,20 +42,44 @@ POLARIZABILITY_CHOICES = ("exact", "computed_discrete",
                           "relativistic_corrected")
 
 
-def _vec(v) -> np.ndarray:
-    arr = np.asarray(v, dtype=float)
-    if arr.shape != (3,):
-        raise ValueError(f"expected a 3-vector, got shape {arr.shape}")
-    return arr
+Vec3 = tuple[float, float, float]
+
+
+def _vec(v) -> Vec3:
+    try:
+        vec = tuple(float(c) for c in v)
+    except TypeError:
+        raise ValueError(f"expected a 3-vector, got {v!r}") from None
+    if len(vec) != 3:
+        raise ValueError(f"expected a 3-vector, got {len(vec)} components")
+    return vec
+
+
+def cross(a: Vec3, b: Vec3) -> Vec3:
+    """a x b."""
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
+
+
+def dot(a: Vec3, b: Vec3) -> float:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def norm(a: Vec3) -> float:
+    return math.hypot(*a)
+
+
+def scaled(s: float, a: Vec3) -> Vec3:
+    return (s * a[0], s * a[1], s * a[2])
 
 
 @dataclass(frozen=True)
 class FieldConfiguration:
     """External fields and the atom's pseudo-momentum, SI units."""
 
-    E0: np.ndarray  # V/m
-    B0: np.ndarray  # T
-    Q0: np.ndarray  # kg m/s
+    E0: Vec3  # V/m
+    B0: Vec3  # T
+    Q0: Vec3  # kg m/s
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "E0", _vec(self.E0))
@@ -67,11 +91,11 @@ class FieldConfiguration:
 class MomentumBudget:
     """Itemized momentum contributions; bounds are never part of totals."""
 
-    abraham: np.ndarray                 # kg m/s
-    casimir_correction: np.ndarray      # kg m/s
-    kinetic: np.ndarray                 # Q0, kg m/s
+    abraham: Vec3                       # kg m/s
+    casimir_correction: Vec3            # kg m/s
+    kinetic: Vec3                       # Q0, kg m/s
     kinetic_mass_factor: float          # E_bind / (M c0^2), dimensionless
-    kinetic_correction: np.ndarray      # kinetic_mass_factor * Q0
+    kinetic_correction: Vec3            # kinetic_mass_factor * Q0
     relativistic_terms: Mapping[str, Fraction]
     transverse_bound: float             # magnitude estimate, kg m/s
     relativistic_field_bound: float     # order alpha^2 (m_e/M) |abraham|
@@ -85,20 +109,21 @@ class MomentumBudget:
     @property
     def casimir_relative_shift(self) -> float:
         """casimir_correction / |abraham|: the pure number (-k1 + k2) a^2."""
-        norm = float(np.linalg.norm(self.abraham))
-        if norm == 0.0:
+        size = norm(self.abraham)
+        if size == 0.0:
             return 0.0
-        sign = math.copysign(1.0, float(self.casimir_correction @ self.abraham))
-        return sign * float(np.linalg.norm(self.casimir_correction)) / norm
+        sign = math.copysign(1.0, dot(self.casimir_correction, self.abraham))
+        return sign * norm(self.casimir_correction) / size
 
-    def total(self) -> np.ndarray:
+    def total(self) -> Vec3:
         """Sum of the itemized contributions, bounds excluded."""
-        return (self.abraham + self.casimir_correction + self.kinetic
-                + self.kinetic_correction)
+        return tuple(a + c + k + kc for a, c, k, kc in zip(
+            self.abraham, self.casimir_correction, self.kinetic,
+            self.kinetic_correction))
 
 
 def abraham_momentum(fields: FieldConfiguration, alpha0_si: float,
-                     const: PhysicalConstants | None = None) -> np.ndarray:
+                     const: PhysicalConstants | None = None) -> Vec3:
     """Classical field-induced momentum eps0 alpha(0) B0 x E0 [kg m/s].
 
     alpha0_si is the polarizability volume in m^3 (P = eps0 alpha0 E).
@@ -106,14 +131,15 @@ def abraham_momentum(fields: FieldConfiguration, alpha0_si: float,
     if alpha0_si <= 0:
         raise ValueError("polarizability must be positive")
     const = const or constants()
-    return const.vacuum_permittivity_eps0 * alpha0_si * np.cross(fields.B0, fields.E0)
+    return scaled(const.vacuum_permittivity_eps0 * alpha0_si,
+                  cross(fields.B0, fields.E0))
 
 
-def casimir_correction(kappa1: float, kappa2: float, abraham: np.ndarray,
-                       const: PhysicalConstants | None = None) -> np.ndarray:
+def casimir_correction(kappa1: float, kappa2: float, abraham: Vec3,
+                       const: PhysicalConstants | None = None) -> Vec3:
     """Quantum-vacuum correction (-kappa1 + kappa2) alpha^2 * abraham."""
     const = const or constants()
-    return (-kappa1 + kappa2) * const.fine_structure_alpha**2 * np.asarray(abraham, float)
+    return scaled((-kappa1 + kappa2) * const.fine_structure_alpha**2, _vec(abraham))
 
 
 def effective_mass_factor(binding_energy: float, total_mass: float,
@@ -135,7 +161,7 @@ def effective_mass_factor(binding_energy: float, total_mass: float,
 def transverse_bound(fields: FieldConfiguration, binding_energy: float,
                      total_mass: float,
                      const: PhysicalConstants | None = None,
-                     abraham: np.ndarray | None = None) -> float:
+                     abraham: Vec3 | None = None) -> float:
     """Order-of-magnitude bound on the transverse-photon momentum [kg m/s].
 
     alpha |E_bind/(M c0^2)| |Q0| + alpha^3 |P_A|; an estimate only, one power
@@ -147,8 +173,8 @@ def transverse_bound(fields: FieldConfiguration, binding_energy: float,
     if abraham is None:
         abraham = abraham_momentum(fields, POLARIZABILITY_VOLUME_AU
                                    * const.bohr_radius_a0**3, const)
-    q_part = alpha * factor * float(np.linalg.norm(fields.Q0))
-    field_part = alpha**3 * float(np.linalg.norm(abraham))
+    q_part = alpha * factor * norm(fields.Q0)
+    field_part = alpha**3 * norm(abraham)
     return q_part + field_part
 
 
@@ -226,14 +252,13 @@ def assemble_budget(
     }
     t_bound = transverse_bound(fields, binding_energy, total_mass_kg, const,
                                abraham=p_a)
-    field_bound = alpha**2 * (const.electron_mass / total_mass_kg) \
-        * float(np.linalg.norm(p_a))
+    field_bound = alpha**2 * (const.electron_mass / total_mass_kg) * norm(p_a)
     return MomentumBudget(
         abraham=p_a,
         casimir_correction=dp_vac,
-        kinetic=fields.Q0.copy(),
+        kinetic=fields.Q0,
         kinetic_mass_factor=factor,
-        kinetic_correction=factor * fields.Q0,
+        kinetic_correction=scaled(factor, fields.Q0),
         relativistic_terms=rel_terms,
         transverse_bound=t_bound,
         relativistic_field_bound=field_bound,

@@ -60,11 +60,9 @@ def _jsonable(obj: Any) -> Any:
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if hasattr(obj, "tolist"):          # numpy arrays and scalars
-        return _jsonable(obj.tolist())
     if isinstance(obj, (bool, int, str)) or obj is None:
         return obj
-    return float(obj)                   # floats, Fractions, np floats
+    return float(obj)                   # floats, Fractions
 
 
 def _flatten_for_rows(results: dict[str, dict[str, Any]]):
@@ -73,8 +71,7 @@ def _flatten_for_rows(results: dict[str, dict[str, Any]]):
     for name, entry in results.items():
         value = entry.get("value")
         error = entry.get("error")
-        is_vector = isinstance(value, (list, tuple)) or getattr(value, "ndim", 0)
-        if is_vector:
+        if isinstance(value, (list, tuple)):
             comps = _jsonable(value)
             for suffix, comp in zip(("x", "y", "z"), comps):
                 rows.append((f"{name}_{suffix}", comp, error))

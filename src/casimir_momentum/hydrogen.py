@@ -11,15 +11,24 @@ Every radial integral I_p(n) = int_0^inf R_10(r) R_n1(r) r^p dr, p in
   I_3 is Gordon's dipole integral (Ann. Phys. 2, 1031, 1929; Bethe &
   Salpeter 1957); all three follow from integrating the Laguerre expansion
   of R_n1 against 2 e^(-r) r^(p+1) term by term;
-* quadrature  -- adaptive Gauss-Kronrod integration of the numerically
-  evaluated wavefunctions on [0, 64] for every n. The cut rests on a proven
-  bound: |L_k^a(x)| <= C(k+a, k) e^(x/2) for x, a >= 0 (DLMF 18.14.8) gives
+* quadrature  -- Gauss-Kronrod integration of the numerically evaluated
+  wavefunctions on [0, 64] for every n. The cut rests on a proven bound:
+  |L_k^a(x)| <= C(k+a, k) e^(x/2) for x, a >= 0 (DLMF 18.14.8) gives
   |R_n1(r)| <= 2r/(3 n^1.5), so |2 e^(-r) R_n1(r) r^p| <= (4/3) 2^-1.5
   r^(p+1) e^(-r) for n >= 2, and the part beyond r = 64 is at most
-  (4/3) 2^-1.5 Gamma(p+2, 64), 1.4e-21 for p = 3.
+  (4/3) 2^-1.5 Gamma(p+2, 64), 1.4e-21 for p = 3. `quadrature_table` is
+  this route for a whole band of n at once: one upward Laguerre recurrence
+  over an (n x 195 node) numpy array gives the integrand on the fixed
+  13-segment partition of [0, 64], and each n takes the K15 value and the
+  engine's |K15 - G7| error estimate of every segment. An n whose estimate
+  misses the tolerance is integrated adaptively on its own; the route never
+  reads the closed forms.
 
 The two routes form the module's built-in oracle and must agree to 1e-10
-in relative terms; a disagreement beyond 1e-8 raises hard.
+in relative terms; a disagreement beyond 1e-8 raises hard. numpy is
+imported only inside the quadrature route (quadrature_table,
+_laguerre_scaled, radial_wavefunction), so the closed-form route and
+every module that reads it run without it.
 
 The angular sums over m and Cartesian components that accompany these
 integrals in second-order coefficients reduce to a unit factor for
@@ -31,10 +40,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
+from .quadrature import (
+    _WEIGHTS_G,
+    _WEIGHTS_K,
+    QuadratureSpec,
+    integrate_adaptive,
+    segment_nodes,
+    tail_bound_ok,
+)
 
-from .quadrature import QuadratureSpec, integrate_adaptive, tail_bound_ok
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -89,6 +107,7 @@ def _laguerre_scaled(k: int, alpha: int, x: np.ndarray) -> tuple[np.ndarray, np.
     grows that max by at most g = 3k + 2 alpha + 1 + max|x|; g^every <= 2^400
     keeps values, and products before the division, below 2^900 between tests.
     """
+    import numpy as np
     x = np.asarray(x, dtype=float)
     exp2 = np.zeros_like(x)
     prev = np.ones_like(x)
@@ -118,6 +137,7 @@ def radial_wavefunction(state: BoundStateLabel, r: np.ndarray | float) -> np.nda
     normalization needs no large factorials; the Laguerre factor is evaluated
     with the rescaled recurrence above.
     """
+    import numpy as np
     n, l = state.n, state.l
     scalar = np.isscalar(r)
     r = np.atleast_1d(np.asarray(r, dtype=float))
@@ -179,23 +199,120 @@ _RADIAL_BREAKPOINTS = _geometric_breakpoints(_RADIAL_QUAD_SPEC.upper_cut,
                                              first=1.0, ratio=math.sqrt(2.0))
 
 
-def _quadrature_integrals(n: int) -> tuple[float, float, float]:
-    """(I1, I2, I3) by adaptive quadrature on [0, upper_cut] in one pass: the
-    engine places its nodes by segment alone and the integrands differ only
-    by r^p, so 2 e^(-r) R_n1(r) is evaluated once per node array."""
+class RadialQuadrature(NamedTuple):
+    """The quadrature route's (I1, I2, I3) for one n, with the engine's
+    error estimate of each."""
+
+    values: tuple[float, float, float]
+    errors: tuple[float, float, float]
+
+
+# Rows per kernel batch: bounds its arrays at 256 x 195 floats for any band.
+_TABLE_ROWS = 256
+
+
+def _radial_weights(ns: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """2 e^(-r) R_n1(r) for consecutive ascending ns (rows) at nodes r <= 64.
+
+    One upward three-term recurrence in the degree k of L_k^3(2r/n) runs over
+    all rows; row n is complete at k = n - 2 and leaves the batch. Every
+    element sees the same operations whatever the batch, so a row does not
+    depend on its neighbours. No rescaling is needed: on r <= 64,
+    |L_k^3(x)| <= C(k+3, 3) e^(x/2) <= C(n+1, 3) e^32 (DLMF 18.14.8).
+    """
+    import numpy as np
+    x = (2.0 * r) / ns[:, None]
+    lag = np.empty_like(x)
+    prev, cur, xa = np.zeros_like(x), np.ones_like(x), x
+    first = int(ns[0]) - 2
+    for k in range(int(ns[-1]) - 1):
+        if k >= first:
+            lag[k - first] = cur[0]
+            prev, cur, xa = prev[1:], cur[1:], xa[1:]
+            if not len(xa):
+                break
+        prev, cur = cur, ((2 * k + 4 - xa) * cur - (k + 3) * prev) / (k + 1)
+    norm = 2.0 / ns**2 / np.sqrt((ns - 1.0) * ns * (ns + 1.0))
+    return 2.0 * norm[:, None] * x * lag * np.exp(-r - r / ns[:, None])
+
+
+def _segment_estimates(f: np.ndarray,
+                       half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """quadrature.segment_estimate over f[..., segment, node] with half-widths
+    half[segment]: the same operations in the same order, so every element
+    equals the engine's value and error bit for bit."""
+    import numpy as np
+    k15 = g7 = asc = 0.0
+    for j, w in enumerate(_WEIGHTS_K):
+        k15 = k15 + f[..., j] * w
+    for j, w in enumerate(_WEIGHTS_G):
+        g7 = g7 + f[..., 2 * j + 1] * w
+    mean = 0.5 * k15
+    for j, w in enumerate(_WEIGHTS_K):
+        asc = asc + abs(f[..., j] - mean) * w
+    resk = k15 * half
+    err = abs(resk - g7 * half)
+    resasc = asc * abs(half)
+    sharpen = (resasc != 0.0) & (err != 0.0)
+    t = np.minimum(1.0, 200.0 * err[sharpen] / resasc[sharpen])
+    err[sharpen] = resasc[sharpen] * t * np.sqrt(t)
+    return resk, err
+
+
+def _adaptive_row(n: int) -> RadialQuadrature:
+    """The quadrature route for one n by integrate_adaptive, which subdivides
+    where the fixed partition is not enough."""
+    import numpy as np
     state = BoundStateLabel(n, 1)
-    weights: dict[bytes, np.ndarray] = {}
 
-    def f(r: np.ndarray, p: int) -> np.ndarray:
-        key = r.tobytes()
-        if key not in weights:
-            weights[key] = 2.0 * np.exp(-r) * radial_wavefunction(state, r)
-        return weights[key] * r**p
+    def f(rs: list[float], p: int) -> list[float]:
+        r = np.asarray(rs)
+        return (2.0 * np.exp(-r) * radial_wavefunction(state, r) * r**p).tolist()
 
-    return tuple(integrate_adaptive(partial(f, p=p), 0.0,
-                                    _RADIAL_QUAD_SPEC.upper_cut, _RADIAL_QUAD_SPEC,
-                                    breakpoints=_RADIAL_BREAKPOINTS).value
-                 for p in (1, 2, 3))
+    res = [integrate_adaptive(partial(f, p=p), 0.0, _RADIAL_QUAD_SPEC.upper_cut,
+                              _RADIAL_QUAD_SPEC, breakpoints=_RADIAL_BREAKPOINTS)
+           for p in (1, 2, 3)]
+    return RadialQuadrature(tuple(q.value for q in res), tuple(q.error for q in res))
+
+
+def quadrature_table(n_lo: int, n_hi: int) -> dict[int, RadialQuadrature]:
+    """(I1, I2, I3) by the quadrature route for every n in [n_lo, n_hi].
+
+    Each row is what integrate_adaptive returns on its first pass over the
+    fixed partition of [0, 64] (13 segments, 195 nodes): the fsum of the
+    segments' K15 values and of their error estimates. A row whose estimate
+    misses _RADIAL_QUAD_SPEC is replaced by _adaptive_row(n). Every step is
+    elementwise or per row, so a row is bit-identical whatever band it is
+    computed in.
+    """
+    if not (n_lo % 1 == 0 and n_hi % 1 == 0 and 2 <= n_lo <= n_hi):
+        raise ValueError("need integers 2 <= n_lo <= n_hi")
+    import numpy as np
+    n_lo, n_hi = int(n_lo), int(n_hi)
+    spec = _RADIAL_QUAD_SPEC
+    edges = [0.0, *_RADIAL_BREAKPOINTS, spec.upper_cut]
+    segs = list(zip(edges, edges[1:]))
+    r = np.array([x for lo, hi in segs for x in segment_nodes(lo, hi)])
+    r_powers = np.stack([r, r * r, r * r * r]).reshape(3, len(segs), 15)
+    half = np.array([0.5 * (hi - lo) for lo, hi in segs])
+    table = {}
+    for start in range(n_lo, n_hi + 1, _TABLE_ROWS):
+        ns = np.arange(start, min(start + _TABLE_ROWS, n_hi + 1), dtype=float)
+        weights = _radial_weights(ns, r).reshape(len(ns), 1, len(segs), 15)
+        values, errors = _segment_estimates(weights * r_powers, half)
+        for n, v, e in zip(range(start, start + len(ns)), values.tolist(),
+                           errors.tolist()):
+            row = RadialQuadrature(tuple(map(math.fsum, v)), tuple(map(math.fsum, e)))
+            if any(err > max(spec.abs_tol, spec.rel_tol * abs(val))
+                   for val, err in zip(*row)):
+                row = _adaptive_row(n)
+            table[n] = row
+    return table
+
+
+def _quadrature_integrals(n: int) -> tuple[float, float, float]:
+    """(I1, I2, I3) by the quadrature route: one row of quadrature_table."""
+    return quadrature_table(n, n)[n].values
 
 
 class RadialIntegralMismatch(RuntimeError):

@@ -1,9 +1,12 @@
 """Adaptive one-dimensional quadrature and the plane-wave continuum integrals.
 
 The engine is a globally adaptive Gauss-Kronrod (G7, K15) bisection scheme
-with a QUADPACK-style error estimate. Integrands are called with a 1-D numpy
-array of nodes and must return an array of the same shape, which keeps the
-per-call overhead low for expensive integrands (large-n radial functions).
+with a QUADPACK-style error estimate, written over Python floats. An
+integrand is called with a list of nodes (15 per segment, every segment of
+one pass in a single call) and returns a sequence of as many floats; it may
+use any array library inside itself. A nan or inf value, or an
+OverflowError or ZeroDivisionError raised by the integrand, is reported as
+ValueError("integrand is not finite at x=...") with the first bad node.
 
 Semi-infinite integrals are mapped onto [0, 1) with the rational substitution
 y = a + t/(1 - t), so the reported error estimate covers the whole tail
@@ -15,32 +18,33 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable, NamedTuple, Sequence
-
-import numpy as np
 
 # Gauss-Kronrod (G7, K15) nodes and weights on [-1, 1]; Kronrod nodes are
 # symmetric, listed here for x >= 0. Standard QUADPACK dqk15 constants.
-_XGK = np.array([
+_XGK = (
     0.991455371120813, 0.949107912342759, 0.864864423359769,
     0.741531185599394, 0.586087235467691, 0.405845151377397,
     0.207784955007898, 0.0,
-])
-_WGK = np.array([
+)
+_WGK = (
     0.022935322010529, 0.063092092629979, 0.104790010322250,
     0.140653259715525, 0.169004726639267, 0.190350578064785,
     0.204432940075298, 0.209482141084728,
-])
-_WG = np.array([
+)
+_WG = (
     0.129484966168870, 0.279705391489277, 0.381830050505119,
     0.417959183673469,
-])
+)
 
-# All 15 Kronrod nodes, ascending; Gauss points are the odd-index entries.
-_NODES = np.concatenate([-_XGK[:-1], [0.0], _XGK[-2::-1]])
-_WEIGHTS_K = np.concatenate([_WGK[:-1], [_WGK[-1]], _WGK[-2::-1]])
-_WEIGHTS_G = np.zeros(15)
-_WEIGHTS_G[1:-1:2] = np.concatenate([_WG[:-1], [_WG[-1]], _WG[-2::-1]])
+# All 15 Kronrod nodes and weights, ascending; the Gauss points are the
+# odd-index nodes, whose weights are _WEIGHTS_G in the same order.
+_NODES = tuple(-x for x in _XGK[:-1]) + _XGK[::-1]
+_WEIGHTS_K = _WGK + _WGK[-2::-1]
+_WEIGHTS_G = _WG + _WG[-2::-1]
+
+Integrand = Callable[[list[float]], Sequence[float]]
 
 
 @dataclass(frozen=True)
@@ -92,35 +96,67 @@ class QuadratureError(RuntimeError):
         self.subdivisions = subdivisions
 
 
-def _eval_segments(f, segments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Kronrod estimates for a batch of segments, one f call in total.
-
-    segments has shape (m, 2); returns (values, errors), each of shape (m,).
-    """
-    lo = segments[:, 0][:, None]
-    hi = segments[:, 1][:, None]
+def segment_nodes(lo: float, hi: float) -> list[float]:
+    """The 15 Kronrod nodes of [lo, hi], ascending, as the engine places them."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    nodes = mid + half * _NODES[None, :]
-    fx = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
-    if not np.all(np.isfinite(fx)):
-        bad = nodes.ravel()[~np.isfinite(fx.ravel())][0]
-        raise ValueError(f"integrand is not finite at x={bad!r}")
-    resk = (fx * _WEIGHTS_K).sum(axis=1) * half[:, 0]
-    resg = (fx * _WEIGHTS_G).sum(axis=1) * half[:, 0]
-    # QUADPACK-style sharpened error estimate.
-    reskh = resk / (2.0 * half[:, 0])
-    resasc = (np.abs(fx - reskh[:, None]) * _WEIGHTS_K).sum(axis=1) * np.abs(half[:, 0])
-    err = np.abs(resk - resg)
-    mask = (resasc != 0.0) & (err != 0.0)
-    err[mask] = resasc[mask] * np.minimum(
-        1.0, (200.0 * err[mask] / resasc[mask]) ** 1.5
-    )
+    return [mid + half * t for t in _NODES]
+
+
+def segment_estimate(fs: Sequence[float], lo: float,
+                     hi: float) -> tuple[float, float]:
+    """(K15 value, error) of one segment from its 15 integrand values.
+
+    The error is QUADPACK's sharpening of |K15 - G7|:
+    resasc t^1.5 with t = min(1, 200 |K15 - G7| / resasc), resasc being the
+    K15 integral of |f - mean f|; t^1.5 is taken as t sqrt(t), which rounds
+    alike everywhere.
+    """
+    half = 0.5 * (hi - lo)
+    k15 = sum(map(mul, fs, _WEIGHTS_K))
+    resk = k15 * half
+    err = abs(resk - sum(map(mul, fs[1::2], _WEIGHTS_G)) * half)
+    mean = 0.5 * k15
+    resasc = sum(map(mul, [abs(v - mean) for v in fs], _WEIGHTS_K)) * abs(half)
+    if resasc != 0.0 and err != 0.0:
+        t = min(1.0, 200.0 * err / resasc)
+        err = resasc * t * math.sqrt(t)
     return resk, err
 
 
+def _not_finite(f: Integrand, nodes: list[float]) -> ValueError:
+    """The error for the first node at which f is not a finite float."""
+    for x in nodes:
+        try:
+            v, = f([x])
+        except (OverflowError, ZeroDivisionError):
+            break
+        if not math.isfinite(v):
+            break
+    else:
+        x = nodes[0]
+    return ValueError(f"integrand is not finite at x={x!r}")
+
+
+def _eval_segments(f: Integrand,
+                   segments: list[tuple[float, float]]) -> list[tuple[float, float]]:
+    """(value, error) of each segment, with one call of f for all of them."""
+    nodes = [x for lo, hi in segments for x in segment_nodes(lo, hi)]
+    try:
+        fx = f(nodes)
+    except (OverflowError, ZeroDivisionError):
+        raise _not_finite(f, nodes) from None
+    fx = list(map(float, fx))
+    if len(fx) != len(nodes):
+        raise ValueError(f"integrand returned {len(fx)} values for {len(nodes)} nodes")
+    if not all(map(math.isfinite, fx)):
+        raise _not_finite(f, nodes)
+    return [segment_estimate(fx[15 * i:15 * i + 15], lo, hi)
+            for i, (lo, hi) in enumerate(segments)]
+
+
 def integrate_adaptive(
-    f: Callable[[np.ndarray], np.ndarray],
+    f: Integrand,
     a: float,
     b: float,
     spec: QuadratureSpec = DEFAULT_SPEC,
@@ -143,15 +179,14 @@ def integrate_adaptive(
     if breakpoints:
         edges += [float(x) for x in breakpoints if a < float(x) < b]
     edges = sorted(set(edges))
-    segs = np.array([[edges[i], edges[i + 1]] for i in range(len(edges) - 1)])
+    segs = list(zip(edges, edges[1:]))
 
-    values, errors = _eval_segments(f, segs)
     neval = 15 * len(segs)
     # Heap of (-error, insertion index, lo, hi, value); index breaks ties
     # deterministically.
     heap = []
     counter = 0
-    for (lo, hi), v, e in zip(segs, values, errors):
+    for (lo, hi), (v, e) in zip(segs, _eval_segments(f, segs)):
         heapq.heappush(heap, (-e, counter, lo, hi, v))
         counter += 1
 
@@ -176,10 +211,9 @@ def integrate_adaptive(
             counter += 1
             subdivisions += 1
             continue
-        children = np.array([[lo, mid], [mid, hi]])
-        cv, ce = _eval_segments(f, children)
+        children = [(lo, mid), (mid, hi)]
         neval += 30
-        for (clo, chi), v, e in zip(children, cv, ce):
+        for (clo, chi), (v, e) in zip(children, _eval_segments(f, children)):
             heapq.heappush(heap, (-e, counter, clo, chi, v))
             counter += 1
         subdivisions += 1
@@ -193,7 +227,7 @@ def integrate_adaptive(
 
 
 def integrate_to_inf(
-    f: Callable[[np.ndarray], np.ndarray],
+    f: Integrand,
     a: float,
     spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> QuadratureResult:
@@ -204,11 +238,10 @@ def integrate_to_inf(
     never evaluated at t = 1.
     """
 
-    def g(t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        omt = 1.0 - t
-        y = a + t / omt
-        return np.asarray(f(y), dtype=float) / omt**2
+    def g(ts: list[float]) -> list[float]:
+        omts = [1.0 - t for t in ts]
+        fy = f([a + t / omt for t, omt in zip(ts, omts)])
+        return [v / (omt * omt) for v, omt in zip(fy, omts)]
 
     # Seed points cluster resolution near t=1 where the tail lives.
     return integrate_adaptive(g, 0.0, 1.0, spec,
@@ -224,7 +257,7 @@ class ContinuumResult:
     estimated_error: float
 
 
-def kappa1_continuum_integrand(y: np.ndarray) -> np.ndarray:
+def kappa1_continuum_integrand(ys: list[float]) -> list[float]:
     """Integrand y^3/(y^2+1)^3 * (arctan(y)/y^2 - 1/(y*sqrt(y^2+1))).
 
     The bracket is a difference of two terms that both diverge as 1/y at
@@ -232,20 +265,17 @@ def kappa1_continuum_integrand(y: np.ndarray) -> np.ndarray:
     y/6 - 7y^3/40 + 19y^5/112 to avoid cancellation. It is positive for all
     y > 0, since arctan(y) > y/sqrt(1+y^2).
     """
-    y = np.asarray(y, dtype=float)
-    out = np.empty_like(y)
-    small = y < 1e-3
-    ys = y[small]
-    out[small] = ys / 6.0 - 7.0 * ys**3 / 40.0 + 19.0 * ys**5 / 112.0
-    yl = y[~small]
-    out[~small] = np.arctan(yl) / yl**2 - 1.0 / (yl * np.sqrt(yl * yl + 1.0))
-    return y**3 / (y * y + 1.0) ** 3 * out
+    atan, sqrt = math.atan, math.sqrt
+    return [y**3 / (y * y + 1.0) ** 3
+            * (y / 6.0 - 7.0 * y**3 / 40.0 + 19.0 * y**5 / 112.0 if y < 1e-3
+               else atan(y) / y**2 - 1.0 / (y * sqrt(y * y + 1.0)))
+            for y in ys]
 
 
-def kappa2_continuum_integrand(y: np.ndarray) -> np.ndarray:
+def kappa2_continuum_integrand(ys: list[float]) -> list[float]:
     """Integrand (256/27pi) * y^4/(y^2+1)^6."""
-    y = np.asarray(y, dtype=float)
-    return 256.0 / (27.0 * math.pi) * y**4 / (y * y + 1.0) ** 6
+    front = 256.0 / (27.0 * math.pi)
+    return [front * y**4 / (y * y + 1.0) ** 6 for y in ys]
 
 
 # Largest accepted lower cutoff. Beyond it both continuum integrals are below

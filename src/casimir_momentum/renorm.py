@@ -13,8 +13,6 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .quadrature import QuadratureSpec, integrate_adaptive
 from .units import AtomicParams, PhysicalConstants, constants
 
@@ -202,8 +200,8 @@ def delta_mass(mass: float, lambda_cut: float, route: str = "closed_form",
 
     # Quadrature in u = hbar k / (m c0): the integrand reduces to
     # (2m/hbar^2) / (2 + u) du, restoring the same prefactor.
-    def f(u: np.ndarray) -> np.ndarray:
-        return 1.0 / (2.0 + u)
+    def f(us: list[float]) -> list[float]:
+        return [1.0 / (2.0 + u) for u in us]
 
     breaks = []
     b = u_max
@@ -243,12 +241,15 @@ def divergence_exponent(model_or_fn: DispersionModel | Callable[[float], float],
     A model is swept through the closed form of casimir_mass_density
     without its PlasmaCutoffWarning, which the caller gets once for the
     cutoff of interest, not once per fit point. Needs at least 4 geometrically
-    spaced cutoffs; |values| must be monotone in the cutoff, otherwise a
-    power law is not present and the fit refuses.
+    spaced cutoffs and finite values; |values| must be monotone in the
+    cutoff, otherwise a power law is not present and the fit refuses. The
+    slope is the closed-form least-squares one, fsum-accumulated.
     """
     grid = [float(w) for w in omega_grid]
     if len(grid) < 4:
         raise ValueError("need at least 4 cutoff points")
+    if not all(0.0 < w < math.inf for w in grid):
+        raise ValueError("cutoffs must be positive and finite")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("cutoff grid must be strictly ascending")
     ratios = [b / a for a, b in zip(grid, grid[1:])]
@@ -261,11 +262,23 @@ def divergence_exponent(model_or_fn: DispersionModel | Callable[[float], float],
         fn = lambda w: _mass_density(model, w, const)
     else:
         fn = model_or_fn
-    values = [abs(fn(w)) for w in grid]
+    not_finite = ValueError("a value in the sweep is not finite; "
+                            "cannot fit a power law")
+    try:
+        values = [abs(float(fn(w))) for w in grid]
+    except OverflowError:
+        raise not_finite from None
+    if not all(map(math.isfinite, values)):
+        raise not_finite
     if any(v == 0.0 for v in values):
         raise ValueError("zero value in the sweep; cannot fit a power law")
-    diffs = np.diff(values)
-    if not (np.all(diffs > 0) or np.all(diffs < 0)):
+    diffs = [b - a for a, b in zip(values, values[1:])]
+    if not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
         raise ValueError("|values| are not monotone over the cutoff grid")
-    slope, _ = np.polyfit(np.log(grid), np.log(values), 1)
-    return float(slope)
+    xs = [math.log(w) for w in grid]
+    ys = [math.log(v) for v in values]
+    x_mean = math.fsum(xs) / len(xs)
+    y_mean = math.fsum(ys) / len(ys)
+    dx = [x - x_mean for x in xs]
+    return (math.fsum(d * (y - y_mean) for d, y in zip(dx, ys))
+            / math.fsum(d * d for d in dx))

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable, Sequence
-
-import numpy as np
 
 from .hydrogen import radial_record, transition_energy
 
@@ -87,43 +86,52 @@ class TailEstimate:
 def tail_extrapolate(ns: Sequence[int], terms: Sequence[float]) -> TailEstimate:
     """Tail sum_{n > ns[-1]} of terms fitted to a/n^3 + b/n^4.
 
-    Needs at least 8 fit points of one sign (all-zero input returns a zero
-    tail); sign-alternating terms are refused because the power-law model is
-    then invalid. The error bound combines the sensitivity to dropping the
-    n^-4 term with the worst relative fit residual.
+    Needs at least 8 finite fit points of one sign at positive, increasing
+    n (all-zero input returns a zero tail); sign-alternating terms are
+    refused because the power-law model is then invalid. The fit solves the
+    2x2 normal equations with math.fsum. The error bound combines the
+    sensitivity to dropping the n^-4 term with the worst relative fit
+    residual.
     """
-    n_arr = np.asarray(ns, dtype=float)
-    t_arr = np.asarray(terms, dtype=float)
-    if n_arr.shape != t_arr.shape or n_arr.ndim != 1:
+    ns = [float(n) for n in ns]
+    terms = [float(t) for t in terms]
+    if len(ns) != len(terms):
         raise ValueError("ns and terms must be 1-D sequences of equal length")
-    if len(n_arr) < _MIN_TAIL_POINTS:
-        raise ValueError(f"need at least {_MIN_TAIL_POINTS} fit points, got {len(n_arr)}")
-    if np.any(np.diff(n_arr) <= 0):
-        raise ValueError("ns must be strictly increasing")
-    if np.all(t_arr == 0.0):
+    if len(ns) < _MIN_TAIL_POINTS:
+        raise ValueError(f"need at least {_MIN_TAIL_POINTS} fit points, got {len(ns)}")
+    if not all(map(math.isfinite, ns + terms)):
+        raise ValueError("the tail fit input is not finite")
+    if ns[0] <= 0 or any(b <= a for a, b in zip(ns, ns[1:])):
+        raise ValueError("ns must be positive and strictly increasing")
+    if not any(terms):
         return TailEstimate(value=0.0, error_bound=0.0, model="zero")
-    signs = np.sign(t_arr[t_arr != 0.0])
-    if signs.max() != signs.min():
+    if min(terms) < 0.0 < max(terms):
         raise ValueError("terms change sign; the a/n^3 + b/n^4 tail model is invalid")
 
-    n_last = float(n_arr[-1])
-    design = np.column_stack([n_arr**-3.0, n_arr**-4.0])
-    coef, *_ = np.linalg.lstsq(design, t_arr, rcond=None)
-    z3 = hurwitz_zeta(3.0, n_last + 1.0)
-    z4 = hurwitz_zeta(4.0, n_last + 1.0)
-    tail = coef[0] * z3 + coef[1] * z4
-
-    coef1, *_ = np.linalg.lstsq(design[:, :1], t_arr, rcond=None)
-    tail_one_term = coef1[0] * z3
-    model_sensitivity = abs(tail - tail_one_term)
-
-    fitted = design @ coef
-    safe = np.abs(fitted) > 0.0
-    rel_resid = 0.0
-    if np.any(safe):
-        rel_resid = float(np.max(np.abs(t_arr[safe] - fitted[safe]) / np.abs(fitted[safe])))
-    error = model_sensitivity + rel_resid * abs(tail)
-    return TailEstimate(value=float(tail), error_bound=float(error),
+    # The columns are n^-3 and n^-4 scaled by n_last^3 and n_last^4: O(1) on
+    # the fit window (at most 8 and 16 there), where they are nearly
+    # collinear, instead of n^-6..n^-8 entries in the normal matrix.
+    n_last = ns[-1]
+    try:
+        u = [(n_last / n) ** 3 for n in ns]
+        v = [(n_last / n) ** 4 for n in ns]
+        suu, suv, svv, sut, svt = (math.fsum(map(mul, x, y)) for x, y in (
+            (u, u), (u, v), (v, v), (u, terms), (v, terms)))
+        det = math.fsum([suu * svv, -suv * suv])
+        c3 = math.fsum([svv * sut, -suv * svt]) / det
+        c4 = math.fsum([suu * svt, -suv * sut]) / det
+        z3 = n_last**3 * hurwitz_zeta(3.0, n_last + 1.0)
+        z4 = n_last**4 * hurwitz_zeta(4.0, n_last + 1.0)
+        tail = c3 * z3 + c4 * z4
+        fitted = [c3 * a + c4 * b for a, b in zip(u, v)]
+        rel_resid = max((abs(t - f) / abs(f) for t, f in zip(terms, fitted)
+                         if f != 0.0), default=0.0)
+        error = abs(tail - sut / suu * z3) + rel_resid * abs(tail)
+    except (ArithmeticError, ValueError):   # overflow, det = 0, inf - inf in fsum
+        tail = error = math.nan
+    if not (math.isfinite(tail) and math.isfinite(error)):
+        raise ValueError("the tail fit is not finite: degenerate or overflowing input")
+    return TailEstimate(value=tail, error_bound=error,
                         model="a/n^3 + b/n^4 least squares")
 
 

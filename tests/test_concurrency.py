@@ -25,6 +25,16 @@ def test_radial_table_concurrent_fill_idempotent():
     assert records == serial  # bit-identical, not just close
 
 
+def test_quadrature_route_concurrent_fill_idempotent():
+    ns = list(range(2, 60))
+    hyd.radial_record.cache_clear()
+    serial = [hyd.radial_record(n, "quadrature") for n in ns]
+    hyd.radial_record.cache_clear()
+    with ThreadPoolExecutor(max_workers=8) as pool:
+        records = list(pool.map(lambda n: hyd.radial_record(n, "quadrature"), ns))
+    assert records == serial  # bit-identical, not just close
+
+
 def test_sum_value_independent_of_prior_thread_fill():
     # The reduction order is fixed by construction, so a table filled by many
     # threads must reproduce the single-threaded value exactly.

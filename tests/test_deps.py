@@ -1,4 +1,5 @@
-"""numpy is the package's only runtime dependency; scipy must never load."""
+"""numpy is the package's only runtime dependency, and only the radial
+quadrature oracle loads it; scipy must never load."""
 
 import os
 import re
@@ -12,6 +13,10 @@ import casimir_momentum
 
 SRC = str(Path(casimir_momentum.__file__).resolve().parent.parent)
 PYPROJECT = Path(SRC).parent / "pyproject.toml"
+
+# Every subcommand but verify, which runs the radial quadrature oracle.
+NUMPY_FREE_RUNS = (["budget"], ["renorm"], ["rho-c"], ["continuum"],
+                   ["kappas"], ["bethe"], ["polarizability"])
 
 
 def _python(code: str) -> subprocess.CompletedProcess:
@@ -34,6 +39,25 @@ def test_subcommands_run_with_scipy_blocked():
                    "from casimir_momentum.cli import run\n"
                    "assert run(['budget']) == 0\n"
                    "assert run(['polarizability', '--n-max', '100']) == 0")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_import_loads_only_stdlib_and_package():
+    proc = _python("import sys\n"
+                   "before = set(sys.modules)\n"
+                   "import casimir_momentum\n"
+                   "new = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
+                   "bad = new - set(sys.stdlib_module_names) - {'casimir_momentum'}\n"
+                   "assert not bad, sorted(bad)")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_subcommands_run_with_numpy_blocked():
+    proc = _python("import sys\n"
+                   "sys.modules['numpy'] = None\n"
+                   "from casimir_momentum.cli import run\n"
+                   f"for argv in {NUMPY_FREE_RUNS!r}:\n"
+                   "    assert run(argv) == 0, argv\n")
     assert proc.returncode == 0, proc.stderr
 
 

@@ -178,6 +178,78 @@ def test_dual_route_agreement_sampled():
             assert abs(quad - closed) / abs(closed) < 1e-10
 
 
+# --- the batched quadrature oracle -------------------------------------------
+
+@pytest.fixture(scope="module")
+def table_2_200():
+    return hyd.quadrature_table(2, 200)
+
+
+@pytest.mark.parametrize("n", [2, 3, 57, 200])
+def test_quadrature_table_row_independent_of_band(table_2_200, n):
+    assert hyd.quadrature_table(n, n)[n] == table_2_200[n]  # bit-identical
+
+
+def test_quadrature_table_row_is_engine_first_pass(table_2_200):
+    # Fed the kernel's integrand, integrate_adaptive converges on the fixed
+    # partition and returns the table row bit for bit.
+    n = 57
+
+    def f(rs, p):
+        r = np.asarray(rs)
+        weight = hyd._radial_weights(np.array([float(n)]), r)[0]
+        return (weight * (r, r * r, r * r * r)[p - 1]).tolist()
+
+    spec = hyd._RADIAL_QUAD_SPEC
+    res = [integrate_adaptive(lambda rs, p=p: f(rs, p), 0.0, spec.upper_cut,
+                              spec, breakpoints=hyd._RADIAL_BREAKPOINTS)
+           for p in (1, 2, 3)]
+    assert [q.subdivisions for q in res] == [0, 0, 0]
+    assert table_2_200[n] == hyd.RadialQuadrature(
+        tuple(q.value for q in res), tuple(q.error for q in res))
+
+
+def test_quadrature_table_falls_back_per_n(monkeypatch):
+    band = hyd.quadrature_table(50, 60)
+    worst = {n: max(row.errors) for n, row in band.items()}
+    failing = max(worst, key=worst.get)
+    second = max(e for n, e in worst.items() if n != failing)
+    # Tolerance between the two largest estimates: only `failing` misses it.
+    monkeypatch.setattr(hyd, "_RADIAL_QUAD_SPEC", QuadratureSpec(
+        abs_tol=0.5 * (second + worst[failing]), rel_tol=1e-300,
+        max_subdivisions=4000, upper_cut=hyd._RADIAL_QUAD_SPEC.upper_cut))
+    calls = []
+
+    def counting(*args, **kwargs):
+        res = integrate_adaptive(*args, **kwargs)
+        calls.append(res.subdivisions)
+        return res
+
+    monkeypatch.setattr(hyd, "integrate_adaptive", counting)
+    patched = hyd.quadrature_table(50, 60)
+    assert len(calls) == 3 and any(calls)   # one run per p, on `failing` alone
+    assert patched[failing] != band[failing]
+    assert all(patched[n] == band[n] for n in band if n != failing)
+    closed = hyd._closed_form(failing)
+    for quad, exact in zip(patched[failing].values, closed):
+        assert abs(quad - exact) <= 1e-10 * abs(exact)
+
+
+def test_quadrature_table_never_reads_closed_form(monkeypatch):
+    def refuse(n):
+        raise AssertionError("the oracle read the closed form")
+
+    monkeypatch.setattr(hyd, "_closed_form", refuse)
+    table = hyd.quadrature_table(2, 40)
+    assert sorted(table) == list(range(2, 41))
+
+
+def test_quadrature_table_validation():
+    for lo, hi in ((1, 5), (5, 4), (2.5, 4)):
+        with pytest.raises(ValueError):
+            hyd.quadrature_table(lo, hi)
+
+
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_radial_tail_bound_at_cut(p):
     spec = hyd._RADIAL_QUAD_SPEC
@@ -185,7 +257,7 @@ def test_radial_tail_bound_at_cut(p):
     assert tail_bound_ok(bound, spec)
     # The incomplete-gamma closed form against quadrature of the envelope.
     envelope = integrate_to_inf(
-        lambda r: (4.0 / 3.0) * 2.0**-1.5 * r ** (p + 1) * np.exp(-r),
+        lambda rs: [(4.0 / 3.0) * 2.0**-1.5 * r ** (p + 1) * math.exp(-r) for r in rs],
         spec.upper_cut, QuadratureSpec(abs_tol=1e-40, rel_tol=1e-12))
     assert bound == pytest.approx(envelope.value, rel=1e-10, abs=0.0)
 

@@ -150,6 +150,15 @@ def test_delta_mass_route_mismatch_raises(monkeypatch):
                    CONST.electron_mass * CONST.light_speed_c0 / CONST.hbar)
 
 
+def test_divergence_exponent_refuses_nonfinite_values():
+    # Python's ** raises OverflowError at 1e300**2; nan and inf are returned.
+    with pytest.raises(ValueError, match="not finite"):
+        divergence_exponent(lambda w: w**2, [1e300 * 2.0**k for k in range(4)])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="not finite"):
+            divergence_exponent(lambda w: bad, [1e17 * 2.0**k for k in range(4)])
+
+
 # --- reduced-mass shift -----------------------------------------------------
 
 def test_reduced_mass_shift_zero():

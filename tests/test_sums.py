@@ -83,6 +83,14 @@ def test_tail_requires_increasing_ns():
         tail_extrapolate([10, 10, 11, 12, 13, 14, 15, 16], [1.0] * 8)
 
 
+@pytest.mark.parametrize("terms", [[math.inf] * 10, [math.nan] * 10,
+                                   [1e-3] * 9 + [math.nan], [1e308] * 10])
+def test_tail_refuses_nonfinite_input(terms):
+    # nan and inf terms, and finite terms whose fit overflows.
+    with pytest.raises(ValueError, match="not finite"):
+        tail_extrapolate(range(10, 20), terms)
+
+
 def test_tail_negative_terms_supported():
     ns = list(range(50, 101))
     est = tail_extrapolate(ns, [-1.0 / n**3 for n in ns])

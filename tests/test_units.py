@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from casimir_momentum import verify
 from casimir_momentum.units import (
     AtomicParams,
     constants,
@@ -27,22 +28,26 @@ def test_classical_electron_radius_ratio():
     assert ratio == pytest.approx(5.3251e-5, rel=1e-4)
 
 
+# The bands are the rows of verify.CHECKS, applied to each identity's ratio.
+_BAND = {chk.name: chk for chk in verify.CHECKS}
+
+
 def test_hartree_is_alpha2_me_c2():
     expected = (CONST.fine_structure_alpha**2 * CONST.electron_mass
                 * CONST.light_speed_c0**2)
-    assert CONST.hartree_energy == pytest.approx(expected, rel=1e-9)
+    assert _BAND["units_hartree_identity"].passes(CONST.hartree_energy / expected)
 
 
 def test_bohr_radius_identity():
     expected = CONST.hbar / (CONST.electron_mass * CONST.light_speed_c0
                              * CONST.fine_structure_alpha)
-    assert CONST.bohr_radius_a0 == pytest.approx(expected, rel=1e-9)
+    assert _BAND["units_bohr_identity"].passes(CONST.bohr_radius_a0 / expected)
 
 
 def test_hartree_coulomb_consistency_chain():
-    expected = CONST.elementary_charge_e**2 / (
+    coulomb = CONST.elementary_charge_e**2 / (
         4 * math.pi * CONST.vacuum_permittivity_eps0 * CONST.bohr_radius_a0)
-    assert CONST.hartree_energy == pytest.approx(expected, rel=1e-9)
+    assert _BAND["units_coulomb_identity"].passes(coulomb / CONST.hartree_energy)
 
 
 def test_to_atomic_unit_definitions():
