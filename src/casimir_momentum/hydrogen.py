@@ -19,8 +19,9 @@ Every radial integral I_p(n) = int_0^inf R_10(r) R_n1(r) r^p dr, p in
   (4/3) 2^-1.5 Gamma(p+2, 64), 1.4e-21 for p = 3. `quadrature_table` is
   this route for a whole band of n at once: one upward Laguerre recurrence
   over an (n x 195 node) numpy array gives the integrand on the fixed
-  13-segment partition of [0, 64], and each n takes the K15 value and the
-  engine's |K15 - G7| error estimate of every segment. An n whose estimate
+  13-segment partition of [0, 64], and each n takes the engine's own
+  segment_estimate (K15 value, sharpened |K15 - G7| error) of every
+  segment. An n whose estimate
   misses the tolerance is integrated adaptively on its own; the route never
   reads the closed forms.
 
@@ -43,10 +44,9 @@ from functools import lru_cache, partial
 from typing import TYPE_CHECKING, NamedTuple
 
 from .quadrature import (
-    _WEIGHTS_G,
-    _WEIGHTS_K,
     QuadratureSpec,
     integrate_adaptive,
+    segment_estimate,
     segment_nodes,
     tail_bound_ok,
 )
@@ -236,29 +236,6 @@ def _radial_weights(ns: np.ndarray, r: np.ndarray) -> np.ndarray:
     return 2.0 * norm[:, None] * x * lag * np.exp(-r - r / ns[:, None])
 
 
-def _segment_estimates(f: np.ndarray,
-                       half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """quadrature.segment_estimate over f[..., segment, node] with half-widths
-    half[segment]: the same operations in the same order, so every element
-    equals the engine's value and error bit for bit."""
-    import numpy as np
-    k15 = g7 = asc = 0.0
-    for j, w in enumerate(_WEIGHTS_K):
-        k15 = k15 + f[..., j] * w
-    for j, w in enumerate(_WEIGHTS_G):
-        g7 = g7 + f[..., 2 * j + 1] * w
-    mean = 0.5 * k15
-    for j, w in enumerate(_WEIGHTS_K):
-        asc = asc + abs(f[..., j] - mean) * w
-    resk = k15 * half
-    err = abs(resk - g7 * half)
-    resasc = asc * abs(half)
-    sharpen = (resasc != 0.0) & (err != 0.0)
-    t = np.minimum(1.0, 200.0 * err[sharpen] / resasc[sharpen])
-    err[sharpen] = resasc[sharpen] * t * np.sqrt(t)
-    return resk, err
-
-
 def _adaptive_row(n: int) -> RadialQuadrature:
     """The quadrature route for one n by integrate_adaptive, which subdivides
     where the fixed partition is not enough."""
@@ -279,11 +256,11 @@ def quadrature_table(n_lo: int, n_hi: int) -> dict[int, RadialQuadrature]:
     """(I1, I2, I3) by the quadrature route for every n in [n_lo, n_hi].
 
     Each row is what integrate_adaptive returns on its first pass over the
-    fixed partition of [0, 64] (13 segments, 195 nodes): the fsum of the
-    segments' K15 values and of their error estimates. A row whose estimate
-    misses _RADIAL_QUAD_SPEC is replaced by _adaptive_row(n). Every step is
-    elementwise or per row, so a row is bit-identical whatever band it is
-    computed in.
+    fixed partition of [0, 64] (13 segments, 195 nodes): segment_estimate of
+    every segment, then the fsum of the K15 values and of the error
+    estimates. A row whose estimate misses _RADIAL_QUAD_SPEC is replaced by
+    _adaptive_row(n). Every step is elementwise or per row, so a row is
+    bit-identical whatever band it is computed in.
     """
     if not (n_lo % 1 == 0 and n_hi % 1 == 0 and 2 <= n_lo <= n_hi):
         raise ValueError("need integers 2 <= n_lo <= n_hi")
@@ -294,15 +271,16 @@ def quadrature_table(n_lo: int, n_hi: int) -> dict[int, RadialQuadrature]:
     segs = list(zip(edges, edges[1:]))
     r = np.array([x for lo, hi in segs for x in segment_nodes(lo, hi)])
     r_powers = np.stack([r, r * r, r * r * r]).reshape(3, len(segs), 15)
-    half = np.array([0.5 * (hi - lo) for lo, hi in segs])
     table = {}
     for start in range(n_lo, n_hi + 1, _TABLE_ROWS):
         ns = np.arange(start, min(start + _TABLE_ROWS, n_hi + 1), dtype=float)
         weights = _radial_weights(ns, r).reshape(len(ns), 1, len(segs), 15)
-        values, errors = _segment_estimates(weights * r_powers, half)
-        for n, v, e in zip(range(start, start + len(ns)), values.tolist(),
-                           errors.tolist()):
-            row = RadialQuadrature(tuple(map(math.fsum, v)), tuple(map(math.fsum, e)))
+        for n, fs in zip(range(start, start + len(ns)), weights * r_powers):
+            est = [[segment_estimate(f, lo, hi) for f, (lo, hi) in zip(fp, segs)]
+                   for fp in fs.tolist()]
+            row = RadialQuadrature(
+                tuple(math.fsum(v for v, _ in ep) for ep in est),
+                tuple(math.fsum(e for _, e in ep) for ep in est))
             if any(err > max(spec.abs_tol, spec.rel_tol * abs(val))
                    for val, err in zip(*row)):
                 row = _adaptive_row(n)

@@ -110,14 +110,16 @@ def segment_estimate(fs: Sequence[float], lo: float,
     The error is QUADPACK's sharpening of |K15 - G7|:
     resasc t^1.5 with t = min(1, 200 |K15 - G7| / resasc), resasc being the
     K15 integral of |f - mean f|; t^1.5 is taken as t sqrt(t), which rounds
-    alike everywhere.
+    alike everywhere. The weighted sums are math.fsum, correctly rounded,
+    so the result does not depend on the Python version (the builtin sum
+    compensates from Python 3.12 on) or on the order of the terms.
     """
     half = 0.5 * (hi - lo)
-    k15 = sum(map(mul, fs, _WEIGHTS_K))
+    k15 = math.fsum(map(mul, fs, _WEIGHTS_K))
     resk = k15 * half
-    err = abs(resk - sum(map(mul, fs[1::2], _WEIGHTS_G)) * half)
+    err = abs(resk - math.fsum(map(mul, fs[1::2], _WEIGHTS_G)) * half)
     mean = 0.5 * k15
-    resasc = sum(map(mul, [abs(v - mean) for v in fs], _WEIGHTS_K)) * abs(half)
+    resasc = math.fsum(map(mul, [abs(v - mean) for v in fs], _WEIGHTS_K)) * abs(half)
     if resasc != 0.0 and err != 0.0:
         t = min(1.0, 200.0 * err / resasc)
         err = resasc * t * math.sqrt(t)
