@@ -12,9 +12,8 @@ four helpers below.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .units import HARTREE_ENERGY, AtomicParams, PhysicalConstants, constants
 
@@ -73,24 +72,27 @@ def scaled(s: float, a: Vec3) -> Vec3:
     return (s * a[0], s * a[1], s * a[2])
 
 
-@dataclass(frozen=True)
-class FieldConfiguration:
-    """External fields and the atom's pseudo-momentum, SI units."""
-
+class _FieldConfiguration(NamedTuple):
     E0: Vec3  # V/m
     B0: Vec3  # T
     Q0: Vec3  # kg m/s
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "E0", _vec(self.E0))
-        object.__setattr__(self, "B0", _vec(self.B0))
-        object.__setattr__(self, "Q0", _vec(self.Q0))
+
+class FieldConfiguration(_FieldConfiguration):
+    """External fields and the atom's pseudo-momentum, SI units; each is
+    stored as a 3-tuple of floats."""
+
+    __slots__ = ()
+
+    def __new__(cls, E0, B0, Q0) -> "FieldConfiguration":
+        return super().__new__(cls, _vec(E0), _vec(B0), _vec(Q0))
+
+    @classmethod
+    def _make(cls, iterable) -> "FieldConfiguration":   # so _replace coerces too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class MomentumBudget:
-    """Itemized momentum contributions; bounds are never part of totals."""
-
+class _MomentumBudget(NamedTuple):
     abraham: Vec3                       # kg m/s
     casimir_correction: Vec3            # kg m/s
     kinetic: Vec3                       # Q0, kg m/s
@@ -104,7 +106,19 @@ class MomentumBudget:
     kappa2: float
     alpha0_si: float                    # polarizability volume, m^3
     polarizability_choice: str
-    provenance: Mapping[str, str] = field(default_factory=dict)
+    provenance: Mapping[str, str] | None = None   # None: a fresh empty dict
+
+
+class MomentumBudget(_MomentumBudget):
+    """Itemized momentum contributions; bounds are never part of totals."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "MomentumBudget":
+        self = super().__new__(cls, *args, **kwargs)
+        if self.provenance is None:
+            self = super().__new__(cls, *self[:-1], {})
+        return self
 
     @property
     def casimir_relative_shift(self) -> float:

@@ -16,7 +16,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple
 
 from . import __version__, budget, quadrature, renorm, sums, units
@@ -30,8 +29,7 @@ class CliValidationError(ValueError):
     """Bad parameter values detected before any computation runs."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Effective configuration of one invocation, defaults materialized."""
 
     subcommand: str
@@ -46,8 +44,7 @@ class RunConfig:
         return d
 
 
-@dataclass(frozen=True)
-class ReportEnvelope:
+class ReportEnvelope(NamedTuple):
     artifact_version: str
     config: RunConfig
     results: dict[str, dict[str, Any]]
@@ -59,6 +56,8 @@ def _jsonable(obj: Any) -> Any:
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
+        if hasattr(obj, "_fields"):     # a record is a tuple, not a report value
+            raise TypeError(f"a {type(obj).__name__} record is not a report value")
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (bool, int, str)) or obj is None:
         return obj
@@ -144,8 +143,7 @@ def _parse_floats(text: str, flag: str) -> list[float]:
     return values
 
 
-@dataclass(frozen=True)
-class Param:
+class Param(NamedTuple):
     """One subcommand parameter: the single source of its flag, default,
     config-echo key and input check.
 
@@ -461,11 +459,12 @@ def _handle_budget(p: dict[str, Any]):
 
 def _handle_verify(p: dict[str, Any]):
     from . import verify
-    checks = verify.run_checks()
+    cost: dict[str, float] = {}
+    checks = verify.run_checks(cost)
     results: dict[str, dict[str, Any]] = {}
     provenance: dict[str, str] = {}
     for chk in checks:
-        print(f"# check {chk.name}: {chk.seconds:.3f} s", file=sys.stderr)
+        print(f"# check {chk.name}: {cost[chk.name]:.3f} s", file=sys.stderr)
         results[chk.name] = {"value": chk.value, "error": None,
                              "pass": bool(chk.passed), "target": chk.target}
         provenance[chk.name] = ("PASS " if chk.passed else "FAIL ") + chk.target

@@ -28,8 +28,8 @@ Every radial integral I_p(n) = int_0^inf R_10(r) R_n1(r) r^p dr, p in
 The two routes form the module's built-in oracle and must agree to 1e-10
 in relative terms; a disagreement beyond 1e-8 raises hard. numpy is
 imported only inside the quadrature route (quadrature_table,
-_laguerre_scaled, radial_wavefunction), so the closed-form route and
-every module that reads it run without it.
+_radial_weights, _adaptive_row, _laguerre_scaled, radial_wavefunction),
+so the closed-form route and every module that reads it run without it.
 
 The angular sums over m and Cartesian components that accompany these
 integrals in second-order coefficients reduce to a unit factor for
@@ -39,7 +39,6 @@ s <-> p transitions and are never enumerated here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -55,22 +54,30 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class BoundStateLabel:
-    """Principal and orbital quantum numbers of a bound state, l <= 1."""
-
+class _BoundStateLabel(NamedTuple):
     n: int
     l: int
 
-    def __post_init__(self) -> None:
+
+class BoundStateLabel(_BoundStateLabel):
+    """Principal and orbital quantum numbers of a bound state, l <= 1."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "BoundStateLabel":
+        self = super().__new__(cls, *args, **kwargs)
         if self.n < 1:
             raise ValueError("n must be a positive integer")
         if not 0 <= self.l <= min(1, self.n - 1):
             raise ValueError(f"require 0 <= l <= min(1, n-1), got n={self.n}, l={self.l}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "BoundStateLabel":   # so _replace checks too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class RadialIntegralRecord:
+class RadialIntegralRecord(NamedTuple):
     """The triple I_1(n), I_2(n), I_3(n) with the route that produced it."""
 
     n: int

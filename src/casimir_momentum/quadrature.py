@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from operator import mul
 from typing import Callable, NamedTuple, Sequence
 
@@ -47,8 +46,14 @@ _WEIGHTS_G = _WG + _WG[-2::-1]
 Integrand = Callable[[list[float]], Sequence[float]]
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
+class _QuadratureSpec(NamedTuple):
+    abs_tol: float = 1e-14
+    rel_tol: float = 1e-10
+    max_subdivisions: int = 2000
+    upper_cut: float = 1e3
+
+
+class QuadratureSpec(_QuadratureSpec):
     """Tolerances and budget for one adaptive integration.
 
     upper_cut is the finite surrogate for infinity when an integrand is
@@ -57,18 +62,21 @@ class QuadratureSpec:
     abs_tol/10 (see tail_bound_ok).
     """
 
-    abs_tol: float = 1e-14
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 2000
-    upper_cut: float = 1e3
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> "QuadratureSpec":
+        self = super().__new__(cls, *args, **kwargs)
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ValueError("tolerances must be positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
         if self.upper_cut <= 0:
             raise ValueError("upper_cut must be positive")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "QuadratureSpec":   # so _replace checks too
+        return cls(*iterable)
 
 
 DEFAULT_SPEC = QuadratureSpec()
@@ -250,8 +258,7 @@ def integrate_to_inf(
                               breakpoints=[0.25, 0.5, 0.75, 0.9, 0.99])
 
 
-@dataclass(frozen=True)
-class ContinuumResult:
+class ContinuumResult(NamedTuple):
     """One continuum integral value at a given lower cutoff y_min = q*a0."""
 
     value: float

@@ -10,15 +10,20 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .quadrature import QuadratureSpec, integrate_adaptive
 from .units import AtomicParams, PhysicalConstants, constants
 
 
-@dataclass(frozen=True)
-class DispersionModel:
+class _DispersionModel(NamedTuple):
+    kind: str
+    eps_r: float | None = None   # dispersionless only
+    n_e: float | None = None     # free_electron only, electrons per m^3
+    description: str = ""
+
+
+class DispersionModel(_DispersionModel):
     """High-frequency susceptibility model eps_r(omega) - 1.
 
     dispersionless: constant eps_r > 1.
@@ -26,12 +31,10 @@ class DispersionModel:
     plasma form valid above the plasma frequency.
     """
 
-    kind: str
-    eps_r: float | None = None   # dispersionless only
-    n_e: float | None = None     # free_electron only, electrons per m^3
-    description: str = ""
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> "DispersionModel":
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind == "dispersionless":
             if self.eps_r is None or self.eps_r <= 1.0:
                 raise ValueError("dispersionless model requires eps_r > 1")
@@ -40,6 +43,11 @@ class DispersionModel:
                 raise ValueError("free_electron model requires n_e > 0")
         else:
             raise ValueError(f"unknown dispersion kind {self.kind!r}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "DispersionModel":   # so _replace checks too
+        return cls(*iterable)
 
     @classmethod
     def dispersionless(cls, eps_r: float) -> "DispersionModel":
@@ -69,18 +77,22 @@ class DispersionModel:
         )
 
 
-@dataclass(frozen=True)
-class CutoffScheme:
+class _CutoffScheme(NamedTuple):
+    kind: str
+    omega_max_value: float | None = None  # rad/s
+    l_min: float | None = None            # m
+
+
+class CutoffScheme(_CutoffScheme):
     """UV cutoff, either a frequency or a minimum length l_min.
 
     The length form maps exactly to omega_max = pi c0 / l_min.
     """
 
-    kind: str
-    omega_max_value: float | None = None  # rad/s
-    l_min: float | None = None            # m
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> "CutoffScheme":
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind == "frequency":
             if self.omega_max_value is None or self.omega_max_value <= 0:
                 raise ValueError("frequency cutoff must be positive")
@@ -89,6 +101,11 @@ class CutoffScheme:
                 raise ValueError("length cutoff must be positive")
         else:
             raise ValueError(f"unknown cutoff kind {self.kind!r}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "CutoffScheme":   # so _replace checks too
+        return cls(*iterable)
 
     @classmethod
     def frequency(cls, omega_max: float) -> "CutoffScheme":

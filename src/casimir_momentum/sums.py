@@ -12,9 +12,8 @@ tail).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import mul
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .hydrogen import radial_record, transition_energy
 
@@ -76,8 +75,7 @@ def neumaier_cumsum(terms: Sequence[float]) -> list[float]:
     return out
 
 
-@dataclass(frozen=True)
-class TailEstimate:
+class TailEstimate(NamedTuple):
     value: float
     error_bound: float
     model: str
@@ -135,8 +133,7 @@ def tail_extrapolate(ns: Sequence[int], terms: Sequence[float]) -> TailEstimate:
                         model="a/n^3 + b/n^4 least squares")
 
 
-@dataclass(frozen=True)
-class SpectralSumResult:
+class SpectralSumResult(NamedTuple):
     """A discrete sum with its truncation trace and tail accounting."""
 
     name: str
@@ -269,8 +266,7 @@ def normalization_constant(log_value: float = DEFAULT_LAMB_LOG,
     return (-log_value - 0.5) * s_b / math.pi
 
 
-@dataclass(frozen=True)
-class PerturbedGroundState:
+class PerturbedGroundState(NamedTuple):
     """Ground state polarized by a unit static field, truncated to n <= N.
 
     Coefficients follow first-order perturbation theory for a z-polarized

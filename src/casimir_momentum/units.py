@@ -10,7 +10,7 @@ reproducibility.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # CODATA 2018 recommended values (SI).
 FINE_STRUCTURE_ALPHA = 7.2973525693e-3   # dimensionless
@@ -26,8 +26,7 @@ ELEMENTARY_CHARGE = 1.602176634e-19      # C (exact)
 PROTON_ELECTRON_MASS_RATIO = PROTON_MASS / ELECTRON_MASS
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
+class PhysicalConstants(NamedTuple):
     """Fixed CODATA 2018 constant set. Immutable; safe to share across threads."""
 
     fine_structure_alpha: float = FINE_STRUCTURE_ALPHA
@@ -89,8 +88,13 @@ def from_atomic(value_au: float, kind: str) -> float:
     return value_au * _unit(kind)
 
 
-@dataclass(frozen=True)
-class AtomicParams:
+class _AtomicParams(NamedTuple):
+    m1: float
+    m2: float = 1.0
+    alpha: float = FINE_STRUCTURE_ALPHA
+
+
+class AtomicParams(_AtomicParams):
     """Two-particle atom parameters in electron-mass units.
 
     m1 is the heavy particle (proton or heavier isotope nucleus), m2 the
@@ -98,15 +102,19 @@ class AtomicParams:
     exposed as properties so the invariants cannot drift.
     """
 
-    m1: float
-    m2: float = 1.0
-    alpha: float = FINE_STRUCTURE_ALPHA
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> "AtomicParams":
+        self = super().__new__(cls, *args, **kwargs)
         if not self.m1 > self.m2 > 0:
             raise ValueError(f"require m1 > m2 > 0, got m1={self.m1}, m2={self.m2}")
         if not self.alpha > 0:
             raise ValueError("alpha must be positive")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "AtomicParams":   # so _replace checks too
+        return cls(*iterable)
 
     @property
     def total_mass(self) -> float:

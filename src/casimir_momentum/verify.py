@@ -12,20 +12,19 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from . import budget, hydrogen, quadrature, renorm, sums, units
 from .units import constants
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
+    """One evaluated check; its cost is kept out, so equal runs compare equal."""
+
     name: str
     value: float | None   # None where a value would break byte-determinism
     target: str
     passed: bool
-    seconds: float = field(default=0.0, compare=False)  # cost of the value
 
 
 class _Memo:
@@ -35,9 +34,9 @@ class _Memo:
     result afterwards; `cost` holds the seconds each finished check took.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, cost: dict[str, float]) -> None:
         self._values: dict[tuple, Any] = {}
-        self.cost: dict[str, float] = {}
+        self.cost = cost
 
     def __call__(self, fn: Callable, *args: Any) -> Any:
         key = (fn, args)
@@ -46,8 +45,7 @@ class _Memo:
         return self._values[key]
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One criterion: its name, the computation of its value and its target.
 
     The target is a band around `center`, of half-width `tol` or of the
@@ -256,17 +254,18 @@ CHECKS: tuple[Check, ...] = (
 )
 
 
-def run_checks() -> list[CheckResult]:
-    """Every row of CHECKS, in order, with the seconds its value took.
+def run_checks(cost: dict[str, float] | None = None) -> list[CheckResult]:
+    """Every row of CHECKS, in order.
 
-    A check's cost includes the shared intermediates it is the first to need.
+    If given, `cost` receives the seconds each check's value took, by name;
+    a check's cost includes the shared intermediates it is the first to need.
     """
-    memo = _Memo()
+    memo = _Memo({} if cost is None else cost)
     out = []
     for chk in CHECKS:
         t0 = time.perf_counter()
         value = chk.compute(memo)
-        memo.cost[chk.name] = seconds = time.perf_counter() - t0
+        memo.cost[chk.name] = time.perf_counter() - t0
         out.append(CheckResult(chk.name, float(value) if chk.shown else None,
-                               chk.target, chk.passes(value), seconds))
+                               chk.target, chk.passes(value)))
     return out

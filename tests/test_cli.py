@@ -11,6 +11,7 @@ import pytest
 from casimir_momentum import sums, verify
 from casimir_momentum.cli import (SUBCOMMANDS, ReportEnvelope, RunConfig, run,
                                   serialize)
+from casimir_momentum.quadrature import QuadratureSpec
 from casimir_momentum.renorm import PlasmaCutoffWarning
 
 BASE = [sys.executable, "-m", "casimir_momentum"]
@@ -347,3 +348,19 @@ def test_serialize_deterministic_and_newline_terminated():
     assert blob1.endswith(b"\n")
     # Shortest round-trip float repr.
     assert b"0.30000000000000004" in blob1
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_serialize_refuses_a_record(fmt):
+    # Records are tuples: without the refusal one would pass as a list or a
+    # 3-vector. Plain tuples still serialize as lists.
+    cfg = RunConfig(subcommand="budget", params={}, output_format=fmt,
+                    output_path=None)
+    spec = QuadratureSpec()
+    env = ReportEnvelope(artifact_version="test", config=cfg,
+                         results={"spec": {"value": spec, "error": None}},
+                         provenance={}, timing_seconds=0.0)
+    with pytest.raises(TypeError, match="QuadratureSpec record"):
+        serialize(env, fmt)
+    plain = env._replace(results={"spec": {"value": tuple(spec), "error": None}})
+    assert serialize(plain, fmt)
