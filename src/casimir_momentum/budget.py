@@ -192,6 +192,8 @@ def transverse_bound(fields: FieldConfiguration, binding_energy: float,
     return q_part + field_part
 
 
+# The provenance of every item the budget report carries, in report order;
+# "relativistic_<key>" is the item of relativistic_terms[key].
 _PROVENANCE = {
     "abraham": "eps0 * alpha(0) * B0 x E0; alpha(0) = 18 pi a0^3 exact for "
                "ground-state hydrogen",
@@ -199,8 +201,14 @@ _PROVENANCE = {
                           "the (2/27) sum I1 I3/dE^2 plus its continuum part, "
                           "kappa2 from the (1/27) sum I2 I3/dE plus its "
                           "continuum part",
+    "casimir_relative_shift": "(-kappa1 + kappa2) alpha^2, sign carried",
+    "kinetic": "pseudo-momentum Q0 as given: the centre-of-mass kinetic "
+               "momentum before its binding-energy correction",
+    "kinetic_mass_factor": "E_bind/(M c0^2)",
     "kinetic_correction": "binding-energy mass shift E_bind/(M c0^2) applied "
                           "to Q0; itemized as Darwin +8/3 and p^4 -5/3, net 1",
+    "total": "abraham + casimir_correction + kinetic + kinetic_correction; "
+             "bounds excluded",
     "transverse_bound": "alpha |E_bind/(M c0^2)| |Q0| + alpha^3 |P_A|; "
                         "order-of-magnitude estimate, excluded from totals",
     "relativistic_field_bound": "field-dependent relativistic term carries "
@@ -210,9 +218,17 @@ _PROVENANCE = {
                                   "exists to the static polarizability; the "
                                   "first correction is order alpha^2 m_e/M, "
                                   "so this item is identically zero",
-    "relativistic_polarizability": "relative polarizability correction "
-                                   "-28/27 alpha^2 (two-electromagnetic-"
-                                   "moment relativistic calculation)",
+    "alpha0_si": "polarizability volume [m^3], choice = {choice}",
+    "kappa1": "first vacuum coupling in casimir_correction; input, by default "
+              "the adopted discrete sum plus continuum part",
+    "kappa2": "second vacuum coupling in casimir_correction; input, by "
+              "default the adopted discrete sum plus continuum part",
+    "relativistic_darwin_coefficient": "Darwin (longitudinal vacuum) part "
+                                       "of the binding-energy mass shift",
+    "relativistic_p4_coefficient": "p^4 kinetic-energy part",
+    "relativistic_net": "sum of the two parts; exactly 1",
+    "relativistic_bartlett_power_alpha2_coeff": (
+        "relative relativistic polarizability correction per alpha^2"),
 }
 
 
@@ -281,5 +297,6 @@ def assemble_budget(
         kappa2=kappa2,
         alpha0_si=alpha0_si,
         polarizability_choice=polarizability_choice,
-        provenance=dict(_PROVENANCE),
+        provenance={**_PROVENANCE, "alpha0_si": _PROVENANCE["alpha0_si"].format(
+            choice=polarizability_choice)},
     )

@@ -231,13 +231,20 @@ _FORMAT = Param("format", str, "json", "report format",
                 choices=("json", "csv", "text"))
 
 
-def _sum_entry(res: sums.SpectralSumResult) -> dict[str, Any]:
+Row = tuple[dict[str, Any], str]   # a report row: its entry and its provenance
+
+
+def _row(value: Any, provenance: str, error: Any = None) -> Row:
+    return {"value": value, "error": error}, provenance
+
+
+def _sum_row(res: sums.SpectralSumResult, provenance: str) -> Row:
     return {"value": res.value, "error": res.error_bound,
             "tail_estimate": res.tail_estimate, "partial": res.partial,
-            "n_max": res.n_max}
+            "n_max": res.n_max}, provenance
 
 
-def _handle_kappas(p: dict[str, Any]):
+def _handle_kappas(p: dict[str, Any]) -> dict[str, Row]:
     spec = QuadratureSpec(abs_tol=p["abs_tol"], rel_tol=p["rel_tol"])
     k1d = sums.kappa1_discrete(p["n_max"], p["tail"])
     k2d = sums.kappa2_discrete(p["n_max"], p["tail"])
@@ -247,138 +254,104 @@ def _handle_kappas(p: dict[str, Any]):
     k2 = k2d.value + k2c.value
     net = -k1 + k2
     alpha = constants().fine_structure_alpha
-    results = {
-        "kappa1_discrete": _sum_entry(k1d),
-        "kappa2_discrete": _sum_entry(k2d),
-        "kappa1_continuum": {"value": k1c.value, "error": k1c.estimated_error},
-        "kappa2_continuum": {"value": k2c.value, "error": k2c.estimated_error},
-        "kappa1_total": {"value": k1, "error": None},
-        "kappa2_total": {"value": k2, "error": None},
-        "net_coefficient": {"value": net, "error": None},
-        "relative_momentum_shift": {"value": net * alpha**2, "error": None},
+    return {
+        "kappa1_discrete": _sum_row(k1d, "(2/27) sum I1(n) I3(n)/dE_n^2 over np "
+                                         "states, power-law tail beyond n_max"),
+        "kappa2_discrete": _sum_row(k2d, "(1/27) sum I2(n) I3(n)/dE_n over np "
+                                         "states, power-law tail beyond n_max"),
+        "kappa1_continuum": _row(k1c.value, "plane-wave continuum integral of "
+                                 "y^3/(y^2+1)^3 (arctan y/y^2 - 1/(y sqrt(y^2+1))) "
+                                 "from y_min", error=k1c.estimated_error),
+        "kappa2_continuum": _row(k2c.value, "(256/27pi) integral of y^4/(y^2+1)^6 "
+                                 "from y_min", error=k2c.estimated_error),
+        "kappa1_total": _row(k1, "discrete sum plus continuum part"),
+        "kappa2_total": _row(k2, "discrete sum plus continuum part"),
+        "net_coefficient": _row(net, "-kappa1_total + kappa2_total"),
+        "relative_momentum_shift": _row(net * alpha**2, "net coefficient times "
+                                        "alpha^2; relative vacuum shift of the "
+                                        "field-induced momentum"),
     }
-    provenance = {
-        "kappa1_discrete": "(2/27) sum I1(n) I3(n)/dE_n^2 over np states, "
-                           "power-law tail beyond n_max",
-        "kappa2_discrete": "(1/27) sum I2(n) I3(n)/dE_n over np states, "
-                           "power-law tail beyond n_max",
-        "kappa1_continuum": "plane-wave continuum integral of "
-                            "y^3/(y^2+1)^3 (arctan y/y^2 - 1/(y sqrt(y^2+1))) "
-                            "from y_min",
-        "kappa2_continuum": "(256/27pi) integral of y^4/(y^2+1)^6 from y_min",
-        "kappa1_total": "discrete sum plus continuum part",
-        "kappa2_total": "discrete sum plus continuum part",
-        "net_coefficient": "-kappa1_total + kappa2_total",
-        "relative_momentum_shift": "net coefficient times alpha^2; relative "
-                                   "vacuum shift of the field-induced momentum",
-    }
-    return results, provenance
 
 
-def _handle_polarizability(p: dict[str, Any]):
+def _handle_polarizability(p: dict[str, Any]) -> dict[str, Row]:
     pol = sums.polarizability_discrete(p["n_max"], p["tail"])
     osc = sums.oscillator_strength_sum(p["n_max"], p["tail"])
-    results = {
-        "polarizability_discrete": _sum_entry(pol),
-        "polarizability_exact_total": {"value": sums.POLARIZABILITY_EXACT_AU,
-                                       "error": None},
-        "continuum_deficit": {"value": sums.POLARIZABILITY_EXACT_AU - pol.value,
-                              "error": pol.error_bound},
-        "oscillator_strength_sum": _sum_entry(osc),
+    exact = sums.POLARIZABILITY_EXACT_AU
+    return {
+        "polarizability_discrete": _sum_row(pol, "(2/3) sum I3(n)^2/dE_n, atomic "
+                                            "units of 4 pi eps0 a0^3; bound "
+                                            "states only"),
+        "polarizability_exact_total": _row(exact, "exact static polarizability "
+                                           "18 pi a0^3 = 4.5 atomic units, bound "
+                                           "plus continuum"),
+        "continuum_deficit": _row(exact - pol.value, "exact total minus the "
+                                  "discrete sum", error=pol.error_bound),
+        "oscillator_strength_sum": _sum_row(osc, "(2/3) sum dE_n I3(n)^2; below "
+                                            "1 by the one-electron sum rule"),
     }
-    provenance = {
-        "polarizability_discrete": "(2/3) sum I3(n)^2/dE_n, atomic units of "
-                                   "4 pi eps0 a0^3; bound states only",
-        "polarizability_exact_total": "exact static polarizability 18 pi a0^3 "
-                                      "= 4.5 atomic units, bound plus continuum",
-        "continuum_deficit": "exact total minus the discrete sum",
-        "oscillator_strength_sum": "(2/3) sum dE_n I3(n)^2; below 1 by the "
-                                   "one-electron sum rule",
-    }
-    return results, provenance
 
 
-def _handle_bethe(p: dict[str, Any]):
+def _handle_bethe(p: dict[str, Any]) -> dict[str, Row]:
     sb = sums.bethe_sum(p["n_max"], p["tail"])
-    coeff = sums.normalization_constant(p["log_value"], sb)
-    results = {
-        "bethe_sum": _sum_entry(sb),
-        "log_value": {"value": p["log_value"], "error": None},
-        "normalization_coefficient": {"value": coeff, "error": None},
+    return {
+        "bethe_sum": _sum_row(sb, "sum of squared unit-vector matrix elements "
+                              "|<1s|r_hat|np>|^2 at constant excitation log"),
+        "log_value": _row(p["log_value"], "externally supplied excitation-"
+                          "spectrum logarithm (input, never computed here)"),
+        "normalization_coefficient": _row(
+            sums.normalization_constant(p["log_value"], sb),
+            "(1/pi)(-log - 1/2) S_B; ground-state normalization deficit per "
+            "alpha^3"),
     }
-    provenance = {
-        "bethe_sum": "sum of squared unit-vector matrix elements "
-                     "|<1s|r_hat|np>|^2 at constant excitation log",
-        "log_value": "externally supplied excitation-spectrum logarithm "
-                     "(input, never computed here)",
-        "normalization_coefficient": "(1/pi)(-log - 1/2) S_B; ground-state "
-                                     "normalization deficit per alpha^3",
-    }
-    return results, provenance
 
 
-def _handle_continuum(p: dict[str, Any]):
+def _handle_continuum(p: dict[str, Any]) -> dict[str, Row]:
     spec = QuadratureSpec(abs_tol=p["abs_tol"], rel_tol=p["rel_tol"])
     names = ("kappa1", "kappa2") if p["which"] == "both" else (p["which"],)
-    results: dict[str, dict[str, Any]] = {}
-    provenance: dict[str, str] = {}
-    for name in names:
-        for row in quadrature.ymin_sensitivity(name, p["ymin_grid"], spec):
-            key = f"{name}_continuum[ymin={row.y_min:g}]"
-            results[key] = {"value": row.value, "error": row.estimated_error}
-            provenance[key] = ("plane-wave continuum integral, lower cutoff "
-                               "swept to expose the q > 1/a0 validity limit")
-    return results, provenance
+    return {f"{name}_continuum[ymin={row.y_min:g}]": _row(
+        row.value, "plane-wave continuum integral, lower cutoff swept to "
+        "expose the q > 1/a0 validity limit", error=row.estimated_error)
+        for name in names
+        for row in quadrature.ymin_sensitivity(name, p["ymin_grid"], spec)}
 
 
-def _handle_renorm(p: dict[str, Any]):
+def _handle_renorm(p: dict[str, Any]) -> dict[str, Row]:
     const = constants()
-    results: dict[str, dict[str, Any]] = {}
-    provenance: dict[str, str] = {}
+    rows: dict[str, Row] = {}
     deltas = {}
     for label, mass in (("electron", const.electron_mass),
                         ("proton", const.proton_mass)):
         lam = p["cutoff_ratio"] * mass * const.light_speed_c0 / const.hbar
         _require(math.isfinite(lam), f"--cutoff-ratio overflows the {label} cutoff")
-        deltas[label] = dm = renorm.delta_mass(mass, lam)
-        results[f"delta_mass_{label}"] = {"value": dm, "error": None}
-        provenance[f"delta_mass_{label}"] = (
-            "electromagnetic self-mass (4 alpha hbar^2/3pi) "
+        deltas[label] = renorm.delta_mass(mass, lam)
+        rows[f"delta_mass_{label}"] = _row(
+            deltas[label], "electromagnetic self-mass (4 alpha hbar^2/3pi) "
             "int k dk/(hbar^2k^2/2m + hbar c0 k) at hbar*Lambda/(m c0) = "
             f"{p['cutoff_ratio']:g}")
     big = p["big_ratio"] * const.electron_mass * const.light_speed_c0 / const.hbar
     grid = [big * 2.0**k for k in range(5)]
     _require(math.isfinite(grid[-1]), "--big-ratio overflows the electron cutoff")
-    increment = (renorm.delta_mass(const.electron_mass, 2 * big)
-                 - renorm.delta_mass(const.electron_mass, big))
-    limit = (8 * const.fine_structure_alpha * const.electron_mass
-             / (3 * math.pi)) * math.log(2.0)
-    results["doubling_increment_electron"] = {"value": increment, "error": None}
-    results["doubling_increment_limit"] = {"value": limit, "error": None}
-    provenance["doubling_increment_electron"] = (
+    rows["doubling_increment_electron"] = _row(
+        renorm.delta_mass(const.electron_mass, 2 * big)
+        - renorm.delta_mass(const.electron_mass, big),
         "delta_m(2 Lambda) - delta_m(Lambda) at hbar*Lambda/(m c0) = "
         f"{p['big_ratio']:g}; tends to (8 alpha m/3pi) ln 2")
-    provenance["doubling_increment_limit"] = "(8 alpha m/3pi) ln 2"
-
-    atom = units.AtomicParams.hydrogen()
-    dm1_em = deltas["proton"] / const.electron_mass
-    dm2_em = deltas["electron"] / const.electron_mass
-    shift = renorm.reduced_mass_shift(atom, dm1_em, dm2_em)
-    results["reduced_mass_shift"] = {"value": shift, "error": None}
-    provenance["reduced_mass_shift"] = (
+    rows["doubling_increment_limit"] = _row(
+        (8 * const.fine_structure_alpha * const.electron_mass / (3 * math.pi))
+        * math.log(2.0), "(8 alpha m/3pi) ln 2")
+    rows["reduced_mass_shift"] = _row(renorm.reduced_mass_shift(
+        units.AtomicParams.hydrogen(), deltas["proton"] / const.electron_mass,
+        deltas["electron"] / const.electron_mass),
         "-dm1/m1^2 - dm2/m2^2 in electron-mass units; first-order change of "
         "1/mu when both masses absorb their self-energy")
-
-    fn = lambda lam: renorm.delta_mass(const.electron_mass, lam)
-    slope = renorm.divergence_exponent(fn, grid)
-    results["delta_mass_log_slope"] = {"value": slope, "error": None}
-    provenance["delta_mass_log_slope"] = (
+    rows["delta_mass_log_slope"] = _row(renorm.divergence_exponent(
+        lambda lam: renorm.delta_mass(const.electron_mass, lam), grid),
         "fitted d log(delta_m)/d log(Lambda) at large cutoff; tends to 0 "
         "(logarithmic divergence)")
-    return results, provenance
+    return rows
 
 
-def _handle_rho_c(p: dict[str, Any]):
+def _handle_rho_c(p: dict[str, Any]) -> dict[str, Row]:
     const = constants()
     if p["model"] == "dispersionless":
         model, model_flag = DispersionModel.dispersionless(p["eps_r"]), "--eps-r"
@@ -399,84 +372,57 @@ def _handle_rho_c(p: dict[str, Any]):
     except renorm.MassDensityOverflow as exc:
         raise CliValidationError(
             f"{exc} (set by {cutoff_flag} and {model_flag})") from None
-    results = {
-        "rho_c": {"value": value, "error": None},
-        "omega_max": {"value": omega, "error": None},
-    }
-    provenance = {
-        "rho_c": "(2/3)(hbar/pi^3 c0^5) int (eps_r - 1) omega^3 d omega up "
-                 "to the cutoff; closed-form antiderivative per model",
-        "omega_max": "effective frequency cutoff (length cutoffs map as "
-                     "pi c0 / l_min)",
+    rows = {
+        "rho_c": _row(value, "(2/3)(hbar/pi^3 c0^5) int (eps_r - 1) omega^3 "
+                      "d omega up to the cutoff; closed-form antiderivative per "
+                      "model"),
+        "omega_max": _row(omega, "effective frequency cutoff (length cutoffs "
+                          "map as pi c0 / l_min)"),
     }
     if p["model"] == "free-electron":
         reference = model.n_e * const.electron_mass / const.fine_structure_alpha
-        results["reference_mass_density"] = {"value": reference, "error": None}
-        results["ratio_to_reference"] = {"value": abs(value) / reference,
-                                         "error": None}
-        provenance["reference_mass_density"] = "n_e m_e / alpha"
-        provenance["ratio_to_reference"] = ("|rho_c| / (n_e m_e/alpha); order "
-                                            "unity at the electron-radius cutoff")
+        rows["reference_mass_density"] = _row(reference, "n_e m_e / alpha")
+        rows["ratio_to_reference"] = _row(abs(value) / reference, "|rho_c| / "
+                                          "(n_e m_e/alpha); order unity at the "
+                                          "electron-radius cutoff")
     if p["fit_exponent"]:
-        results["divergence_exponent"] = {"value": slope, "error": None}
-        provenance["divergence_exponent"] = (
-            "least-squares slope of log|rho_c| against log omega_max over a "
-            "geometric cutoff sweep (4 for dispersionless, 2 for the "
+        rows["divergence_exponent"] = _row(
+            slope, "least-squares slope of log|rho_c| against log omega_max "
+            "over a geometric cutoff sweep (4 for dispersionless, 2 for the "
             "free-electron model)")
-    return results, provenance
+    return rows
 
 
-def _handle_budget(p: dict[str, Any]):
-    choice = p["polarizability"].replace("-", "_")
+def _handle_budget(p: dict[str, Any]) -> dict[str, Row]:
     fields = budget.FieldConfiguration(E0=p["E0"], B0=p["B0"], Q0=p["Q0"])
-    bud = budget.assemble_budget(fields, kappa1=p["kappa1"], kappa2=p["kappa2"],
-                                 polarizability_choice=choice)
-    results = {name: {"value": bud.total() if name == "total" else getattr(bud, name),
-                      "error": None}
-               for name in ("abraham", "casimir_correction", "casimir_relative_shift",
-                            "kinetic", "kinetic_mass_factor", "kinetic_correction",
-                            "total", "transverse_bound", "relativistic_field_bound",
-                            "polarizability_vacuum_item", "alpha0_si", "kappa1",
-                            "kappa2")}
-    for key, frac in bud.relativistic_terms.items():
-        results[f"relativistic_{key}"] = {"value": float(frac), "error": None}
-    provenance = dict(bud.provenance)
-    provenance.update({
-        "total": "abraham + casimir_correction + kinetic + kinetic_correction; "
-                 "bounds excluded",
-        "alpha0_si": f"polarizability volume [m^3], choice = {choice}",
-        "casimir_relative_shift": "(-kappa1 + kappa2) alpha^2, sign carried",
-        "kinetic_mass_factor": "E_bind/(M c0^2)",
-        "relativistic_darwin_coefficient": "Darwin (longitudinal vacuum) part "
-                                           "of the binding-energy mass shift",
-        "relativistic_p4_coefficient": "p^4 kinetic-energy part",
-        "relativistic_net": "sum of the two parts; exactly 1",
-        "relativistic_bartlett_power_alpha2_coeff": (
-            "relative relativistic polarizability correction per alpha^2"),
-    })
-    return results, provenance
+    bud = budget.assemble_budget(
+        fields, kappa1=p["kappa1"], kappa2=p["kappa2"],
+        polarizability_choice=p["polarizability"].replace("-", "_"))
+    values = {**bud._asdict(), "total": bud.total(),
+              "casimir_relative_shift": bud.casimir_relative_shift}
+    values.update((f"relativistic_{key}", float(frac))
+                  for key, frac in bud.relativistic_terms.items())
+    return {name: _row(values[name], text) for name, text in bud.provenance.items()}
 
 
-def _handle_verify(p: dict[str, Any]):
+def _handle_verify(p: dict[str, Any]) -> dict[str, Row]:
     from . import verify
     cost: dict[str, float] = {}
     checks = verify.run_checks(cost)
-    results: dict[str, dict[str, Any]] = {}
-    provenance: dict[str, str] = {}
+    rows: dict[str, Row] = {}
     for chk in checks:
         print(f"# check {chk.name}: {cost[chk.name]:.3f} s", file=sys.stderr)
-        results[chk.name] = {"value": chk.value, "error": None,
-                             "pass": bool(chk.passed), "target": chk.target}
-        provenance[chk.name] = ("PASS " if chk.passed else "FAIL ") + chk.target
-    results["checks_failed"] = {"value": sum(not c.passed for c in checks),
-                                "error": None}
-    provenance["checks_failed"] = "number of failed oracle/invariant checks"
-    return results, provenance
+        rows[chk.name] = ({"value": chk.value, "error": None,
+                           "pass": bool(chk.passed), "target": chk.target},
+                          ("PASS " if chk.passed else "FAIL ") + chk.target)
+    rows["checks_failed"] = _row(sum(not c.passed for c in checks),
+                                 "number of failed oracle/invariant checks")
+    return rows
 
 
 class Subcommand(NamedTuple):
     help: str
-    handler: Callable[[dict[str, Any]], tuple[dict, dict]]
+    handler: Callable[[dict[str, Any]], dict[str, Row]]
     params: tuple[Param, ...] = ()
 
 
@@ -615,8 +561,10 @@ def run(argv: list[str] | None = None) -> int:
             return 0
 
         t0 = time.perf_counter()
-        results, provenance = cmd.handler(checked)
+        rows = cmd.handler(checked)
         elapsed = time.perf_counter() - t0
+        results = {name: entry for name, (entry, _) in rows.items()}
+        provenance = {name: text for name, (_, text) in rows.items()}
         report = ReportEnvelope(artifact_version=__version__, config=config,
                                 results=results, provenance=provenance,
                                 timing_seconds=elapsed)

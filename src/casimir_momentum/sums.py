@@ -189,10 +189,6 @@ def _spectral_sum(name: str, term: Callable[[int], float], n_max: int,
     )
 
 
-def _delta_e(n: int) -> float:
-    return transition_energy(n)
-
-
 def kappa1_discrete(n_max: int = DEFAULT_N_MAX_KAPPA, tail: bool = True) -> SpectralSumResult:
     """(2/27) sum_n I1(n) I3(n) / dE_n^2 over the np series; positive.
 
@@ -201,7 +197,7 @@ def kappa1_discrete(n_max: int = DEFAULT_N_MAX_KAPPA, tail: bool = True) -> Spec
     """
     def term(n: int) -> float:
         rec = radial_record(n)
-        return (2.0 / 27.0) * rec.I1 * rec.I3 / _delta_e(n) ** 2
+        return (2.0 / 27.0) * rec.I1 * rec.I3 / transition_energy(n) ** 2
 
     return _spectral_sum("kappa1_discrete", term, n_max, tail)
 
@@ -210,7 +206,7 @@ def kappa2_discrete(n_max: int = DEFAULT_N_MAX_KAPPA, tail: bool = True) -> Spec
     """(1/27) sum_n I2(n) I3(n) / dE_n over the np series; positive."""
     def term(n: int) -> float:
         rec = radial_record(n)
-        return (1.0 / 27.0) * rec.I2 * rec.I3 / _delta_e(n)
+        return (1.0 / 27.0) * rec.I2 * rec.I3 / transition_energy(n)
 
     return _spectral_sum("kappa2_discrete", term, n_max, tail)
 
@@ -224,7 +220,7 @@ def polarizability_discrete(n_max: int = DEFAULT_N_MAX_POLARIZABILITY,
     """
     def term(n: int) -> float:
         i3 = radial_record(n).I3
-        return (2.0 / 3.0) * i3 * i3 / _delta_e(n)
+        return (2.0 / 3.0) * i3 * i3 / transition_energy(n)
 
     return _spectral_sum("polarizability_discrete", term, n_max, tail)
 
@@ -246,7 +242,7 @@ def oscillator_strength_sum(n_max: int = DEFAULT_N_MAX_POLARIZABILITY,
     """Discrete 1s -> np oscillator-strength sum; < 1 by the TRK rule."""
     def term(n: int) -> float:
         i3 = radial_record(n).I3
-        return (2.0 / 3.0) * _delta_e(n) * i3 * i3
+        return (2.0 / 3.0) * transition_energy(n) * i3 * i3
 
     return _spectral_sum("oscillator_strength_sum", term, n_max, tail)
 
@@ -283,9 +279,8 @@ class PerturbedGroundState(NamedTuple):
         if n_basis < 2:
             raise ValueError("basis must contain at least the n = 2 shell")
         ns = tuple(range(2, n_basis + 1))
-        coeff = tuple(
-            field * radial_record(n).I3 / (math.sqrt(3.0) * _delta_e(n)) for n in ns
-        )
+        coeff = tuple(field * radial_record(n).I3
+                      / (math.sqrt(3.0) * transition_energy(n)) for n in ns)
         return cls(n_basis=n_basis, ns=ns, coefficients=coeff)
 
 
@@ -300,7 +295,7 @@ def first_moment_residual(state: PerturbedGroundState) -> float:
     acc = 0.0 + 0.0j
     for n, c_n in zip(state.ns, state.coefficients):
         d_n = radial_record(n).I3 / math.sqrt(3.0)
-        bra_side = 1j * (-_delta_e(n)) * d_n      # <0|p_z|n>
-        ket_side = 1j * (+_delta_e(n)) * d_n      # <n|p_z|0>
+        bra_side = 1j * (-transition_energy(n)) * d_n      # <0|p_z|n>
+        ket_side = 1j * (+transition_energy(n)) * d_n      # <n|p_z|0>
         acc += c_n * (bra_side + ket_side)
     return abs(acc)

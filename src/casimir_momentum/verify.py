@@ -2,10 +2,14 @@
 
 Every acceptance band and invariant of the reproduced numbers is written
 once, as a row of CHECKS: its name, its target and the computation of the
-value it bounds. `run_checks()` evaluates the rows in order, so a deployed
-artifact can audit itself from the command line, and the acceptance gate
-(tests/test_acceptance.py) asserts the same rows. The benchmark keeps its
-own copy of five of these bands in bench/spec.py.
+value it bounds. A row whose quantity a subcommand reports reads it from
+that subcommand's report at its parameter defaults, made once per run; only
+what no subcommand reports is computed here from the library. So a fault in
+a handler fails `verify` instead of shipping past it. `run_checks()`
+evaluates the rows in order, so a deployed artifact can audit itself from
+the command line, and the acceptance gate (tests/test_acceptance.py)
+asserts the same rows. The benchmark keeps its own copy of five of these
+bands in bench/spec.py, which a test holds equal to these rows.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import math
 import time
 from typing import Any, Callable, NamedTuple
 
-from . import budget, hydrogen, quadrature, renorm, sums, units
+from . import budget, cli, hydrogen, quadrature, renorm, sums, units
 from .units import constants
 
 
@@ -88,50 +92,31 @@ def _value_of(fn: Callable, *args: Any) -> Callable[[_Memo], float]:
     return lambda m: m(fn, *args).value
 
 
-_K1_DISCRETE = _value_of(sums.kappa1_discrete, 200, True)
-_K2_DISCRETE = _value_of(sums.kappa2_discrete, 200, True)
-_K1_CONTINUUM = _value_of(quadrature.kappa1_continuum, 1.0)
-_K2_CONTINUUM = _value_of(quadrature.kappa2_continuum, 1.0)
-_POLARIZABILITY = _value_of(sums.polarizability_discrete, 400, True)
+def _defaults(subcommand: str) -> dict[str, Any]:
+    """The checked default of each parameter of a subcommand."""
+    return {p.name: p.checked(p.default) for p in cli.SUBCOMMANDS[subcommand].params}
 
 
-def _kappa1_total(m: _Memo) -> float:
-    return _K1_DISCRETE(m) + _K1_CONTINUUM(m)
+def _report(subcommand: str) -> dict[str, cli.Row]:
+    """The rows a subcommand reports at its defaults."""
+    return cli.SUBCOMMANDS[subcommand].handler(_defaults(subcommand))
 
 
-def _kappa2_total(m: _Memo) -> float:
-    return _K2_DISCRETE(m) + _K2_CONTINUUM(m)
-
-
-def _net(m: _Memo) -> float:
-    return -_kappa1_total(m) + _kappa2_total(m)
-
-
-def _doubling_over_limit(m: _Memo) -> float:
-    m_e = _C.electron_mass
-    big = 1e4 * m_e * _C.light_speed_c0 / _C.hbar
-    increment = renorm.delta_mass(m_e, 2 * big) - renorm.delta_mass(m_e, big)
-    limit = (8 * _C.fine_structure_alpha * m_e / (3 * math.pi)) * math.log(2.0)
-    return increment / limit
-
-
-def _rho_c_over_reference(m: _Memo) -> float:
-    free = renorm.DispersionModel.free_electron(2.5e28)
-    rho = renorm.casimir_mass_density(
-        free, renorm.CutoffScheme.length(_C.classical_electron_radius))
-    return abs(rho) / (free.n_e * _C.electron_mass / _C.fine_structure_alpha)
+def _reported(subcommand: str, key: str) -> Callable[[_Memo], Any]:
+    """The value a subcommand reports as `key`; each report is made once per run."""
+    return lambda m: m(_report, subcommand)[key][0]["value"]
 
 
 def _reduced_mass_shift_error(m: _Memo) -> float:
-    """Relative gap of the first-order formula to the two-sided 1/mu change."""
+    """Relative gap of the reported first-order shift to the two-sided 1/mu
+    change for the reported self-masses."""
+    dm1, dm2 = (_reported("renorm", f"delta_mass_{label}")(m) / _C.electron_mass
+                for label in ("proton", "electron"))
     atom = units.AtomicParams.hydrogen()
-    dm1, dm2 = (renorm.delta_mass(mass, 2 * mass * _C.light_speed_c0 / _C.hbar)
-                / _C.electron_mass
-                for mass in (_C.proton_mass, _C.electron_mass))
-    formula = renorm.reduced_mass_shift(atom, dm1, dm2)
     up = units.AtomicParams(m1=atom.m1 + dm1, m2=atom.m2 + dm2)
     down = units.AtomicParams(m1=atom.m1 - dm1, m2=atom.m2 - dm2)
     centered = 0.5 * (1.0 / up.reduced_mass - 1.0 / down.reduced_mass)
+    formula = _reported("renorm", "reduced_mass_shift")(m)
     return float(abs(formula - centered) / abs(centered))
 
 
@@ -148,23 +133,22 @@ def _radial_route_gap(m: _Memo) -> float:
 
 
 def _serialization_repeats(m: _Memo) -> bool:
-    from .cli import ReportEnvelope, RunConfig, serialize
-    cfg = RunConfig(subcommand="budget", params={"probe": 1.0},
-                    output_format="json", output_path=None)
-    env = ReportEnvelope(artifact_version="probe", config=cfg,
-                         results={"q": {"value": [0.1, 0.2, 0.3],
-                                        "error": None}},
-                         provenance={"q": "determinism probe"},
-                         timing_seconds=0.0)
-    return serialize(env, "json") == serialize(env, "json")
+    cfg = cli.RunConfig(subcommand="budget", params={"probe": 1.0},
+                        output_format="json", output_path=None)
+    env = cli.ReportEnvelope(artifact_version="probe", config=cfg,
+                             results={"q": {"value": [0.1, 0.2, 0.3],
+                                            "error": None}},
+                             provenance={"q": "determinism probe"},
+                             timing_seconds=0.0)
+    return cli.serialize(env, "json") == cli.serialize(env, "json")
 
 
 def _abraham_off_axis(m: _Memo) -> float:
-    """|a.c - |a||c|| / (|a||c|) for the Abraham item a and c = B0 x E0."""
-    fields = budget.FieldConfiguration(E0=[1e5, 0, 0], B0=[0, 1, 0],
-                                       Q0=[0, 0, 0])
-    abraham = budget.assemble_budget(fields).abraham
-    cross = budget.cross(fields.B0, fields.E0)
+    """|a.c - |a||c|| / (|a||c|) for the reported Abraham item a and
+    c = B0 x E0 of the budget defaults."""
+    abraham = _reported("budget", "abraham")(m)
+    fields = _defaults("budget")
+    cross = budget.cross(fields["B0"], fields["E0"])
     scale = budget.norm(abraham) * budget.norm(cross)
     return abs(budget.dot(abraham, cross) - scale) / scale
 
@@ -182,16 +166,20 @@ CHECKS: tuple[Check, ...] = (
         * _C.hartree_energy), 1.0, rel=1e-9),
 
     # Discrete sums with tails.
-    Check("kappa1_discrete_200", _K1_DISCRETE, 0.21, 0.005),
+    Check("kappa1_discrete_200", _reported("kappas", "kappa1_discrete"),
+          0.21, 0.005),
     Check("kappa1_discrete_runtime", lambda m: m.cost["kappa1_discrete_200"],
           rule=lambda seconds: seconds < 60.0, text="under 60 s", shown=False),
-    Check("kappa2_discrete_200", _K2_DISCRETE, 0.0796, 0.0005),
+    Check("kappa2_discrete_200", _reported("kappas", "kappa2_discrete"),
+          0.0796, 0.0005),
 
     # Continuum integrals.
     Check("kappa1_continuum_ymin0", _value_of(quadrature.kappa1_continuum, 0.0),
           1.4e-2, rel=0.02),
-    Check("kappa1_continuum_ymin1", _K1_CONTINUUM, 9.3e-3, rel=0.02),
-    Check("kappa2_continuum_ymin1", _K2_CONTINUUM, 0.018, rel=0.05),
+    Check("kappa1_continuum_ymin1", _reported("kappas", "kappa1_continuum"),
+          9.3e-3, rel=0.02),
+    Check("kappa2_continuum_ymin1", _reported("kappas", "kappa2_continuum"),
+          0.018, rel=0.05),
     Check("kappa2_continuum_closed_form",
           _value_of(quadrature.kappa2_continuum, 0.0),
           quadrature.KAPPA2_CONTINUUM_AT_ZERO, 1e-9, text="1/18 to 1e-9"),
@@ -201,36 +189,43 @@ CHECKS: tuple[Check, ...] = (
         3 * math.pi / 512, 1e-9, text="3 pi/512 to 1e-9"),
 
     # Adopted totals and the net relative shift.
-    Check("kappa1_total", _kappa1_total, 0.22, 0.01),
-    Check("kappa2_total", _kappa2_total, 0.098, 0.005),
-    Check("net_coefficient", _net, -0.12, 0.01),
-    Check("relative_shift_magnitude",
-          lambda m: abs(_net(m)) * _C.fine_structure_alpha**2, 6e-6, rel=0.10),
+    Check("kappa1_total", _reported("kappas", "kappa1_total"), 0.22, 0.01),
+    Check("kappa2_total", _reported("kappas", "kappa2_total"), 0.098, 0.005),
+    Check("net_coefficient", _reported("kappas", "net_coefficient"), -0.12, 0.01),
+    Check("relative_shift_magnitude", lambda m: abs(
+        _reported("kappas", "relative_momentum_shift")(m)), 6e-6, rel=0.10),
 
     # Constant-log sum and the normalization coefficient.
-    Check("bethe_sum_200", _value_of(sums.bethe_sum, 200, True), 0.336, 0.002),
-    Check("normalization_coefficient", lambda m: sums.normalization_constant(
-        -8.35, m(sums.bethe_sum, 200, True)), 0.84, 0.01),
+    Check("bethe_sum_200", _reported("bethe", "bethe_sum"), 0.336, 0.002),
+    Check("normalization_coefficient",
+          _reported("bethe", "normalization_coefficient"), 0.84, 0.01),
 
     # Polarizability and oscillator strengths.
-    Check("polarizability_discrete_400", _POLARIZABILITY, 3.663, 0.001),
-    Check("polarizability_below_exact", _POLARIZABILITY,
+    Check("polarizability_discrete_400",
+          _reported("polarizability", "polarizability_discrete"), 3.663, 0.001),
+    Check("polarizability_below_exact",
+          _reported("polarizability", "polarizability_discrete"),
           rule=lambda v: v < sums.POLARIZABILITY_EXACT_AU, text="below 4.5"),
     Check("oscillator_strength_sum_400",
-          _value_of(sums.oscillator_strength_sum, 400, True), 0.5650, 0.001),
+          _reported("polarizability", "oscillator_strength_sum"), 0.5650, 0.001),
     Check("oscillator_partials_below_one", lambda m: max(
-        v for _, v in m(sums.oscillator_strength_sum, 400, True).partial_sums),
+        v for _, v in sums.oscillator_strength_sum(
+            sums.DEFAULT_N_MAX_POLARIZABILITY).partial_sums),
         rule=lambda v: v < 1.0, text="below 1 for all truncations"),
 
     # Regularization scaling.
     Check("divergence_exponent_dispersionless",
           lambda m: renorm.divergence_exponent(
-              renorm.DispersionModel.dispersionless(2.0), _GRID), 4.00, 0.01),
+              renorm.DispersionModel.dispersionless(_defaults("rho-c")["eps_r"]),
+              _GRID), 4.00, 0.01),
     Check("divergence_exponent_free_electron",
           lambda m: renorm.divergence_exponent(
-              renorm.DispersionModel.free_electron(2.5e28), _GRID), 2.00, 0.01),
-    Check("delta_mass_doubling_increment", _doubling_over_limit, 1.0, rel=1e-3),
-    Check("rho_c_order_of_magnitude", _rho_c_over_reference,
+              renorm.DispersionModel.free_electron(_defaults("rho-c")["n_e"]),
+              _GRID), 2.00, 0.01),
+    Check("delta_mass_doubling_increment",
+          lambda m: _reported("renorm", "doubling_increment_electron")(m)
+          / _reported("renorm", "doubling_increment_limit")(m), 1.0, rel=1e-3),
+    Check("rho_c_order_of_magnitude", _reported("rho-c", "ratio_to_reference"),
           rule=lambda v: 0.1 <= v <= 10.0,
           text="within factor 10 of n_e m_e/alpha"),
 
@@ -258,7 +253,8 @@ def run_checks(cost: dict[str, float] | None = None) -> list[CheckResult]:
     """Every row of CHECKS, in order.
 
     If given, `cost` receives the seconds each check's value took, by name;
-    a check's cost includes the shared intermediates it is the first to need.
+    a check's cost includes the whole report, or other shared intermediate,
+    it is the first to need.
     """
     memo = _Memo({} if cost is None else cost)
     out = []

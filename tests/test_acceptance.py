@@ -1,17 +1,20 @@
 """Acceptance gate: every criterion of verify.CHECKS at its stated target.
 
-The bands live in verify.CHECKS alone; each test prints one [PASS]/[FAIL]
-line per criterion (run with -s to see them). All computations are
-desk-scale on one core.
+The bands live in verify.CHECKS (the benchmark's copy of five of them is
+held equal to it here); each test prints one [PASS]/[FAIL] line per
+criterion (run with -s to see them). All computations are desk-scale on
+one core.
 """
 
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from casimir_momentum import verify
+from casimir_momentum import cli, verify
 
 
 def _check(name: str, ok: bool, detail: str = "") -> None:
@@ -60,3 +63,36 @@ def test_cli_verify_subcommand_green():
     failed = payload["results"]["checks_failed"]["value"]
     _check("verify subcommand reports all checks green",
            proc.returncode == 0 and failed == 0, f"failed={failed}")
+
+
+def test_verify_reads_the_reports(monkeypatch):
+    # A kappas handler that reports a wrong net coefficient fails that row:
+    # verify checks the reported value, not its own recomputation.
+    kappas = cli.SUBCOMMANDS["kappas"]
+
+    def wrong_net(params):
+        rows = kappas.handler(params)
+        entry, provenance = rows["net_coefficient"]
+        rows["net_coefficient"] = ({**entry, "value": entry["value"] + 1.0},
+                                   provenance)
+        return rows
+
+    monkeypatch.setitem(cli.SUBCOMMANDS, "kappas",
+                        kappas._replace(handler=wrong_net))
+    failed = [res.name for res in verify.run_checks() if not res.passed]
+    assert failed == ["net_coefficient"]
+
+
+def test_bench_bands_match_checks():
+    # The benchmark keeps its own copy of five bands (bench/spec.py imports
+    # only the standard library); each must equal its verify.CHECKS row.
+    path = Path(__file__).resolve().parents[1] / "bench" / "spec.py"
+    module_spec = importlib.util.spec_from_file_location("bench_spec", path)
+    bench = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(bench)
+    checks = {chk.name: chk for chk in verify.CHECKS}
+    rows = bench.REQUIRED_BANDS["verify"]
+    assert {name.rsplit("_", 1)[0] for name in rows} == set(bench.BANDS)
+    for name in rows:
+        assert bench.BANDS[name.rsplit("_", 1)[0]] == \
+            (checks[name].center, checks[name].tol), name

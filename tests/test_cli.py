@@ -268,6 +268,14 @@ def test_table_drives_help_and_config_dump(capsys):
         assert all(dumped[p.name] == p.default for p in cmd.params)
 
 
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_every_result_has_provenance(capsys, name):
+    # At its defaults each report gives one provenance per result, no more.
+    assert run([name]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert set(payload["results"]) == set(payload["provenance"])
+
+
 def test_verify_reports_cost_of_each_check(capsys):
     assert run(["verify"]) == 0
     err = capsys.readouterr().err
