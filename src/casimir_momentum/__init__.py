@@ -58,4 +58,4 @@ from .sums import (
     polarizability_discrete,
     tail_extrapolate,
 )
-from .units import AtomicParams, PhysicalConstants, constants, from_atomic, to_atomic
+from .units import AtomicParams, PhysicalConstants, constants

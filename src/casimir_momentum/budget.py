@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
-from .units import HARTREE_ENERGY, AtomicParams, PhysicalConstants, constants
+from .units import HARTREE_ENERGY, AtomicParams, constants
 
 # Adopted dimensionless vacuum-coupling coefficients: discrete Rydberg sums
 # plus plane-wave continuum parts (0.21 + 0.01 and 0.0796 + 0.018).
@@ -105,7 +105,6 @@ class _MomentumBudget(NamedTuple):
     kappa1: float
     kappa2: float
     alpha0_si: float                    # polarizability volume, m^3
-    polarizability_choice: str
     provenance: Mapping[str, str] | None = None   # None: a fresh empty dict
 
 
@@ -136,28 +135,24 @@ class MomentumBudget(_MomentumBudget):
             self.kinetic_correction))
 
 
-def abraham_momentum(fields: FieldConfiguration, alpha0_si: float,
-                     const: PhysicalConstants | None = None) -> Vec3:
+def abraham_momentum(fields: FieldConfiguration, alpha0_si: float) -> Vec3:
     """Classical field-induced momentum eps0 alpha(0) B0 x E0 [kg m/s].
 
     alpha0_si is the polarizability volume in m^3 (P = eps0 alpha0 E).
     """
     if alpha0_si <= 0:
         raise ValueError("polarizability must be positive")
-    const = const or constants()
-    return scaled(const.vacuum_permittivity_eps0 * alpha0_si,
+    return scaled(constants().vacuum_permittivity_eps0 * alpha0_si,
                   cross(fields.B0, fields.E0))
 
 
-def casimir_correction(kappa1: float, kappa2: float, abraham: Vec3,
-                       const: PhysicalConstants | None = None) -> Vec3:
+def casimir_correction(kappa1: float, kappa2: float, abraham: Vec3) -> Vec3:
     """Quantum-vacuum correction (-kappa1 + kappa2) alpha^2 * abraham."""
-    const = const or constants()
-    return scaled((-kappa1 + kappa2) * const.fine_structure_alpha**2, _vec(abraham))
+    return scaled((-kappa1 + kappa2) * constants().fine_structure_alpha**2,
+                  _vec(abraham))
 
 
-def effective_mass_factor(binding_energy: float, total_mass: float,
-                          const: PhysicalConstants | None = None) -> float:
+def effective_mass_factor(binding_energy: float, total_mass: float) -> float:
     """Relative inertial-mass shift E_bind / (M c0^2) from the binding energy.
 
     binding_energy in J (negative for a bound state), total_mass in kg. The
@@ -168,25 +163,19 @@ def effective_mass_factor(binding_energy: float, total_mass: float,
         raise ValueError("binding energy must be <= 0 for a bound state")
     if total_mass <= 0:
         raise ValueError("total mass must be positive")
-    const = const or constants()
-    return binding_energy / (total_mass * const.light_speed_c0**2)
+    return binding_energy / (total_mass * constants().light_speed_c0**2)
 
 
 def transverse_bound(fields: FieldConfiguration, binding_energy: float,
-                     total_mass: float,
-                     const: PhysicalConstants | None = None,
-                     abraham: Vec3 | None = None) -> float:
+                     total_mass: float, abraham: Vec3) -> float:
     """Order-of-magnitude bound on the transverse-photon momentum [kg m/s].
 
-    alpha |E_bind/(M c0^2)| |Q0| + alpha^3 |P_A|; an estimate only, one power
-    of alpha below the longitudinal terms, and never added into totals.
+    alpha |E_bind/(M c0^2)| |Q0| + alpha^3 |P_A|, with P_A = abraham; an
+    estimate only, one power of alpha below the longitudinal terms, and
+    never added into totals.
     """
-    const = const or constants()
-    alpha = const.fine_structure_alpha
-    factor = abs(effective_mass_factor(binding_energy, total_mass, const))
-    if abraham is None:
-        abraham = abraham_momentum(fields, POLARIZABILITY_VOLUME_AU
-                                   * const.bohr_radius_a0**3, const)
+    alpha = constants().fine_structure_alpha
+    factor = abs(effective_mass_factor(binding_energy, total_mass))
     q_part = alpha * factor * norm(fields.Q0)
     field_part = alpha**3 * norm(abraham)
     return q_part + field_part
@@ -234,23 +223,17 @@ _PROVENANCE = {
 
 def assemble_budget(
     fields: FieldConfiguration,
-    atom: AtomicParams | None = None,
     kappa1: float = ADOPTED_KAPPA1,
     kappa2: float = ADOPTED_KAPPA2,
     polarizability_choice: str = "exact",
-    binding_energy: float = HYDROGEN_BINDING_ENERGY_J,
-    discrete_polarizability_au: float | None = None,
-    const: PhysicalConstants | None = None,
 ) -> MomentumBudget:
-    """Full itemized budget for one field configuration.
+    """Full itemized budget of ground-state hydrogen in one field configuration.
 
     polarizability_choice selects alpha(0): the exact value 18 pi a0^3
-    (default), the computed discrete sum (bound states only, supplied in
-    atomic units or recomputed on demand), or the exact value with the
-    relativistic factor (1 - (28/27) alpha^2).
+    (default), the computed discrete sum (bound states only), or the exact
+    value with the relativistic factor (1 - (28/27) alpha^2).
     """
-    const = const or constants()
-    atom = atom or AtomicParams.hydrogen()
+    const = constants()
     if polarizability_choice not in POLARIZABILITY_CHOICES:
         raise ValueError(
             f"unknown polarizability choice {polarizability_choice!r}; "
@@ -265,23 +248,21 @@ def assemble_budget(
         alpha0_si = (POLARIZABILITY_VOLUME_AU * a0_cubed
                      * (1.0 + float(RELATIVISTIC_POLARIZABILITY_COEFF) * alpha**2))
     else:
-        if discrete_polarizability_au is None:
-            from .sums import polarizability_discrete
-            discrete_polarizability_au = polarizability_discrete().value
-        alpha0_si = 4.0 * math.pi * discrete_polarizability_au * a0_cubed
+        from .sums import polarizability_discrete
+        alpha0_si = 4.0 * math.pi * polarizability_discrete().value * a0_cubed
 
-    total_mass_kg = atom.total_mass * const.electron_mass
-    p_a = abraham_momentum(fields, alpha0_si, const)
-    dp_vac = casimir_correction(kappa1, kappa2, p_a, const)
-    factor = effective_mass_factor(binding_energy, total_mass_kg, const)
+    total_mass_kg = AtomicParams.hydrogen().total_mass * const.electron_mass
+    p_a = abraham_momentum(fields, alpha0_si)
+    dp_vac = casimir_correction(kappa1, kappa2, p_a)
+    factor = effective_mass_factor(HYDROGEN_BINDING_ENERGY_J, total_mass_kg)
     rel_terms = {
         "darwin_coefficient": DARWIN_MASS_COEFF,
         "p4_coefficient": P4_MASS_COEFF,
         "net": DARWIN_MASS_COEFF + P4_MASS_COEFF,
         "bartlett_power_alpha2_coeff": RELATIVISTIC_POLARIZABILITY_COEFF,
     }
-    t_bound = transverse_bound(fields, binding_energy, total_mass_kg, const,
-                               abraham=p_a)
+    t_bound = transverse_bound(fields, HYDROGEN_BINDING_ENERGY_J, total_mass_kg,
+                               p_a)
     field_bound = alpha**2 * (const.electron_mass / total_mass_kg) * norm(p_a)
     return MomentumBudget(
         abraham=p_a,
@@ -296,7 +277,6 @@ def assemble_budget(
         kappa1=kappa1,
         kappa2=kappa2,
         alpha0_si=alpha0_si,
-        polarizability_choice=polarizability_choice,
         provenance={**_PROVENANCE, "alpha0_si": _PROVENANCE["alpha0_si"].format(
             choice=polarizability_choice)},
     )

@@ -222,9 +222,13 @@ def _switch(name: str, help: str) -> Param:
 
 
 _TAIL = _switch("tail", "power-law tail beyond n_max")
+# A relative tolerance below the float epsilon cannot be met: the quadrature
+# would spend its whole subdivision budget and fail.
 _TOLERANCES = (
     Param("rel_tol", float, quadrature.DEFAULT_SPEC.rel_tol,
-          "relative tolerance of the continuum quadrature", check=_POSITIVE),
+          "relative tolerance of the continuum quadrature", check=(
+              lambda v: v >= sys.float_info.epsilon,
+              f"must be >= {sys.float_info.epsilon!r} (the float epsilon)")),
     Param("abs_tol", float, quadrature.DEFAULT_SPEC.abs_tol,
           "absolute tolerance of the continuum quadrature", check=_POSITIVE))
 _FORMAT = Param("format", str, "json", "report format",

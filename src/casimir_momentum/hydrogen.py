@@ -78,13 +78,11 @@ class BoundStateLabel(_BoundStateLabel):
 
 
 class RadialIntegralRecord(NamedTuple):
-    """The triple I_1(n), I_2(n), I_3(n) with the route that produced it."""
+    """The triple I_1(n), I_2(n), I_3(n) of one n, by one route."""
 
-    n: int
     I1: float
     I2: float
     I3: float
-    method: str  # "closed_form" or "quadrature"
 
     def integral(self, p: int) -> float:
         return (self.I1, self.I2, self.I3)[p - 1]
@@ -195,15 +193,16 @@ def _radial_tail_bound(p: int, r_cut: float) -> float:
     return (4.0 / 3.0) * 2.0**-1.5 * gamma_upper
 
 
+_RADIAL_CUT = 64.0   # the quadrature route integrates R_10 R_n1 r^p on [0, 64]
 _RADIAL_QUAD_SPEC = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-12,
-                                   max_subdivisions=4000, upper_cut=64.0)
-if not all(tail_bound_ok(_radial_tail_bound(p, _RADIAL_QUAD_SPEC.upper_cut),
-                         _RADIAL_QUAD_SPEC) for p in (1, 2, 3)):
+                                   max_subdivisions=4000)
+if not all(tail_bound_ok(_radial_tail_bound(p, _RADIAL_CUT), _RADIAL_QUAD_SPEC)
+           for p in (1, 2, 3)):
     raise RuntimeError("the radial quadrature cut leaves a tail above abs_tol/10")
 # Seed partition 1, sqrt 2, 2, ..., 45.25 (13 segments on [0, 64]): fine
 # enough that every n converges without subdividing.
-_RADIAL_BREAKPOINTS = _geometric_breakpoints(_RADIAL_QUAD_SPEC.upper_cut,
-                                             first=1.0, ratio=math.sqrt(2.0))
+_RADIAL_BREAKPOINTS = _geometric_breakpoints(_RADIAL_CUT, first=1.0,
+                                             ratio=math.sqrt(2.0))
 
 
 class RadialQuadrature(NamedTuple):
@@ -253,7 +252,7 @@ def _adaptive_row(n: int) -> RadialQuadrature:
         r = np.asarray(rs)
         return (2.0 * np.exp(-r) * radial_wavefunction(state, r) * r**p).tolist()
 
-    res = [integrate_adaptive(partial(f, p=p), 0.0, _RADIAL_QUAD_SPEC.upper_cut,
+    res = [integrate_adaptive(partial(f, p=p), 0.0, _RADIAL_CUT,
                               _RADIAL_QUAD_SPEC, breakpoints=_RADIAL_BREAKPOINTS)
            for p in (1, 2, 3)]
     return RadialQuadrature(tuple(q.value for q in res), tuple(q.error for q in res))
@@ -274,7 +273,7 @@ def quadrature_table(n_lo: int, n_hi: int) -> dict[int, RadialQuadrature]:
     import numpy as np
     n_lo, n_hi = int(n_lo), int(n_hi)
     spec = _RADIAL_QUAD_SPEC
-    edges = [0.0, *_RADIAL_BREAKPOINTS, spec.upper_cut]
+    edges = [0.0, *_RADIAL_BREAKPOINTS, _RADIAL_CUT]
     segs = list(zip(edges, edges[1:]))
     r = np.array([x for lo, hi in segs for x in segment_nodes(lo, hi)])
     r_powers = np.stack([r, r * r, r * r * r]).reshape(3, len(segs), 15)
@@ -337,7 +336,7 @@ def radial_record(n: int, method: str = "closed_form") -> RadialIntegralRecord:
     if method not in routes:
         raise ValueError(f"unknown method {method!r}")
     i1, i2, i3 = routes[method](n)
-    return RadialIntegralRecord(n=n, I1=i1, I2=i2, I3=i3, method=method)
+    return RadialIntegralRecord(I1=i1, I2=i2, I3=i3)
 
 
 def oscillator_strength(n: int) -> float:

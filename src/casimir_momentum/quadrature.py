@@ -50,17 +50,10 @@ class _QuadratureSpec(NamedTuple):
     abs_tol: float = 1e-14
     rel_tol: float = 1e-10
     max_subdivisions: int = 2000
-    upper_cut: float = 1e3
 
 
 class QuadratureSpec(_QuadratureSpec):
-    """Tolerances and budget for one adaptive integration.
-
-    upper_cut is the finite surrogate for infinity when an integrand is
-    truncated instead of transformed; callers using it are responsible for
-    checking that the analytic tail bound beyond the cut stays below
-    abs_tol/10 (see tail_bound_ok).
-    """
+    """Tolerances and budget for one adaptive integration."""
 
     __slots__ = ()
 
@@ -70,8 +63,6 @@ class QuadratureSpec(_QuadratureSpec):
             raise ValueError("tolerances must be positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
-        if self.upper_cut <= 0:
-            raise ValueError("upper_cut must be positive")
         return self
 
     @classmethod
@@ -83,7 +74,11 @@ DEFAULT_SPEC = QuadratureSpec()
 
 
 def tail_bound_ok(tail_bound: float, spec: QuadratureSpec) -> bool:
-    """True if a truncated tail is negligible at the spec's tolerance."""
+    """True if a truncated tail is negligible at the spec's tolerance.
+
+    A caller that integrates to a finite cut instead of to infinity checks
+    its analytic tail bound beyond the cut with this: below abs_tol/10.
+    """
     return abs(tail_bound) < spec.abs_tol / 10.0
 
 

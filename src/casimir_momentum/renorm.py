@@ -20,7 +20,6 @@ class _DispersionModel(NamedTuple):
     kind: str
     eps_r: float | None = None   # dispersionless only
     n_e: float | None = None     # free_electron only, electrons per m^3
-    description: str = ""
 
 
 class DispersionModel(_DispersionModel):
@@ -51,13 +50,11 @@ class DispersionModel(_DispersionModel):
 
     @classmethod
     def dispersionless(cls, eps_r: float) -> "DispersionModel":
-        return cls(kind="dispersionless", eps_r=eps_r,
-                   description=f"constant eps_r = {eps_r}")
+        return cls(kind="dispersionless", eps_r=eps_r)
 
     @classmethod
     def free_electron(cls, n_e: float) -> "DispersionModel":
-        return cls(kind="free_electron", n_e=n_e,
-                   description=f"plasma dispersion, n_e = {n_e} m^-3")
+        return cls(kind="free_electron", n_e=n_e)
 
     def plasma_frequency(self, const: PhysicalConstants) -> float:
         """omega_p = sqrt(n_e e^2 / (eps0 m_e)) [rad/s]; free_electron only."""
@@ -66,14 +63,6 @@ class DispersionModel(_DispersionModel):
         return math.sqrt(
             self.n_e * const.elementary_charge_e**2
             / (const.vacuum_permittivity_eps0 * const.electron_mass)
-        )
-
-    def susceptibility(self, omega: float, const: PhysicalConstants) -> float:
-        """eps_r(omega) - 1."""
-        if self.kind == "dispersionless":
-            return self.eps_r - 1.0
-        return -self.n_e * const.elementary_charge_e**2 / (
-            const.vacuum_permittivity_eps0 * const.electron_mass * omega**2
         )
 
 
@@ -190,21 +179,19 @@ _DELTA_MASS_SPEC = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-12,
                                   max_subdivisions=4000)
 
 
-def delta_mass(mass: float, lambda_cut: float, route: str = "closed_form",
+def delta_mass(mass: float, lambda_cut: float,
                const: PhysicalConstants | None = None) -> float:
     """Nonrelativistic electromagnetic self-mass at wavenumber cutoff [kg].
 
     (4/(3 pi)) alpha hbar^2 int_0^Lambda k dk / (hbar^2 k^2 / 2m + hbar c0 k),
     whose antiderivative gives (8 alpha m / (3 pi)) ln(1 + hbar Lambda /
     (2 m c0)): logarithmically divergent. Both routes are always computed
-    and must agree to 1e-10 relative.
+    and must agree to 1e-10 relative; the closed form is returned.
     """
     if not 0 < mass < math.inf:
         raise ValueError("mass must be positive and finite")
     if not 0 <= lambda_cut < math.inf:
         raise ValueError("cutoff must be finite and >= 0")
-    if route not in ("closed_form", "quadrature"):
-        raise ValueError(f"unknown route {route!r}")
     const = const or constants()
     alpha = const.fine_structure_alpha
     hbar = const.hbar
@@ -233,7 +220,7 @@ def delta_mass(mass: float, lambda_cut: float, route: str = "closed_form",
             f"delta_mass(m={mass!r}, Lambda={lambda_cut!r}): closed={closed!r} "
             f"quadrature={quad!r} (relative {rel:.3e})"
         )
-    return closed if route == "closed_form" else quad
+    return closed
 
 
 def reduced_mass_shift(params: AtomicParams, delta_m1: float,

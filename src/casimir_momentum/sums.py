@@ -15,7 +15,7 @@ import math
 from operator import mul
 from typing import Callable, NamedTuple, Sequence
 
-from .hydrogen import radial_record, transition_energy
+from .hydrogen import oscillator_strength, radial_record, transition_energy
 
 DEFAULT_N_MAX_KAPPA = 200
 DEFAULT_N_MAX_POLARIZABILITY = 400
@@ -78,7 +78,6 @@ def neumaier_cumsum(terms: Sequence[float]) -> list[float]:
 class TailEstimate(NamedTuple):
     value: float
     error_bound: float
-    model: str
 
 
 def tail_extrapolate(ns: Sequence[int], terms: Sequence[float]) -> TailEstimate:
@@ -102,7 +101,7 @@ def tail_extrapolate(ns: Sequence[int], terms: Sequence[float]) -> TailEstimate:
     if ns[0] <= 0 or any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("ns must be positive and strictly increasing")
     if not any(terms):
-        return TailEstimate(value=0.0, error_bound=0.0, model="zero")
+        return TailEstimate(value=0.0, error_bound=0.0)
     if min(terms) < 0.0 < max(terms):
         raise ValueError("terms change sign; the a/n^3 + b/n^4 tail model is invalid")
 
@@ -129,19 +128,16 @@ def tail_extrapolate(ns: Sequence[int], terms: Sequence[float]) -> TailEstimate:
         tail = error = math.nan
     if not (math.isfinite(tail) and math.isfinite(error)):
         raise ValueError("the tail fit is not finite: degenerate or overflowing input")
-    return TailEstimate(value=tail, error_bound=error,
-                        model="a/n^3 + b/n^4 least squares")
+    return TailEstimate(value=tail, error_bound=error)
 
 
 class SpectralSumResult(NamedTuple):
     """A discrete sum with its truncation trace and tail accounting."""
 
-    name: str
     value: float
     n_max: int
     partial_sums: tuple[tuple[int, float], ...]
     tail_estimate: float
-    tail_model: str
     error_bound: float
 
     @property
@@ -156,7 +152,7 @@ def _crude_tail_bound(n_max: int, last_term: float) -> float:
     return 2.0 * abs(last_term) * n_max**3 * hurwitz_zeta(3.0, n_max + 1.0)
 
 
-def _spectral_sum(name: str, term: Callable[[int], float], n_max: int,
+def _spectral_sum(term: Callable[[int], float], n_max: int,
                   tail: bool) -> SpectralSumResult:
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
@@ -178,14 +174,12 @@ def _spectral_sum(name: str, term: Callable[[int], float], n_max: int,
             )
         est = tail_extrapolate(window, [terms[n - 2] for n in window])
         return SpectralSumResult(
-            name=name, value=partial + est.value, n_max=n_max,
-            partial_sums=partial_sums, tail_estimate=est.value,
-            tail_model=est.model, error_bound=est.error_bound,
+            value=partial + est.value, n_max=n_max, partial_sums=partial_sums,
+            tail_estimate=est.value, error_bound=est.error_bound,
         )
     return SpectralSumResult(
-        name=name, value=partial, n_max=n_max, partial_sums=partial_sums,
-        tail_estimate=0.0, tail_model="none (truncated)",
-        error_bound=_crude_tail_bound(n_max, terms[-1]),
+        value=partial, n_max=n_max, partial_sums=partial_sums,
+        tail_estimate=0.0, error_bound=_crude_tail_bound(n_max, terms[-1]),
     )
 
 
@@ -199,7 +193,7 @@ def kappa1_discrete(n_max: int = DEFAULT_N_MAX_KAPPA, tail: bool = True) -> Spec
         rec = radial_record(n)
         return (2.0 / 27.0) * rec.I1 * rec.I3 / transition_energy(n) ** 2
 
-    return _spectral_sum("kappa1_discrete", term, n_max, tail)
+    return _spectral_sum(term, n_max, tail)
 
 
 def kappa2_discrete(n_max: int = DEFAULT_N_MAX_KAPPA, tail: bool = True) -> SpectralSumResult:
@@ -208,7 +202,7 @@ def kappa2_discrete(n_max: int = DEFAULT_N_MAX_KAPPA, tail: bool = True) -> Spec
         rec = radial_record(n)
         return (1.0 / 27.0) * rec.I2 * rec.I3 / transition_energy(n)
 
-    return _spectral_sum("kappa2_discrete", term, n_max, tail)
+    return _spectral_sum(term, n_max, tail)
 
 
 def polarizability_discrete(n_max: int = DEFAULT_N_MAX_POLARIZABILITY,
@@ -222,7 +216,7 @@ def polarizability_discrete(n_max: int = DEFAULT_N_MAX_POLARIZABILITY,
         i3 = radial_record(n).I3
         return (2.0 / 3.0) * i3 * i3 / transition_energy(n)
 
-    return _spectral_sum("polarizability_discrete", term, n_max, tail)
+    return _spectral_sum(term, n_max, tail)
 
 
 POLARIZABILITY_EXACT_AU = 4.5   # bound states plus continuum, = 18 pi a0^3 / (4 pi a0^3)
@@ -234,30 +228,24 @@ def bethe_sum(n_max: int = DEFAULT_N_MAX_KAPPA, tail: bool = True) -> SpectralSu
         i2 = radial_record(n).I2
         return i2 * i2
 
-    return _spectral_sum("bethe_sum", term, n_max, tail)
+    return _spectral_sum(term, n_max, tail)
 
 
 def oscillator_strength_sum(n_max: int = DEFAULT_N_MAX_POLARIZABILITY,
                             tail: bool = True) -> SpectralSumResult:
     """Discrete 1s -> np oscillator-strength sum; < 1 by the TRK rule."""
-    def term(n: int) -> float:
-        i3 = radial_record(n).I3
-        return (2.0 / 3.0) * transition_energy(n) * i3 * i3
-
-    return _spectral_sum("oscillator_strength_sum", term, n_max, tail)
+    return _spectral_sum(oscillator_strength, n_max, tail)
 
 
-def normalization_constant(log_value: float = DEFAULT_LAMB_LOG,
-                           bethe: SpectralSumResult | float | None = None) -> float:
+def normalization_constant(log_value: float,
+                           bethe: SpectralSumResult | float) -> float:
     """Ground-state normalization deficit as the coefficient of alpha^3.
 
     (1/pi) (-log_value - 1/2) S_B, where S_B is the constant-log sum above
-    and log_value is supplied externally (default -8.35, the standard value
-    used in excitation-spectrum averages). With S_B = 0.336 the coefficient
-    is 0.84.
+    and log_value is supplied externally (DEFAULT_LAMB_LOG = -8.35 is the
+    standard value used in excitation-spectrum averages). With S_B = 0.336
+    the coefficient is 0.84.
     """
-    if bethe is None:
-        bethe = bethe_sum()
     s_b = bethe.value if isinstance(bethe, SpectralSumResult) else float(bethe)
     return (-log_value - 0.5) * s_b / math.pi
 
@@ -270,18 +258,17 @@ class PerturbedGroundState(NamedTuple):
     construction.
     """
 
-    n_basis: int
     ns: tuple[int, ...]
     coefficients: tuple[float, ...]
 
     @classmethod
-    def build(cls, n_basis: int, field: float = 1.0) -> "PerturbedGroundState":
+    def build(cls, n_basis: int) -> "PerturbedGroundState":
         if n_basis < 2:
             raise ValueError("basis must contain at least the n = 2 shell")
         ns = tuple(range(2, n_basis + 1))
-        coeff = tuple(field * radial_record(n).I3
+        coeff = tuple(radial_record(n).I3
                       / (math.sqrt(3.0) * transition_energy(n)) for n in ns)
-        return cls(n_basis=n_basis, ns=ns, coefficients=coeff)
+        return cls(ns=ns, coefficients=coeff)
 
 
 def first_moment_residual(state: PerturbedGroundState) -> float:

@@ -1,8 +1,8 @@
-"""Physical constants and Hartree atomic-unit conversions.
+"""Physical constants and the masses of a two-particle atom.
 
-All downstream modules compute internally in Hartree atomic units
-(hbar = e = m_e = 4*pi*eps0 = 1, c0 = 1/alpha) and convert to or from SI
-only at their boundaries, through this module.
+The spectral modules compute in Hartree atomic units
+(hbar = e = m_e = 4*pi*eps0 = 1, c0 = 1/alpha); the SI modules (budget,
+renorm) take their constants from the set held here.
 
 Constant values are CODATA 2018 recommended values, hard-coded for
 reproducibility.
@@ -44,11 +44,6 @@ class PhysicalConstants(NamedTuple):
         """r_e = alpha^2 * a0 [m]."""
         return self.fine_structure_alpha**2 * self.bohr_radius_a0
 
-    @property
-    def atomic_momentum(self) -> float:
-        """Atomic unit of momentum, hbar/a0 [kg m/s]."""
-        return self.hbar / self.bohr_radius_a0
-
 
 _CONSTANTS = PhysicalConstants()
 
@@ -58,40 +53,9 @@ def constants() -> PhysicalConstants:
     return _CONSTANTS
 
 
-# SI value of one atomic unit, per supported quantity kind.
-_ATOMIC_UNIT_SI = {
-    "length": BOHR_RADIUS,
-    "energy": HARTREE_ENERGY,
-    "mass": ELECTRON_MASS,
-    "momentum": HBAR / BOHR_RADIUS,
-}
-
-SUPPORTED_KINDS = tuple(sorted(_ATOMIC_UNIT_SI))
-
-
-def _unit(kind: str) -> float:
-    try:
-        return _ATOMIC_UNIT_SI[kind]
-    except KeyError:
-        raise ValueError(
-            f"unsupported quantity kind {kind!r}; expected one of {SUPPORTED_KINDS}"
-        ) from None
-
-
-def to_atomic(value_si: float, kind: str) -> float:
-    """Convert an SI value to atomic units. Round-trips with from_atomic."""
-    return value_si / _unit(kind)
-
-
-def from_atomic(value_au: float, kind: str) -> float:
-    """Convert an atomic-unit value to SI."""
-    return value_au * _unit(kind)
-
-
 class _AtomicParams(NamedTuple):
     m1: float
     m2: float = 1.0
-    alpha: float = FINE_STRUCTURE_ALPHA
 
 
 class AtomicParams(_AtomicParams):
@@ -108,8 +72,6 @@ class AtomicParams(_AtomicParams):
         self = super().__new__(cls, *args, **kwargs)
         if not self.m1 > self.m2 > 0:
             raise ValueError(f"require m1 > m2 > 0, got m1={self.m1}, m2={self.m2}")
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
         return self
 
     @classmethod
@@ -123,11 +85,6 @@ class AtomicParams(_AtomicParams):
     @property
     def reduced_mass(self) -> float:
         return self.m1 * self.m2 / (self.m1 + self.m2)
-
-    @property
-    def mass_difference(self) -> float:
-        """m1 - m2 > 0 by construction."""
-        return self.m1 - self.m2
 
     @classmethod
     def hydrogen(cls) -> "AtomicParams":

@@ -85,6 +85,9 @@ class Check(NamedTuple):
 
 _C = constants()
 _GRID = [1e16 * 2.0**k for k in range(5)]   # cutoffs of the exponent fits
+# Upper cut of the beta integral: its tail beyond, at most 1e3^-7/7, is far
+# below the integration tolerance.
+_BETA_CUT = 1e3
 
 
 def _value_of(fn: Callable, *args: Any) -> Callable[[_Memo], float]:
@@ -184,8 +187,7 @@ CHECKS: tuple[Check, ...] = (
           _value_of(quadrature.kappa2_continuum, 0.0),
           quadrature.KAPPA2_CONTINUUM_AT_ZERO, 1e-9, text="1/18 to 1e-9"),
     Check("beta_integral_closed_form", lambda m: quadrature.integrate_adaptive(
-        lambda ys: [y**4 / (1 + y * y)**6 for y in ys], 0.0,
-        quadrature.DEFAULT_SPEC.upper_cut).value,
+        lambda ys: [y**4 / (1 + y * y)**6 for y in ys], 0.0, _BETA_CUT).value,
         3 * math.pi / 512, 1e-9, text="3 pi/512 to 1e-9"),
 
     # Adopted totals and the net relative shift.

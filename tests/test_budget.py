@@ -17,6 +17,7 @@ from casimir_momentum.budget import (
     effective_mass_factor,
     transverse_bound,
 )
+from casimir_momentum.sums import polarizability_discrete
 from casimir_momentum.units import constants
 
 CONST = constants()
@@ -101,14 +102,16 @@ def test_mass_coefficient_itemization_exact():
 
 def test_transverse_bound_zero_case():
     fields = FieldConfiguration(E0=[0, 0, 0], B0=[0, 0, 0], Q0=[0, 0, 0])
-    assert transverse_bound(fields, -1e-18, 1e-27) == 0.0
+    assert transverse_bound(fields, -1e-18, 1e-27,
+                            abraham_momentum(fields, ALPHA0_SI)) == 0.0
 
 
 def test_transverse_bound_kinetic_part():
     fields = FieldConfiguration(E0=[0, 0, 0], B0=[0, 0, 0], Q0=[1e-27, 0, 0])
     m_total = CONST.proton_mass + CONST.electron_mass
     ev = 1.602176634e-19
-    bound = transverse_bound(fields, -13.605693 * ev, m_total)
+    bound = transverse_bound(fields, -13.605693 * ev, m_total,
+                             abraham_momentum(fields, ALPHA0_SI))
     assert bound == pytest.approx(ALPHA * 1.449e-8 * 1e-27, rel=1e-3)
     assert bound == pytest.approx(1.06e-37, rel=1e-2)
 
@@ -140,10 +143,10 @@ def test_budget_polarizability_choices():
     factor = np.linalg.norm(rel.abraham) / np.linalg.norm(exact.abraham)
     assert factor == pytest.approx(1.0 - (28.0 / 27.0) * ALPHA**2, rel=1e-12)
     assert 1.0 - factor == pytest.approx(5.52e-5, rel=1e-2)
-    disc = assemble_budget(CROSSED, polarizability_choice="computed_discrete",
-                           discrete_polarizability_au=3.663)
-    assert disc.alpha0_si == pytest.approx(4 * math.pi * 3.663
-                                           * CONST.bohr_radius_a0**3, rel=1e-12)
+    disc = assemble_budget(CROSSED, polarizability_choice="computed_discrete")
+    assert disc.alpha0_si == pytest.approx(
+        4 * math.pi * polarizability_discrete().value * CONST.bohr_radius_a0**3,
+        rel=1e-12)
     assert np.linalg.norm(disc.abraham) < np.linalg.norm(exact.abraham)
 
 

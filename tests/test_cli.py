@@ -8,7 +8,7 @@ import warnings
 
 import pytest
 
-from casimir_momentum import sums, verify
+from casimir_momentum import quadrature, sums, verify
 from casimir_momentum.cli import (SUBCOMMANDS, ReportEnvelope, RunConfig, run,
                                   serialize)
 from casimir_momentum.quadrature import QuadratureSpec
@@ -290,13 +290,23 @@ def test_unknown_flag_usage_exit_2():
     assert b"usage" in proc.stderr.lower()
 
 
-def test_numerical_failure_exit_1_with_diagnostic():
-    # Unreachable tolerances exhaust the subdivision budget.
-    proc = _run("continuum", "--which", "kappa1", "--ymin-grid", "1",
-                "--rel-tol", "1e-300", "--abs-tol", "1e-300")
-    assert proc.returncode == 1
-    assert b"max_subdivisions" in proc.stderr
-    assert b"value=" in proc.stderr  # best estimate attached to the diagnostic
+def test_numerical_failure_exit_1_with_diagnostic(capsys, monkeypatch):
+    # A sawtooth of period 1e-9 that no 2000 bisections resolve exhausts the
+    # subdivision budget; no accepted flag value makes the real integrands do so.
+    monkeypatch.setattr(quadrature, "kappa1_continuum_integrand",
+                        lambda ys: [(y * 1e9 % 1.0) / (1.0 + y * y) for y in ys])
+    assert run(["continuum", "--which", "kappa1", "--ymin-grid", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "max_subdivisions" in err
+    assert "value=" in err  # best estimate attached to the diagnostic
+
+
+def test_rel_tol_below_float_epsilon_refused_before_quadrature(capsys, monkeypatch):
+    # Below the float epsilon no quadrature can meet the tolerance.
+    monkeypatch.setattr(quadrature, "integrate_to_inf",
+                        lambda *a, **k: pytest.fail("the quadrature ran"))
+    assert run(["continuum", "--rel-tol=1e-300"]) == 2
+    assert "--rel-tol" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exit_2():

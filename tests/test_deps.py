@@ -34,22 +34,6 @@ def _python(code: str, python: str = sys.executable,
                           text=text, env=env, timeout=120)
 
 
-def test_import_leaves_scipy_unloaded():
-    proc = _python("import sys, casimir_momentum\n"
-                   "assert 'scipy' not in sys.modules, 'scipy was imported'")
-    assert proc.returncode == 0, proc.stderr
-
-
-def test_subcommands_run_with_scipy_blocked():
-    # A None entry makes any `import scipy...`, hidden or lazy, raise ImportError.
-    proc = _python("import sys\n"
-                   "sys.modules['scipy'] = None\n"
-                   "from casimir_momentum.cli import run\n"
-                   "assert run(['budget']) == 0\n"
-                   "assert run(['polarizability', '--n-max', '100']) == 0")
-    assert proc.returncode == 0, proc.stderr
-
-
 def test_import_loads_only_stdlib_and_package():
     proc = _python("import sys\n"
                    "before = set(sys.modules)\n"

@@ -201,7 +201,7 @@ def test_quadrature_table_row_is_engine_first_pass(table_2_200):
         return (weight * (r, r * r, r * r * r)[p - 1]).tolist()
 
     spec = hyd._RADIAL_QUAD_SPEC
-    res = [integrate_adaptive(lambda rs, p=p: f(rs, p), 0.0, spec.upper_cut,
+    res = [integrate_adaptive(lambda rs, p=p: f(rs, p), 0.0, hyd._RADIAL_CUT,
                               spec, breakpoints=hyd._RADIAL_BREAKPOINTS)
            for p in (1, 2, 3)]
     assert [q.subdivisions for q in res] == [0, 0, 0]
@@ -217,7 +217,7 @@ def test_quadrature_table_falls_back_per_n(monkeypatch):
     # Tolerance between the two largest estimates: only `failing` misses it.
     monkeypatch.setattr(hyd, "_RADIAL_QUAD_SPEC", QuadratureSpec(
         abs_tol=0.5 * (second + worst[failing]), rel_tol=1e-300,
-        max_subdivisions=4000, upper_cut=hyd._RADIAL_QUAD_SPEC.upper_cut))
+        max_subdivisions=4000))
     calls = []
 
     def counting(*args, **kwargs):
@@ -253,12 +253,12 @@ def test_quadrature_table_validation():
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_radial_tail_bound_at_cut(p):
     spec = hyd._RADIAL_QUAD_SPEC
-    bound = hyd._radial_tail_bound(p, spec.upper_cut)
+    bound = hyd._radial_tail_bound(p, hyd._RADIAL_CUT)
     assert tail_bound_ok(bound, spec)
     # The incomplete-gamma closed form against quadrature of the envelope.
     envelope = integrate_to_inf(
         lambda rs: [(4.0 / 3.0) * 2.0**-1.5 * r ** (p + 1) * math.exp(-r) for r in rs],
-        spec.upper_cut, QuadratureSpec(abs_tol=1e-40, rel_tol=1e-12))
+        hyd._RADIAL_CUT, QuadratureSpec(abs_tol=1e-40, rel_tol=1e-12))
     assert bound == pytest.approx(envelope.value, rel=1e-10, abs=0.0)
 
 

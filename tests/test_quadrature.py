@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from casimir_momentum import verify
 from casimir_momentum.quadrature import (
     DEFAULT_SPEC,
     KAPPA1_CONTINUUM_AT_ZERO,
@@ -33,7 +34,7 @@ def test_polynomial():
 def test_beta_integral_via_upper_cut():
     # Tail beyond the cut is bounded by int_Y^inf y^-8 = Y^-7/7; the value
     # on the cut is the verify check beta_integral_closed_form.
-    assert tail_bound_ok(DEFAULT_SPEC.upper_cut**-7 / 7.0, DEFAULT_SPEC)
+    assert tail_bound_ok(verify._BETA_CUT**-7 / 7.0, DEFAULT_SPEC)
 
 
 def test_interior_kink_converges_with_subdivisions():

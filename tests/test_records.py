@@ -23,7 +23,7 @@ EXAMPLES = {
     budget.MomentumBudget: lambda: budget.assemble_budget(_FIELDS),
     renorm.DispersionModel: lambda: renorm.DispersionModel.dispersionless(2.0),
     renorm.CutoffScheme: lambda: renorm.CutoffScheme.frequency(1e20),
-    sums.TailEstimate: lambda: sums.TailEstimate(0.0, 0.0, "zero"),
+    sums.TailEstimate: lambda: sums.TailEstimate(0.0, 0.0),
     sums.SpectralSumResult: lambda: sums.bethe_sum(20),
     sums.PerturbedGroundState: lambda: sums.PerturbedGroundState.build(5),
     quadrature.QuadratureSpec: quadrature.QuadratureSpec,
@@ -46,7 +46,6 @@ EXAMPLES = {
 INVALID = [
     (units.AtomicParams, {"m1": 1.0, "m2": 2.0},
      "require m1 > m2 > 0, got m1=1.0, m2=2.0"),
-    (units.AtomicParams, {"m1": 2.0, "alpha": 0.0}, "alpha must be positive"),
     (hydrogen.BoundStateLabel, {"n": 0, "l": 0}, "n must be a positive integer"),
     (hydrogen.BoundStateLabel, {"n": 1, "l": 1},
      "require 0 <= l <= min(1, n-1), got n=1, l=1"),
@@ -54,7 +53,6 @@ INVALID = [
     (quadrature.QuadratureSpec, {"rel_tol": -1.0}, "tolerances must be positive"),
     (quadrature.QuadratureSpec, {"max_subdivisions": 0},
      "max_subdivisions must be >= 1"),
-    (quadrature.QuadratureSpec, {"upper_cut": 0.0}, "upper_cut must be positive"),
     (renorm.DispersionModel, {"kind": "dispersionless", "eps_r": 1.0},
      "dispersionless model requires eps_r > 1"),
     (renorm.DispersionModel, {"kind": "free_electron"},

@@ -3,12 +3,7 @@ import math
 import pytest
 
 from casimir_momentum import verify
-from casimir_momentum.units import (
-    AtomicParams,
-    constants,
-    from_atomic,
-    to_atomic,
-)
+from casimir_momentum.units import HARTREE_ENERGY, AtomicParams, constants
 
 CONST = constants()
 
@@ -50,36 +45,15 @@ def test_hartree_coulomb_consistency_chain():
     assert _BAND["units_coulomb_identity"].passes(coulomb / CONST.hartree_energy)
 
 
-def test_to_atomic_unit_definitions():
-    assert to_atomic(CONST.hartree_energy, "energy") == pytest.approx(1.0, rel=1e-14)
-    assert to_atomic(CONST.bohr_radius_a0, "length") == pytest.approx(1.0, rel=1e-14)
-    assert to_atomic(CONST.electron_mass, "mass") == pytest.approx(1.0, rel=1e-14)
-
-
 def test_rydberg_in_ev_converts_to_half_hartree():
     ev = 1.602176634e-19
-    assert to_atomic(13.605693 * ev, "energy") == pytest.approx(0.5, rel=1e-6)
-
-
-@pytest.mark.parametrize("kind", ["length", "energy", "mass", "momentum"])
-@pytest.mark.parametrize("value", [1e-30, 2.5e-7, 1.0, 3.7e4, 9.9e20])
-def test_round_trip(kind, value):
-    assert from_atomic(to_atomic(value, kind), kind) == pytest.approx(value, rel=1e-12)
-    assert to_atomic(from_atomic(value, kind), kind) == pytest.approx(value, rel=1e-12)
-
-
-def test_unsupported_kind_rejected():
-    with pytest.raises(ValueError, match="unsupported"):
-        to_atomic(1.0, "charge")
-    with pytest.raises(ValueError, match="unsupported"):
-        from_atomic(1.0, "time")
+    assert 13.605693 * ev / HARTREE_ENERGY == pytest.approx(0.5, rel=1e-6)
 
 
 def test_hydrogen_params():
     atom = AtomicParams.hydrogen()
     assert atom.m1 == pytest.approx(1836.15267343, rel=1e-9)
     assert atom.m2 == 1.0
-    assert atom.mass_difference > 0
     assert atom.total_mass == atom.m1 + atom.m2
     mu = atom.m1 * atom.m2 / (atom.m1 + atom.m2)
     assert atom.reduced_mass == pytest.approx(mu, rel=1e-15)
