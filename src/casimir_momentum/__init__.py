@@ -20,13 +20,10 @@ from .budget import (
     transverse_bound,
 )
 from .hydrogen import (
-    BoundStateLabel,
     RadialIntegralRecord,
     energy,
     oscillator_strength,
-    radial_integral,
     radial_record,
-    radial_wavefunction,
 )
 from .quadrature import (
     ContinuumResult,

@@ -19,7 +19,6 @@ import time
 from typing import Any, Callable, NamedTuple
 
 from . import __version__, budget, quadrature, renorm, sums, units
-from .hydrogen import RadialIntegralMismatch
 from .quadrature import QuadratureError, QuadratureSpec
 from .renorm import CutoffScheme, DispersionModel, MassShiftMismatch
 from .units import constants
@@ -124,7 +123,8 @@ def serialize(report: ReportEnvelope, output_format: str) -> bytes:
 _BUDGET_MAGNITUDE_MAX = 1e50
 
 # Largest accepted --n-max: a radial record is cached for every n up to it,
-# and kappas at the ceiling takes about 1.3 s and 100 MB peak.
+# and kappas at the ceiling takes about 0.7 s and 55 MB peak RSS as a fresh
+# process (2-core host, Python 3.11).
 _N_MAX_CEILING = 100_000
 
 
@@ -222,6 +222,8 @@ def _switch(name: str, help: str) -> Param:
 
 
 _TAIL = _switch("tail", "power-law tail beyond n_max")
+# With the tail on, the terms n = 2..n_max must fill the tail fit's window.
+_TAIL_N_MAX_MIN = sums._MIN_TAIL_POINTS + 1
 # A relative tolerance below the float epsilon cannot be met: the quadrature
 # would spend its whole subdivision budget and fail.
 _TOLERANCES = (
@@ -555,6 +557,11 @@ def run(argv: list[str] | None = None) -> int:
         params = _effective_params(args, (*cmd.params, _FORMAT))
         fmt = _FORMAT.checked(params.pop("format"))
         checked = {p.name: p.checked(params[p.name]) for p in cmd.params}
+        if checked.get("tail"):
+            _require(checked["n_max"] >= _TAIL_N_MAX_MIN,
+                     f"--n-max must be >= {_TAIL_N_MAX_MIN} with --tail on (the "
+                     f"tail fit needs {sums._MIN_TAIL_POINTS} terms), got "
+                     f"{checked['n_max']}")
         out_path = args.output
         config = RunConfig(subcommand=args.subcommand, params=params,
                            output_format=fmt, output_path=out_path)
@@ -587,7 +594,7 @@ def run(argv: list[str] | None = None) -> int:
         if args.subcommand == "verify":
             return 0 if results["checks_failed"]["value"] == 0 else 1
         return 0
-    except (QuadratureError, RadialIntegralMismatch, MassShiftMismatch) as exc:
+    except (QuadratureError, MassShiftMismatch) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -11,8 +11,8 @@ Every radial integral I_p(n) = int_0^inf R_10(r) R_n1(r) r^p dr, p in
   I_3 is Gordon's dipole integral (Ann. Phys. 2, 1031, 1929; Bethe &
   Salpeter 1957); all three follow from integrating the Laguerre expansion
   of R_n1 against 2 e^(-r) r^(p+1) term by term;
-* quadrature  -- Gauss-Kronrod integration of the numerically evaluated
-  wavefunctions on [0, 64] for every n. The cut rests on a proven bound:
+* quadrature  -- Gauss-Kronrod integration of R_n1 from its Laguerre
+  recurrence on [0, 64] for every n. The cut rests on a proven bound:
   |L_k^a(x)| <= C(k+a, k) e^(x/2) for x, a >= 0 (DLMF 18.14.8) gives
   |R_n1(r)| <= 2r/(3 n^1.5), so |2 e^(-r) R_n1(r) r^p| <= (4/3) 2^-1.5
   r^(p+1) e^(-r) for n >= 2, and the part beyond r = 64 is at most
@@ -21,15 +21,15 @@ Every radial integral I_p(n) = int_0^inf R_10(r) R_n1(r) r^p dr, p in
   over an (n x 195 node) numpy array gives the integrand on the fixed
   13-segment partition of [0, 64], and each n takes the engine's own
   segment_estimate (K15 value, sharpened |K15 - G7| error) of every
-  segment. An n whose estimate
-  misses the tolerance is integrated adaptively on its own; the route never
-  reads the closed forms.
+  segment. An n whose estimate misses the tolerance is integrated
+  adaptively on its own, on the same integrand; the route never reads the
+  closed forms.
 
 The two routes form the module's built-in oracle and must agree to 1e-10
-in relative terms; a disagreement beyond 1e-8 raises hard. numpy is
-imported only inside the quadrature route (quadrature_table,
-_radial_weights, _adaptive_row, _laguerre_scaled, radial_wavefunction),
-so the closed-form route and every module that reads it run without it.
+in relative terms (verify's radial_dual_route_nle200 row and the test
+suite check it). numpy is imported only inside the quadrature route
+(quadrature_table, _radial_weights, _adaptive_row), so the closed-form
+route and every module that reads it run without it.
 
 The angular sums over m and Cartesian components that accompany these
 integrals in second-order coefficients reduce to a unit factor for
@@ -54,38 +54,12 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-class _BoundStateLabel(NamedTuple):
-    n: int
-    l: int
-
-
-class BoundStateLabel(_BoundStateLabel):
-    """Principal and orbital quantum numbers of a bound state, l <= 1."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> "BoundStateLabel":
-        self = super().__new__(cls, *args, **kwargs)
-        if self.n < 1:
-            raise ValueError("n must be a positive integer")
-        if not 0 <= self.l <= min(1, self.n - 1):
-            raise ValueError(f"require 0 <= l <= min(1, n-1), got n={self.n}, l={self.l}")
-        return self
-
-    @classmethod
-    def _make(cls, iterable) -> "BoundStateLabel":   # so _replace checks too
-        return cls(*iterable)
-
-
 class RadialIntegralRecord(NamedTuple):
     """The triple I_1(n), I_2(n), I_3(n) of one n, by one route."""
 
     I1: float
     I2: float
     I3: float
-
-    def integral(self, p: int) -> float:
-        return (self.I1, self.I2, self.I3)[p - 1]
 
 
 def energy(n: int) -> float:
@@ -98,61 +72,6 @@ def energy(n: int) -> float:
 def transition_energy(n: int) -> float:
     """Excitation energy E_n - E_1 in hartree."""
     return energy(n) - energy(1)
-
-
-def _laguerre_scaled(k: int, alpha: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Generalized Laguerre L_k^alpha(x) as (mantissa, exp2), elementwise.
-
-    Upward three-term recurrence in the degree with power-of-two rescaling,
-    so intermediate values never overflow even far outside the oscillatory
-    region (x >> 4k), where the polynomial grows like x^k/k!.
-
-    The rescale test runs every `every` steps and after the last one. As
-    (i+1) |L_{i+1}| <= (3i + 1 + 2 alpha + |x|) max(|L_i|, |L_{i-1}|), a step
-    grows that max by at most g = 3k + 2 alpha + 1 + max|x|; g^every <= 2^400
-    keeps values, and products before the division, below 2^900 between tests.
-    """
-    import numpy as np
-    x = np.asarray(x, dtype=float)
-    exp2 = np.zeros_like(x)
-    prev = np.ones_like(x)
-    if k == 0:
-        return prev, exp2
-    cur = 1.0 + alpha - x
-    g = 3 * k + 2 * alpha + 1 + float(np.max(np.abs(x), initial=0.0))
-    every = max(1, int(400 // math.log2(g)))
-    for i in range(1, k):
-        prev, cur = cur, ((2 * i + 1 + alpha - x) * cur - (i + alpha) * prev) / (i + 1)
-        if i % every == 0 or i == k - 1:
-            big = np.maximum(np.abs(cur), np.abs(prev)) > 2.0**500
-            if np.any(big):
-                cur[big] *= 2.0**-512
-                prev[big] *= 2.0**-512
-                exp2[big] += 512.0
-    return cur, exp2
-
-
-def radial_wavefunction(state: BoundStateLabel, r: np.ndarray | float) -> np.ndarray | float:
-    """Normalized radial function R_{nl}(r), r in Bohr radii, R in a0^(-3/2).
-
-    R_{nl}(r) = (2/n^2) sqrt((n-l-1)!/(n+l)!) (2r/n)^l e^(-r/n)
-                L_{n-l-1}^{2l+1}(2r/n)
-
-    The factorial ratio collapses to 1/sqrt(prod_{k=n-l}^{n+l} k), so the
-    normalization needs no large factorials; the Laguerre factor is evaluated
-    with the rescaled recurrence above.
-    """
-    import numpy as np
-    n, l = state.n, state.l
-    scalar = np.isscalar(r)
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    if not np.all(r >= 0):
-        raise ValueError("r must be >= 0")
-    norm = 2.0 / n**2 / math.sqrt(math.prod(range(n - l, n + l + 1)))
-    x = 2.0 * r / n
-    mant, exp2 = _laguerre_scaled(n - l - 1, 2 * l + 1, x)
-    out = norm * x**l * mant * np.exp(exp2 * math.log(2.0) - r / n)
-    return float(out[0]) if scalar else out
 
 
 def _closed_form(n: int) -> tuple[float, float, float]:
@@ -243,14 +162,15 @@ def _radial_weights(ns: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def _adaptive_row(n: int) -> RadialQuadrature:
-    """The quadrature route for one n by integrate_adaptive, which subdivides
-    where the fixed partition is not enough."""
+    """The quadrature route for one n by integrate_adaptive on the kernel's
+    own integrand: its first pass is the table row, and it subdivides where
+    the fixed partition is not enough."""
     import numpy as np
-    state = BoundStateLabel(n, 1)
+    ns = np.array([float(n)])
 
     def f(rs: list[float], p: int) -> list[float]:
         r = np.asarray(rs)
-        return (2.0 * np.exp(-r) * radial_wavefunction(state, r) * r**p).tolist()
+        return (_radial_weights(ns, r)[0] * (r, r * r, r * r * r)[p - 1]).tolist()
 
     res = [integrate_adaptive(partial(f, p=p), 0.0, _RADIAL_CUT,
                               _RADIAL_QUAD_SPEC, breakpoints=_RADIAL_BREAKPOINTS)
@@ -299,36 +219,13 @@ def _quadrature_integrals(n: int) -> tuple[float, float, float]:
     return quadrature_table(n, n)[n].values
 
 
-class RadialIntegralMismatch(RuntimeError):
-    """Closed-form and quadrature values of I_p(n) disagree beyond 1e-8."""
-
-
-def radial_integral(n: int, p: int) -> float:
-    """I_p(n) for n >= 2, p in {1, 2, 3}, by closed form checked by quadrature.
-
-    The two routes must agree to 1e-8 relative or the call fails hard (a
-    numerics bug, not a data condition).
-    """
-    if p not in (1, 2, 3):
-        raise ValueError("p must be 1, 2 or 3")
-    closed = radial_record(n).integral(p)
-    quad = radial_record(n, "quadrature").integral(p)
-    rel = abs(quad - closed) / abs(closed)
-    if rel > 1e-8:
-        raise RadialIntegralMismatch(
-            f"I_{p}({n}): closed_form={closed!r} quadrature={quad!r} "
-            f"(relative {rel:.3e})"
-        )
-    return closed
-
-
 @lru_cache(maxsize=None)
 def radial_record(n: int, method: str = "closed_form") -> RadialIntegralRecord:
     """The full (I1, I2, I3) record by one named route, memoized.
 
     Bulk consumers (spectral sums) read closed-form records; the
-    route-agreement oracle is exercised by radial_integral and the test
-    suite rather than on every table fill.
+    route-agreement oracle is exercised by verify and the test suite rather
+    than on every table fill.
     """
     if not (n >= 2 and n % 1 == 0):
         raise ValueError("n must be an integer >= 2 (1s -> np integrals)")

@@ -132,18 +132,14 @@ def tail_extrapolate(ns: Sequence[int], terms: Sequence[float]) -> TailEstimate:
 
 
 class SpectralSumResult(NamedTuple):
-    """A discrete sum with its truncation trace and tail accounting."""
+    """A discrete sum with its tail accounting; `partial` is the compensated
+    sum of the explicitly computed terms n = 2..n_max."""
 
     value: float
     n_max: int
-    partial_sums: tuple[tuple[int, float], ...]
+    partial: float
     tail_estimate: float
     error_bound: float
-
-    @property
-    def partial(self) -> float:
-        """Compensated sum of the explicitly computed terms."""
-        return self.partial_sums[-1][1]
 
 
 def _crude_tail_bound(n_max: int, last_term: float) -> float:
@@ -156,11 +152,8 @@ def _spectral_sum(term: Callable[[int], float], n_max: int,
                   tail: bool) -> SpectralSumResult:
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    ns = range(2, n_max + 1)
-    terms = [term(n) for n in ns]
-    cum = neumaier_cumsum(terms)
-    partial_sums = tuple(zip(ns, cum))
-    partial = cum[-1]
+    terms = [term(n) for n in range(2, n_max + 1)]
+    partial = neumaier_cumsum(terms)[-1]
 
     if tail:
         fit_lo = max(2, n_max // 2)
@@ -174,11 +167,11 @@ def _spectral_sum(term: Callable[[int], float], n_max: int,
             )
         est = tail_extrapolate(window, [terms[n - 2] for n in window])
         return SpectralSumResult(
-            value=partial + est.value, n_max=n_max, partial_sums=partial_sums,
+            value=partial + est.value, n_max=n_max, partial=partial,
             tail_estimate=est.value, error_bound=est.error_bound,
         )
     return SpectralSumResult(
-        value=partial, n_max=n_max, partial_sums=partial_sums,
+        value=partial, n_max=n_max, partial=partial,
         tail_estimate=0.0, error_bound=_crude_tail_bound(n_max, terms[-1]),
     )
 
@@ -237,8 +230,7 @@ def oscillator_strength_sum(n_max: int = DEFAULT_N_MAX_POLARIZABILITY,
     return _spectral_sum(oscillator_strength, n_max, tail)
 
 
-def normalization_constant(log_value: float,
-                           bethe: SpectralSumResult | float) -> float:
+def normalization_constant(log_value: float, bethe: SpectralSumResult) -> float:
     """Ground-state normalization deficit as the coefficient of alpha^3.
 
     (1/pi) (-log_value - 1/2) S_B, where S_B is the constant-log sum above
@@ -246,8 +238,7 @@ def normalization_constant(log_value: float,
     standard value used in excitation-spectrum averages). With S_B = 0.336
     the coefficient is 0.84.
     """
-    s_b = bethe.value if isinstance(bethe, SpectralSumResult) else float(bethe)
-    return (-log_value - 0.5) * s_b / math.pi
+    return (-log_value - 0.5) * bethe.value / math.pi
 
 
 class PerturbedGroundState(NamedTuple):

@@ -186,6 +186,24 @@ def test_n_max_ceiling_refused_before_table_fill(capsys, monkeypatch, value):
     assert "--n-max" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["kappas", "--n-max=5"],
+    ["bethe", "--n-max=3"],
+    ["polarizability", "--n-max=8", "--tail=on"],
+])
+def test_n_max_below_tail_window_refused_before_sums(exits_cleanly, capsys,
+                                                     monkeypatch, argv):
+    # With the tail on, the terms n = 2..n_max must fill the tail fit's
+    # window: refused naming both flags, before --config-dump and any sum.
+    monkeypatch.setattr(sums, "_spectral_sum", lambda *a: pytest.fail("ran"))
+    exits_cleanly(argv)
+    for extra in ([], ["--config-dump"]):
+        assert run(argv + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--n-max" in captured.err and "--tail" in captured.err
+
+
 def test_budget_at_magnitude_ceiling_finite(capsys):
     # The largest accepted fields, pseudo-momentum and kappas still give a
     # finite report without a numpy RuntimeWarning.

@@ -30,7 +30,6 @@ EXAMPLES = {
     quadrature.QuadratureResult: lambda: quadrature.QuadratureResult(
         1.0, 1e-15, 15, 1),
     quadrature.ContinuumResult: lambda: quadrature.kappa2_continuum(1.0),
-    hydrogen.BoundStateLabel: lambda: hydrogen.BoundStateLabel(2, 1),
     hydrogen.RadialIntegralRecord: lambda: hydrogen.radial_record(2),
     hydrogen.RadialQuadrature: lambda: hydrogen.RadialQuadrature(
         (1.0, 2.0, 3.0), (0.0, 0.0, 0.0)),
@@ -46,9 +45,6 @@ EXAMPLES = {
 INVALID = [
     (units.AtomicParams, {"m1": 1.0, "m2": 2.0},
      "require m1 > m2 > 0, got m1=1.0, m2=2.0"),
-    (hydrogen.BoundStateLabel, {"n": 0, "l": 0}, "n must be a positive integer"),
-    (hydrogen.BoundStateLabel, {"n": 1, "l": 1},
-     "require 0 <= l <= min(1, n-1), got n=1, l=1"),
     (quadrature.QuadratureSpec, {"abs_tol": 0.0}, "tolerances must be positive"),
     (quadrature.QuadratureSpec, {"rel_tol": -1.0}, "tolerances must be positive"),
     (quadrature.QuadratureSpec, {"max_subdivisions": 0},

@@ -6,6 +6,7 @@ from casimir_momentum import verify
 from casimir_momentum.sums import (
     POLARIZABILITY_EXACT_AU,
     PerturbedGroundState,
+    SpectralSumResult,
     bethe_sum,
     first_moment_residual,
     hurwitz_zeta,
@@ -104,7 +105,7 @@ def test_kappa1_first_term():
     expected = (2.0 / 27.0) * I1_2 * I3_2 / 0.375**2
     assert res.value == pytest.approx(expected, rel=1e-12)
     assert res.value == pytest.approx(0.16441, abs=1e-4)
-    assert len(res.partial_sums) == 1
+    assert res.partial == res.value
 
 
 def test_kappa2_first_term():
@@ -144,12 +145,14 @@ def test_polarizability_values():
     res = polarizability_discrete(400, tail=True)
     assert res.value < POLARIZABILITY_EXACT_AU
     # All truncations stay below the exact total; continuum part is positive.
-    assert all(v < POLARIZABILITY_EXACT_AU for _, v in res.partial_sums)
+    assert all(polarizability_discrete(n, tail=False).value < POLARIZABILITY_EXACT_AU
+               for n in range(2, 401))
 
 
 def test_oscillator_sum_value():
-    res = oscillator_strength_sum(400, tail=True)
-    assert all(v < 1.0 for _, v in res.partial_sums)
+    assert oscillator_strength_sum(400, tail=True).value < 1.0
+    assert all(oscillator_strength_sum(n, tail=False).value < 1.0
+               for n in range(2, 401))
 
 
 def test_kappa2_monotone_in_n_max():
@@ -157,14 +160,13 @@ def test_kappa2_monotone_in_n_max():
 
 
 def test_kappa1_positive_every_truncation():
-    res = kappa1_discrete(80, tail=False)
-    assert all(v > 0 for _, v in res.partial_sums)
+    assert all(kappa1_discrete(n, tail=False).value > 0 for n in range(2, 81))
 
 
 def test_value_decomposition_identity():
     res = kappa1_discrete(64, tail=True)
-    assert res.value == res.partial_sums[-1][1] + res.tail_estimate
-    assert res.partial == res.partial_sums[-1][1]
+    assert res.value == res.partial + res.tail_estimate
+    assert res.partial == kappa1_discrete(64, tail=False).value
 
 
 @pytest.mark.parametrize("op", [kappa1_discrete, kappa2_discrete, bethe_sum,
@@ -192,7 +194,7 @@ def test_repeated_runs_bit_identical():
     a = kappa1_discrete(120, tail=True)
     b = kappa1_discrete(120, tail=True)
     assert a.value == b.value
-    assert a.partial_sums == b.partial_sums
+    assert a.partial == b.partial
     assert a.tail_estimate == b.tail_estimate
 
 
@@ -214,13 +216,18 @@ def test_neumaier_handles_cancellation():
 
 # --- normalization coefficient ----------------------------------------------
 
+def _bethe(value: float) -> SpectralSumResult:
+    return SpectralSumResult(value=value, n_max=200, partial=value,
+                             tail_estimate=0.0, error_bound=0.0)
+
+
 def test_normalization_constant_published_inputs():
-    assert normalization_constant(-8.35, 0.336) == pytest.approx(0.8395, abs=0.01)
+    assert normalization_constant(-8.35, _bethe(0.336)) == pytest.approx(0.8395, abs=0.01)
 
 
 def test_normalization_constant_zero_cases():
-    assert normalization_constant(-0.5, 0.7) == 0.0
-    assert normalization_constant(-8.35, 0.0) == 0.0
+    assert normalization_constant(-0.5, _bethe(0.7)) == 0.0
+    assert normalization_constant(-8.35, _bethe(0.0)) == 0.0
 
 
 # --- finite-basis first moment ----------------------------------------------
