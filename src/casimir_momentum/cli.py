@@ -122,9 +122,10 @@ def serialize(report: ReportEnvelope, output_format: str) -> bytes:
 # far above any physical value, it keeps every product in the budget finite.
 _BUDGET_MAGNITUDE_MAX = 1e50
 
-# Largest accepted --n-max: a radial record is cached for every n up to it,
-# and kappas at the ceiling takes about 0.7 s and 55 MB peak RSS as a fresh
-# process (2-core host, Python 3.11).
+# Largest accepted --n-max: the sums keep four closed-form columns of 8
+# bytes per n and value up to it, and the tail-fit window; kappas at the
+# ceiling takes about 0.7 s and 29 MB peak RSS as a fresh process (2-core
+# host, Python 3.11).
 _N_MAX_CEILING = 100_000
 
 

@@ -31,6 +31,14 @@ suite check it). numpy is imported only inside the quadrature route
 (quadrature_table, _radial_weights, _adaptive_row), so the closed-form
 route and every module that reads it run without it.
 
+Two interfaces read the closed forms. `radial_record(n, method)` gives one
+n by a named route, memoized per n. `closed_form_columns(n_max)` gives four
+flat array('d') columns, I1, I2, I3 and dE = transition_energy(n), row
+n - 2 for n = 2, 3, ...: the bulk spectral sums read them in one pass.
+The columns grow on demand under a lock, one _closed_form(n) per row, so a
+row holds the same bits as radial_record(n). They take 32 bytes per n; a
+memoized record with its cache entry takes about 205.
+
 The angular sums over m and Cartesian components that accompany these
 integrals in second-order coefficients reduce to a unit factor for
 s <-> p transitions and are never enumerated here.
@@ -39,6 +47,7 @@ s <-> p transitions and are never enumerated here.
 from __future__ import annotations
 
 import math
+import threading
 from functools import lru_cache, partial
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -223,9 +232,9 @@ def _quadrature_integrals(n: int) -> tuple[float, float, float]:
 def radial_record(n: int, method: str = "closed_form") -> RadialIntegralRecord:
     """The full (I1, I2, I3) record by one named route, memoized.
 
-    Bulk consumers (spectral sums) read closed-form records; the
-    route-agreement oracle is exercised by verify and the test suite rather
-    than on every table fill.
+    The single-n interface: bulk consumers (the spectral sums) read
+    closed_form_columns instead. The route-agreement oracle is exercised by
+    verify and the test suite rather than on every table fill.
     """
     if not (n >= 2 and n % 1 == 0):
         raise ValueError("n must be an integer >= 2 (1s -> np integrals)")
@@ -236,9 +245,39 @@ def radial_record(n: int, method: str = "closed_form") -> RadialIntegralRecord:
     return RadialIntegralRecord(I1=i1, I2=i2, I3=i3)
 
 
+_COLUMNS_LOCK = threading.Lock()
+_COLUMNS: list = []   # the array('d') columns I1, I2, I3, dE once first filled
+
+
+def closed_form_columns(n_max: int) -> tuple:
+    """The closed-form columns (I1, I2, I3, dE), row n - 2 for n = 2, 3, ...
+
+    Grows them to at least n = n_max and returns the columns themselves,
+    which may already run past n_max. Rows are only ever appended, under
+    the lock, so a reader that stops at row n_max - 2 sees every value it
+    reads complete.
+    """
+    with _COLUMNS_LOCK:
+        if not _COLUMNS:
+            from array import array   # only the bulk sums need the extension
+            _COLUMNS.extend(array("d") for _ in range(4))
+        i1, i2, i3, de = _COLUMNS
+        for n in range(len(de) + 2, n_max + 1):
+            a, b, c = _closed_form(n)
+            i1.append(a)
+            i2.append(b)
+            i3.append(c)
+            de.append(transition_energy(n))
+        return tuple(_COLUMNS)
+
+
+def _oscillator(de: float, i3: float) -> float:
+    """f = (2/3) dE I_3^2, for one n and for the bulk oscillator sum alike."""
+    return (2.0 / 3.0) * de * i3 * i3
+
+
 def oscillator_strength(n: int) -> float:
     """Absorption oscillator strength f(1s -> np) = (2/3) dE_n I_3(n)^2."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    i3 = radial_record(n).I3
-    return (2.0 / 3.0) * transition_energy(n) * i3 * i3
+    return _oscillator(transition_energy(n), radial_record(n).I3)

@@ -2,20 +2,33 @@
 
 All sums run over the 1s -> np series in a fixed ascending index order and
 accumulate with Neumaier compensation, so results are bit-identical from run
-to run regardless of how the term values were produced. Truncation beyond
-n_max is handled by fitting the term sequence to a/n^3 + b/n^4 on the upper
-half of the window and summing the model analytically with the Hurwitz zeta,
-computed in-house by `hurwitz_zeta` (direct terms, then an Euler-Maclaurin
-tail).
+to run regardless of how the term values were produced. Each series builds
+its terms in one pass over the closed-form columns of
+`hydrogen.closed_form_columns` (flat I1, I2, I3 and dE arrays); the sum keeps
+a running total and only the terms of the tail-fit window, so its memory
+beyond the columns is the window alone. Truncation beyond n_max is handled
+by fitting the term sequence to a/n^3 + b/n^4 on the upper half of the
+window and summing the model analytically with the Hurwitz zeta, computed
+in-house by `hurwitz_zeta` (direct terms, then an Euler-Maclaurin tail).
+The part of the fit that depends on the window alone is built once per
+window.
 """
 
 from __future__ import annotations
 
 import math
-from operator import mul
-from typing import Callable, NamedTuple, Sequence
+from collections import deque
+from functools import lru_cache
+from itertools import islice, tee
+from operator import lt, mul
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .hydrogen import oscillator_strength, radial_record, transition_energy
+from .hydrogen import (
+    _oscillator,
+    closed_form_columns,
+    radial_record,
+    transition_energy,
+)
 
 DEFAULT_N_MAX_KAPPA = 200
 DEFAULT_N_MAX_POLARIZABILITY = 400
@@ -59,11 +72,10 @@ def hurwitz_zeta(s: float, a: float) -> float:
     return total
 
 
-def neumaier_cumsum(terms: Sequence[float]) -> list[float]:
-    """Running compensated sums of terms, in the given order."""
+def _neumaier_running(terms: Iterable[float]) -> Iterator[float]:
+    """Yields the running compensated sum of terms after each one, in order."""
     total = 0.0
     comp = 0.0
-    out = []
     for t in terms:
         s = total + t
         if abs(total) >= abs(t):
@@ -71,13 +83,48 @@ def neumaier_cumsum(terms: Sequence[float]) -> list[float]:
         else:
             comp += (t - s) + total
         total = s
-        out.append(total + comp)
-    return out
+        yield total + comp
+
+
+def neumaier_cumsum(terms: Iterable[float]) -> list[float]:
+    """Running compensated sums of terms, in the given order."""
+    return list(_neumaier_running(terms))
 
 
 class TailEstimate(NamedTuple):
     value: float
     error_bound: float
+
+
+class _WindowFit(NamedTuple):
+    """What the tail fit needs of its window alone: the scaled basis u, v,
+    its normal-matrix entries and determinant, and the zeta sums z3, z4."""
+
+    u: tuple[float, ...]
+    v: tuple[float, ...]
+    suu: float
+    suv: float
+    svv: float
+    det: float
+    z3: float
+    z4: float
+
+
+# A window of m points keeps 3 m floats here; 8 windows cover the sums of
+# one convergence study over 8 values of n_max.
+@lru_cache(maxsize=8)
+def _window_fit(ns: tuple[float, ...]) -> _WindowFit:
+    # The basis is n^-3 and n^-4 scaled by n_last^3 and n_last^4: O(1) on
+    # the fit window (at most 8 and 16 there), where they are nearly
+    # collinear, instead of n^-6..n^-8 entries in the normal matrix.
+    n_last = ns[-1]
+    u = tuple((n_last / n) ** 3 for n in ns)
+    v = tuple((n_last / n) ** 4 for n in ns)
+    suu, suv, svv = (math.fsum(map(mul, x, y)) for x, y in ((u, u), (u, v), (v, v)))
+    return _WindowFit(u, v, suu, suv, svv,
+                      det=math.fsum([suu * svv, -suv * suv]),
+                      z3=n_last**3 * hurwitz_zeta(3.0, n_last + 1.0),
+                      z4=n_last**4 * hurwitz_zeta(4.0, n_last + 1.0))
 
 
 def tail_extrapolate(ns: Sequence[int], terms: Sequence[float]) -> TailEstimate:
@@ -90,40 +137,31 @@ def tail_extrapolate(ns: Sequence[int], terms: Sequence[float]) -> TailEstimate:
     sensitivity to dropping the n^-4 term with the worst relative fit
     residual.
     """
-    ns = [float(n) for n in ns]
-    terms = [float(t) for t in terms]
+    ns = tuple(map(float, ns))
+    terms = tuple(map(float, terms))
     if len(ns) != len(terms):
         raise ValueError("ns and terms must be 1-D sequences of equal length")
     if len(ns) < _MIN_TAIL_POINTS:
         raise ValueError(f"need at least {_MIN_TAIL_POINTS} fit points, got {len(ns)}")
     if not all(map(math.isfinite, ns + terms)):
         raise ValueError("the tail fit input is not finite")
-    if ns[0] <= 0 or any(b <= a for a, b in zip(ns, ns[1:])):
+    if ns[0] <= 0 or not all(map(lt, ns, ns[1:])):
         raise ValueError("ns must be positive and strictly increasing")
     if not any(terms):
         return TailEstimate(value=0.0, error_bound=0.0)
     if min(terms) < 0.0 < max(terms):
         raise ValueError("terms change sign; the a/n^3 + b/n^4 tail model is invalid")
 
-    # The columns are n^-3 and n^-4 scaled by n_last^3 and n_last^4: O(1) on
-    # the fit window (at most 8 and 16 there), where they are nearly
-    # collinear, instead of n^-6..n^-8 entries in the normal matrix.
-    n_last = ns[-1]
     try:
-        u = [(n_last / n) ** 3 for n in ns]
-        v = [(n_last / n) ** 4 for n in ns]
-        suu, suv, svv, sut, svt = (math.fsum(map(mul, x, y)) for x, y in (
-            (u, u), (u, v), (v, v), (u, terms), (v, terms)))
-        det = math.fsum([suu * svv, -suv * suv])
-        c3 = math.fsum([svv * sut, -suv * svt]) / det
-        c4 = math.fsum([suu * svt, -suv * sut]) / det
-        z3 = n_last**3 * hurwitz_zeta(3.0, n_last + 1.0)
-        z4 = n_last**4 * hurwitz_zeta(4.0, n_last + 1.0)
-        tail = c3 * z3 + c4 * z4
-        fitted = [c3 * a + c4 * b for a, b in zip(u, v)]
-        rel_resid = max((abs(t - f) / abs(f) for t, f in zip(terms, fitted)
-                         if f != 0.0), default=0.0)
-        error = abs(tail - sut / suu * z3) + rel_resid * abs(tail)
+        w = _window_fit(ns)
+        sut, svt = (math.fsum(map(mul, x, terms)) for x in (w.u, w.v))
+        c3 = math.fsum([w.svv * sut, -w.suv * svt]) / w.det
+        c4 = math.fsum([w.suu * svt, -w.suv * sut]) / w.det
+        tail = c3 * w.z3 + c4 * w.z4
+        rel_resid = max((abs(t - f) / abs(f) for t, f in zip(
+            terms, (c3 * a + c4 * b for a, b in zip(w.u, w.v))) if f != 0.0),
+            default=0.0)
+        error = abs(tail - sut / w.suu * w.z3) + rel_resid * abs(tail)
     except (ArithmeticError, ValueError):   # overflow, det = 0, inf - inf in fsum
         tail = error = math.nan
     if not (math.isfinite(tail) and math.isfinite(error)):
@@ -148,31 +186,36 @@ def _crude_tail_bound(n_max: int, last_term: float) -> float:
     return 2.0 * abs(last_term) * n_max**3 * hurwitz_zeta(3.0, n_max + 1.0)
 
 
-def _spectral_sum(term: Callable[[int], float], n_max: int,
+def _spectral_sum(terms: Iterable[float], n_max: int,
                   tail: bool) -> SpectralSumResult:
+    """The sum of the terms n = 2..n_max, read from `terms` (which starts at
+    n = 2 and may run on) in one pass that keeps only the tail-fit window."""
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    terms = [term(n) for n in range(2, n_max + 1)]
-    partial = neumaier_cumsum(terms)[-1]
-
+    fit_lo = n_max
     if tail:
         fit_lo = max(2, n_max // 2)
         if n_max - fit_lo + 1 < _MIN_TAIL_POINTS:
             fit_lo = max(2, n_max - _MIN_TAIL_POINTS + 1)
-        window = list(range(fit_lo, n_max + 1))
-        if len(window) < _MIN_TAIL_POINTS:
+        if n_max - fit_lo + 1 < _MIN_TAIL_POINTS:
             raise ValueError(
                 f"n_max={n_max} leaves fewer than {_MIN_TAIL_POINTS} terms "
                 "for the tail fit; raise n_max or disable the tail"
             )
-        est = tail_extrapolate(window, [terms[n - 2] for n in window])
+    kept, summed = tee(islice(terms, n_max - 1))
+    window: deque[float] = deque(maxlen=n_max - fit_lo + 1)   # n = fit_lo..n_max
+    for t, partial in zip(kept, _neumaier_running(summed)):
+        window.append(t)
+
+    if tail:
+        est = tail_extrapolate(range(fit_lo, n_max + 1), window)
         return SpectralSumResult(
             value=partial + est.value, n_max=n_max, partial=partial,
             tail_estimate=est.value, error_bound=est.error_bound,
         )
     return SpectralSumResult(
         value=partial, n_max=n_max, partial=partial,
-        tail_estimate=0.0, error_bound=_crude_tail_bound(n_max, terms[-1]),
+        tail_estimate=0.0, error_bound=_crude_tail_bound(n_max, window[-1]),
     )
 
 
@@ -182,20 +225,16 @@ def kappa1_discrete(n_max: int = DEFAULT_N_MAX_KAPPA, tail: bool = True) -> Spec
     This is the second-order magnetic-coupling coefficient that lowers the
     field-induced momentum; the n = 2 term alone is 0.1644.
     """
-    def term(n: int) -> float:
-        rec = radial_record(n)
-        return (2.0 / 27.0) * rec.I1 * rec.I3 / transition_energy(n) ** 2
-
-    return _spectral_sum(term, n_max, tail)
+    i1, _, i3, de = closed_form_columns(n_max)
+    return _spectral_sum(((2.0 / 27.0) * p1 * p3 / d**2
+                          for p1, p3, d in zip(i1, i3, de)), n_max, tail)
 
 
 def kappa2_discrete(n_max: int = DEFAULT_N_MAX_KAPPA, tail: bool = True) -> SpectralSumResult:
     """(1/27) sum_n I2(n) I3(n) / dE_n over the np series; positive."""
-    def term(n: int) -> float:
-        rec = radial_record(n)
-        return (1.0 / 27.0) * rec.I2 * rec.I3 / transition_energy(n)
-
-    return _spectral_sum(term, n_max, tail)
+    _, i2, i3, de = closed_form_columns(n_max)
+    return _spectral_sum(((1.0 / 27.0) * p2 * p3 / d
+                          for p2, p3, d in zip(i2, i3, de)), n_max, tail)
 
 
 def polarizability_discrete(n_max: int = DEFAULT_N_MAX_POLARIZABILITY,
@@ -205,11 +244,9 @@ def polarizability_discrete(n_max: int = DEFAULT_N_MAX_POLARIZABILITY,
     (2/3) sum_n I3(n)^2 / dE_n, in units of 4 pi eps0 a0^3. The exact value
     including the continuum is 9/2; the bound states alone give 3.663.
     """
-    def term(n: int) -> float:
-        i3 = radial_record(n).I3
-        return (2.0 / 3.0) * i3 * i3 / transition_energy(n)
-
-    return _spectral_sum(term, n_max, tail)
+    _, _, i3, de = closed_form_columns(n_max)
+    return _spectral_sum(((2.0 / 3.0) * p3 * p3 / d for p3, d in zip(i3, de)),
+                         n_max, tail)
 
 
 POLARIZABILITY_EXACT_AU = 4.5   # bound states plus continuum, = 18 pi a0^3 / (4 pi a0^3)
@@ -217,17 +254,15 @@ POLARIZABILITY_EXACT_AU = 4.5   # bound states plus continuum, = 18 pi a0^3 / (4
 
 def bethe_sum(n_max: int = DEFAULT_N_MAX_KAPPA, tail: bool = True) -> SpectralSumResult:
     """sum_n I2(n)^2: squared unit-vector matrix elements at constant log."""
-    def term(n: int) -> float:
-        i2 = radial_record(n).I2
-        return i2 * i2
-
-    return _spectral_sum(term, n_max, tail)
+    _, i2, _, _ = closed_form_columns(n_max)
+    return _spectral_sum((p2 * p2 for p2 in i2), n_max, tail)
 
 
 def oscillator_strength_sum(n_max: int = DEFAULT_N_MAX_POLARIZABILITY,
                             tail: bool = True) -> SpectralSumResult:
     """Discrete 1s -> np oscillator-strength sum; < 1 by the TRK rule."""
-    return _spectral_sum(oscillator_strength, n_max, tail)
+    _, _, i3, de = closed_form_columns(n_max)
+    return _spectral_sum(map(_oscillator, de, i3), n_max, tail)
 
 
 def normalization_constant(log_value: float, bethe: SpectralSumResult) -> float:

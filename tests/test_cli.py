@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -18,6 +19,17 @@ BASE = [sys.executable, "-m", "casimir_momentum"]
 
 
 def _run(*args):
+    """cli.run(args) in-process, with its exit code and stdout and stderr bytes."""
+    out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(list(args))
+    out.flush()
+    return subprocess.CompletedProcess(args, code, out.buffer.getvalue(),
+                                       err.getvalue().encode())
+
+
+def _run_process(*args):
+    """`python -m casimir_momentum` with args, as a fresh process."""
     return subprocess.run(BASE + list(args), capture_output=True)
 
 
@@ -43,8 +55,8 @@ def test_kappas_json_contents():
 
 
 def test_byte_identical_repeated_runs():
-    a = _run("kappas", "--n-max", "40", "--format", "json")
-    b = _run("kappas", "--n-max", "40", "--format", "json")
+    a = _run_process("kappas", "--n-max", "40", "--format", "json")
+    b = _run_process("kappas", "--n-max", "40", "--format", "json")
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
 
@@ -332,7 +344,8 @@ def test_unknown_subcommand_exit_2():
 
 
 def test_missing_subcommand_exit_2():
-    assert _run().returncode == 2
+    # Through the `python -m` entry point: main() exits with run()'s code.
+    assert _run_process().returncode == 2
 
 
 def test_text_format():

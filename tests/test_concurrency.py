@@ -1,10 +1,17 @@
 """Reentrancy and idempotent-fill checks for the documented threading model."""
 
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import casimir_momentum.hydrogen as hyd
 from casimir_momentum.quadrature import kappa2_continuum
-from casimir_momentum.sums import kappa2_discrete
+from casimir_momentum.sums import (
+    bethe_sum,
+    kappa1_discrete,
+    kappa2_discrete,
+    oscillator_strength_sum,
+    polarizability_discrete,
+)
 
 
 def test_engine_reentrant_under_threads():
@@ -35,11 +42,22 @@ def test_quadrature_route_concurrent_fill_idempotent():
     assert records == serial  # bit-identical, not just close
 
 
-def test_sum_value_independent_of_prior_thread_fill():
-    # The reduction order is fixed by construction, so a table filled by many
-    # threads must reproduce the single-threaded value exactly.
-    reference = kappa2_discrete(79, tail=False).value
-    hyd.radial_record.cache_clear()
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        list(pool.map(hyd.radial_record, range(2, 80)))
-    assert kappa2_discrete(79, tail=False).value == reference
+def test_sum_value_independent_of_prior_thread_fill(monkeypatch):
+    # The reduction order is fixed by construction, so sums whose threads
+    # grow the closed-form columns from empty, while others read them, must
+    # reproduce the serial values exactly.
+    fns = (kappa1_discrete, kappa2_discrete, bethe_sum,
+           polarizability_discrete, oscillator_strength_sum)
+    calls = [(fn, n_max, tail) for n_max in (79, 120, 163) for fn in fns
+             for tail in (True, False)]
+    serial = [fn(n_max, tail) for fn, n_max, tail in calls]
+    monkeypatch.setattr(hyd, "_COLUMNS", [])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)   # switch threads often, mid-row included
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            threaded = list(pool.map(lambda c: c[0](c[1], c[2]), calls))
+    finally:
+        sys.setswitchinterval(interval)
+    assert [len(col) for col in hyd._COLUMNS] == [162] * 4   # n = 2..163, once each
+    assert threaded == serial  # bit-identical, not just close

@@ -221,13 +221,6 @@ def test_oscillator_strengths_positive():
     assert all(oscillator_strength(n) > 0 for n in range(2, 40))
 
 
-def test_partial_oscillator_sums_below_one():
-    total = 0.0
-    for n in range(2, 120):
-        total += oscillator_strength(n)
-        assert total < 1.0
-
-
 def test_dipole_integral_asymptotic_decay():
     # I_3(n) n^(3/2) settles to a nonzero constant (16/e^2); successive
     # doubling differences must shrink (Cauchy behavior of the ratio).

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import pytest
 
-from casimir_momentum import verify
+from casimir_momentum import hydrogen, sums, verify
+from casimir_momentum.hydrogen import radial_record, transition_energy
 from casimir_momentum.sums import (
     POLARIZABILITY_EXACT_AU,
     PerturbedGroundState,
@@ -196,6 +198,75 @@ def test_repeated_runs_bit_identical():
     assert a.value == b.value
     assert a.partial == b.partial
     assert a.tail_estimate == b.tail_estimate
+
+
+# Each series' term of n from the single-n interface: radial_record(n) and
+# transition_energy(n), in the series' own operand order.
+_REFERENCE_TERMS = {
+    kappa1_discrete: lambda n: (2.0 / 27.0) * radial_record(n).I1
+    * radial_record(n).I3 / transition_energy(n) ** 2,
+    kappa2_discrete: lambda n: (1.0 / 27.0) * radial_record(n).I2
+    * radial_record(n).I3 / transition_energy(n),
+    polarizability_discrete: lambda n: (2.0 / 3.0) * radial_record(n).I3
+    * radial_record(n).I3 / transition_energy(n),
+    bethe_sum: lambda n: radial_record(n).I2 * radial_record(n).I2,
+    oscillator_strength_sum: lambda n: (2.0 / 3.0) * transition_energy(n)
+    * radial_record(n).I3 * radial_record(n).I3,
+}
+
+
+def _reference_sum(fn, n_max: int, tail: bool) -> SpectralSumResult:
+    """fn(n_max, tail) from a full term list, neumaier_cumsum and
+    tail_extrapolate on the upper half of n = 2..n_max (at least 8 points)."""
+    terms = [_REFERENCE_TERMS[fn](n) for n in range(2, n_max + 1)]
+    partial = neumaier_cumsum(terms)[-1]
+    if not tail:
+        return SpectralSumResult(partial, n_max, partial, 0.0,
+                                 sums._crude_tail_bound(n_max, terms[-1]))
+    fit_lo = max(2, n_max // 2)
+    if n_max - fit_lo + 1 < 8:
+        fit_lo = max(2, n_max - 7)
+    window = list(range(fit_lo, n_max + 1))
+    est = tail_extrapolate(window, [terms[n - 2] for n in window])
+    return SpectralSumResult(partial + est.value, n_max, partial, est.value,
+                             est.error_bound)
+
+
+@pytest.mark.parametrize("tail", [True, False])
+@pytest.mark.parametrize("n_max", [9, 10, 57, 200, 401, 1000])
+@pytest.mark.parametrize("fn", list(_REFERENCE_TERMS))
+def test_one_pass_sum_bit_identical_to_term_list(fn, n_max, tail):
+    # Every field, compared as floats with ==: the one-pass sum over the
+    # columns adds the same terms in the same order as the reference.
+    assert fn(n_max, tail) == _reference_sum(fn, n_max, tail)
+
+
+def test_series_read_no_per_n_interface(monkeypatch):
+    # With the columns grown, the five series call neither radial_record
+    # nor transition_energy.
+    hydrogen.closed_form_columns(300)
+
+    def refuse(*args):
+        pytest.fail("a per-n interface was called")
+    for module in (hydrogen, sums):
+        monkeypatch.setattr(module, "radial_record", refuse)
+        monkeypatch.setattr(module, "transition_energy", refuse)
+    for fn in _REFERENCE_TERMS:
+        fn(300, tail=True)
+
+
+def test_warm_sum_memory_bounded():
+    # Beyond the columns, a sum holds only its tail-fit window: a warm
+    # kappa1_discrete(20000) peaks below 2 MB, where a full term list and
+    # its running sums take 2.4 MB.
+    kappa1_discrete(20000)
+    tracemalloc.start()
+    try:
+        kappa1_discrete(20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.0e6
 
 
 def test_small_n_max_with_tail_refused():
