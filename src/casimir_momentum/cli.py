@@ -19,7 +19,7 @@ import time
 from typing import Any, Callable, NamedTuple
 
 from . import __version__, budget, quadrature, renorm, sums, units
-from .quadrature import QuadratureError, QuadratureSpec
+from .quadrature import QuadratureError
 from .renorm import CutoffScheme, DispersionModel, MassShiftMismatch
 from .units import constants
 
@@ -225,15 +225,18 @@ def _switch(name: str, help: str) -> Param:
 _TAIL = _switch("tail", "power-law tail beyond n_max")
 # With the tail on, the terms n = 2..n_max must fill the tail fit's window.
 _TAIL_N_MAX_MIN = sums._MIN_TAIL_POINTS + 1
-# A relative tolerance below the float epsilon cannot be met: the quadrature
-# would spend its whole subdivision budget and fail.
+# The continuum integrals are closed forms, so these two steer no reported
+# number. They are still accepted, checked and echoed in the config, because
+# the benchmark's replay (bench/worker.py, _spec_from) reads both keys from
+# it; a relative tolerance below the float epsilon is refused as before.
 _TOLERANCES = (
     Param("rel_tol", float, quadrature.DEFAULT_SPEC.rel_tol,
-          "relative tolerance of the continuum quadrature", check=(
+          "accepted and checked; steers nothing (closed-form integrals)", check=(
               lambda v: v >= sys.float_info.epsilon,
               f"must be >= {sys.float_info.epsilon!r} (the float epsilon)")),
     Param("abs_tol", float, quadrature.DEFAULT_SPEC.abs_tol,
-          "absolute tolerance of the continuum quadrature", check=_POSITIVE))
+          "accepted and checked; steers nothing (closed-form integrals)",
+          check=_POSITIVE))
 _FORMAT = Param("format", str, "json", "report format",
                 choices=("json", "csv", "text"))
 
@@ -252,11 +255,10 @@ def _sum_row(res: sums.SpectralSumResult, provenance: str) -> Row:
 
 
 def _handle_kappas(p: dict[str, Any]) -> dict[str, Row]:
-    spec = QuadratureSpec(abs_tol=p["abs_tol"], rel_tol=p["rel_tol"])
     k1d = sums.kappa1_discrete(p["n_max"], p["tail"])
     k2d = sums.kappa2_discrete(p["n_max"], p["tail"])
-    k1c = quadrature.kappa1_continuum(p["ymin"], spec)
-    k2c = quadrature.kappa2_continuum(p["ymin2"], spec)
+    k1c = quadrature.kappa1_continuum(p["ymin"])
+    k2c = quadrature.kappa2_continuum(p["ymin2"])
     k1 = k1d.value + k1c.value
     k2 = k2d.value + k2c.value
     net = -k1 + k2
@@ -313,13 +315,12 @@ def _handle_bethe(p: dict[str, Any]) -> dict[str, Row]:
 
 
 def _handle_continuum(p: dict[str, Any]) -> dict[str, Row]:
-    spec = QuadratureSpec(abs_tol=p["abs_tol"], rel_tol=p["rel_tol"])
     names = ("kappa1", "kappa2") if p["which"] == "both" else (p["which"],)
     return {f"{name}_continuum[ymin={row.y_min:g}]": _row(
         row.value, "plane-wave continuum integral, lower cutoff swept to "
         "expose the q > 1/a0 validity limit", error=row.estimated_error)
         for name in names
-        for row in quadrature.ymin_sensitivity(name, p["ymin_grid"], spec)}
+        for row in quadrature.ymin_sensitivity(name, p["ymin_grid"])}
 
 
 def _handle_renorm(p: dict[str, Any]) -> dict[str, Row]:

@@ -31,13 +31,13 @@ suite check it). numpy is imported only inside the quadrature route
 (quadrature_table, _radial_weights, _adaptive_row), so the closed-form
 route and every module that reads it run without it.
 
-Two interfaces read the closed forms. `radial_record(n, method)` gives one
-n by a named route, memoized per n. `closed_form_columns(n_max)` gives four
-flat array('d') columns, I1, I2, I3 and dE = transition_energy(n), row
-n - 2 for n = 2, 3, ...: the bulk spectral sums read them in one pass.
-The columns grow on demand under a lock, one _closed_form(n) per row, so a
-row holds the same bits as radial_record(n). They take 32 bytes per n; a
-memoized record with its cache entry takes about 205.
+The closed forms are computed once per n, into `closed_form_columns(n_max)`:
+four flat array('d') columns, I1, I2, I3 and dE = transition_energy(n), row
+n - 2 for n = 2, 3, ..., which the bulk spectral sums read in one pass.
+The columns grow on demand under a lock, one _closed_form(n) per row. They
+take 32 bytes per n; `radial_record(n, method)` gives one n by a named
+route, memoized per n (a record with its cache entry takes about 205
+bytes), and its closed-form route reads row n - 2.
 
 The angular sums over m and Cartesian components that accompany these
 integrals in second-order coefficients reduce to a unit factor for
@@ -223,6 +223,13 @@ def quadrature_table(n_lo: int, n_hi: int) -> dict[int, RadialQuadrature]:
     return table
 
 
+def _column_row(n: int) -> tuple[float, float, float]:
+    """(I1, I2, I3) by the closed forms: row n - 2 of closed_form_columns."""
+    n = int(n)
+    i1, i2, i3, _ = closed_form_columns(n)
+    return i1[n - 2], i2[n - 2], i3[n - 2]
+
+
 def _quadrature_integrals(n: int) -> tuple[float, float, float]:
     """(I1, I2, I3) by the quadrature route: one row of quadrature_table."""
     return quadrature_table(n, n)[n].values
@@ -238,7 +245,7 @@ def radial_record(n: int, method: str = "closed_form") -> RadialIntegralRecord:
     """
     if not (n >= 2 and n % 1 == 0):
         raise ValueError("n must be an integer >= 2 (1s -> np integrals)")
-    routes = {"closed_form": _closed_form, "quadrature": _quadrature_integrals}
+    routes = {"closed_form": _column_row, "quadrature": _quadrature_integrals}
     if method not in routes:
         raise ValueError(f"unknown method {method!r}")
     i1, i2, i3 = routes[method](n)

@@ -85,6 +85,11 @@ class Check(NamedTuple):
 
 _C = constants()
 _GRID = [1e16 * 2.0**k for k in range(5)]   # cutoffs of the exponent fits
+# Lower cutoffs at which the engine checks the closed continuum integrals,
+# to a relative tolerance only: under the default abs_tol of 1e-14 its error
+# bar at y_min = 1e4 is larger than the value, and would pass any answer.
+_ORACLE_YMIN = (0.0, 1e-3, 1.0, 2.0, 10.0, 1e4)
+_ORACLE_SPEC = quadrature.QuadratureSpec(abs_tol=1e-300, rel_tol=1e-12)
 # Upper cut of the beta integral: its tail beyond, at most 1e3^-7/7, is far
 # below the integration tolerance.
 _BETA_CUT = 1e3
@@ -121,6 +126,22 @@ def _reduced_mass_shift_error(m: _Memo) -> float:
     centered = 0.5 * (1.0 / up.reduced_mass - 1.0 / down.reduced_mass)
     formula = _reported("renorm", "reduced_mass_shift")(m)
     return float(abs(formula - centered) / abs(centered))
+
+
+def _engine(which: str, y_min: float) -> quadrature.QuadratureResult:
+    """The adaptive engine's integral of a continuum integrand from y_min."""
+    return quadrature.integrate_to_inf(
+        getattr(quadrature, f"{which}_continuum_integrand"), y_min, _ORACLE_SPEC)
+
+
+def _continuum_oracle(which: str, y_min: float) -> Callable[[_Memo], float]:
+    """|engine - closed form| over the sum of their error bars at y_min."""
+    def ratio(m: _Memo) -> float:
+        engine = m(_engine, which, y_min)
+        closed = getattr(quadrature, f"{which}_continuum")(y_min)
+        return abs(engine.value - closed.value) / (engine.error
+                                                  + closed.estimated_error)
+    return ratio
 
 
 def _radial_route_gap(m: _Memo) -> float:
@@ -182,8 +203,12 @@ CHECKS: tuple[Check, ...] = (
     Check("kappa2_continuum_ymin1", _reported("kappas", "kappa2_continuum"),
           0.018, rel=0.05),
     Check("kappa2_continuum_closed_form",
-          _value_of(quadrature.kappa2_continuum, 0.0),
+          lambda m: m(_engine, "kappa2", 0.0).value,
           quadrature.KAPPA2_CONTINUUM_AT_ZERO, 1e-9, text="1/18 to 1e-9"),
+    *(Check(f"{which}_continuum_engine_ymin{y_min:g}",
+            _continuum_oracle(which, y_min), rule=lambda r: r <= 1.0,
+            text="engine within its error plus the closed form's")
+      for which in ("kappa1", "kappa2") for y_min in _ORACLE_YMIN),
     Check("beta_integral_closed_form", lambda m: quadrature.integrate_adaptive(
         lambda ys: [y**4 / (1 + y * y)**6 for y in ys], 0.0, _BETA_CUT).value,
         3 * math.pi / 512, 1e-9, text="3 pi/512 to 1e-9"),

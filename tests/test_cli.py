@@ -322,10 +322,11 @@ def test_unknown_flag_usage_exit_2():
 
 def test_numerical_failure_exit_1_with_diagnostic(capsys, monkeypatch):
     # A sawtooth of period 1e-9 that no 2000 bisections resolve exhausts the
-    # subdivision budget; no accepted flag value makes the real integrands do so.
+    # subdivision budget of verify's engine oracle on the kappa1 integrand; no
+    # accepted flag value makes the real integrands do so.
     monkeypatch.setattr(quadrature, "kappa1_continuum_integrand",
                         lambda ys: [(y * 1e9 % 1.0) / (1.0 + y * y) for y in ys])
-    assert run(["continuum", "--which", "kappa1", "--ymin-grid", "1"]) == 1
+    assert run(["verify"]) == 1
     err = capsys.readouterr().err
     assert "max_subdivisions" in err
     assert "value=" in err  # best estimate attached to the diagnostic

@@ -4,7 +4,13 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import casimir_momentum.hydrogen as hyd
-from casimir_momentum.quadrature import kappa2_continuum
+from casimir_momentum import quadrature
+from casimir_momentum.quadrature import (
+    integrate_to_inf,
+    kappa1_continuum,
+    kappa2_continuum,
+    kappa2_continuum_integrand,
+)
 from casimir_momentum.sums import (
     bethe_sum,
     kappa1_discrete,
@@ -15,10 +21,20 @@ from casimir_momentum.sums import (
 
 
 def test_engine_reentrant_under_threads():
-    grid = [0.1 * k for k in range(1, 17)]
-    serial = [kappa2_continuum(y).value for y in grid]
+    # The engine, and the closed forms on both sides of their switch to the
+    # series, whose coefficients are made on first use.
+    grid = [0.1 * k for k in range(1, 17)] + [1.5 + 0.25 * k for k in range(1, 17)]
+    calls = [lambda y: integrate_to_inf(kappa2_continuum_integrand, y).value,
+             lambda y: kappa1_continuum(y).value,
+             lambda y: kappa2_continuum(y).value]
+    serial = [f(y) for f in calls for y in grid]
+    for coefficient in (quadrature._kappa2_coefficient,
+                        quadrature._kappa1_by_parts_coefficient,
+                        quadrature._kappa1_binomial_coefficient):
+        coefficient.cache_clear()
     with ThreadPoolExecutor(max_workers=8) as pool:
-        threaded = list(pool.map(lambda y: kappa2_continuum(y).value, grid))
+        threaded = list(pool.map(lambda c: c[0](c[1]),
+                                 [(f, y) for f in calls for y in grid]))
     assert threaded == serial  # bit-identical, not just close
 
 

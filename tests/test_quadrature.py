@@ -1,9 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from casimir_momentum import verify
+from casimir_momentum import quadrature, verify
+from casimir_momentum.cli import run
 from casimir_momentum.quadrature import (
     DEFAULT_SPEC,
     KAPPA1_CONTINUUM_AT_ZERO,
@@ -65,6 +67,18 @@ def test_max_subdivisions_failure_carries_best_estimate():
     assert math.isfinite(err.value)
     assert err.error > 0
     assert err.subdivisions == 3
+
+
+def test_gauss_kronrod_rules_exact_on_monomials():
+    # K15 integrates x^d exactly for d <= 22 and G7 for d <= 13; cut to 15
+    # digits, the K15 weights summed to 2 - 6e-15, 13 ulps short.
+    from casimir_momentum.quadrature import _NODES, _WEIGHTS_G, _WEIGHTS_K
+    for rule, nodes, degree in ((_WEIGHTS_K, _NODES, 22),
+                                (_WEIGHTS_G, _NODES[1::2], 13)):
+        for d in range(degree + 1):
+            exact = (1 + (-1) ** d) / (d + 1)
+            got = math.fsum(w * x**d for w, x in zip(rule, nodes))
+            assert abs(got - exact) <= 4 * np.finfo(float).eps * 2 / (d + 1), d
 
 
 def test_segment_estimate_sums_correctly_rounded():
@@ -138,8 +152,7 @@ K2_AT_1 = 0.018346373742702499
 
 def test_kappa1_closed_form_at_zero():
     assert KAPPA1_CONTINUUM_AT_ZERO == pytest.approx(K1_AT_0, abs=1e-17)
-    res = kappa1_continuum(0.0)
-    assert res.value == pytest.approx(KAPPA1_CONTINUUM_AT_ZERO, abs=1e-9)
+    assert kappa1_continuum(0.0).value == KAPPA1_CONTINUUM_AT_ZERO
 
 
 def test_kappa1_continuum_endpoints():
@@ -152,6 +165,7 @@ def test_kappa1_vanishes_at_large_ymin():
 
 def test_kappa2_continuum_values():
     assert kappa2_continuum(1.0).value == pytest.approx(K2_AT_1, rel=1e-10)
+    assert kappa2_continuum(0.0).value == KAPPA2_CONTINUUM_AT_ZERO
     # Prefactor times the beta-function value reproduces the closed form.
     assert KAPPA2_CONTINUUM_AT_ZERO == pytest.approx(
         256.0 / (27.0 * math.pi) * BETA_VALUE, abs=1e-17)
@@ -180,10 +194,11 @@ def test_ymin_ceiling():
 
 
 def test_continuum_error_contract():
+    # The engine meets the spec it is given on both continuum integrands.
     spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-9)
-    for res in (kappa1_continuum(0.7, spec), kappa2_continuum(0.7, spec)):
-        assert isinstance(res, ContinuumResult)
-        assert res.estimated_error <= spec.rel_tol * abs(res.value) + spec.abs_tol
+    for f in (kappa1_continuum_integrand, kappa2_continuum_integrand):
+        res = integrate_to_inf(f, 0.7, spec)
+        assert res.error <= spec.rel_tol * abs(res.value) + spec.abs_tol
 
 
 def test_integrand_positivity_dense_grid():
@@ -202,10 +217,10 @@ def test_kappa1_series_matches_direct_bracket():
 def test_tolerance_scaling_never_moves_beyond_reported_error():
     coarse = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-6)
     fine = QuadratureSpec(abs_tol=1e-12, rel_tol=5e-7)
-    for op in (kappa1_continuum, kappa2_continuum):
-        res_c = op(0.8, coarse)
-        res_f = op(0.8, fine)
-        assert abs(res_c.value - res_f.value) <= res_c.estimated_error + 1e-15
+    for f in (kappa1_continuum_integrand, kappa2_continuum_integrand):
+        res_c = integrate_to_inf(f, 0.8, coarse)
+        res_f = integrate_to_inf(f, 0.8, fine)
+        assert abs(res_c.value - res_f.value) <= res_c.error + 1e-15
 
 
 def test_ymin_sensitivity_monotone():
@@ -233,3 +248,80 @@ def test_ymin_sensitivity_validation():
         ymin_sensitivity("kappa1", [])
     with pytest.raises(ValueError):
         ymin_sensitivity("kappa1", [1.0, 0.5])
+
+
+# Frozen closed-form oracles: mpmath 1.3.0 at 160 digits, the elementary
+# antiderivatives F1, G1 and F2 (see quadrature._kappa1_direct and
+# _kappa2_direct) at the float y_min, each checked against mpmath.quad of
+# the integrand in t = 1/y at 60 digits to 1e-52; 30 digits shown.
+CONTINUUM_REFERENCES = {
+    0.5: ("1.33820073359891623566651883053e-2",
+          "4.81768161234417160547331497877e-2"),
+    1.0: ("9.38092083594850955754551607159e-3",
+          "1.83463737427024986211031843927e-2"),
+    1.5: ("5.16126935216326805730441984384e-3",
+          "4.63095469625628121390539897715e-3"),
+    2.0: ("2.73235434042148025275267579357e-3",
+          "1.19777448368690455270414424706e-3"),
+    3.15: ("7.48250729053933103313586767891e-4",
+           "8.96247282242703989720373921445e-5"),
+    10.0: ("1.21165983471379450913159291002e-5",
+           "4.11592991471519139418828375409e-8"),
+    1e3: ("1.4249888011027748900253862516e-13",
+          "4.31147886719199377138404079755e-22"),
+    1e6: ("1.42698881698522090453956977846e-25",
+          "4.31149898744286442872885399779e-43"),
+}
+
+
+@pytest.mark.parametrize("y_min", CONTINUUM_REFERENCES)
+def test_closed_form_error_covers_reference(y_min):
+    # Exact rational comparison; at 1e6 the engine's bar did not cover this.
+    for op, ref in zip((kappa1_continuum, kappa2_continuum),
+                       CONTINUUM_REFERENCES[y_min]):
+        res = op(y_min)
+        assert isinstance(res, ContinuumResult)
+        gap = abs(Fraction(res.value) - Fraction(ref))
+        assert gap <= Fraction(res.estimated_error), (op.__name__, float(gap))
+        assert res.estimated_error <= 1e-12 * res.value
+
+
+def _bounded(form, a):
+    terms, tail = form(a)
+    return (math.fsum(terms),
+            quadrature._ROUNDING * math.fsum(map(abs, terms)) + tail)
+
+
+@pytest.mark.parametrize("direct,series", [
+    (quadrature._kappa1_direct, quadrature._kappa1_series),
+    (quadrature._kappa2_direct, quadrature._kappa2_series),
+])
+def test_direct_form_and_series_agree_within_bounds(direct, series):
+    for a in np.linspace(1.25, 2.5, 126).tolist():
+        (v_d, e_d), (v_s, e_s) = _bounded(direct, a), _bounded(series, a)
+        assert abs(v_d - v_s) <= e_d + e_s, a
+
+
+def test_scans_decrease_strictly_up_to_ceiling():
+    # What the benchmark's sweep gate needs, on a grid far denser than its
+    # own, across the switch from the direct form to the series.
+    grid = [0.0, *np.geomspace(1e-2, Y_MIN_MAX, 4000).tolist(),
+            *np.linspace(1.5 - 1e-6, 1.5 + 1e-6, 201).tolist()]
+    grid = sorted(set(grid))
+    for which in ("kappa1", "kappa2"):
+        values = [r.value for r in ymin_sensitivity(which, grid)]
+        assert values[-1] > 0
+        assert all(b < a for a, b in zip(values, values[1:])), which
+
+
+def test_continuum_runs_without_the_engine(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the quadrature engine ran")
+    monkeypatch.setattr(quadrature, "integrate_to_inf", refuse)
+    monkeypatch.setattr(quadrature, "integrate_adaptive", refuse)
+    for y_min in (0.0, 1.0, 2.0, Y_MIN_MAX):
+        kappa1_continuum(y_min)
+        kappa2_continuum(y_min)
+    ymin_sensitivity("kappa1", [0.0, 1.0, 3.0])
+    assert run(["continuum", "--ymin-grid", "0,1,2,10,1e6"]) == 0
+    assert run(["kappas"]) == 0
