@@ -89,15 +89,6 @@ class QuadratureSpec(_QuadratureSpec):
 DEFAULT_SPEC = QuadratureSpec()
 
 
-def tail_bound_ok(tail_bound: float, spec: QuadratureSpec) -> bool:
-    """True if a truncated tail is negligible at the spec's tolerance.
-
-    A caller that integrates to a finite cut instead of to infinity checks
-    its analytic tail bound beyond the cut with this: below abs_tol/10.
-    """
-    return abs(tail_bound) < spec.abs_tol / 10.0
-
-
 class QuadratureResult(NamedTuple):
     value: float
     error: float
@@ -115,14 +106,14 @@ class QuadratureError(RuntimeError):
         self.subdivisions = subdivisions
 
 
-def segment_nodes(lo: float, hi: float) -> list[float]:
+def _segment_nodes(lo: float, hi: float) -> list[float]:
     """The 15 Kronrod nodes of [lo, hi], ascending, as the engine places them."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     return [mid + half * t for t in _NODES]
 
 
-def segment_estimate(fs: Sequence[float], lo: float,
+def _segment_estimate(fs: Sequence[float], lo: float,
                      hi: float) -> tuple[float, float]:
     """(K15 value, error) of one segment from its 15 integrand values.
 
@@ -162,7 +153,7 @@ def _not_finite(f: Integrand, nodes: list[float]) -> ValueError:
 def _eval_segments(f: Integrand,
                    segments: list[tuple[float, float]]) -> list[tuple[float, float]]:
     """(value, error) of each segment, with one call of f for all of them."""
-    nodes = [x for lo, hi in segments for x in segment_nodes(lo, hi)]
+    nodes = [x for lo, hi in segments for x in _segment_nodes(lo, hi)]
     try:
         fx = f(nodes)
     except (OverflowError, ZeroDivisionError):
@@ -172,7 +163,7 @@ def _eval_segments(f: Integrand,
         raise ValueError(f"integrand returned {len(fx)} values for {len(nodes)} nodes")
     if not all(map(math.isfinite, fx)):
         raise _not_finite(f, nodes)
-    return [segment_estimate(fx[15 * i:15 * i + 15], lo, hi)
+    return [_segment_estimate(fx[15 * i:15 * i + 15], lo, hi)
             for i, (lo, hi) in enumerate(segments)]
 
 

@@ -145,13 +145,11 @@ def _continuum_oracle(which: str, y_min: float) -> Callable[[_Memo], float]:
 
 
 def _radial_route_gap(m: _Memo) -> float:
-    """Worst relative gap of the batched quadrature oracle to the closed
-    form, n <= 200."""
-    worst = 0.0
-    for n, row in hydrogen.quadrature_table(2, 200).items():
-        for quad, closed in zip(row.values, hydrogen.radial_record(n, "closed_form")):
-            worst = max(worst, abs(quad - closed) / abs(closed))
-    return worst
+    """Worst relative gap of the exact route to the closed forms, n <= 200."""
+    return max(abs(exact - closed) / closed
+               for n in range(2, 201)
+               for closed, exact in zip(hydrogen.radial_record(n, "closed_form"),
+                                        hydrogen.radial_record(n, "exact")))
 
 
 def _serialization_repeats(m: _Memo) -> bool:
@@ -265,7 +263,7 @@ CHECKS: tuple[Check, ...] = (
         sums.PerturbedGroundState.build(40)),
         rule=lambda v: v <= 1e-14, text="0 to 1e-14"),
     Check("radial_dual_route_nle200", _radial_route_gap,
-          rule=lambda v: v <= 1e-10, text="agree to 1e-10 relative"),
+          rule=lambda v: v <= 5e-15, text="agree to 5e-15 relative"),
     Check("serialization_deterministic", _serialization_repeats,
           rule=lambda same: same, text="byte-identical repeated serialization",
           shown=False),

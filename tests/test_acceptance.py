@@ -8,13 +8,14 @@ one core.
 
 import importlib.util
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from casimir_momentum import cli, verify
+from casimir_momentum import cli, hydrogen, verify
 
 
 def _check(name: str, ok: bool, detail: str = "") -> None:
@@ -81,6 +82,34 @@ def test_verify_reads_the_reports(monkeypatch):
                         kappas._replace(handler=wrong_net))
     failed = [res.name for res in verify.run_checks() if not res.passed]
     assert failed == ["net_coefficient"]
+
+
+def _closed_form_plain_powers(n):
+    """hydrogen._closed_form with its powers taken by ** instead of log1p."""
+    c = 8.0 / (n**3 * math.sqrt((n - 1) * n * (n + 1)))
+    i3 = 2.0 * c * (n - 1) * n * (n + 1) * ((n - 1) / n) ** (n - 3) \
+        * ((n + 1) / n) ** -(n + 3)
+    i2 = (n * n - 1) / (2.0 * n * n) * i3
+    d = 2.0 / (n + 1)
+    s = (2.0 - ((n - 1) / (n + 1)) ** (n - 1)
+         * ((n - 1) * n * d * d + 2 * (n - 1) * d + 2)) / d**3
+    return c * (n / (n + 1)) ** 3 * s, i2, i3
+
+
+def test_radial_row_sees_powers_without_log1p(monkeypatch):
+    # Plain ** puts I_3 off by 2.1e-14 at n <= 200: inside a 1e-10 band,
+    # outside the row's 5e-15.
+    monkeypatch.setattr(hydrogen, "_closed_form", _closed_form_plain_powers)
+    monkeypatch.setattr(hydrogen, "_COLUMNS", [])
+    hydrogen.radial_record.cache_clear()
+    try:
+        results = verify.run_checks()
+    finally:
+        hydrogen.radial_record.cache_clear()
+    assert [res.name for res in results if not res.passed] == \
+        ["radial_dual_route_nle200"]
+    gap = {res.name: res.value for res in results}["radial_dual_route_nle200"]
+    assert 1e-14 < gap < 1e-10
 
 
 def test_bench_bands_match_checks():

@@ -1,10 +1,9 @@
-"""numpy is the package's only runtime dependency, and only the radial
-quadrature oracle loads it; scipy must never load. The package itself
-imports neither dataclasses nor inspect, and the numpy-free subcommands
-report the same bytes under every Python version at hand."""
+"""The package has no runtime dependency: every subcommand runs with numpy
+blocked, no file of the package mentions it, and scipy must never load.
+The package itself imports neither dataclasses nor inspect, and every
+subcommand reports the same bytes under every Python version at hand."""
 
 import os
-import re
 import shutil
 import subprocess
 import sys
@@ -17,12 +16,10 @@ import casimir_momentum
 SRC = str(Path(casimir_momentum.__file__).resolve().parent.parent)
 PYPROJECT = Path(SRC).parent / "pyproject.toml"
 
-# Every subcommand but verify, which runs the radial quadrature oracle.
-NUMPY_FREE_RUNS = (["budget"], ["renorm"], ["rho-c"], ["continuum"],
-                   ["kappas"], ["bethe"], ["polarizability"])
-ALL_RUNS = NUMPY_FREE_RUNS + (["verify"],)
+ALL_RUNS = (["budget"], ["renorm"], ["rho-c"], ["continuum"], ["kappas"],
+            ["bethe"], ["polarizability"], ["verify"])
 
-# Interpreters the numpy-free reports are compared across, when on PATH.
+# Interpreters the reports are compared across, when on PATH.
 OTHER_PYTHONS = ("python3.10", "python3.12", "python3.13")
 
 
@@ -48,7 +45,7 @@ def test_subcommands_run_with_numpy_blocked():
     proc = _python("import sys\n"
                    "sys.modules['numpy'] = None\n"
                    "from casimir_momentum.cli import run\n"
-                   f"for argv in {NUMPY_FREE_RUNS!r}:\n"
+                   f"for argv in {ALL_RUNS!r}:\n"
                    "    assert run(argv) == 0, argv\n")
     assert proc.returncode == 0, proc.stderr
 
@@ -63,7 +60,6 @@ def test_import_adds_neither_dataclasses_nor_inspect():
 
 
 def test_subcommands_run_with_dataclasses_blocked():
-    # numpy, which verify loads, imports inspect but not dataclasses.
     proc = _python("import sys\n"
                    "sys.modules['dataclasses'] = None\n"
                    "from casimir_momentum.cli import run\n"
@@ -73,7 +69,7 @@ def test_subcommands_run_with_dataclasses_blocked():
 
 
 _REPORTS = ("from casimir_momentum.cli import run\n"
-            f"for argv in {NUMPY_FREE_RUNS!r}:\n"
+            f"for argv in {ALL_RUNS!r}:\n"
             "    for fmt in ('json', 'csv', 'text'):\n"
             "        assert run([*argv, '--format', fmt]) == 0, argv\n")
 
@@ -97,9 +93,13 @@ def test_reports_identical_across_python_versions(name, reports_here):
     assert proc.stdout == reports_here
 
 
-def test_pyproject_lists_only_numpy():
+def test_pyproject_has_no_runtime_dependency():
     tomllib = pytest.importorskip("tomllib")
     with open(PYPROJECT, "rb") as fh:
-        deps = tomllib.load(fh)["project"]["dependencies"]
-    names = [re.split(r"[\s<>=!~;\[]", d, maxsplit=1)[0].lower() for d in deps]
-    assert names == ["numpy"]
+        assert tomllib.load(fh)["project"]["dependencies"] == []
+
+
+def test_no_source_file_mentions_numpy():
+    mentions = [str(path) for path in sorted(Path(SRC).rglob("*.py"))
+                if "numpy" in path.read_text(encoding="utf-8").lower()]
+    assert mentions == []

@@ -31,8 +31,6 @@ EXAMPLES = {
         1.0, 1e-15, 15, 1),
     quadrature.ContinuumResult: lambda: quadrature.kappa2_continuum(1.0),
     hydrogen.RadialIntegralRecord: lambda: hydrogen.radial_record(2),
-    hydrogen.RadialQuadrature: lambda: hydrogen.RadialQuadrature(
-        (1.0, 2.0, 3.0), (0.0, 0.0, 0.0)),
     cli.RunConfig: lambda: _CONFIG,
     cli.ReportEnvelope: lambda: cli.ReportEnvelope("test", _CONFIG, {}, {}, 0.0),
     cli.Param: lambda: cli.SUBCOMMANDS["kappas"].params[0],
