@@ -58,6 +58,17 @@ def test_exact_route_concurrent_fill_idempotent():
     assert records == serial  # bit-identical, not just close
 
 
+def test_quadrature_route_concurrent_fill_idempotent():
+    # "quadrature", the exact route's old name, fills the memo under both keys.
+    ns = list(range(2, 60))
+    hyd.radial_record.cache_clear()
+    serial = [hyd.radial_record(n, "exact") for n in ns]
+    hyd.radial_record.cache_clear()
+    with ThreadPoolExecutor(max_workers=8) as pool:
+        records = list(pool.map(lambda n: hyd.radial_record(n, "quadrature"), ns))
+    assert records == serial  # bit-identical, not just close
+
+
 def test_sum_value_independent_of_prior_thread_fill(monkeypatch):
     # The reduction order is fixed by construction, so sums whose threads
     # grow the closed-form columns from empty, while others read them, must

@@ -4,6 +4,7 @@ The package itself imports neither dataclasses nor inspect, and every
 subcommand reports the same bytes under every Python version at hand."""
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -97,6 +98,20 @@ def test_pyproject_has_no_runtime_dependency():
     tomllib = pytest.importorskip("tomllib")
     with open(PYPROJECT, "rb") as fh:
         assert tomllib.load(fh)["project"]["dependencies"] == []
+
+
+def test_pyproject_lists_only_numpy():
+    # Beside the test runners, numpy is the one package named, and only in
+    # the test extra (the budget and quadrature tests use it).
+    tomllib = pytest.importorskip("tomllib")
+    with open(PYPROJECT, "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    lists = {"": project["dependencies"], **project["optional-dependencies"]}
+    named = {extra: [re.split(r"[\s<>=!~;\[]", d, maxsplit=1)[0].lower()
+                     for d in deps if not d.startswith(("pytest", "hypothesis"))]
+             for extra, deps in lists.items()}
+    assert {extra: names for extra, names in named.items() if names} == \
+        {"test": ["numpy"]}
 
 
 def test_no_source_file_mentions_numpy():

@@ -97,8 +97,41 @@ def test_exact_route_never_reads_closed_form(monkeypatch):
     monkeypatch.setattr(hyd, "_COLUMNS", [])
     radial_record.cache_clear()
     assert [tuple(radial_record(n, "exact")) for n in range(2, 41)] == expected
-    # "quadrature" is the route's old name, for the same memoized record.
-    assert radial_record(40, "quadrature") is radial_record(40, "exact")
+
+
+# --- "quadrature", the exact route's old name --------------------------------
+
+def test_quadrature_table_never_reads_closed_form(monkeypatch):
+    def refuse(n):
+        raise AssertionError("the oracle read the closed form")
+
+    monkeypatch.setattr(hyd, "_closed_form", refuse)
+    monkeypatch.setattr(hyd, "_COLUMNS", [])
+    radial_record.cache_clear()
+    table = {n: radial_record(n, "quadrature") for n in range(2, 41)}
+    assert sorted(table) == list(range(2, 41))
+    # The same memoized record as the exact route's.
+    assert all(table[n] is radial_record(n, "exact") for n in table)
+
+
+def test_quadrature_table_validation():
+    for n in (1, 0, -3, 2.5):
+        with pytest.raises(ValueError):
+            radial_record(n, "quadrature")
+
+
+@pytest.fixture(scope="module")
+def table_2_200():
+    radial_record.cache_clear()
+    return {n: tuple(radial_record(n, "quadrature")) for n in range(2, 201)}
+
+
+@pytest.mark.parametrize("n", [2, 3, 57, 200])
+def test_quadrature_table_row_independent_of_band(table_2_200, n):
+    # A row filled alone equals the row filled in the n = 2..200 sweep that
+    # verify makes: no state carries from one n to the next.
+    radial_record.cache_clear()
+    assert tuple(radial_record(n, "quadrature")) == table_2_200[n]  # bit-identical
 
 
 def test_exact_route_memory_bounded():
