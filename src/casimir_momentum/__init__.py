@@ -2,57 +2,58 @@
 
 A numerical laboratory: hydrogen radial matrix elements with dual-route
 oracles, Rydberg sums with tail extrapolation, plane-wave continuum
-quadrature, cutoff-regularized divergent integrals with mass
-renormalization identities, and an itemized pseudo-momentum budget.
+integrals in closed form with an adaptive quadrature engine as their
+oracle, cutoff-regularized divergent integrals with mass renormalization
+identities, and an itemized pseudo-momentum budget.
+
+`import casimir_momentum` loads the hydrogen, sums and quadrature modules
+only. The exports of budget, renorm and units load on first access.
 """
 
 __version__ = "0.1.0"
 
-from .budget import (
-    ADOPTED_KAPPA1,
-    ADOPTED_KAPPA2,
-    FieldConfiguration,
-    MomentumBudget,
-    abraham_momentum,
-    assemble_budget,
-    casimir_correction,
-    effective_mass_factor,
-    transverse_bound,
-)
-from .hydrogen import (
-    RadialIntegralRecord,
-    energy,
-    oscillator_strength,
-    radial_record,
-)
-from .quadrature import (
-    ContinuumResult,
-    QuadratureError,
-    QuadratureSpec,
-    integrate_adaptive,
-    integrate_to_inf,
-    kappa1_continuum,
-    kappa2_continuum,
-    ymin_sensitivity,
-)
-from .renorm import (
-    CutoffScheme,
-    DispersionModel,
-    casimir_mass_density,
-    delta_mass,
-    divergence_exponent,
-    reduced_mass_shift,
-)
-from .sums import (
-    PerturbedGroundState,
-    SpectralSumResult,
-    bethe_sum,
-    first_moment_residual,
-    kappa1_discrete,
-    kappa2_discrete,
-    normalization_constant,
-    oscillator_strength_sum,
-    polarizability_discrete,
-    tail_extrapolate,
-)
-from .units import AtomicParams, PhysicalConstants, constants
+from .hydrogen import (RadialIntegralRecord, energy, oscillator_strength,
+                       radial_record)
+from .quadrature import (ContinuumResult, QuadratureError, QuadratureSpec,
+                         integrate_adaptive, integrate_to_inf, kappa1_continuum,
+                         kappa2_continuum, ymin_sensitivity)
+from .sums import (PerturbedGroundState, SpectralSumResult, bethe_sum,
+                   first_moment_residual, kappa1_discrete, kappa2_discrete,
+                   normalization_constant, oscillator_strength_sum,
+                   polarizability_discrete, tail_extrapolate)
+
+# Each lazy export and the submodule it comes from (PEP 562).
+_LAZY = {name: module for module, names in (
+    ("budget", ("ADOPTED_KAPPA1", "ADOPTED_KAPPA2", "FieldConfiguration",
+                "MomentumBudget", "abraham_momentum", "assemble_budget",
+                "casimir_correction", "effective_mass_factor",
+                "transverse_bound")),
+    ("renorm", ("CutoffScheme", "DispersionModel", "casimir_mass_density",
+                "delta_mass", "divergence_exponent", "reduced_mass_shift")),
+    ("units", ("AtomicParams", "PhysicalConstants", "constants")),
+) for name in names}
+
+__all__ = [
+    "RadialIntegralRecord", "energy", "oscillator_strength", "radial_record",
+    "ContinuumResult", "QuadratureError", "QuadratureSpec",
+    "integrate_adaptive", "integrate_to_inf", "kappa1_continuum",
+    "kappa2_continuum", "ymin_sensitivity",
+    "PerturbedGroundState", "SpectralSumResult", "bethe_sum",
+    "first_moment_residual", "kappa1_discrete", "kappa2_discrete",
+    "normalization_constant", "oscillator_strength_sum",
+    "polarizability_discrete", "tail_extrapolate",
+    *_LAZY,
+]
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value     # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})

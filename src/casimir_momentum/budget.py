@@ -15,12 +15,8 @@ import math
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
-from .units import HARTREE_ENERGY, AtomicParams, constants
-
-# Adopted dimensionless vacuum-coupling coefficients: discrete Rydberg sums
-# plus plane-wave continuum parts (0.21 + 0.01 and 0.0796 + 0.018).
-ADOPTED_KAPPA1 = 0.22
-ADOPTED_KAPPA2 = 0.0976
+from .units import (ADOPTED_KAPPA1, ADOPTED_KAPPA2, HARTREE_ENERGY,
+                    POLARIZABILITY_CHOICES, AtomicParams, constants)
 
 # Exact static polarizability of ground-state hydrogen in the volume
 # convention (P = eps0 alpha(0) E): alpha(0) = 18 pi a0^3.
@@ -36,9 +32,6 @@ DARWIN_MASS_COEFF = Fraction(8, 3)
 P4_MASS_COEFF = Fraction(-5, 3)
 
 HYDROGEN_BINDING_ENERGY_J = -0.5 * HARTREE_ENERGY  # ground-state binding energy
-
-POLARIZABILITY_CHOICES = ("exact", "computed_discrete",
-                          "relativistic_corrected")
 
 
 Vec3 = tuple[float, float, float]

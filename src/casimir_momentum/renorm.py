@@ -1,9 +1,8 @@
 """Cutoff-regularized divergent integrals: vacuum mass density and mass shift.
 
-Everything here is SI. Each regularized integral has a closed-form
-antiderivative and, where stated, an independent quadrature route; the two
-must agree to 1e-10 relative (disagreement beyond 1e-8 is a hard failure,
-the module's standing oracle).
+Everything here is SI. Each regularized integral is evaluated by its
+closed-form antiderivative. The adaptive engine checks the self-mass
+against its integral in `verify` (the delta_mass_engine row), never here.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ import math
 import warnings
 from typing import Callable, NamedTuple, Sequence
 
-from .quadrature import QuadratureSpec, integrate_adaptive
 from .units import AtomicParams, PhysicalConstants, constants
 
 
@@ -171,56 +169,25 @@ def _mass_density(model: DispersionModel, omega_max: float,
     return value
 
 
-class MassShiftMismatch(RuntimeError):
-    """Closed-form and quadrature mass shifts disagree beyond 1e-8."""
-
-
-_DELTA_MASS_SPEC = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-12,
-                                  max_subdivisions=4000)
-
-
 def delta_mass(mass: float, lambda_cut: float,
                const: PhysicalConstants | None = None) -> float:
     """Nonrelativistic electromagnetic self-mass at wavenumber cutoff [kg].
 
     (4/(3 pi)) alpha hbar^2 int_0^Lambda k dk / (hbar^2 k^2 / 2m + hbar c0 k),
     whose antiderivative gives (8 alpha m / (3 pi)) ln(1 + hbar Lambda /
-    (2 m c0)): logarithmically divergent. Both routes are always computed
-    and must agree to 1e-10 relative; the closed form is returned.
+    (2 m c0)): logarithmically divergent. Returns this closed form, with
+    log1p so that small cutoffs keep their relative precision. Its oracle is
+    verify's delta_mass_engine row, which integrates the same integrand with
+    the adaptive engine.
     """
     if not 0 < mass < math.inf:
         raise ValueError("mass must be positive and finite")
     if not 0 <= lambda_cut < math.inf:
         raise ValueError("cutoff must be finite and >= 0")
     const = const or constants()
-    alpha = const.fine_structure_alpha
-    hbar = const.hbar
-    c0 = const.light_speed_c0
-
-    u_max = hbar * lambda_cut / (mass * c0)   # dimensionless cutoff
-    closed = (8.0 * alpha * mass / (3.0 * math.pi)) * math.log1p(u_max / 2.0)
-    if lambda_cut == 0.0:
-        return 0.0
-
-    # Quadrature in u = hbar k / (m c0): the integrand reduces to
-    # (2m/hbar^2) / (2 + u) du, restoring the same prefactor.
-    def f(us: list[float]) -> list[float]:
-        return [1.0 / (2.0 + u) for u in us]
-
-    breaks = []
-    b = u_max
-    while b > 1e-6:
-        b /= 2.0
-        breaks.append(b)
-    res = integrate_adaptive(f, 0.0, u_max, _DELTA_MASS_SPEC, breakpoints=breaks)
-    quad = (8.0 * alpha * mass / (3.0 * math.pi)) * res.value
-    rel = abs(quad - closed) / abs(closed)
-    if rel > 1e-8:
-        raise MassShiftMismatch(
-            f"delta_mass(m={mass!r}, Lambda={lambda_cut!r}): closed={closed!r} "
-            f"quadrature={quad!r} (relative {rel:.3e})"
-        )
-    return closed
+    u_max = const.hbar * lambda_cut / (mass * const.light_speed_c0)
+    return (8.0 * const.fine_structure_alpha * mass / (3.0 * math.pi)) \
+        * math.log1p(u_max / 2.0)
 
 
 def reduced_mass_shift(params: AtomicParams, delta_m1: float,

@@ -37,23 +37,34 @@ DEFAULT_LAMB_LOG = -8.35     # standard excitation-log value, supplied, never co
 _MIN_TAIL_POINTS = 8
 
 _ZETA_EM_START = 25.0
-# B_2k / (2k)! for k = 1..5, the Euler-Maclaurin coefficients used by hurwitz_zeta.
+# B_2k / (2k)! for k = 1..5, the Euler-Maclaurin coefficients used by hurwitz_zeta,
+# and |B_12| / 12!, that of the first term it leaves out.
 _ZETA_EM_COEFFS = (1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0, -1.0 / 1209600.0,
                    1.0 / 47900160.0)
+_ZETA_EM_OMITTED = 691.0 / 2730.0 / 479001600.0
 
 
 def hurwitz_zeta(s: float, a: float) -> float:
     """Hurwitz zeta sum_{k >= 0} (a + k)^-s for finite s > 1 and a > 0.
 
-    Sums (a + k)^-s directly while a + k < 25, then adds the Euler-Maclaurin
-    tail from x = a + k: x^(1-s)/(s-1) + x^-s/2 + sum_k B_2k/(2k)!
-    s(s+1)...(s+2k-2) x^(-s-2k+1), k = 1..5. The first term left out (B_12)
-    is below 4e-16 relative at x >= 25 for s <= 4; starting the tail at 10
-    instead would leave it at 2e-11.
+    Sums (a + k)^-s directly while a + k is below the start, then adds the
+    Euler-Maclaurin tail from x = a + k: x^(1-s)/(s-1) + x^-s/2 + sum_k
+    B_2k/(2k)! s(s+1)...(s+2k-2) x^(-s-2k+1), k = 1..5. The start is the
+    least x >= 25 at which the first term left out, B_12/12! s...(s+10)
+    x^(-s-11), is below 4e-16 of either lower bound of the sum: the tail's
+    leading term x^(1-s)/(s-1), or the first term a^-s. It is 25 for s <= 4
+    and at most 62 at s = 15 and 114 at s = 31; for large s the second bound
+    keeps it near a. Against exact values for s from 1.5 to 100 and a from
+    0.5 to 1e4, the relative error is below 3e-16.
     """
     if not (math.isfinite(s) and math.isfinite(a) and s > 1.0 and a > 0.0):
         raise ValueError(f"hurwitz_zeta needs finite s > 1 and a > 0, got s={s!r}, a={a!r}")
-    n_direct = max(0, math.ceil(_ZETA_EM_START - a))
+    log_omitted = math.log(_ZETA_EM_OMITTED / 4e-16) + math.fsum(
+        math.log(s + j) for j in range(11))
+    start = max(_ZETA_EM_START, min(
+        math.exp((log_omitted + math.log(s - 1.0)) / 12.0),
+        math.exp((log_omitted + s * math.log(a)) / (s + 11.0))))
+    n_direct = max(0, math.ceil(start - a))
     x = a + n_direct
     x_s = x**-s
     power = x_s / x                 # x^(-s-2k+1) for k = 1

@@ -25,6 +25,14 @@ ELEMENTARY_CHARGE = 1.602176634e-19      # C (exact)
 
 PROTON_ELECTRON_MASS_RATIO = PROTON_MASS / ELECTRON_MASS
 
+# The budget's adopted vacuum couplings, discrete sums plus plane-wave
+# continuum parts (0.21 + 0.01, 0.0796 + 0.018), and its choices of alpha(0):
+# held here so that the CLI declares them without loading the budget.
+ADOPTED_KAPPA1 = 0.22
+ADOPTED_KAPPA2 = 0.0976
+POLARIZABILITY_CHOICES = ("exact", "computed_discrete",
+                          "relativistic_corrected")
+
 
 class PhysicalConstants(NamedTuple):
     """Fixed CODATA 2018 constant set. Immutable; safe to share across threads."""

@@ -15,6 +15,7 @@ bands in bench/spec.py, which a test holds equal to these rows.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from typing import Any, Callable, NamedTuple
 
@@ -90,6 +91,12 @@ _GRID = [1e16 * 2.0**k for k in range(5)]   # cutoffs of the exponent fits
 # bar at y_min = 1e4 is larger than the value, and would pass any answer.
 _ORACLE_YMIN = (0.0, 1e-3, 1.0, 2.0, 10.0, 1e4)
 _ORACLE_SPEC = quadrature.QuadratureSpec(abs_tol=1e-300, rel_tol=1e-12)
+# A self-mass cutoff hbar*Lambda/(m c0) at which the log argument is near 1,
+# so that plain log in place of log1p loses its relative precision.
+_SMALL_CUTOFF_RATIO = 1e-6
+# Rounding bar of the self-mass closed form and the engine's sum, relative:
+# with rel_tol 1e-12, the row's bar stays far below a 1e-8 relative gap.
+_DELTA_MASS_ROUNDING = 8 * sys.float_info.epsilon
 # Upper cut of the beta integral: its tail beyond, at most 1e3^-7/7, is far
 # below the integration tolerance.
 _BETA_CUT = 1e3
@@ -142,6 +149,32 @@ def _continuum_oracle(which: str, y_min: float) -> Callable[[_Memo], float]:
         return abs(engine.value - closed.value) / (engine.error
                                                   + closed.estimated_error)
     return ratio
+
+
+def _delta_mass_oracle(m: _Memo) -> float:
+    """Worst |engine - closed form| of the self-mass over the sum of their
+    bars, at the renorm report's default cutoffs (electron and proton at
+    --cutoff-ratio, the electron at --big-ratio and twice it) and at
+    _SMALL_CUTOFF_RATIO. The engine integrates the integrand in
+    u = hbar k/(m c0), where it is (2m/hbar^2)/(2 + u), on a partition
+    that halves down from u_max."""
+    p = _defaults("renorm")
+    ratios = (p["big_ratio"], 2 * p["big_ratio"], _SMALL_CUTOFF_RATIO)
+    points = [(_C.electron_mass, p["cutoff_ratio"]),
+              (_C.proton_mass, p["cutoff_ratio"]),
+              *((_C.electron_mass, ratio) for ratio in ratios)]
+    worst = 0.0
+    for mass, ratio in points:
+        lam = ratio * mass * _C.light_speed_c0 / _C.hbar
+        closed = renorm.delta_mass(mass, lam)
+        u_max = _C.hbar * lam / (mass * _C.light_speed_c0)
+        engine = quadrature.integrate_adaptive(
+            lambda us: [1.0 / (2.0 + u) for u in us], 0.0, u_max, _ORACLE_SPEC,
+            breakpoints=[u_max * 0.5**k for k in range(1, 40)])
+        front = 8.0 * _C.fine_structure_alpha * mass / (3.0 * math.pi)
+        worst = max(worst, abs(front * engine.value - closed)
+                    / (front * engine.error + _DELTA_MASS_ROUNDING * closed))
+    return worst
 
 
 def _radial_route_gap(m: _Memo) -> float:
@@ -248,6 +281,8 @@ CHECKS: tuple[Check, ...] = (
     Check("delta_mass_doubling_increment",
           lambda m: _reported("renorm", "doubling_increment_electron")(m)
           / _reported("renorm", "doubling_increment_limit")(m), 1.0, rel=1e-3),
+    Check("delta_mass_engine", _delta_mass_oracle, rule=lambda r: r <= 1.0,
+          text="engine within its error plus the closed form's rounding"),
     Check("rho_c_order_of_magnitude", _reported("rho-c", "ratio_to_reference"),
           rule=lambda v: 0.1 <= v <= 10.0,
           text="within factor 10 of n_e m_e/alpha"),

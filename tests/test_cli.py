@@ -131,8 +131,8 @@ def test_validation_exit_codes():
 
 
 def test_renorm_overflowing_cutoff_exit_2(capsys):
-    # In-process: an inf cutoff must be refused before delta_mass's breakpoint
-    # loop, which never ends on it.
+    # In-process: an overflowing cutoff is refused naming its flag, before
+    # delta_mass refuses it with a message that names none.
     for flag in ("--cutoff-ratio", "--big-ratio"):
         for value in ("1e300", "inf"):
             assert run(["renorm", flag, value]) == 2

@@ -1,7 +1,10 @@
 """Reentrancy and idempotent-fill checks for the documented threading model."""
 
+import os
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import casimir_momentum.hydrogen as hyd
 from casimir_momentum import quadrature
@@ -18,6 +21,8 @@ from casimir_momentum.sums import (
     oscillator_strength_sum,
     polarizability_discrete,
 )
+
+SRC = str(Path(hyd.__file__).resolve().parents[1])
 
 
 def test_engine_reentrant_under_threads():
@@ -88,3 +93,27 @@ def test_sum_value_independent_of_prior_thread_fill(monkeypatch):
         sys.setswitchinterval(interval)
     assert [len(col) for col in hyd._COLUMNS] == [162] * 4   # n = 2..163, once each
     assert threaded == serial  # bit-identical, not just close
+
+
+def test_lazy_root_export_first_access_under_threads():
+    # Eight threads make the first access to a lazy root export together, in
+    # a fresh process, so the submodule is not loaded before they start.
+    code = (
+        "import sys, threading\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "import casimir_momentum as cm\n"
+        "assert 'casimir_momentum.renorm' not in sys.modules\n"
+        "sys.setswitchinterval(1e-6)\n"
+        "barrier = threading.Barrier(8)\n"
+        "def first_access(_):\n"
+        "    barrier.wait()\n"
+        "    return cm.delta_mass\n"
+        "with ThreadPoolExecutor(max_workers=8) as pool:\n"
+        "    got = list(pool.map(first_access, range(8)))\n"
+        "assert all(f is sys.modules['casimir_momentum.renorm'].delta_mass\n"
+        "           for f in got)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr

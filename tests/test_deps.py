@@ -3,6 +3,8 @@ blocked, no file of the package mentions it, and scipy must never load.
 The package itself imports neither dataclasses nor inspect, and every
 subcommand reports the same bytes under every Python version at hand."""
 
+import importlib
+import json
 import os
 import re
 import shutil
@@ -118,3 +120,87 @@ def test_no_source_file_mentions_numpy():
     mentions = [str(path) for path in sorted(Path(SRC).rglob("*.py"))
                 if "numpy" in path.read_text(encoding="utf-8").lower()]
     assert mentions == []
+
+
+# --- what a fresh process loads ---------------------------------------------
+
+_FOOTPRINT = ("import json, os, sys\n"
+              "{code}\n"
+              "print(json.dumps(sorted(m.rpartition('.')[2] for m in sys.modules\n"
+              "                        if m.startswith('casimir_momentum.'))))")
+
+
+def _loaded(code: str) -> set[str]:
+    """The package's submodules loaded after running code in a fresh process."""
+    proc = _python(_FOOTPRINT.format(code=code))
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_import_loads_only_the_sweep_modules():
+    # The library sweep imports the package and then starts its timer; the
+    # modules of its sums and continuum scans must be loaded by then.
+    assert _loaded("import casimir_momentum") == {"hydrogen", "quadrature", "sums"}
+
+
+# The modules a subcommand must not load.
+_NOT_LOADED = {
+    **dict.fromkeys(("continuum", "kappas", "bethe", "polarizability"),
+                    {"budget", "renorm", "verify"}),
+    "budget": {"renorm", "verify"},
+    "renorm": {"budget", "verify"},
+    "rho-c": {"budget", "verify"},
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(_NOT_LOADED))
+def test_subcommand_loads_only_what_it_runs(subcommand):
+    loaded = _loaded("from casimir_momentum.cli import run\n"
+                     f"assert run([{subcommand!r}, '--output', os.devnull]) == 0")
+    assert "cli" in loaded
+    assert not loaded & _NOT_LOADED[subcommand], sorted(loaded)
+
+
+def test_renorm_runs_no_engine(monkeypatch):
+    from casimir_momentum import quadrature, renorm
+    from casimir_momentum.cli import run
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the adaptive engine ran")
+
+    monkeypatch.setattr(quadrature, "integrate_adaptive", refuse)
+    assert run(["renorm"]) == 0
+    assert not hasattr(renorm, "integrate_adaptive")
+
+
+# --- the package root: eager sweep exports, the rest on first access ---------
+
+_SUBMODULES = ("hydrogen", "quadrature", "sums", "budget", "renorm", "units")
+
+
+def test_every_root_export_is_its_submodules_object():
+    modules = [vars(importlib.import_module(f"casimir_momentum.{mod}"))
+               for mod in _SUBMODULES]
+    for name in casimir_momentum.__all__:
+        owners = [module[name] for module in modules if name in module]
+        assert owners, name
+        assert all(getattr(casimir_momentum, name) is obj for obj in owners), name
+
+
+def test_root_dir_and_star_import_list_the_lazy_names():
+    lazy = set(casimir_momentum._LAZY)
+    assert lazy <= set(casimir_momentum.__all__)
+    assert set(casimir_momentum.__all__) <= set(dir(casimir_momentum))
+    namespace: dict = {}
+    exec("from casimir_momentum import *", namespace)
+    assert set(casimir_momentum.__all__) <= set(namespace)
+
+
+def test_root_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="'casimir_momentum'.*'no_such_name'"):
+        casimir_momentum.no_such_name
+    assert not hasattr(casimir_momentum, "no_such_name")
+    # A submodule name is not an export, so `from ... import` loads it.
+    namespace: dict = {}
+    exec("from casimir_momentum import budget, renorm", namespace)
+    assert namespace["renorm"] is importlib.import_module("casimir_momentum.renorm")

@@ -3,11 +3,11 @@ import math
 import pytest
 
 import casimir_momentum.renorm as rn
+from casimir_momentum import quadrature, verify
 from casimir_momentum.renorm import (
     CutoffScheme,
     DispersionModel,
     MassDensityOverflow,
-    MassShiftMismatch,
     PlasmaCutoffWarning,
     casimir_mass_density,
     delta_mass,
@@ -93,23 +93,12 @@ def test_model_validation():
 
 # --- electromagnetic self-mass ----------------------------------------------
 
-def test_delta_mass_ln2_point(monkeypatch):
+def test_delta_mass_ln2_point():
     # hbar Lambda = 2 m c0 makes the log argument 2 exactly.
     m = CONST.electron_mass
     lam = 2.0 * m * CONST.light_speed_c0 / CONST.hbar
     front = 8.0 * CONST.fine_structure_alpha * m / (3.0 * math.pi)
-    expected = front * math.log(2.0)
-    quadratures, integrate = [], rn.integrate_adaptive
-
-    def capture(*args, **kwargs):
-        quadratures.append(integrate(*args, **kwargs))
-        return quadratures[-1]
-
-    monkeypatch.setattr(rn, "integrate_adaptive", capture)
-    assert delta_mass(m, lam) == pytest.approx(expected, rel=1e-12)
-    # The quadrature oracle that ran inside the call, on its own.
-    assert len(quadratures) == 1
-    assert front * quadratures[0].value == pytest.approx(expected, rel=1e-10)
+    assert delta_mass(m, lam) == pytest.approx(front * math.log(2.0), rel=1e-12)
 
 
 def test_delta_mass_zero_cutoff():
@@ -147,15 +136,53 @@ def test_delta_mass_validation():
             delta_mass(mass, cut)
 
 
-def test_delta_mass_route_mismatch_raises(monkeypatch):
+# --- the engine oracle of the self-mass: verify's delta_mass_engine row ------
+
+def _engine_row() -> tuple[float, bool]:
+    """The value of the delta_mass_engine row and whether it passes."""
+    chk, = (c for c in verify.CHECKS if c.name == "delta_mass_engine")
+    value = chk.compute(verify._Memo({}))
+    return value, chk.passes(value)
+
+
+def test_delta_mass_engine_row_passes_and_runs_the_engine(monkeypatch):
+    # The row runs the engine, and it never runs inside delta_mass.
+    runs, integrate = [], quadrature.integrate_adaptive
+
+    def capture(*args, **kwargs):
+        runs.append(integrate(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(quadrature, "integrate_adaptive", capture)
+    delta_mass(CONST.electron_mass, 1e4 * CONST.electron_mass
+               * CONST.light_speed_c0 / CONST.hbar)
+    assert runs == []
+    value, passed = _engine_row()
+    assert passed and 0.0 <= value <= 1.0
+    assert len(runs) == 5
+
+
+def test_delta_mass_engine_row_fails_on_route_mismatch(monkeypatch):
     class FakeResult:
         value = 123.456
+        error = 0.0
 
-    monkeypatch.setattr(rn, "integrate_adaptive",
+    monkeypatch.setattr(quadrature, "integrate_adaptive",
                         lambda *a, **k: FakeResult())
-    with pytest.raises(MassShiftMismatch):
-        delta_mass(CONST.electron_mass,
-                   CONST.electron_mass * CONST.light_speed_c0 / CONST.hbar)
+    assert not _engine_row()[1]
+
+
+def test_delta_mass_engine_row_sees_log_without_log1p(monkeypatch):
+    # ln(1 + u/2) by plain log loses its relative precision at small u.
+    def plain_log(mass, lambda_cut, const=None):
+        const = const or constants()
+        u_max = const.hbar * lambda_cut / (mass * const.light_speed_c0)
+        return (8.0 * const.fine_structure_alpha * mass / (3.0 * math.pi)) \
+            * math.log(1.0 + u_max / 2.0)
+
+    monkeypatch.setattr(rn, "delta_mass", plain_log)
+    value, passed = _engine_row()
+    assert not passed and value > 1e3
 
 
 def test_divergence_exponent_refuses_nonfinite_values():

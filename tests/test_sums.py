@@ -38,6 +38,28 @@ def test_hurwitz_zeta_known_values():
     assert hurwitz_zeta(3.0, 101.0) == pytest.approx(ZETA3_TAIL_AT_100, rel=1e-15)
 
 
+# zeta(s, a) at a = 3, 26, 60, 201, from mpmath at 100 digits, cross-checked
+# against 120 digits and against mpmath.nsum of the defining series.
+ZETA_HIGH_S = {
+    7: (5.367773819228268398e-4, 6.0456229053590879634e-10,
+        3.7543291980440575122e-12, 2.5653320244145100475e-15),
+    15: (7.0658182020493551729e-8, 1.4338278730455874912e-21,
+         1.0222617908527509286e-26, 4.2089732597427706818e-34),
+    23: (1.0636414529823067789e-11, 5.0090964133489766572e-33,
+         4.1268888434093818149e-41, 1.0252583061945079818e-52),
+    31: (1.6191956391494864233e-15, 2.000927923704680402e-44,
+         1.9170410711782993012e-55, 2.8775900853901850926e-71),
+}
+
+
+@pytest.mark.parametrize("s", sorted(ZETA_HIGH_S))
+@pytest.mark.parametrize("i, a", enumerate([3.0, 26.0, 60.0, 201.0]))
+def test_hurwitz_zeta_high_s_literals(s, i, a):
+    # A start fixed at 25 left 1e-11 at (15, 26) and 1e-8 at (31, 26).
+    assert hurwitz_zeta(float(s), a) == pytest.approx(ZETA_HIGH_S[s][i],
+                                                      rel=1e-15, abs=0.0)
+
+
 @pytest.mark.parametrize("s", [3.0, 4.0])
 @pytest.mark.parametrize("a", [1.0, 9.0, 24.5, 25.0, 201.0, 1e6])
 def test_hurwitz_zeta_recurrence(s, a):
