@@ -1,7 +1,7 @@
 """Vacuum corrections to the field-induced (Abraham) momentum of hydrogen.
 
 A numerical laboratory: hydrogen radial matrix elements with dual-route
-oracles, Rydberg sums with tail extrapolation, plane-wave continuum
+oracles, Rydberg sums with tails in closed form, plane-wave continuum
 integrals in closed form with an adaptive quadrature engine as their
 oracle, cutoff-regularized divergent integrals with mass renormalization
 identities, and an itemized pseudo-momentum budget.
@@ -20,7 +20,7 @@ from .quadrature import (ContinuumResult, QuadratureError, QuadratureSpec,
 from .sums import (PerturbedGroundState, SpectralSumResult, bethe_sum,
                    first_moment_residual, kappa1_discrete, kappa2_discrete,
                    normalization_constant, oscillator_strength_sum,
-                   polarizability_discrete, tail_extrapolate)
+                   polarizability_discrete)
 
 # Each lazy export and the submodule it comes from (PEP 562).
 _LAZY = {name: module for module, names in (
@@ -41,7 +41,7 @@ __all__ = [
     "PerturbedGroundState", "SpectralSumResult", "bethe_sum",
     "first_moment_residual", "kappa1_discrete", "kappa2_discrete",
     "normalization_constant", "oscillator_strength_sum",
-    "polarizability_discrete", "tail_extrapolate",
+    "polarizability_discrete",
     *_LAZY,
 ]
 

@@ -123,9 +123,8 @@ def serialize(report: ReportEnvelope, output_format: str) -> bytes:
 _BUDGET_MAGNITUDE_MAX = 1e50
 
 # Largest accepted --n-max: the sums keep four closed-form columns of 8
-# bytes per n and value up to it, and the tail-fit window; kappas at the
-# ceiling takes about 0.7 s and 29 MB peak RSS as a fresh process (2-core
-# host, Python 3.11).
+# bytes per n and value up to it; kappas at the ceiling takes about 0.7 s
+# and 29 MB peak RSS as a fresh process (2-core host, Python 3.11).
 _N_MAX_CEILING = 100_000
 
 
@@ -222,9 +221,7 @@ def _switch(name: str, help: str) -> Param:
                  parse=lambda text, flag: text == "on")
 
 
-_TAIL = _switch("tail", "power-law tail beyond n_max")
-# With the tail on, the terms n = 2..n_max must fill the tail fit's window.
-_TAIL_N_MAX_MIN = sums._MIN_TAIL_POINTS + 1
+_TAIL = _switch("tail", "add the exact 1/n^2-expansion tail beyond n_max")
 # The continuum integrals are closed forms, so these two steer no reported
 # number. They are still accepted, checked and echoed in the config, because
 # the benchmark's replay (bench/worker.py, _spec_from) reads both keys from
@@ -251,7 +248,8 @@ def _row(value: Any, provenance: str, error: Any = None) -> Row:
 def _sum_row(res: sums.SpectralSumResult, provenance: str) -> Row:
     return {"value": res.value, "error": res.error_bound,
             "tail_estimate": res.tail_estimate, "partial": res.partial,
-            "n_max": res.n_max}, provenance
+            "n_max": res.n_max}, (f"{provenance}; tail beyond n_max from the exact "
+                                  "1/n^2 expansion of the terms (0 with --tail off)")
 
 
 def _handle_kappas(p: dict[str, Any]) -> dict[str, Row]:
@@ -264,10 +262,8 @@ def _handle_kappas(p: dict[str, Any]) -> dict[str, Row]:
     net = -k1 + k2
     alpha = constants().fine_structure_alpha
     return {
-        "kappa1_discrete": _sum_row(k1d, "(2/27) sum I1(n) I3(n)/dE_n^2 over np "
-                                         "states, power-law tail beyond n_max"),
-        "kappa2_discrete": _sum_row(k2d, "(1/27) sum I2(n) I3(n)/dE_n over np "
-                                         "states, power-law tail beyond n_max"),
+        "kappa1_discrete": _sum_row(k1d, "(2/27) sum I1(n) I3(n)/dE_n^2 over np states"),
+        "kappa2_discrete": _sum_row(k2d, "(1/27) sum I2(n) I3(n)/dE_n over np states"),
         "kappa1_continuum": _row(k1c.value, "plane-wave continuum integral of "
                                  "y^3/(y^2+1)^3 (arctan y/y^2 - 1/(y sqrt(y^2+1))) "
                                  "from y_min", error=k1c.estimated_error),
@@ -563,11 +559,6 @@ def run(argv: list[str] | None = None) -> int:
         params = _effective_params(args, (*cmd.params, _FORMAT))
         fmt = _FORMAT.checked(params.pop("format"))
         checked = {p.name: p.checked(params[p.name]) for p in cmd.params}
-        if checked.get("tail"):
-            _require(checked["n_max"] >= _TAIL_N_MAX_MIN,
-                     f"--n-max must be >= {_TAIL_N_MAX_MIN} with --tail on (the "
-                     f"tail fit needs {sums._MIN_TAIL_POINTS} terms), got "
-                     f"{checked['n_max']}")
         out_path = args.output
         config = RunConfig(subcommand=args.subcommand, params=params,
                            output_format=fmt, output_path=out_path)

@@ -1,40 +1,36 @@
-"""Discrete Rydberg sums with compensated accumulation and power-law tails.
+"""Discrete Rydberg sums with compensated accumulation and exact tails.
 
 All sums run over the 1s -> np series in a fixed ascending index order and
 accumulate with Neumaier compensation, so results are bit-identical from run
 to run regardless of how the term values were produced. Each series builds
 its terms in one pass over the closed-form columns of
-`hydrogen.closed_form_columns` (flat I1, I2, I3 and dE arrays); the sum keeps
-a running total and only the terms of the tail-fit window, so its memory
-beyond the columns is the window alone. Truncation beyond n_max is handled
-by fitting the term sequence to a/n^3 + b/n^4 on the upper half of the
-window and summing the model analytically with the Hurwitz zeta, computed
-in-house by `hurwitz_zeta` (direct terms, then an Euler-Maclaurin tail).
-The part of the fit that depends on the window alone is built once per
-window.
+`hydrogen.closed_form_columns` (flat I1, I2, I3 and dE arrays) and keeps only
+a running total.
+
+The part beyond n_max is summed in closed form. With v = 1/n^2 and
+X_c(v) = exp(-c sum_{j>=1} v^j/(2j+1)), the closed forms of `hydrogen` make
+n^3 t(n) of each series a rational function of v times e^-2 X_2(v) or
+e^-4 X_4(v) (see SERIES). Its power series sum_k c_k v^k converges for
+n >= 2, so the tail is sum_k c_k zeta(3 + 2k, n_max + 1) at every n_max,
+with the Hurwitz zeta computed in-house by `hurwitz_zeta`. Each c_k, an
+exact rational times e^-2 plus one times e^-4, is worked out on first use in
+256-bit fixed point and rounded to a float once.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from functools import lru_cache
-from itertools import islice, tee
-from operator import lt, mul
-from typing import Iterable, Iterator, NamedTuple, Sequence
+import sys
+from functools import cache
+from itertools import count, islice
+from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .hydrogen import (
-    _oscillator,
-    closed_form_columns,
-    radial_record,
-    transition_energy,
-)
+from .hydrogen import (_oscillator, closed_form_columns, radial_record,
+                       transition_energy)
 
 DEFAULT_N_MAX_KAPPA = 200
 DEFAULT_N_MAX_POLARIZABILITY = 400
 DEFAULT_LAMB_LOG = -8.35     # standard excitation-log value, supplied, never computed
-
-_MIN_TAIL_POINTS = 8
 
 _ZETA_EM_START = 25.0
 # B_2k / (2k)! for k = 1..5, the Euler-Maclaurin coefficients used by hurwitz_zeta,
@@ -42,6 +38,14 @@ _ZETA_EM_START = 25.0
 _ZETA_EM_COEFFS = (1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0, -1.0 / 1209600.0,
                    1.0 / 47900160.0)
 _ZETA_EM_OMITTED = 691.0 / 2730.0 / 479001600.0
+
+# A stated bound, relative, on the rounding of each term and of the sums
+# that hold it. A float term n <= n_max is within 8.3 eps of its exact value
+# up to n = 1e5, but their errors do not add in one direction: against
+# 40-digit sums, the partial sums of all five series are within 1.42 eps at
+# every n_max up to 1e5. A tail term c_k zeta(3+2k, n_max+1) is within
+# 1.35 eps (the zeta) plus the rounding of its product and of math.fsum.
+_ROUNDING = 4 * sys.float_info.epsilon
 
 
 def hurwitz_zeta(s: float, a: float) -> float:
@@ -102,82 +106,82 @@ def neumaier_cumsum(terms: Iterable[float]) -> list[float]:
     return list(_neumaier_running(terms))
 
 
-class TailEstimate(NamedTuple):
-    value: float
-    error_bound: float
+class _Series(NamedTuple):
+    """One Rydberg series: its term t(n) from (I1, I2, I3, dE) of one n, and
+    n^3 t(n) as a sum of parts w e^-c X_c(v) p(v) (1 - v)^-m, each part given
+    as ((numerator, denominator) of w, c, m, coefficients of p in v)."""
+
+    term: Callable[[float, float, float, float], float]
+    parts: tuple[tuple[tuple[int, int], int, int, tuple[int, ...]], ...]
 
 
-class _WindowFit(NamedTuple):
-    """What the tail fit needs of its window alone: the scaled basis u, v,
-    its normal-matrix entries and determinant, and the zeta sums z3, z4."""
-
-    u: tuple[float, ...]
-    v: tuple[float, ...]
-    suu: float
-    suv: float
-    svv: float
-    det: float
-    z3: float
-    z4: float
-
-
-# A window of m points keeps 3 m floats here; 8 windows cover the sums of
-# one convergence study over 8 values of n_max.
-@lru_cache(maxsize=8)
-def _window_fit(ns: tuple[float, ...]) -> _WindowFit:
-    # The basis is n^-3 and n^-4 scaled by n_last^3 and n_last^4: O(1) on
-    # the fit window (at most 8 and 16 there), where they are nearly
-    # collinear, instead of n^-6..n^-8 entries in the normal matrix.
-    n_last = ns[-1]
-    u = tuple((n_last / n) ** 3 for n in ns)
-    v = tuple((n_last / n) ** 4 for n in ns)
-    suu, suv, svv = (math.fsum(map(mul, x, y)) for x, y in ((u, u), (u, v), (v, v)))
-    return _WindowFit(u, v, suu, suv, svv,
-                      det=math.fsum([suu * svv, -suv * suv]),
-                      z3=n_last**3 * hurwitz_zeta(3.0, n_last + 1.0),
-                      z4=n_last**4 * hurwitz_zeta(4.0, n_last + 1.0))
+SERIES = {
+    "kappa1": _Series(lambda i1, i2, i3, de: (2.0 / 27.0) * i1 * i3 / de**2,
+                      (((256, 27), 2, 5, (1,)), ((-128, 27), 4, 6, (10, -2)))),
+    "kappa2": _Series(lambda i1, i2, i3, de: (1.0 / 27.0) * i2 * i3 / de,
+                      (((256, 27), 4, 5, (1,)),)),
+    "polarizability": _Series(lambda i1, i2, i3, de: (2.0 / 3.0) * i3 * i3 / de,
+                              (((1024, 3), 4, 6, (1,)),)),
+    "bethe": _Series(lambda i1, i2, i3, de: i2 * i2, (((64, 1), 4, 3, (1,)),)),
+    "oscillator": _Series(lambda i1, i2, i3, de: _oscillator(de, i3),
+                          (((256, 3), 4, 4, (1,)),)),
+}
 
 
-def tail_extrapolate(ns: Sequence[int], terms: Sequence[float]) -> TailEstimate:
-    """Tail sum_{n > ns[-1]} of terms fitted to a/n^3 + b/n^4.
+# The coefficients are worked out on first use, never at import, in fixed
+# point: a value times _ONE as a Python integer. Each floor division is off
+# by less than a unit, so a c_k is within 2^-200 relative of its exact value
+# (2^-240 measured to k = 69) before int / int rounds it to a float, once.
+_ONE = 1 << 256
 
-    Needs at least 8 finite fit points of one sign at positive, increasing
-    n (all-zero input returns a zero tail); sign-alternating terms are
-    refused because the power-law model is then invalid. The fit solves the
-    2x2 normal equations with math.fsum. The error bound combines the
-    sensitivity to dropping the n^-4 term with the worst relative fit
-    residual.
+
+@cache
+def _x(c: int, k: int) -> int:
+    """The coefficient of v^k in X_c(v), times _ONE, from the recurrence
+    k x_k = sum_{j=1}^k (-c j/(2j+1)) x_{k-j} of X' = (log X)' X."""
+    if k == 0:
+        return _ONE
+    return sum(-c * j * _x(c, k - j) // (2 * j + 1) for j in range(1, k + 1)) // k
+
+
+@cache
+def _exp_minus(c: int) -> int:
+    """e^-c times _ONE: sum_{i<100} (-c)^i/i!, whose rest is below 2^-300
+    for c <= 4."""
+    return sum((-c) ** i * _ONE // math.factorial(i) for i in range(100))
+
+
+@cache
+def _coefficient(name: str, k: int) -> float:
+    """c_k of a series, rounded once: the coefficient of v^k in
+    p(v) X_c(v) (1 - v)^-m is sum_{d, i} p_d C(m-1+i, i) x_{k-d-i}."""
+    return sum(num * _exp_minus(c) * sum(
+        p * math.comb(m - 1 + i, i) * _x(c, k - d - i)
+        for d, p in enumerate(poly) for i in range(k - d + 1)) // den
+        for (num, den), c, m, poly in SERIES[name].parts) / _ONE**2
+
+
+def expansion(name: str, weight: Callable[[int], float]) -> tuple[float, float]:
+    """sum_k c_k weight(k) of a series, and its error bar.
+
+    The terms are taken for k = 0, 1, ... until the next one is below 2^-60
+    of their sum, and added by math.fsum. Every c_k is positive and, from
+    k = 1 on, c_{k+1}/c_k is below 2.9 (4.7 from c_0 to c_1), so where
+    weight(k+1)/weight(k) <= 1/9, as for n^-(3+2k) and zeta(3+2k, a) at
+    n, a >= 3, the terms at least halve from one k to the next. The bar is
+    then twice the first term left out, plus the rounding of the
+    coefficients (eps/2 each) and _ROUNDING, of the terms' sizes.
     """
-    ns = tuple(map(float, ns))
-    terms = tuple(map(float, terms))
-    if len(ns) != len(terms):
-        raise ValueError("ns and terms must be 1-D sequences of equal length")
-    if len(ns) < _MIN_TAIL_POINTS:
-        raise ValueError(f"need at least {_MIN_TAIL_POINTS} fit points, got {len(ns)}")
-    if not all(map(math.isfinite, ns + terms)):
-        raise ValueError("the tail fit input is not finite")
-    if ns[0] <= 0 or not all(map(lt, ns, ns[1:])):
-        raise ValueError("ns must be positive and strictly increasing")
-    if not any(terms):
-        return TailEstimate(value=0.0, error_bound=0.0)
-    if min(terms) < 0.0 < max(terms):
-        raise ValueError("terms change sign; the a/n^3 + b/n^4 tail model is invalid")
-
-    try:
-        w = _window_fit(ns)
-        sut, svt = (math.fsum(map(mul, x, terms)) for x in (w.u, w.v))
-        c3 = math.fsum([w.svv * sut, -w.suv * svt]) / w.det
-        c4 = math.fsum([w.suu * svt, -w.suv * sut]) / w.det
-        tail = c3 * w.z3 + c4 * w.z4
-        rel_resid = max((abs(t - f) / abs(f) for t, f in zip(
-            terms, (c3 * a + c4 * b for a, b in zip(w.u, w.v))) if f != 0.0),
-            default=0.0)
-        error = abs(tail - sut / w.suu * w.z3) + rel_resid * abs(tail)
-    except (ArithmeticError, ValueError):   # overflow, det = 0, inf - inf in fsum
-        tail = error = math.nan
-    if not (math.isfinite(tail) and math.isfinite(error)):
-        raise ValueError("the tail fit is not finite: degenerate or overflowing input")
-    return TailEstimate(value=tail, error_bound=error)
+    terms = []
+    total = 0.0
+    for k in count():
+        t = _coefficient(name, k) * weight(k)
+        if abs(t) <= 2.0**-60 * total:
+            size = math.fsum(map(abs, terms))
+            return math.fsum(terms), (2.0 * abs(t) + (sys.float_info.epsilon / 2
+                                                      + _ROUNDING) * size)
+        terms.append(t)
+        total += abs(t)
 
 
 class SpectralSumResult(NamedTuple):
@@ -191,43 +195,24 @@ class SpectralSumResult(NamedTuple):
     error_bound: float
 
 
-def _crude_tail_bound(n_max: int, last_term: float) -> float:
-    # Upper bound on the dropped tail assuming t_n * n^3 is nonincreasing,
-    # which holds for every series in this module; factor 2 of slack.
-    return 2.0 * abs(last_term) * n_max**3 * hurwitz_zeta(3.0, n_max + 1.0)
-
-
-def _spectral_sum(terms: Iterable[float], n_max: int,
-                  tail: bool) -> SpectralSumResult:
-    """The sum of the terms n = 2..n_max, read from `terms` (which starts at
-    n = 2 and may run on) in one pass that keeps only the tail-fit window."""
+def _spectral_sum(name: str, n_max: int, tail: bool) -> SpectralSumResult:
+    """The compensated sum of the terms n = 2..n_max of a series, in one pass
+    over the closed-form columns, and the exact tail beyond it. The bar is
+    the tail's own plus _ROUNDING of the partial sum (every term is
+    positive); with the tail off, the tail itself joins it."""
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    fit_lo = n_max
+    partial = 0.0
+    for partial in _neumaier_running(islice(
+            map(SERIES[name].term, *closed_form_columns(n_max)), n_max - 1)):
+        pass
+    rest, bar = expansion(name, lambda k: hurwitz_zeta(3.0 + 2 * k, n_max + 1.0))
+    bar += _ROUNDING * partial
     if tail:
-        fit_lo = max(2, n_max // 2)
-        if n_max - fit_lo + 1 < _MIN_TAIL_POINTS:
-            fit_lo = max(2, n_max - _MIN_TAIL_POINTS + 1)
-        if n_max - fit_lo + 1 < _MIN_TAIL_POINTS:
-            raise ValueError(
-                f"n_max={n_max} leaves fewer than {_MIN_TAIL_POINTS} terms "
-                "for the tail fit; raise n_max or disable the tail"
-            )
-    kept, summed = tee(islice(terms, n_max - 1))
-    window: deque[float] = deque(maxlen=n_max - fit_lo + 1)   # n = fit_lo..n_max
-    for t, partial in zip(kept, _neumaier_running(summed)):
-        window.append(t)
-
-    if tail:
-        est = tail_extrapolate(range(fit_lo, n_max + 1), window)
-        return SpectralSumResult(
-            value=partial + est.value, n_max=n_max, partial=partial,
-            tail_estimate=est.value, error_bound=est.error_bound,
-        )
-    return SpectralSumResult(
-        value=partial, n_max=n_max, partial=partial,
-        tail_estimate=0.0, error_bound=_crude_tail_bound(n_max, window[-1]),
-    )
+        return SpectralSumResult(value=partial + rest, n_max=n_max, partial=partial,
+                                 tail_estimate=rest, error_bound=bar)
+    return SpectralSumResult(value=partial, n_max=n_max, partial=partial,
+                             tail_estimate=0.0, error_bound=rest + bar)
 
 
 def kappa1_discrete(n_max: int = DEFAULT_N_MAX_KAPPA, tail: bool = True) -> SpectralSumResult:
@@ -236,16 +221,12 @@ def kappa1_discrete(n_max: int = DEFAULT_N_MAX_KAPPA, tail: bool = True) -> Spec
     This is the second-order magnetic-coupling coefficient that lowers the
     field-induced momentum; the n = 2 term alone is 0.1644.
     """
-    i1, _, i3, de = closed_form_columns(n_max)
-    return _spectral_sum(((2.0 / 27.0) * p1 * p3 / d**2
-                          for p1, p3, d in zip(i1, i3, de)), n_max, tail)
+    return _spectral_sum("kappa1", n_max, tail)
 
 
 def kappa2_discrete(n_max: int = DEFAULT_N_MAX_KAPPA, tail: bool = True) -> SpectralSumResult:
     """(1/27) sum_n I2(n) I3(n) / dE_n over the np series; positive."""
-    _, i2, i3, de = closed_form_columns(n_max)
-    return _spectral_sum(((1.0 / 27.0) * p2 * p3 / d
-                          for p2, p3, d in zip(i2, i3, de)), n_max, tail)
+    return _spectral_sum("kappa2", n_max, tail)
 
 
 def polarizability_discrete(n_max: int = DEFAULT_N_MAX_POLARIZABILITY,
@@ -255,9 +236,7 @@ def polarizability_discrete(n_max: int = DEFAULT_N_MAX_POLARIZABILITY,
     (2/3) sum_n I3(n)^2 / dE_n, in units of 4 pi eps0 a0^3. The exact value
     including the continuum is 9/2; the bound states alone give 3.663.
     """
-    _, _, i3, de = closed_form_columns(n_max)
-    return _spectral_sum(((2.0 / 3.0) * p3 * p3 / d for p3, d in zip(i3, de)),
-                         n_max, tail)
+    return _spectral_sum("polarizability", n_max, tail)
 
 
 POLARIZABILITY_EXACT_AU = 4.5   # bound states plus continuum, = 18 pi a0^3 / (4 pi a0^3)
@@ -265,15 +244,13 @@ POLARIZABILITY_EXACT_AU = 4.5   # bound states plus continuum, = 18 pi a0^3 / (4
 
 def bethe_sum(n_max: int = DEFAULT_N_MAX_KAPPA, tail: bool = True) -> SpectralSumResult:
     """sum_n I2(n)^2: squared unit-vector matrix elements at constant log."""
-    _, i2, _, _ = closed_form_columns(n_max)
-    return _spectral_sum((p2 * p2 for p2 in i2), n_max, tail)
+    return _spectral_sum("bethe", n_max, tail)
 
 
 def oscillator_strength_sum(n_max: int = DEFAULT_N_MAX_POLARIZABILITY,
                             tail: bool = True) -> SpectralSumResult:
     """Discrete 1s -> np oscillator-strength sum; < 1 by the TRK rule."""
-    _, _, i3, de = closed_form_columns(n_max)
-    return _spectral_sum(map(_oscillator, de, i3), n_max, tail)
+    return _spectral_sum("oscillator", n_max, tail)
 
 
 def normalization_constant(log_value: float, bethe: SpectralSumResult) -> float:

@@ -97,6 +97,11 @@ _SMALL_CUTOFF_RATIO = 1e-6
 # Rounding bar of the self-mass closed form and the engine's sum, relative:
 # with rel_tol 1e-12, the row's bar stays far below a 1e-8 relative gap.
 _DELTA_MASS_ROUNDING = 8 * sys.float_info.epsilon
+# The n at which the exact route's terms check the 1/n^2 expansion of every
+# Rydberg series, and the rounding bar of such a term, relative: each I_p is
+# within 2 ulp, dE within 1 and the term's own roundings add 2.5 at most.
+_EXPANSION_N = (12, 30, 100)
+_EXACT_TERM_ROUNDING = 9 * sys.float_info.epsilon
 # Upper cut of the beta integral: its tail beyond, at most 1e3^-7/7, is far
 # below the integration tolerance.
 _BETA_CUT = 1e3
@@ -185,6 +190,20 @@ def _radial_route_gap(m: _Memo) -> float:
                                         hydrogen.radial_record(n, "exact")))
 
 
+def _expansion_oracle(m: _Memo) -> float:
+    """Worst |exact-route term - n^-3 sum_k c_k n^-2k| over the sum of their
+    bars, for every Rydberg series at every n of _EXPANSION_N."""
+    worst = 0.0
+    for name, series in sums.SERIES.items():
+        for n in _EXPANSION_N:
+            exact = series.term(*hydrogen.radial_record(n, "exact"),
+                                hydrogen.transition_energy(n))
+            value, bar = sums.expansion(name, lambda k: float(n) ** -(3 + 2 * k))
+            worst = max(worst, abs(exact - value)
+                        / (bar + _EXACT_TERM_ROUNDING * exact))
+    return worst
+
+
 def _serialization_repeats(m: _Memo) -> bool:
     cfg = cli.RunConfig(subcommand="budget", params={"probe": 1.0},
                         output_format="json", output_path=None)
@@ -225,6 +244,9 @@ CHECKS: tuple[Check, ...] = (
           rule=lambda seconds: seconds < 60.0, text="under 60 s", shown=False),
     Check("kappa2_discrete_200", _reported("kappas", "kappa2_discrete"),
           0.0796, 0.0005),
+    Check("rydberg_expansion_exact_route", _expansion_oracle,
+          rule=lambda r: r <= 1.0,
+          text="exact-route terms within their bar plus the expansion's"),
 
     # Continuum integrals.
     Check("kappa1_continuum_ymin0", _value_of(quadrature.kappa1_continuum, 0.0),

@@ -32,3 +32,17 @@ def exits_cleanly(capsys):
             assert code == 2 and any(arg.split("=")[0] in err
                                      for arg in argv[1:]), case
     return check
+
+
+@pytest.fixture(scope="session")
+def sum_to_infinity() -> dict[str, str]:
+    """Each Rydberg series of sums.SERIES summed over n = 2..inf, 30 digits.
+
+    From mpmath at 45 digits: the closed-form terms to n = 60 plus an nsum
+    tail; the exact 1/n^2 expansion with mpmath.zeta agrees to 1e-49.
+    """
+    return {"kappa1": "0.208748426925724375978060396429",
+            "kappa2": "0.0796208648938700532340868711033",
+            "polarizability": "3.66325789030947126871225018673",
+            "bethe": "0.337016972356071998097019834646",
+            "oscillator": "0.565004150674851987401674374310"}

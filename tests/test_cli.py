@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 
 import pytest
 
@@ -198,22 +199,28 @@ def test_n_max_ceiling_refused_before_table_fill(capsys, monkeypatch, value):
     assert "--n-max" in capsys.readouterr().err
 
 
+# The series in sums.SERIES behind each reported sum.
+_SUM_KEYS = {"kappa1_discrete": "kappa1", "kappa2_discrete": "kappa2",
+             "bethe_sum": "bethe", "polarizability_discrete": "polarizability",
+             "oscillator_strength_sum": "oscillator"}
+
+
 @pytest.mark.parametrize("argv", [
     ["kappas", "--n-max=5"],
     ["bethe", "--n-max=3"],
     ["polarizability", "--n-max=8", "--tail=on"],
 ])
-def test_n_max_below_tail_window_refused_before_sums(exits_cleanly, capsys,
-                                                     monkeypatch, argv):
-    # With the tail on, the terms n = 2..n_max must fill the tail fit's
-    # window: refused naming both flags, before --config-dump and any sum.
-    monkeypatch.setattr(sums, "_spectral_sum", lambda *a: pytest.fail("ran"))
-    exits_cleanly(argv)
-    for extra in ([], ["--config-dump"]):
-        assert run(argv + extra) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "--n-max" in captured.err and "--tail" in captured.err
+def test_small_n_max_with_tail_within_error_of_sum_to_infinity(
+        capsys, sum_to_infinity, argv):
+    # The exact tail holds at every n_max >= 2: each reported sum is within
+    # its error of the sum to infinity, compared exactly.
+    assert run(argv) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    reported = {key: results[key] for key in _SUM_KEYS if key in results}
+    assert reported
+    for key, entry in reported.items():
+        gap = abs(Fraction(entry["value"]) - Fraction(sum_to_infinity[_SUM_KEYS[key]]))
+        assert gap <= Fraction(entry["error"]), key
 
 
 def test_budget_at_magnitude_ceiling_finite(capsys):

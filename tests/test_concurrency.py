@@ -3,11 +3,12 @@
 import os
 import subprocess
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import casimir_momentum.hydrogen as hyd
-from casimir_momentum import quadrature
+from casimir_momentum import quadrature, sums
 from casimir_momentum.quadrature import (
     integrate_to_inf,
     kappa1_continuum,
@@ -92,6 +93,31 @@ def test_sum_value_independent_of_prior_thread_fill(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert [len(col) for col in hyd._COLUMNS] == [162] * 4   # n = 2..163, once each
+    assert threaded == serial  # bit-identical, not just close
+
+
+def test_tail_coefficients_first_use_under_threads():
+    # Eight threads start the five sums together on empty coefficient
+    # caches, each at its own n_max, so they derive the exact coefficients
+    # of the tails side by side (k up to about 25 at n_max = 2).
+    fns = (kappa1_discrete, kappa2_discrete, bethe_sum,
+           polarizability_discrete, oscillator_strength_sum)
+    n_maxes = (2, 3, 5, 9, 20, 57, 200, 1000)
+    serial = [[fn(n_max) for fn in fns] for n_max in n_maxes]
+    for cached in (sums._coefficient, sums._x, sums._exp_minus):
+        cached.cache_clear()
+    barrier = threading.Barrier(len(n_maxes))
+
+    def run(n_max):
+        barrier.wait(timeout=60)
+        return [fn(n_max) for fn in fns]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(n_maxes)) as pool:
+            threaded = list(pool.map(run, n_maxes))
+    finally:
+        sys.setswitchinterval(interval)
     assert threaded == serial  # bit-identical, not just close
 
 

@@ -23,7 +23,6 @@ EXAMPLES = {
     budget.MomentumBudget: lambda: budget.assemble_budget(_FIELDS),
     renorm.DispersionModel: lambda: renorm.DispersionModel.dispersionless(2.0),
     renorm.CutoffScheme: lambda: renorm.CutoffScheme.frequency(1e20),
-    sums.TailEstimate: lambda: sums.TailEstimate(0.0, 0.0),
     sums.SpectralSumResult: lambda: sums.bethe_sum(20),
     sums.PerturbedGroundState: lambda: sums.PerturbedGroundState.build(5),
     quadrature.QuadratureSpec: quadrature.QuadratureSpec,

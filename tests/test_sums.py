@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -18,7 +19,6 @@ from casimir_momentum.sums import (
     normalization_constant,
     oscillator_strength_sum,
     polarizability_discrete,
-    tail_extrapolate,
 )
 
 SQRT6 = math.sqrt(6.0)
@@ -38,8 +38,14 @@ def test_hurwitz_zeta_known_values():
     assert hurwitz_zeta(3.0, 101.0) == pytest.approx(ZETA3_TAIL_AT_100, rel=1e-15)
 
 
-# zeta(s, a) at a = 3, 26, 60, 201, from mpmath at 100 digits, cross-checked
-# against 120 digits and against mpmath.nsum of the defining series.
+# zeta(s, a) at a = 3, 26, 60, 201 for s <= 31, from mpmath at 100 digits,
+# cross-checked against 120 digits and against mpmath.nsum of the defining
+# series; at a = 3, 6, 10 for s = 41 and 55, the orders the Rydberg tails
+# reach at small n_max, from mpmath.nsum at 130 digits, cross-checked
+# against mpmath.zeta at 110 and 130 digits (they agree to 1e-66). A row
+# for s <= 31 lists a = 3, 26, 60, 201 in order; one for s = 41 or 55 is
+# keyed by the index of a in _ZETA_A.
+_ZETA_A = (3.0, 26.0, 60.0, 201.0, 6.0, 10.0)
 ZETA_HIGH_S = {
     7: (5.367773819228268398e-4, 6.0456229053590879634e-10,
         3.7543291980440575122e-12, 2.5653320244145100475e-15),
@@ -49,11 +55,16 @@ ZETA_HIGH_S = {
          4.1268888434093818149e-41, 1.0252583061945079818e-52),
     31: (1.6191956391494864233e-15, 2.000927923704680402e-44,
          1.9170410711782993012e-55, 2.8775900853901850926e-71),
+    41: {0: 2.74177512837223916717e-20, 4: 1.24905883199445130407e-32,
+         5: 1.02067566236909852407e-41},
+    55: {0: 5.73232821522553283627e-27, 4: 1.59137152486156103004e-43,
+         5: 1.00533406066875474077e-55},
 }
 
 
-@pytest.mark.parametrize("s", sorted(ZETA_HIGH_S))
-@pytest.mark.parametrize("i, a", enumerate([3.0, 26.0, 60.0, 201.0]))
+@pytest.mark.parametrize("i, a, s", [
+    (i, _ZETA_A[i], s) for s in sorted(ZETA_HIGH_S)
+    for i in (range(4) if s <= 31 else ZETA_HIGH_S[s])])
 def test_hurwitz_zeta_high_s_literals(s, i, a):
     # A start fixed at 25 left 1e-11 at (15, 26) and 1e-8 at (31, 26).
     assert hurwitz_zeta(float(s), a) == pytest.approx(ZETA_HIGH_S[s][i],
@@ -74,52 +85,6 @@ def test_hurwitz_zeta_recurrence(s, a):
 def test_hurwitz_zeta_domain(s, a):
     with pytest.raises(ValueError):
         hurwitz_zeta(s, a)
-
-
-# --- tail extrapolation -----------------------------------------------------
-
-def test_tail_exact_inverse_cube():
-    ns = list(range(50, 101))
-    est = tail_extrapolate(ns, [1.0 / n**3 for n in ns])
-    assert est.value == pytest.approx(ZETA3_TAIL_AT_100, rel=0.01)
-    # Looser published reference for the same tail.
-    assert est.value == pytest.approx(4.9629e-5, rel=0.01)
-
-
-def test_tail_zero_terms():
-    est = tail_extrapolate(list(range(10, 20)), [0.0] * 10)
-    assert est.value == 0.0
-    assert est.error_bound == 0.0
-
-
-def test_tail_alternating_refused():
-    ns = list(range(10, 20))
-    with pytest.raises(ValueError, match="sign"):
-        tail_extrapolate(ns, [(-1.0) ** n / n**3 for n in ns])
-
-
-def test_tail_needs_eight_points():
-    with pytest.raises(ValueError, match="8 fit points"):
-        tail_extrapolate([10, 11, 12], [1e-3, 9e-4, 8e-4])
-
-
-def test_tail_requires_increasing_ns():
-    with pytest.raises(ValueError):
-        tail_extrapolate([10, 10, 11, 12, 13, 14, 15, 16], [1.0] * 8)
-
-
-@pytest.mark.parametrize("terms", [[math.inf] * 10, [math.nan] * 10,
-                                   [1e-3] * 9 + [math.nan], [1e308] * 10])
-def test_tail_refuses_nonfinite_input(terms):
-    # nan and inf terms, and finite terms whose fit overflows.
-    with pytest.raises(ValueError, match="not finite"):
-        tail_extrapolate(range(10, 20), terms)
-
-
-def test_tail_negative_terms_supported():
-    ns = list(range(50, 101))
-    est = tail_extrapolate(ns, [-1.0 / n**3 for n in ns])
-    assert est.value == pytest.approx(-ZETA3_TAIL_AT_100, rel=0.01)
 
 
 # --- discrete sums ----------------------------------------------------------
@@ -237,21 +202,23 @@ _REFERENCE_TERMS = {
 }
 
 
+# The name of each series in sums.SERIES.
+_NAMES = {kappa1_discrete: "kappa1", kappa2_discrete: "kappa2",
+          polarizability_discrete: "polarizability", bethe_sum: "bethe",
+          oscillator_strength_sum: "oscillator"}
+
+
 def _reference_sum(fn, n_max: int, tail: bool) -> SpectralSumResult:
-    """fn(n_max, tail) from a full term list, neumaier_cumsum and
-    tail_extrapolate on the upper half of n = 2..n_max (at least 8 points)."""
+    """fn(n_max, tail) from a full term list, neumaier_cumsum and the
+    expansion's tail sum_k c_k zeta(3 + 2k, n_max + 1)."""
     terms = [_REFERENCE_TERMS[fn](n) for n in range(2, n_max + 1)]
     partial = neumaier_cumsum(terms)[-1]
+    rest, bar = sums.expansion(_NAMES[fn],
+                               lambda k: hurwitz_zeta(3.0 + 2 * k, n_max + 1.0))
+    bar += sums._ROUNDING * partial
     if not tail:
-        return SpectralSumResult(partial, n_max, partial, 0.0,
-                                 sums._crude_tail_bound(n_max, terms[-1]))
-    fit_lo = max(2, n_max // 2)
-    if n_max - fit_lo + 1 < 8:
-        fit_lo = max(2, n_max - 7)
-    window = list(range(fit_lo, n_max + 1))
-    est = tail_extrapolate(window, [terms[n - 2] for n in window])
-    return SpectralSumResult(partial + est.value, n_max, partial, est.value,
-                             est.error_bound)
+        return SpectralSumResult(partial, n_max, partial, 0.0, rest + bar)
+    return SpectralSumResult(partial + rest, n_max, partial, rest, bar)
 
 
 @pytest.mark.parametrize("tail", [True, False])
@@ -261,6 +228,50 @@ def test_one_pass_sum_bit_identical_to_term_list(fn, n_max, tail):
     # Every field, compared as floats with ==: the one-pass sum over the
     # columns adds the same terms in the same order as the reference.
     assert fn(n_max, tail) == _reference_sum(fn, n_max, tail)
+
+
+@pytest.mark.parametrize("tail", [True, False])
+@pytest.mark.parametrize("n_max", [2, 9, 20, 200, 1000, 20000])
+@pytest.mark.parametrize("fn", list(_NAMES))
+def test_sum_within_error_of_sum_to_infinity(sum_to_infinity, fn, n_max, tail):
+    # Compared exactly: the error bar must cover the whole gap to the sum to
+    # infinity, the tail left off included.
+    res = fn(n_max, tail)
+    gap = abs(Fraction(res.value) - Fraction(sum_to_infinity[_NAMES[fn]]))
+    assert gap <= Fraction(res.error_bound)
+    if tail and n_max >= 20:
+        assert res.error_bound <= 2e-15 * res.value
+
+
+def _expansion_row_passes() -> bool:
+    """The verdict of verify's rydberg_expansion_exact_route row."""
+    chk, = (c for c in verify.CHECKS if c.name == "rydberg_expansion_exact_route")
+    return chk.passes(chk.compute(verify._Memo({})))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("name", list(sums.SERIES))
+def test_expansion_row_fails_on_coefficient_off_in_10th_digit(monkeypatch, name, k):
+    true = sums._coefficient
+
+    def perturbed(series: str, j: int) -> float:
+        c = true(series, j)
+        if (series, j) == (name, k):
+            c += 10.0 ** (math.floor(math.log10(c)) - 9)   # one unit, 10th digit
+        return c
+    monkeypatch.setattr(sums, "_coefficient", perturbed)
+    assert not _expansion_row_passes()
+
+
+def test_expansion_row_fails_without_kappa1_e2_part(monkeypatch):
+    kappa1 = sums.SERIES["kappa1"]
+    monkeypatch.setitem(sums.SERIES, "kappa1",
+                        kappa1._replace(parts=kappa1.parts[1:]))
+    sums._coefficient.cache_clear()
+    try:
+        assert not _expansion_row_passes()
+    finally:
+        sums._coefficient.cache_clear()
 
 
 def test_series_read_no_per_n_interface(monkeypatch):
@@ -278,7 +289,7 @@ def test_series_read_no_per_n_interface(monkeypatch):
 
 
 def test_warm_sum_memory_bounded():
-    # Beyond the columns, a sum holds only its tail-fit window: a warm
+    # Beyond the columns, a sum holds only its running total: a warm
     # kappa1_discrete(20000) peaks below 2 MB, where a full term list and
     # its running sums take 2.4 MB.
     kappa1_discrete(20000)
@@ -289,11 +300,6 @@ def test_warm_sum_memory_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 2.0e6
-
-
-def test_small_n_max_with_tail_refused():
-    with pytest.raises(ValueError, match="tail"):
-        kappa1_discrete(8, tail=True)
 
 
 def test_n_max_validation():
