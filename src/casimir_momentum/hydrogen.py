@@ -31,7 +31,7 @@ radial_dual_route_nle200 row for n <= 200; the test suite up to n = 1000).
 
 The closed forms are computed once per n, into `closed_form_columns(n_max)`:
 four flat array('d') columns, I1, I2, I3 and dE = transition_energy(n), row
-n - 2 for n = 2, 3, ..., which the bulk spectral sums read in one pass.
+n - 2 for n = 2, 3, ..., which the running sums of `sums` read, once per series.
 The columns grow on demand under a lock, one _closed_form(n) per row. They
 take 32 bytes per n; `radial_record(n, method)` gives one n by a named
 route, memoized per n (a record with its cache entry takes about 205

@@ -77,14 +77,15 @@ def test_quadrature_route_concurrent_fill_idempotent():
 
 def test_sum_value_independent_of_prior_thread_fill(monkeypatch):
     # The reduction order is fixed by construction, so sums whose threads
-    # grow the closed-form columns from empty, while others read them, must
-    # reproduce the serial values exactly.
+    # grow the closed-form and running-sum columns from empty, while others
+    # read them, must reproduce the serial values exactly.
     fns = (kappa1_discrete, kappa2_discrete, bethe_sum,
            polarizability_discrete, oscillator_strength_sum)
     calls = [(fn, n_max, tail) for n_max in (79, 120, 163) for fn in fns
              for tail in (True, False)]
     serial = [fn(n_max, tail) for fn, n_max, tail in calls]
     monkeypatch.setattr(hyd, "_COLUMNS", [])
+    monkeypatch.setattr(sums, "_RUNNING", {})
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)   # switch threads often, mid-row included
     try:
@@ -93,6 +94,8 @@ def test_sum_value_independent_of_prior_thread_fill(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert [len(col) for col in hyd._COLUMNS] == [162] * 4   # n = 2..163, once each
+    assert sorted(sums._RUNNING) == sorted(sums.SERIES)
+    assert [len(column) for _, column, *_ in sums._RUNNING.values()] == [162] * 5
     assert threaded == serial  # bit-identical, not just close
 
 

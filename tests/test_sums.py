@@ -15,7 +15,6 @@ from casimir_momentum.sums import (
     hurwitz_zeta,
     kappa1_discrete,
     kappa2_discrete,
-    neumaier_cumsum,
     normalization_constant,
     oscillator_strength_sum,
     polarizability_discrete,
@@ -208,11 +207,24 @@ _NAMES = {kappa1_discrete: "kappa1", kappa2_discrete: "kappa2",
           oscillator_strength_sum: "oscillator"}
 
 
+def _neumaier(terms: list[float]) -> float:
+    """The Neumaier-compensated sum of terms in order, as a plain loop."""
+    total = comp = 0.0
+    for t in terms:
+        s = total + t
+        if abs(total) >= abs(t):
+            comp += (total - s) + t
+        else:
+            comp += (t - s) + total
+        total = s
+    return total + comp
+
+
 def _reference_sum(fn, n_max: int, tail: bool) -> SpectralSumResult:
-    """fn(n_max, tail) from a full term list, neumaier_cumsum and the
-    expansion's tail sum_k c_k zeta(3 + 2k, n_max + 1)."""
+    """fn(n_max, tail) from a full term list, a compensated sum of its own
+    and the expansion's tail sum_k c_k zeta(3 + 2k, n_max + 1)."""
     terms = [_REFERENCE_TERMS[fn](n) for n in range(2, n_max + 1)]
-    partial = neumaier_cumsum(terms)[-1]
+    partial = _neumaier(terms)
     rest, bar = sums.expansion(_NAMES[fn],
                                lambda k: hurwitz_zeta(3.0 + 2 * k, n_max + 1.0))
     bar += sums._ROUNDING * partial
@@ -222,11 +234,13 @@ def _reference_sum(fn, n_max: int, tail: bool) -> SpectralSumResult:
 
 
 @pytest.mark.parametrize("tail", [True, False])
-@pytest.mark.parametrize("n_max", [9, 10, 57, 200, 401, 1000])
+@pytest.mark.parametrize("n_max", [9, 10, 57, 200, 401, 1000, 2100])
 @pytest.mark.parametrize("fn", list(_REFERENCE_TERMS))
 def test_one_pass_sum_bit_identical_to_term_list(fn, n_max, tail):
-    # Every field, compared as floats with ==: the one-pass sum over the
-    # columns adds the same terms in the same order as the reference.
+    # Every field, compared as floats with ==: the running-sum column adds
+    # the same terms in the same order as the reference, whatever n_max the
+    # column was grown to before, and across the accumulator's chunks of
+    # rows (2100 spans two of their boundaries).
     assert fn(n_max, tail) == _reference_sum(fn, n_max, tail)
 
 
@@ -289,9 +303,10 @@ def test_series_read_no_per_n_interface(monkeypatch):
 
 
 def test_warm_sum_memory_bounded():
-    # Beyond the columns, a sum holds only its running total: a warm
-    # kappa1_discrete(20000) peaks below 2 MB, where a full term list and
-    # its running sums take 2.4 MB.
+    # A warm sum reads one row of its running-sum column and works out its
+    # tail: a warm kappa1_discrete(20000) peaks below 50 kB (384 bytes
+    # measured), where refilling its running column takes 160 kB and a full
+    # term list with its running sums 2.4 MB.
     kappa1_discrete(20000)
     tracemalloc.start()
     try:
@@ -299,7 +314,55 @@ def test_warm_sum_memory_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.0e6
+    assert peak <= 0.05e6
+
+
+def test_cold_series_memory_bounded(monkeypatch):
+    # With the closed-form columns, coefficients and tail weights warm, the
+    # first kappa1_discrete(20000) of a series adds only its running column,
+    # 8 bytes per n (160 kB); a fill that copied the four closed-form
+    # columns (640 kB) would fail.
+    kappa1_discrete(20000)
+    monkeypatch.setattr(sums, "_RUNNING", {})
+    tracemalloc.start()
+    try:
+        kappa1_discrete(20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25e6
+
+
+@pytest.mark.parametrize("steps", [(79, 120, 163), (20, 1000), (1000, 2100)])
+@pytest.mark.parametrize("name", list(sums.SERIES))
+def test_running_column_grown_in_steps_bit_identical(monkeypatch, name, steps):
+    monkeypatch.setattr(sums, "_RUNNING", {})
+    for n_max in steps:
+        sums.running_sums(name, n_max)
+    stepped = sums.running_sums(name, steps[-1])
+    monkeypatch.setattr(sums, "_RUNNING", {})
+    once = sums.running_sums(name, steps[-1])
+    assert len(stepped) == len(once) == steps[-1] - 1
+    assert stepped == once   # bit-identical, row by row
+
+
+def test_running_column_follows_new_closed_form_columns(monkeypatch):
+    # Closed-form columns filled again (here: the same values, new arrays)
+    # restart the running sums instead of extending stale ones.
+    old = sums.running_sums("kappa2", 150)
+    monkeypatch.setattr(hydrogen, "_COLUMNS", [])
+    new = sums.running_sums("kappa2", 100)
+    assert new is not old
+    assert len(new) == 99
+    assert new == old[:99]
+
+
+def test_zeta_memo_bounded():
+    for n_max in range(2, 302):
+        kappa2_discrete(n_max)
+    info = sums._zeta_weight.cache_info()
+    assert info.maxsize == sums._ZETA_MEMO
+    assert info.currsize <= sums._ZETA_MEMO
 
 
 def test_n_max_validation():
@@ -308,9 +371,29 @@ def test_n_max_validation():
 
 
 def test_neumaier_handles_cancellation():
-    # 1e16 + many small increments that a naive sum drops entirely.
+    # 1e16 + many small increments that a naive sum drops entirely, through
+    # the accumulator that fills the running-sum columns.
+    from array import array
+    column = array("d")
     terms = [1e16] + [1.0] * 1000 + [-1e16]
-    assert neumaier_cumsum(terms)[-1] == pytest.approx(1000.0, abs=1e-6)
+    total, comp = sums._accumulate(column, 0.0, 0.0, terms)
+    assert len(column) == len(terms)
+    assert column[-1] == total + comp
+    assert column[-1] == pytest.approx(1000.0, abs=1e-6)
+
+
+def test_oscillator_partials_row_fails_on_scaled_term(monkeypatch):
+    # The row reads the oscillator series' running sums; a term 1.8 times
+    # too large carries the partial sums past 1 (0.565 * 1.8 = 1.017). The
+    # reported sum leaves its band with it, and the exact-route terms of the
+    # expansion row, built by the same term, leave the expansion.
+    oscillator = sums.SERIES["oscillator"]
+    monkeypatch.setitem(sums.SERIES, "oscillator", oscillator._replace(
+        term=lambda *columns: 1.8 * oscillator.term(*columns)))
+    monkeypatch.setattr(sums, "_RUNNING", {})
+    failed = [res.name for res in verify.run_checks() if not res.passed]
+    assert failed == ["rydberg_expansion_exact_route", "oscillator_strength_sum_400",
+                      "oscillator_partials_below_one"]
 
 
 # --- normalization coefficient ----------------------------------------------
