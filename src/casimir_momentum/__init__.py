@@ -12,8 +12,7 @@ only. The exports of budget, renorm and units load on first access.
 
 __version__ = "0.1.0"
 
-from .hydrogen import (RadialIntegralRecord, energy, oscillator_strength,
-                       radial_record)
+from .hydrogen import RadialIntegralRecord, energy, radial_record
 from .quadrature import (ContinuumResult, QuadratureError, QuadratureSpec,
                          integrate_adaptive, integrate_to_inf, kappa1_continuum,
                          kappa2_continuum, ymin_sensitivity)
@@ -34,7 +33,7 @@ _LAZY = {name: module for module, names in (
 ) for name in names}
 
 __all__ = [
-    "RadialIntegralRecord", "energy", "oscillator_strength", "radial_record",
+    "RadialIntegralRecord", "energy", "radial_record",
     "ContinuumResult", "QuadratureError", "QuadratureSpec",
     "integrate_adaptive", "integrate_to_inf", "kappa1_continuum",
     "kappa2_continuum", "ymin_sensitivity",

@@ -85,7 +85,9 @@ class FieldConfiguration(_FieldConfiguration):
         return cls(*iterable)
 
 
-class _MomentumBudget(NamedTuple):
+class MomentumBudget(NamedTuple):
+    """Itemized momentum contributions; bounds are never part of totals."""
+
     abraham: Vec3                       # kg m/s
     casimir_correction: Vec3            # kg m/s
     kinetic: Vec3                       # Q0, kg m/s
@@ -98,19 +100,7 @@ class _MomentumBudget(NamedTuple):
     kappa1: float
     kappa2: float
     alpha0_si: float                    # polarizability volume, m^3
-    provenance: Mapping[str, str] | None = None   # None: a fresh empty dict
-
-
-class MomentumBudget(_MomentumBudget):
-    """Itemized momentum contributions; bounds are never part of totals."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> "MomentumBudget":
-        self = super().__new__(cls, *args, **kwargs)
-        if self.provenance is None:
-            self = super().__new__(cls, *self[:-1], {})
-        return self
+    provenance: Mapping[str, str]
 
     @property
     def casimir_relative_shift(self) -> float:

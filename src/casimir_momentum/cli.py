@@ -122,9 +122,10 @@ def serialize(report: ReportEnvelope, output_format: str) -> bytes:
 # far above any physical value, it keeps every product in the budget finite.
 _BUDGET_MAGNITUDE_MAX = 1e50
 
-# Largest accepted --n-max: the sums keep four closed-form columns of 8
-# bytes per n and value up to it; kappas at the ceiling takes about 0.7 s
-# and 29 MB peak RSS as a fresh process (2-core host, Python 3.11).
+# Largest accepted --n-max: the sums keep a table of 8 bytes per n and
+# column up to it, four closed-form columns and one per series summed;
+# kappas at the ceiling takes about 0.6 s and 20.4 MB peak RSS as a fresh
+# process (2-core x86-64 host, Python 3.11).
 _N_MAX_CEILING = 100_000
 
 

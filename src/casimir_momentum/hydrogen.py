@@ -29,13 +29,10 @@ The exact route is the module's built-in oracle and never reads the closed
 forms; the two must agree to 5e-15 relative (verify's
 radial_dual_route_nle200 row for n <= 200; the test suite up to n = 1000).
 
-The closed forms are computed once per n, into `closed_form_columns(n_max)`:
-four flat array('d') columns, I1, I2, I3 and dE = transition_energy(n), row
-n - 2 for n = 2, 3, ..., which the running sums of `sums` read, once per series.
-The columns grow on demand under a lock, one _closed_form(n) per row. They
-take 32 bytes per n; `radial_record(n, method)` gives one n by a named
-route, memoized per n (a record with its cache entry takes about 205
-bytes), and its closed-form route reads row n - 2.
+`radial_record(n, method)` gives one n by a named route, memoized per n (a
+record with its cache entry takes about 205 bytes). The spectral sums keep
+their own table of the closed forms, filled through `_closed_form` (see
+`sums`).
 
 The angular sums over m and Cartesian components that accompany these
 integrals in second-order coefficients reduce to a unit factor for
@@ -45,7 +42,6 @@ s <-> p transitions and are never enumerated here.
 from __future__ import annotations
 
 import math
-import threading
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -92,7 +88,6 @@ def _exact_integrals(n: int) -> tuple[float, float, float]:
     2 C(n+1, 3) and steps by C(n+1, k-1) = C(n+1, k) k / (n+2-k), an exact
     division, so no list of terms is built.
     """
-    n = int(n)
     m = n + 1
     b = 2 * math.comb(m, 3)
     s1 = s2 = s3 = 0
@@ -110,21 +105,14 @@ def _exact_integrals(n: int) -> tuple[float, float, float]:
             4 * n * n * s3 / (den * m * m) / root)
 
 
-def _column_row(n: int) -> tuple[float, float, float]:
-    """(I1, I2, I3) by the closed forms: row n - 2 of closed_form_columns."""
-    n = int(n)
-    i1, i2, i3, _ = closed_form_columns(n)
-    return i1[n - 2], i2[n - 2], i3[n - 2]
-
-
 @lru_cache(maxsize=None)
 def radial_record(n: int, method: str = "closed_form") -> RadialIntegralRecord:
     """The full (I1, I2, I3) record by one named route, "closed_form" or
     "exact", memoized.
 
-    The single-n interface: bulk consumers (the spectral sums) read
-    closed_form_columns instead. The route-agreement oracle is exercised by
-    verify and the test suite rather than on every table fill.
+    The single-n interface: the spectral sums keep a table of their own
+    (sums.running_sums). The route-agreement oracle is exercised by verify
+    and the test suite rather than on every table fill.
     """
     if not (n >= 2 and n % 1 == 0):
         raise ValueError("n must be an integer >= 2 (1s -> np integrals)")
@@ -132,46 +120,8 @@ def radial_record(n: int, method: str = "closed_form") -> RadialIntegralRecord:
         # The exact route's old name, which the benchmark's traced replay
         # still passes; it goes with that replay's rewrite (ROADMAP item 5).
         return radial_record(n, "exact")
-    routes = {"closed_form": _column_row, "exact": _exact_integrals}
+    routes = {"closed_form": _closed_form, "exact": _exact_integrals}
     if method not in routes:
         raise ValueError(f"unknown method {method!r}")
-    i1, i2, i3 = routes[method](n)
+    i1, i2, i3 = routes[method](int(n))
     return RadialIntegralRecord(I1=i1, I2=i2, I3=i3)
-
-
-_COLUMNS_LOCK = threading.Lock()
-_COLUMNS: list = []   # the array('d') columns I1, I2, I3, dE once first filled
-
-
-def closed_form_columns(n_max: int) -> tuple:
-    """The closed-form columns (I1, I2, I3, dE), row n - 2 for n = 2, 3, ...
-
-    Grows them to at least n = n_max and returns the columns themselves,
-    which may already run past n_max. Rows are only ever appended, under
-    the lock, so a reader that stops at row n_max - 2 sees every value it
-    reads complete.
-    """
-    with _COLUMNS_LOCK:
-        if not _COLUMNS:
-            from array import array   # only the bulk sums need the extension
-            _COLUMNS.extend(array("d") for _ in range(4))
-        i1, i2, i3, de = _COLUMNS
-        for n in range(len(de) + 2, n_max + 1):
-            a, b, c = _closed_form(n)
-            i1.append(a)
-            i2.append(b)
-            i3.append(c)
-            de.append(transition_energy(n))
-        return tuple(_COLUMNS)
-
-
-def _oscillator(de: float, i3: float) -> float:
-    """f = (2/3) dE I_3^2, for one n and for the bulk oscillator sum alike."""
-    return (2.0 / 3.0) * de * i3 * i3
-
-
-def oscillator_strength(n: int) -> float:
-    """Absorption oscillator strength f(1s -> np) = (2/3) dE_n I_3(n)^2."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    return _oscillator(transition_energy(n), radial_record(n).I3)

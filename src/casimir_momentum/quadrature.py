@@ -61,15 +61,17 @@ _WEIGHTS_G = _WG + _WG[-2::-1]
 
 Integrand = Callable[[list[float]], Sequence[float]]
 
+# Bisections one adaptive integration may make before it gives up.
+_MAX_SUBDIVISIONS = 2000
+
 
 class _QuadratureSpec(NamedTuple):
     abs_tol: float = 1e-14
     rel_tol: float = 1e-10
-    max_subdivisions: int = 2000
 
 
 class QuadratureSpec(_QuadratureSpec):
-    """Tolerances and budget for one adaptive integration."""
+    """Tolerances for one adaptive integration."""
 
     __slots__ = ()
 
@@ -77,8 +79,6 @@ class QuadratureSpec(_QuadratureSpec):
         self = super().__new__(cls, *args, **kwargs)
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
         return self
 
     @classmethod
@@ -179,7 +179,7 @@ def integrate_adaptive(
     Optional breakpoints seed the initial partition, which matters when the
     integrand's support is a small fraction of [a, b]; the engine never
     samples outside [a, b]. Raises QuadratureError (best estimate attached)
-    if max_subdivisions is exceeded.
+    if _MAX_SUBDIVISIONS bisections do not meet the tolerances.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("integrate_adaptive needs finite limits; "
@@ -208,9 +208,9 @@ def integrate_adaptive(
         total_err = math.fsum(-item[0] for item in heap)
         if total_err <= max(spec.abs_tol, spec.rel_tol * abs(total)):
             break
-        if subdivisions >= spec.max_subdivisions:
+        if subdivisions >= _MAX_SUBDIVISIONS:
             raise QuadratureError(
-                f"max_subdivisions={spec.max_subdivisions} exceeded "
+                f"max_subdivisions={_MAX_SUBDIVISIONS} exceeded "
                 f"(value={total!r}, error={total_err!r})",
                 value=total, error=total_err, subdivisions=subdivisions,
             )

@@ -3,12 +3,12 @@
 All sums run over the 1s -> np series in a fixed ascending index order and
 accumulate with Neumaier compensation, so results are bit-identical from run
 to run regardless of how the term values were produced, or of which n_max
-came first. Each series keeps one running-sum column, `running_sums(name,
-n_max)`: a flat array('d') of its compensated partial sums, row n - 2 for
-n = 2, 3, ..., beside the closed-form columns of
-`hydrogen.closed_form_columns` (flat I1, I2, I3 and dE arrays) that its terms
-are read from. The column grows on demand and takes 8 bytes per n, so a sum
-at an n_max it already reaches is one read.
+came first. The module keeps one table of flat array('d') columns, row
+n - 2 for n = 2, 3, ...: the closed forms I1, I2, I3 of `hydrogen` and
+dE = transition_energy(n), 32 bytes per n, and one running-sum column per
+series summed, `running_sums(name, n_max)`, 8 bytes per n, that holds its
+compensated partial sums. The table grows on demand under one lock, so a sum
+at an n_max its column already reaches is one read.
 
 The part beyond n_max is summed in closed form. With v = 1/n^2 and
 X_c(v) = exp(-c sum_{j>=1} v^j/(2j+1)), the closed forms of `hydrogen` make
@@ -31,8 +31,8 @@ from functools import cache, lru_cache
 from itertools import count, islice
 from typing import Callable, Iterable, NamedTuple
 
-from .hydrogen import (_oscillator, closed_form_columns, radial_record,
-                       transition_energy)
+from . import hydrogen
+from .hydrogen import radial_record, transition_energy
 
 DEFAULT_N_MAX_KAPPA = 200
 DEFAULT_N_MAX_POLARIZABILITY = 400
@@ -121,7 +121,7 @@ SERIES = {
     "polarizability": _Series(lambda i1, i2, i3, de: (2.0 / 3.0) * i3 * i3 / de,
                               (((1024, 3), 4, 6, (1,)),)),
     "bethe": _Series(lambda i1, i2, i3, de: i2 * i2, (((64, 1), 4, 3, (1,)),)),
-    "oscillator": _Series(lambda i1, i2, i3, de: _oscillator(de, i3),
+    "oscillator": _Series(lambda i1, i2, i3, de: (2.0 / 3.0) * de * i3 * i3,
                           (((256, 3), 4, 4, (1,)),)),
 }
 
@@ -219,29 +219,36 @@ def _accumulate(column, total: float, comp: float,
         column.fromlist(chunk)
 
 
-_RUNNING_LOCK = threading.Lock()
-# series name -> (the I1 column it was summed from, array('d') column, total, comp)
-_RUNNING: dict = {}
+_LOCK = threading.Lock()
+# The row table: "closed_form" -> the columns (I1, I2, I3, dE); a series
+# name -> (its running-sum column, total, comp), the final Neumaier state.
+_TABLE: dict = {}
 
 
 def running_sums(name: str, n_max: int):
     """The running-sum column of a series: row n - 2 is the compensated sum
     of its terms n' = 2..n.
 
-    Grows it to at least n = n_max and returns the column itself, which may
-    already run past n_max. New rows continue the stored Neumaier state over
-    the closed-form columns from the first missing n, in ascending order, so
-    a column grown in steps is bit-identical to one filled at once; closed-
-    form columns other than those it was summed from start it again. Rows
-    are only ever appended, under the lock, so a reader that stops at row
-    n_max - 2 sees every value it reads complete.
+    Under the lock, grows the closed-form columns to at least n = n_max, one
+    hydrogen._closed_form(n) per row, then the running-sum column, and
+    returns the column itself, which may already run past n_max. New rows
+    continue the stored Neumaier state from the first missing n, in
+    ascending order, so a column grown in steps is bit-identical to one
+    filled at once. Rows are only ever appended, so a reader that stops at
+    row n_max - 2 sees every value it reads complete.
     """
-    columns = closed_form_columns(n_max)   # filled under their own lock
-    with _RUNNING_LOCK:
-        source, column, total, comp = _RUNNING.get(name, (None,) * 4)
-        if source is not columns[0]:
-            from array import array   # only the bulk sums need the extension
-            column, total, comp = array("d"), 0.0, 0.0
+    from array import array   # only the bulk sums need the extension
+    with _LOCK:
+        if "closed_form" not in _TABLE:
+            _TABLE["closed_form"] = tuple(array("d") for _ in range(4))
+        i1, i2, i3, de = columns = _TABLE["closed_form"]
+        for n in range(len(de) + 2, n_max + 1):
+            a, b, c = hydrogen._closed_form(n)
+            i1.append(a)
+            i2.append(b)
+            i3.append(c)
+            de.append(transition_energy(n))
+        column, total, comp = _TABLE.get(name) or (array("d"), 0.0, 0.0)
         start = len(column)
         if start < n_max - 1:
             rows = [iter(col) for col in columns]
@@ -249,7 +256,7 @@ def running_sums(name: str, n_max: int):
                 next(islice(row, start, start), None)   # skips rows 0..start-1
             terms = islice(map(SERIES[name].term, *rows), n_max - 1 - start)
             total, comp = _accumulate(column, total, comp, terms)
-        _RUNNING[name] = (columns[0], column, total, comp)
+        _TABLE[name] = (column, total, comp)
         return column
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from casimir_momentum import cli, hydrogen, verify
+from casimir_momentum import cli, hydrogen, sums, verify
 
 
 def _check(name: str, ok: bool, detail: str = "") -> None:
@@ -100,7 +100,7 @@ def test_radial_row_sees_powers_without_log1p(monkeypatch):
     # Plain ** puts I_3 off by 2.1e-14 at n <= 200: inside a 1e-10 band,
     # outside the row's 5e-15.
     monkeypatch.setattr(hydrogen, "_closed_form", _closed_form_plain_powers)
-    monkeypatch.setattr(hydrogen, "_COLUMNS", [])
+    monkeypatch.setattr(sums, "_TABLE", {})
     hydrogen.radial_record.cache_clear()
     try:
         results = verify.run_checks()

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -84,8 +85,15 @@ def test_sum_value_independent_of_prior_thread_fill(monkeypatch):
     calls = [(fn, n_max, tail) for n_max in (79, 120, 163) for fn in fns
              for tail in (True, False)]
     serial = [fn(n_max, tail) for fn, n_max, tail in calls]
-    monkeypatch.setattr(hyd, "_COLUMNS", [])
-    monkeypatch.setattr(sums, "_RUNNING", {})
+    monkeypatch.setattr(sums, "_TABLE", {})
+    computed = []
+    closed_form = hyd._closed_form
+
+    def counted(n):
+        computed.append(n)
+        time.sleep(0)   # hands the interpreter to another thread mid-row
+        return closed_form(n)
+    monkeypatch.setattr(hyd, "_closed_form", counted)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)   # switch threads often, mid-row included
     try:
@@ -93,9 +101,10 @@ def test_sum_value_independent_of_prior_thread_fill(monkeypatch):
             threaded = list(pool.map(lambda c: c[0](c[1], c[2]), calls))
     finally:
         sys.setswitchinterval(interval)
-    assert [len(col) for col in hyd._COLUMNS] == [162] * 4   # n = 2..163, once each
-    assert sorted(sums._RUNNING) == sorted(sums.SERIES)
-    assert [len(column) for _, column, *_ in sums._RUNNING.values()] == [162] * 5
+    assert sorted(computed) == list(range(2, 164))   # n = 2..163, once each
+    assert sorted(sums._TABLE) == sorted(["closed_form", *sums.SERIES])
+    assert [len(col) for col in sums._TABLE["closed_form"]] == [162] * 4
+    assert [len(sums._TABLE[name][0]) for name in sums.SERIES] == [162] * 5
     assert threaded == serial  # bit-identical, not just close
 
 

@@ -4,12 +4,8 @@ import tracemalloc
 import pytest
 
 import casimir_momentum.hydrogen as hyd
-from casimir_momentum.hydrogen import (
-    energy,
-    oscillator_strength,
-    radial_record,
-    transition_energy,
-)
+from casimir_momentum import sums
+from casimir_momentum.hydrogen import energy, radial_record, transition_energy
 
 SQRT6 = math.sqrt(6.0)
 
@@ -94,7 +90,7 @@ def test_exact_route_never_reads_closed_form(monkeypatch):
         raise AssertionError("the exact route read the closed form")
 
     monkeypatch.setattr(hyd, "_closed_form", refuse)
-    monkeypatch.setattr(hyd, "_COLUMNS", [])
+    monkeypatch.setattr(sums, "_TABLE", {})
     radial_record.cache_clear()
     assert [tuple(radial_record(n, "exact")) for n in range(2, 41)] == expected
 
@@ -106,7 +102,7 @@ def test_quadrature_table_never_reads_closed_form(monkeypatch):
         raise AssertionError("the oracle read the closed form")
 
     monkeypatch.setattr(hyd, "_closed_form", refuse)
-    monkeypatch.setattr(hyd, "_COLUMNS", [])
+    monkeypatch.setattr(sums, "_TABLE", {})
     radial_record.cache_clear()
     table = {n: radial_record(n, "quadrature") for n in range(2, 41)}
     assert sorted(table) == list(range(2, 41))
@@ -147,17 +143,31 @@ def test_exact_route_memory_bounded():
     assert peak < 256 * 1024
 
 
+def _oscillator_strength(n):
+    """f(1s -> np) = (2/3) dE_n I_3(n)^2, by the oscillator series' term."""
+    return sums.SERIES["oscillator"].term(*radial_record(n), transition_energy(n))
+
+
 def test_oscillator_strengths():
-    assert oscillator_strength(2) == pytest.approx(0.41620, abs=1e-4)
-    assert oscillator_strength(3) == pytest.approx(0.07910, abs=1e-4)
+    assert _oscillator_strength(2) == pytest.approx(0.41620, abs=1e-4)
+    assert _oscillator_strength(3) == pytest.approx(0.07910, abs=1e-4)
     # Brute-force construction from the exact route.
     i3 = radial_record(2, "exact").I3
-    assert oscillator_strength(2) == pytest.approx(
+    assert _oscillator_strength(2) == pytest.approx(
         (2.0 / 3.0) * 0.375 * i3 * i3, rel=1e-10)
 
 
 def test_oscillator_strengths_positive():
-    assert all(oscillator_strength(n) > 0 for n in range(2, 40))
+    assert all(_oscillator_strength(n) > 0 for n in range(2, 40))
+
+
+def test_closed_form_record_leaves_sums_table_empty(monkeypatch):
+    # A single-n record computes its closed form alone: the row table of
+    # the sums is not grown to n.
+    monkeypatch.setattr(sums, "_TABLE", {})
+    radial_record.cache_clear()
+    assert radial_record(5000, "closed_form") == hyd._closed_form(5000)
+    assert sums._TABLE == {}
 
 
 def test_dipole_integral_asymptotic_decay():

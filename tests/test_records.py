@@ -44,8 +44,6 @@ INVALID = [
      "require m1 > m2 > 0, got m1=1.0, m2=2.0"),
     (quadrature.QuadratureSpec, {"abs_tol": 0.0}, "tolerances must be positive"),
     (quadrature.QuadratureSpec, {"rel_tol": -1.0}, "tolerances must be positive"),
-    (quadrature.QuadratureSpec, {"max_subdivisions": 0},
-     "max_subdivisions must be >= 1"),
     (renorm.DispersionModel, {"kind": "dispersionless", "eps_r": 1.0},
      "dispersionless model requires eps_r > 1"),
     (renorm.DispersionModel, {"kind": "free_electron"},
@@ -104,8 +102,6 @@ def test_field_configuration_stores_float_triples():
 def test_momentum_budgets_never_share_provenance():
     first, second = (budget.assemble_budget(_FIELDS) for _ in range(2))
     assert first.provenance is not second.provenance
-    bare = [budget.MomentumBudget(*first[:-1]) for _ in range(2)]
-    assert bare[0].provenance == {} and bare[0].provenance is not bare[1].provenance
 
 
 def test_check_results_leave_the_cost_out():

@@ -289,9 +289,10 @@ def test_expansion_row_fails_without_kappa1_e2_part(monkeypatch):
 
 
 def test_series_read_no_per_n_interface(monkeypatch):
-    # With the columns grown, the five series call neither radial_record
-    # nor transition_energy.
-    hydrogen.closed_form_columns(300)
+    # With the closed-form columns grown, the five series fill their
+    # running-sum columns calling neither radial_record nor transition_energy.
+    sums.running_sums("bethe", 300)
+    monkeypatch.setattr(sums, "_TABLE", {"closed_form": sums._TABLE["closed_form"]})
 
     def refuse(*args):
         pytest.fail("a per-n interface was called")
@@ -323,7 +324,7 @@ def test_cold_series_memory_bounded(monkeypatch):
     # 8 bytes per n (160 kB); a fill that copied the four closed-form
     # columns (640 kB) would fail.
     kappa1_discrete(20000)
-    monkeypatch.setattr(sums, "_RUNNING", {})
+    monkeypatch.delitem(sums._TABLE, "kappa1")
     tracemalloc.start()
     try:
         kappa1_discrete(20000)
@@ -336,25 +337,14 @@ def test_cold_series_memory_bounded(monkeypatch):
 @pytest.mark.parametrize("steps", [(79, 120, 163), (20, 1000), (1000, 2100)])
 @pytest.mark.parametrize("name", list(sums.SERIES))
 def test_running_column_grown_in_steps_bit_identical(monkeypatch, name, steps):
-    monkeypatch.setattr(sums, "_RUNNING", {})
+    monkeypatch.setattr(sums, "_TABLE", {})
     for n_max in steps:
         sums.running_sums(name, n_max)
     stepped = sums.running_sums(name, steps[-1])
-    monkeypatch.setattr(sums, "_RUNNING", {})
+    monkeypatch.setattr(sums, "_TABLE", {})
     once = sums.running_sums(name, steps[-1])
     assert len(stepped) == len(once) == steps[-1] - 1
     assert stepped == once   # bit-identical, row by row
-
-
-def test_running_column_follows_new_closed_form_columns(monkeypatch):
-    # Closed-form columns filled again (here: the same values, new arrays)
-    # restart the running sums instead of extending stale ones.
-    old = sums.running_sums("kappa2", 150)
-    monkeypatch.setattr(hydrogen, "_COLUMNS", [])
-    new = sums.running_sums("kappa2", 100)
-    assert new is not old
-    assert len(new) == 99
-    assert new == old[:99]
 
 
 def test_zeta_memo_bounded():
@@ -390,7 +380,7 @@ def test_oscillator_partials_row_fails_on_scaled_term(monkeypatch):
     oscillator = sums.SERIES["oscillator"]
     monkeypatch.setitem(sums.SERIES, "oscillator", oscillator._replace(
         term=lambda *columns: 1.8 * oscillator.term(*columns)))
-    monkeypatch.setattr(sums, "_RUNNING", {})
+    monkeypatch.setattr(sums, "_TABLE", {})
     failed = [res.name for res in verify.run_checks() if not res.passed]
     assert failed == ["rydberg_expansion_exact_route", "oscillator_strength_sum_400",
                       "oscillator_partials_below_one"]
