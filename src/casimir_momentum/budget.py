@@ -149,17 +149,16 @@ def effective_mass_factor(binding_energy: float, total_mass: float) -> float:
     return binding_energy / (total_mass * constants().light_speed_c0**2)
 
 
-def transverse_bound(fields: FieldConfiguration, binding_energy: float,
-                     total_mass: float, abraham: Vec3) -> float:
+def transverse_bound(fields: FieldConfiguration, factor: float,
+                     abraham: Vec3) -> float:
     """Order-of-magnitude bound on the transverse-photon momentum [kg m/s].
 
-    alpha |E_bind/(M c0^2)| |Q0| + alpha^3 |P_A|, with P_A = abraham; an
-    estimate only, one power of alpha below the longitudinal terms, and
-    never added into totals.
+    alpha |factor| |Q0| + alpha^3 |P_A|, with factor = E_bind/(M c0^2) (see
+    effective_mass_factor) and P_A = abraham; an estimate only, one power of
+    alpha below the longitudinal terms, and never added into totals.
     """
     alpha = constants().fine_structure_alpha
-    factor = abs(effective_mass_factor(binding_energy, total_mass))
-    q_part = alpha * factor * norm(fields.Q0)
+    q_part = alpha * abs(factor) * norm(fields.Q0)
     field_part = alpha**3 * norm(abraham)
     return q_part + field_part
 
@@ -244,8 +243,7 @@ def assemble_budget(
         "net": DARWIN_MASS_COEFF + P4_MASS_COEFF,
         "bartlett_power_alpha2_coeff": RELATIVISTIC_POLARIZABILITY_COEFF,
     }
-    t_bound = transverse_bound(fields, HYDROGEN_BINDING_ENERGY_J, total_mass_kg,
-                               p_a)
+    t_bound = transverse_bound(fields, factor, p_a)
     field_bound = alpha**2 * (const.electron_mass / total_mass_kg) * norm(p_a)
     return MomentumBudget(
         abraham=p_a,

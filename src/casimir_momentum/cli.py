@@ -345,9 +345,12 @@ def _handle_renorm(p: dict[str, Any]) -> dict[str, Row]:
     rows["doubling_increment_limit"] = _row(
         (8 * const.fine_structure_alpha * const.electron_mass / (3 * math.pi))
         * math.log(2.0), "(8 alpha m/3pi) ln 2")
-    rows["reduced_mass_shift"] = _row(renorm.reduced_mass_shift(
-        units.AtomicParams.hydrogen(), deltas["proton"] / const.electron_mass,
-        deltas["electron"] / const.electron_mass),
+    atom = units.AtomicParams.hydrogen()
+    dm1, dm2 = (deltas[label] / const.electron_mass for label in ("proton", "electron"))
+    _require(dm1 < atom.m1 and dm2 < atom.m2,
+             "--cutoff-ratio makes a self-mass reach its mass (above about 2.6e70)")
+    rows["reduced_mass_shift"] = _row(
+        renorm.reduced_mass_shift(atom, dm1, dm2),
         "-dm1/m1^2 - dm2/m2^2 in electron-mass units; first-order change of "
         "1/mu when both masses absorb their self-energy")
     rows["delta_mass_log_slope"] = _row(renorm.divergence_exponent(

@@ -2,9 +2,8 @@
 
 The engine is a globally adaptive Gauss-Kronrod (G7, K15) bisection scheme
 with a QUADPACK-style error estimate, written over Python floats. An
-integrand is called with a list of nodes (15 per segment, every segment of
-one pass in a single call) and returns a sequence of as many floats; it may
-use any array library inside itself. A nan or inf value, or an
+integrand is a function of one float that returns a float, called at the
+15 Kronrod nodes of each segment in turn. A nan or inf value, or an
 OverflowError or ZeroDivisionError raised by the integrand, is reported as
 ValueError("integrand is not finite at x=...") with the first bad node.
 
@@ -59,7 +58,7 @@ _NODES = tuple(-x for x in _XGK[:-1]) + _XGK[::-1]
 _WEIGHTS_K = _WGK + _WGK[-2::-1]
 _WEIGHTS_G = _WG + _WG[-2::-1]
 
-Integrand = Callable[[list[float]], Sequence[float]]
+Integrand = Callable[[float], float]
 
 # Bisections one adaptive integration may make before it gives up.
 _MAX_SUBDIVISIONS = 2000
@@ -106,16 +105,12 @@ class QuadratureError(RuntimeError):
         self.subdivisions = subdivisions
 
 
-def _segment_nodes(lo: float, hi: float) -> list[float]:
-    """The 15 Kronrod nodes of [lo, hi], ascending, as the engine places them."""
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    return [mid + half * t for t in _NODES]
+def _segment(f: Integrand, lo: float, hi: float) -> tuple[float, float]:
+    """(K15 value, error) of f over [lo, hi].
 
-
-def _segment_estimate(fs: Sequence[float], lo: float,
-                     hi: float) -> tuple[float, float]:
-    """(K15 value, error) of one segment from its 15 integrand values.
+    f is called at the 15 Kronrod nodes in ascending order; the first node
+    at which it is not finite, or raises OverflowError or ZeroDivisionError,
+    is named in a ValueError.
 
     The error is QUADPACK's sharpening of |K15 - G7|:
     resasc t^1.5 with t = min(1, 200 |K15 - G7| / resasc), resasc being the
@@ -125,6 +120,17 @@ def _segment_estimate(fs: Sequence[float], lo: float,
     compensates from Python 3.12 on) or on the order of the terms.
     """
     half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    fs = []
+    for t in _NODES:
+        x = mid + half * t
+        try:
+            v = f(x)
+        except (OverflowError, ZeroDivisionError):
+            v = math.nan
+        if not math.isfinite(v):
+            raise ValueError(f"integrand is not finite at x={x!r}")
+        fs.append(v)
     k15 = math.fsum(map(mul, fs, _WEIGHTS_K))
     resk = k15 * half
     err = abs(resk - math.fsum(map(mul, fs[1::2], _WEIGHTS_G)) * half)
@@ -134,37 +140,6 @@ def _segment_estimate(fs: Sequence[float], lo: float,
         t = min(1.0, 200.0 * err / resasc)
         err = resasc * t * math.sqrt(t)
     return resk, err
-
-
-def _not_finite(f: Integrand, nodes: list[float]) -> ValueError:
-    """The error for the first node at which f is not a finite float."""
-    for x in nodes:
-        try:
-            v, = f([x])
-        except (OverflowError, ZeroDivisionError):
-            break
-        if not math.isfinite(v):
-            break
-    else:
-        x = nodes[0]
-    return ValueError(f"integrand is not finite at x={x!r}")
-
-
-def _eval_segments(f: Integrand,
-                   segments: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """(value, error) of each segment, with one call of f for all of them."""
-    nodes = [x for lo, hi in segments for x in _segment_nodes(lo, hi)]
-    try:
-        fx = f(nodes)
-    except (OverflowError, ZeroDivisionError):
-        raise _not_finite(f, nodes) from None
-    fx = list(map(float, fx))
-    if len(fx) != len(nodes):
-        raise ValueError(f"integrand returned {len(fx)} values for {len(nodes)} nodes")
-    if not all(map(math.isfinite, fx)):
-        raise _not_finite(f, nodes)
-    return [_segment_estimate(fx[15 * i:15 * i + 15], lo, hi)
-            for i, (lo, hi) in enumerate(segments)]
 
 
 def integrate_adaptive(
@@ -191,51 +166,44 @@ def integrate_adaptive(
     if breakpoints:
         edges += [float(x) for x in breakpoints if a < float(x) < b]
     edges = sorted(set(edges))
-    segs = list(zip(edges, edges[1:]))
 
-    neval = 15 * len(segs)
     # Heap of (-error, insertion index, lo, hi, value); index breaks ties
     # deterministically.
-    heap = []
-    counter = 0
-    for (lo, hi), (v, e) in zip(segs, _eval_segments(f, segs)):
-        heapq.heappush(heap, (-e, counter, lo, hi, v))
-        counter += 1
+    heap: list[tuple[float, int, float, float, float]] = []
+    counter = count()
+
+    def push(lo: float, hi: float) -> None:
+        v, e = _segment(f, lo, hi)
+        heapq.heappush(heap, (-e, next(counter), lo, hi, v))
+
+    for lo, hi in zip(edges, edges[1:]):
+        push(lo, hi)
+    neval = 15 * len(heap)
 
     subdivisions = 0
     while True:
         total = math.fsum(item[4] for item in heap)
         total_err = math.fsum(-item[0] for item in heap)
         if total_err <= max(spec.abs_tol, spec.rel_tol * abs(total)):
-            break
+            return QuadratureResult(value=total, error=total_err, neval=neval,
+                                    subdivisions=subdivisions)
         if subdivisions >= _MAX_SUBDIVISIONS:
             raise QuadratureError(
                 f"max_subdivisions={_MAX_SUBDIVISIONS} exceeded "
                 f"(value={total!r}, error={total_err!r})",
                 value=total, error=total_err, subdivisions=subdivisions,
             )
-        neg_err, _, lo, hi, val = heapq.heappop(heap)
+        subdivisions += 1
+        _, _, lo, hi, val = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             # Interval at floating-point resolution: keep its value, stop
             # charging its error against the budget.
-            heapq.heappush(heap, (0.0, counter, lo, hi, val))
-            counter += 1
-            subdivisions += 1
+            heapq.heappush(heap, (0.0, next(counter), lo, hi, val))
             continue
-        children = [(lo, mid), (mid, hi)]
+        push(lo, mid)
+        push(mid, hi)
         neval += 30
-        for (clo, chi), (v, e) in zip(children, _eval_segments(f, children)):
-            heapq.heappush(heap, (-e, counter, clo, chi, v))
-            counter += 1
-        subdivisions += 1
-
-    # Deterministic final reduction: sum in left-to-right interval order.
-    items = sorted(heap, key=lambda it: it[2])
-    value = math.fsum(it[4] for it in items)
-    error = math.fsum(-it[0] for it in items)
-    return QuadratureResult(value=value, error=error, neval=neval,
-                            subdivisions=subdivisions)
 
 
 def integrate_to_inf(
@@ -250,10 +218,9 @@ def integrate_to_inf(
     never evaluated at t = 1.
     """
 
-    def g(ts: list[float]) -> list[float]:
-        omts = [1.0 - t for t in ts]
-        fy = f([a + t / omt for t, omt in zip(ts, omts)])
-        return [v / (omt * omt) for v, omt in zip(fy, omts)]
+    def g(t: float) -> float:
+        omt = 1.0 - t
+        return f(a + t / omt) / (omt * omt)
 
     # Seed points cluster resolution near t=1 where the tail lives.
     return integrate_adaptive(g, 0.0, 1.0, spec,
@@ -268,7 +235,7 @@ class ContinuumResult(NamedTuple):
     estimated_error: float
 
 
-def kappa1_continuum_integrand(ys: list[float]) -> list[float]:
+def kappa1_continuum_integrand(y: float) -> float:
     """Integrand y^3/(y^2+1)^3 * (arctan(y)/y^2 - 1/(y*sqrt(y^2+1))).
 
     The bracket is a difference of two terms that both diverge as 1/y at
@@ -276,17 +243,14 @@ def kappa1_continuum_integrand(ys: list[float]) -> list[float]:
     y/6 - 7y^3/40 + 19y^5/112 to avoid cancellation. It is positive for all
     y > 0, since arctan(y) > y/sqrt(1+y^2).
     """
-    atan, sqrt = math.atan, math.sqrt
-    return [y**3 / (y * y + 1.0) ** 3
+    return (y**3 / (y * y + 1.0) ** 3
             * (y / 6.0 - 7.0 * y**3 / 40.0 + 19.0 * y**5 / 112.0 if y < 1e-3
-               else atan(y) / y**2 - 1.0 / (y * sqrt(y * y + 1.0)))
-            for y in ys]
+               else math.atan(y) / y**2 - 1.0 / (y * math.sqrt(y * y + 1.0))))
 
 
-def kappa2_continuum_integrand(ys: list[float]) -> list[float]:
+def kappa2_continuum_integrand(y: float) -> float:
     """Integrand (256/27pi) * y^4/(y^2+1)^6."""
-    front = 256.0 / (27.0 * math.pi)
-    return [front * y**4 / (y * y + 1.0) ** 6 for y in ys]
+    return 256.0 / (27.0 * math.pi) * y**4 / (y * y + 1.0) ** 6
 
 
 # Largest accepted lower cutoff. Beyond it both continuum integrals are below

@@ -50,7 +50,8 @@ _ZETA_EM_OMITTED = 691.0 / 2730.0 / 479001600.0
 # up to n = 1e5, but their errors do not add in one direction: against
 # 40-digit sums, the partial sums of all five series are within 1.42 eps at
 # every n_max up to 1e5. A tail term c_k zeta(3+2k, n_max+1) is within
-# 1.35 eps (the zeta) plus the rounding of its product and of math.fsum.
+# 2.65 eps (the zeta; see hurwitz_zeta) plus 0.5 eps (its product), under
+# the 4 eps charged; math.fsum adds one rounding of the sum.
 _ROUNDING = 4 * sys.float_info.epsilon
 
 
@@ -64,8 +65,12 @@ def hurwitz_zeta(s: float, a: float) -> float:
     x^(-s-11), is below 4e-16 of either lower bound of the sum: the tail's
     leading term x^(1-s)/(s-1), or the first term a^-s. It is 25 for s <= 4
     and at most 62 at s = 15 and 114 at s = 31; for large s the second bound
-    keeps it near a. Against exact values for s from 1.5 to 100 and a from
-    0.5 to 1e4, the relative error is below 3e-16.
+    keeps it near a. Against 50-digit references (a direct sum to a + 120
+    and the Euler-Maclaurin tail there) at every odd s from 3 to 79 and 519
+    integer a from 3 to 100001, the relative error is at most 2.65 eps
+    (5.9e-16, at s = 17, a = 69), and above 1.35 eps at 266 of the 19946
+    pairs. That scan leaves out the pairs where a^-s is below the normal
+    float range; there digits are lost with it.
     """
     if not (math.isfinite(s) and math.isfinite(a) and s > 1.0 and a > 0.0):
         raise ValueError(f"hurwitz_zeta needs finite s > 1 and a > 0, got s={s!r}, a={a!r}")

@@ -175,7 +175,7 @@ def _delta_mass_oracle(m: _Memo) -> float:
         closed = renorm.delta_mass(mass, lam)
         u_max = _C.hbar * lam / (mass * _C.light_speed_c0)
         engine = quadrature.integrate_adaptive(
-            lambda us: [1.0 / (2.0 + u) for u in us], 0.0, u_max, _ORACLE_SPEC,
+            lambda u: 1.0 / (2.0 + u), 0.0, u_max, _ORACLE_SPEC,
             breakpoints=[u_max * 0.5**k for k in range(1, 40)])
         front = 8.0 * _C.fine_structure_alpha * mass / (3.0 * math.pi)
         worst = max(worst, abs(front * engine.value - closed)
@@ -272,7 +272,7 @@ CHECKS: tuple[Check, ...] = (
             text="engine within its error plus the closed form's")
       for which in ("kappa1", "kappa2") for y_min in _ORACLE_YMIN),
     Check("beta_integral_closed_form", lambda m: quadrature.integrate_adaptive(
-        lambda ys: [y**4 / (1 + y * y)**6 for y in ys], 0.0, _BETA_CUT).value,
+        lambda y: y**4 / (1 + y * y)**6, 0.0, _BETA_CUT).value,
         3 * math.pi / 512, 1e-9, text="3 pi/512 to 1e-9"),
 
     # Adopted totals and the net relative shift.

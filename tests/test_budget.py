@@ -102,7 +102,7 @@ def test_mass_coefficient_itemization_exact():
 
 def test_transverse_bound_zero_case():
     fields = FieldConfiguration(E0=[0, 0, 0], B0=[0, 0, 0], Q0=[0, 0, 0])
-    assert transverse_bound(fields, -1e-18, 1e-27,
+    assert transverse_bound(fields, effective_mass_factor(-1e-18, 1e-27),
                             abraham_momentum(fields, ALPHA0_SI)) == 0.0
 
 
@@ -110,7 +110,7 @@ def test_transverse_bound_kinetic_part():
     fields = FieldConfiguration(E0=[0, 0, 0], B0=[0, 0, 0], Q0=[1e-27, 0, 0])
     m_total = CONST.proton_mass + CONST.electron_mass
     ev = 1.602176634e-19
-    bound = transverse_bound(fields, -13.605693 * ev, m_total,
+    bound = transverse_bound(fields, effective_mass_factor(-13.605693 * ev, m_total),
                              abraham_momentum(fields, ALPHA0_SI))
     assert bound == pytest.approx(ALPHA * 1.449e-8 * 1e-27, rel=1e-3)
     assert bound == pytest.approx(1.06e-37, rel=1e-2)

@@ -152,7 +152,7 @@ def test_renorm_overflowing_cutoff_exit_2(capsys):
 ])
 def test_non_finite_input_exit_2(capsys, argv, flag):
     # In-process: refused before any computation, so no late JSON failure
-    # and no numpy RuntimeWarning (an error under this suite's filter).
+    # and no warning (an error under this suite's filter).
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert flag in err and "finite" in err
@@ -170,11 +170,12 @@ def test_non_finite_input_exit_2(capsys, argv, flag):
     (["rho-c", "--l-min", "1e300"], "--l-min"),
     (["rho-c", "--n-e", "1e-300", "--fit-exponent", "off"], "--n-e"),
     (["rho-c", "--n-e", "1e-280", "--fit-exponent", "off"], "--n-e"),
+    (["renorm", "--cutoff-ratio", "1e71"], "--cutoff-ratio"),
 ])
 def test_large_finite_input_exit_2(capsys, argv, flag):
-    # In-process: a finite value that would overflow, or underflow the rho-c
-    # mass density to 0, is refused with its flag named, before any numpy
-    # RuntimeWarning (an error in this suite).
+    # In-process: a finite value that would overflow, underflow the rho-c
+    # mass density to 0, or make a self-mass reach its mass, is refused with
+    # its flag named, before any warning (an error in this suite).
     assert run(argv) == 2
     assert flag in capsys.readouterr().err
 
@@ -225,7 +226,7 @@ def test_small_n_max_with_tail_within_error_of_sum_to_infinity(
 
 def test_budget_at_magnitude_ceiling_finite(capsys):
     # The largest accepted fields, pseudo-momentum and kappas still give a
-    # finite report without a numpy RuntimeWarning.
+    # finite report without a warning (an error in this suite).
     assert run(["budget", "--E0=1e50,-1e50,1e50", "--B0=-1e50,1e50,1e50",
                 "--Q0=1e50,1e50,-1e50", "--kappa1=-1e50", "--kappa2=1e50"]) == 0
     json.loads(capsys.readouterr().out)
@@ -332,7 +333,7 @@ def test_numerical_failure_exit_1_with_diagnostic(capsys, monkeypatch):
     # subdivision budget of verify's engine oracle on the kappa1 integrand; no
     # accepted flag value makes the real integrands do so.
     monkeypatch.setattr(quadrature, "kappa1_continuum_integrand",
-                        lambda ys: [(y * 1e9 % 1.0) / (1.0 + y * y) for y in ys])
+                        lambda y: (y * 1e9 % 1.0) / (1.0 + y * y))
     assert run(["verify"]) == 1
     err = capsys.readouterr().err
     assert "max_subdivisions" in err

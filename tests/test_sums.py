@@ -1,5 +1,7 @@
 import math
+import sys
 import tracemalloc
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -84,6 +86,41 @@ def test_hurwitz_zeta_recurrence(s, a):
 def test_hurwitz_zeta_domain(s, a):
     with pytest.raises(ValueError):
         hurwitz_zeta(s, a)
+
+
+# B_2k / (2k)! for k = 1..10.
+_BERNOULLI_RATIOS = tuple(
+    Fraction(b) / math.factorial(2 * k) for k, b in enumerate(
+        ("1/6", "-1/30", "1/42", "-1/30", "5/66", "-691/2730", "7/6",
+         "-3617/510", "43867/798", "-174611/330"), start=1))
+
+
+def _zeta_reference(s: int, a: int) -> Decimal:
+    """zeta(s, a) at 40 digits: (a + k)^-s summed directly for k < 120,
+    then the Euler-Maclaurin tail at x = a + 120 to its B_20 term."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        x = Decimal(a + 120)
+        total = sum((Decimal(a + k) ** -s for k in range(120)), Decimal(0))
+        total += x ** (1 - s) / (s - 1) + x ** -s / 2
+        rising, power = Decimal(s), x ** (-s - 1)
+        for k, ratio in enumerate(_BERNOULLI_RATIOS, start=1):
+            total += Decimal(ratio.numerator) / ratio.denominator * rising * power
+            rising *= (s + 2 * k - 1) * (s + 2 * k)
+            power /= x * x
+        return total
+
+
+@pytest.mark.parametrize("s, a", [(17, 69), (21, 82), (69, 241),
+                                  *((s, 100001) for s in (3, 13, 29, 41, 55))])
+def test_hurwitz_zeta_within_3_eps_of_decimal_reference(s, a):
+    # The worst pairs of a scan over the odd s and integer a that the Rydberg
+    # tails read (2.65 eps at (17, 69)), and a at the --n-max ceiling plus 1.
+    ref = _zeta_reference(s, a)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        rel = abs(Decimal(hurwitz_zeta(float(s), float(a))) - ref) / ref
+    assert rel <= 3 * Decimal(sys.float_info.epsilon), float(rel)
 
 
 # --- discrete sums ----------------------------------------------------------
@@ -245,7 +282,7 @@ def test_one_pass_sum_bit_identical_to_term_list(fn, n_max, tail):
 
 
 @pytest.mark.parametrize("tail", [True, False])
-@pytest.mark.parametrize("n_max", [2, 9, 20, 200, 1000, 20000])
+@pytest.mark.parametrize("n_max", [2, 9, 20, 200, 1000, 20000, 100000])
 @pytest.mark.parametrize("fn", list(_NAMES))
 def test_sum_within_error_of_sum_to_infinity(sum_to_infinity, fn, n_max, tail):
     # Compared exactly: the error bar must cover the whole gap to the sum to
