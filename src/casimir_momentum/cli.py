@@ -122,10 +122,10 @@ def serialize(report: ReportEnvelope, output_format: str) -> bytes:
 # far above any physical value, it keeps every product in the budget finite.
 _BUDGET_MAGNITUDE_MAX = 1e50
 
-# Largest accepted --n-max: the sums keep a table of 8 bytes per n and
-# column up to it, four closed-form columns and one per series summed;
-# kappas at the ceiling takes about 0.6 s and 20.4 MB peak RSS as a fresh
-# process (2-core x86-64 host, Python 3.11).
+# Largest accepted --n-max. A sum costs the same at every n_max (S_inf minus
+# the tail), so it bounds no cost: kappas at the ceiling and at 200 both
+# take about 88 ms and 15.5 MB peak RSS as a fresh process (2-core x86-64
+# host, Python 3.11). It keeps the input contract as it stands.
 _N_MAX_CEILING = 100_000
 
 
@@ -204,7 +204,7 @@ _KAPPA = (lambda v: abs(v) <= _BUDGET_MAGNITUDE_MAX,
 
 
 def _n_max(default: int) -> Param:
-    return Param("n_max", int, default, "last n summed term by term", check=(
+    return Param("n_max", int, default, "last n of the partial sum", check=(
         lambda n: 2 <= n <= _N_MAX_CEILING, f"must be in [2, {_N_MAX_CEILING}]"))
 
 

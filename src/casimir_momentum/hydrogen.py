@@ -30,8 +30,8 @@ forms; the two must agree to 5e-15 relative (verify's
 radial_dual_route_nle200 row for n <= 200; the test suite up to n = 1000).
 
 `radial_record(n, method)` gives one n by a named route, memoized per n (a
-record with its cache entry takes about 205 bytes). The spectral sums keep
-their own table of the closed forms, filled through `_closed_form` (see
+record with its cache entry takes about 205 bytes). The spectral sums call
+`_closed_form` for their first few terms only and keep no table (see
 `sums`).
 
 The angular sums over m and Cartesian components that accompany these
@@ -110,9 +110,9 @@ def radial_record(n: int, method: str = "closed_form") -> RadialIntegralRecord:
     """The full (I1, I2, I3) record by one named route, "closed_form" or
     "exact", memoized.
 
-    The single-n interface: the spectral sums keep a table of their own
-    (sums.running_sums). The route-agreement oracle is exercised by verify
-    and the test suite rather than on every table fill.
+    The single-n interface, which verify's term-by-term sums and the route-
+    agreement oracle read; the spectral sums themselves need no row table
+    (see sums).
     """
     if not (n >= 2 and n % 1 == 0):
         raise ValueError("n must be an integer >= 2 (1s -> np integrals)")

@@ -1,35 +1,30 @@
-"""Discrete Rydberg sums with compensated accumulation and exact tails.
+"""Discrete Rydberg sums in closed form, with exact tails.
 
-All sums run over the 1s -> np series in a fixed ascending index order and
-accumulate with Neumaier compensation, so results are bit-identical from run
-to run regardless of how the term values were produced, or of which n_max
-came first. The module keeps one table of flat array('d') columns, row
-n - 2 for n = 2, 3, ...: the closed forms I1, I2, I3 of `hydrogen` and
-dE = transition_energy(n), 32 bytes per n, and one running-sum column per
-series summed, `running_sums(name, n_max)`, 8 bytes per n, that holds its
-compensated partial sums. The table grows on demand under one lock, so a sum
-at an n_max its column already reaches is one read.
+With v = 1/n^2 and X_c(v) = exp(-c sum_{j>=1} v^j/(2j+1)), the closed forms
+of `hydrogen` make n^3 t(n) of each series over the 1s -> np states a
+rational function of v times e^-2 X_2(v) or e^-4 X_4(v) (see SERIES). Its
+power series sum_k c_k v^k converges for n >= 2, so the tail beyond n_max
+is sum_k c_k zeta(3 + 2k, n_max + 1) at every n_max, with the Hurwitz zeta
+computed in-house by `hurwitz_zeta`; the weights zeta(3 + 2k, n_max + 1),
+the same for all five series, are memoized for the last _ZETA_MEMO
+(k, n_max) pairs. Each c_k, an exact rational times e^-2 plus one times
+e^-4, is worked out on first use in 256-bit fixed point and rounded to a
+float once.
 
-The part beyond n_max is summed in closed form. With v = 1/n^2 and
-X_c(v) = exp(-c sum_{j>=1} v^j/(2j+1)), the closed forms of `hydrogen` make
-n^3 t(n) of each series a rational function of v times e^-2 X_2(v) or
-e^-4 X_4(v) (see SERIES). Its power series sum_k c_k v^k converges for
-n >= 2, so the tail is sum_k c_k zeta(3 + 2k, n_max + 1) at every n_max,
-with the Hurwitz zeta computed in-house by `hurwitz_zeta`; the weights
-zeta(3 + 2k, n_max + 1), the same for all five series, are memoized for the
-last _ZETA_MEMO (k, n_max) pairs. Each c_k, an exact rational times e^-2 plus
-one times e^-4, is worked out on first use in 256-bit fixed point and rounded
-to a float once.
+The sum of a series to infinity, S_inf, is worked out once per series on
+first use: its first terms directly, the rest by the same expansion. The
+partial sum over n = 2..n_max is then S_inf minus the tail beyond n_max,
+so a sum costs the same at every n_max and keeps no table. `verify` sums
+the terms one by one as its oracle.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-import threading
 from functools import cache, lru_cache
-from itertools import count, islice
-from typing import Callable, Iterable, NamedTuple
+from itertools import count
+from typing import Callable, NamedTuple
 
 from . import hydrogen
 from .hydrogen import radial_record, transition_energy
@@ -45,11 +40,12 @@ _ZETA_EM_COEFFS = (1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0, -1.0 / 1209600.0,
                    1.0 / 47900160.0)
 _ZETA_EM_OMITTED = 691.0 / 2730.0 / 479001600.0
 
-# A stated bound, relative, on the rounding of each term and of the sums
-# that hold it. A float term n <= n_max is within 8.3 eps of its exact value
-# up to n = 1e5, but their errors do not add in one direction: against
-# 40-digit sums, the partial sums of all five series are within 1.42 eps at
-# every n_max up to 1e5. A tail term c_k zeta(3+2k, n_max+1) is within
+# A stated bound, relative, on the rounding of the float terms and of the
+# sums that hold them. A term is within 8.3 eps of its exact value up to
+# n = 1e5, but their errors do not add in one direction: those of n = 2.._HEAD
+# add to 1.43 eps of their sum at most (against 60-digit exact-route terms),
+# and compensated sums over n = 2..n_max stay within 1.42 eps of 40-digit
+# sums up to n_max = 1e5. A tail term c_k zeta(3+2k, n_max+1) is within
 # 2.65 eps (the zeta; see hurwitz_zeta) plus 0.5 eps (its product), under
 # the 4 eps charged; math.fsum adds one rounding of the sum.
 _ROUNDING = 4 * sys.float_info.epsilon
@@ -188,8 +184,8 @@ def expansion(name: str, weight: Callable[[int], float]) -> tuple[float, float]:
 
 
 class SpectralSumResult(NamedTuple):
-    """A discrete sum with its tail accounting; `partial` is the compensated
-    sum of the explicitly computed terms n = 2..n_max."""
+    """A discrete sum with its tail accounting; `partial` is the sum of the
+    terms n = 2..n_max, S_inf minus `tail_estimate` (see _spectral_sum)."""
 
     value: float
     n_max: int
@@ -198,86 +194,43 @@ class SpectralSumResult(NamedTuple):
     error_bound: float
 
 
-# Rows of a running-sum column that _accumulate collects in a list before it
-# moves them into the column: per row, list.append is cheaper than
-# array.append, and a chunk of floats stays near 32 kB.
-_CHUNK = 1024
+# The terms n = 2.._HEAD of a sum to infinity are taken directly, the rest
+# from the expansion at a = _HEAD + 1. At a = 10 the five series read 55
+# coefficients in all; at a = 3 (a head of t(2) alone) they read 113.
+_HEAD = 9
 
 
-def _accumulate(column, total: float, comp: float,
-                terms: Iterable[float]) -> tuple[float, float]:
-    """Appends to column the compensated sum after each of terms, in order,
-    starting from the Neumaier state (total, comp); returns the final state."""
-    terms = iter(terms)
-    while True:
-        chunk = []
-        for t in islice(terms, _CHUNK):
-            s = total + t
-            if abs(total) >= abs(t):
-                comp += (total - s) + t
-            else:
-                comp += (t - s) + total
-            total = s
-            chunk.append(total + comp)
-        if not chunk:
-            return total, comp
-        column.fromlist(chunk)
-
-
-_LOCK = threading.Lock()
-# The row table: "closed_form" -> the columns (I1, I2, I3, dE); a series
-# name -> (its running-sum column, total, comp), the final Neumaier state.
-_TABLE: dict = {}
-
-
-def running_sums(name: str, n_max: int):
-    """The running-sum column of a series: row n - 2 is the compensated sum
-    of its terms n' = 2..n.
-
-    Under the lock, grows the closed-form columns to at least n = n_max, one
-    hydrogen._closed_form(n) per row, then the running-sum column, and
-    returns the column itself, which may already run past n_max. New rows
-    continue the stored Neumaier state from the first missing n, in
-    ascending order, so a column grown in steps is bit-identical to one
-    filled at once. Rows are only ever appended, so a reader that stops at
-    row n_max - 2 sees every value it reads complete.
-    """
-    from array import array   # only the bulk sums need the extension
-    with _LOCK:
-        if "closed_form" not in _TABLE:
-            _TABLE["closed_form"] = tuple(array("d") for _ in range(4))
-        i1, i2, i3, de = columns = _TABLE["closed_form"]
-        for n in range(len(de) + 2, n_max + 1):
-            a, b, c = hydrogen._closed_form(n)
-            i1.append(a)
-            i2.append(b)
-            i3.append(c)
-            de.append(transition_energy(n))
-        column, total, comp = _TABLE.get(name) or (array("d"), 0.0, 0.0)
-        start = len(column)
-        if start < n_max - 1:
-            rows = [iter(col) for col in columns]
-            for row in rows:
-                next(islice(row, start, start), None)   # skips rows 0..start-1
-            terms = islice(map(SERIES[name].term, *rows), n_max - 1 - start)
-            total, comp = _accumulate(column, total, comp, terms)
-        _TABLE[name] = (column, total, comp)
-        return column
+@cache
+def _sum_to_infinity(name: str) -> tuple[float, float]:
+    """S_inf, the sum of a series over n = 2..inf, and its error bar, worked
+    out on first use: math.fsum of the closed-form terms n = 2.._HEAD and of
+    sum_k c_k zeta(3 + 2k, _HEAD + 1). The bar is the expansion's, plus
+    _ROUNDING of the terms and eps/2 of S_inf for the fsum."""
+    series = SERIES[name]
+    head = [series.term(*hydrogen._closed_form(n), transition_energy(n))
+            for n in range(2, _HEAD + 1)]
+    rest, bar = expansion(name, lambda k: hurwitz_zeta(3.0 + 2 * k, _HEAD + 1.0))
+    total = math.fsum([*head, rest])
+    return total, bar + _ROUNDING * math.fsum(head) + sys.float_info.epsilon / 2 * total
 
 
 def _spectral_sum(name: str, n_max: int, tail: bool) -> SpectralSumResult:
-    """The compensated sum of the terms n = 2..n_max of a series, read from
-    its running-sum column, and the exact tail beyond it. The bar is the
-    tail's own plus _ROUNDING of the partial sum (every term is positive);
-    with the tail off, the tail itself joins it."""
-    if n_max < 2:
-        raise ValueError("n_max must be >= 2")
-    partial = running_sums(name, n_max)[n_max - 2]
+    """The sum of the terms n = 2..n_max of a series, as S_inf minus the
+    exact tail beyond n_max, and that tail; the cost is the same at every
+    n_max. The bar adds S_inf's, the tail's and eps/2 of the partial sum for
+    the subtraction; with the tail on, eps/2 of the value for adding it back,
+    and with the tail off, the tail itself."""
+    if not (n_max >= 2 and n_max % 1 == 0):
+        raise ValueError("n_max must be an integer >= 2")
+    total, total_bar = _sum_to_infinity(name)
     rest, bar = expansion(name, lambda k: _zeta_weight(k, n_max))
-    bar += _ROUNDING * partial
+    partial = total - rest
+    bar += total_bar + sys.float_info.epsilon / 2 * partial
     if tail:
-        return SpectralSumResult(value=partial + rest, n_max=n_max, partial=partial,
-                                 tail_estimate=rest, error_bound=bar)
+        value = partial + rest
+        return SpectralSumResult(value=value, n_max=n_max, partial=partial,
+                                 tail_estimate=rest,
+                                 error_bound=bar + sys.float_info.epsilon / 2 * value)
     return SpectralSumResult(value=partial, n_max=n_max, partial=partial,
                              tail_estimate=0.0, error_bound=rest + bar)
 
@@ -353,17 +306,17 @@ class PerturbedGroundState(NamedTuple):
 
 
 def first_moment_residual(state: PerturbedGroundState) -> float:
-    """|<psi| p_z |psi>| to first order in the field; zero identically.
+    """|<psi| p_z |psi>| to first order in the field; zero in exact arithmetic.
 
-    Momentum matrix elements between real bound states are purely imaginary
-    (<0|p|n> = i (E_0 - E_n) <0|z|n> in atomic units), so with real
-    first-order coefficients the bra and ket contributions cancel exactly.
-    The cancellation is carried out numerically rather than assumed.
+    With real first-order coefficients the bra and ket contributions of the
+    purely imaginary momentum matrix elements cancel, here only if the radial
+    integrals obey I2 = dE_n I3: the bra <0|p_z|n> = -i I2(n)/sqrt(3) is in
+    the velocity form, I2 by the exact route, and the ket <n|p_z|0> =
+    i dE_n I3(n)/sqrt(3) in the length form, I3 by the closed form.
     """
     acc = 0.0 + 0.0j
     for n, c_n in zip(state.ns, state.coefficients):
-        d_n = radial_record(n).I3 / math.sqrt(3.0)
-        bra_side = 1j * (-transition_energy(n)) * d_n      # <0|p_z|n>
-        ket_side = 1j * (+transition_energy(n)) * d_n      # <n|p_z|0>
+        bra_side = -1j * radial_record(n, "exact").I2 / math.sqrt(3.0)
+        ket_side = 1j * transition_energy(n) * radial_record(n).I3 / math.sqrt(3.0)
         acc += c_n * (bra_side + ket_side)
     return abs(acc)

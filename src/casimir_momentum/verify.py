@@ -17,8 +17,7 @@ from __future__ import annotations
 import math
 import sys
 import time
-from itertools import islice
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Iterable, NamedTuple
 
 from . import budget, cli, hydrogen, quadrature, renorm, sums, units
 from .units import constants
@@ -205,12 +204,52 @@ def _expansion_oracle(m: _Memo) -> float:
     return worst
 
 
-def _oscillator_partials_max(m: _Memo) -> float:
-    """The largest partial oscillator-strength sum up to the polarizability
-    default, read from the series' own running sums, which the polarizability
-    report has filled."""
-    n_max = sums.DEFAULT_N_MAX_POLARIZABILITY
-    return max(islice(sums.running_sums("oscillator", n_max), n_max - 1))
+# The report, and its key, that carries the sum of each Rydberg series.
+_SUM_REPORTS = {"kappa1": ("kappas", "kappa1_discrete"),
+                "kappa2": ("kappas", "kappa2_discrete"),
+                "polarizability": ("polarizability", "polarizability_discrete"),
+                "bethe": ("bethe", "bethe_sum"),
+                "oscillator": ("polarizability", "oscillator_strength_sum")}
+
+
+def _neumaier(terms: Iterable[float]) -> tuple[float, float]:
+    """The Neumaier-compensated sum of terms, in order, and the largest of
+    its partial sums."""
+    total = comp = 0.0
+    top = -math.inf
+    for t in terms:
+        s = total + t
+        if abs(total) >= abs(t):
+            comp += (total - s) + t
+        else:
+            comp += (t - s) + total
+        total = s
+        top = max(top, total + comp)
+    return total + comp, top
+
+
+def _term_sums() -> dict[str, tuple[float, float]]:
+    """name -> (sum, largest partial sum) of each Rydberg series over
+    n = 2..N, N the default n_max of its report, term by term from closed
+    forms made once for all five series."""
+    n_maxes = {name: _defaults(sub)["n_max"] for name, (sub, _) in _SUM_REPORTS.items()}
+    rows = [(*hydrogen.radial_record(n, "closed_form"), hydrogen.transition_energy(n))
+            for n in range(2, max(n_maxes.values()) + 1)]
+    return {name: _neumaier(sums.SERIES[name].term(*row) for row in rows[:n_max - 1])
+            for name, n_max in n_maxes.items()}
+
+
+def _partials_oracle(m: _Memo) -> float:
+    """Worst |term-by-term sum - reported partial| of the Rydberg series
+    over the sum of their bars: _ROUNDING of the former (see sums), and the
+    reported error."""
+    worst = 0.0
+    for name, (total, _) in m(_term_sums).items():
+        subcommand, key = _SUM_REPORTS[name]
+        row = m(_report, subcommand)[key][0]
+        worst = max(worst, abs(total - row["partial"])
+                    / (sums._ROUNDING * total + row["error"]))
+    return worst
 
 
 def _serialization_repeats(m: _Memo) -> bool:
@@ -256,6 +295,9 @@ CHECKS: tuple[Check, ...] = (
     Check("rydberg_expansion_exact_route", _expansion_oracle,
           rule=lambda r: r <= 1.0,
           text="exact-route terms within their bar plus the expansion's"),
+    Check("rydberg_partials_term_by_term", _partials_oracle,
+          rule=lambda r: r <= 1.0,
+          text="term-by-term sums within their bar plus the reported partial's"),
 
     # Continuum integrals.
     Check("kappa1_continuum_ymin0", _value_of(quadrature.kappa1_continuum, 0.0),
@@ -295,7 +337,7 @@ CHECKS: tuple[Check, ...] = (
           rule=lambda v: v < sums.POLARIZABILITY_EXACT_AU, text="below 4.5"),
     Check("oscillator_strength_sum_400",
           _reported("polarizability", "oscillator_strength_sum"), 0.5650, 0.001),
-    Check("oscillator_partials_below_one", _oscillator_partials_max,
+    Check("oscillator_partials_below_one", lambda m: m(_term_sums)["oscillator"][1],
           rule=lambda v: v < 1.0, text="below 1 for all truncations"),
 
     # Regularization scaling.
@@ -322,14 +364,15 @@ CHECKS: tuple[Check, ...] = (
           text="matches two-sided perturbed 1/mu to 1e-3"),
     Check("mass_coefficient_itemization",
           lambda m: budget.DARWIN_MASS_COEFF + budget.P4_MASS_COEFF,
-          rule=lambda v: v == 1, text="8/3 - 5/3 = 1 exactly"),
+          rule=lambda v: v == 1,
+          text="identity of constants: 8/3 - 5/3 = 1 exactly"),
     Check("first_moment_residual", lambda m: sums.first_moment_residual(
-        sums.PerturbedGroundState.build(40)),
-        rule=lambda v: v <= 1e-14, text="0 to 1e-14"),
+        sums.PerturbedGroundState.build(40)), rule=lambda v: v <= 1e-14,
+        text="velocity-form bra cancels length-form ket to 1e-14"),
     Check("radial_dual_route_nle200", _radial_route_gap,
           rule=lambda v: v <= 5e-15, text="agree to 5e-15 relative"),
     Check("serialization_deterministic", _serialization_repeats,
-          rule=lambda same: same, text="byte-identical repeated serialization",
+          rule=lambda same: same, text="byte-identical on a same-process repeat",
           shown=False),
     Check("abraham_parallel_to_BxE", _abraham_off_axis,
           rule=lambda v: v <= 1e-12, text="parallel to B0 x E0"),

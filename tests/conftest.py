@@ -3,6 +3,7 @@ import warnings
 
 import pytest
 
+from casimir_momentum import sums
 from casimir_momentum.cli import run
 from casimir_momentum.renorm import PlasmaCutoffWarning
 
@@ -46,3 +47,12 @@ def sum_to_infinity() -> dict[str, str]:
             "polarizability": "3.66325789030947126871225018673",
             "bethe": "0.337016972356071998097019834646",
             "oscillator": "0.565004150674851987401674374310"}
+
+
+@pytest.fixture
+def fresh_sums_to_infinity():
+    """Clears the memo of each series summed to infinity before and after the
+    test, for a test that changes what those sums are made from."""
+    sums._sum_to_infinity.cache_clear()
+    yield
+    sums._sum_to_infinity.cache_clear()

@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -76,53 +75,24 @@ def test_quadrature_route_concurrent_fill_idempotent():
     assert records == serial  # bit-identical, not just close
 
 
-def test_sum_value_independent_of_prior_thread_fill(monkeypatch):
-    # The reduction order is fixed by construction, so sums whose threads
-    # grow the closed-form and running-sum columns from empty, while others
-    # read them, must reproduce the serial values exactly.
-    fns = (kappa1_discrete, kappa2_discrete, bethe_sum,
-           polarizability_discrete, oscillator_strength_sum)
-    calls = [(fn, n_max, tail) for n_max in (79, 120, 163) for fn in fns
-             for tail in (True, False)]
-    serial = [fn(n_max, tail) for fn, n_max, tail in calls]
-    monkeypatch.setattr(sums, "_TABLE", {})
-    computed = []
-    closed_form = hyd._closed_form
-
-    def counted(n):
-        computed.append(n)
-        time.sleep(0)   # hands the interpreter to another thread mid-row
-        return closed_form(n)
-    monkeypatch.setattr(hyd, "_closed_form", counted)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)   # switch threads often, mid-row included
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            threaded = list(pool.map(lambda c: c[0](c[1], c[2]), calls))
-    finally:
-        sys.setswitchinterval(interval)
-    assert sorted(computed) == list(range(2, 164))   # n = 2..163, once each
-    assert sorted(sums._TABLE) == sorted(["closed_form", *sums.SERIES])
-    assert [len(col) for col in sums._TABLE["closed_form"]] == [162] * 4
-    assert [len(sums._TABLE[name][0]) for name in sums.SERIES] == [162] * 5
-    assert threaded == serial  # bit-identical, not just close
-
-
 def test_tail_coefficients_first_use_under_threads():
     # Eight threads start the five sums together on empty coefficient
-    # caches, each at its own n_max, so they derive the exact coefficients
-    # of the tails side by side (k up to about 25 at n_max = 2).
+    # caches and no sum to infinity, each at its own n_max, so they derive
+    # the exact coefficients of the tails and each S_inf side by side (k up
+    # to about 25 at n_max = 2).
     fns = (kappa1_discrete, kappa2_discrete, bethe_sum,
            polarizability_discrete, oscillator_strength_sum)
     n_maxes = (2, 3, 5, 9, 20, 57, 200, 1000)
-    serial = [[fn(n_max) for fn in fns] for n_max in n_maxes]
-    for cached in (sums._coefficient, sums._x, sums._exp_minus):
+    serial = [[fn(n_max, tail) for fn in fns for tail in (True, False)]
+              for n_max in n_maxes]
+    for cached in (sums._coefficient, sums._x, sums._exp_minus,
+                   sums._sum_to_infinity, sums._zeta_weight):
         cached.cache_clear()
     barrier = threading.Barrier(len(n_maxes))
 
     def run(n_max):
         barrier.wait(timeout=60)
-        return [fn(n_max) for fn in fns]
+        return [fn(n_max, tail) for fn in fns for tail in (True, False)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

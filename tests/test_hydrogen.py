@@ -90,7 +90,6 @@ def test_exact_route_never_reads_closed_form(monkeypatch):
         raise AssertionError("the exact route read the closed form")
 
     monkeypatch.setattr(hyd, "_closed_form", refuse)
-    monkeypatch.setattr(sums, "_TABLE", {})
     radial_record.cache_clear()
     assert [tuple(radial_record(n, "exact")) for n in range(2, 41)] == expected
 
@@ -102,7 +101,6 @@ def test_quadrature_table_never_reads_closed_form(monkeypatch):
         raise AssertionError("the oracle read the closed form")
 
     monkeypatch.setattr(hyd, "_closed_form", refuse)
-    monkeypatch.setattr(sums, "_TABLE", {})
     radial_record.cache_clear()
     table = {n: radial_record(n, "quadrature") for n in range(2, 41)}
     assert sorted(table) == list(range(2, 41))
@@ -161,13 +159,12 @@ def test_oscillator_strengths_positive():
     assert all(_oscillator_strength(n) > 0 for n in range(2, 40))
 
 
-def test_closed_form_record_leaves_sums_table_empty(monkeypatch):
-    # A single-n record computes its closed form alone: the row table of
-    # the sums is not grown to n.
-    monkeypatch.setattr(sums, "_TABLE", {})
+def test_closed_form_record_leaves_sums_table_empty(fresh_sums_to_infinity):
+    # A single-n record computes its closed form alone: it makes no sum to
+    # infinity.
     radial_record.cache_clear()
     assert radial_record(5000, "closed_form") == hyd._closed_form(5000)
-    assert sums._TABLE == {}
+    assert sums._sum_to_infinity.cache_info().currsize == 0
 
 
 def test_dipole_integral_asymptotic_decay():

@@ -244,24 +244,11 @@ _NAMES = {kappa1_discrete: "kappa1", kappa2_discrete: "kappa2",
           oscillator_strength_sum: "oscillator"}
 
 
-def _neumaier(terms: list[float]) -> float:
-    """The Neumaier-compensated sum of terms in order, as a plain loop."""
-    total = comp = 0.0
-    for t in terms:
-        s = total + t
-        if abs(total) >= abs(t):
-            comp += (total - s) + t
-        else:
-            comp += (t - s) + total
-        total = s
-    return total + comp
-
-
 def _reference_sum(fn, n_max: int, tail: bool) -> SpectralSumResult:
-    """fn(n_max, tail) from a full term list, a compensated sum of its own
+    """fn(n_max, tail) from a full term list, verify's compensated sum of it
     and the expansion's tail sum_k c_k zeta(3 + 2k, n_max + 1)."""
     terms = [_REFERENCE_TERMS[fn](n) for n in range(2, n_max + 1)]
-    partial = _neumaier(terms)
+    partial, _ = verify._neumaier(terms)
     rest, bar = sums.expansion(_NAMES[fn],
                                lambda k: hurwitz_zeta(3.0 + 2 * k, n_max + 1.0))
     bar += sums._ROUNDING * partial
@@ -274,11 +261,14 @@ def _reference_sum(fn, n_max: int, tail: bool) -> SpectralSumResult:
 @pytest.mark.parametrize("n_max", [9, 10, 57, 200, 401, 1000, 2100])
 @pytest.mark.parametrize("fn", list(_REFERENCE_TERMS))
 def test_one_pass_sum_bit_identical_to_term_list(fn, n_max, tail):
-    # Every field, compared as floats with ==: the running-sum column adds
-    # the same terms in the same order as the reference, whatever n_max the
-    # column was grown to before, and across the accumulator's chunks of
-    # rows (2100 spans two of their boundaries).
-    assert fn(n_max, tail) == _reference_sum(fn, n_max, tail)
+    # S_inf - tail(n_max) against a sum of the terms one by one: n_max and
+    # the tail exactly, the partial sum and the value within the sum of both
+    # bars on the partial sum, which are the bars with the tail on.
+    res, ref = fn(n_max, tail), _reference_sum(fn, n_max, tail)
+    bars = fn(n_max, True).error_bound + _reference_sum(fn, n_max, True).error_bound
+    assert (res.n_max, res.tail_estimate) == (ref.n_max, ref.tail_estimate)
+    assert abs(res.partial - ref.partial) <= bars
+    assert abs(res.value - ref.value) <= bars
 
 
 @pytest.mark.parametrize("tail", [True, False])
@@ -294,15 +284,16 @@ def test_sum_within_error_of_sum_to_infinity(sum_to_infinity, fn, n_max, tail):
         assert res.error_bound <= 2e-15 * res.value
 
 
-def _expansion_row_passes() -> bool:
-    """The verdict of verify's rydberg_expansion_exact_route row."""
-    chk, = (c for c in verify.CHECKS if c.name == "rydberg_expansion_exact_route")
+def _row_passes(name: str) -> bool:
+    """The verdict of one verify row, computed alone."""
+    chk, = (c for c in verify.CHECKS if c.name == name)
     return chk.passes(chk.compute(verify._Memo({})))
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
 @pytest.mark.parametrize("name", list(sums.SERIES))
-def test_expansion_row_fails_on_coefficient_off_in_10th_digit(monkeypatch, name, k):
+def test_expansion_row_fails_on_coefficient_off_in_10th_digit(
+        monkeypatch, fresh_sums_to_infinity, name, k):
     true = sums._coefficient
 
     def perturbed(series: str, j: int) -> float:
@@ -311,77 +302,69 @@ def test_expansion_row_fails_on_coefficient_off_in_10th_digit(monkeypatch, name,
             c += 10.0 ** (math.floor(math.log10(c)) - 9)   # one unit, 10th digit
         return c
     monkeypatch.setattr(sums, "_coefficient", perturbed)
-    assert not _expansion_row_passes()
+    assert not _row_passes("rydberg_expansion_exact_route")
+    # S_inf reads c_k times zeta(3 + 2k, 10): above 3e-5 for k <= 1, so the
+    # reported partials leave the term-by-term sums. At k = 2 the weight,
+    # 2e-8, puts the fault below the bars of most series.
+    if k < 2:
+        assert not _row_passes("rydberg_partials_term_by_term")
 
 
-def test_expansion_row_fails_without_kappa1_e2_part(monkeypatch):
+def test_expansion_row_fails_without_kappa1_e2_part(monkeypatch, fresh_sums_to_infinity):
     kappa1 = sums.SERIES["kappa1"]
     monkeypatch.setitem(sums.SERIES, "kappa1",
                         kappa1._replace(parts=kappa1.parts[1:]))
     sums._coefficient.cache_clear()
     try:
-        assert not _expansion_row_passes()
+        assert not _row_passes("rydberg_expansion_exact_route")
+        assert not _row_passes("rydberg_partials_term_by_term")
     finally:
         sums._coefficient.cache_clear()
 
 
 def test_series_read_no_per_n_interface(monkeypatch):
-    # With the closed-form columns grown, the five series fill their
-    # running-sum columns calling neither radial_record nor transition_energy.
-    sums.running_sums("bethe", 300)
-    monkeypatch.setattr(sums, "_TABLE", {"closed_form": sums._TABLE["closed_form"]})
+    # Once each S_inf is known, the five series at any n_max call neither
+    # the closed forms nor radial_record nor transition_energy.
+    for fn in _REFERENCE_TERMS:
+        fn(2)
 
     def refuse(*args):
         pytest.fail("a per-n interface was called")
+    monkeypatch.setattr(hydrogen, "_closed_form", refuse)
     for module in (hydrogen, sums):
         monkeypatch.setattr(module, "radial_record", refuse)
         monkeypatch.setattr(module, "transition_energy", refuse)
     for fn in _REFERENCE_TERMS:
-        fn(300, tail=True)
+        for n_max in (2, 300, 10**5, 10**7):
+            fn(n_max, tail=True)
+            fn(n_max, tail=False)
 
 
 def test_warm_sum_memory_bounded():
-    # A warm sum reads one row of its running-sum column and works out its
-    # tail: a warm kappa1_discrete(20000) peaks below 50 kB (384 bytes
-    # measured), where refilling its running column takes 160 kB and a full
-    # term list with its running sums 2.4 MB.
-    kappa1_discrete(20000)
+    # Once S_inf is known, a sum works out one tail at any n_max: the first
+    # kappa1_discrete(10**6) peaks below 50 kB, where a column of its terms
+    # alone would take 8 MB.
+    kappa1_discrete(200)
     tracemalloc.start()
     try:
-        kappa1_discrete(20000)
+        kappa1_discrete(10**6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 0.05e6
 
 
-def test_cold_series_memory_bounded(monkeypatch):
-    # With the closed-form columns, coefficients and tail weights warm, the
-    # first kappa1_discrete(20000) of a series adds only its running column,
-    # 8 bytes per n (160 kB); a fill that copied the four closed-form
-    # columns (640 kB) would fail.
-    kappa1_discrete(20000)
-    monkeypatch.delitem(sums._TABLE, "kappa1")
-    tracemalloc.start()
-    try:
-        kappa1_discrete(20000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 0.25e6
-
-
 @pytest.mark.parametrize("steps", [(79, 120, 163), (20, 1000), (1000, 2100)])
 @pytest.mark.parametrize("name", list(sums.SERIES))
-def test_running_column_grown_in_steps_bit_identical(monkeypatch, name, steps):
-    monkeypatch.setattr(sums, "_TABLE", {})
+def test_running_column_grown_in_steps_bit_identical(fresh_sums_to_infinity, name, steps):
+    # A sum reached through smaller n_max first is bit-identical to one made
+    # on fresh memos: S_inf and the tail weights depend on no earlier n_max.
     for n_max in steps:
-        sums.running_sums(name, n_max)
-    stepped = sums.running_sums(name, steps[-1])
-    monkeypatch.setattr(sums, "_TABLE", {})
-    once = sums.running_sums(name, steps[-1])
-    assert len(stepped) == len(once) == steps[-1] - 1
-    assert stepped == once   # bit-identical, row by row
+        sums._spectral_sum(name, n_max, True)
+    stepped = sums._spectral_sum(name, steps[-1], True)
+    sums._sum_to_infinity.cache_clear()
+    sums._zeta_weight.cache_clear()
+    assert sums._spectral_sum(name, steps[-1], True) == stepped
 
 
 def test_zeta_memo_bounded():
@@ -393,34 +376,41 @@ def test_zeta_memo_bounded():
 
 
 def test_n_max_validation():
-    with pytest.raises(ValueError):
-        kappa1_discrete(1, tail=False)
+    # A tail from a fractional n_max would give a partial sum of no n.
+    for n_max in (1, 2.5, math.nan):
+        with pytest.raises(ValueError):
+            kappa1_discrete(n_max, tail=False)
 
 
 def test_neumaier_handles_cancellation():
     # 1e16 + many small increments that a naive sum drops entirely, through
-    # the accumulator that fills the running-sum columns.
-    from array import array
-    column = array("d")
-    terms = [1e16] + [1.0] * 1000 + [-1e16]
-    total, comp = sums._accumulate(column, 0.0, 0.0, terms)
-    assert len(column) == len(terms)
-    assert column[-1] == total + comp
-    assert column[-1] == pytest.approx(1000.0, abs=1e-6)
+    # the accumulator of verify's term-by-term sums.
+    total, top = verify._neumaier([1e16] + [1.0] * 1000 + [-1e16])
+    assert total == pytest.approx(1000.0, abs=1e-6)
+    assert top == 1e16 + 1000.0
 
 
-def test_oscillator_partials_row_fails_on_scaled_term(monkeypatch):
-    # The row reads the oscillator series' running sums; a term 1.8 times
-    # too large carries the partial sums past 1 (0.565 * 1.8 = 1.017). The
-    # reported sum leaves its band with it, and the exact-route terms of the
-    # expansion row, built by the same term, leave the expansion.
+def test_oscillator_partials_row_fails_on_scaled_term(monkeypatch, fresh_sums_to_infinity):
+    # A term 1.8 times too large carries the partial sums past 1
+    # (0.565 * 1.8 = 1.017). The reported sum leaves its band with it; the
+    # exact-route terms, built by the same term, leave the expansion, and
+    # the reported partial, whose terms n > 9 come from the expansion, leaves
+    # the term-by-term sum.
     oscillator = sums.SERIES["oscillator"]
     monkeypatch.setitem(sums.SERIES, "oscillator", oscillator._replace(
         term=lambda *columns: 1.8 * oscillator.term(*columns)))
-    monkeypatch.setattr(sums, "_TABLE", {})
     failed = [res.name for res in verify.run_checks() if not res.passed]
-    assert failed == ["rydberg_expansion_exact_route", "oscillator_strength_sum_400",
-                      "oscillator_partials_below_one"]
+    assert failed == ["rydberg_expansion_exact_route", "rydberg_partials_term_by_term",
+                      "oscillator_strength_sum_400", "oscillator_partials_below_one"]
+
+
+def test_partials_row_fails_on_tail_one_term_short(monkeypatch, fresh_sums_to_infinity):
+    # partial = S_inf - tail(n_max + 1) leaves out the term n_max + 1; the
+    # value, S_inf, stays in every band.
+    weight = sums._zeta_weight
+    monkeypatch.setattr(sums, "_zeta_weight", lambda k, n_max: weight(k, n_max + 1))
+    failed = [res.name for res in verify.run_checks() if not res.passed]
+    assert failed == ["rydberg_partials_term_by_term"]
 
 
 # --- normalization coefficient ----------------------------------------------
@@ -445,6 +435,25 @@ def test_first_moment_residual_zero():
     for n_basis in (2, 10, 40):
         state = PerturbedGroundState.build(n_basis)
         assert first_moment_residual(state) <= 1e-14
+
+
+def test_first_moment_row_fails_on_velocity_form_off(monkeypatch):
+    # The exact route's I2 scaled by 1 + 1e-13 no longer cancels the
+    # length-form ket; the exact-route terms of kappa2 and bethe leave the
+    # expansion, and the two routes disagree.
+    exact = hydrogen._exact_integrals
+
+    def scaled(n):
+        i1, i2, i3 = exact(n)
+        return i1, i2 * (1 + 1e-13), i3
+    monkeypatch.setattr(hydrogen, "_exact_integrals", scaled)
+    radial_record.cache_clear()
+    try:
+        failed = [res.name for res in verify.run_checks() if not res.passed]
+    finally:
+        radial_record.cache_clear()
+    assert failed == ["rydberg_expansion_exact_route", "first_moment_residual",
+                      "radial_dual_route_nle200"]
 
 
 def test_first_moment_zero_field_exact():
