@@ -11,7 +11,6 @@ QuadratureError from its engine rows. Handlers import the modules only they use.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
@@ -90,6 +89,7 @@ def serialize(report: ReportEnvelope, output_format: str) -> bytes:
         text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
         return (text + "\n").encode("utf-8")
     if output_format == "csv":
+        import csv      # here, as only this format uses it
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["quantity", "value", "error", "provenance"])
@@ -502,7 +502,10 @@ SUBCOMMANDS: dict[str, Subcommand] = {
         _handle_verify),
 }
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand. Given `only`, the others are listed
+    by name and help but get no arguments, which parses, helps and fails on
+    `only` alike at a fraction of the cost."""
     parser = argparse.ArgumentParser(
         prog="casimir-momentum",
         description="Vacuum corrections to the field-induced momentum of "
@@ -513,6 +516,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
     for name, cmd in SUBCOMMANDS.items():
         sp = sub.add_parser(name, help=cmd.help)
+        if only is not None and name != only:
+            continue
         for p in (*cmd.params, _FORMAT):
             # default=None, so a config-file value can stand in for the flag.
             default = "" if p.default is None else f" (default {p.default})"
@@ -549,7 +554,11 @@ def _effective_params(args: argparse.Namespace,
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # The top level takes no option with a value, so the first word that is
+    # not an option names the subcommand, if any does.
+    parser = build_parser(next((a for a in argv if not a.startswith("-")), ""))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -22,10 +22,8 @@ rows), and the tolerances a caller passes to them steer nothing.
 
 from __future__ import annotations
 
-import heapq
 import math
 import sys
-from functools import cache
 from itertools import count
 from operator import mul
 from typing import Callable, NamedTuple, Sequence
@@ -161,6 +159,7 @@ def integrate_adaptive(
                          "use integrate_to_inf for semi-infinite ranges")
     if b <= a:
         raise ValueError(f"require b > a, got [{a}, {b}]")
+    import heapq        # here, as only the engine uses it
 
     edges = [a, b]
     if breakpoints:
@@ -303,43 +302,66 @@ def _kappa2_direct(a: float) -> tuple[list[float], float]:
             70.0 * a**3 / d, 15.0 * a / d, -math.atan(a) / (9.0 * math.pi)], 0.0
 
 
-# The coefficients c_k of the three series below: exact ratios rounded once,
-# kappa2's then divided by pi. Each is made on first use, not at import; a
-# just above _Y_STAR reads k <= 71.
-@cache
+# The three series below, sum_k (-1)^k c_k a^-(p + 2k) for a > _Y_STAR. Each
+# c_k is an exact ratio rounded once, kappa2's then divided by pi.
 def _kappa2_coefficient(k: int) -> float:
     return 256 * math.comb(k + 5, 5) / (27 * (2 * k + 7)) / math.pi
 
 
-@cache
 def _kappa1_by_parts_coefficient(k: int) -> float:
     return (k + 1) * (k + 2) / (8 * (2 * k + 5))
 
 
-@cache
 def _kappa1_binomial_coefficient(k: int) -> float:
     return -math.comb(2 * k + 6, k + 3) * (k + 1) * (k + 3) / (15 * 4 ** (k + 2))
 
 
-def _alternating(coefficient: Callable[[int], float], p: int,
-                 a: float) -> tuple[list[float], float]:
-    """The terms (-1)^k c_k a^-(p + 2k), a > 1, down to the first one below
-    2^-60 of the partial sum, and the size of that first term left out.
+class _Alternating:
+    """One of those series: its coefficients, its first power p, and its
+    table of ((-1)^k c_k, p + 2k), made on first use, not at import, and
+    grown on demand (a just above _Y_STAR reads k <= 71, a = 1.25 more).
+    The table is replaced whole, never appended to, as threads may read it
+    while another grows it."""
 
-    In each of the three series below the ratio of successive terms falls
-    with k, so once the terms shrink they shrink for good, and what is left
-    out is smaller than its first term. Every term is a division and a pow
-    from its coefficient.
-    """
-    terms: list[float] = []
-    partial = 0.0
-    for k in count():
-        t = coefficient(k) / a ** (p + 2 * k)
-        if abs(t) <= 2.0**-60 * abs(partial):
-            return terms, abs(t)
-        t = -t if k % 2 else t
-        terms.append(t)
-        partial += t
+    def __init__(self, coefficient: Callable[[int], float], p: int) -> None:
+        self.coefficient = coefficient
+        self.p = p
+        self.table: tuple[tuple[float, int], ...] = ()
+
+    def _grow(self, table: tuple[tuple[float, int], ...]) -> tuple[tuple[float, int], ...]:
+        table += tuple(((-1) ** k * self.coefficient(k), self.p + 2 * k)
+                       for k in range(len(table), max(64, 2 * len(table))))
+        self.table = table
+        return table
+
+    def __call__(self, a: float) -> tuple[list[float], float]:
+        """The terms (-1)^k c_k a^-(p + 2k), a > 1, down to the first one
+        below 2^-60 of the partial sum, and the size of that first term left
+        out.
+
+        In each of the three series the ratio of successive terms falls with
+        k, so once the terms shrink they shrink for good, and what is left
+        out is smaller than its first term. Every term is a division and a
+        pow from its signed coefficient.
+        """
+        terms: list[float] = []
+        partial = 0.0
+        table = self.table
+        start = 0
+        while True:
+            for c, power in table[start:]:
+                t = c / a ** power
+                if abs(t) <= 2.0**-60 * abs(partial):
+                    return terms, abs(t)
+                terms.append(t)
+                partial += t
+            start = len(table)
+            table = self._grow(table)
+
+
+_KAPPA1_BY_PARTS = _Alternating(_kappa1_by_parts_coefficient, 5)
+_KAPPA1_BINOMIAL = _Alternating(_kappa1_binomial_coefficient, 4)
+_KAPPA2 = _Alternating(_kappa2_coefficient, 7)
 
 
 def _kappa1_series(a: float) -> tuple[list[float], float]:
@@ -353,8 +375,8 @@ def _kappa1_series(a: float) -> tuple[list[float], float]:
     term: c_k = (k+1)(k+2)/(8(2k+5)) on a^-(2k+5) and
     -C(2k+6, k+3)(k+1)(k+3)/(15 4^(k+2)) on a^-(2k+4).
     """
-    t1, e1 = _alternating(_kappa1_by_parts_coefficient, 5, a)
-    t2, e2 = _alternating(_kappa1_binomial_coefficient, 4, a)
+    t1, e1 = _KAPPA1_BY_PARTS(a)
+    t2, e2 = _KAPPA1_BINOMIAL(a)
     return [math.atan(a) / (4.0 * (1.0 + a * a) ** 2), *t1, *t2], e1 + e2
 
 
@@ -365,7 +387,7 @@ def _kappa2_series(a: float) -> tuple[list[float], float]:
     a binomial series in t^2: c_k = (256/27pi) C(k+5, 5)/(2k+7) on
     a^-(2k+7).
     """
-    return _alternating(_kappa2_coefficient, 7, a)
+    return _KAPPA2(a)
 
 
 def _continuum(direct: Callable, series: Callable,

@@ -5,14 +5,15 @@ of `hydrogen` make n^3 t(n) of each series over the 1s -> np states a
 rational function of v times e^-2 X_2(v) or e^-4 X_4(v) (see SERIES). Its
 power series sum_k c_k v^k converges for n >= 2, so the tail beyond n_max
 is sum_k c_k zeta(3 + 2k, n_max + 1) at every n_max, with the Hurwitz zeta
-computed in-house by `hurwitz_zeta`; the weights zeta(3 + 2k, n_max + 1),
-the same for all five series, are memoized for the last _ZETA_MEMO
-(k, n_max) pairs. Each c_k, an exact rational times e^-2 plus one times
-e^-4, is worked out on first use in 256-bit fixed point and rounded to a
-float once.
+computed in-house by `hurwitz_zeta`, whose start depends on s alone and is
+memoized per s. The weights zeta(3 + 2k, n_max + 1) are the same for all
+five series and memoized for the last _ZETA_MEMO (k, n_max) pairs. Each
+c_k, an exact rational times e^-2 plus one times e^-4, is worked out on
+first use in 256-bit fixed point and rounded to a float once.
 
 The sum of a series to infinity, S_inf, is worked out once per series on
-first use: its first terms directly, the rest by the same expansion. The
+first use: its first terms directly, the rest by the same expansion, whose
+weights zeta(3 + 2k, _HEAD + 1) are worked out once for all five. The
 partial sum over n = 2..n_max is then S_inf minus the tail beyond n_max,
 so a sum costs the same at every n_max and keeps no table. `verify` sums
 the terms one by one as its oracle.
@@ -51,6 +52,18 @@ _ZETA_EM_OMITTED = 691.0 / 2730.0 / 479001600.0
 _ROUNDING = 4 * sys.float_info.epsilon
 
 
+# hurwitz_zeta takes any s, so the memo of its start is bounded; a sweep of
+# the five series reads about a dozen values of s.
+@lru_cache(maxsize=128)
+def _em_start(s: float) -> tuple[float, float]:
+    """The part of hurwitz_zeta's start that depends on s alone: the log of
+    B_12/12! s(s+1)...(s+10) / 4e-16, and the least x at which the first term
+    left out is below 4e-16 of x^(1-s)/(s-1)."""
+    log_omitted = math.log(_ZETA_EM_OMITTED / 4e-16) + math.fsum(
+        math.log(s + j) for j in range(11))
+    return log_omitted, math.exp((log_omitted + math.log(s - 1.0)) / 12.0)
+
+
 def hurwitz_zeta(s: float, a: float) -> float:
     """Hurwitz zeta sum_{k >= 0} (a + k)^-s for finite s > 1 and a > 0.
 
@@ -70,11 +83,9 @@ def hurwitz_zeta(s: float, a: float) -> float:
     """
     if not (math.isfinite(s) and math.isfinite(a) and s > 1.0 and a > 0.0):
         raise ValueError(f"hurwitz_zeta needs finite s > 1 and a > 0, got s={s!r}, a={a!r}")
-    log_omitted = math.log(_ZETA_EM_OMITTED / 4e-16) + math.fsum(
-        math.log(s + j) for j in range(11))
+    log_omitted, start_by_tail = _em_start(s)
     start = max(_ZETA_EM_START, min(
-        math.exp((log_omitted + math.log(s - 1.0)) / 12.0),
-        math.exp((log_omitted + s * math.log(a)) / (s + 11.0))))
+        start_by_tail, math.exp((log_omitted + s * math.log(a)) / (s + 11.0))))
     n_direct = max(0, math.ceil(start - a))
     x = a + n_direct
     x_s = x**-s
@@ -94,8 +105,9 @@ def hurwitz_zeta(s: float, a: float) -> float:
     return total
 
 
-# The (k, n_max) pairs whose tail weights stay memoized: a sweep of the five
-# series over 8 values of n_max from 100 to 450 reads 43 of them.
+# The (k, n_max) pairs whose tail weights stay memoized. The five series
+# share them: a sweep of all five over 8 values of n_max from 100 to 450
+# reads 43 pairs 213 times.
 _ZETA_MEMO = 256
 
 
@@ -147,16 +159,30 @@ def _x(c: int, k: int) -> int:
 def _exp_minus(c: int) -> int:
     """e^-c times _ONE: sum_{i<100} (-c)^i/i!, whose rest is below 2^-300
     for c <= 4."""
-    return sum((-c) ** i * _ONE // math.factorial(i) for i in range(100))
+    total = 0
+    factorial = 1                   # i!
+    for i in range(100):
+        total += (-c) ** i * _ONE // factorial
+        factorial *= i + 1
+    return total
+
+
+@cache
+def _x_over(c: int, m: int, k: int) -> int:
+    """The coefficient of v^k in X_c(v) (1 - v)^-m, times _ONE: the partial
+    sums of those of X_c(v) (1 - v)^-(m-1), which makes it
+    sum_i C(m-1+i, i) x_{k-i}, exactly."""
+    if m == 0:
+        return _x(c, k)
+    return _x_over(c, m - 1, k) + (_x_over(c, m, k - 1) if k else 0)
 
 
 @cache
 def _coefficient(name: str, k: int) -> float:
     """c_k of a series, rounded once: the coefficient of v^k in
-    p(v) X_c(v) (1 - v)^-m is sum_{d, i} p_d C(m-1+i, i) x_{k-d-i}."""
+    p(v) X_c(v) (1 - v)^-m is sum_d p_d [v^(k-d)] X_c(v) (1 - v)^-m."""
     return sum(num * _exp_minus(c) * sum(
-        p * math.comb(m - 1 + i, i) * _x(c, k - d - i)
-        for d, p in enumerate(poly) for i in range(k - d + 1)) // den
+        p * _x_over(c, m, k - d) for d, p in enumerate(poly[:k + 1])) // den
         for (num, den), c, m, poly in SERIES[name].parts) / _ONE**2
 
 
@@ -196,8 +222,16 @@ class SpectralSumResult(NamedTuple):
 
 # The terms n = 2.._HEAD of a sum to infinity are taken directly, the rest
 # from the expansion at a = _HEAD + 1. At a = 10 the five series read 55
-# coefficients in all; at a = 3 (a head of t(2) alone) they read 113.
+# coefficients in all, over 12 weights that they share (_rest_weight); at
+# a = 3 (a head of t(2) alone) they would read 113.
 _HEAD = 9
+
+
+@cache
+def _rest_weight(k: int) -> float:
+    """zeta(3 + 2k, _HEAD + 1), the weight of c_k in the rest of every sum
+    to infinity."""
+    return hurwitz_zeta(3.0 + 2 * k, _HEAD + 1.0)
 
 
 @cache
@@ -209,7 +243,7 @@ def _sum_to_infinity(name: str) -> tuple[float, float]:
     series = SERIES[name]
     head = [series.term(*hydrogen._closed_form(n), transition_energy(n))
             for n in range(2, _HEAD + 1)]
-    rest, bar = expansion(name, lambda k: hurwitz_zeta(3.0 + 2 * k, _HEAD + 1.0))
+    rest, bar = expansion(name, _rest_weight)
     total = math.fsum([*head, rest])
     return total, bar + _ROUNDING * math.fsum(head) + sys.float_info.epsilon / 2 * total
 

@@ -11,8 +11,8 @@ from fractions import Fraction
 import pytest
 
 from casimir_momentum import quadrature, sums, verify
-from casimir_momentum.cli import (SUBCOMMANDS, ReportEnvelope, RunConfig, run,
-                                  serialize)
+from casimir_momentum.cli import (SUBCOMMANDS, ReportEnvelope, RunConfig,
+                                  build_parser, run, serialize)
 from casimir_momentum.quadrature import QuadratureSpec
 from casimir_momentum.renorm import PlasmaCutoffWarning
 
@@ -422,3 +422,36 @@ def test_serialize_refuses_a_record(fmt):
         serialize(env, fmt)
     plain = env._replace(results={"spec": {"value": tuple(spec), "error": None}})
     assert serialize(plain, fmt)
+
+
+def _run_full_parser(argv: list[str]) -> subprocess.CompletedProcess:
+    """What run(argv) prints and returns, up to parsing, from the parser of
+    every subcommand: for argv that stop there with help, usage or an error."""
+    out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
+    parser = build_parser()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            code = int(exc.code or 0)
+        else:
+            assert not args.subcommand, argv
+            parser.print_usage(sys.stderr)
+            code = 2
+    out.flush()
+    return subprocess.CompletedProcess(argv, code, out.buffer.getvalue(),
+                                       err.getvalue().encode())
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["-h"], ["--version"], ["--bogus"], ["nosuch"], ["-"],
+    *([name, "--help"] for name in SUBCOMMANDS),
+    ["kappas", "--bogus"], ["kappas", "--n-max"], ["--bogus", "bethe", "--tail", "on"],
+    ["polarizability", "--format", "xml"], ["budget", "--E0"], ["verify", "1"],
+])
+def test_parser_of_invoked_subcommand_prints_as_full_parser(argv):
+    # run builds the arguments of the invoked subcommand only.
+    ran, full = _run(*argv), _run_full_parser(argv)
+    assert (ran.returncode, ran.stdout, ran.stderr) == \
+        (full.returncode, full.stdout, full.stderr)
+    assert ran.stdout or ran.stderr

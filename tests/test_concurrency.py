@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -26,22 +27,37 @@ from casimir_momentum.sums import (
 SRC = str(Path(hyd.__file__).resolve().parents[1])
 
 
-def test_engine_reentrant_under_threads():
+def test_engine_reentrant_under_threads(monkeypatch):
     # The engine, and the closed forms on both sides of their switch to the
-    # series, whose coefficients are made on first use.
+    # series, whose tables of coefficients are made on first use and grown
+    # while other threads read them. Eight threads run every call behind a
+    # barrier, from the cutoffs above the switch up, so all of them grow the
+    # three tables at once; each coefficient yields the interpreter lock
+    # before it is made, which a table that is appended to would not survive.
     grid = [0.1 * k for k in range(1, 17)] + [1.5 + 0.25 * k for k in range(1, 17)]
     calls = [lambda y: integrate_to_inf(kappa2_continuum_integrand, y).value,
              lambda y: kappa1_continuum(y).value,
              lambda y: kappa2_continuum(y).value]
-    serial = [f(y) for f in calls for y in grid]
-    for coefficient in (quadrature._kappa2_coefficient,
-                        quadrature._kappa1_by_parts_coefficient,
-                        quadrature._kappa1_binomial_coefficient):
-        coefficient.cache_clear()
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        threaded = list(pool.map(lambda c: c[0](c[1]),
-                                 [(f, y) for f in calls for y in grid]))
-    assert threaded == serial  # bit-identical, not just close
+    order = grid[16:] + grid[:16]
+    serial = [f(y) for y in order for f in calls]
+    for series in (quadrature._KAPPA2, quadrature._KAPPA1_BY_PARTS,
+                   quadrature._KAPPA1_BINOMIAL):
+        monkeypatch.setattr(series, "table", ())
+        monkeypatch.setattr(series, "coefficient", lambda k, c=series.coefficient:
+                            time.sleep(0) or c(k))
+    barrier = threading.Barrier(8)
+
+    def run(_):
+        barrier.wait(timeout=60)
+        return [f(y) for y in order for f in calls]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            threaded = list(pool.map(run, range(8)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == [serial] * 8  # bit-identical, not just close
 
 
 def test_radial_table_concurrent_fill_idempotent():
@@ -85,8 +101,9 @@ def test_tail_coefficients_first_use_under_threads():
     n_maxes = (2, 3, 5, 9, 20, 57, 200, 1000)
     serial = [[fn(n_max, tail) for fn in fns for tail in (True, False)]
               for n_max in n_maxes]
-    for cached in (sums._coefficient, sums._x, sums._exp_minus,
-                   sums._sum_to_infinity, sums._zeta_weight):
+    for cached in (sums._coefficient, sums._x, sums._x_over, sums._exp_minus,
+                   sums._sum_to_infinity, sums._rest_weight, sums._zeta_weight,
+                   sums._em_start):
         cached.cache_clear()
     barrier = threading.Barrier(len(n_maxes))
 

@@ -143,6 +143,17 @@ def test_import_loads_only_the_sweep_modules():
     assert _loaded("import casimir_momentum") == {"hydrogen", "quadrature", "sums"}
 
 
+def test_import_and_json_budget_load_neither_csv_nor_heapq():
+    # csv serves only the csv format and heapq only the adaptive engine.
+    proc = _python("import os, sys\n"
+                   "import casimir_momentum\n"
+                   "assert not {'csv', 'heapq'} & set(sys.modules)\n"
+                   "from casimir_momentum.cli import run\n"
+                   "assert run(['budget', '--output', os.devnull]) == 0\n"
+                   "assert 'csv' not in sys.modules")
+    assert proc.returncode == 0, proc.stderr
+
+
 # The modules a subcommand must not load.
 _NOT_LOADED = {
     **dict.fromkeys(("continuum", "kappas", "bethe", "polarizability"),

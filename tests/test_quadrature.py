@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import count
 
 import numpy as np
 import pytest
@@ -308,6 +309,29 @@ def test_direct_form_and_series_agree_within_bounds(direct, series):
     for a in np.linspace(1.25, 2.5, 126).tolist():
         (v_d, e_d), (v_s, e_s) = _bounded(direct, a), _bounded(series, a)
         assert abs(v_d - v_s) <= e_d + e_s, a
+
+
+def _reference_alternating(coefficient, p, a):
+    """The terms of an alternating series of quadrature one by one from its
+    coefficients, and the size of the first term left out."""
+    terms, partial = [], 0.0
+    for k in count():
+        t = coefficient(k) / a ** (p + 2 * k)
+        if abs(t) <= 2.0**-60 * abs(partial):
+            return terms, abs(t)
+        t = -t if k % 2 else t
+        terms.append(t)
+        partial += t
+
+
+@pytest.mark.parametrize("series", [quadrature._KAPPA2, quadrature._KAPPA1_BY_PARTS,
+                                    quadrature._KAPPA1_BINOMIAL])
+def test_series_table_bit_identical_to_term_by_term(monkeypatch, series):
+    # From an empty table, the cutoffs from the largest down read ever more
+    # coefficients, so the table grows on the way (to 512 or 1024 entries).
+    monkeypatch.setattr(series, "table", ())
+    for a in (1e6, 10.0, 3.15, 1.55, 1.25, 1.05):
+        assert series(a) == _reference_alternating(series.coefficient, series.p, a), a
 
 
 def test_scans_decrease_strictly_up_to_ceiling():

@@ -367,6 +367,53 @@ def test_running_column_grown_in_steps_bit_identical(fresh_sums_to_infinity, nam
     assert sums._spectral_sum(name, steps[-1], True) == stepped
 
 
+def test_cold_sums_to_infinity_work_out_each_zeta_weight_once(
+        monkeypatch, fresh_sums_to_infinity):
+    # The five sums to infinity all weigh c_k by zeta(3 + 2k, 10): one call
+    # of hurwitz_zeta per distinct (s, a), and S_inf bit-identical to warm.
+    warm = {name: sums._sum_to_infinity(name) for name in sums.SERIES}
+    sums._sum_to_infinity.cache_clear()
+    sums._rest_weight.cache_clear()
+    calls = []
+
+    def counted(s, a):
+        calls.append((s, a))
+        return hurwitz_zeta(s, a)
+    monkeypatch.setattr(sums, "hurwitz_zeta", counted)
+    try:
+        cold = {name: sums._sum_to_infinity(name) for name in sums.SERIES}
+    finally:
+        sums._rest_weight.cache_clear()
+    assert cold == warm
+    assert calls and len(calls) == len(set(calls)), len(calls)
+
+
+def _reference_coefficients(name: str, k_max: int) -> list[float]:
+    """c_0..c_k_max of a series in sums' fixed point, written out directly:
+    the recurrence of each x_k, e^-c as a Taylor sum over math.factorial,
+    and the double sum over p(v) and (1 - v)^-m."""
+    one = sums._ONE
+    xs: dict[int, list[int]] = {}
+    for c in (2, 4):
+        xs[c] = [one]
+        for k in range(1, k_max + 1):
+            xs[c].append(sum(-c * j * xs[c][k - j] // (2 * j + 1)
+                             for j in range(1, k + 1)) // k)
+    exp_minus = {c: sum((-c) ** i * one // math.factorial(i) for i in range(100))
+                 for c in (2, 4)}
+    return [sum(num * exp_minus[c] * sum(
+        p * math.comb(m - 1 + i, i) * xs[c][k - d - i]
+        for d, p in enumerate(poly) for i in range(k - d + 1)) // den
+        for (num, den), c, m, poly in sums.SERIES[name].parts) / one**2
+        for k in range(k_max + 1)]
+
+
+@pytest.mark.parametrize("name", list(sums.SERIES))
+def test_coefficients_bit_identical_to_direct_double_sum(name):
+    assert [sums._coefficient(name, k) for k in range(121)] == \
+        _reference_coefficients(name, 120)
+
+
 def test_zeta_memo_bounded():
     for n_max in range(2, 302):
         kappa2_discrete(n_max)
