@@ -16,10 +16,9 @@ from .hydrogen import RadialIntegralRecord, energy, radial_record
 from .quadrature import (ContinuumResult, QuadratureError, QuadratureSpec,
                          integrate_adaptive, integrate_to_inf, kappa1_continuum,
                          kappa2_continuum, ymin_sensitivity)
-from .sums import (PerturbedGroundState, SpectralSumResult, bethe_sum,
-                   first_moment_residual, kappa1_discrete, kappa2_discrete,
-                   normalization_constant, oscillator_strength_sum,
-                   polarizability_discrete)
+from .sums import (SpectralSumResult, bethe_sum, kappa1_discrete,
+                   kappa2_discrete, normalization_constant,
+                   oscillator_strength_sum, polarizability_discrete)
 
 # Each lazy export and the submodule it comes from (PEP 562).
 _LAZY = {name: module for module, names in (
@@ -37,8 +36,7 @@ __all__ = [
     "ContinuumResult", "QuadratureError", "QuadratureSpec",
     "integrate_adaptive", "integrate_to_inf", "kappa1_continuum",
     "kappa2_continuum", "ymin_sensitivity",
-    "PerturbedGroundState", "SpectralSumResult", "bethe_sum",
-    "first_moment_residual", "kappa1_discrete", "kappa2_discrete",
+    "SpectralSumResult", "bethe_sum", "kappa1_discrete", "kappa2_discrete",
     "normalization_constant", "oscillator_strength_sum",
     "polarizability_discrete",
     *_LAZY,

@@ -303,7 +303,9 @@ def _kappa2_direct(a: float) -> tuple[list[float], float]:
 
 
 # The three series below, sum_k (-1)^k c_k a^-(p + 2k) for a > _Y_STAR. Each
-# c_k is an exact ratio rounded once, kappa2's then divided by pi.
+# c_k is an exact ratio rounded once, kappa2's then divided by pi. With
+# t = 1/y, kappa2_continuum is (256/27pi) int t^6/(1+t^2)^6 over [0, 1/a], a
+# binomial series in t^2: c_k = (256/27pi) C(k+5, 5)/(2k+7) on a^-(2k+7).
 def _kappa2_coefficient(k: int) -> float:
     return 256 * math.comb(k + 5, 5) / (27 * (2 * k + 7)) / math.pi
 
@@ -380,16 +382,6 @@ def _kappa1_series(a: float) -> tuple[list[float], float]:
     return [math.atan(a) / (4.0 * (1.0 + a * a) ** 2), *t1, *t2], e1 + e2
 
 
-def _kappa2_series(a: float) -> tuple[list[float], float]:
-    """Addends of kappa2_continuum for a > _Y_STAR, and their truncation bound.
-
-    With t = 1/y the integral is (256/27pi) int t^6/(1+t^2)^6 over [0, 1/a],
-    a binomial series in t^2: c_k = (256/27pi) C(k+5, 5)/(2k+7) on
-    a^-(2k+7).
-    """
-    return _KAPPA2(a)
-
-
 def _continuum(direct: Callable, series: Callable,
                y_min: float) -> ContinuumResult:
     _check_y_min(y_min)
@@ -420,11 +412,10 @@ def kappa2_continuum(y_min: float = 1.0,
     kappa1_continuum; at y_min = 0 it is (256/27pi) * (3pi/512) = 1/18.
     `spec` steers nothing, as there.
     """
-    return _continuum(_kappa2_direct, _kappa2_series, y_min)
+    return _continuum(_kappa2_direct, _KAPPA2, y_min)
 
 
 KAPPA2_CONTINUUM_AT_ZERO = 1.0 / 18.0          # (256/27pi)*(3pi/512)
-KAPPA1_CONTINUUM_AT_ZERO = 3.0 * math.pi / 64.0 - 2.0 / 15.0
 
 
 def ymin_sensitivity(

@@ -12,11 +12,10 @@ c_k, an exact rational times e^-2 plus one times e^-4, is worked out on
 first use in 256-bit fixed point and rounded to a float once.
 
 The sum of a series to infinity, S_inf, is worked out once per series on
-first use: its first terms directly, the rest by the same expansion, whose
-weights zeta(3 + 2k, _HEAD + 1) are worked out once for all five. The
-partial sum over n = 2..n_max is then S_inf minus the tail beyond n_max,
-so a sum costs the same at every n_max and keeps no table. `verify` sums
-the terms one by one as its oracle.
+first use: its first terms directly, the rest as the tail beyond _HEAD, by
+the same expansion and weight memo. The partial sum over n = 2..n_max is
+then S_inf minus the tail beyond n_max, so a sum costs the same at every
+n_max and keeps no table. `verify` sums the terms one by one as its oracle.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from itertools import count
 from typing import Callable, NamedTuple
 
 from . import hydrogen
-from .hydrogen import radial_record, transition_energy
+from .hydrogen import transition_energy
 
 DEFAULT_N_MAX_KAPPA = 200
 DEFAULT_N_MAX_POLARIZABILITY = 400
@@ -107,7 +106,7 @@ def hurwitz_zeta(s: float, a: float) -> float:
 
 # The (k, n_max) pairs whose tail weights stay memoized. The five series
 # share them: a sweep of all five over 8 values of n_max from 100 to 450
-# reads 43 pairs 213 times.
+# reads 43 pairs 213 times, and their sums to infinity 12 more, (k, _HEAD).
 _ZETA_MEMO = 256
 
 
@@ -222,16 +221,9 @@ class SpectralSumResult(NamedTuple):
 
 # The terms n = 2.._HEAD of a sum to infinity are taken directly, the rest
 # from the expansion at a = _HEAD + 1. At a = 10 the five series read 55
-# coefficients in all, over 12 weights that they share (_rest_weight); at
-# a = 3 (a head of t(2) alone) they would read 113.
+# coefficients in all, over 12 weights _zeta_weight(k, _HEAD) that they
+# share; at a = 3 (a head of t(2) alone) they would read 113.
 _HEAD = 9
-
-
-@cache
-def _rest_weight(k: int) -> float:
-    """zeta(3 + 2k, _HEAD + 1), the weight of c_k in the rest of every sum
-    to infinity."""
-    return hurwitz_zeta(3.0 + 2 * k, _HEAD + 1.0)
 
 
 @cache
@@ -243,7 +235,7 @@ def _sum_to_infinity(name: str) -> tuple[float, float]:
     series = SERIES[name]
     head = [series.term(*hydrogen._closed_form(n), transition_energy(n))
             for n in range(2, _HEAD + 1)]
-    rest, bar = expansion(name, _rest_weight)
+    rest, bar = expansion(name, lambda k: _zeta_weight(k, _HEAD))
     total = math.fsum([*head, rest])
     return total, bar + _ROUNDING * math.fsum(head) + sys.float_info.epsilon / 2 * total
 
@@ -316,41 +308,3 @@ def normalization_constant(log_value: float, bethe: SpectralSumResult) -> float:
     the coefficient is 0.84.
     """
     return (-log_value - 0.5) * bethe.value / math.pi
-
-
-class PerturbedGroundState(NamedTuple):
-    """Ground state polarized by a unit static field, truncated to n <= N.
-
-    Coefficients follow first-order perturbation theory for a z-polarized
-    unit field: c_n = <np0|z|1s> / dE_n = I3(n) / (sqrt(3) dE_n), real by
-    construction.
-    """
-
-    ns: tuple[int, ...]
-    coefficients: tuple[float, ...]
-
-    @classmethod
-    def build(cls, n_basis: int) -> "PerturbedGroundState":
-        if n_basis < 2:
-            raise ValueError("basis must contain at least the n = 2 shell")
-        ns = tuple(range(2, n_basis + 1))
-        coeff = tuple(radial_record(n).I3
-                      / (math.sqrt(3.0) * transition_energy(n)) for n in ns)
-        return cls(ns=ns, coefficients=coeff)
-
-
-def first_moment_residual(state: PerturbedGroundState) -> float:
-    """|<psi| p_z |psi>| to first order in the field; zero in exact arithmetic.
-
-    With real first-order coefficients the bra and ket contributions of the
-    purely imaginary momentum matrix elements cancel, here only if the radial
-    integrals obey I2 = dE_n I3: the bra <0|p_z|n> = -i I2(n)/sqrt(3) is in
-    the velocity form, I2 by the exact route, and the ket <n|p_z|0> =
-    i dE_n I3(n)/sqrt(3) in the length form, I3 by the closed form.
-    """
-    acc = 0.0 + 0.0j
-    for n, c_n in zip(state.ns, state.coefficients):
-        bra_side = -1j * radial_record(n, "exact").I2 / math.sqrt(3.0)
-        ket_side = 1j * transition_energy(n) * radial_record(n).I3 / math.sqrt(3.0)
-        acc += c_n * (bra_side + ket_side)
-    return abs(acc)

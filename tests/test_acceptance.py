@@ -40,22 +40,6 @@ def test_criterion(results, cost, check):
            f"value={res.value!r} in {cost[check.name]:.3f} s")
 
 
-def _rows(results, *names):
-    for name in names:
-        res = results[name]
-        _check(f"{name} = {res.target}", res.passed, f"value={res.value!r}")
-
-
-def test_criterion_1_kappa1_discrete(results):
-    # 1a the band at n_max=200 with tail, 1b its run time.
-    _rows(results, "kappa1_discrete_200", "kappa1_discrete_runtime")
-
-
-def test_criterion_6_bethe_and_normalization(results):
-    # 6a the constant-log sum, 6b the normalization coefficient built on it.
-    _rows(results, "bethe_sum_200", "normalization_coefficient")
-
-
 def test_cli_verify_subcommand_green():
     # The self-audit surface must agree with this suite.
     proc = subprocess.run([sys.executable, "-m", "casimir_momentum", "verify",

@@ -102,8 +102,7 @@ def test_tail_coefficients_first_use_under_threads():
     serial = [[fn(n_max, tail) for fn in fns for tail in (True, False)]
               for n_max in n_maxes]
     for cached in (sums._coefficient, sums._x, sums._x_over, sums._exp_minus,
-                   sums._sum_to_infinity, sums._rest_weight, sums._zeta_weight,
-                   sums._em_start):
+                   sums._sum_to_infinity, sums._zeta_weight, sums._em_start):
         cached.cache_clear()
     barrier = threading.Barrier(len(n_maxes))
 

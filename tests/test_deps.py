@@ -116,6 +116,13 @@ def test_pyproject_lists_only_numpy():
         {"test": ["numpy"]}
 
 
+def test_pyproject_version_is_the_package_version():
+    # Every report carries __version__ as its artifact_version.
+    tomllib = pytest.importorskip("tomllib")
+    with open(PYPROJECT, "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == casimir_momentum.__version__
+
+
 def test_no_source_file_mentions_numpy():
     mentions = [str(path) for path in sorted(Path(SRC).rglob("*.py"))
                 if "numpy" in path.read_text(encoding="utf-8").lower()]

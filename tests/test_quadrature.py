@@ -9,7 +9,6 @@ from casimir_momentum import quadrature, verify
 from casimir_momentum.cli import run
 from casimir_momentum.quadrature import (
     DEFAULT_SPEC,
-    KAPPA1_CONTINUUM_AT_ZERO,
     KAPPA2_CONTINUUM_AT_ZERO,
     Y_MIN_MAX,
     ContinuumResult,
@@ -160,8 +159,9 @@ K2_AT_1 = 0.018346373742702499
 
 
 def test_kappa1_closed_form_at_zero():
-    assert KAPPA1_CONTINUUM_AT_ZERO == pytest.approx(K1_AT_0, abs=1e-17)
-    assert kappa1_continuum(0.0).value == KAPPA1_CONTINUUM_AT_ZERO
+    exact = 3.0 * math.pi / 64.0 - 2.0 / 15.0
+    assert exact == pytest.approx(K1_AT_0, abs=1e-17)
+    assert kappa1_continuum(0.0).value == exact
 
 
 def test_kappa1_continuum_endpoints():
@@ -303,7 +303,8 @@ def _bounded(form, a):
 
 @pytest.mark.parametrize("direct,series", [
     (quadrature._kappa1_direct, quadrature._kappa1_series),
-    (quadrature._kappa2_direct, quadrature._kappa2_series),
+    pytest.param(quadrature._kappa2_direct, quadrature._KAPPA2,
+                 id="_kappa2_direct-_KAPPA2"),
 ])
 def test_direct_form_and_series_agree_within_bounds(direct, series):
     for a in np.linspace(1.25, 2.5, 126).tolist():

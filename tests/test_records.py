@@ -24,7 +24,6 @@ EXAMPLES = {
     renorm.DispersionModel: lambda: renorm.DispersionModel.dispersionless(2.0),
     renorm.CutoffScheme: lambda: renorm.CutoffScheme.frequency(1e20),
     sums.SpectralSumResult: lambda: sums.bethe_sum(20),
-    sums.PerturbedGroundState: lambda: sums.PerturbedGroundState.build(5),
     quadrature.QuadratureSpec: quadrature.QuadratureSpec,
     quadrature.QuadratureResult: lambda: quadrature.QuadratureResult(
         1.0, 1e-15, 15, 1),
