@@ -13,8 +13,9 @@ instead of relying on a raw large cutoff.
 
 The two continuum integrals, kappa1_continuum and kappa2_continuum, do not
 use the engine: both integrands have elementary antiderivatives, evaluated
-directly for y_min <= 1.5 and as alternating series in 1/y_min above, where
-the antiderivatives cancel. Each sums its addends with math.fsum and reports
+directly for y_min <= 1.5 and above, where the antiderivatives cancel, as
+series in u = 1/(1 + y_min^2) whose terms are incomplete beta functions
+expanded binomially. Each sums its addends with math.fsum and reports
 a bound on their rounding and truncation as estimated_error. The engine on
 the public integrands is their oracle (verify's kappa*_continuum_engine_*
 rows), and the tolerances a caller passes to them steer nothing.
@@ -265,14 +266,22 @@ def _check_y_min(y_min: float) -> None:
 
 # The continuum integrals in closed form; a is y_min. Up to _Y_STAR the
 # antiderivatives are evaluated directly. Above it they cancel (at a = 10 the
-# direct kappa2 keeps only 10 digits), and alternating series in 1/a take
-# over; at a = 1.25 the series would still lose digits, to about 2e-14.
+# direct kappa2 keeps only 10 digits), and series in u = 1/(1 + a^2) take
+# over. Below the switch the series would keep their digits (at a = 1.25
+# kappa1's is within 9e-16 relative, bar 3e-14, the direct form within
+# 1.2e-15, bar 2e-13), but kappa1's reads 75 terms there to the direct 9.
 _Y_STAR = 1.5
-# Each addend of either form is within 20 units of roundoff of its exact
-# value: a handful of roundings, atan and pow within an ulp each, and a power
-# of the rounded 1 + a^2 scaling its rounding by the exponent (kappa2's
-# (1 + a^2)^5 is the worst, at about 19). The fsum adds one unit of the sum,
-# so _ROUNDING times the sum of the addends' magnitudes bounds the rounding.
+# Each addend of the direct form is within 20 units of roundoff (eps/2) of its
+# exact value: a handful of roundings, atan and pow within an ulp each, and a
+# power of the rounded 1 + a^2 scaling its rounding by the exponent (kappa2's
+# (1 + a^2)^5 is the worst, at about 19). A series term c_k/(1 + a^2)^(k+p)
+# is within 2(k+p) + 4 units, kappa2's 2(k+p) + 6: 1 + a^2 within 2, scaled
+# by k+p in the pow, the pow within 2, c_k within 1 (kappa2's 3, with its
+# /pi) and the division 1; kappa1's atan addend is within 9. Weighted by the
+# addends' magnitudes these sizes come to at most 14 units of the sum of
+# those magnitudes (13.6 for kappa2 at a = 1.5, where u is largest; 8.6 for
+# kappa1). The fsum adds one unit of the sum, so _ROUNDING, 24 units, times
+# the sum of the addends' magnitudes bounds the rounding of either form.
 _ROUNDING = 12.0 * sys.float_info.epsilon
 
 
@@ -302,68 +311,75 @@ def _kappa2_direct(a: float) -> tuple[list[float], float]:
             70.0 * a**3 / d, 15.0 * a / d, -math.atan(a) / (9.0 * math.pi)], 0.0
 
 
-# The three series below, sum_k (-1)^k c_k a^-(p + 2k) for a > _Y_STAR. Each
-# c_k is an exact ratio rounded once, kappa2's then divided by pi. With
-# t = 1/y, kappa2_continuum is (256/27pi) int t^6/(1+t^2)^6 over [0, 1/a], a
-# binomial series in t^2: c_k = (256/27pi) C(k+5, 5)/(2k+7) on a^-(2k+7).
+# The three series below, sum_k c_k u^(k + p) with u = 1/(1 + a^2) <= 4/13
+# for a > _Y_STAR. With t = 1/y and w = t^2/(1 + t^2), each integrand is
+# (1/2) w^(p-1) (1 - w)^q dw over [0, u], an incomplete beta function; the
+# binomial series of (1 - w)^q, integrated term by term, gives c_k, an exact
+# ratio rounded once, kappa2's then divided by pi. kappa2_continuum is
+# (256/27pi) int t^6/(1+t^2)^6 over [0, 1/a], with p = 7/2 and q = 3/2:
+# c_k = 768 C(2k, k) / (27 4^k (2k-1)(2k-3)(2k+7)) / pi.
 def _kappa2_coefficient(k: int) -> float:
-    return 256 * math.comb(k + 5, 5) / (27 * (2 * k + 7)) / math.pi
+    return (768 * math.comb(2 * k, k)
+            / (27 * 4**k * (2 * k - 1) * (2 * k - 3) * (2 * k + 7)) / math.pi)
 
 
 def _kappa1_by_parts_coefficient(k: int) -> float:
-    return (k + 1) * (k + 2) / (8 * (2 * k + 5))
+    return math.comb(2 * k, k) / (4 * 4**k * (2 * k + 5))
 
 
 def _kappa1_binomial_coefficient(k: int) -> float:
-    return -math.comb(2 * k + 6, k + 3) * (k + 1) * (k + 3) / (15 * 4 ** (k + 2))
+    return math.comb(2 * k, k) / (2 * 4**k * (2 * k - 1) * (k + 2))
 
 
-class _Alternating:
+class _BetaSeries:
     """One of those series: its coefficients, its first power p, and its
-    table of ((-1)^k c_k, p + 2k), made on first use, not at import, and
-    grown on demand (a just above _Y_STAR reads k <= 71, a = 1.25 more).
-    The table is replaced whole, never appended to, as threads may read it
-    while another grows it."""
+    table of (c_k, k + p), made on first use, not at import, and grown on
+    demand, doubling from 16 entries (a just above _Y_STAR reads k <= 32,
+    a = 1 k <= 52). The table is replaced whole, never appended to, as
+    threads may read it while another grows it."""
 
-    def __init__(self, coefficient: Callable[[int], float], p: int) -> None:
+    def __init__(self, coefficient: Callable[[int], float], p: float) -> None:
         self.coefficient = coefficient
         self.p = p
-        self.table: tuple[tuple[float, int], ...] = ()
+        self.table: tuple[tuple[float, float], ...] = ()
 
-    def _grow(self, table: tuple[tuple[float, int], ...]) -> tuple[tuple[float, int], ...]:
-        table += tuple(((-1) ** k * self.coefficient(k), self.p + 2 * k)
-                       for k in range(len(table), max(64, 2 * len(table))))
+    def _grow(self, table: tuple[tuple[float, float], ...]) -> tuple[tuple[float, float], ...]:
+        table += tuple((self.coefficient(k), self.p + k)
+                       for k in range(len(table), max(16, 2 * len(table))))
         self.table = table
         return table
 
     def __call__(self, a: float) -> tuple[list[float], float]:
-        """The terms (-1)^k c_k a^-(p + 2k), a > 1, down to the first one
-        below 2^-60 of the partial sum, and the size of that first term left
-        out.
+        """The terms c_k u^(k + p), u = 1/(1 + a^2), down to the first one
+        below 2^-60 of the partial sum, and a bound on what is left out.
 
-        In each of the three series the ratio of successive terms falls with
-        k, so once the terms shrink they shrink for good, and what is left
-        out is smaller than its first term. Every term is a division and a
-        pow from its signed coefficient.
+        In each of the three series c_(k+1)/c_k lies in (0, 1) from k = 2
+        on, so the terms keep one sign and |t_(k+1)/t_k| < u: what is left
+        out from the first term t_K left out is below |t_K|/(1 - u). For
+        u >= 1e-12 (a <= Y_MIN_MAX) no series stops before K = 2. Every
+        term is c_k/(1 + a^2)^(k + p), a division and a pow from its
+        coefficient, which spares it the rounding of u itself.
         """
+        b = 1.0 + a * a
+        u = 1.0 / b
         terms: list[float] = []
         partial = 0.0
         table = self.table
         start = 0
         while True:
             for c, power in table[start:]:
-                t = c / a ** power
+                t = c / b ** power
                 if abs(t) <= 2.0**-60 * abs(partial):
-                    return terms, abs(t)
+                    return terms, abs(t) / (1.0 - u)
                 terms.append(t)
                 partial += t
             start = len(table)
             table = self._grow(table)
 
 
-_KAPPA1_BY_PARTS = _Alternating(_kappa1_by_parts_coefficient, 5)
-_KAPPA1_BINOMIAL = _Alternating(_kappa1_binomial_coefficient, 4)
-_KAPPA2 = _Alternating(_kappa2_coefficient, 7)
+_KAPPA1_BY_PARTS = _BetaSeries(_kappa1_by_parts_coefficient, 2.5)
+_KAPPA1_BINOMIAL = _BetaSeries(_kappa1_binomial_coefficient, 2.0)
+_KAPPA2 = _BetaSeries(_kappa2_coefficient, 3.5)
 
 
 def _kappa1_series(a: float) -> tuple[list[float], float]:
@@ -373,9 +389,10 @@ def _kappa1_series(a: float) -> tuple[list[float], float]:
     t^3 (pi/2 - atan t - (1+t^2)^(-1/2)) / (1+t^2)^3 over [0, 1/a]. By parts
     against t^4/(4(1+t^2)^2), the antiderivative of t^3/(1+t^2)^3, the first
     part is atan(a)/(4(1+a^2)^2) + (1/4) int t^4/(1+t^2)^3; that integral
-    and int t^3 (1+t^2)^(-7/2) are binomial series in t^2, integrated term by
-    term: c_k = (k+1)(k+2)/(8(2k+5)) on a^-(2k+5) and
-    -C(2k+6, k+3)(k+1)(k+3)/(15 4^(k+2)) on a^-(2k+4).
+    and -int t^3 (1+t^2)^(-7/2) are, in w = t^2/(1+t^2), (1/2) int w^(3/2)
+    (1-w)^(-1/2) and -(1/2) int w (1-w)^(1/2) over [0, u]: c_k =
+    C(2k, k)/(4 4^k (2k+5)) on u^(k+5/2) and C(2k, k)/(2 4^k (2k-1)(k+2))
+    on u^(k+2).
     """
     t1, e1 = _KAPPA1_BY_PARTS(a)
     t2, e2 = _KAPPA1_BINOMIAL(a)

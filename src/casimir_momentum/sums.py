@@ -159,9 +159,11 @@ def _exp_minus(c: int) -> int:
     """e^-c times _ONE: sum_{i<100} (-c)^i/i!, whose rest is below 2^-300
     for c <= 4."""
     total = 0
+    power = _ONE                    # (-c)^i _ONE
     factorial = 1                   # i!
     for i in range(100):
-        total += (-c) ** i * _ONE // factorial
+        total += power // factorial
+        power *= -c
         factorial *= i + 1
     return total
 

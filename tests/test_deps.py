@@ -150,6 +150,18 @@ def test_import_loads_only_the_sweep_modules():
     assert _loaded("import casimir_momentum") == {"hydrogen", "quadrature", "sums"}
 
 
+def test_import_leaves_first_use_tables_empty():
+    # The continuum series' tables and the Rydberg expansion's coefficient
+    # caches are made on first use: an import that filled them would put
+    # that work before the library sweep's timer starts.
+    proc = _python("from casimir_momentum import quadrature, sums\n"
+                   "assert not any(s.table for s in (quadrature._KAPPA2,\n"
+                   "    quadrature._KAPPA1_BY_PARTS, quadrature._KAPPA1_BINOMIAL))\n"
+                   "assert sums._exp_minus.cache_info().currsize == 0\n"
+                   "assert sums._coefficient.cache_info().currsize == 0")
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_import_and_json_budget_load_neither_csv_nor_heapq():
     # csv serves only the csv format and heapq only the adaptive engine.
     proc = _python("import os, sys\n"

@@ -82,14 +82,16 @@ def test_gauss_kronrod_rules_exact_on_monomials():
 
 def test_engine_rows_fail_on_centre_weight_off_in_13th_digit(monkeypatch):
     # The K15 centre weight scaled by 1 + 1e-13 biases every engine integral
-    # past the oracle rows with the tightest bars, and no other row sees it.
+    # past the oracle rows with the tightest bars, and no other row sees it
+    # (at y_min = 2 the series' bar is tight enough to see it too).
     # The weights cut to 15 digits fail no row at these tolerances.
     weights = list(quadrature._WEIGHTS_K)
     weights[7] *= 1 + 1e-13
     monkeypatch.setattr(quadrature, "_WEIGHTS_K", tuple(weights))
     failed = [res.name for res in verify.run_checks() if not res.passed]
     assert failed == ["kappa2_continuum_engine_ymin0",
-                      "kappa2_continuum_engine_ymin0.001", "delta_mass_engine"]
+                      "kappa2_continuum_engine_ymin0.001",
+                      "kappa2_continuum_engine_ymin2", "delta_mass_engine"]
 
 
 def test_segment_estimate_sums_correctly_rounded():
@@ -312,27 +314,74 @@ def test_direct_form_and_series_agree_within_bounds(direct, series):
         assert abs(v_d - v_s) <= e_d + e_s, a
 
 
-def _reference_alternating(coefficient, p, a):
-    """The terms of an alternating series of quadrature one by one from its
-    coefficients, and the size of the first term left out."""
+def _reference_series(coefficient, p, a):
+    """The terms of a series of quadrature one by one from its coefficients,
+    c_k/(1 + a^2)^(k + p), and the first term left out over 1 - u."""
     terms, partial = [], 0.0
     for k in count():
-        t = coefficient(k) / a ** (p + 2 * k)
+        t = coefficient(k) / (1.0 + a * a) ** (p + k)
         if abs(t) <= 2.0**-60 * abs(partial):
-            return terms, abs(t)
-        t = -t if k % 2 else t
+            return terms, abs(t) / (1.0 - 1.0 / (1.0 + a * a))
         terms.append(t)
         partial += t
 
 
-@pytest.mark.parametrize("series", [quadrature._KAPPA2, quadrature._KAPPA1_BY_PARTS,
-                                    quadrature._KAPPA1_BINOMIAL])
+_SERIES = [quadrature._KAPPA2, quadrature._KAPPA1_BY_PARTS, quadrature._KAPPA1_BINOMIAL]
+
+
+@pytest.mark.parametrize("series", _SERIES)
 def test_series_table_bit_identical_to_term_by_term(monkeypatch, series):
     # From an empty table, the cutoffs from the largest down read ever more
     # coefficients, so the table grows on the way (to 512 or 1024 entries).
     monkeypatch.setattr(series, "table", ())
-    for a in (1e6, 10.0, 3.15, 1.55, 1.25, 1.05):
-        assert series(a) == _reference_alternating(series.coefficient, series.p, a), a
+    for a in (1e6, 10.0, 3.15, 1.55, 1.25, 1.05, 0.5, 0.25):
+        assert series(a) == _reference_series(series.coefficient, series.p, a), a
+
+
+def _exact_coefficient(series, k):
+    """c_k as an exact Fraction, kappa2's times pi; the series' own c_k is
+    it rounded once (kappa2's then divided by pi)."""
+    c = Fraction(math.comb(2 * k, k), 4**k)
+    if series is quadrature._KAPPA2:
+        c = 768 * c / (27 * (2 * k - 1) * (2 * k - 3) * (2 * k + 7))
+        assert series.coefficient(k) == float(c) / math.pi, k
+    else:
+        c /= (4 * (2 * k + 5) if series is quadrature._KAPPA1_BY_PARTS
+              else 2 * (2 * k - 1) * (k + 2))
+        assert series.coefficient(k) == float(c), k
+    return c
+
+
+@pytest.mark.parametrize("series", _SERIES)
+def test_series_truncation_covers_exact_tail(series):
+    # The 200 terms after the last one summed, exactly: c_k u^(k+p) with
+    # u = 1/(1 + a^2) of the float a, and sqrt(u) squared away where p is
+    # a half-integer. kappa2's c_k carry 1/pi, so its truncation is scaled
+    # by Fraction(math.pi), which is below pi.
+    for a in (1.5000001, 1.55, 3.15, 1e6):
+        terms, truncation = series(a)
+        u = 1 / (1 + Fraction(a) ** 2)
+        whole = int(series.p)
+        tail = sum(_exact_coefficient(series, k) * u ** (k + whole)
+                   for k in range(len(terms), len(terms) + 200))
+        bound = Fraction(truncation)
+        if series is quadrature._KAPPA2:
+            bound *= Fraction(math.pi)
+        assert tail > 0 and bound > 0, a
+        if series.p == whole:
+            assert bound >= tail, a
+        else:
+            assert bound**2 >= u * tail**2, a
+
+
+def test_bars_above_switch_tight():
+    # The series' rounding and truncation, relative, from just above the
+    # switch to the ceiling; the direct forms' bars at a = 1.5 are 2.8e-13
+    # (kappa1) and 6.3e-14 (kappa2).
+    for a in (1.5000001, 1.55, *np.geomspace(1.55, Y_MIN_MAX, 60).tolist()):
+        for op, most in ((kappa1_continuum, 3e-14), (kappa2_continuum, 6e-15)):
+            res = op(a)
+            assert res.estimated_error <= most * res.value, (op.__name__, a)
 
 
 def test_scans_decrease_strictly_up_to_ceiling():
