@@ -12,7 +12,6 @@ four helpers below.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Mapping, NamedTuple
 
 from .units import (ADOPTED_KAPPA1, ADOPTED_KAPPA2, HARTREE_ENERGY,
@@ -24,12 +23,12 @@ POLARIZABILITY_VOLUME_AU = 18.0 * math.pi
 
 # Relative relativistic correction to the static polarizability, in units
 # of alpha^2 (Bartlett-Power coefficient).
-RELATIVISTIC_POLARIZABILITY_COEFF = Fraction(-28, 27)
+RELATIVISTIC_POLARIZABILITY_COEFF = -28 / 27
 
-# Itemized binding-energy mass coefficients: the Darwin (vacuum
-# longitudinal) part and the p^4 part, summing exactly to 1.
-DARWIN_MASS_COEFF = Fraction(8, 3)
-P4_MASS_COEFF = Fraction(-5, 3)
+# Itemized binding-energy mass coefficients in thirds: the Darwin (vacuum
+# longitudinal) part and the p^4 part. Their sum, 3 thirds, is exactly 1.
+_DARWIN_MASS_THIRDS = 8
+_P4_MASS_THIRDS = -5
 
 HYDROGEN_BINDING_ENERGY_J = -0.5 * HARTREE_ENERGY  # ground-state binding energy
 
@@ -93,7 +92,7 @@ class MomentumBudget(NamedTuple):
     kinetic: Vec3                       # Q0, kg m/s
     kinetic_mass_factor: float          # E_bind / (M c0^2), dimensionless
     kinetic_correction: Vec3            # kinetic_mass_factor * Q0
-    relativistic_terms: Mapping[str, Fraction]
+    relativistic_terms: Mapping[str, float]
     transverse_bound: float             # magnitude estimate, kg m/s
     relativistic_field_bound: float     # order alpha^2 (m_e/M) |abraham|
     polarizability_vacuum_item: float   # zero: no alpha^2 vacuum part exists
@@ -228,7 +227,7 @@ def assemble_budget(
         alpha0_si = POLARIZABILITY_VOLUME_AU * a0_cubed
     elif polarizability_choice == "relativistic_corrected":
         alpha0_si = (POLARIZABILITY_VOLUME_AU * a0_cubed
-                     * (1.0 + float(RELATIVISTIC_POLARIZABILITY_COEFF) * alpha**2))
+                     * (1.0 + RELATIVISTIC_POLARIZABILITY_COEFF * alpha**2))
     else:
         from .sums import polarizability_discrete
         alpha0_si = 4.0 * math.pi * polarizability_discrete().value * a0_cubed
@@ -238,9 +237,9 @@ def assemble_budget(
     dp_vac = casimir_correction(kappa1, kappa2, p_a)
     factor = effective_mass_factor(HYDROGEN_BINDING_ENERGY_J, total_mass_kg)
     rel_terms = {
-        "darwin_coefficient": DARWIN_MASS_COEFF,
-        "p4_coefficient": P4_MASS_COEFF,
-        "net": DARWIN_MASS_COEFF + P4_MASS_COEFF,
+        "darwin_coefficient": _DARWIN_MASS_THIRDS / 3,
+        "p4_coefficient": _P4_MASS_THIRDS / 3,
+        "net": (_DARWIN_MASS_THIRDS + _P4_MASS_THIRDS) / 3,
         "bartlett_power_alpha2_coeff": RELATIVISTIC_POLARIZABILITY_COEFF,
     }
     t_bound = transverse_bound(fields, factor, p_a)

@@ -59,7 +59,7 @@ def _jsonable(obj: Any) -> Any:
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (bool, int, str)) or obj is None:
         return obj
-    return float(obj)                   # floats, Fractions
+    return float(obj)                   # floats, the one other kind of value
 
 
 def _flatten_for_rows(results: dict[str, dict[str, Any]]):
@@ -412,8 +412,8 @@ def _handle_budget(p: dict[str, Any]) -> dict[str, Row]:
         polarizability_choice=p["polarizability"].replace("-", "_"))
     values = {**bud._asdict(), "total": bud.total(),
               "casimir_relative_shift": bud.casimir_relative_shift}
-    values.update((f"relativistic_{key}", float(frac))
-                  for key, frac in bud.relativistic_terms.items())
+    values.update((f"relativistic_{key}", value)
+                  for key, value in bud.relativistic_terms.items())
     return {name: _row(values[name], text) for name, text in bud.provenance.items()}
 
 

@@ -29,10 +29,10 @@ The exact route is the module's built-in oracle and never reads the closed
 forms; the two must agree to 5e-15 relative (verify's
 radial_dual_route_nle200 row for n <= 200; the test suite up to n = 1000).
 
-`radial_record(n, method)` gives one n by a named route, memoized per n (a
-record with its cache entry takes about 205 bytes). The spectral sums call
-`_closed_form` for their first few terms only and keep no table (see
-`sums`).
+`radial_record(n, method)` gives one n by a named route, memoized for the
+last _RECORD_MEMO keys (a record with its cache entry takes about 205 bytes,
+so the memo holds at most about 0.9 MB). The spectral sums call
+`_closed_form` for their first few terms only and keep no table (see `sums`).
 
 The angular sums over m and Cartesian components that accompany these
 integrals in second-order coefficients reduce to a unit factor for
@@ -105,10 +105,15 @@ def _exact_integrals(n: int) -> tuple[float, float, float]:
             4 * n * n * s3 / (den * m * m) / root)
 
 
-@lru_cache(maxsize=None)
+# Bound of radial_record's memo, above the distinct keys of any one run: 637
+# in verify, 1196 in the benchmark's replay of it.
+_RECORD_MEMO = 4096
+
+
+@lru_cache(maxsize=_RECORD_MEMO)
 def radial_record(n: int, method: str = "closed_form") -> RadialIntegralRecord:
     """The full (I1, I2, I3) record by one named route, "closed_form" or
-    "exact", memoized.
+    "exact", memoized for the last _RECORD_MEMO keys.
 
     The single-n interface, which verify's term-by-term sums and the route-
     agreement oracle read; the spectral sums themselves need no row table

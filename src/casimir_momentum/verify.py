@@ -3,13 +3,14 @@
 Every acceptance band and invariant of the reproduced numbers is written
 once, as a row of CHECKS: its name, its target and the computation of the
 value it bounds. A row whose quantity a subcommand reports reads it from
-that subcommand's report at its parameter defaults, made once per run; only
-what no subcommand reports is computed here from the library. So a fault in
-a handler fails `verify` instead of shipping past it. `run_checks()`
-evaluates the rows in order, so a deployed artifact can audit itself from
-the command line, and the acceptance gate (tests/test_acceptance.py)
-asserts the same rows. The benchmark keeps its own copy of five of these
-bands in bench/spec.py, which a test holds equal to these rows.
+that subcommand's report at its defaults or at the flag values the row
+names, made once per run; only what no subcommand reports is computed here
+from the library. So a fault in a handler fails `verify` instead of
+shipping past it. `run_checks()` evaluates the rows in order, so a deployed
+artifact can audit itself from the command line, and the acceptance gate
+(tests/test_acceptance.py) asserts the same rows. The benchmark keeps its
+own copy of five of these bands in bench/spec.py, which a test holds equal
+to these rows.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import sys
 import time
 from typing import Any, Callable, Iterable, NamedTuple
 
-from . import budget, cli, hydrogen, quadrature, renorm, sums, units
+from . import budget, cli, hydrogen, quadrature, sums, units
 from .units import constants
 
 
@@ -85,15 +86,12 @@ class Check(NamedTuple):
 
 
 _C = constants()
-_GRID = [1e16 * 2.0**k for k in range(5)]   # cutoffs of the exponent fits
 # Lower cutoffs at which the engine checks the closed continuum integrals,
 # to a relative tolerance only: under the default abs_tol of 1e-14 its error
 # bar at y_min = 1e4 is larger than the value, and would pass any answer.
 _ORACLE_YMIN = (0.0, 1e-3, 1.0, 2.0, 10.0, 1e4)
+_ORACLE_GRID = (("ymin_grid", ",".join(f"{y:g}" for y in _ORACLE_YMIN)),)
 _ORACLE_SPEC = quadrature.QuadratureSpec(abs_tol=1e-300, rel_tol=1e-12)
-# A self-mass cutoff hbar*Lambda/(m c0) at which the log argument is near 1,
-# so that plain log in place of log1p loses its relative precision.
-_SMALL_CUTOFF_RATIO = 1e-6
 # Rounding bar of the self-mass closed form and the engine's sum, relative:
 # with rel_tol 1e-12, the row's bar stays far below a 1e-8 relative gap.
 _DELTA_MASS_ROUNDING = 8 * sys.float_info.epsilon
@@ -107,19 +105,22 @@ _EXACT_TERM_ROUNDING = 9 * sys.float_info.epsilon
 _BETA_CUT = 1e3
 
 
-def _defaults(subcommand: str) -> dict[str, Any]:
-    """The checked default of each parameter of a subcommand."""
-    return {p.name: p.checked(p.default) for p in cli.SUBCOMMANDS[subcommand].params}
+def _params(subcommand: str, given: tuple = ()) -> dict[str, Any]:
+    """Each parameter of a subcommand, checked as on the command line: its
+    CLI value in `given`, a tuple of (parameter, value) pairs, else its default."""
+    values = dict(given)
+    return {p.name: p.checked(values.get(p.name, p.default))
+            for p in cli.SUBCOMMANDS[subcommand].params}
 
 
-def _report(subcommand: str) -> dict[str, cli.Row]:
-    """The rows a subcommand reports at its defaults."""
-    return cli.SUBCOMMANDS[subcommand].handler(_defaults(subcommand))
+def _report(subcommand: str, given: tuple = ()) -> dict[str, cli.Row]:
+    """The rows a subcommand reports at its defaults, or at the CLI values `given`."""
+    return cli.SUBCOMMANDS[subcommand].handler(_params(subcommand, given))
 
 
-def _reported(subcommand: str, key: str) -> Callable[[_Memo], Any]:
+def _reported(subcommand: str, key: str, given: tuple = ()) -> Callable[[_Memo], Any]:
     """The value a subcommand reports as `key`; each report is made once per run."""
-    return lambda m: m(_report, subcommand)[key][0]["value"]
+    return lambda m: m(_report, subcommand, given)[key][0]["value"]
 
 
 def _reduced_mass_shift_error(m: _Memo) -> float:
@@ -142,38 +143,34 @@ def _engine(which: str, y_min: float) -> quadrature.QuadratureResult:
 
 
 def _continuum_oracle(which: str, y_min: float) -> Callable[[_Memo], float]:
-    """|engine - closed form| over the sum of their error bars at y_min."""
+    """|engine - reported closed form| over the sum of their bars at y_min."""
     def ratio(m: _Memo) -> float:
         engine = m(_engine, which, y_min)
-        closed = getattr(quadrature, f"{which}_continuum")(y_min)
-        return abs(engine.value - closed.value) / (engine.error
-                                                  + closed.estimated_error)
+        closed = m(_report, "continuum", _ORACLE_GRID)[
+            f"{which}_continuum[ymin={y_min:g}]"][0]
+        return abs(engine.value - closed["value"]) / (engine.error + closed["error"])
     return ratio
 
 
 def _delta_mass_oracle(m: _Memo) -> float:
-    """Worst |engine - closed form| of the self-mass over the sum of their
-    bars, at the renorm report's default cutoffs (electron and proton at
-    --cutoff-ratio, the electron at --big-ratio and twice it) and at
-    _SMALL_CUTOFF_RATIO. The engine integrates the integrand in
-    u = hbar k/(m c0), where it is (2m/hbar^2)/(2 + u), on a partition
-    that halves down from u_max."""
-    p = _defaults("renorm")
-    ratios = (p["big_ratio"], 2 * p["big_ratio"], _SMALL_CUTOFF_RATIO)
-    points = [(_C.electron_mass, p["cutoff_ratio"]),
-              (_C.proton_mass, p["cutoff_ratio"]),
-              *((_C.electron_mass, ratio) for ratio in ratios)]
+    """Worst |engine - reported closed form| of both self-masses over the
+    sum of their bars, in renorm reports at the default cutoff ratios
+    (--cutoff-ratio, --big-ratio and twice it) and at 1e-6, where plain log
+    would lose log1p's relative precision. In u = hbar k/(m c0) the integrand
+    is (2m/hbar^2)/(2 + u), so one engine run of 1/(2 + u) per ratio serves both."""
+    p = _params("renorm")
     worst = 0.0
-    for mass, ratio in points:
-        lam = ratio * mass * _C.light_speed_c0 / _C.hbar
-        closed = renorm.delta_mass(mass, lam)
-        u_max = _C.hbar * lam / (mass * _C.light_speed_c0)
+    for ratio in (p["cutoff_ratio"], p["big_ratio"], 2 * p["big_ratio"], 1e-6):
         engine = quadrature.integrate_adaptive(
-            lambda u: 1.0 / (2.0 + u), 0.0, u_max, _ORACLE_SPEC,
-            breakpoints=[u_max * 0.5**k for k in range(1, 40)])
-        front = 8.0 * _C.fine_structure_alpha * mass / (3.0 * math.pi)
-        worst = max(worst, abs(front * engine.value - closed)
-                    / (front * engine.error + _DELTA_MASS_ROUNDING * closed))
+            lambda u: 1.0 / (2.0 + u), 0.0, ratio, _ORACLE_SPEC,
+            breakpoints=[ratio * 0.5**k for k in range(1, 40)])
+        for label, mass in (("electron", _C.electron_mass),
+                            ("proton", _C.proton_mass)):
+            closed = _reported("renorm", f"delta_mass_{label}",
+                               (("cutoff_ratio", ratio),))(m)
+            front = 8.0 * _C.fine_structure_alpha * mass / (3.0 * math.pi)
+            worst = max(worst, abs(front * engine.value - closed)
+                        / (front * engine.error + _DELTA_MASS_ROUNDING * closed))
     return worst
 
 
@@ -246,7 +243,7 @@ def _term_sums() -> dict[str, tuple[float, float]]:
     """name -> (sum, largest partial sum) of each Rydberg series over
     n = 2..N, N the default n_max of its report, term by term from closed
     forms made once for all five series."""
-    n_maxes = {name: _defaults(sub)["n_max"] for name, (sub, _) in _SUM_REPORTS.items()}
+    n_maxes = {name: _params(sub)["n_max"] for name, (sub, _) in _SUM_REPORTS.items()}
     rows = [(*hydrogen.radial_record(n, "closed_form"), hydrogen.transition_energy(n))
             for n in range(2, max(n_maxes.values()) + 1)]
     return {name: _neumaier(sums.SERIES[name].term(*row) for row in rows[:n_max - 1])
@@ -277,11 +274,19 @@ def _serialization_repeats(m: _Memo) -> bool:
     return cli.serialize(env, "json") == cli.serialize(env, "json")
 
 
+def _itemized_net(m: _Memo) -> float:
+    """The reported net mass coefficient, or Darwin + p^4 if over 1 eps off it."""
+    darwin, p4, net = (_reported("budget", f"relativistic_{key}")(m)
+                       for key in ("darwin_coefficient", "p4_coefficient", "net"))
+    gap = abs(darwin + p4 - net)
+    return net if gap <= sys.float_info.epsilon * abs(net) else darwin + p4
+
+
 def _abraham_off_axis(m: _Memo) -> float:
     """|a.c - |a||c|| / (|a||c|) for the reported Abraham item a and
     c = B0 x E0 of the budget defaults."""
     abraham = _reported("budget", "abraham")(m)
-    fields = _defaults("budget")
+    fields = _params("budget")
     cross = budget.cross(fields["B0"], fields["E0"])
     scale = budget.norm(abraham) * budget.norm(cross)
     return abs(budget.dot(abraham, cross) - scale) / scale
@@ -314,7 +319,7 @@ CHECKS: tuple[Check, ...] = (
           text="term-by-term sums within their bar plus the reported partial's"),
 
     # Continuum integrals.
-    Check("kappa1_continuum_ymin0", lambda m: quadrature.kappa1_continuum(0.0).value,
+    Check("kappa1_continuum_ymin0", _reported("continuum", "kappa1_continuum[ymin=0]"),
           1.4e-2, rel=0.02),
     Check("kappa1_continuum_ymin1", _reported("kappas", "kappa1_continuum"),
           9.3e-3, rel=0.02),
@@ -356,13 +361,10 @@ CHECKS: tuple[Check, ...] = (
 
     # Regularization scaling.
     Check("divergence_exponent_dispersionless",
-          lambda m: renorm.divergence_exponent(
-              renorm.DispersionModel.dispersionless(_defaults("rho-c")["eps_r"]),
-              _GRID), 4.00, 0.01),
+          _reported("rho-c", "divergence_exponent", (("model", "dispersionless"),)),
+          4.00, 0.01),
     Check("divergence_exponent_free_electron",
-          lambda m: renorm.divergence_exponent(
-              renorm.DispersionModel.free_electron(_defaults("rho-c")["n_e"]),
-              _GRID), 2.00, 0.01),
+          _reported("rho-c", "divergence_exponent"), 2.00, 0.01),
     Check("delta_mass_doubling_increment",
           lambda m: _reported("renorm", "doubling_increment_electron")(m)
           / _reported("renorm", "doubling_increment_limit")(m), 1.0, rel=1e-3),
@@ -376,10 +378,8 @@ CHECKS: tuple[Check, ...] = (
     Check("reduced_mass_shift_first_order", _reduced_mass_shift_error,
           rule=lambda v: v <= 1e-3,
           text="matches two-sided perturbed 1/mu to 1e-3"),
-    Check("mass_coefficient_itemization",
-          lambda m: budget.DARWIN_MASS_COEFF + budget.P4_MASS_COEFF,
-          rule=lambda v: v == 1,
-          text="identity of constants: 8/3 - 5/3 = 1 exactly"),
+    Check("mass_coefficient_itemization", _itemized_net, rule=lambda v: v == 1,
+          text="Darwin + p^4 items give the net within one rounding; net exactly 1"),
     Check("first_moment_residual", _first_moment_residual, rule=lambda v: v <= 1e-14,
           text="velocity-form bra cancels length-form ket to 1e-14"),
     Check("radial_dual_route_nle200", _radial_route_gap,

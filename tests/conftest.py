@@ -3,7 +3,7 @@ import warnings
 
 import pytest
 
-from casimir_momentum import sums
+from casimir_momentum import hydrogen, quadrature, sums
 from casimir_momentum.cli import run
 from casimir_momentum.renorm import PlasmaCutoffWarning
 
@@ -50,9 +50,17 @@ def sum_to_infinity() -> dict[str, str]:
 
 
 @pytest.fixture
-def fresh_sums_to_infinity():
-    """Clears the memo of each series summed to infinity before and after the
-    test, for a test that changes what those sums are made from."""
-    sums._sum_to_infinity.cache_clear()
-    yield
-    sums._sum_to_infinity.cache_clear()
+def fresh_memos():
+    """Empties every memo of hydrogen, sums and quadrature before and after
+    the test: each object with a cache_clear, and each _BetaSeries table.
+    The test gets the reset itself, to empty them again mid-test."""
+    def reset() -> None:
+        for module in (hydrogen, sums, quadrature):
+            for obj in vars(module).values():
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()
+                elif isinstance(obj, quadrature._BetaSeries):
+                    obj.table = ()
+    reset()
+    yield reset
+    reset()

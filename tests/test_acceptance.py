@@ -8,14 +8,13 @@ one core.
 
 import importlib.util
 import json
-import math
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from casimir_momentum import cli, hydrogen, verify
+from casimir_momentum import verify
 
 
 def _check(name: str, ok: bool, detail: str = "") -> None:
@@ -48,52 +47,6 @@ def test_cli_verify_subcommand_green():
     failed = payload["results"]["checks_failed"]["value"]
     _check("verify subcommand reports all checks green",
            proc.returncode == 0 and failed == 0, f"failed={failed}")
-
-
-def test_verify_reads_the_reports(monkeypatch):
-    # A kappas handler that reports a wrong net coefficient fails that row:
-    # verify checks the reported value, not its own recomputation.
-    kappas = cli.SUBCOMMANDS["kappas"]
-
-    def wrong_net(params):
-        rows = kappas.handler(params)
-        entry, provenance = rows["net_coefficient"]
-        rows["net_coefficient"] = ({**entry, "value": entry["value"] + 1.0},
-                                   provenance)
-        return rows
-
-    monkeypatch.setitem(cli.SUBCOMMANDS, "kappas",
-                        kappas._replace(handler=wrong_net))
-    failed = [res.name for res in verify.run_checks() if not res.passed]
-    assert failed == ["net_coefficient"]
-
-
-def _closed_form_plain_powers(n):
-    """hydrogen._closed_form with its powers taken by ** instead of log1p."""
-    c = 8.0 / (n**3 * math.sqrt((n - 1) * n * (n + 1)))
-    i3 = 2.0 * c * (n - 1) * n * (n + 1) * ((n - 1) / n) ** (n - 3) \
-        * ((n + 1) / n) ** -(n + 3)
-    i2 = (n * n - 1) / (2.0 * n * n) * i3
-    d = 2.0 / (n + 1)
-    s = (2.0 - ((n - 1) / (n + 1)) ** (n - 1)
-         * ((n - 1) * n * d * d + 2 * (n - 1) * d + 2)) / d**3
-    return c * (n / (n + 1)) ** 3 * s, i2, i3
-
-
-def test_radial_row_sees_powers_without_log1p(monkeypatch, fresh_sums_to_infinity):
-    # Plain ** puts I_3 off by 2.1e-14 at n <= 200: inside a 1e-10 band,
-    # outside the row's 5e-15. The partials row, whose term-by-term sums
-    # read every closed form to n = 400, reads 0.093 with and without it.
-    monkeypatch.setattr(hydrogen, "_closed_form", _closed_form_plain_powers)
-    hydrogen.radial_record.cache_clear()
-    try:
-        results = verify.run_checks()
-    finally:
-        hydrogen.radial_record.cache_clear()
-    assert [res.name for res in results if not res.passed] == \
-        ["radial_dual_route_nle200"]
-    gap = {res.name: res.value for res in results}["radial_dual_route_nle200"]
-    assert 1e-14 < gap < 1e-10
 
 
 def test_bench_bands_match_checks():

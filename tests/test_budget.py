@@ -6,9 +6,7 @@ import pytest
 from casimir_momentum.budget import (
     ADOPTED_KAPPA1,
     ADOPTED_KAPPA2,
-    DARWIN_MASS_COEFF,
     HYDROGEN_BINDING_ENERGY_J,
-    P4_MASS_COEFF,
     POLARIZABILITY_VOLUME_AU,
     FieldConfiguration,
     abraham_momentum,
@@ -97,7 +95,10 @@ def test_effective_mass_factor_rejects_positive_binding():
 
 
 def test_mass_coefficient_itemization_exact():
-    assert DARWIN_MASS_COEFF + P4_MASS_COEFF == 1
+    # Each coefficient is its ratio rounded once, and the net is exactly 1.
+    assert assemble_budget(CROSSED).relativistic_terms == {
+        "darwin_coefficient": 8 / 3, "p4_coefficient": -5 / 3, "net": 1.0,
+        "bartlett_power_alpha2_coeff": -28 / 27}
 
 
 def test_transverse_bound_zero_case():

@@ -9,7 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import casimir_momentum.hydrogen as hyd
-from casimir_momentum import quadrature, sums
+from casimir_momentum import quadrature
 from casimir_momentum.quadrature import (
     integrate_to_inf,
     kappa1_continuum,
@@ -60,38 +60,35 @@ def test_engine_reentrant_under_threads(monkeypatch):
     assert threaded == [serial] * 8  # bit-identical, not just close
 
 
-def test_radial_table_concurrent_fill_idempotent():
+def test_radial_table_concurrent_fill_idempotent(fresh_memos):
     ns = list(range(2, 80))
-    hyd.radial_record.cache_clear()
     serial = [hyd.radial_record(n) for n in ns]
-    hyd.radial_record.cache_clear()
+    fresh_memos()
     with ThreadPoolExecutor(max_workers=8) as pool:
         records = list(pool.map(hyd.radial_record, ns))
     assert records == serial  # bit-identical, not just close
 
 
-def test_exact_route_concurrent_fill_idempotent():
+def test_exact_route_concurrent_fill_idempotent(fresh_memos):
     ns = list(range(2, 60))
-    hyd.radial_record.cache_clear()
     serial = [hyd.radial_record(n, "exact") for n in ns]
-    hyd.radial_record.cache_clear()
+    fresh_memos()
     with ThreadPoolExecutor(max_workers=8) as pool:
         records = list(pool.map(lambda n: hyd.radial_record(n, "exact"), ns))
     assert records == serial  # bit-identical, not just close
 
 
-def test_quadrature_route_concurrent_fill_idempotent():
+def test_quadrature_route_concurrent_fill_idempotent(fresh_memos):
     # "quadrature", the exact route's old name, fills the memo under both keys.
     ns = list(range(2, 60))
-    hyd.radial_record.cache_clear()
     serial = [hyd.radial_record(n, "exact") for n in ns]
-    hyd.radial_record.cache_clear()
+    fresh_memos()
     with ThreadPoolExecutor(max_workers=8) as pool:
         records = list(pool.map(lambda n: hyd.radial_record(n, "quadrature"), ns))
     assert records == serial  # bit-identical, not just close
 
 
-def test_tail_coefficients_first_use_under_threads():
+def test_tail_coefficients_first_use_under_threads(fresh_memos):
     # Eight threads start the five sums together on empty coefficient
     # caches and no sum to infinity, each at its own n_max, so they derive
     # the exact coefficients of the tails and each S_inf side by side (k up
@@ -101,9 +98,7 @@ def test_tail_coefficients_first_use_under_threads():
     n_maxes = (2, 3, 5, 9, 20, 57, 200, 1000)
     serial = [[fn(n_max, tail) for fn in fns for tail in (True, False)]
               for n_max in n_maxes]
-    for cached in (sums._coefficient, sums._x, sums._x_over, sums._exp_minus,
-                   sums._sum_to_infinity, sums._zeta_weight, sums._em_start):
-        cached.cache_clear()
+    fresh_memos()
     barrier = threading.Barrier(len(n_maxes))
 
     def run(n_max):

@@ -163,13 +163,16 @@ def test_import_leaves_first_use_tables_empty():
 
 
 def test_import_and_json_budget_load_neither_csv_nor_heapq():
-    # csv serves only the csv format and heapq only the adaptive engine.
+    # csv serves only the csv format and heapq only the adaptive engine; the
+    # budget's exact coefficients are integers in thirds, so no fractions
+    # (with decimal and numbers) loads either.
     proc = _python("import os, sys\n"
                    "import casimir_momentum\n"
                    "assert not {'csv', 'heapq'} & set(sys.modules)\n"
                    "from casimir_momentum.cli import run\n"
                    "assert run(['budget', '--output', os.devnull]) == 0\n"
-                   "assert 'csv' not in sys.modules")
+                   "loaded = {'csv', 'fractions', 'decimal', 'numbers'} & set(sys.modules)\n"
+                   "assert not loaded, sorted(loaded)")
     assert proc.returncode == 0, proc.stderr
 
 

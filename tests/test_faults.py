@@ -1,0 +1,288 @@
+"""Seeded faults: each plausible fault and the exact `verify` rows it fails.
+
+FAULTS maps a fault id to the patch that seeds it and the rows it fails, in
+CHECKS order. MISREPORTS scales each nonzero value of each subcommand's
+report at its defaults by 1.5 in the handler; UNREAD names the values whose
+misreport fails no row, the open gap of the oracle suite.
+
+Two rows have no fault here. `kappa1_discrete_runtime` bounds the seconds
+the kappas report takes, which only a minute-long handler could fail.
+`serialization_deterministic` serializes one envelope twice in one process;
+identity across processes is held by test_cli's
+test_byte_identical_repeated_runs, test_deps'
+test_reports_identical_across_python_versions and the benchmark's per-argv
+byte check.
+"""
+
+import math
+from typing import Any, Callable, NamedTuple
+
+import pytest
+
+from casimir_momentum import cli, hydrogen, quadrature, renorm, sums, verify
+from casimir_momentum.units import constants
+
+
+class Fault(NamedTuple):
+    patch: Callable[[pytest.MonkeyPatch], None]
+    failed: tuple[str, ...]                        # in CHECKS order
+    bounds: dict[str, tuple[float, float]] = {}    # open bounds on row values
+
+
+def _misreport(subcommand: str, key: str, change: Callable[[Any], Any]):
+    """A patch under which the subcommand's handler reports change(value)
+    as `key`, in every report that carries it."""
+    def patch(monkeypatch: pytest.MonkeyPatch) -> None:
+        cmd = cli.SUBCOMMANDS[subcommand]
+
+        def handler(params):
+            rows = cmd.handler(params)
+            if key in rows:
+                entry, provenance = rows[key]
+                rows[key] = ({**entry, "value": change(entry["value"])}, provenance)
+            return rows
+        monkeypatch.setitem(cli.SUBCOMMANDS, subcommand, cmd._replace(handler=handler))
+    return patch
+
+
+def _coefficient_off(name: str, k: int):
+    """c_k of one series off by one unit in its 10th digit."""
+    def patch(monkeypatch):
+        true = sums._coefficient
+
+        def perturbed(series: str, j: int) -> float:
+            c = true(series, j)
+            if (series, j) == (name, k):
+                c += 10.0 ** (math.floor(math.log10(c)) - 9)
+            return c
+        monkeypatch.setattr(sums, "_coefficient", perturbed)
+    return patch
+
+
+def _without_kappa1_e2_part(monkeypatch):
+    kappa1 = sums.SERIES["kappa1"]
+    monkeypatch.setitem(sums.SERIES, "kappa1", kappa1._replace(parts=kappa1.parts[1:]))
+
+
+def _oscillator_term_scaled(monkeypatch):
+    oscillator = sums.SERIES["oscillator"]
+    monkeypatch.setitem(sums.SERIES, "oscillator", oscillator._replace(
+        term=lambda *columns: 1.8 * oscillator.term(*columns)))
+
+
+def _tail_one_term_short(monkeypatch):
+    # partial = S_inf - tail(n_max + 1) leaves out the term n_max + 1. S_inf
+    # is worked out first, as the tail beyond _HEAD, from the weights unpatched.
+    for name in sums.SERIES:
+        sums._sum_to_infinity(name)
+    weight = sums._zeta_weight
+    monkeypatch.setattr(sums, "_zeta_weight", lambda k, n_max: weight(k, n_max + 1))
+
+
+def _velocity_form_off(monkeypatch):
+    exact = hydrogen._exact_integrals
+
+    def scaled(n):
+        i1, i2, i3 = exact(n)
+        return i1, i2 * (1 + 1e-13), i3
+    monkeypatch.setattr(hydrogen, "_exact_integrals", scaled)
+
+
+def _closed_form_plain_powers(monkeypatch):
+    def closed_form(n):
+        c = 8.0 / (n**3 * math.sqrt((n - 1) * n * (n + 1)))
+        i3 = 2.0 * c * (n - 1) * n * (n + 1) * ((n - 1) / n) ** (n - 3) \
+            * ((n + 1) / n) ** -(n + 3)
+        i2 = (n * n - 1) / (2.0 * n * n) * i3
+        d = 2.0 / (n + 1)
+        s = (2.0 - ((n - 1) / (n + 1)) ** (n - 1)
+             * ((n - 1) * n * d * d + 2 * (n - 1) * d + 2)) / d**3
+        return c * (n / (n + 1)) ** 3 * s, i2, i3
+    monkeypatch.setattr(hydrogen, "_closed_form", closed_form)
+
+
+def _centre_weight_off(monkeypatch):
+    weights = list(quadrature._WEIGHTS_K)
+    weights[7] *= 1 + 1e-13
+    monkeypatch.setattr(quadrature, "_WEIGHTS_K", tuple(weights))
+
+
+def _faked_engine(monkeypatch):
+    class FakeResult:
+        value = 123.456
+        error = 0.0
+    monkeypatch.setattr(quadrature, "integrate_adaptive", lambda *a, **k: FakeResult())
+
+
+def _self_mass_plain_log(monkeypatch):
+    def plain_log(mass, lambda_cut, const=None):
+        const = const or constants()
+        u_max = const.hbar * lambda_cut / (mass * const.light_speed_c0)
+        return (8.0 * const.fine_structure_alpha * mass / (3.0 * math.pi)) \
+            * math.log(1.0 + u_max / 2.0)
+    monkeypatch.setattr(renorm, "delta_mass", plain_log)
+
+
+def _constant_off(name: str):
+    """One of verify's constants off by 1e-8 relative, outside the 1e-9
+    bands of the unit identities."""
+    def patch(monkeypatch):
+        monkeypatch.setattr(verify, "_C", verify._C._replace(
+            **{name: getattr(verify._C, name) * (1 + 1e-8)}))
+    return patch
+
+
+_EXPANSION, _PARTIALS = "rydberg_expansion_exact_route", "rydberg_partials_term_by_term"
+
+FAULTS: dict[str, Fault] = {
+    # S_inf reads c_k times zeta(3 + 2k, 10): above 3e-5 for k <= 1, so the
+    # reported partials leave the term-by-term sums. At k = 2 the weight,
+    # 2e-8, puts the fault below the bars of every series but kappa2.
+    **{f"c{k}_{name}_off_in_10th_digit": Fault(
+        _coefficient_off(name, k),
+        (_EXPANSION, _PARTIALS) if k < 2 or name == "kappa2" else (_EXPANSION,))
+       for name in sums.SERIES for k in range(3)},
+    "kappa1_without_e2_part": Fault(
+        _without_kappa1_e2_part, ("kappa1_discrete_200", _EXPANSION, _PARTIALS)),
+    # A term 1.8 times too large carries the partial sums past 1
+    # (0.565 * 1.8 = 1.017). The exact-route terms, built by the same term,
+    # leave the expansion, and the reported partial, whose terms n > 9 come
+    # from the expansion, leaves the term-by-term sum.
+    "oscillator_term_x1.8": Fault(_oscillator_term_scaled, (
+        _EXPANSION, _PARTIALS, "oscillator_strength_sum_400",
+        "oscillator_partials_below_one")),
+    # The value, S_inf, stays in every band.
+    "partial_tail_one_term_short": Fault(_tail_one_term_short, (_PARTIALS,)),
+    # The exact route's I2 scaled by 1 + 1e-13 no longer cancels the
+    # length-form ket; the exact-route terms of kappa2 and bethe leave the
+    # expansion, and the two routes disagree.
+    "exact_route_I2_off_1e-13": Fault(_velocity_form_off, (
+        _EXPANSION, "first_moment_residual", "radial_dual_route_nle200")),
+    # verify checks the reported value, not its own recomputation.
+    "kappas_net_coefficient_plus_1": Fault(
+        _misreport("kappas", "net_coefficient", lambda v: v + 1.0),
+        ("net_coefficient",)),
+    # Plain ** puts I_3 off by 2.1e-14 at n <= 200: inside a 1e-10 band,
+    # outside the row's 5e-15.
+    "closed_form_powers_without_log1p": Fault(
+        _closed_form_plain_powers, ("radial_dual_route_nle200",),
+        {"radial_dual_route_nle200": (1e-14, 1e-10)}),
+    # The K15 centre weight scaled by 1 + 1e-13 biases every engine integral
+    # past the oracle rows with the tightest bars. The weights cut to 15
+    # digits fail no row at these tolerances.
+    "k15_centre_weight_off_in_13th_digit": Fault(_centre_weight_off, (
+        "kappa2_continuum_engine_ymin0", "kappa2_continuum_engine_ymin0.001",
+        "kappa2_continuum_engine_ymin2", "delta_mass_engine")),
+    # An engine that answers 123.456 for every integral.
+    "faked_engine": Fault(_faked_engine, (
+        "kappa2_continuum_closed_form",
+        *(f"{which}_continuum_engine_ymin{y_min:g}"
+          for which in ("kappa1", "kappa2") for y_min in verify._ORACLE_YMIN),
+        "beta_integral_closed_form", "delta_mass_engine")),
+    # ln(1 + u/2) by plain log loses its relative precision at small u.
+    "self_mass_log_without_log1p": Fault(
+        _self_mass_plain_log, ("delta_mass_engine",),
+        {"delta_mass_engine": (1e3, math.inf)}),
+    # A ratio 1.5 times too large stays within the row's factor of 10.
+    "rho_c_ratio_x100": Fault(
+        _misreport("rho-c", "ratio_to_reference", lambda v: 100 * v),
+        ("rho_c_order_of_magnitude",)),
+    # A misreport by a factor keeps the item parallel to B0 x E0.
+    "abraham_reversed": Fault(
+        _misreport("budget", "abraham", lambda v: [-c for c in v]),
+        ("abraham_parallel_to_BxE",)),
+    # verify's own constants: alpha also sets the self-mass prefactor, and
+    # eps0 enters the Coulomb identity alone.
+    "verify_alpha_off_1e-8": Fault(_constant_off("fine_structure_alpha"), (
+        "units_hartree_identity", "units_bohr_identity", "delta_mass_engine")),
+    "verify_eps0_off_1e-8": Fault(_constant_off("vacuum_permittivity_eps0"),
+                                  ("units_coulomb_identity",)),
+}
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_seeded_fault_fails_exactly_its_rows(fresh_memos, monkeypatch, fault):
+    seeded = FAULTS[fault]
+    seeded.patch(monkeypatch)
+    results = verify.run_checks()
+    assert tuple(res.name for res in results if not res.passed) == seeded.failed
+    values = {res.name: res.value for res in results}
+    for name, (low, high) in seeded.bounds.items():
+        assert low < values[name] < high, (name, values[name])
+
+
+def _scaled(value):
+    return [1.5 * c for c in value] if isinstance(value, (list, tuple)) else 1.5 * value
+
+
+# The rows that fail when the named value of a subcommand's report at its
+# defaults is scaled by 1.5 in its handler, in CHECKS order.
+MISREPORTS: dict[tuple[str, str], tuple[str, ...]] = {
+    ("kappas", "kappa1_discrete"): ("kappa1_discrete_200",),
+    ("kappas", "kappa2_discrete"): ("kappa2_discrete_200",),
+    ("kappas", "kappa1_continuum"): ("kappa1_continuum_ymin1",),
+    ("kappas", "kappa2_continuum"): ("kappa2_continuum_ymin1",),
+    ("kappas", "kappa1_total"): ("kappa1_total",),
+    ("kappas", "kappa2_total"): ("kappa2_total",),
+    ("kappas", "net_coefficient"): ("net_coefficient",),
+    ("kappas", "relative_momentum_shift"): ("relative_shift_magnitude",),
+    ("polarizability", "polarizability_discrete"): (
+        "polarizability_discrete_400", "polarizability_below_exact"),
+    ("polarizability", "oscillator_strength_sum"): ("oscillator_strength_sum_400",),
+    ("bethe", "bethe_sum"): ("bethe_sum_200",),
+    ("bethe", "normalization_coefficient"): ("normalization_coefficient",),
+    ("continuum", "kappa1_continuum[ymin=0]"): (
+        "kappa1_continuum_ymin0", "kappa1_continuum_engine_ymin0"),
+    ("continuum", "kappa1_continuum[ymin=1]"): ("kappa1_continuum_engine_ymin1",),
+    ("continuum", "kappa1_continuum[ymin=2]"): ("kappa1_continuum_engine_ymin2",),
+    ("continuum", "kappa2_continuum[ymin=0]"): ("kappa2_continuum_engine_ymin0",),
+    ("continuum", "kappa2_continuum[ymin=1]"): ("kappa2_continuum_engine_ymin1",),
+    ("continuum", "kappa2_continuum[ymin=2]"): ("kappa2_continuum_engine_ymin2",),
+    ("renorm", "delta_mass_electron"): (
+        "delta_mass_engine", "reduced_mass_shift_first_order"),
+    ("renorm", "delta_mass_proton"): ("delta_mass_engine",),
+    ("renorm", "doubling_increment_electron"): ("delta_mass_doubling_increment",),
+    ("renorm", "doubling_increment_limit"): ("delta_mass_doubling_increment",),
+    ("renorm", "reduced_mass_shift"): ("reduced_mass_shift_first_order",),
+    ("rho-c", "divergence_exponent"): (
+        "divergence_exponent_dispersionless", "divergence_exponent_free_electron"),
+    ("budget", "relativistic_darwin_coefficient"): ("mass_coefficient_itemization",),
+    ("budget", "relativistic_p4_coefficient"): ("mass_coefficient_itemization",),
+    ("budget", "relativistic_net"): ("mass_coefficient_itemization",),
+}
+
+# The reported values whose misreport by 1.5 fails no row. The Abraham item
+# fails abraham_parallel_to_BxE only when its direction is wrong.
+UNREAD = {
+    ("polarizability", "polarizability_exact_total"),
+    ("polarizability", "continuum_deficit"),
+    ("bethe", "log_value"),
+    ("continuum", "kappa1_continuum[ymin=0.5]"),
+    ("continuum", "kappa2_continuum[ymin=0.5]"),
+    ("renorm", "delta_mass_log_slope"),
+    *(("rho-c", key) for key in ("rho_c", "omega_max", "reference_mass_density",
+                                 "ratio_to_reference")),
+    *(("budget", key) for key in (
+        "abraham", "casimir_correction", "casimir_relative_shift",
+        "kinetic_mass_factor", "total", "transverse_bound",
+        "relativistic_field_bound", "alpha0_si", "kappa1", "kappa2",
+        "relativistic_bartlett_power_alpha2_coeff")),
+}
+
+
+@pytest.mark.parametrize("subcommand, key", [*MISREPORTS, *sorted(UNREAD)],
+                         ids=lambda arg: arg)
+def test_misreport_fails_exactly_its_rows(monkeypatch, subcommand, key):
+    _misreport(subcommand, key, _scaled)(monkeypatch)
+    failed = tuple(res.name for res in verify.run_checks() if not res.passed)
+    assert failed == MISREPORTS.get((subcommand, key), ())
+
+
+def test_misreports_name_every_nonzero_reported_value():
+    def nonzero(value):
+        return any(value) if isinstance(value, (list, tuple)) else value != 0
+    reported = {(sub, key) for sub in cli.SUBCOMMANDS if sub != "verify"
+                for key, (entry, _) in verify._report(sub).items()
+                if nonzero(entry["value"])}
+    assert not set(MISREPORTS) & UNREAD
+    assert set(MISREPORTS) | UNREAD == reported

@@ -83,25 +83,23 @@ def test_dual_route_agreement_sampled():
             assert abs(closed - exact) <= 5e-15 * exact
 
 
-def test_exact_route_never_reads_closed_form(monkeypatch):
+def test_exact_route_never_reads_closed_form(fresh_memos, monkeypatch):
     expected = [hyd._exact_integrals(n) for n in range(2, 41)]
 
     def refuse(n):
         raise AssertionError("the exact route read the closed form")
 
     monkeypatch.setattr(hyd, "_closed_form", refuse)
-    radial_record.cache_clear()
     assert [tuple(radial_record(n, "exact")) for n in range(2, 41)] == expected
 
 
 # --- "quadrature", the exact route's old name --------------------------------
 
-def test_quadrature_table_never_reads_closed_form(monkeypatch):
+def test_quadrature_table_never_reads_closed_form(fresh_memos, monkeypatch):
     def refuse(n):
         raise AssertionError("the oracle read the closed form")
 
     monkeypatch.setattr(hyd, "_closed_form", refuse)
-    radial_record.cache_clear()
     table = {n: radial_record(n, "quadrature") for n in range(2, 41)}
     assert sorted(table) == list(range(2, 41))
     # The same memoized record as the exact route's.
@@ -121,17 +119,15 @@ def table_2_200():
 
 
 @pytest.mark.parametrize("n", [2, 3, 57, 200])
-def test_quadrature_table_row_independent_of_band(table_2_200, n):
+def test_quadrature_table_row_independent_of_band(table_2_200, fresh_memos, n):
     # A row filled alone equals the row filled in the n = 2..200 sweep that
     # verify makes: no state carries from one n to the next.
-    radial_record.cache_clear()
     assert tuple(radial_record(n, "quadrature")) == table_2_200[n]  # bit-identical
 
 
-def test_exact_route_memory_bounded():
+def test_exact_route_memory_bounded(fresh_memos):
     # The Horner pass keeps three sums and one binomial, no list of terms:
     # about 40 KB at its peak for n = 3000.
-    radial_record.cache_clear()
     tracemalloc.start()
     try:
         radial_record(3000, "exact")
@@ -159,12 +155,20 @@ def test_oscillator_strengths_positive():
     assert all(_oscillator_strength(n) > 0 for n in range(2, 40))
 
 
-def test_closed_form_record_leaves_sums_table_empty(fresh_sums_to_infinity):
+def test_closed_form_record_leaves_sums_table_empty(fresh_memos):
     # A single-n record computes its closed form alone: it makes no sum to
     # infinity.
-    radial_record.cache_clear()
     assert radial_record(5000, "closed_form") == hyd._closed_form(5000)
     assert sums._sum_to_infinity.cache_info().currsize == 0
+
+
+def test_record_memo_bounded(fresh_memos):
+    # A scan of more distinct n than the memo holds keeps it at its bound.
+    for n in range(2, hyd._RECORD_MEMO + 102):
+        radial_record(n)
+    info = radial_record.cache_info()
+    assert info.maxsize == hyd._RECORD_MEMO
+    assert info.currsize == hyd._RECORD_MEMO
 
 
 def test_dipole_integral_asymptotic_decay():

@@ -121,8 +121,7 @@ def test_hurwitz_zeta_within_3_eps_of_decimal_reference(s, a):
     assert rel <= 3 * Decimal(sys.float_info.epsilon), float(rel)
 
 
-def test_sums_read_hurwitz_zeta_where_a_to_minus_s_is_normal(
-        monkeypatch, fresh_sums_to_infinity):
+def test_sums_read_hurwitz_zeta_where_a_to_minus_s_is_normal(fresh_memos, monkeypatch):
     # hurwitz_zeta loses digits where a^-s is subnormal; no pair that the
     # five sums and their sums to infinity read is one (the smallest a^-s
     # is 2e-39, at s = 9, a = 20001; the largest s is 49, at a = 3).
@@ -132,13 +131,9 @@ def test_sums_read_hurwitz_zeta_where_a_to_minus_s_is_normal(
         pairs.add((s, a))
         return hurwitz_zeta(s, a)
     monkeypatch.setattr(sums, "hurwitz_zeta", recorded)
-    sums._zeta_weight.cache_clear()
-    try:
-        for n_max in (*range(2, 401), 1000, 3000, 20000, 99999, 100000):
-            for name in sums.SERIES:
-                sums._spectral_sum(name, n_max, True)
-    finally:
-        sums._zeta_weight.cache_clear()
+    for n_max in (*range(2, 401), 1000, 3000, 20000, 99999, 100000):
+        for name in sums.SERIES:
+            sums._spectral_sum(name, n_max, True)
     assert min(a**-s for s, a in pairs) >= sys.float_info.min
     assert max(s for s, _ in pairs) == 49.0
 
@@ -298,44 +293,6 @@ def test_sum_within_error_of_sum_to_infinity(sum_to_infinity, fn, n_max, tail):
         assert res.error_bound <= 2e-15 * res.value
 
 
-def _row_passes(name: str) -> bool:
-    """The verdict of one verify row, computed alone."""
-    chk, = (c for c in verify.CHECKS if c.name == name)
-    return chk.passes(chk.compute(verify._Memo({})))
-
-
-@pytest.mark.parametrize("k", [0, 1, 2])
-@pytest.mark.parametrize("name", list(sums.SERIES))
-def test_expansion_row_fails_on_coefficient_off_in_10th_digit(
-        monkeypatch, fresh_sums_to_infinity, name, k):
-    true = sums._coefficient
-
-    def perturbed(series: str, j: int) -> float:
-        c = true(series, j)
-        if (series, j) == (name, k):
-            c += 10.0 ** (math.floor(math.log10(c)) - 9)   # one unit, 10th digit
-        return c
-    monkeypatch.setattr(sums, "_coefficient", perturbed)
-    assert not _row_passes("rydberg_expansion_exact_route")
-    # S_inf reads c_k times zeta(3 + 2k, 10): above 3e-5 for k <= 1, so the
-    # reported partials leave the term-by-term sums. At k = 2 the weight,
-    # 2e-8, puts the fault below the bars of most series.
-    if k < 2:
-        assert not _row_passes("rydberg_partials_term_by_term")
-
-
-def test_expansion_row_fails_without_kappa1_e2_part(monkeypatch, fresh_sums_to_infinity):
-    kappa1 = sums.SERIES["kappa1"]
-    monkeypatch.setitem(sums.SERIES, "kappa1",
-                        kappa1._replace(parts=kappa1.parts[1:]))
-    sums._coefficient.cache_clear()
-    try:
-        assert not _row_passes("rydberg_expansion_exact_route")
-        assert not _row_passes("rydberg_partials_term_by_term")
-    finally:
-        sums._coefficient.cache_clear()
-
-
 def test_series_read_no_per_n_interface(monkeypatch):
     # Once each S_inf is known, the five series at any n_max call neither
     # the closed forms nor radial_record nor transition_energy.
@@ -370,34 +327,28 @@ def test_warm_sum_memory_bounded():
 
 @pytest.mark.parametrize("steps", [(79, 120, 163), (20, 1000), (1000, 2100)])
 @pytest.mark.parametrize("name", list(sums.SERIES))
-def test_running_column_grown_in_steps_bit_identical(fresh_sums_to_infinity, name, steps):
+def test_running_column_grown_in_steps_bit_identical(fresh_memos, name, steps):
     # A sum reached through smaller n_max first is bit-identical to one made
     # on fresh memos: S_inf and the tail weights depend on no earlier n_max.
     for n_max in steps:
         sums._spectral_sum(name, n_max, True)
     stepped = sums._spectral_sum(name, steps[-1], True)
-    sums._sum_to_infinity.cache_clear()
-    sums._zeta_weight.cache_clear()
+    fresh_memos()
     assert sums._spectral_sum(name, steps[-1], True) == stepped
 
 
-def test_cold_sums_to_infinity_work_out_each_zeta_weight_once(
-        monkeypatch, fresh_sums_to_infinity):
+def test_cold_sums_to_infinity_work_out_each_zeta_weight_once(fresh_memos, monkeypatch):
     # The five sums to infinity all weigh c_k by zeta(3 + 2k, 10): one call
     # of hurwitz_zeta per distinct (s, a), and S_inf bit-identical to warm.
     warm = {name: sums._sum_to_infinity(name) for name in sums.SERIES}
-    sums._sum_to_infinity.cache_clear()
-    sums._zeta_weight.cache_clear()
+    fresh_memos()
     calls = []
 
     def counted(s, a):
         calls.append((s, a))
         return hurwitz_zeta(s, a)
     monkeypatch.setattr(sums, "hurwitz_zeta", counted)
-    try:
-        cold = {name: sums._sum_to_infinity(name) for name in sums.SERIES}
-    finally:
-        sums._zeta_weight.cache_clear()
+    cold = {name: sums._sum_to_infinity(name) for name in sums.SERIES}
     assert cold == warm
     assert calls and len(calls) == len(set(calls)), len(calls)
 
@@ -451,32 +402,6 @@ def test_neumaier_handles_cancellation():
     assert top == 1e16 + 1000.0
 
 
-def test_oscillator_partials_row_fails_on_scaled_term(monkeypatch, fresh_sums_to_infinity):
-    # A term 1.8 times too large carries the partial sums past 1
-    # (0.565 * 1.8 = 1.017). The reported sum leaves its band with it; the
-    # exact-route terms, built by the same term, leave the expansion, and
-    # the reported partial, whose terms n > 9 come from the expansion, leaves
-    # the term-by-term sum.
-    oscillator = sums.SERIES["oscillator"]
-    monkeypatch.setitem(sums.SERIES, "oscillator", oscillator._replace(
-        term=lambda *columns: 1.8 * oscillator.term(*columns)))
-    failed = [res.name for res in verify.run_checks() if not res.passed]
-    assert failed == ["rydberg_expansion_exact_route", "rydberg_partials_term_by_term",
-                      "oscillator_strength_sum_400", "oscillator_partials_below_one"]
-
-
-def test_partials_row_fails_on_tail_one_term_short(monkeypatch, fresh_sums_to_infinity):
-    # partial = S_inf - tail(n_max + 1) leaves out the term n_max + 1; the
-    # value, S_inf, stays in every band. S_inf is worked out first, as the
-    # tail beyond _HEAD, from the weights unpatched.
-    for name in sums.SERIES:
-        sums._sum_to_infinity(name)
-    weight = sums._zeta_weight
-    monkeypatch.setattr(sums, "_zeta_weight", lambda k, n_max: weight(k, n_max + 1))
-    failed = [res.name for res in verify.run_checks() if not res.passed]
-    assert failed == ["rydberg_partials_term_by_term"]
-
-
 # --- normalization coefficient ----------------------------------------------
 
 def _bethe(value: float) -> SpectralSumResult:
@@ -491,24 +416,3 @@ def test_normalization_constant_published_inputs():
 def test_normalization_constant_zero_cases():
     assert normalization_constant(-0.5, _bethe(0.7)) == 0.0
     assert normalization_constant(-8.35, _bethe(0.0)) == 0.0
-
-
-# --- finite-basis first moment ----------------------------------------------
-
-def test_first_moment_row_fails_on_velocity_form_off(monkeypatch):
-    # The exact route's I2 scaled by 1 + 1e-13 no longer cancels the
-    # length-form ket; the exact-route terms of kappa2 and bethe leave the
-    # expansion, and the two routes disagree.
-    exact = hydrogen._exact_integrals
-
-    def scaled(n):
-        i1, i2, i3 = exact(n)
-        return i1, i2 * (1 + 1e-13), i3
-    monkeypatch.setattr(hydrogen, "_exact_integrals", scaled)
-    radial_record.cache_clear()
-    try:
-        failed = [res.name for res in verify.run_checks() if not res.passed]
-    finally:
-        radial_record.cache_clear()
-    assert failed == ["rydberg_expansion_exact_route", "first_moment_residual",
-                      "radial_dual_route_nle200"]
