@@ -9,12 +9,16 @@ term by term; they share none of the float algebra after that.
       I_p = 4 n^(p-1) S_p / ((n+1)^(n+p) sqrt((n-1) n (n+1))),
       S_p = sum_{j=0}^{n-2} (-1)^j C(n+1, n-2-j) 2^(j+1)
                             (j+1)(j+2)...(j+p+1) (n+1)^(n-2-j).
-  One Horner pass in n + 1 gives S_1, S_2 and S_3 exactly. The only
-  roundings are the final int / int, which Python rounds correctly, and
-  the division by the correctly rounded square root, so each I_p is within
-  2 ulp of the truth. The pass is n - 1 steps on integers of up to about
-  n log2(n) bits, so its cost grows as n^2: about 1 ms at n = 400, 4 ms at
-  1000 and 15 ms at 2000 on a 2-core x86-64 host (Python 3.11).
+  One Horner pass in n + 1 gives S_1, S_2 and S_3 exactly (`_horner_sums`);
+  they equal S_1 = ((n+1)^(n+1) - (n-1)^(n-1) (5n^2 - 1))/2,
+  S_2 = 2n(n+1)(n-1)^(n-1) and S_3 = 4n^2(n+1)(n-1)^(n-2), and I_2 = dE_n I_3
+  is 2n(n+1) S_2 = (n^2 - 1) S_3 (verify's rydberg_integers_closed_form for
+  n <= 200, the test suite to 400). The only roundings are the final
+  int / int, which Python rounds correctly, and the division by the
+  correctly rounded square root, so each I_p is within 2 ulp of the truth.
+  The pass is n - 1 steps on integers of up to about n log2(n) bits, so its
+  cost grows as n^2: about 1 ms at n = 400, 4 ms at 1000 and 15 ms at 2000
+  on a 2-core x86-64 host (Python 3.11).
 * closed_form -- float closed forms. With C = 8/(n^3 sqrt((n-1) n (n+1))),
   lambda = (n+1)/n and q = (n-1)/(n+1):
       I_3 = 2 C (n-1) n (n+1) ((n-1)/n)^(n-3) lambda^-(n+3)
@@ -79,53 +83,55 @@ def _closed_form(n: int) -> tuple[float, float, float]:
     return c * (n / (n + 1)) ** 3 * s, i2, i3
 
 
-def _exact_integrals(n: int) -> tuple[float, float, float]:
-    """(I1, I2, I3) by the exact route: S_1, S_2, S_3 in one Horner pass in
-    n + 1, each I_p then rounded once by int / int and once by the square root.
+def _horner_sums(n: int) -> tuple[int, int, int]:
+    """The integers S_1, S_2, S_3 of the exact route, in one Horner pass in n + 1.
 
     The j-th term of S_p is b_j (j+1)(j+2) times 1, j + 3 and (j+3)(j+4) for
     p = 1, 2, 3, with b_j = (-1)^j C(n+1, n-2-j) 2^(j+1). b_j starts at
     2 C(n+1, 3) and steps by C(n+1, k-1) = C(n+1, k) k / (n+2-k), an exact
-    division, so no list of terms is built.
+    division, so no list of terms is built. The small factors are multiplied
+    together first, so each step makes fewer products of big integers.
     """
     m = n + 1
     b = 2 * math.comb(m, 3)
     s1 = s2 = s3 = 0
     for j in range(n - 1):
         k = n - 2 - j
-        t = b * (j + 1) * (j + 2)
+        t = b * ((j + 1) * (j + 2))
         s1 = s1 * m + t
         t *= j + 3
         s2 = s2 * m + t
         s3 = s3 * m + t * (j + 4)
-        b = -2 * b * k // (m + 1 - k)
+        b = b * (-2 * k) // (m + 1 - k)
+    return s1, s2, s3
+
+
+def _integrals_of(n: int, s1: int, s2: int, s3: int) -> tuple[float, float, float]:
+    """(I1, I2, I3) of n from its S_p, each rounded by int / int and the root."""
+    m = n + 1
     root = math.sqrt((n - 1) * n * m)
     den = m ** (n + 1)
     return (4 * s1 / den / root, 4 * n * s2 / (den * m) / root,
             4 * n * n * s3 / (den * m * m) / root)
 
 
-# Bound of radial_record's memo, above the distinct keys of any one run: 637
-# in verify, 1196 in the benchmark's replay of it.
+# Bound of radial_record's memo, above the distinct keys of any one run: 202
+# in verify, 996 in the benchmark's replay of it.
 _RECORD_MEMO = 4096
 
 
 @lru_cache(maxsize=_RECORD_MEMO)
 def radial_record(n: int, method: str = "closed_form") -> RadialIntegralRecord:
     """The full (I1, I2, I3) record by one named route, "closed_form" or
-    "exact", memoized for the last _RECORD_MEMO keys.
-
-    The single-n interface, which verify's term-by-term sums and the route-
-    agreement oracle read; the spectral sums themselves need no row table
-    (see sums).
-    """
+    "exact", memoized for the last _RECORD_MEMO keys."""
     if not (n >= 2 and n % 1 == 0):
         raise ValueError("n must be an integer >= 2 (1s -> np integrals)")
     if method == "quadrature":
         # The exact route's old name, which the benchmark's traced replay
         # still passes; it goes with that replay's rewrite (ROADMAP item 6).
         return radial_record(n, "exact")
-    routes = {"closed_form": _closed_form, "exact": _exact_integrals}
+    routes = {"closed_form": _closed_form,
+              "exact": lambda n: _integrals_of(n, *_horner_sums(n))}
     if method not in routes:
         raise ValueError(f"unknown method {method!r}")
     i1, i2, i3 = routes[method](int(n))

@@ -15,7 +15,7 @@ The sum of a series to infinity, S_inf, is worked out once per series on
 first use: its first terms directly, the rest as the tail beyond _HEAD, by
 the same expansion and weight memo. The partial sum over n = 2..n_max is
 then S_inf minus the tail beyond n_max, so a sum costs the same at every
-n_max and keeps no table. `verify` sums the terms one by one as its oracle.
+n_max and keeps no table. `verify` checks each partial against an exact sum.
 """
 
 from __future__ import annotations
@@ -43,11 +43,10 @@ _ZETA_EM_OMITTED = 691.0 / 2730.0 / 479001600.0
 # A stated bound, relative, on the rounding of the float terms and of the
 # sums that hold them. A term is within 8.3 eps of its exact value up to
 # n = 1e5, but their errors do not add in one direction: those of n = 2.._HEAD
-# add to 1.43 eps of their sum at most (against 60-digit exact-route terms),
-# and compensated sums over n = 2..n_max stay within 1.42 eps of 40-digit
-# sums up to n_max = 1e5. A tail term c_k zeta(3+2k, n_max+1) is within
-# 2.65 eps (the zeta; see hurwitz_zeta) plus 0.5 eps (its product), under
-# the 4 eps charged; math.fsum adds one rounding of the sum.
+# add to 1.43 eps of their sum at most (against 60-digit exact-route terms).
+# A tail term c_k zeta(3+2k, n_max+1) is within 2.65 eps (the zeta; see
+# hurwitz_zeta) plus 0.5 eps (its product), under the 4 eps charged;
+# math.fsum adds one rounding of the sum.
 _ROUNDING = 4 * sys.float_info.epsilon
 
 

@@ -6,11 +6,13 @@ value it bounds. A row whose quantity a subcommand reports reads it from
 that subcommand's report at its defaults or at the flag values the row
 names, made once per run; only what no subcommand reports is computed here
 from the library. So a fault in a handler fails `verify` instead of
-shipping past it. `run_checks()` evaluates the rows in order, so a deployed
-artifact can audit itself from the command line, and the acceptance gate
-(tests/test_acceptance.py) asserts the same rows. The benchmark keeps its
-own copy of five of these bands in bench/spec.py, which a test holds equal
-to these rows.
+shipping past it. The Rydberg oracles are exact integer passes: the exact
+route's Horner integers against their closed forms, and the five series'
+partial sums in fixed point. `run_checks()` evaluates the rows in order,
+so a deployed artifact can audit itself from the command line, and the
+acceptance gate (tests/test_acceptance.py) asserts the same rows. The
+benchmark keeps its own copy of five of these bands in bench/spec.py,
+which a test holds equal to these rows.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import math
 import sys
 import time
-from typing import Any, Callable, Iterable, NamedTuple
+from typing import Any, Callable, NamedTuple
 
 from . import budget, cli, hydrogen, quadrature, sums, units
 from .units import constants
@@ -174,31 +176,27 @@ def _delta_mass_oracle(m: _Memo) -> float:
     return worst
 
 
+def _horner_pass() -> tuple[int, list[tuple[float, float, float]]]:
+    """The exact route for n = 2..200 in one Horner pass, shared by two rows:
+    the number of n at which its integers miss their closed forms (see
+    hydrogen), and its integrals. The closed forms of S_2 and S_3 make
+    2 n (n+1) S_2 = (n^2 - 1) S_3, the velocity-length identity, hold."""
+    misses, integrals = 0, []
+    for n in range(2, 201):
+        s1, s2, s3 = hydrogen._horner_sums(n)
+        low = (n - 1) ** (n - 2)
+        closed = ((n + 1) ** (n + 1) - (n - 1) * low * (5 * n * n - 1),
+                  2 * n * (n + 1) * (n - 1) * low, 4 * n * n * (n + 1) * low)
+        misses += (2 * s1, s2, s3) != closed
+        integrals.append(hydrogen._integrals_of(n, s1, s2, s3))
+    return misses, integrals
+
+
 def _radial_route_gap(m: _Memo) -> float:
     """Worst relative gap of the exact route to the closed forms, n <= 200."""
     return max(abs(exact - closed) / closed
-               for n in range(2, 201)
-               for closed, exact in zip(hydrogen.radial_record(n, "closed_form"),
-                                        hydrogen.radial_record(n, "exact")))
-
-
-def _first_moment_residual(m: _Memo) -> float:
-    """|<psi| p_z |psi>| to first order in a unit static z-field, psi the
-    ground state polarized within n <= 40; zero in exact arithmetic.
-
-    The coefficients c_n = <np0|z|1s>/dE_n = I3(n)/(sqrt(3) dE_n) are real,
-    so the bra and ket parts of the imaginary momentum matrix elements
-    cancel, here only if I2 = dE_n I3: the bra <0|p_z|n> = -i I2(n)/sqrt(3)
-    is in the velocity form, I2 by the exact route, and the ket <n|p_z|0> =
-    i dE_n I3(n)/sqrt(3) in the length form, I3 by the closed form.
-    """
-    acc = 0.0 + 0.0j
-    for n in range(2, 41):
-        i3, de = hydrogen.radial_record(n).I3, hydrogen.transition_energy(n)
-        bra_side = -1j * hydrogen.radial_record(n, "exact").I2 / math.sqrt(3.0)
-        ket_side = 1j * de * i3 / math.sqrt(3.0)
-        acc += i3 / (math.sqrt(3.0) * de) * (bra_side + ket_side)
-    return abs(acc)
+               for n, record in enumerate(m(_horner_pass)[1], start=2)
+               for closed, exact in zip(hydrogen.radial_record(n, "closed_form"), record))
 
 
 def _expansion_oracle(m: _Memo) -> float:
@@ -215,52 +213,47 @@ def _expansion_oracle(m: _Memo) -> float:
     return worst
 
 
-# The report, and its key, that carries the sum of each Rydberg series.
-_SUM_REPORTS = {"kappa1": ("kappas", "kappa1_discrete"),
-                "kappa2": ("kappas", "kappa2_discrete"),
-                "polarizability": ("polarizability", "polarizability_discrete"),
-                "bethe": ("bethe", "bethe_sum"),
-                "oscillator": ("polarizability", "oscillator_strength_sum")}
+# Each Rydberg series: the report, and its key, that carries its sum, and its
+# term times 2^_SCALE from n, d = n^2 - 1 and q = (n-1)^(n-2)/(n+1)^(n+2)
+# times 2^_SCALE, floored. By the closed forms of the S_p (see hydrogen),
+# I2 I3 = 128 n^5 q^2, I3^2 = 256 n^7 q^2/d, I2^2 = 64 n^3 d q^2, dE = d/(2 n^2)
+# and I1 I3 = 32 n^3 q (1 - d (5 n^2 - 1) q)/d. Each floor is off by less than
+# a unit: the sums to n = 400 are within 2^-98 of exact (against 2^600).
+_SCALE = 120
+_RYDBERG_SUMS = {
+    "kappa1": ("kappas", "kappa1_discrete", lambda n, d, q: 256 * n**7 * q
+               * ((1 << _SCALE) - d * (5 * n * n - 1) * q) // (27 * d**3 << _SCALE)),
+    "kappa2": ("kappas", "kappa2_discrete",
+               lambda n, d, q: 256 * n**7 * q * q // (27 * d << _SCALE)),
+    "polarizability": ("polarizability", "polarizability_discrete",
+                       lambda n, d, q: 1024 * n**9 * q * q // (3 * d * d << _SCALE)),
+    "bethe": ("bethe", "bethe_sum", lambda n, d, q: 64 * n**3 * d * q * q >> _SCALE),
+    "oscillator": ("polarizability", "oscillator_strength_sum",
+                   lambda n, d, q: 256 * n**5 * q * q // (3 << _SCALE)),
+}
 
 
-def _neumaier(terms: Iterable[float]) -> tuple[float, float]:
-    """The Neumaier-compensated sum of terms, in order, and the largest of
-    its partial sums."""
-    total = comp = 0.0
-    top = -math.inf
-    for t in terms:
-        s = total + t
-        if abs(total) >= abs(t):
-            comp += (total - s) + t
-        else:
-            comp += (t - s) + total
-        total = s
-        top = max(top, total + comp)
-    return total + comp, top
-
-
-def _term_sums() -> dict[str, tuple[float, float]]:
-    """name -> (sum, largest partial sum) of each Rydberg series over
-    n = 2..N, N the default n_max of its report, term by term from closed
-    forms made once for all five series."""
-    n_maxes = {name: _params(sub)["n_max"] for name, (sub, _) in _SUM_REPORTS.items()}
-    rows = [(*hydrogen.radial_record(n, "closed_form"), hydrogen.transition_energy(n))
-            for n in range(2, max(n_maxes.values()) + 1)]
-    return {name: _neumaier(sums.SERIES[name].term(*row) for row in rows[:n_max - 1])
-            for name, n_max in n_maxes.items()}
+def _exact_partials() -> dict[str, int]:
+    """name -> the sum of each Rydberg series over n = 2..N, N the default
+    n_max of its report, times 2^_SCALE; one division per n serves all five."""
+    n_maxes = {name: _params(sub)["n_max"] for name, (sub, _, _) in _RYDBERG_SUMS.items()}
+    totals = dict.fromkeys(_RYDBERG_SUMS, 0)
+    for n in range(2, max(n_maxes.values()) + 1):
+        d = n * n - 1
+        q = ((n - 1) ** (n - 2) << _SCALE) // (n + 1) ** (n + 2)
+        for name, (_, _, term) in _RYDBERG_SUMS.items():
+            if n <= n_maxes[name]:
+                totals[name] += term(n, d, q)
+    return totals
 
 
 def _partials_oracle(m: _Memo) -> float:
-    """Worst |term-by-term sum - reported partial| of the Rydberg series
-    over the sum of their bars: _ROUNDING of the former (see sums), and the
-    reported error."""
-    worst = 0.0
-    for name, (total, _) in m(_term_sums).items():
-        subcommand, key = _SUM_REPORTS[name]
-        row = m(_report, subcommand)[key][0]
-        worst = max(worst, abs(total - row["partial"])
-                    / (sums._ROUNDING * total + row["error"]))
-    return worst
+    """Worst |exact sum - reported partial| of the Rydberg series over the
+    reported error. A partial times 2^_SCALE is an integer, so the gap is exact."""
+    rows = {name: m(_report, sub)[key][0] for name, (sub, key, _) in _RYDBERG_SUMS.items()}
+    return max(abs(exact - int(math.ldexp(rows[name]["partial"], _SCALE)))
+               / math.ldexp(rows[name]["error"], _SCALE)
+               for name, exact in m(_exact_partials).items())
 
 
 def _serialization_repeats(m: _Memo) -> bool:
@@ -314,9 +307,8 @@ CHECKS: tuple[Check, ...] = (
     Check("rydberg_expansion_exact_route", _expansion_oracle,
           rule=lambda r: r <= 1.0,
           text="exact-route terms within their bar plus the expansion's"),
-    Check("rydberg_partials_term_by_term", _partials_oracle,
-          rule=lambda r: r <= 1.0,
-          text="term-by-term sums within their bar plus the reported partial's"),
+    Check("rydberg_partials_exact", _partials_oracle, rule=lambda r: r <= 1.0,
+          text="exact sums within the reported partial's error"),
 
     # Continuum integrals.
     Check("kappa1_continuum_ymin0", _reported("continuum", "kappa1_continuum[ymin=0]"),
@@ -356,7 +348,9 @@ CHECKS: tuple[Check, ...] = (
           rule=lambda v: v < sums.POLARIZABILITY_EXACT_AU, text="below 4.5"),
     Check("oscillator_strength_sum_400",
           _reported("polarizability", "oscillator_strength_sum"), 0.5650, 0.001),
-    Check("oscillator_partials_below_one", lambda m: m(_term_sums)["oscillator"][1],
+    # Every exact term is positive, so the sum to n_max is the largest partial.
+    Check("oscillator_partials_below_one",
+          lambda m: math.ldexp(m(_exact_partials)["oscillator"], -_SCALE),
           rule=lambda v: v < 1.0, text="below 1 for all truncations"),
 
     # Regularization scaling.
@@ -380,8 +374,9 @@ CHECKS: tuple[Check, ...] = (
           text="matches two-sided perturbed 1/mu to 1e-3"),
     Check("mass_coefficient_itemization", _itemized_net, rule=lambda v: v == 1,
           text="Darwin + p^4 items give the net within one rounding; net exactly 1"),
-    Check("first_moment_residual", _first_moment_residual, rule=lambda v: v <= 1e-14,
-          text="velocity-form bra cancels length-form ket to 1e-14"),
+    Check("rydberg_integers_closed_form", lambda m: m(_horner_pass)[0],
+          rule=lambda misses: misses == 0,
+          text="Horner integers equal their closed forms for n <= 200"),
     Check("radial_dual_route_nle200", _radial_route_gap,
           rule=lambda v: v <= 5e-15, text="agree to 5e-15 relative"),
     Check("serialization_deterministic", _serialization_repeats,

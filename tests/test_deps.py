@@ -176,6 +176,17 @@ def test_import_and_json_budget_load_neither_csv_nor_heapq():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_verify_loads_no_fractions():
+    # verify's exact passes run on int alone; fractions, with decimal and
+    # numbers, would add about 3 ms of imports to its cold run.
+    proc = _python("import os, sys\n"
+                   "from casimir_momentum.cli import run\n"
+                   "assert run(['verify', '--output', os.devnull]) == 0\n"
+                   "loaded = {'fractions', 'decimal', 'numbers'} & set(sys.modules)\n"
+                   "assert not loaded, sorted(loaded)")
+    assert proc.returncode == 0, proc.stderr
+
+
 # The modules a subcommand must not load.
 _NOT_LOADED = {
     **dict.fromkeys(("continuum", "kappas", "bethe", "polarizability"),

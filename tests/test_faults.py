@@ -29,9 +29,10 @@ class Fault(NamedTuple):
     bounds: dict[str, tuple[float, float]] = {}    # open bounds on row values
 
 
-def _misreport(subcommand: str, key: str, change: Callable[[Any], Any]):
-    """A patch under which the subcommand's handler reports change(value)
-    as `key`, in every report that carries it."""
+def _misreport(subcommand: str, key: str, change: Callable[[dict], Any],
+               field: str = "value"):
+    """A patch under which the subcommand's handler reports change(entry) as
+    the `field` of `key`'s entry, in every report that carries it."""
     def patch(monkeypatch: pytest.MonkeyPatch) -> None:
         cmd = cli.SUBCOMMANDS[subcommand]
 
@@ -39,7 +40,7 @@ def _misreport(subcommand: str, key: str, change: Callable[[Any], Any]):
             rows = cmd.handler(params)
             if key in rows:
                 entry, provenance = rows[key]
-                rows[key] = ({**entry, "value": change(entry["value"])}, provenance)
+                rows[key] = ({**entry, field: change(entry)}, provenance)
             return rows
         monkeypatch.setitem(cli.SUBCOMMANDS, subcommand, cmd._replace(handler=handler))
     return patch
@@ -80,12 +81,27 @@ def _tail_one_term_short(monkeypatch):
 
 
 def _velocity_form_off(monkeypatch):
-    exact = hydrogen._exact_integrals
+    exact = hydrogen._integrals_of
 
-    def scaled(n):
-        i1, i2, i3 = exact(n)
+    def scaled(n, *horner_sums):
+        i1, i2, i3 = exact(n, *horner_sums)
         return i1, i2 * (1 + 1e-13), i3
-    monkeypatch.setattr(hydrogen, "_exact_integrals", scaled)
+    monkeypatch.setattr(hydrogen, "_integrals_of", scaled)
+
+
+def _horner_s2_off_by_one(monkeypatch):
+    horner = hydrogen._horner_sums
+
+    def off(n):
+        s1, s2, s3 = horner(n)
+        return s1, s2 + (n == 57), s3
+    monkeypatch.setattr(hydrogen, "_horner_sums", off)
+
+
+def _exact_oscillator_term_scaled(monkeypatch):
+    subcommand, key, term = verify._RYDBERG_SUMS["oscillator"]
+    monkeypatch.setitem(verify._RYDBERG_SUMS, "oscillator",
+                        (subcommand, key, lambda *args: term(*args) * 9 // 5))
 
 
 def _closed_form_plain_powers(monkeypatch):
@@ -132,35 +148,48 @@ def _constant_off(name: str):
     return patch
 
 
-_EXPANSION, _PARTIALS = "rydberg_expansion_exact_route", "rydberg_partials_term_by_term"
+_EXPANSION, _PARTIALS = "rydberg_expansion_exact_route", "rydberg_partials_exact"
 
 FAULTS: dict[str, Fault] = {
     # S_inf reads c_k times zeta(3 + 2k, 10): above 3e-5 for k <= 1, so the
-    # reported partials leave the term-by-term sums. At k = 2 the weight,
-    # 2e-8, puts the fault below the bars of every series but kappa2.
+    # reported partials leave the exact sums. At k = 2 the weight, 2e-8, puts
+    # the fault within the reported error of every series but kappa2.
     **{f"c{k}_{name}_off_in_10th_digit": Fault(
         _coefficient_off(name, k),
         (_EXPANSION, _PARTIALS) if k < 2 or name == "kappa2" else (_EXPANSION,))
        for name in sums.SERIES for k in range(3)},
     "kappa1_without_e2_part": Fault(
         _without_kappa1_e2_part, ("kappa1_discrete_200", _EXPANSION, _PARTIALS)),
-    # A term 1.8 times too large carries the partial sums past 1
-    # (0.565 * 1.8 = 1.017). The exact-route terms, built by the same term,
-    # leave the expansion, and the reported partial, whose terms n > 9 come
-    # from the expansion, leaves the term-by-term sum.
+    # A term 1.8 times too large: the exact-route terms, built by the same
+    # term, leave the expansion, and the reported partial, whose terms
+    # n <= 9 it makes, leaves the exact sum and carries the value out of its
+    # band. The exact partials read no float term, so they stay below 1.
     "oscillator_term_x1.8": Fault(_oscillator_term_scaled, (
-        _EXPANSION, _PARTIALS, "oscillator_strength_sum_400",
-        "oscillator_partials_below_one")),
+        _EXPANSION, _PARTIALS, "oscillator_strength_sum_400")),
     # The value, S_inf, stays in every band.
     "partial_tail_one_term_short": Fault(_tail_one_term_short, (_PARTIALS,)),
-    # The exact route's I2 scaled by 1 + 1e-13 no longer cancels the
-    # length-form ket; the exact-route terms of kappa2 and bethe leave the
-    # expansion, and the two routes disagree.
+    # The exact route's I2 scaled by 1 + 1e-13 as it is rounded: the
+    # exact-route terms of kappa2 and bethe leave the expansion, and the two
+    # routes disagree.
     "exact_route_I2_off_1e-13": Fault(_velocity_form_off, (
-        _EXPANSION, "first_moment_residual", "radial_dual_route_nle200")),
+        _EXPANSION, "radial_dual_route_nle200")),
+    # One unit in an integer of about 1e101 moves no float: only the
+    # integer row sees it.
+    "horner_S2_off_by_one_at_n57": Fault(
+        _horner_s2_off_by_one, ("rydberg_integers_closed_form",)),
+    # Each reported partial moved by 1.5 times its own error. The float row
+    # the exact one replaced, rydberg_partials_term_by_term, read 0.74 to
+    # 0.94 against its pass mark of 1 under these, and no row failed.
+    **{f"{key}_partial_plus_1.5_error": Fault(_misreport(
+        subcommand, key, lambda e: e["partial"] + 1.5 * e["error"], "partial"),
+        (_PARTIALS,)) for subcommand, key, _ in verify._RYDBERG_SUMS.values()},
+    # verify's own exact oscillator term 1.8 times too large: its sum passes
+    # 1 (0.565 * 1.8 = 1.017).
+    "verify_exact_oscillator_term_x1.8": Fault(
+        _exact_oscillator_term_scaled, (_PARTIALS, "oscillator_partials_below_one")),
     # verify checks the reported value, not its own recomputation.
     "kappas_net_coefficient_plus_1": Fault(
-        _misreport("kappas", "net_coefficient", lambda v: v + 1.0),
+        _misreport("kappas", "net_coefficient", lambda e: e["value"] + 1.0),
         ("net_coefficient",)),
     # Plain ** puts I_3 off by 2.1e-14 at n <= 200: inside a 1e-10 band,
     # outside the row's 5e-15.
@@ -185,11 +214,11 @@ FAULTS: dict[str, Fault] = {
         {"delta_mass_engine": (1e3, math.inf)}),
     # A ratio 1.5 times too large stays within the row's factor of 10.
     "rho_c_ratio_x100": Fault(
-        _misreport("rho-c", "ratio_to_reference", lambda v: 100 * v),
+        _misreport("rho-c", "ratio_to_reference", lambda e: 100 * e["value"]),
         ("rho_c_order_of_magnitude",)),
     # A misreport by a factor keeps the item parallel to B0 x E0.
     "abraham_reversed": Fault(
-        _misreport("budget", "abraham", lambda v: [-c for c in v]),
+        _misreport("budget", "abraham", lambda e: [-c for c in e["value"]]),
         ("abraham_parallel_to_BxE",)),
     # verify's own constants: alpha also sets the self-mass prefactor, and
     # eps0 enters the Coulomb identity alone.
@@ -209,6 +238,28 @@ def test_seeded_fault_fails_exactly_its_rows(fresh_memos, monkeypatch, fault):
     values = {res.name: res.value for res in results}
     for name, (low, high) in seeded.bounds.items():
         assert low < values[name] < high, (name, values[name])
+
+
+def test_exact_rows_read_nothing_they_check(fresh_memos, monkeypatch):
+    # With the reports made, the integer and exact-partials rows give the
+    # same values while the expansion's coefficients, the zeta, the float
+    # terms and the float closed forms all refuse to run.
+    rows = {chk.name: chk for chk in verify.CHECKS}
+    names = ("rydberg_integers_closed_form", "rydberg_partials_exact")
+    expected = {name: rows[name].compute(verify._Memo({})) for name in names}
+    memo = verify._Memo({})
+    for subcommand, _, _ in verify._RYDBERG_SUMS.values():
+        memo(verify._report, subcommand)
+
+    def refuse(*args):
+        raise AssertionError("an exact row read what it checks")
+    for module, name in ((sums, "_coefficient"), (sums, "hurwitz_zeta"),
+                         (hydrogen, "_closed_form")):
+        monkeypatch.setattr(module, name, refuse)
+    for name, series in sums.SERIES.items():
+        monkeypatch.setitem(sums.SERIES, name, series._replace(term=refuse))
+    fresh_memos()
+    assert {name: rows[name].compute(memo) for name in names} == expected
 
 
 def _scaled(value):
@@ -273,7 +324,7 @@ UNREAD = {
 @pytest.mark.parametrize("subcommand, key", [*MISREPORTS, *sorted(UNREAD)],
                          ids=lambda arg: arg)
 def test_misreport_fails_exactly_its_rows(monkeypatch, subcommand, key):
-    _misreport(subcommand, key, _scaled)(monkeypatch)
+    _misreport(subcommand, key, lambda e: _scaled(e["value"]))(monkeypatch)
     failed = tuple(res.name for res in verify.run_checks() if not res.passed)
     assert failed == MISREPORTS.get((subcommand, key), ())
 

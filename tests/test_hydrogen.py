@@ -83,8 +83,19 @@ def test_dual_route_agreement_sampled():
             assert abs(closed - exact) <= 5e-15 * exact
 
 
+def test_horner_integers_equal_their_closed_forms():
+    # Up to n = 400, the range of verify's exact partial sums, whose terms
+    # are built on these closed forms; verify's integer row checks n <= 200.
+    for n in range(2, 401):
+        s1, s2, s3 = hyd._horner_sums(n)
+        assert 2 * s1 == (n + 1) ** (n + 1) - (n - 1) ** (n - 1) * (5 * n * n - 1), n
+        assert s2 == 2 * n * (n + 1) * (n - 1) ** (n - 1), n
+        assert s3 == 4 * n * n * (n + 1) * (n - 1) ** (n - 2), n
+        assert 2 * n * (n + 1) * s2 == (n * n - 1) * s3, n
+
+
 def test_exact_route_never_reads_closed_form(fresh_memos, monkeypatch):
-    expected = [hyd._exact_integrals(n) for n in range(2, 41)]
+    expected = [hyd._integrals_of(n, *hyd._horner_sums(n)) for n in range(2, 41)]
 
     def refuse(n):
         raise AssertionError("the exact route read the closed form")

@@ -254,10 +254,9 @@ _NAMES = {kappa1_discrete: "kappa1", kappa2_discrete: "kappa2",
 
 
 def _reference_sum(fn, n_max: int, tail: bool) -> SpectralSumResult:
-    """fn(n_max, tail) from a full term list, verify's compensated sum of it
-    and the expansion's tail sum_k c_k zeta(3 + 2k, n_max + 1)."""
-    terms = [_REFERENCE_TERMS[fn](n) for n in range(2, n_max + 1)]
-    partial, _ = verify._neumaier(terms)
+    """fn(n_max, tail) from a full term list, math.fsum of it and the
+    expansion's tail sum_k c_k zeta(3 + 2k, n_max + 1)."""
+    partial = math.fsum(_REFERENCE_TERMS[fn](n) for n in range(2, n_max + 1))
     rest, bar = sums.expansion(_NAMES[fn],
                                lambda k: hurwitz_zeta(3.0 + 2 * k, n_max + 1.0))
     bar += sums._ROUNDING * partial
@@ -392,14 +391,6 @@ def test_n_max_validation():
     for n_max in (1, 2.5, math.nan):
         with pytest.raises(ValueError):
             kappa1_discrete(n_max, tail=False)
-
-
-def test_neumaier_handles_cancellation():
-    # 1e16 + many small increments that a naive sum drops entirely, through
-    # the accumulator of verify's term-by-term sums.
-    total, top = verify._neumaier([1e16] + [1.0] * 1000 + [-1e16])
-    assert total == pytest.approx(1000.0, abs=1e-6)
-    assert top == 1e16 + 1000.0
 
 
 # --- normalization coefficient ----------------------------------------------
