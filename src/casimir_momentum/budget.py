@@ -1,11 +1,13 @@
 """Itemized pseudo-momentum budget for a hydrogen atom in crossed fields.
 
-Assembles the conserved-momentum decomposition: classical field-induced
-(Abraham) momentum, its quantum-vacuum (Casimir) correction, the
+assemble_budget works out every item of the conserved-momentum
+decomposition at once: the classical field-induced (Abraham) momentum, its
+quantum-vacuum (Casimir) correction and their signed ratio, the
 binding-energy correction to the kinetic momentum with its Darwin and p^4
-parts itemized, and order-of-magnitude bounds that are reported but never
-added into totals. All vectors are SI (kg m/s); inputs are SI field vectors.
-Vectors are 3-tuples of floats (Vec3); cross, dot, norm and scaling are the
+parts itemized, their total, and order-of-magnitude bounds that are
+reported but never added into the total. _PROVENANCE states the formula of
+each item. All vectors are SI (kg m/s); inputs are SI field vectors.
+Vectors are 3-tuples of floats (Vec3); cross, dot, norm and scaled are the
 four helpers below.
 """
 
@@ -85,13 +87,15 @@ class FieldConfiguration(_FieldConfiguration):
 
 
 class MomentumBudget(NamedTuple):
-    """Itemized momentum contributions; bounds are never part of totals."""
+    """Itemized momentum contributions; bounds are never part of the total."""
 
     abraham: Vec3                       # kg m/s
     casimir_correction: Vec3            # kg m/s
+    casimir_relative_shift: float       # (-k1 + k2) a^2, sign carried
     kinetic: Vec3                       # Q0, kg m/s
     kinetic_mass_factor: float          # E_bind / (M c0^2), dimensionless
     kinetic_correction: Vec3            # kinetic_mass_factor * Q0
+    total: Vec3                         # the four items above, bounds excluded
     relativistic_terms: Mapping[str, float]
     transverse_bound: float             # magnitude estimate, kg m/s
     relativistic_field_bound: float     # order alpha^2 (m_e/M) |abraham|
@@ -100,66 +104,6 @@ class MomentumBudget(NamedTuple):
     kappa2: float
     alpha0_si: float                    # polarizability volume, m^3
     provenance: Mapping[str, str]
-
-    @property
-    def casimir_relative_shift(self) -> float:
-        """casimir_correction / |abraham|: the pure number (-k1 + k2) a^2."""
-        size = norm(self.abraham)
-        if size == 0.0:
-            return 0.0
-        sign = math.copysign(1.0, dot(self.casimir_correction, self.abraham))
-        return sign * norm(self.casimir_correction) / size
-
-    def total(self) -> Vec3:
-        """Sum of the itemized contributions, bounds excluded."""
-        return tuple(a + c + k + kc for a, c, k, kc in zip(
-            self.abraham, self.casimir_correction, self.kinetic,
-            self.kinetic_correction))
-
-
-def abraham_momentum(fields: FieldConfiguration, alpha0_si: float) -> Vec3:
-    """Classical field-induced momentum eps0 alpha(0) B0 x E0 [kg m/s].
-
-    alpha0_si is the polarizability volume in m^3 (P = eps0 alpha0 E).
-    """
-    if alpha0_si <= 0:
-        raise ValueError("polarizability must be positive")
-    return scaled(constants().vacuum_permittivity_eps0 * alpha0_si,
-                  cross(fields.B0, fields.E0))
-
-
-def casimir_correction(kappa1: float, kappa2: float, abraham: Vec3) -> Vec3:
-    """Quantum-vacuum correction (-kappa1 + kappa2) alpha^2 * abraham."""
-    return scaled((-kappa1 + kappa2) * constants().fine_structure_alpha**2,
-                  _vec(abraham))
-
-
-def effective_mass_factor(binding_energy: float, total_mass: float) -> float:
-    """Relative inertial-mass shift E_bind / (M c0^2) from the binding energy.
-
-    binding_energy in J (negative for a bound state), total_mass in kg. The
-    budget itemizes this factor into the Darwin part (8/3) and the p^4 part
-    (-5/3), which sum to 1 exactly.
-    """
-    if binding_energy > 0:
-        raise ValueError("binding energy must be <= 0 for a bound state")
-    if total_mass <= 0:
-        raise ValueError("total mass must be positive")
-    return binding_energy / (total_mass * constants().light_speed_c0**2)
-
-
-def transverse_bound(fields: FieldConfiguration, factor: float,
-                     abraham: Vec3) -> float:
-    """Order-of-magnitude bound on the transverse-photon momentum [kg m/s].
-
-    alpha |factor| |Q0| + alpha^3 |P_A|, with factor = E_bind/(M c0^2) (see
-    effective_mass_factor) and P_A = abraham; an estimate only, one power of
-    alpha below the longitudinal terms, and never added into totals.
-    """
-    alpha = constants().fine_structure_alpha
-    q_part = alpha * abs(factor) * norm(fields.Q0)
-    field_part = alpha**3 * norm(abraham)
-    return q_part + field_part
 
 
 # The provenance of every item the budget report carries, in report order;
@@ -233,26 +177,33 @@ def assemble_budget(
         alpha0_si = 4.0 * math.pi * polarizability_discrete().value * a0_cubed
 
     total_mass_kg = AtomicParams.hydrogen().total_mass * const.electron_mass
-    p_a = abraham_momentum(fields, alpha0_si)
-    dp_vac = casimir_correction(kappa1, kappa2, p_a)
-    factor = effective_mass_factor(HYDROGEN_BINDING_ENERGY_J, total_mass_kg)
+    p_a = scaled(const.vacuum_permittivity_eps0 * alpha0_si,
+                 cross(fields.B0, fields.E0))
+    dp_vac = scaled((-kappa1 + kappa2) * alpha**2, p_a)
+    size = norm(p_a)
+    shift = 0.0 if size == 0.0 else math.copysign(
+        1.0, dot(dp_vac, p_a)) * norm(dp_vac) / size
+    factor = HYDROGEN_BINDING_ENERGY_J / (total_mass_kg * const.light_speed_c0**2)
+    dp_kin = scaled(factor, fields.Q0)
     rel_terms = {
         "darwin_coefficient": _DARWIN_MASS_THIRDS / 3,
         "p4_coefficient": _P4_MASS_THIRDS / 3,
         "net": (_DARWIN_MASS_THIRDS + _P4_MASS_THIRDS) / 3,
         "bartlett_power_alpha2_coeff": RELATIVISTIC_POLARIZABILITY_COEFF,
     }
-    t_bound = transverse_bound(fields, factor, p_a)
-    field_bound = alpha**2 * (const.electron_mass / total_mass_kg) * norm(p_a)
     return MomentumBudget(
         abraham=p_a,
         casimir_correction=dp_vac,
+        casimir_relative_shift=shift,
         kinetic=fields.Q0,
         kinetic_mass_factor=factor,
-        kinetic_correction=scaled(factor, fields.Q0),
+        kinetic_correction=dp_kin,
+        total=tuple(a + c + k + kc for a, c, k, kc in zip(
+            p_a, dp_vac, fields.Q0, dp_kin)),
         relativistic_terms=rel_terms,
-        transverse_bound=t_bound,
-        relativistic_field_bound=field_bound,
+        transverse_bound=alpha * abs(factor) * norm(fields.Q0) + alpha**3 * size,
+        relativistic_field_bound=alpha**2 * (const.electron_mass
+                                             / total_mass_kg) * size,
         polarizability_vacuum_item=0.0,
         kappa1=kappa1,
         kappa2=kappa2,

@@ -410,8 +410,7 @@ def _handle_budget(p: dict[str, Any]) -> dict[str, Row]:
     bud = budget.assemble_budget(
         fields, kappa1=p["kappa1"], kappa2=p["kappa2"],
         polarizability_choice=p["polarizability"].replace("-", "_"))
-    values = {**bud._asdict(), "total": bud.total(),
-              "casimir_relative_shift": bud.casimir_relative_shift}
+    values = bud._asdict()
     values.update((f"relativistic_{key}", value)
                   for key, value in bud.relativistic_terms.items())
     return {name: _row(values[name], text) for name, text in bud.provenance.items()}

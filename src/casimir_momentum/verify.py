@@ -285,6 +285,42 @@ def _abraham_off_axis(m: _Memo) -> float:
     return abs(budget.dot(abraham, cross) - scale) / scale
 
 
+def _budget_items_gap(m: _Memo) -> float:
+    """Worst relative gap of the budget's items, at its defaults, to their
+    defining products of the other reported items and the default fields;
+    a vector's gap is |difference| / |product|."""
+    item = {key: row[0]["value"] for key, row in m(_report, "budget").items()}
+    fields = _params("budget")
+    alpha2 = _C.fine_structure_alpha**2
+    mass = units.AtomicParams.hydrogen().total_mass * _C.electron_mass
+    size = budget.norm(item["abraham"])
+    shift = (-item["kappa1"] + item["kappa2"]) * alpha2
+    products = {
+        "abraham": budget.scaled(_C.vacuum_permittivity_eps0 * item["alpha0_si"],
+                                 budget.cross(fields["B0"], fields["E0"])),
+        "alpha0_si": budget.POLARIZABILITY_VOLUME_AU * _C.bohr_radius_a0**3,
+        "casimir_correction": budget.scaled(shift, item["abraham"]),
+        "casimir_relative_shift": shift,
+        "total": [sum(parts) for parts in zip(*(item[key] for key in (
+            "abraham", "casimir_correction", "kinetic", "kinetic_correction")))],
+        "transverse_bound": _C.fine_structure_alpha * (
+            abs(item["kinetic_mass_factor"]) * budget.norm(fields["Q0"])
+            + alpha2 * size),
+        "relativistic_field_bound": alpha2 * _C.electron_mass / mass * size,
+        # The ground-state binding energy is half a hartree.
+        "kinetic_mass_factor": -0.5 * _C.hartree_energy
+                               / (mass * _C.light_speed_c0**2),
+    }
+    worst = 0.0
+    for key, product in products.items():
+        reported = item[key]
+        if not isinstance(product, (list, tuple)):
+            reported, product = (reported,), (product,)
+        gap = math.hypot(*(r - p for r, p in zip(reported, product)))
+        worst = max(worst, gap / math.hypot(*product))
+    return worst
+
+
 CHECKS: tuple[Check, ...] = (
     # Constant-set consistency.
     Check("units_hartree_identity", lambda m: _C.hartree_energy / (
@@ -384,6 +420,9 @@ CHECKS: tuple[Check, ...] = (
           shown=False),
     Check("abraham_parallel_to_BxE", _abraham_off_axis,
           rule=lambda v: v <= 1e-12, text="parallel to B0 x E0"),
+    Check("budget_items_defining_products", _budget_items_gap,
+          rule=lambda v: v <= 4 * sys.float_info.epsilon,
+          text="items within 4 eps of their defining products"),
 )
 
 

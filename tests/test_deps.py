@@ -1,12 +1,13 @@
 """The package has no runtime dependency: every subcommand runs with numpy
 blocked, no file of the package mentions it, and scipy must never load.
 The package itself imports neither dataclasses nor inspect, and every
-subcommand reports the same bytes under every Python version at hand."""
+subcommand reports the same bytes under every Python version at hand. The
+tests need pytest alone."""
 
+import ast
 import importlib
 import json
 import os
-import re
 import shutil
 import subprocess
 import sys
@@ -102,18 +103,31 @@ def test_pyproject_has_no_runtime_dependency():
         assert tomllib.load(fh)["project"]["dependencies"] == []
 
 
-def test_pyproject_lists_only_numpy():
-    # Beside the test runners, numpy is the one package named, and only in
-    # the test extra (the budget and quadrature tests use it).
+def test_tests_need_only_pytest():
+    # The test extra is pytest alone, and no test file imports a package
+    # outside the standard library but pytest and this one, by an import
+    # statement or by name (pytest.importorskip, importlib.import_module).
     tomllib = pytest.importorskip("tomllib")
     with open(PYPROJECT, "rb") as fh:
-        project = tomllib.load(fh)["project"]
-    lists = {"": project["dependencies"], **project["optional-dependencies"]}
-    named = {extra: [re.split(r"[\s<>=!~;\[]", d, maxsplit=1)[0].lower()
-                     for d in deps if not d.startswith(("pytest", "hypothesis"))]
-             for extra, deps in lists.items()}
-    assert {extra: names for extra, names in named.items() if names} == \
-        {"test": ["numpy"]}
+        assert tomllib.load(fh)["project"]["optional-dependencies"] == {
+            "test": ["pytest>=7"]}
+    allowed = {*sys.stdlib_module_names, "pytest", "casimir_momentum"}
+    outside = set()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            elif (isinstance(node, ast.Call) and getattr(node.func, "attr", None)
+                  in ("importorskip", "import_module") and node.args
+                  and isinstance(node.args[0], ast.Constant)):
+                names = [node.args[0].value]
+            else:
+                continue
+            outside.update((path.name, name) for name in names
+                           if name.partition(".")[0] not in allowed)
+    assert not outside, sorted(outside)
 
 
 def test_pyproject_version_is_the_package_version():

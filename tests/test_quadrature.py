@@ -1,8 +1,8 @@
 import math
+import sys
 from fractions import Fraction
 from itertools import count
 
-import numpy as np
 import pytest
 
 from casimir_momentum import quadrature, verify
@@ -24,6 +24,19 @@ from casimir_momentum.quadrature import (
 )
 
 BETA_VALUE = 3.0 * math.pi / 512.0  # int_0^inf y^4/(1+y^2)^6 dy
+EPS = sys.float_info.epsilon
+
+
+def _linspace(start, stop, num):
+    """num evenly spaced points from start to stop, both included."""
+    step = (stop - start) / (num - 1)
+    return [*(i * step + start for i in range(num - 1)), stop]
+
+
+def _geomspace(start, stop, num):
+    """num points from start to stop, both included, evenly spaced in log."""
+    inner = [10.0 ** y for y in _linspace(math.log10(start), math.log10(stop), num)]
+    return [start, *inner[1:-1], stop]
 
 
 def test_polynomial():
@@ -53,7 +66,7 @@ def test_interior_kink_converges_with_subdivisions():
 def test_error_estimate_honest(f, a, b, true):
     res = integrate_adaptive(f, a, b)
     # The estimate covers truncation; allow a machine-rounding floor.
-    assert abs(res.value - true) <= res.error + 100 * np.finfo(float).eps * (1 + abs(true))
+    assert abs(res.value - true) <= res.error + 100 * EPS * (1 + abs(true))
 
 
 def test_max_subdivisions_failure_carries_best_estimate(monkeypatch):
@@ -77,7 +90,7 @@ def test_gauss_kronrod_rules_exact_on_monomials():
         for d in range(degree + 1):
             exact = (1 + (-1) ** d) / (d + 1)
             got = math.fsum(w * x**d for w, x in zip(rule, nodes))
-            assert abs(got - exact) <= 4 * np.finfo(float).eps * 2 / (d + 1), d
+            assert abs(got - exact) <= 4 * EPS * 2 / (d + 1), d
 
 
 def test_segment_estimate_sums_correctly_rounded():
@@ -199,10 +212,9 @@ def test_continuum_error_contract():
 
 
 def test_integrand_positivity_dense_grid():
-    grid = np.concatenate([np.geomspace(1e-8, 1e-3, 2000),
-                           np.linspace(1.0000001e-3, 60.0, 30000)])
-    assert all(kappa1_continuum_integrand(y) >= 0.0 for y in grid.tolist())
-    assert all(kappa2_continuum_integrand(y) >= 0.0 for y in grid.tolist())
+    grid = [*_geomspace(1e-8, 1e-3, 2000), *_linspace(1.0000001e-3, 60.0, 30000)]
+    assert all(kappa1_continuum_integrand(y) >= 0.0 for y in grid)
+    assert all(kappa2_continuum_integrand(y) >= 0.0 for y in grid)
 
 
 def test_kappa1_series_matches_direct_bracket():
@@ -295,7 +307,7 @@ def _bounded(form, a):
                  id="_kappa2_direct-_KAPPA2"),
 ])
 def test_direct_form_and_series_agree_within_bounds(direct, series):
-    for a in np.linspace(1.25, 2.5, 126).tolist():
+    for a in _linspace(1.25, 2.5, 126):
         (v_d, e_d), (v_s, e_s) = _bounded(direct, a), _bounded(series, a)
         assert abs(v_d - v_s) <= e_d + e_s, a
 
@@ -364,7 +376,7 @@ def test_bars_above_switch_tight():
     # The series' rounding and truncation, relative, from just above the
     # switch to the ceiling; the direct forms' bars at a = 1.5 are 2.8e-13
     # (kappa1) and 6.3e-14 (kappa2).
-    for a in (1.5000001, 1.55, *np.geomspace(1.55, Y_MIN_MAX, 60).tolist()):
+    for a in (1.5000001, 1.55, *_geomspace(1.55, Y_MIN_MAX, 60)):
         for op, most in ((kappa1_continuum, 3e-14), (kappa2_continuum, 6e-15)):
             res = op(a)
             assert res.estimated_error <= most * res.value, (op.__name__, a)
@@ -373,8 +385,8 @@ def test_bars_above_switch_tight():
 def test_scans_decrease_strictly_up_to_ceiling():
     # What the benchmark's sweep gate needs, on a grid far denser than its
     # own, across the switch from the direct form to the series.
-    grid = [0.0, *np.geomspace(1e-2, Y_MIN_MAX, 4000).tolist(),
-            *np.linspace(1.5 - 1e-6, 1.5 + 1e-6, 201).tolist()]
+    grid = [0.0, *_geomspace(1e-2, Y_MIN_MAX, 4000),
+            *_linspace(1.5 - 1e-6, 1.5 + 1e-6, 201)]
     grid = sorted(set(grid))
     for which in ("kappa1", "kappa2"):
         values = [r.value for r in ymin_sensitivity(which, grid)]
