@@ -16,8 +16,8 @@ from __future__ import annotations
 import math
 from typing import Mapping, NamedTuple
 
-from .units import (ADOPTED_KAPPA1, ADOPTED_KAPPA2, HARTREE_ENERGY,
-                    POLARIZABILITY_CHOICES, AtomicParams, constants)
+from .units import (ADOPTED_KAPPA1, ADOPTED_KAPPA2, POLARIZABILITY_CHOICES,
+                    AtomicParams, constants)
 
 # Exact static polarizability of ground-state hydrogen in the volume
 # convention (P = eps0 alpha(0) E): alpha(0) = 18 pi a0^3.
@@ -32,7 +32,7 @@ RELATIVISTIC_POLARIZABILITY_COEFF = -28 / 27
 _DARWIN_MASS_THIRDS = 8
 _P4_MASS_THIRDS = -5
 
-HYDROGEN_BINDING_ENERGY_J = -0.5 * HARTREE_ENERGY  # ground-state binding energy
+HYDROGEN_BINDING_ENERGY_J = -0.5 * constants().hartree_energy  # ground state
 
 
 Vec3 = tuple[float, float, float]

@@ -95,13 +95,7 @@ class QuadratureResult(NamedTuple):
 
 
 class QuadratureError(RuntimeError):
-    """Subdivision budget exhausted; carries the best estimate so far."""
-
-    def __init__(self, message: str, value: float, error: float, subdivisions: int):
-        super().__init__(message)
-        self.value = value
-        self.error = error
-        self.subdivisions = subdivisions
+    """Subdivision budget exhausted; the message states the best estimate."""
 
 
 def _segment(f: Integrand, lo: float, hi: float) -> tuple[float, float]:
@@ -152,8 +146,8 @@ def integrate_adaptive(
 
     Optional breakpoints seed the initial partition, which matters when the
     integrand's support is a small fraction of [a, b]; the engine never
-    samples outside [a, b]. Raises QuadratureError (best estimate attached)
-    if _MAX_SUBDIVISIONS bisections do not meet the tolerances.
+    samples outside [a, b]. Raises QuadratureError, its message stating the
+    best estimate, if _MAX_SUBDIVISIONS bisections do not meet the tolerances.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("integrate_adaptive needs finite limits; "
@@ -190,9 +184,7 @@ def integrate_adaptive(
         if subdivisions >= _MAX_SUBDIVISIONS:
             raise QuadratureError(
                 f"max_subdivisions={_MAX_SUBDIVISIONS} exceeded "
-                f"(value={total!r}, error={total_err!r})",
-                value=total, error=total_err, subdivisions=subdivisions,
-            )
+                f"(value={total!r}, error={total_err!r})")
         subdivisions += 1
         _, _, lo, hi, val = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
@@ -430,9 +422,6 @@ def kappa2_continuum(y_min: float = 1.0,
     `spec` steers nothing, as there.
     """
     return _continuum(_kappa2_direct, _KAPPA2, y_min)
-
-
-KAPPA2_CONTINUUM_AT_ZERO = 1.0 / 18.0          # (256/27pi)*(3pi/512)
 
 
 def ymin_sensitivity(

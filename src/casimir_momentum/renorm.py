@@ -169,8 +169,7 @@ def _mass_density(model: DispersionModel, omega_max: float,
     return value
 
 
-def delta_mass(mass: float, lambda_cut: float,
-               const: PhysicalConstants | None = None) -> float:
+def delta_mass(mass: float, lambda_cut: float) -> float:
     """Nonrelativistic electromagnetic self-mass at wavenumber cutoff [kg].
 
     (4/(3 pi)) alpha hbar^2 int_0^Lambda k dk / (hbar^2 k^2 / 2m + hbar c0 k),
@@ -184,7 +183,7 @@ def delta_mass(mass: float, lambda_cut: float,
         raise ValueError("mass must be positive and finite")
     if not 0 <= lambda_cut < math.inf:
         raise ValueError("cutoff must be finite and >= 0")
-    const = const or constants()
+    const = constants()
     u_max = const.hbar * lambda_cut / (mass * const.light_speed_c0)
     return (8.0 * const.fine_structure_alpha * mass / (3.0 * math.pi)) \
         * math.log1p(u_max / 2.0)

@@ -4,26 +4,13 @@ The spectral modules compute in Hartree atomic units
 (hbar = e = m_e = 4*pi*eps0 = 1, c0 = 1/alpha); the SI modules (budget,
 renorm) take their constants from the set held here.
 
-Constant values are CODATA 2018 recommended values, hard-coded for
-reproducibility.
+Constant values are CODATA 2018 recommended values, each hard-coded once,
+as a field default of PhysicalConstants, and read through constants().
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
-
-# CODATA 2018 recommended values (SI).
-FINE_STRUCTURE_ALPHA = 7.2973525693e-3   # dimensionless
-ELECTRON_MASS = 9.1093837015e-31         # kg
-PROTON_MASS = 1.67262192369e-27          # kg
-BOHR_RADIUS = 5.29177210903e-11          # m
-HARTREE_ENERGY = 4.3597447222071e-18     # J
-LIGHT_SPEED = 299792458.0                # m/s (exact)
-VACUUM_PERMITTIVITY = 8.8541878128e-12   # F/m
-HBAR = 1.054571817e-34                   # J s
-ELEMENTARY_CHARGE = 1.602176634e-19      # C (exact)
-
-PROTON_ELECTRON_MASS_RATIO = PROTON_MASS / ELECTRON_MASS
 
 # The budget's adopted vacuum couplings, discrete sums plus plane-wave
 # continuum parts (0.21 + 0.01, 0.0796 + 0.018), and its choices of alpha(0):
@@ -37,15 +24,15 @@ POLARIZABILITY_CHOICES = ("exact", "computed_discrete",
 class PhysicalConstants(NamedTuple):
     """Fixed CODATA 2018 constant set. Immutable; safe to share across threads."""
 
-    fine_structure_alpha: float = FINE_STRUCTURE_ALPHA
-    electron_mass: float = ELECTRON_MASS
-    proton_mass: float = PROTON_MASS
-    bohr_radius_a0: float = BOHR_RADIUS
-    hartree_energy: float = HARTREE_ENERGY
-    light_speed_c0: float = LIGHT_SPEED
-    vacuum_permittivity_eps0: float = VACUUM_PERMITTIVITY
-    hbar: float = HBAR
-    elementary_charge_e: float = ELEMENTARY_CHARGE
+    fine_structure_alpha: float = 7.2973525693e-3   # dimensionless
+    electron_mass: float = 9.1093837015e-31         # kg
+    proton_mass: float = 1.67262192369e-27          # kg
+    bohr_radius_a0: float = 5.29177210903e-11       # m
+    hartree_energy: float = 4.3597447222071e-18     # J
+    light_speed_c0: float = 299792458.0             # m/s (exact)
+    vacuum_permittivity_eps0: float = 8.8541878128e-12  # F/m
+    hbar: float = 1.054571817e-34                   # J s
+    elementary_charge_e: float = 1.602176634e-19    # C (exact)
 
     @property
     def classical_electron_radius(self) -> float:
@@ -96,4 +83,4 @@ class AtomicParams(_AtomicParams):
 
     @classmethod
     def hydrogen(cls) -> "AtomicParams":
-        return cls(m1=PROTON_ELECTRON_MASS_RATIO, m2=1.0)
+        return cls(m1=_CONSTANTS.proton_mass / _CONSTANTS.electron_mass)

@@ -105,6 +105,10 @@ _EXACT_TERM_ROUNDING = 9 * sys.float_info.epsilon
 # Upper cut of the beta integral: its tail beyond, at most 1e3^-7/7, is far
 # below the integration tolerance.
 _BETA_CUT = 1e3
+# Hydrogen's static polarizability in atomic units, exactly; and a budget Q0
+# at which the kinetic items are not zero.
+_POLARIZABILITY_EXACT = 9 / 2
+_KINETIC_Q0 = (("Q0", "1e-27,2e-27,-3e-27"),)
 
 
 def _params(subcommand: str, given: tuple = ()) -> dict[str, Any]:
@@ -285,12 +289,21 @@ def _abraham_off_axis(m: _Memo) -> float:
     return abs(budget.dot(abraham, cross) - scale) / scale
 
 
+def _polarizability_closure(m: _Memo) -> float:
+    """The larger of |exact total - 9/2| and |deficit - (9/2 - discrete sum)|."""
+    exact, deficit, discrete = (_reported("polarizability", key)(m) for key in (
+        "polarizability_exact_total", "continuum_deficit", "polarizability_discrete"))
+    return max(abs(exact - _POLARIZABILITY_EXACT),
+               abs(deficit - (_POLARIZABILITY_EXACT - discrete)))
+
+
 def _budget_items_gap(m: _Memo) -> float:
-    """Worst relative gap of the budget's items, at its defaults, to their
-    defining products of the other reported items and the default fields;
-    a vector's gap is |difference| / |product|."""
-    item = {key: row[0]["value"] for key, row in m(_report, "budget").items()}
-    fields = _params("budget")
+    """Worst relative gap of the budget's items, at its defaults but a nonzero
+    Q0, to their defining products of the other reported items and the
+    fields; a vector's gap is |difference| / |product|."""
+    item = {key: row[0]["value"]
+            for key, row in m(_report, "budget", _KINETIC_Q0).items()}
+    fields = _params("budget", _KINETIC_Q0)
     alpha2 = _C.fine_structure_alpha**2
     mass = units.AtomicParams.hydrogen().total_mass * _C.electron_mass
     size = budget.norm(item["abraham"])
@@ -301,6 +314,8 @@ def _budget_items_gap(m: _Memo) -> float:
         "alpha0_si": budget.POLARIZABILITY_VOLUME_AU * _C.bohr_radius_a0**3,
         "casimir_correction": budget.scaled(shift, item["abraham"]),
         "casimir_relative_shift": shift,
+        "kinetic": fields["Q0"],
+        "kinetic_correction": budget.scaled(item["kinetic_mass_factor"], fields["Q0"]),
         "total": [sum(parts) for parts in zip(*(item[key] for key in (
             "abraham", "casimir_correction", "kinetic", "kinetic_correction")))],
         "transverse_bound": _C.fine_structure_alpha * (
@@ -355,7 +370,7 @@ CHECKS: tuple[Check, ...] = (
           0.018, rel=0.05),
     Check("kappa2_continuum_closed_form",
           lambda m: m(_engine, "kappa2", 0.0).value,
-          quadrature.KAPPA2_CONTINUUM_AT_ZERO, 1e-9, text="1/18 to 1e-9"),
+          1.0 / 18.0, 1e-9, text="1/18 to 1e-9"),
     *(Check(f"{which}_continuum_engine_ymin{y_min:g}",
             _continuum_oracle(which, y_min), rule=lambda r: r <= 1.0,
             text="engine within its error plus the closed form's")
@@ -381,7 +396,9 @@ CHECKS: tuple[Check, ...] = (
           _reported("polarizability", "polarizability_discrete"), 3.663, 0.001),
     Check("polarizability_below_exact",
           _reported("polarizability", "polarizability_discrete"),
-          rule=lambda v: v < sums.POLARIZABILITY_EXACT_AU, text="below 4.5"),
+          rule=lambda v: v < _POLARIZABILITY_EXACT, text="below 4.5"),
+    Check("polarizability_exact_and_deficit", _polarizability_closure,
+          rule=lambda gap: gap == 0, text="exactly 9/2 and 9/2 minus the discrete sum"),
     Check("oscillator_strength_sum_400",
           _reported("polarizability", "oscillator_strength_sum"), 0.5650, 0.001),
     # Every exact term is positive, so the sum to n_max is the largest partial.

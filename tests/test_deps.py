@@ -5,6 +5,7 @@ subcommand reports the same bytes under every Python version at hand. The
 tests need pytest alone."""
 
 import ast
+import functools
 import importlib
 import json
 import os
@@ -12,6 +13,7 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -35,41 +37,78 @@ def _python(code: str, python: str = sys.executable,
                           text=text, env=env, timeout=120)
 
 
-def test_import_loads_only_stdlib_and_package():
-    proc = _python("import sys\n"
-                   "before = set(sys.modules)\n"
-                   "import casimir_momentum\n"
-                   "new = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
-                   "bad = new - set(sys.stdlib_module_names) - {'casimir_momentum'}\n"
-                   "assert not bad, sorted(bad)")
+# One fresh process imports the package and records what that loads, then
+# reads the first-use tables.
+_IMPORT_ONLY = (
+    "import json, sys\n"
+    "before = set(sys.modules)\n"
+    "import casimir_momentum\n"
+    "after = set(sys.modules)\n"
+    "from casimir_momentum import quadrature, sums\n"
+    "print(json.dumps({'new': sorted(after - before), 'loaded': sorted(after),\n"
+    "    'tables': [len(s.table) for s in (quadrature._KAPPA2,\n"
+    "               quadrature._KAPPA1_BY_PARTS, quadrature._KAPPA1_BINOMIAL)],\n"
+    "    'memos': [sums._exp_minus.cache_info().currsize,\n"
+    "              sums._coefficient.cache_info().currsize]}))")
+
+# One fresh process per subcommand, with numpy and dataclasses both blocked:
+# it records the modules loaded after its json report, then writes its
+# report in each format to stdout and that record as the last line of stderr.
+_FRESH_RUN = (
+    "import json, sys\n"
+    "sys.modules['numpy'] = sys.modules['dataclasses'] = None\n"
+    "from casimir_momentum.cli import run\n"
+    "loaded = None\n"
+    "for fmt in ('json', 'csv', 'text'):\n"
+    "    assert run([{subcommand!r}, '--format', fmt]) == 0, fmt\n"
+    "    loaded = loaded or sorted(sys.modules)\n"
+    "sys.stdout.flush()\n"
+    "print(json.dumps(loaded), file=sys.stderr)")
+
+
+class FreshRun(NamedTuple):
+    reports: bytes      # json, csv and text, in that order
+    loaded: set[str]    # sys.modules after the json report
+
+
+def _fresh_run(subcommand: str) -> FreshRun:
+    proc = _python(_FRESH_RUN.format(subcommand=subcommand), text=False)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return FreshRun(proc.stdout, set(json.loads(proc.stderr.splitlines()[-1])))
+
+
+@pytest.fixture(scope="module")
+def imported() -> dict:
+    proc = _python(_IMPORT_ONLY)
     assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
-def test_subcommands_run_with_numpy_blocked():
-    proc = _python("import sys\n"
-                   "sys.modules['numpy'] = None\n"
-                   "from casimir_momentum.cli import run\n"
-                   f"for argv in {ALL_RUNS!r}:\n"
-                   "    assert run(argv) == 0, argv\n")
-    assert proc.returncode == 0, proc.stderr
+@pytest.fixture(scope="module")
+def fresh_run():
+    """subcommand -> its FreshRun, one process per subcommand at most."""
+    return functools.cache(_fresh_run)
 
 
-def test_import_adds_neither_dataclasses_nor_inspect():
-    proc = _python("import sys\n"
-                   "before = set(sys.modules)\n"
-                   "import casimir_momentum\n"
-                   "new = {'dataclasses', 'inspect'} & (set(sys.modules) - before)\n"
-                   "assert not new, sorted(new)")
-    assert proc.returncode == 0, proc.stderr
+def test_import_loads_only_stdlib_and_package(imported):
+    new = {m.partition(".")[0] for m in imported["new"]}
+    bad = new - set(sys.stdlib_module_names) - {"casimir_momentum"}
+    assert not bad, sorted(bad)
 
 
-def test_subcommands_run_with_dataclasses_blocked():
-    proc = _python("import sys\n"
-                   "sys.modules['dataclasses'] = None\n"
-                   "from casimir_momentum.cli import run\n"
-                   f"for argv in {ALL_RUNS!r}:\n"
-                   "    assert run(argv) == 0, argv\n")
-    assert proc.returncode == 0, proc.stderr
+def test_subcommands_run_with_numpy_blocked(fresh_run):
+    for argv in ALL_RUNS:
+        assert "numpy" in fresh_run(*argv).loaded, argv
+
+
+def test_import_adds_neither_dataclasses_nor_inspect(imported):
+    new = {"dataclasses", "inspect"} & set(imported["new"])
+    assert not new, sorted(new)
+
+
+def test_subcommands_run_with_dataclasses_blocked(fresh_run):
+    for argv in ALL_RUNS:
+        assert "dataclasses" in fresh_run(*argv).loaded, argv
 
 
 _REPORTS = ("from casimir_momentum.cli import run\n"
@@ -79,10 +118,8 @@ _REPORTS = ("from casimir_momentum.cli import run\n"
 
 
 @pytest.fixture(scope="module")
-def reports_here() -> bytes:
-    proc = _python(_REPORTS, text=False)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+def reports_here(fresh_run) -> bytes:
+    return b"".join(fresh_run(*argv).reports for argv in ALL_RUNS)
 
 
 @pytest.mark.parametrize("name", OTHER_PYTHONS)
@@ -145,60 +182,38 @@ def test_no_source_file_mentions_numpy():
 
 # --- what a fresh process loads ---------------------------------------------
 
-_FOOTPRINT = ("import json, os, sys\n"
-              "{code}\n"
-              "print(json.dumps(sorted(m.rpartition('.')[2] for m in sys.modules\n"
-              "                        if m.startswith('casimir_momentum.'))))")
+def _package_modules(loaded: set[str]) -> set[str]:
+    return {m.rpartition(".")[2] for m in loaded if m.startswith("casimir_momentum.")}
 
 
-def _loaded(code: str) -> set[str]:
-    """The package's submodules loaded after running code in a fresh process."""
-    proc = _python(_FOOTPRINT.format(code=code))
-    assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stdout.splitlines()[-1]))
-
-
-def test_import_loads_only_the_sweep_modules():
+def test_import_loads_only_the_sweep_modules(imported):
     # The library sweep imports the package and then starts its timer; the
     # modules of its sums and continuum scans must be loaded by then.
-    assert _loaded("import casimir_momentum") == {"hydrogen", "quadrature", "sums"}
+    assert _package_modules(set(imported["loaded"])) == {"hydrogen", "quadrature", "sums"}
 
 
-def test_import_leaves_first_use_tables_empty():
+def test_import_leaves_first_use_tables_empty(imported):
     # The continuum series' tables and the Rydberg expansion's coefficient
     # caches are made on first use: an import that filled them would put
     # that work before the library sweep's timer starts.
-    proc = _python("from casimir_momentum import quadrature, sums\n"
-                   "assert not any(s.table for s in (quadrature._KAPPA2,\n"
-                   "    quadrature._KAPPA1_BY_PARTS, quadrature._KAPPA1_BINOMIAL))\n"
-                   "assert sums._exp_minus.cache_info().currsize == 0\n"
-                   "assert sums._coefficient.cache_info().currsize == 0")
-    assert proc.returncode == 0, proc.stderr
+    assert imported["tables"] == [0, 0, 0]
+    assert imported["memos"] == [0, 0]
 
 
-def test_import_and_json_budget_load_neither_csv_nor_heapq():
+def test_import_and_json_budget_load_neither_csv_nor_heapq(imported, fresh_run):
     # csv serves only the csv format and heapq only the adaptive engine; the
     # budget's exact coefficients are integers in thirds, so no fractions
     # (with decimal and numbers) loads either.
-    proc = _python("import os, sys\n"
-                   "import casimir_momentum\n"
-                   "assert not {'csv', 'heapq'} & set(sys.modules)\n"
-                   "from casimir_momentum.cli import run\n"
-                   "assert run(['budget', '--output', os.devnull]) == 0\n"
-                   "loaded = {'csv', 'fractions', 'decimal', 'numbers'} & set(sys.modules)\n"
-                   "assert not loaded, sorted(loaded)")
-    assert proc.returncode == 0, proc.stderr
+    assert not {"csv", "heapq"} & set(imported["loaded"])
+    loaded = {"csv", "fractions", "decimal", "numbers"} & fresh_run("budget").loaded
+    assert not loaded, sorted(loaded)
 
 
-def test_verify_loads_no_fractions():
+def test_verify_loads_no_fractions(fresh_run):
     # verify's exact passes run on int alone; fractions, with decimal and
     # numbers, would add about 3 ms of imports to its cold run.
-    proc = _python("import os, sys\n"
-                   "from casimir_momentum.cli import run\n"
-                   "assert run(['verify', '--output', os.devnull]) == 0\n"
-                   "loaded = {'fractions', 'decimal', 'numbers'} & set(sys.modules)\n"
-                   "assert not loaded, sorted(loaded)")
-    assert proc.returncode == 0, proc.stderr
+    loaded = {"fractions", "decimal", "numbers"} & fresh_run("verify").loaded
+    assert not loaded, sorted(loaded)
 
 
 # The modules a subcommand must not load.
@@ -212,9 +227,8 @@ _NOT_LOADED = {
 
 
 @pytest.mark.parametrize("subcommand", sorted(_NOT_LOADED))
-def test_subcommand_loads_only_what_it_runs(subcommand):
-    loaded = _loaded("from casimir_momentum.cli import run\n"
-                     f"assert run([{subcommand!r}, '--output', os.devnull]) == 0")
+def test_subcommand_loads_only_what_it_runs(subcommand, fresh_run):
+    loaded = _package_modules(fresh_run(subcommand).loaded)
     assert "cli" in loaded
     assert not loaded & _NOT_LOADED[subcommand], sorted(loaded)
 

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 from fractions import Fraction
 from itertools import count
@@ -9,7 +10,6 @@ from casimir_momentum import quadrature, verify
 from casimir_momentum.cli import run
 from casimir_momentum.quadrature import (
     DEFAULT_SPEC,
-    KAPPA2_CONTINUUM_AT_ZERO,
     Y_MIN_MAX,
     ContinuumResult,
     QuadratureError,
@@ -74,11 +74,11 @@ def test_max_subdivisions_failure_carries_best_estimate(monkeypatch):
     spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-16)
     with pytest.raises(QuadratureError) as info:
         integrate_adaptive(lambda x: abs(x - 1.0 / 3.0) ** 0.5, 0.0, 1.0, spec)
-    err = info.value
-    assert math.isfinite(err.value)
-    assert err.error > 0
-    assert err.subdivisions == 3
-    assert str(err).startswith("max_subdivisions=3 exceeded")
+    match = re.fullmatch(r"max_subdivisions=3 exceeded \(value=(.+), error=(.+)\)",
+                         str(info.value))
+    assert match is not None
+    assert math.isfinite(float(match[1]))
+    assert float(match[2]) > 0
 
 
 def test_gauss_kronrod_rules_exact_on_monomials():
@@ -175,9 +175,9 @@ def test_kappa1_vanishes_at_large_ymin():
 
 def test_kappa2_continuum_values():
     assert kappa2_continuum(1.0).value == pytest.approx(K2_AT_1, rel=1e-10)
-    assert kappa2_continuum(0.0).value == KAPPA2_CONTINUUM_AT_ZERO
+    assert kappa2_continuum(0.0).value == 1.0 / 18.0
     # Prefactor times the beta-function value reproduces the closed form.
-    assert KAPPA2_CONTINUUM_AT_ZERO == pytest.approx(
+    assert 1.0 / 18.0 == pytest.approx(
         256.0 / (27.0 * math.pi) * BETA_VALUE, abs=1e-17)
 
 

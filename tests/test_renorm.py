@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from casimir_momentum import quadrature, verify
+from casimir_momentum import quadrature, renorm, verify
 from casimir_momentum.renorm import (
     CutoffScheme,
     DispersionModel,
@@ -113,12 +113,14 @@ def test_delta_mass_doubling_tends_to_log2():
         assert increment == pytest.approx(limit, rel=1e-3)
 
 
-def test_delta_mass_linear_in_alpha_and_mass():
+def test_delta_mass_linear_in_alpha_and_mass(monkeypatch):
     m = CONST.electron_mass
     lam = 5.0 * m * CONST.light_speed_c0 / CONST.hbar
-    base = delta_mass(m, lam, const=CONST)
+    base = delta_mass(m, lam)
     doubled_alpha = PhysicalConstants(fine_structure_alpha=2 * CONST.fine_structure_alpha)
-    assert delta_mass(m, lam, const=doubled_alpha) / base == pytest.approx(2.0, rel=1e-12)
+    with monkeypatch.context() as patch:
+        patch.setattr(renorm, "constants", lambda: doubled_alpha)
+        assert delta_mass(m, lam) / base == pytest.approx(2.0, rel=1e-12)
     # Scaling m at fixed dimensionless cutoff hbar*Lambda/(m c0) is linear too.
     assert delta_mass(2 * m, 2 * lam) / base == pytest.approx(2.0, rel=1e-10)
 

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from casimir_momentum import verify
-from casimir_momentum.units import HARTREE_ENERGY, AtomicParams, constants
+from casimir_momentum.units import AtomicParams, constants
 
 CONST = constants()
 
@@ -47,7 +47,7 @@ def test_hartree_coulomb_consistency_chain():
 
 def test_rydberg_in_ev_converts_to_half_hartree():
     ev = 1.602176634e-19
-    assert 13.605693 * ev / HARTREE_ENERGY == pytest.approx(0.5, rel=1e-6)
+    assert 13.605693 * ev / CONST.hartree_energy == pytest.approx(0.5, rel=1e-6)
 
 
 def test_hydrogen_params():
