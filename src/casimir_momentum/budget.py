@@ -38,16 +38,6 @@ HYDROGEN_BINDING_ENERGY_J = -0.5 * constants().hartree_energy  # ground state
 Vec3 = tuple[float, float, float]
 
 
-def _vec(v) -> Vec3:
-    try:
-        vec = tuple(float(c) for c in v)
-    except TypeError:
-        raise ValueError(f"expected a 3-vector, got {v!r}") from None
-    if len(vec) != 3:
-        raise ValueError(f"expected a 3-vector, got {len(vec)} components")
-    return vec
-
-
 def cross(a: Vec3, b: Vec3) -> Vec3:
     """a x b."""
     return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
@@ -66,24 +56,13 @@ def scaled(s: float, a: Vec3) -> Vec3:
     return (s * a[0], s * a[1], s * a[2])
 
 
-class _FieldConfiguration(NamedTuple):
+class FieldConfiguration(NamedTuple):
+    """External fields and the atom's pseudo-momentum, SI units. Precondition:
+    each is a Vec3, as the --E0, --B0 and --Q0 parser makes it."""
+
     E0: Vec3  # V/m
     B0: Vec3  # T
     Q0: Vec3  # kg m/s
-
-
-class FieldConfiguration(_FieldConfiguration):
-    """External fields and the atom's pseudo-momentum, SI units; each is
-    stored as a 3-tuple of floats."""
-
-    __slots__ = ()
-
-    def __new__(cls, E0, B0, Q0) -> "FieldConfiguration":
-        return super().__new__(cls, _vec(E0), _vec(B0), _vec(Q0))
-
-    @classmethod
-    def _make(cls, iterable) -> "FieldConfiguration":   # so _replace coerces too
-        return cls(*iterable)
 
 
 class MomentumBudget(NamedTuple):

@@ -134,10 +134,10 @@ def _require(cond: bool, message: str) -> None:
         raise CliValidationError(message)
 
 
-def _parse_floats(text: str, flag: str) -> list[float]:
+def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
     """Comma-separated finite numbers (--E0/--B0/--Q0 and --ymin-grid)."""
     try:
-        values = [float(x) for x in text.split(",")]
+        values = tuple(float(x) for x in text.split(","))
     except ValueError:
         raise CliValidationError(f"{flag}: could not parse {text!r}") from None
     _require(all(map(math.isfinite, values)), f"{flag} values must be finite")

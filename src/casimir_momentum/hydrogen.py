@@ -128,7 +128,7 @@ def radial_record(n: int, method: str = "closed_form") -> RadialIntegralRecord:
         raise ValueError("n must be an integer >= 2 (1s -> np integrals)")
     if method == "quadrature":
         # The exact route's old name, which the benchmark's traced replay
-        # still passes; it goes with that replay's rewrite (ROADMAP item 6).
+        # still passes; it goes with that replay's rewrite (ROADMAP item 5).
         return radial_record(n, "exact")
     routes = {"closed_form": _closed_form,
               "exact": lambda n: _integrals_of(n, *_horner_sums(n))}

@@ -63,25 +63,12 @@ Integrand = Callable[[float], float]
 _MAX_SUBDIVISIONS = 2000
 
 
-class _QuadratureSpec(NamedTuple):
+class QuadratureSpec(NamedTuple):
+    """Tolerances for one adaptive integration. Precondition: both positive,
+    as the --rel-tol and --abs-tol checks enforce."""
+
     abs_tol: float = 1e-14
     rel_tol: float = 1e-10
-
-
-class QuadratureSpec(_QuadratureSpec):
-    """Tolerances for one adaptive integration."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> "QuadratureSpec":
-        self = super().__new__(cls, *args, **kwargs)
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        return self
-
-    @classmethod
-    def _make(cls, iterable) -> "QuadratureSpec":   # so _replace checks too
-        return cls(*iterable)
 
 
 DEFAULT_SPEC = QuadratureSpec()

@@ -14,37 +14,20 @@ from typing import Callable, NamedTuple, Sequence
 from .units import AtomicParams, PhysicalConstants, constants
 
 
-class _DispersionModel(NamedTuple):
-    kind: str
-    eps_r: float | None = None   # dispersionless only
-    n_e: float | None = None     # free_electron only, electrons per m^3
-
-
-class DispersionModel(_DispersionModel):
+class DispersionModel(NamedTuple):
     """High-frequency susceptibility model eps_r(omega) - 1.
 
     dispersionless: constant eps_r > 1.
     free_electron:  eps_r(omega) = 1 - n_e e^2 / (eps0 m_e omega^2), the
     plasma form valid above the plasma frequency.
+
+    Preconditions eps_r > 1 and n_e > 0, as the rho-c --eps-r and --n-e
+    checks enforce.
     """
 
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> "DispersionModel":
-        self = super().__new__(cls, *args, **kwargs)
-        if self.kind == "dispersionless":
-            if self.eps_r is None or self.eps_r <= 1.0:
-                raise ValueError("dispersionless model requires eps_r > 1")
-        elif self.kind == "free_electron":
-            if self.n_e is None or self.n_e <= 0.0:
-                raise ValueError("free_electron model requires n_e > 0")
-        else:
-            raise ValueError(f"unknown dispersion kind {self.kind!r}")
-        return self
-
-    @classmethod
-    def _make(cls, iterable) -> "DispersionModel":   # so _replace checks too
-        return cls(*iterable)
+    kind: str
+    eps_r: float | None = None   # dispersionless only
+    n_e: float | None = None     # free_electron only, electrons per m^3
 
     @classmethod
     def dispersionless(cls, eps_r: float) -> "DispersionModel":
@@ -64,35 +47,18 @@ class DispersionModel(_DispersionModel):
         )
 
 
-class _CutoffScheme(NamedTuple):
-    kind: str
-    omega_max_value: float | None = None  # rad/s
-    l_min: float | None = None            # m
-
-
-class CutoffScheme(_CutoffScheme):
+class CutoffScheme(NamedTuple):
     """UV cutoff, either a frequency or a minimum length l_min.
 
     The length form maps exactly to omega_max = pi c0 / l_min.
+
+    Precondition: a positive cutoff, as the rho-c --omega-max and --l-min
+    checks enforce (the default l_min is r_e).
     """
 
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> "CutoffScheme":
-        self = super().__new__(cls, *args, **kwargs)
-        if self.kind == "frequency":
-            if self.omega_max_value is None or self.omega_max_value <= 0:
-                raise ValueError("frequency cutoff must be positive")
-        elif self.kind == "length":
-            if self.l_min is None or self.l_min <= 0:
-                raise ValueError("length cutoff must be positive")
-        else:
-            raise ValueError(f"unknown cutoff kind {self.kind!r}")
-        return self
-
-    @classmethod
-    def _make(cls, iterable) -> "CutoffScheme":   # so _replace checks too
-        return cls(*iterable)
+    kind: str
+    omega_max_value: float | None = None  # rad/s
+    l_min: float | None = None            # m
 
     @classmethod
     def frequency(cls, omega_max: float) -> "CutoffScheme":

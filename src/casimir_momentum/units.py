@@ -48,30 +48,18 @@ def constants() -> PhysicalConstants:
     return _CONSTANTS
 
 
-class _AtomicParams(NamedTuple):
-    m1: float
-    m2: float = 1.0
-
-
-class AtomicParams(_AtomicParams):
+class AtomicParams(NamedTuple):
     """Two-particle atom parameters in electron-mass units.
 
     m1 is the heavy particle (proton or heavier isotope nucleus), m2 the
     light one (electron, m2 = 1 for ordinary hydrogen). Derived masses are
     exposed as properties so the invariants cannot drift.
+
+    Precondition m1 > m2 > 0; no flag sets a mass, and hydrogen() meets it.
     """
 
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> "AtomicParams":
-        self = super().__new__(cls, *args, **kwargs)
-        if not self.m1 > self.m2 > 0:
-            raise ValueError(f"require m1 > m2 > 0, got m1={self.m1}, m2={self.m2}")
-        return self
-
-    @classmethod
-    def _make(cls, iterable) -> "AtomicParams":   # so _replace checks too
-        return cls(*iterable)
+    m1: float
+    m2: float = 1.0
 
     @property
     def total_mass(self) -> float:

@@ -123,12 +123,30 @@ def test_budget_zero_q_kinetic_items_zero():
     assert res["relativistic_net"]["value"] == 1.0
 
 
+# (argv, the flag the refusal names). Each flag's rule is checked only by its
+# Param: the records the handlers build do not check it again.
+REFUSALS = [
+    (["kappas", "--n-max", "1"], "--n-max"),
+    (["kappas", "--ymin", "-1"], "--ymin"),
+    (["budget", "--E0", "1,2"], "--E0"),
+    (["continuum", "--ymin-grid", "2,1"], "--ymin-grid"),
+    (["rho-c", "--model", "free-electron", "--n-e", "-1"], "--n-e"),
+    (["rho-c", "--eps-r", "1"], "--eps-r"),
+    (["rho-c", "--model", "dispersionless", "--eps-r", "0.5"], "--eps-r"),
+    (["rho-c", "--n-e", "0"], "--n-e"),
+    (["rho-c", "--l-min", "0"], "--l-min"),
+    (["rho-c", "--omega-max", "0"], "--omega-max"),
+    (["kappas", "--abs-tol", "0"], "--abs-tol"),
+    (["continuum", "--rel-tol", "-1"], "--rel-tol"),
+    (["budget", "--Q0", "1,2,3,4"], "--Q0"),
+]
+
+
 def test_validation_exit_codes():
-    assert _run("kappas", "--n-max", "1").returncode == 2
-    assert _run("kappas", "--ymin", "-1").returncode == 2
-    assert _run("budget", "--E0", "1,2").returncode == 2
-    assert _run("continuum", "--ymin-grid", "2,1").returncode == 2
-    assert _run("rho-c", "--model", "free-electron", "--n-e", "-1").returncode == 2
+    for argv, flag in REFUSALS:
+        proc = _run(*argv)
+        assert (proc.returncode, proc.stdout) == (2, b""), argv
+        assert flag.encode() in proc.stderr, (argv, proc.stderr)
 
 
 def test_renorm_overflowing_cutoff_exit_2(capsys):

@@ -139,13 +139,6 @@ def test_raising_integrand_reported_as_not_finite(f):
         f(x)
 
 
-def test_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(rel_tol=-1e-9)
-
-
 def test_infinite_range_transform():
     res = integrate_to_inf(lambda y: math.exp(-y), 0.0)
     assert abs(res.value - 1.0) < 1e-12

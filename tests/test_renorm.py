@@ -79,17 +79,6 @@ def test_rho_c_linear_in_hbar():
     assert scaled / base == pytest.approx(2.0, rel=1e-12)
 
 
-def test_model_validation():
-    with pytest.raises(ValueError):
-        DispersionModel.dispersionless(1.0)
-    with pytest.raises(ValueError):
-        DispersionModel.free_electron(-1e28)
-    with pytest.raises(ValueError):
-        CutoffScheme.frequency(-1.0)
-    with pytest.raises(ValueError):
-        CutoffScheme.length(0.0)
-
-
 # --- electromagnetic self-mass ----------------------------------------------
 
 def test_delta_mass_ln2_point():

@@ -57,12 +57,3 @@ def test_hydrogen_params():
     assert atom.total_mass == atom.m1 + atom.m2
     mu = atom.m1 * atom.m2 / (atom.m1 + atom.m2)
     assert atom.reduced_mass == pytest.approx(mu, rel=1e-15)
-
-
-def test_params_ordering_enforced():
-    with pytest.raises(ValueError):
-        AtomicParams(m1=1.0, m2=1.0)
-    with pytest.raises(ValueError):
-        AtomicParams(m1=0.5, m2=1.0)
-    with pytest.raises(ValueError):
-        AtomicParams(m1=2.0, m2=-1.0)
