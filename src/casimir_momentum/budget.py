@@ -138,6 +138,7 @@ def assemble_budget(
     value with the relativistic factor (1 - (28/27) alpha^2).
     """
     const = constants()
+    # The --polarizability rule, for the benchmark's replay.
     if polarizability_choice not in POLARIZABILITY_CHOICES:
         raise ValueError(
             f"unknown polarizability choice {polarizability_choice!r}; "

@@ -391,7 +391,7 @@ def _handle_rho_c(p: dict[str, Any]) -> dict[str, Row]:
                           "map as pi c0 / l_min)"),
     }
     if p["model"] == "free-electron":
-        reference = model.n_e * const.electron_mass / const.fine_structure_alpha
+        reference = p["n_e"] * const.electron_mass / const.fine_structure_alpha
         rows["reference_mass_density"] = _row(reference, "n_e m_e / alpha")
         rows["ratio_to_reference"] = _row(abs(value) / reference, "|rho_c| / "
                                           "(n_e m_e/alpha); order unity at the "
@@ -548,8 +548,9 @@ def _effective_params(args: argparse.Namespace,
                          - {"subcommand", "output"})
         _require(not unknown, f"config file {args.config_load!r} has keys "
                  f"{args.subcommand} does not take: {', '.join(unknown)}")
-    return {p.name: next((v for v in (getattr(args, p.name), loaded.get(p.name))
-                          if v is not None), p.default) for p in params}
+    # A loaded key counts, null too; Param.checked refuses null if the default is set.
+    return {p.name: getattr(args, p.name) if getattr(args, p.name) is not None
+            else loaded.get(p.name, p.default) for p in params}
 
 
 def run(argv: list[str] | None = None) -> int:

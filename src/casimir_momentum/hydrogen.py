@@ -124,6 +124,7 @@ _RECORD_MEMO = 4096
 def radial_record(n: int, method: str = "closed_form") -> RadialIntegralRecord:
     """The full (I1, I2, I3) record by one named route, "closed_form" or
     "exact", memoized for the last _RECORD_MEMO keys."""
+    # For its callers, verify and the benchmark's replay; no flag sets n.
     if not (n >= 2 and n % 1 == 0):
         raise ValueError("n must be an integer >= 2 (1s -> np integrals)")
     if method == "quadrature":

@@ -239,6 +239,7 @@ Y_MIN_MAX = 1e6
 
 
 def _check_y_min(y_min: float) -> None:
+    # The --ymin rule, for the benchmark's lib-sweep and replay.
     if not 0 <= y_min <= Y_MIN_MAX:
         raise ValueError(f"y_min must be in [0, {Y_MIN_MAX:g}], got {y_min!r}")
 
@@ -420,6 +421,7 @@ def ymin_sensitivity(
 
     `spec` steers nothing, as in kappa1_continuum.
     """
+    # The --which and --ymin-grid rules, for the benchmark's lib-sweep and replay.
     if which not in ("kappa1", "kappa2"):
         raise ValueError(f"unknown integral {which!r}; expected kappa1 or kappa2")
     grid = [float(y) for y in y_min_grid]

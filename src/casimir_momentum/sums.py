@@ -247,6 +247,7 @@ def _spectral_sum(name: str, n_max: int, tail: bool) -> SpectralSumResult:
     n_max. The bar adds S_inf's, the tail's and eps/2 of the partial sum for
     the subtraction; with the tail on, eps/2 of the value for adding it back,
     and with the tail off, the tail itself."""
+    # The --n-max rule, for the benchmark's lib-sweep and replay.
     if not (n_max >= 2 and n_max % 1 == 0):
         raise ValueError("n_max must be an integer >= 2")
     total, total_bar = _sum_to_infinity(name)

@@ -63,14 +63,17 @@ def test_byte_identical_repeated_runs():
 
 
 def test_config_dump_and_load_round_trip(tmp_path):
-    dump = _run("kappas", "--n-max", "40", "--config-dump")
-    assert dump.returncode == 0
+    # rho-c's dump holds "l_min": null and "omega_max": null, which an
+    # optional parameter accepts.
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_bytes(dump.stdout)
-    direct = _run("kappas", "--n-max", "40", "--format", "json")
-    loaded = _run("kappas", "--config-load", str(cfg_path))
-    assert loaded.returncode == 0
-    assert loaded.stdout == direct.stdout
+    for argv in (("kappas", "--n-max", "40"), ("rho-c",)):
+        dump = _run(*argv, "--config-dump")
+        assert dump.returncode == 0
+        cfg_path.write_bytes(dump.stdout)
+        direct = _run(*argv, "--format", "json")
+        loaded = _run(argv[0], "--config-load", str(cfg_path))
+        assert loaded.returncode == 0
+        assert loaded.stdout == direct.stdout
 
 
 def test_config_load_flag_override(tmp_path):
@@ -285,6 +288,9 @@ def test_non_finite_config_load_exit_2(tmp_path, capsys):
     ("kappas", '[1, 2]', "cfg.json"),
     ("kappas", '{"nmax": 5}', "nmax"),
     ("verify", '{"format": "xml"}', "--format"),
+    ("kappas", '{"n_max": null}', "--n-max"),
+    ("kappas", '{"tail": null}', "--tail"),
+    ("verify", '{"format": null}', "--format"),
 ])
 def test_config_load_checked_like_flags(tmp_path, capsys, monkeypatch,
                                         subcommand, content, named):

@@ -65,6 +65,17 @@ def test_record_is_immutable(cls):
         rec.not_a_field = 1.0
 
 
+def test_renorm_records_are_not_tagged_unions():
+    # Each constructor fills every field: no kind tag, no field left None
+    # for the other kind.
+    records = (renorm.DispersionModel.dispersionless(2.0),
+               renorm.DispersionModel.free_electron(2.5e28),
+               renorm.CutoffScheme.frequency(1e20),
+               renorm.CutoffScheme.length(1e-12))
+    assert [rec for rec in records if None in rec] == []
+    assert "kind" not in renorm.DispersionModel._fields + renorm.CutoffScheme._fields
+
+
 def test_momentum_budgets_never_share_provenance():
     first, second = (budget.assemble_budget(_FIELDS) for _ in range(2))
     assert first.provenance is not second.provenance

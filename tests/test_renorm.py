@@ -1,8 +1,12 @@
+import json
 import math
+import sys
+from fractions import Fraction
 
 import pytest
 
 from casimir_momentum import quadrature, renorm, verify
+from casimir_momentum.cli import run
 from casimir_momentum.renorm import (
     CutoffScheme,
     DispersionModel,
@@ -16,6 +20,7 @@ from casimir_momentum.renorm import (
 from casimir_momentum.units import AtomicParams, PhysicalConstants, constants
 
 CONST = constants()
+EPS = sys.float_info.epsilon
 
 
 # --- vacuum mass density ----------------------------------------------------
@@ -37,10 +42,11 @@ def test_free_electron_quadratic_scaling():
 
 
 def test_free_electron_magnitude_at_electron_radius_cutoff():
-    model = DispersionModel.free_electron(2.5e28)
+    n_e = 2.5e28
+    model = DispersionModel.free_electron(n_e)
     cutoff = CutoffScheme.length(CONST.classical_electron_radius)
     value = casimir_mass_density(model, cutoff)
-    reference = model.n_e * CONST.electron_mass / CONST.fine_structure_alpha
+    reference = n_e * CONST.electron_mass / CONST.fine_structure_alpha
     ratio = abs(value) / reference
     # The closed form gives exactly 4/3 up to CODATA self-consistency, well
     # inside verify's rho_c_order_of_magnitude factor of 10.
@@ -53,8 +59,10 @@ def test_length_cutoff_mapping_exact():
 
 
 def test_plasma_warning():
-    model = DispersionModel.free_electron(2.5e28)
-    omega_p = model.plasma_frequency(CONST)
+    n_e = 2.5e28
+    model = DispersionModel.free_electron(n_e)
+    omega_p = math.sqrt(n_e * CONST.elementary_charge_e**2
+                        / (CONST.vacuum_permittivity_eps0 * CONST.electron_mass))
     with pytest.warns(PlasmaCutoffWarning):
         casimir_mass_density(model, CutoffScheme.frequency(omega_p / 10.0))
 
@@ -68,6 +76,41 @@ def test_mass_density_overflow_raises(model):
             casimir_mass_density(model, CutoffScheme.frequency(omega))
     with pytest.raises(MassDensityOverflow):
         divergence_exponent(model, [1e300 * 2.0**k for k in range(4)])
+
+
+_N_E = 2.5e28   # the rho-c --n-e default
+
+
+@pytest.mark.parametrize("model_args, weight, power", [
+    ((), -_N_E * CONST.elementary_charge_e**2
+     / (CONST.vacuum_permittivity_eps0 * CONST.electron_mass), 2),
+    (("--model", "dispersionless"), 2.0 - 1.0, 4),
+    (("--model", "dispersionless", "--eps-r", "3"), 3.0 - 1.0, 4),
+], ids=("free-electron", "eps_r-2", "eps_r-3"))
+@pytest.mark.parametrize("cutoff_args, omega", [
+    ((), math.pi * CONST.light_speed_c0 / CONST.classical_electron_radius),
+    (("--l-min", "1e-12"), math.pi * CONST.light_speed_c0 / 1e-12),
+    (("--omega-max", "1e20"), 1e20),
+], ids=("r_e", "l_min-1e-12", "omega_max-1e20"))
+def test_rho_c_closed_forms_absolute(capsys, model_args, weight, power,
+                                     cutoff_args, omega):
+    # The rho-c report against (2/3) hbar/(pi^3 c0^5) w Omega^p/p, with
+    # eps_r - 1 = w omega^(p - 4), taken exactly from the float inputs.
+    assert run(["rho-c", *model_args, *cutoff_args, "--format", "json"]) == 0
+    rows = {key: row["value"]
+            for key, row in json.loads(capsys.readouterr().out)["results"].items()}
+    exact = (Fraction(2, 3) * Fraction(CONST.hbar)
+             / (Fraction(math.pi)**3 * Fraction(CONST.light_speed_c0)**5)
+             * Fraction(weight) * Fraction(omega)**power / power)
+    assert abs(Fraction(rows["rho_c"]) - exact) <= 8 * Fraction(EPS) * abs(exact)
+    assert abs(rows["omega_max"] - omega) <= EPS * omega
+    if weight < 0:
+        reference = _N_E * CONST.electron_mass / CONST.fine_structure_alpha
+        assert abs(rows["reference_mass_density"] - reference) <= EPS * reference
+        assert rows["ratio_to_reference"] == abs(rows["rho_c"]) / rows["reference_mass_density"]
+    else:
+        assert "reference_mass_density" not in rows
+        assert "ratio_to_reference" not in rows
 
 
 def test_rho_c_linear_in_hbar():
