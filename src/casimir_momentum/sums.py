@@ -7,27 +7,25 @@ power series sum_k c_k v^k converges for n >= 2, so the tail beyond n_max
 is sum_k c_k zeta(3 + 2k, n_max + 1) at every n_max, with the Hurwitz zeta
 computed in-house by `hurwitz_zeta`, whose start depends on s alone and is
 memoized per s. The weights zeta(3 + 2k, n_max + 1) are the same for all
-five series and memoized for the last _ZETA_MEMO (k, n_max) pairs. Each
-c_k, an exact rational times e^-2 plus one times e^-4, is worked out on
-first use in 256-bit fixed point and rounded to a float once.
+five series and memoized for the last _ZETA_MEMO (k, n_max) pairs. The
+c_k are read from a literal table, _COEFFICIENTS, to k = 23, the largest
+index a sum at any n_max >= 2 reads.
 
-The sum of a series to infinity, S_inf, is worked out once per series on
-first use: its first terms directly, the rest as the tail beyond _HEAD, by
-the same expansion and weight memo. The partial sum over n = 2..n_max is
-then S_inf minus the tail beyond n_max, so a sum costs the same at every
-n_max and keeps no table. `verify` checks each partial against an exact sum.
+The sum of a series to infinity, S_inf, and its bar are read from a second
+literal table, _SUMS_TO_INFINITY. The partial sum over n = 2..n_max is
+S_inf minus the tail beyond n_max, so a sum costs the same at every n_max
+and keeps no table of terms. `verify` derives every entry of both tables,
+each c_k (an exact rational times e^-2 plus one times e^-4) in 256-bit
+fixed point, and requires it equal to its table entry in every bit; it also
+checks each partial against an exact sum.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from functools import cache, lru_cache
-from itertools import count
+from functools import lru_cache
 from typing import Callable, NamedTuple
-
-from . import hydrogen
-from .hydrogen import transition_energy
 
 DEFAULT_N_MAX_KAPPA = 200
 DEFAULT_N_MAX_POLARIZABILITY = 400
@@ -42,7 +40,7 @@ _ZETA_EM_OMITTED = 691.0 / 2730.0 / 479001600.0
 
 # A stated bound, relative, on the rounding of the float terms and of the
 # sums that hold them. A term is within 8.3 eps of its exact value up to
-# n = 1e5, but their errors do not add in one direction: those of n = 2.._HEAD
+# n = 1e5, but their errors do not add in one direction: those of n = 2..9
 # add to 1.43 eps of their sum at most (against 60-digit exact-route terms).
 # A tail term c_k zeta(3+2k, n_max+1) is within 2.65 eps (the zeta; see
 # hurwitz_zeta) plus 0.5 eps (its product), under the 4 eps charged;
@@ -105,7 +103,8 @@ def hurwitz_zeta(s: float, a: float) -> float:
 
 # The (k, n_max) pairs whose tail weights stay memoized. The five series
 # share them: a sweep of all five over 8 values of n_max from 100 to 450
-# reads 43 pairs 213 times, and their sums to infinity 12 more, (k, _HEAD).
+# reads 43 pairs 213 times. verify's derivation of the sums to infinity
+# reads 12 more, (k, 9).
 _ZETA_MEMO = 256
 
 
@@ -137,53 +136,57 @@ SERIES = {
 }
 
 
-# The coefficients are worked out on first use, never at import, in fixed
-# point: a value times _ONE as a Python integer. Each floor division is off
-# by less than a unit, so a c_k is within 2^-200 relative of its exact value
-# (2^-240 measured to k = 69) before int / int rounds it to a float, once.
-_ONE = 1 << 256
-
-
-@cache
-def _x(c: int, k: int) -> int:
-    """The coefficient of v^k in X_c(v), times _ONE, from the recurrence
-    k x_k = sum_{j=1}^k (-c j/(2j+1)) x_{k-j} of X' = (log X)' X."""
-    if k == 0:
-        return _ONE
-    return sum(-c * j * _x(c, k - j) // (2 * j + 1) for j in range(1, k + 1)) // k
-
-
-@cache
-def _exp_minus(c: int) -> int:
-    """e^-c times _ONE: sum_{i<100} (-c)^i/i!, whose rest is below 2^-300
-    for c <= 4."""
-    total = 0
-    power = _ONE                    # (-c)^i _ONE
-    factorial = 1                   # i!
-    for i in range(100):
-        total += power // factorial
-        power *= -c
-        factorial *= i + 1
-    return total
-
-
-@cache
-def _x_over(c: int, m: int, k: int) -> int:
-    """The coefficient of v^k in X_c(v) (1 - v)^-m, times _ONE: the partial
-    sums of those of X_c(v) (1 - v)^-(m-1), which makes it
-    sum_i C(m-1+i, i) x_{k-i}, exactly."""
-    if m == 0:
-        return _x(c, k)
-    return _x_over(c, m - 1, k) + (_x_over(c, m, k - 1) if k else 0)
-
-
-@cache
-def _coefficient(name: str, k: int) -> float:
-    """c_k of a series, rounded once: the coefficient of v^k in
-    p(v) X_c(v) (1 - v)^-m is sum_d p_d [v^(k-d)] X_c(v) (1 - v)^-m."""
-    return sum(num * _exp_minus(c) * sum(
-        p * _x_over(c, m, k - d) for d, p in enumerate(poly[:k + 1])) // den
-        for (num, den), c, m, poly in SERIES[name].parts) / _ONE**2
+# c_0..c_23 of each series: the floats that verify's exact derivation
+# (fixed point, within 2^-200 relative of exact) rounds once, written with
+# repr. The row rydberg_tables_exact holds every entry equal to it.
+_COEFFICIENTS = {
+    "kappa1": (
+        0.41488202707381844, 1.6820491900231898, 4.1876688745646415,
+        8.261681834718798, 14.186042614506107, 22.20393658418385, 32.52749952928191,
+        45.34385284794163, 60.819746806347226, 79.10513994328994,
+        100.33598281550576, 124.6364075970307, 152.12047105570463,
+        182.89355841001438, 217.0535267642034, 254.69164623403583,
+        295.89338212477077, 340.7390508754513, 389.3043747248524, 441.6609543415624,
+        497.87667440919347, 558.0160539603064, 622.1405508232532, 690.3088276821177,
+    ),
+    "kappa2": (
+        0.17365939094503519, 0.6367511001317957, 1.462597981514852,
+        2.6994693825597023, 4.380659718654351, 6.530120020728801, 9.165706419167721,
+        12.301136191699706, 15.947215939024003, 20.112642523223357,
+        24.804543193779093, 30.028850721487164, 35.79057077705045,
+        42.09397690946158, 48.94275563354681, 56.340116352817915, 64.2888759906063,
+        72.79152509648254, 81.85028015966725, 91.46712549848695, 101.643847164588,
+        112.38206065397664, 123.68323376006657, 135.5487055762045,
+    ),
+    "polarizability": (
+        6.251738074021267, 29.174777678765913, 81.82830501330058,
+        179.00920278544987, 336.7129526570065, 571.7972734032434, 901.7627044932813,
+        1344.6036073944708, 1918.703381199335, 2642.7585120353756,
+        3535.722067011423, 4616.760692984961, 5905.221240958777, 7420.604409699394,
+        9182.54361250708, 11210.787801208524, 13525.187336870351,
+        16145.682240343722, 19092.292326091745, 22385.108844037273,
+        26044.28734196244, 30090.0415255056, 34542.637940868, 39422.39134161136,
+    ),
+    "bethe": (
+        1.1722008888789874, 1.9536681481316458, 2.4485974123249963,
+        2.77441550771711, 2.999152811586137, 3.160822270363664, 3.281351150460174,
+        3.3739427751281816, 3.446887329848105, 3.5055911489066363,
+        3.5537000829055803, 3.5937462857782645, 3.62753456302267,
+        3.6563810187230144, 3.6812649938001334, 3.7029284675046568,
+        3.7219426999916503, 3.7387539095930173, 3.7537152118321777,
+        3.7671093605361294, 3.7791652091491583, 3.7900698071912258,
+        3.7999774127337207, 3.80901629282398,
+    ),
+    "oscillator": (
+        1.5629345185053167, 4.167825382680845, 7.432621932447506,
+        11.131842609403652, 15.130713024851836, 19.345142718670054,
+        23.720277585950285, 28.21886795278786, 32.81471772591867, 37.48883925779418,
+        42.227106035001626, 47.01876774937264, 51.85548050006954, 56.73065519170022,
+        61.63900851676706, 66.57624647343994, 71.53883674009548, 76.52384195288616,
+        81.5287955686624, 86.55160804937724, 91.59049499490945, 96.64392140449776,
+        101.71055795480937, 106.78924634524135,
+    ),
+}
 
 
 def expansion(name: str, weight: Callable[[int], float]) -> tuple[float, float]:
@@ -195,18 +198,21 @@ def expansion(name: str, weight: Callable[[int], float]) -> tuple[float, float]:
     weight(k+1)/weight(k) <= 1/9, as for n^-(3+2k) and zeta(3+2k, a) at
     n, a >= 3, the terms at least halve from one k to the next. The bar is
     then twice the first term left out, plus the rounding of the
-    coefficients (eps/2 each) and _ROUNDING, of the terms' sizes.
+    coefficients (eps/2 each) and _ROUNDING, of the terms' sizes. A weight
+    that decays too slowly to stop within the table raises ValueError.
     """
     terms = []
     total = 0.0
-    for k in count():
-        t = _coefficient(name, k) * weight(k)
+    for k, c in enumerate(_COEFFICIENTS[name]):
+        t = c * weight(k)
         if abs(t) <= 2.0**-60 * total:
             size = math.fsum(map(abs, terms))
             return math.fsum(terms), (2.0 * abs(t) + (sys.float_info.epsilon / 2
                                                       + _ROUNDING) * size)
         terms.append(t)
         total += abs(t)
+    raise ValueError(f"the expansion of {name!r} needs c_k past k = {k}, "
+                     "the last in its table")
 
 
 class SpectralSumResult(NamedTuple):
@@ -220,25 +226,16 @@ class SpectralSumResult(NamedTuple):
     error_bound: float
 
 
-# The terms n = 2.._HEAD of a sum to infinity are taken directly, the rest
-# from the expansion at a = _HEAD + 1. At a = 10 the five series read 55
-# coefficients in all, over 12 weights _zeta_weight(k, _HEAD) that they
-# share; at a = 3 (a head of t(2) alone) they would read 113.
-_HEAD = 9
-
-
-@cache
-def _sum_to_infinity(name: str) -> tuple[float, float]:
-    """S_inf, the sum of a series over n = 2..inf, and its error bar, worked
-    out on first use: math.fsum of the closed-form terms n = 2.._HEAD and of
-    sum_k c_k zeta(3 + 2k, _HEAD + 1). The bar is the expansion's, plus
-    _ROUNDING of the terms and eps/2 of S_inf for the fsum."""
-    series = SERIES[name]
-    head = [series.term(*hydrogen._closed_form(n), transition_energy(n))
-            for n in range(2, _HEAD + 1)]
-    rest, bar = expansion(name, lambda k: _zeta_weight(k, _HEAD))
-    total = math.fsum([*head, rest])
-    return total, bar + _ROUNDING * math.fsum(head) + sys.float_info.epsilon / 2 * total
+# (S_inf, its bar) of each series, written with repr: verify derives each
+# pair as math.fsum of the closed-form terms n = 2..9 and of the expansion's
+# sum at a = 10, and rydberg_tables_exact holds the entries equal to it.
+_SUMS_TO_INFINITY = {
+    "kappa1": (0.20874842692572435, 2.0884411479839428e-16),
+    "kappa2": (0.07962086489387006, 7.966649364866014e-17),
+    "polarizability": (3.6632578903094717, 3.664266266452007e-15),
+    "bethe": (0.33701697235607203, 3.374814224571508e-16),
+    "oscillator": (0.565004150674852, 5.65526455359885e-16),
+}
 
 
 def _spectral_sum(name: str, n_max: int, tail: bool) -> SpectralSumResult:
@@ -250,7 +247,7 @@ def _spectral_sum(name: str, n_max: int, tail: bool) -> SpectralSumResult:
     # The --n-max rule, for the benchmark's lib-sweep and replay.
     if not (n_max >= 2 and n_max % 1 == 0):
         raise ValueError("n_max must be an integer >= 2")
-    total, total_bar = _sum_to_infinity(name)
+    total, total_bar = _SUMS_TO_INFINITY[name]
     rest, bar = expansion(name, lambda k: _zeta_weight(k, n_max))
     partial = total - rest
     bar += total_bar + sys.float_info.epsilon / 2 * partial

@@ -8,11 +8,14 @@ names, made once per run; only what no subcommand reports is computed here
 from the library. So a fault in a handler fails `verify` instead of
 shipping past it. The Rydberg oracles are exact integer passes: the exact
 route's Horner integers against their closed forms, and the five series'
-partial sums in fixed point. `run_checks()` evaluates the rows in order,
-so a deployed artifact can audit itself from the command line, and the
-acceptance gate (tests/test_acceptance.py) asserts the same rows. The
-benchmark keeps its own copy of five of these bands in bench/spec.py,
-which a test holds equal to these rows.
+partial sums in fixed point. `sums` reads its expansion coefficients c_k and
+its sums to infinity from literal tables; this module derives every entry,
+the c_k in fixed point, and requires each to equal its table entry in every
+bit. `run_checks()` evaluates the rows in order, so a deployed artifact can
+audit itself from the command line, and the acceptance gate
+(tests/test_acceptance.py) asserts the same rows. The benchmark keeps its
+own copy of five of these bands in bench/spec.py, which a test holds equal
+to these rows.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import math
 import sys
 import time
+from functools import cache
 from typing import Any, Callable, NamedTuple
 
 from . import budget, cli, hydrogen, quadrature, sums, units
@@ -217,6 +221,90 @@ def _expansion_oracle(m: _Memo) -> float:
     return worst
 
 
+# The expansion's coefficients, which sums reads from its table
+# _COEFFICIENTS, derived here in fixed point: a value times _ONE as a Python
+# integer. Each floor division is off by less than a unit, so a c_k is within
+# 2^-200 relative of its exact value (2^-240 measured to k = 69) before
+# int / int rounds it to a float, once.
+_ONE = 1 << 256
+
+
+@cache
+def _x(c: int, k: int) -> int:
+    """The coefficient of v^k in X_c(v), times _ONE, from the recurrence
+    k x_k = sum_{j=1}^k (-c j/(2j+1)) x_{k-j} of X' = (log X)' X."""
+    if k == 0:
+        return _ONE
+    return sum(-c * j * _x(c, k - j) // (2 * j + 1) for j in range(1, k + 1)) // k
+
+
+@cache
+def _exp_minus(c: int) -> int:
+    """e^-c times _ONE: sum_{i<100} (-c)^i/i!, whose rest is below 2^-300
+    for c <= 4."""
+    total = 0
+    power = _ONE                    # (-c)^i _ONE
+    factorial = 1                   # i!
+    for i in range(100):
+        total += power // factorial
+        power *= -c
+        factorial *= i + 1
+    return total
+
+
+@cache
+def _x_over(c: int, m: int, k: int) -> int:
+    """The coefficient of v^k in X_c(v) (1 - v)^-m, times _ONE: the partial
+    sums of those of X_c(v) (1 - v)^-(m-1), which makes it
+    sum_i C(m-1+i, i) x_{k-i}, exactly."""
+    if m == 0:
+        return _x(c, k)
+    return _x_over(c, m - 1, k) + (_x_over(c, m, k - 1) if k else 0)
+
+
+@cache
+def _coefficient(name: str, k: int) -> float:
+    """c_k of a series, rounded once: the coefficient of v^k in
+    p(v) X_c(v) (1 - v)^-m is sum_d p_d [v^(k-d)] X_c(v) (1 - v)^-m."""
+    return sum(num * _exp_minus(c) * sum(
+        p * _x_over(c, m, k - d) for d, p in enumerate(poly[:k + 1])) // den
+        for (num, den), c, m, poly in sums.SERIES[name].parts) / _ONE**2
+
+
+# The terms n = 2.._HEAD of a sum to infinity are taken directly, the rest
+# from the expansion at a = _HEAD + 1. At a = 10 the five series read 55
+# coefficients in all, over 12 weights _zeta_weight(k, _HEAD) that they
+# share; at a = 3 (a head of t(2) alone) they would read 113.
+_HEAD = 9
+
+
+@cache
+def _sum_to_infinity(name: str) -> tuple[float, float]:
+    """S_inf, the sum of a series over n = 2..inf, and its error bar, as
+    sums tabulates them in _SUMS_TO_INFINITY: math.fsum of the closed-form
+    terms n = 2.._HEAD and of sum_k c_k zeta(3 + 2k, _HEAD + 1). The bar is
+    the expansion's, plus _ROUNDING of the terms and eps/2 of S_inf for the
+    fsum."""
+    series = sums.SERIES[name]
+    head = [series.term(*hydrogen._closed_form(n), hydrogen.transition_energy(n))
+            for n in range(2, _HEAD + 1)]
+    rest, bar = sums.expansion(name, lambda k: sums._zeta_weight(k, _HEAD))
+    total = math.fsum([*head, rest])
+    return total, (bar + sums._ROUNDING * math.fsum(head)
+                   + sys.float_info.epsilon / 2 * total)
+
+
+def _table_mismatches(m: _Memo) -> int:
+    """The entries of sums' two literal tables, each c_k and each (S_inf,
+    bar), that differ in any bit from their derivations here. S_inf's
+    derivation reads the tabulated c_k, so where the count is 0 it is the
+    S_inf of the derived c_k."""
+    return sum(
+        sum(c != _coefficient(name, k) for k, c in enumerate(table))
+        + (sums._SUMS_TO_INFINITY[name] != _sum_to_infinity(name))
+        for name, table in sums._COEFFICIENTS.items())
+
+
 # Each Rydberg series: the report, and its key, that carries its sum, and its
 # term times 2^_SCALE from n, d = n^2 - 1 and q = (n-1)^(n-2)/(n+1)^(n+2)
 # times 2^_SCALE, floored. By the closed forms of the S_p (see hydrogen),
@@ -360,6 +448,9 @@ CHECKS: tuple[Check, ...] = (
           text="exact-route terms within their bar plus the expansion's"),
     Check("rydberg_partials_exact", _partials_oracle, rule=lambda r: r <= 1.0,
           text="exact sums within the reported partial's error"),
+    Check("rydberg_tables_exact", _table_mismatches,
+          rule=lambda mismatches: mismatches == 0,
+          text="every tabulated c_k and S_inf equals its exact derivation"),
 
     # Continuum integrals.
     Check("kappa1_continuum_ymin0", _reported("continuum", "kappa1_continuum[ymin=0]"),

@@ -89,10 +89,11 @@ def test_quadrature_route_concurrent_fill_idempotent(fresh_memos):
 
 
 def test_tail_coefficients_first_use_under_threads(fresh_memos):
-    # Eight threads start the five sums together on empty coefficient
-    # caches and no sum to infinity, each at its own n_max, so they derive
-    # the exact coefficients of the tails and each S_inf side by side (k up
-    # to about 25 at n_max = 2).
+    # Eight threads start the five sums together on empty memos, each at
+    # its own n_max, so they fill the memos of the tail weights
+    # zeta(3 + 2k, n_max + 1) and of hurwitz_zeta's start per s side by
+    # side (k up to 23 at n_max = 2); the c_k and each S_inf are read from
+    # sums' tables.
     fns = (kappa1_discrete, kappa2_discrete, bethe_sum,
            polarizability_discrete, oscillator_strength_sum)
     n_maxes = (2, 3, 5, 9, 20, 57, 200, 1000)

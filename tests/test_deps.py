@@ -38,18 +38,16 @@ def _python(code: str, python: str = sys.executable,
 
 
 # One fresh process imports the package and records what that loads, then
-# reads the first-use tables.
+# reads the continuum series' first-use tables.
 _IMPORT_ONLY = (
     "import json, sys\n"
     "before = set(sys.modules)\n"
     "import casimir_momentum\n"
     "after = set(sys.modules)\n"
-    "from casimir_momentum import quadrature, sums\n"
+    "from casimir_momentum import quadrature\n"
     "print(json.dumps({'new': sorted(after - before), 'loaded': sorted(after),\n"
     "    'tables': [len(s.table) for s in (quadrature._KAPPA2,\n"
-    "               quadrature._KAPPA1_BY_PARTS, quadrature._KAPPA1_BINOMIAL)],\n"
-    "    'memos': [sums._exp_minus.cache_info().currsize,\n"
-    "              sums._coefficient.cache_info().currsize]}))")
+    "               quadrature._KAPPA1_BY_PARTS, quadrature._KAPPA1_BINOMIAL)]}))")
 
 # One fresh process per subcommand, with numpy and dataclasses both blocked:
 # it records the modules loaded after its json report, then writes its
@@ -193,11 +191,17 @@ def test_import_loads_only_the_sweep_modules(imported):
 
 
 def test_import_leaves_first_use_tables_empty(imported):
-    # The continuum series' tables and the Rydberg expansion's coefficient
-    # caches are made on first use: an import that filled them would put
-    # that work before the library sweep's timer starts.
+    # The continuum series' tables are made on first use: an import that
+    # filled them would put that work before the library sweep's timer
+    # starts. The Rydberg tables are literals, which an import reads but
+    # does not compute, so no work moves into the import either.
     assert imported["tables"] == [0, 0, 0]
-    assert imported["memos"] == [0, 0]
+    tree = ast.parse((Path(SRC) / "casimir_momentum" / "sums.py").read_text(
+        encoding="utf-8"))
+    values = {target.id: node.value for node in tree.body
+              if isinstance(node, ast.Assign) for target in node.targets}
+    for name in ("_COEFFICIENTS", "_SUMS_TO_INFINITY"):
+        assert ast.literal_eval(values[name]) == getattr(casimir_momentum.sums, name)
 
 
 def test_import_and_json_budget_load_neither_csv_nor_heapq(imported, fresh_run):

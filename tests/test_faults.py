@@ -46,18 +46,24 @@ def _misreport(subcommand: str, key: str, change: Callable[[dict], Any],
     return patch
 
 
-def _coefficient_off(name: str, k: int):
-    """c_k of one series off by one unit in its 10th digit."""
+def _entry_off(table: dict, name: str, i: int, change: Callable[[float], float]):
+    """Entry i of one series in one of sums' literal tables replaced by
+    change(entry)."""
     def patch(monkeypatch):
-        true = sums._coefficient
-
-        def perturbed(series: str, j: int) -> float:
-            c = true(series, j)
-            if (series, j) == (name, k):
-                c += 10.0 ** (math.floor(math.log10(c)) - 9)
-            return c
-        monkeypatch.setattr(sums, "_coefficient", perturbed)
+        row = list(table[name])
+        row[i] = change(row[i])
+        monkeypatch.setitem(table, name, tuple(row))
     return patch
+
+
+def _coefficient_off(name: str, k: int):
+    """c_k of one series, in sums' table, off by one unit in its 10th digit."""
+    return _entry_off(sums._COEFFICIENTS, name, k,
+                      lambda c: c + 10.0 ** (math.floor(math.log10(c)) - 9))
+
+
+def _next_up(x: float) -> float:
+    return math.nextafter(x, math.inf)
 
 
 def _without_kappa1_e2_part(monkeypatch):
@@ -72,10 +78,11 @@ def _oscillator_term_scaled(monkeypatch):
 
 
 def _tail_one_term_short(monkeypatch):
-    # partial = S_inf - tail(n_max + 1) leaves out the term n_max + 1. S_inf
-    # is worked out first, as the tail beyond _HEAD, from the weights unpatched.
+    # partial = S_inf - tail(n_max + 1) leaves out the term n_max + 1. verify's
+    # derivation of S_inf, which reads the weights at a = 10, is worked out
+    # first, from the weights unpatched: the fault is in the partials alone.
     for name in sums.SERIES:
-        sums._sum_to_infinity(name)
+        verify._sum_to_infinity(name)
     weight = sums._zeta_weight
     monkeypatch.setattr(sums, "_zeta_weight", lambda k, n_max: weight(k, n_max + 1))
 
@@ -160,23 +167,34 @@ def _constant_off(name: str):
 
 
 _EXPANSION, _PARTIALS = "rydberg_expansion_exact_route", "rydberg_partials_exact"
+_TABLES = "rydberg_tables_exact"
 
 FAULTS: dict[str, Fault] = {
-    # S_inf reads c_k times zeta(3 + 2k, 10): above 3e-5 for k <= 1, so the
-    # reported partials leave the exact sums. At k = 2 the weight, 2e-8, puts
-    # the fault within the reported error of every series but kappa2.
+    # A tabulated c_k leaves its derivation, and so does verify's S_inf,
+    # which reads it. The tabulated S_inf does not move, so a reported
+    # partial reads the fault only in its tail, c_k times
+    # zeta(3 + 2k, n_max + 1): above 3e-6 at k = 0, which moves every
+    # partial but polarizability's (n_max 400, the widest error) out of its
+    # exact sum; 1e-10 and below at k >= 1, which moves none.
     **{f"c{k}_{name}_off_in_10th_digit": Fault(
         _coefficient_off(name, k),
-        (_EXPANSION, _PARTIALS) if k < 2 or name == "kappa2" else (_EXPANSION,))
+        (_EXPANSION, _PARTIALS, _TABLES) if k == 0 and name != "polarizability"
+        else (_EXPANSION, _TABLES))
        for name in sums.SERIES for k in range(3)},
-    "kappa1_without_e2_part": Fault(
-        _without_kappa1_e2_part, ("kappa1_discrete_200", _EXPANSION, _PARTIALS)),
+    # One ulp where no report and no other row reads: polarizability's c_23
+    # is read at n_max = 2 alone, and a bar one ulp wider moves no row.
+    "polarizability_c23_off_by_one_ulp": Fault(
+        _entry_off(sums._COEFFICIENTS, "polarizability", 23, _next_up), (_TABLES,)),
+    "kappa2_S_inf_bar_off_by_one_ulp": Fault(
+        _entry_off(sums._SUMS_TO_INFINITY, "kappa2", 1, _next_up), (_TABLES,)),
+    # The parts of a series are read by verify's derivation of its c_k
+    # alone: all 24 of kappa1's leave their table.
+    "kappa1_without_e2_part": Fault(_without_kappa1_e2_part, (_TABLES,)),
     # A term 1.8 times too large: the exact-route terms, built by the same
-    # term, leave the expansion, and the reported partial, whose terms
-    # n <= 9 it makes, leaves the exact sum and carries the value out of its
-    # band. The exact partials read no float term, so they stay below 1.
-    "oscillator_term_x1.8": Fault(_oscillator_term_scaled, (
-        _EXPANSION, _PARTIALS, "oscillator_strength_sum_400")),
+    # term, leave the expansion, and verify's S_inf, whose terms n <= 9 it
+    # makes, leaves its table. The reported partials read no term, and the
+    # exact partials no float term, so both stay below 1.
+    "oscillator_term_x1.8": Fault(_oscillator_term_scaled, (_EXPANSION, _TABLES)),
     # The value, S_inf, stays in every band.
     "partial_tail_one_term_short": Fault(_tail_one_term_short, (_PARTIALS,)),
     # The exact route's I2 scaled by 1 + 1e-13 as it is rounded: the
@@ -203,9 +221,9 @@ FAULTS: dict[str, Fault] = {
         _misreport("kappas", "net_coefficient", lambda e: e["value"] + 1.0),
         ("net_coefficient",)),
     # Plain ** puts I_3 off by 2.1e-14 at n <= 200: inside a 1e-10 band,
-    # outside the row's 5e-15.
+    # outside the row's 5e-15. The terms n <= 9 of verify's S_inf move too.
     "closed_form_powers_without_log1p": Fault(
-        _closed_form_plain_powers, ("radial_dual_route_nle200",),
+        _closed_form_plain_powers, (_TABLES, "radial_dual_route_nle200"),
         {"radial_dual_route_nle200": (1e-14, 1e-10)}),
     # The K15 centre weight scaled by 1 + 1e-13 biases every engine integral
     # past the oracle rows with the tightest bars. The weights cut to 15
@@ -257,10 +275,17 @@ def test_seeded_fault_fails_exactly_its_rows(fresh_memos, monkeypatch, fault):
         assert low < values[name] < high, (name, values[name])
 
 
+class _Refused:
+    """A table that refuses every read."""
+
+    def __getitem__(self, key):
+        raise AssertionError("an exact row read a table it checks")
+
+
 def test_exact_rows_read_nothing_they_check(fresh_memos, monkeypatch):
     # With the reports made, the integer and exact-partials rows give the
-    # same values while the expansion's coefficients, the zeta, the float
-    # terms and the float closed forms all refuse to run.
+    # same values while the expansion's coefficients, both of sums' tables,
+    # the zeta, the float terms and the float closed forms all refuse.
     rows = {chk.name: chk for chk in verify.CHECKS}
     names = ("rydberg_integers_closed_form", "rydberg_partials_exact")
     expected = {name: rows[name].compute(verify._Memo({})) for name in names}
@@ -270,13 +295,32 @@ def test_exact_rows_read_nothing_they_check(fresh_memos, monkeypatch):
 
     def refuse(*args):
         raise AssertionError("an exact row read what it checks")
-    for module, name in ((sums, "_coefficient"), (sums, "hurwitz_zeta"),
+    for module, name in ((verify, "_coefficient"), (sums, "hurwitz_zeta"),
                          (hydrogen, "_closed_form")):
         monkeypatch.setattr(module, name, refuse)
+    for name in ("_COEFFICIENTS", "_SUMS_TO_INFINITY"):
+        monkeypatch.setattr(sums, name, _Refused())
     for name, series in sums.SERIES.items():
         monkeypatch.setitem(sums.SERIES, name, series._replace(term=refuse))
     fresh_memos()
     assert {name: rows[name].compute(memo) for name in names} == expected
+
+
+@pytest.mark.parametrize("table", ["_COEFFICIENTS", "_SUMS_TO_INFINITY"])
+def test_one_ulp_off_any_table_entry_fails_the_tables_row(fresh_memos, monkeypatch, table):
+    # Each entry of each series, one ulp up and one down, leaves its
+    # derivation; the derivations are made once, before any change.
+    row = next(chk for chk in verify.CHECKS if chk.name == _TABLES)
+    assert row.compute(verify._Memo({})) == 0
+    rows = getattr(sums, table)
+    for name, entries in list(rows.items()):
+        for i, entry in enumerate(entries):
+            for towards in (math.inf, -math.inf):
+                changed = list(entries)
+                changed[i] = math.nextafter(entry, towards)
+                monkeypatch.setitem(rows, name, tuple(changed))
+                assert not row.passes(row.compute(verify._Memo({}))), (name, i)
+        monkeypatch.setitem(rows, name, entries)
 
 
 def _scaled(value):

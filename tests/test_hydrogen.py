@@ -4,7 +4,7 @@ import tracemalloc
 import pytest
 
 import casimir_momentum.hydrogen as hyd
-from casimir_momentum import sums
+from casimir_momentum import sums, verify
 from casimir_momentum.hydrogen import energy, radial_record, transition_energy
 
 SQRT6 = math.sqrt(6.0)
@@ -167,10 +167,10 @@ def test_oscillator_strengths_positive():
 
 
 def test_closed_form_record_leaves_sums_table_empty(fresh_memos):
-    # A single-n record computes its closed form alone: it makes no sum to
-    # infinity.
+    # A single-n record computes its closed form alone: verify's derivation
+    # of the sums to infinity, which reads the closed forms, does not run.
     assert radial_record(5000, "closed_form") == hyd._closed_form(5000)
-    assert sums._sum_to_infinity.cache_info().currsize == 0
+    assert verify._sum_to_infinity.cache_info().currsize == 0
 
 
 def test_record_memo_bounded(fresh_memos):

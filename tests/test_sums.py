@@ -121,21 +121,58 @@ def test_hurwitz_zeta_within_3_eps_of_decimal_reference(s, a):
     assert rel <= 3 * Decimal(sys.float_info.epsilon), float(rel)
 
 
+# The n_max of a scan from the least n_max to past the --n-max ceiling.
+_SCAN_N_MAX = (*range(2, 401), 1000, 3000, 20000, 99999, 100000)
+
+
 def test_sums_read_hurwitz_zeta_where_a_to_minus_s_is_normal(fresh_memos, monkeypatch):
     # hurwitz_zeta loses digits where a^-s is subnormal; no pair that the
-    # five sums and their sums to infinity read is one (the smallest a^-s
-    # is 2e-39, at s = 9, a = 20001; the largest s is 49, at a = 3).
+    # five sums and verify's derivation of their sums to infinity read is
+    # one (the smallest a^-s is 2e-39, at s = 9, a = 20001; the largest s
+    # is 49, at a = 3).
     pairs = set()
 
     def recorded(s, a):
         pairs.add((s, a))
         return hurwitz_zeta(s, a)
     monkeypatch.setattr(sums, "hurwitz_zeta", recorded)
-    for n_max in (*range(2, 401), 1000, 3000, 20000, 99999, 100000):
-        for name in sums.SERIES:
+    for name in sums.SERIES:
+        verify._sum_to_infinity(name)
+        for n_max in _SCAN_N_MAX:
             sums._spectral_sum(name, n_max, True)
     assert min(a**-s for s, a in pairs) >= sys.float_info.min
     assert max(s for s, _ in pairs) == 49.0
+
+
+def test_largest_coefficient_read_is_the_tables_last(fresh_memos, monkeypatch):
+    # Over the scan, and verify's derivation of the sums to infinity, the
+    # largest k read is c_23, the last entry of every series' table; only
+    # polarizability at n_max = 2 reads it.
+    read = dict.fromkeys(sums.SERIES, 0)
+    expansion = sums.expansion
+
+    def recorded(name, weight):
+        def noted(k):
+            read[name] = max(read[name], k)
+            return weight(k)
+        return expansion(name, noted)
+    monkeypatch.setattr(sums, "expansion", recorded)
+    for name in sums.SERIES:
+        verify._sum_to_infinity(name)
+        for n_max in _SCAN_N_MAX:
+            sums._spectral_sum(name, n_max, True)
+    lengths = {len(table) for table in sums._COEFFICIENTS.values()}
+    assert lengths == {max(read.values()) + 1} == {24}
+    assert [name for name, k in read.items() if k == 23] == ["polarizability"]
+
+
+@pytest.mark.parametrize("name", list(sums.SERIES))
+def test_expansion_past_its_table_names_the_series(name):
+    # A weight that decays by 0.9 a step never falls below 2^-60 of the sum
+    # within 24 terms: the expansion refuses, where a bare IndexError or a
+    # silently short sum would not say which series ran out.
+    with pytest.raises(ValueError, match=f"'{name}'.*k = 23"):
+        sums.expansion(name, lambda k: 0.9**k)
 
 
 # --- discrete sums ----------------------------------------------------------
@@ -292,18 +329,15 @@ def test_sum_within_error_of_sum_to_infinity(sum_to_infinity, fn, n_max, tail):
         assert res.error_bound <= 2e-15 * res.value
 
 
-def test_series_read_no_per_n_interface(monkeypatch):
-    # Once each S_inf is known, the five series at any n_max call neither
-    # the closed forms nor radial_record nor transition_energy.
-    for fn in _REFERENCE_TERMS:
-        fn(2)
-
+def test_series_read_no_per_n_interface(fresh_memos, monkeypatch):
+    # The five series at any n_max, from a cold start, call neither the
+    # closed forms nor radial_record nor transition_energy: S_inf is read
+    # from its table.
     def refuse(*args):
         pytest.fail("a per-n interface was called")
     monkeypatch.setattr(hydrogen, "_closed_form", refuse)
     monkeypatch.setattr(hydrogen, "radial_record", refuse)
-    for module in (hydrogen, sums):
-        monkeypatch.setattr(module, "transition_energy", refuse)
+    monkeypatch.setattr(hydrogen, "transition_energy", refuse)
     for fn in _REFERENCE_TERMS:
         for n_max in (2, 300, 10**5, 10**7):
             fn(n_max, tail=True)
@@ -337,9 +371,10 @@ def test_running_column_grown_in_steps_bit_identical(fresh_memos, name, steps):
 
 
 def test_cold_sums_to_infinity_work_out_each_zeta_weight_once(fresh_memos, monkeypatch):
-    # The five sums to infinity all weigh c_k by zeta(3 + 2k, 10): one call
-    # of hurwitz_zeta per distinct (s, a), and S_inf bit-identical to warm.
-    warm = {name: sums._sum_to_infinity(name) for name in sums.SERIES}
+    # verify's derivation of the five sums to infinity weighs c_k by
+    # zeta(3 + 2k, 10) for all of them: one call of hurwitz_zeta per
+    # distinct (s, a), and S_inf bit-identical to warm.
+    warm = {name: verify._sum_to_infinity(name) for name in sums.SERIES}
     fresh_memos()
     calls = []
 
@@ -347,16 +382,16 @@ def test_cold_sums_to_infinity_work_out_each_zeta_weight_once(fresh_memos, monke
         calls.append((s, a))
         return hurwitz_zeta(s, a)
     monkeypatch.setattr(sums, "hurwitz_zeta", counted)
-    cold = {name: sums._sum_to_infinity(name) for name in sums.SERIES}
+    cold = {name: verify._sum_to_infinity(name) for name in sums.SERIES}
     assert cold == warm
     assert calls and len(calls) == len(set(calls)), len(calls)
 
 
 def _reference_coefficients(name: str, k_max: int) -> list[float]:
-    """c_0..c_k_max of a series in sums' fixed point, written out directly:
+    """c_0..c_k_max of a series in verify's fixed point, written out directly:
     the recurrence of each x_k, e^-c as a Taylor sum over math.factorial,
     and the double sum over p(v) and (1 - v)^-m."""
-    one = sums._ONE
+    one = verify._ONE
     xs: dict[int, list[int]] = {}
     for c in (2, 4):
         xs[c] = [one]
@@ -374,8 +409,10 @@ def _reference_coefficients(name: str, k_max: int) -> list[float]:
 
 @pytest.mark.parametrize("name", list(sums.SERIES))
 def test_coefficients_bit_identical_to_direct_double_sum(name):
-    assert [sums._coefficient(name, k) for k in range(121)] == \
-        _reference_coefficients(name, 120)
+    # verify's derivation to k = 120, and the table sums reads, c_0..c_23.
+    reference = _reference_coefficients(name, 120)
+    assert [verify._coefficient(name, k) for k in range(121)] == reference
+    assert list(sums._COEFFICIENTS[name]) == reference[:24]
 
 
 def test_zeta_memo_bounded():
