@@ -6,15 +6,16 @@ integrals in closed form with an adaptive quadrature engine as their
 oracle, cutoff-regularized divergent integrals with mass renormalization
 identities, and an itemized pseudo-momentum budget.
 
-`import casimir_momentum` loads the hydrogen, sums and quadrature modules
-only. The exports of budget, renorm and units load on first access.
+`import casimir_momentum` loads the sums and quadrature modules only, whose
+exports a library sweep calls. The exports of budget, renorm and units load
+on first access. The radial integrals of `hydrogen`, which only `verify`
+reads, and the adaptive engine of `quadrature` are reached through their
+submodules.
 """
 
 __version__ = "0.1.0"
 
-from .hydrogen import RadialIntegralRecord, energy, radial_record
-from .quadrature import (ContinuumResult, QuadratureError, QuadratureSpec,
-                         integrate_adaptive, integrate_to_inf, kappa1_continuum,
+from .quadrature import (ContinuumResult, QuadratureSpec, kappa1_continuum,
                          kappa2_continuum, ymin_sensitivity)
 from .sums import (SpectralSumResult, bethe_sum, kappa1_discrete,
                    kappa2_discrete, normalization_constant,
@@ -30,9 +31,7 @@ _LAZY = {name: module for module, names in (
 ) for name in names}
 
 __all__ = [
-    "RadialIntegralRecord", "energy", "radial_record",
-    "ContinuumResult", "QuadratureError", "QuadratureSpec",
-    "integrate_adaptive", "integrate_to_inf", "kappa1_continuum",
+    "ContinuumResult", "QuadratureSpec", "kappa1_continuum",
     "kappa2_continuum", "ymin_sensitivity",
     "SpectralSumResult", "bethe_sum", "kappa1_discrete", "kappa2_discrete",
     "normalization_constant", "oscillator_strength_sum",

@@ -17,11 +17,7 @@ import math
 from typing import Mapping, NamedTuple
 
 from .units import (ADOPTED_KAPPA1, ADOPTED_KAPPA2, POLARIZABILITY_CHOICES,
-                    AtomicParams, constants)
-
-# Exact static polarizability of ground-state hydrogen in the volume
-# convention (P = eps0 alpha(0) E): alpha(0) = 18 pi a0^3.
-POLARIZABILITY_VOLUME_AU = 18.0 * math.pi
+                    POLARIZABILITY_EXACT_AU, AtomicParams, constants)
 
 # Relative relativistic correction to the static polarizability, in units
 # of alpha^2 (Bartlett-Power coefficient).
@@ -147,11 +143,12 @@ def assemble_budget(
     alpha = const.fine_structure_alpha
     a0_cubed = const.bohr_radius_a0**3
 
+    # The volume convention (P = eps0 alpha(0) E): alpha(0) = 4 pi (9/2) a0^3.
+    exact = 4.0 * math.pi * POLARIZABILITY_EXACT_AU * a0_cubed
     if polarizability_choice == "exact":
-        alpha0_si = POLARIZABILITY_VOLUME_AU * a0_cubed
+        alpha0_si = exact
     elif polarizability_choice == "relativistic_corrected":
-        alpha0_si = (POLARIZABILITY_VOLUME_AU * a0_cubed
-                     * (1.0 + RELATIVISTIC_POLARIZABILITY_COEFF * alpha**2))
+        alpha0_si = exact * (1.0 + RELATIVISTIC_POLARIZABILITY_COEFF * alpha**2)
     else:
         from .sums import polarizability_discrete
         alpha0_si = 4.0 * math.pi * polarizability_discrete().value * a0_cubed

@@ -282,7 +282,7 @@ def _handle_kappas(p: dict[str, Any]) -> dict[str, Row]:
 def _handle_polarizability(p: dict[str, Any]) -> dict[str, Row]:
     pol = sums.polarizability_discrete(p["n_max"], p["tail"])
     osc = sums.oscillator_strength_sum(p["n_max"], p["tail"])
-    exact = sums.POLARIZABILITY_EXACT_AU
+    exact = units.POLARIZABILITY_EXACT_AU
     return {
         "polarizability_discrete": _sum_row(pol, "(2/3) sum I3(n)^2/dE_n, atomic "
                                             "units of 4 pi eps0 a0^3; bound "

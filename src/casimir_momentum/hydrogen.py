@@ -35,8 +35,10 @@ radial_dual_route_nle200 row for n <= 200; the test suite up to n = 1000).
 
 `radial_record(n, method)` gives one n by a named route, memoized for the
 last _RECORD_MEMO keys (a record with its cache entry takes about 205 bytes,
-so the memo holds at most about 0.9 MB). The spectral sums call
-`_closed_form` for their first few terms only and keep no table (see `sums`).
+so the memo holds at most about 0.9 MB). Of the package, only `verify`
+imports this module; its derivation of the sums to infinity calls
+`_closed_form` for the terms n = 2..9. The spectral sums read no record of
+one n (see `sums`).
 
 The angular sums over m and Cartesian components that accompany these
 integrals in second-order coefficients reduce to a unit factor for

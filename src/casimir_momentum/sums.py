@@ -2,14 +2,15 @@
 
 With v = 1/n^2 and X_c(v) = exp(-c sum_{j>=1} v^j/(2j+1)), the closed forms
 of `hydrogen` make n^3 t(n) of each series over the 1s -> np states a
-rational function of v times e^-2 X_2(v) or e^-4 X_4(v) (see SERIES). Its
-power series sum_k c_k v^k converges for n >= 2, so the tail beyond n_max
-is sum_k c_k zeta(3 + 2k, n_max + 1) at every n_max, with the Hurwitz zeta
-computed in-house by `hurwitz_zeta`, whose start depends on s alone and is
-memoized per s. The weights zeta(3 + 2k, n_max + 1) are the same for all
-five series and memoized for the last _ZETA_MEMO (k, n_max) pairs. The
-c_k are read from a literal table, _COEFFICIENTS, to k = 23, the largest
-index a sum at any n_max >= 2 reads.
+rational function of v times e^-2 X_2(v) or e^-4 X_4(v) (verify._SERIES
+writes out each series). Its power series sum_k c_k v^k converges for
+n >= 2, so the tail beyond n_max is sum_k c_k zeta(3 + 2k, n_max + 1) at
+every n_max, with the Hurwitz zeta computed in-house by `hurwitz_zeta`,
+whose start depends on s alone and is memoized per s. The weights
+zeta(3 + 2k, n_max + 1) are the same for all five series and memoized for
+the last _ZETA_MEMO (k, n_max) pairs. The c_k are read from a literal
+table, _COEFFICIENTS, to k = 23, the largest index a sum at any n_max >= 2
+reads.
 
 The sum of a series to infinity, S_inf, and its bar are read from a second
 literal table, _SUMS_TO_INFINITY. The partial sum over n = 2..n_max is
@@ -112,28 +113,6 @@ _ZETA_MEMO = 256
 def _zeta_weight(k: int, n_max: int) -> float:
     """zeta(3 + 2k, n_max + 1), the weight of c_k in the tail beyond n_max."""
     return hurwitz_zeta(3.0 + 2 * k, n_max + 1.0)
-
-
-class _Series(NamedTuple):
-    """One Rydberg series: its term t(n) from (I1, I2, I3, dE) of one n, and
-    n^3 t(n) as a sum of parts w e^-c X_c(v) p(v) (1 - v)^-m, each part given
-    as ((numerator, denominator) of w, c, m, coefficients of p in v)."""
-
-    term: Callable[[float, float, float, float], float]
-    parts: tuple[tuple[tuple[int, int], int, int, tuple[int, ...]], ...]
-
-
-SERIES = {
-    "kappa1": _Series(lambda i1, i2, i3, de: (2.0 / 27.0) * i1 * i3 / de**2,
-                      (((256, 27), 2, 5, (1,)), ((-128, 27), 4, 6, (10, -2)))),
-    "kappa2": _Series(lambda i1, i2, i3, de: (1.0 / 27.0) * i2 * i3 / de,
-                      (((256, 27), 4, 5, (1,)),)),
-    "polarizability": _Series(lambda i1, i2, i3, de: (2.0 / 3.0) * i3 * i3 / de,
-                              (((1024, 3), 4, 6, (1,)),)),
-    "bethe": _Series(lambda i1, i2, i3, de: i2 * i2, (((64, 1), 4, 3, (1,)),)),
-    "oscillator": _Series(lambda i1, i2, i3, de: (2.0 / 3.0) * de * i3 * i3,
-                          (((256, 3), 4, 4, (1,)),)),
-}
 
 
 # c_0..c_23 of each series: the floats that verify's exact derivation
@@ -282,9 +261,6 @@ def polarizability_discrete(n_max: int = DEFAULT_N_MAX_POLARIZABILITY,
     including the continuum is 9/2; the bound states alone give 3.663.
     """
     return _spectral_sum("polarizability", n_max, tail)
-
-
-POLARIZABILITY_EXACT_AU = 4.5   # bound states plus continuum, = 18 pi a0^3 / (4 pi a0^3)
 
 
 def bethe_sum(n_max: int = DEFAULT_N_MAX_KAPPA, tail: bool = True) -> SpectralSumResult:

@@ -13,10 +13,13 @@ from __future__ import annotations
 from typing import NamedTuple
 
 # The budget's adopted vacuum couplings, discrete sums plus plane-wave
-# continuum parts (0.21 + 0.01, 0.0796 + 0.018), and its choices of alpha(0):
-# held here so that the CLI declares them without loading the budget.
+# continuum parts (0.21 + 0.01, 0.0796 + 0.018), hydrogen's exact static
+# polarizability alpha(0) = 9/2 atomic units of 4 pi eps0 a0^3 (bound states
+# plus continuum), and the budget's choices of alpha(0): held here so that
+# the CLI declares them without loading the budget.
 ADOPTED_KAPPA1 = 0.22
 ADOPTED_KAPPA2 = 0.0976
+POLARIZABILITY_EXACT_AU = 4.5
 POLARIZABILITY_CHOICES = ("exact", "computed_discrete",
                           "relativistic_corrected")
 

@@ -6,11 +6,11 @@ value it bounds. A row whose quantity a subcommand reports reads it from
 that subcommand's report at its defaults or at the flag values the row
 names, made once per run; only what no subcommand reports is computed here
 from the library. So a fault in a handler fails `verify` instead of
-shipping past it. The Rydberg oracles are exact integer passes: the exact
-route's Horner integers against their closed forms, and the five series'
-partial sums in fixed point. `sums` reads its expansion coefficients c_k and
-its sums to infinity from literal tables; this module derives every entry,
-the c_k in fixed point, and requires each to equal its table entry in every
+shipping past it. Each Rydberg series is defined once, in _SERIES. Their
+oracles are exact integer passes: the exact route's Horner integers against
+their closed forms, and the series' partial sums in fixed point. `sums`
+reads their c_k and sums to infinity from literal tables; this module
+derives every entry and requires it equal to its table entry in every
 bit. `run_checks()` evaluates the rows in order, so a deployed artifact can
 audit itself from the command line, and the acceptance gate
 (tests/test_acceptance.py) asserts the same rows. The benchmark keeps its
@@ -24,6 +24,7 @@ import math
 import sys
 import time
 from functools import cache
+from itertools import accumulate
 from typing import Any, Callable, NamedTuple
 
 from . import budget, cli, hydrogen, quadrature, sums, units
@@ -207,11 +208,57 @@ def _radial_route_gap(m: _Memo) -> float:
                for closed, exact in zip(hydrogen.radial_record(n, "closed_form"), record))
 
 
+_SCALE = 120
+
+
+class _Series(NamedTuple):
+    """One Rydberg series. `report` is the subcommand whose report carries
+    its sum, as `key`. `term` is t(n) from (I1, I2, I3, dE) of one n.
+    `exact_term` is t(n) times 2^_SCALE, floored, from n, d = n^2 - 1 and
+    q = (n-1)^(n-2)/(n+1)^(n+2) times 2^_SCALE. By the closed forms of the
+    S_p (see hydrogen), I2 I3 = 128 n^5 q^2, I3^2 = 256 n^7 q^2/d,
+    I2^2 = 64 n^3 d q^2, dE = d/(2 n^2) and
+    I1 I3 = 32 n^3 q (1 - d (5 n^2 - 1) q)/d. Each floor is off by less than
+    a unit: the sums to n = 400 are within 2^-98 of exact. `parts` gives
+    n^3 t(n) as a sum of parts w e^-c X_c(v) p(v) (1 - v)^-m, each
+    ((numerator, denominator) of w, c, m, coefficients of p in v)."""
+
+    report: str
+    key: str
+    term: Callable[[float, float, float, float], float]
+    exact_term: Callable[[int, int, int], int]
+    parts: tuple[tuple[tuple[int, int], int, int, tuple[int, ...]], ...]
+
+
+_SERIES = {
+    "kappa1": _Series("kappas", "kappa1_discrete",
+                      lambda i1, i2, i3, de: (2.0 / 27.0) * i1 * i3 / de**2,
+                      lambda n, d, q: 256 * n**7 * q * ((1 << _SCALE) - d * (
+                          5 * n * n - 1) * q) // (27 * d**3 << _SCALE),
+                      (((256, 27), 2, 5, (1,)), ((-128, 27), 4, 6, (10, -2)))),
+    "kappa2": _Series("kappas", "kappa2_discrete",
+                      lambda i1, i2, i3, de: (1.0 / 27.0) * i2 * i3 / de,
+                      lambda n, d, q: 256 * n**7 * q * q // (27 * d << _SCALE),
+                      (((256, 27), 4, 5, (1,)),)),
+    "polarizability": _Series("polarizability", "polarizability_discrete",
+                              lambda i1, i2, i3, de: (2.0 / 3.0) * i3 * i3 / de,
+                              lambda n, d, q: 1024 * n**9 * q * q // (3 * d * d << _SCALE),
+                              (((1024, 3), 4, 6, (1,)),)),
+    "bethe": _Series("bethe", "bethe_sum", lambda i1, i2, i3, de: i2 * i2,
+                     lambda n, d, q: 64 * n**3 * d * q * q >> _SCALE,
+                     (((64, 1), 4, 3, (1,)),)),
+    "oscillator": _Series("polarizability", "oscillator_strength_sum",
+                          lambda i1, i2, i3, de: (2.0 / 3.0) * de * i3 * i3,
+                          lambda n, d, q: 256 * n**5 * q * q // (3 << _SCALE),
+                          (((256, 3), 4, 4, (1,)),)),
+}
+
+
 def _expansion_oracle(m: _Memo) -> float:
     """Worst |exact-route term - n^-3 sum_k c_k n^-2k| over the sum of their
     bars, for every Rydberg series at every n of _EXPANSION_N."""
     worst = 0.0
-    for name, series in sums.SERIES.items():
+    for name, series in _SERIES.items():
         for n in _EXPANSION_N:
             exact = series.term(*hydrogen.radial_record(n, "exact"),
                                 hydrogen.transition_energy(n))
@@ -230,15 +277,6 @@ _ONE = 1 << 256
 
 
 @cache
-def _x(c: int, k: int) -> int:
-    """The coefficient of v^k in X_c(v), times _ONE, from the recurrence
-    k x_k = sum_{j=1}^k (-c j/(2j+1)) x_{k-j} of X' = (log X)' X."""
-    if k == 0:
-        return _ONE
-    return sum(-c * j * _x(c, k - j) // (2 * j + 1) for j in range(1, k + 1)) // k
-
-
-@cache
 def _exp_minus(c: int) -> int:
     """e^-c times _ONE: sum_{i<100} (-c)^i/i!, whose rest is below 2^-300
     for c <= 4."""
@@ -253,22 +291,24 @@ def _exp_minus(c: int) -> int:
 
 
 @cache
-def _x_over(c: int, m: int, k: int) -> int:
-    """The coefficient of v^k in X_c(v) (1 - v)^-m, times _ONE: the partial
-    sums of those of X_c(v) (1 - v)^-(m-1), which makes it
-    sum_i C(m-1+i, i) x_{k-i}, exactly."""
-    if m == 0:
-        return _x(c, k)
-    return _x_over(c, m - 1, k) + (_x_over(c, m, k - 1) if k else 0)
-
-
-@cache
-def _coefficient(name: str, k: int) -> float:
-    """c_k of a series, rounded once: the coefficient of v^k in
-    p(v) X_c(v) (1 - v)^-m is sum_d p_d [v^(k-d)] X_c(v) (1 - v)^-m."""
-    return sum(num * _exp_minus(c) * sum(
-        p * _x_over(c, m, k - d) for d, p in enumerate(poly[:k + 1])) // den
-        for (num, den), c, m, poly in sums.SERIES[name].parts) / _ONE**2
+def _coefficients(name: str, count: int) -> tuple[float, ...]:
+    """c_0..c_(count-1) of a series, each rounded once. For each part, the
+    coefficients x_k of X_c(v), times _ONE, follow from the recurrence
+    k x_k = sum_{j=1}^k (-c j/(2j+1)) x_{k-j} of X' = (log X)' X; m running
+    sums make those of X_c(v) (1 - v)^-m, exactly; and the coefficient of
+    v^k in p(v) X_c(v) (1 - v)^-m is sum_d p_d times that of v^(k-d)."""
+    totals = [0] * count
+    for (num, den), c, m, poly in _SERIES[name].parts:
+        xs = [_ONE]
+        for k in range(1, count):
+            xs.append(sum(-c * j * xs[k - j] // (2 * j + 1)
+                          for j in range(1, k + 1)) // k)
+        for _ in range(m):
+            xs = list(accumulate(xs))
+        for k in range(count):
+            totals[k] += num * _exp_minus(c) * sum(
+                p * xs[k - d] for d, p in enumerate(poly[:k + 1])) // den
+    return tuple(total / _ONE**2 for total in totals)
 
 
 # The terms n = 2.._HEAD of a sum to infinity are taken directly, the rest
@@ -285,8 +325,8 @@ def _sum_to_infinity(name: str) -> tuple[float, float]:
     terms n = 2.._HEAD and of sum_k c_k zeta(3 + 2k, _HEAD + 1). The bar is
     the expansion's, plus _ROUNDING of the terms and eps/2 of S_inf for the
     fsum."""
-    series = sums.SERIES[name]
-    head = [series.term(*hydrogen._closed_form(n), hydrogen.transition_energy(n))
+    term = _SERIES[name].term
+    head = [term(*hydrogen._closed_form(n), hydrogen.transition_energy(n))
             for n in range(2, _HEAD + 1)]
     rest, bar = sums.expansion(name, lambda k: sums._zeta_weight(k, _HEAD))
     total = math.fsum([*head, rest])
@@ -300,49 +340,30 @@ def _table_mismatches(m: _Memo) -> int:
     derivation reads the tabulated c_k, so where the count is 0 it is the
     S_inf of the derived c_k."""
     return sum(
-        sum(c != _coefficient(name, k) for k, c in enumerate(table))
+        sum(c != d for c, d in zip(table, _coefficients(name, len(table))))
         + (sums._SUMS_TO_INFINITY[name] != _sum_to_infinity(name))
         for name, table in sums._COEFFICIENTS.items())
-
-
-# Each Rydberg series: the report, and its key, that carries its sum, and its
-# term times 2^_SCALE from n, d = n^2 - 1 and q = (n-1)^(n-2)/(n+1)^(n+2)
-# times 2^_SCALE, floored. By the closed forms of the S_p (see hydrogen),
-# I2 I3 = 128 n^5 q^2, I3^2 = 256 n^7 q^2/d, I2^2 = 64 n^3 d q^2, dE = d/(2 n^2)
-# and I1 I3 = 32 n^3 q (1 - d (5 n^2 - 1) q)/d. Each floor is off by less than
-# a unit: the sums to n = 400 are within 2^-98 of exact (against 2^600).
-_SCALE = 120
-_RYDBERG_SUMS = {
-    "kappa1": ("kappas", "kappa1_discrete", lambda n, d, q: 256 * n**7 * q
-               * ((1 << _SCALE) - d * (5 * n * n - 1) * q) // (27 * d**3 << _SCALE)),
-    "kappa2": ("kappas", "kappa2_discrete",
-               lambda n, d, q: 256 * n**7 * q * q // (27 * d << _SCALE)),
-    "polarizability": ("polarizability", "polarizability_discrete",
-                       lambda n, d, q: 1024 * n**9 * q * q // (3 * d * d << _SCALE)),
-    "bethe": ("bethe", "bethe_sum", lambda n, d, q: 64 * n**3 * d * q * q >> _SCALE),
-    "oscillator": ("polarizability", "oscillator_strength_sum",
-                   lambda n, d, q: 256 * n**5 * q * q // (3 << _SCALE)),
-}
 
 
 def _exact_partials() -> dict[str, int]:
     """name -> the sum of each Rydberg series over n = 2..N, N the default
     n_max of its report, times 2^_SCALE; one division per n serves all five."""
-    n_maxes = {name: _params(sub)["n_max"] for name, (sub, _, _) in _RYDBERG_SUMS.items()}
-    totals = dict.fromkeys(_RYDBERG_SUMS, 0)
+    n_maxes = {name: _params(series.report)["n_max"] for name, series in _SERIES.items()}
+    totals = dict.fromkeys(_SERIES, 0)
     for n in range(2, max(n_maxes.values()) + 1):
         d = n * n - 1
         q = ((n - 1) ** (n - 2) << _SCALE) // (n + 1) ** (n + 2)
-        for name, (_, _, term) in _RYDBERG_SUMS.items():
+        for name, series in _SERIES.items():
             if n <= n_maxes[name]:
-                totals[name] += term(n, d, q)
+                totals[name] += series.exact_term(n, d, q)
     return totals
 
 
 def _partials_oracle(m: _Memo) -> float:
     """Worst |exact sum - reported partial| of the Rydberg series over the
     reported error. A partial times 2^_SCALE is an integer, so the gap is exact."""
-    rows = {name: m(_report, sub)[key][0] for name, (sub, key, _) in _RYDBERG_SUMS.items()}
+    rows = {name: m(_report, series.report)[series.key][0]
+            for name, series in _SERIES.items()}
     return max(abs(exact - int(math.ldexp(rows[name]["partial"], _SCALE)))
                / math.ldexp(rows[name]["error"], _SCALE)
                for name, exact in m(_exact_partials).items())
@@ -399,7 +420,7 @@ def _budget_items_gap(m: _Memo) -> float:
     products = {
         "abraham": budget.scaled(_C.vacuum_permittivity_eps0 * item["alpha0_si"],
                                  budget.cross(fields["B0"], fields["E0"])),
-        "alpha0_si": budget.POLARIZABILITY_VOLUME_AU * _C.bohr_radius_a0**3,
+        "alpha0_si": 4.0 * math.pi * _POLARIZABILITY_EXACT * _C.bohr_radius_a0**3,
         "casimir_correction": budget.scaled(shift, item["abraham"]),
         "casimir_relative_shift": shift,
         "kinetic": fields["Q0"],

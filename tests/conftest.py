@@ -37,7 +37,7 @@ def exits_cleanly(capsys):
 
 @pytest.fixture(scope="session")
 def sum_to_infinity() -> dict[str, str]:
-    """Each Rydberg series of sums.SERIES summed over n = 2..inf, 30 digits.
+    """Each Rydberg series of verify._SERIES summed over n = 2..inf, 30 digits.
 
     From mpmath at 45 digits: the closed-form terms to n = 60 plus an nsum
     tail; the exact 1/n^2 expansion with mpmath.zeta agrees to 1e-49.

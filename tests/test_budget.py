@@ -6,7 +6,6 @@ from casimir_momentum.budget import (
     ADOPTED_KAPPA1,
     ADOPTED_KAPPA2,
     HYDROGEN_BINDING_ENERGY_J,
-    POLARIZABILITY_VOLUME_AU,
     FieldConfiguration,
     assemble_budget,
     cross,
@@ -22,7 +21,7 @@ ALPHA = CONST.fine_structure_alpha
 
 CROSSED = FieldConfiguration(E0=(1e5, 0.0, 0.0), B0=(0.0, 1.0, 0.0),
                              Q0=(0.0, 0.0, 0.0))
-ALPHA0_SI = POLARIZABILITY_VOLUME_AU * CONST.bohr_radius_a0**3
+ALPHA0_SI = 18.0 * math.pi * CONST.bohr_radius_a0**3   # exact alpha(0), SI volume
 GENERAL = FieldConfiguration(E0=(3e4, -1e4, 2e4), B0=(0.3, 1.1, -0.4),
                              Q0=(1e-27, -2e-28, 5e-29))
 ZERO = FieldConfiguration(E0=(0.0, 0.0, 0.0), B0=(0.0, 0.0, 0.0),

@@ -221,10 +221,8 @@ def test_n_max_ceiling_refused_before_table_fill(capsys, monkeypatch, value):
     assert "--n-max" in capsys.readouterr().err
 
 
-# The series in sums.SERIES behind each reported sum.
-_SUM_KEYS = {"kappa1_discrete": "kappa1", "kappa2_discrete": "kappa2",
-             "bethe_sum": "bethe", "polarizability_discrete": "polarizability",
-             "oscillator_strength_sum": "oscillator"}
+# The series in verify._SERIES behind each reported sum.
+_SUM_KEYS = {series.key: name for name, series in verify._SERIES.items()}
 
 
 @pytest.mark.parametrize("argv", [

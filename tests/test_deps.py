@@ -186,8 +186,9 @@ def _package_modules(loaded: set[str]) -> set[str]:
 
 def test_import_loads_only_the_sweep_modules(imported):
     # The library sweep imports the package and then starts its timer; the
-    # modules of its sums and continuum scans must be loaded by then.
-    assert _package_modules(set(imported["loaded"])) == {"hydrogen", "quadrature", "sums"}
+    # modules of its sums and continuum scans must be loaded by then, and no
+    # other: the sums read literal tables, not hydrogen's radial integrals.
+    assert _package_modules(set(imported["loaded"])) == {"quadrature", "sums"}
 
 
 def test_import_leaves_first_use_tables_empty(imported):
@@ -220,13 +221,13 @@ def test_verify_loads_no_fractions(fresh_run):
     assert not loaded, sorted(loaded)
 
 
-# The modules a subcommand must not load.
+# The modules a subcommand must not load; only verify loads hydrogen.
 _NOT_LOADED = {
     **dict.fromkeys(("continuum", "kappas", "bethe", "polarizability"),
-                    {"budget", "renorm", "verify"}),
-    "budget": {"renorm", "verify"},
-    "renorm": {"budget", "verify"},
-    "rho-c": {"budget", "verify"},
+                    {"budget", "hydrogen", "renorm", "verify"}),
+    "budget": {"hydrogen", "renorm", "verify"},
+    "renorm": {"budget", "hydrogen", "verify"},
+    "rho-c": {"budget", "hydrogen", "verify"},
 }
 
 
@@ -235,6 +236,35 @@ def test_subcommand_loads_only_what_it_runs(subcommand, fresh_run):
     loaded = _package_modules(fresh_run(subcommand).loaded)
     assert "cli" in loaded
     assert not loaded & _NOT_LOADED[subcommand], sorted(loaded)
+
+
+def _imported_submodules(tree: ast.Module) -> set[str]:
+    """The package's submodules that a module of it names in an import
+    statement, relative or absolute."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            paths = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = ".".join(filter(None, ("casimir_momentum", module)))
+            paths = [module, *(f"{module}.{alias.name}" for alias in node.names)]
+        else:
+            continue
+        found.update(path.split(".")[1] for path in paths
+                     if path.startswith("casimir_momentum."))
+    return found
+
+
+def test_only_verify_imports_hydrogen():
+    # The radial integrals serve verify's oracles alone; the sums read
+    # literal tables. No other module of the package imports hydrogen, by
+    # a relative or an absolute import.
+    importers = sorted(
+        path.stem for path in (Path(SRC) / "casimir_momentum").glob("*.py")
+        if "hydrogen" in _imported_submodules(ast.parse(path.read_text(encoding="utf-8"))))
+    assert importers == ["verify"]
 
 
 def test_renorm_runs_no_engine(monkeypatch):
@@ -251,7 +281,7 @@ def test_renorm_runs_no_engine(monkeypatch):
 
 # --- the package root: eager sweep exports, the rest on first access ---------
 
-_SUBMODULES = ("hydrogen", "quadrature", "sums", "budget", "renorm", "units")
+_SUBMODULES = ("quadrature", "sums", "budget", "renorm", "units")
 
 
 def test_every_root_export_is_its_submodules_object():
@@ -261,6 +291,15 @@ def test_every_root_export_is_its_submodules_object():
         owners = [module[name] for module in modules if name in module]
         assert owners, name
         assert all(getattr(casimir_momentum, name) is obj for obj in owners), name
+
+
+def test_root_exports_no_oracle_name():
+    # The radial records and the adaptive engine are reached through their
+    # submodules: no report or sweep calls them through the root.
+    for name in ("radial_record", "RadialIntegralRecord", "energy",
+                 "integrate_adaptive", "integrate_to_inf", "QuadratureError"):
+        assert name not in casimir_momentum.__all__, name
+        assert not hasattr(casimir_momentum, name), name
 
 
 def test_root_dir_and_star_import_list_the_lazy_names():

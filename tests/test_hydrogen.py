@@ -4,7 +4,7 @@ import tracemalloc
 import pytest
 
 import casimir_momentum.hydrogen as hyd
-from casimir_momentum import sums, verify
+from casimir_momentum import verify
 from casimir_momentum.hydrogen import energy, radial_record, transition_energy
 
 SQRT6 = math.sqrt(6.0)
@@ -150,7 +150,7 @@ def test_exact_route_memory_bounded(fresh_memos):
 
 def _oscillator_strength(n):
     """f(1s -> np) = (2/3) dE_n I_3(n)^2, by the oscillator series' term."""
-    return sums.SERIES["oscillator"].term(*radial_record(n), transition_energy(n))
+    return verify._SERIES["oscillator"].term(*radial_record(n), transition_energy(n))
 
 
 def test_oscillator_strengths():

@@ -9,7 +9,6 @@ import pytest
 from casimir_momentum import hydrogen, sums, verify
 from casimir_momentum.hydrogen import radial_record, transition_energy
 from casimir_momentum.sums import (
-    POLARIZABILITY_EXACT_AU,
     SpectralSumResult,
     bethe_sum,
     hurwitz_zeta,
@@ -19,6 +18,7 @@ from casimir_momentum.sums import (
     oscillator_strength_sum,
     polarizability_discrete,
 )
+from casimir_momentum.units import POLARIZABILITY_EXACT_AU
 
 SQRT6 = math.sqrt(6.0)
 I1_2 = 16.0 / (27.0 * SQRT6)
@@ -136,7 +136,7 @@ def test_sums_read_hurwitz_zeta_where_a_to_minus_s_is_normal(fresh_memos, monkey
         pairs.add((s, a))
         return hurwitz_zeta(s, a)
     monkeypatch.setattr(sums, "hurwitz_zeta", recorded)
-    for name in sums.SERIES:
+    for name in verify._SERIES:
         verify._sum_to_infinity(name)
         for n_max in _SCAN_N_MAX:
             sums._spectral_sum(name, n_max, True)
@@ -148,7 +148,7 @@ def test_largest_coefficient_read_is_the_tables_last(fresh_memos, monkeypatch):
     # Over the scan, and verify's derivation of the sums to infinity, the
     # largest k read is c_23, the last entry of every series' table; only
     # polarizability at n_max = 2 reads it.
-    read = dict.fromkeys(sums.SERIES, 0)
+    read = dict.fromkeys(verify._SERIES, 0)
     expansion = sums.expansion
 
     def recorded(name, weight):
@@ -157,7 +157,7 @@ def test_largest_coefficient_read_is_the_tables_last(fresh_memos, monkeypatch):
             return weight(k)
         return expansion(name, noted)
     monkeypatch.setattr(sums, "expansion", recorded)
-    for name in sums.SERIES:
+    for name in verify._SERIES:
         verify._sum_to_infinity(name)
         for n_max in _SCAN_N_MAX:
             sums._spectral_sum(name, n_max, True)
@@ -166,7 +166,7 @@ def test_largest_coefficient_read_is_the_tables_last(fresh_memos, monkeypatch):
     assert [name for name, k in read.items() if k == 23] == ["polarizability"]
 
 
-@pytest.mark.parametrize("name", list(sums.SERIES))
+@pytest.mark.parametrize("name", list(verify._SERIES))
 def test_expansion_past_its_table_names_the_series(name):
     # A weight that decays by 0.9 a step never falls below 2^-60 of the sum
     # within 24 terms: the expansion refuses, where a bare IndexError or a
@@ -284,7 +284,7 @@ _REFERENCE_TERMS = {
 }
 
 
-# The name of each series in sums.SERIES.
+# The name of each series in verify._SERIES.
 _NAMES = {kappa1_discrete: "kappa1", kappa2_discrete: "kappa2",
           polarizability_discrete: "polarizability", bethe_sum: "bethe",
           oscillator_strength_sum: "oscillator"}
@@ -359,7 +359,7 @@ def test_warm_sum_memory_bounded():
 
 
 @pytest.mark.parametrize("steps", [(79, 120, 163), (20, 1000), (1000, 2100)])
-@pytest.mark.parametrize("name", list(sums.SERIES))
+@pytest.mark.parametrize("name", list(verify._SERIES))
 def test_running_column_grown_in_steps_bit_identical(fresh_memos, name, steps):
     # A sum reached through smaller n_max first is bit-identical to one made
     # on fresh memos: S_inf and the tail weights depend on no earlier n_max.
@@ -374,7 +374,7 @@ def test_cold_sums_to_infinity_work_out_each_zeta_weight_once(fresh_memos, monke
     # verify's derivation of the five sums to infinity weighs c_k by
     # zeta(3 + 2k, 10) for all of them: one call of hurwitz_zeta per
     # distinct (s, a), and S_inf bit-identical to warm.
-    warm = {name: verify._sum_to_infinity(name) for name in sums.SERIES}
+    warm = {name: verify._sum_to_infinity(name) for name in verify._SERIES}
     fresh_memos()
     calls = []
 
@@ -382,7 +382,7 @@ def test_cold_sums_to_infinity_work_out_each_zeta_weight_once(fresh_memos, monke
         calls.append((s, a))
         return hurwitz_zeta(s, a)
     monkeypatch.setattr(sums, "hurwitz_zeta", counted)
-    cold = {name: verify._sum_to_infinity(name) for name in sums.SERIES}
+    cold = {name: verify._sum_to_infinity(name) for name in verify._SERIES}
     assert cold == warm
     assert calls and len(calls) == len(set(calls)), len(calls)
 
@@ -403,15 +403,15 @@ def _reference_coefficients(name: str, k_max: int) -> list[float]:
     return [sum(num * exp_minus[c] * sum(
         p * math.comb(m - 1 + i, i) * xs[c][k - d - i]
         for d, p in enumerate(poly) for i in range(k - d + 1)) // den
-        for (num, den), c, m, poly in sums.SERIES[name].parts) / one**2
+        for (num, den), c, m, poly in verify._SERIES[name].parts) / one**2
         for k in range(k_max + 1)]
 
 
-@pytest.mark.parametrize("name", list(sums.SERIES))
+@pytest.mark.parametrize("name", list(verify._SERIES))
 def test_coefficients_bit_identical_to_direct_double_sum(name):
     # verify's derivation to k = 120, and the table sums reads, c_0..c_23.
     reference = _reference_coefficients(name, 120)
-    assert [verify._coefficient(name, k) for k in range(121)] == reference
+    assert list(verify._coefficients(name, 121)) == reference
     assert list(sums._COEFFICIENTS[name]) == reference[:24]
 
 
