@@ -60,16 +60,11 @@ class RadialIntegralRecord(NamedTuple):
     I3: float
 
 
-def energy(n: int) -> float:
-    """Bound-state energy -1/(2 n^2) hartree."""
+def transition_energy(n: int) -> float:
+    """Excitation energy E_n - E_1 = 1/2 - 1/(2 n^2) hartree."""
     if n < 1:
         raise ValueError("n must be a positive integer")
-    return -0.5 / (n * n)
-
-
-def transition_energy(n: int) -> float:
-    """Excitation energy E_n - E_1 in hartree."""
-    return energy(n) - energy(1)
+    return 0.5 - 0.5 / (n * n)
 
 
 def _closed_form(n: int) -> tuple[float, float, float]:

@@ -15,10 +15,11 @@ The two continuum integrals, kappa1_continuum and kappa2_continuum, do not
 use the engine: both integrands have elementary antiderivatives, evaluated
 directly for y_min <= 1.5 and above, where the antiderivatives cancel, as
 series in u = 1/(1 + y_min^2) whose terms are incomplete beta functions
-expanded binomially. Each sums its addends with math.fsum and reports
-a bound on their rounding and truncation as estimated_error. The engine on
-the public integrands is their oracle (verify's kappa*_continuum_engine_*
-rows), and the tolerances a caller passes to them steer nothing.
+expanded binomially, each a polynomial in u taken by Horner's rule to a term
+count set by u. Each reports a bound on its rounding and truncation as
+estimated_error. The engine on the public integrands is their oracle
+(verify's kappa*_continuum_engine_* rows), and the tolerances a caller
+passes to them steer nothing.
 """
 
 from __future__ import annotations
@@ -248,20 +249,24 @@ def _check_y_min(y_min: float) -> None:
 # antiderivatives are evaluated directly. Above it they cancel (at a = 10 the
 # direct kappa2 keeps only 10 digits), and series in u = 1/(1 + a^2) take
 # over. Below the switch the series would keep their digits (at a = 1.25
-# kappa1's is within 9e-16 relative, bar 3e-14, the direct form within
-# 1.2e-15, bar 2e-13), but kappa1's reads 75 terms there to the direct 9.
+# kappa1's is within 8e-16 relative, bar 3.1e-14, the direct form within
+# 1.2e-15, bar 2e-13), but each of kappa1's two takes 45 Horner steps there.
 _Y_STAR = 1.5
 # Each addend of the direct form is within 20 units of roundoff (eps/2) of its
 # exact value: a handful of roundings, atan and pow within an ulp each, and a
 # power of the rounded 1 + a^2 scaling its rounding by the exponent (kappa2's
-# (1 + a^2)^5 is the worst, at about 19). A series term c_k/(1 + a^2)^(k+p)
-# is within 2(k+p) + 4 units, kappa2's 2(k+p) + 6: 1 + a^2 within 2, scaled
-# by k+p in the pow, the pow within 2, c_k within 1 (kappa2's 3, with its
-# /pi) and the division 1; kappa1's atan addend is within 9. Weighted by the
-# addends' magnitudes these sizes come to at most 14 units of the sum of
-# those magnitudes (13.6 for kappa2 at a = 1.5, where u is largest; 8.6 for
-# kappa1). The fsum adds one unit of the sum, so _ROUNDING, 24 units, times
-# the sum of the addends' magnitudes bounds the rounding of either form.
+# (1 + a^2)^5 is the worst, at about 19), and the fsum adds one unit of the
+# sum of the addends' magnitudes. In a series, b = 1 + a^2 is within 2 units
+# and u = 1/b within 3. Horner's rule gives sum_k c_k u^k (1 + theta_k),
+# theta_k within 2k + 1 roundings; u^k is within 3k, c_k within 1 (kappa2's
+# 3, with its /pi), the pow b^-p within 2p + 2 (b's 2 scaled by p, the pow 2)
+# and the product 1. So the term c_k u^(k+p) is within 5k + 2p + 5 units,
+# kappa2's 5k + 2p + 7, and kappa1's atan addend within 9. The terms fall by
+# at least u <= 4/13 from k = 2 on; weighted by their magnitudes these sizes
+# come to at most 15.5 units (kappa2, p = 7/2, at a = 1.5 where u is largest;
+# 14 as a grows) and 9.4 for kappa1, whose final fsum of three addends adds
+# one. So _ROUNDING, 24 units, times the sum of the addends' magnitudes
+# bounds the rounding of either form.
 _ROUNDING = 12.0 * sys.float_info.epsilon
 
 
@@ -311,50 +316,51 @@ def _kappa1_binomial_coefficient(k: int) -> float:
     return math.comb(2 * k, k) / (2 * 4**k * (2 * k - 1) * (k + 2))
 
 
+# Natural log of 2^60: a series of n(u) = max(3, ceil(_LN_2_TO_60 / ln(1/u)))
+# terms leaves out u^n(u) <= 2^-60 of its leading power, at most 36 terms
+# above _Y_STAR. Rounding in the quotient can move that target by a term at
+# most; the truncation a series reports is its own first term left out, so
+# its bound holds either way.
+_LN_2_TO_60 = 60.0 * math.log(2.0)
+
+
 class _BetaSeries:
     """One of those series: its coefficients, its first power p, and its
-    table of (c_k, k + p), made on first use, not at import, and grown on
-    demand, doubling from 16 entries (a just above _Y_STAR reads k <= 32,
-    a = 1 k <= 52). The table is replaced whole, never appended to, as
-    threads may read it while another grows it."""
+    table of c_k, made on first use, not at import, and grown to exactly
+    the count a call reads (a just above _Y_STAR reads c_0..c_36, a = 10
+    c_0..c_10). The table is replaced whole, never appended to, as threads
+    may read it while another grows it."""
 
     def __init__(self, coefficient: Callable[[int], float], p: float) -> None:
         self.coefficient = coefficient
         self.p = p
-        self.table: tuple[tuple[float, float], ...] = ()
+        self.table: tuple[float, ...] = ()
 
-    def _grow(self, table: tuple[tuple[float, float], ...]) -> tuple[tuple[float, float], ...]:
-        table += tuple((self.coefficient(k), self.p + k)
-                       for k in range(len(table), max(16, 2 * len(table))))
-        self.table = table
-        return table
+    def __call__(self, a: float) -> tuple[float, float, float]:
+        """The sum of c_k u^(k + p) over k < n(u), u = 1/(1 + a^2), the sum
+        of those terms' magnitudes, and a bound on what is left out.
 
-    def __call__(self, a: float) -> tuple[list[float], float]:
-        """The terms c_k u^(k + p), u = 1/(1 + a^2), down to the first one
-        below 2^-60 of the partial sum, and a bound on what is left out.
-
-        In each of the three series c_(k+1)/c_k lies in (0, 1) from k = 2
-        on, so the terms keep one sign and |t_(k+1)/t_k| < u: what is left
-        out from the first term t_K left out is below |t_K|/(1 - u). For
-        u >= 1e-12 (a <= Y_MIN_MAX) no series stops before K = 2. Every
-        term is c_k/(1 + a^2)^(k + p), a division and a pow from its
-        coefficient, which spares it the rounding of u itself.
+        The polynomial in u is taken by Horner's rule, then multiplied once
+        by (1 + a^2)^-p. Only c_0 and c_1 can be negative, so the magnitudes
+        sum to the series plus twice those terms. In each of the three
+        series c_(k+1)/c_k lies in (0, 1) from k = 2 on, so the terms keep
+        one sign and |t_(k+1)/t_k| < u: what is left out from the first term
+        t_n left out is below |t_n|/(1 - u), with t_n = c_n/(1 + a^2)^(n + p).
         """
         b = 1.0 + a * a
         u = 1.0 / b
-        terms: list[float] = []
-        partial = 0.0
+        n = max(3, math.ceil(_LN_2_TO_60 / math.log(b)))
         table = self.table
-        start = 0
-        while True:
-            for c, power in table[start:]:
-                t = c / b ** power
-                if abs(t) <= 2.0**-60 * abs(partial):
-                    return terms, abs(t) / (1.0 - u)
-                terms.append(t)
-                partial += t
-            start = len(table)
-            table = self._grow(table)
+        if len(table) <= n:
+            table += tuple(map(self.coefficient, range(len(table), n + 1)))
+            self.table = table
+        total = 0.0
+        for c in table[n - 1::-1]:
+            total = total * u + c
+        scale = b ** -self.p
+        negative = min(table[0], 0.0) + min(table[1], 0.0) * u
+        return (total * scale, (total - 2.0 * negative) * scale,
+                abs(table[n] / b ** (n + self.p)) / (1.0 - u))
 
 
 _KAPPA1_BY_PARTS = _BetaSeries(_kappa1_by_parts_coefficient, 2.5)
@@ -362,8 +368,9 @@ _KAPPA1_BINOMIAL = _BetaSeries(_kappa1_binomial_coefficient, 2.0)
 _KAPPA2 = _BetaSeries(_kappa2_coefficient, 3.5)
 
 
-def _kappa1_series(a: float) -> tuple[list[float], float]:
-    """Addends of kappa1_continuum for a > _Y_STAR, and their truncation bound.
+def _kappa1_series(a: float) -> tuple[float, float, float]:
+    """kappa1_continuum for a > _Y_STAR, the sum of its addends' magnitudes,
+    and its truncation bound.
 
     With t = 1/y the integral is that of
     t^3 (pi/2 - atan t - (1+t^2)^(-1/2)) / (1+t^2)^3 over [0, 1/a]. By parts
@@ -374,18 +381,22 @@ def _kappa1_series(a: float) -> tuple[list[float], float]:
     C(2k, k)/(4 4^k (2k+5)) on u^(k+5/2) and C(2k, k)/(2 4^k (2k-1)(k+2))
     on u^(k+2).
     """
-    t1, e1 = _KAPPA1_BY_PARTS(a)
-    t2, e2 = _KAPPA1_BINOMIAL(a)
-    return [math.atan(a) / (4.0 * (1.0 + a * a) ** 2), *t1, *t2], e1 + e2
+    front = math.atan(a) / (4.0 * (1.0 + a * a) ** 2)
+    s1, m1, e1 = _KAPPA1_BY_PARTS(a)
+    s2, m2, e2 = _KAPPA1_BINOMIAL(a)
+    return math.fsum((front, s1, s2)), math.fsum((front, m1, m2)), e1 + e2
 
 
 def _continuum(direct: Callable, series: Callable,
                y_min: float) -> ContinuumResult:
     _check_y_min(y_min)
-    terms, tail = direct(y_min) if y_min <= _Y_STAR else series(y_min)
-    return ContinuumResult(value=math.fsum(terms), y_min=y_min,
-                           estimated_error=_ROUNDING * math.fsum(map(abs, terms))
-                           + tail)
+    if y_min <= _Y_STAR:
+        terms, tail = direct(y_min)
+        value, size = math.fsum(terms), math.fsum(map(abs, terms))
+    else:
+        value, size, tail = series(y_min)
+    return ContinuumResult(value=value, y_min=y_min,
+                           estimated_error=_ROUNDING * size + tail)
 
 
 def kappa1_continuum(y_min: float = 1.0,

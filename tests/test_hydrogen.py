@@ -5,7 +5,7 @@ import pytest
 
 import casimir_momentum.hydrogen as hyd
 from casimir_momentum import verify
-from casimir_momentum.hydrogen import energy, radial_record, transition_energy
+from casimir_momentum.hydrogen import radial_record, transition_energy
 
 SQRT6 = math.sqrt(6.0)
 
@@ -17,21 +17,23 @@ I3_2 = 768.0 / (243.0 * SQRT6)
 
 
 def test_energy_values():
-    assert energy(1) == -0.5
-    assert energy(2) == -0.125
-    assert transition_energy(2) == pytest.approx(0.375, abs=1e-15)
+    assert transition_energy(1) == 0.0
+    assert transition_energy(2) == 0.375
+    # E_n - E_1 from the bound-state energies E_n = -1/(2 n^2), bit for bit.
+    assert all(transition_energy(n) == -0.5 / (n * n) - -0.5 for n in range(1, 1000))
 
 
 def test_energy_monotone_to_zero():
-    values = [energy(n) for n in range(1, 60)]
+    # E_n - E_1 rises to 1/2 as E_n rises to zero.
+    values = [transition_energy(n) for n in range(1, 60)]
     assert all(b > a for a, b in zip(values, values[1:]))
-    assert values[-1] < 0.0
-    assert energy(10_000) == pytest.approx(0.0, abs=1e-8)
+    assert values[-1] < 0.5
+    assert transition_energy(10_000) == pytest.approx(0.5, abs=1e-8)
 
 
 def test_energy_rejects_nonpositive_n():
     with pytest.raises(ValueError):
-        energy(0)
+        transition_energy(0)
 
 
 ROUTES = ("closed_form", "exact")

@@ -1,8 +1,9 @@
+import importlib.util
 import math
 import re
 import sys
 from fractions import Fraction
-from itertools import count
+from pathlib import Path
 
 import pytest
 
@@ -289,9 +290,14 @@ def test_closed_form_error_covers_reference(y_min):
 
 
 def _bounded(form, a):
-    terms, tail = form(a)
-    return (math.fsum(terms),
-            quadrature._ROUNDING * math.fsum(map(abs, terms)) + tail)
+    """(value, bar) of a direct form, its addends summed as _continuum sums
+    them, or of a series, from its sum, magnitude and truncation."""
+    out = form(a)
+    if len(out) == 2:
+        terms, tail = out
+        out = math.fsum(terms), math.fsum(map(abs, terms)), tail
+    value, size, tail = out
+    return value, quadrature._ROUNDING * size + tail
 
 
 @pytest.mark.parametrize("direct,series", [
@@ -305,28 +311,43 @@ def test_direct_form_and_series_agree_within_bounds(direct, series):
         assert abs(v_d - v_s) <= e_d + e_s, a
 
 
-def _reference_series(coefficient, p, a):
-    """The terms of a series of quadrature one by one from its coefficients,
-    c_k/(1 + a^2)^(k + p), and the first term left out over 1 - u."""
-    terms, partial = [], 0.0
-    for k in count():
-        t = coefficient(k) / (1.0 + a * a) ** (p + k)
-        if abs(t) <= 2.0**-60 * abs(partial):
-            return terms, abs(t) / (1.0 - 1.0 / (1.0 + a * a))
-        terms.append(t)
-        partial += t
-
-
 _SERIES = [quadrature._KAPPA2, quadrature._KAPPA1_BY_PARTS, quadrature._KAPPA1_BINOMIAL]
 
 
-@pytest.mark.parametrize("series", _SERIES)
-def test_series_table_bit_identical_to_term_by_term(monkeypatch, series):
-    # From an empty table, the cutoffs from the largest down read ever more
-    # coefficients, so the table grows on the way (to 512 or 1024 entries).
+def _read(monkeypatch, series, a):
+    """series(a) from an empty table, and the count n of terms it summed:
+    the table holds exactly c_0..c_n, the last for the first term left out."""
     monkeypatch.setattr(series, "table", ())
-    for a in (1e6, 10.0, 3.15, 1.55, 1.25, 1.05, 0.5, 0.25):
-        assert series(a) == _reference_series(series.coefficient, series.p, a), a
+    out = series(a)
+    return out, len(series.table) - 1
+
+
+def _within(value, bar, exact, u, half):
+    """|value - exact sqrt(u)^half| <= bar, exactly: for a half-integer
+    power (half = 1) sqrt(u) is squared away; exact is then positive."""
+    lo, hi = Fraction(value) - Fraction(bar), Fraction(value) + Fraction(bar)
+    if not half:
+        return lo <= exact <= hi
+    assert exact > 0
+    return (lo <= 0 or lo**2 <= exact**2 * u) and hi > 0 and exact**2 * u <= hi**2
+
+
+@pytest.mark.parametrize("series", _SERIES)
+def test_series_horner_sum_within_rounding_of_exact(monkeypatch, series):
+    # The Horner sum and the magnitude sum each lie within _ROUNDING of the
+    # magnitude of sum_(k<n) c_k u^(k+p), taken exactly from the series' own
+    # c_k and u = 1/(1 + a^2) of the float a, with sqrt(u) squared away
+    # where p is a half-integer. Points from 1.25, below the switch, where n
+    # is largest, to the ceiling.
+    whole = int(series.p)
+    for a in (*_linspace(1.25, 1.5, 11), 1.5000001, 1.55, 3.15, 10.0, 1e3, 1e6):
+        (value, size, _), n = _read(monkeypatch, series, a)
+        u = 1 / (1 + Fraction(a) ** 2)
+        terms = [Fraction(series.coefficient(k)) * u ** (k + whole) for k in range(n)]
+        bar = quadrature._ROUNDING * size
+        half = series.p != whole
+        assert _within(value, bar, sum(terms), u, half), a
+        assert _within(size, bar, sum(map(abs, terms)), u, half), a
 
 
 def _exact_coefficient(series, k):
@@ -344,17 +365,17 @@ def _exact_coefficient(series, k):
 
 
 @pytest.mark.parametrize("series", _SERIES)
-def test_series_truncation_covers_exact_tail(series):
+def test_series_truncation_covers_exact_tail(monkeypatch, series):
     # The 200 terms after the last one summed, exactly: c_k u^(k+p) with
     # u = 1/(1 + a^2) of the float a, and sqrt(u) squared away where p is
     # a half-integer. kappa2's c_k carry 1/pi, so its truncation is scaled
     # by Fraction(math.pi), which is below pi.
     for a in (1.5000001, 1.55, 3.15, 1e6):
-        terms, truncation = series(a)
+        (_, _, truncation), n = _read(monkeypatch, series, a)
         u = 1 / (1 + Fraction(a) ** 2)
         whole = int(series.p)
         tail = sum(_exact_coefficient(series, k) * u ** (k + whole)
-                   for k in range(len(terms), len(terms) + 200))
+                   for k in range(n, n + 200))
         bound = Fraction(truncation)
         if series is quadrature._KAPPA2:
             bound *= Fraction(math.pi)
@@ -363,6 +384,41 @@ def test_series_truncation_covers_exact_tail(series):
             assert bound >= tail, a
         else:
             assert bound**2 >= u * tail**2, a
+
+
+def _sweep_grid():
+    """The benchmark's y_min grid for its lib-sweep (bench/spec.py imports
+    only the standard library)."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "spec.py"
+    module_spec = importlib.util.spec_from_file_location("bench_spec", path)
+    bench = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(bench)
+    return bench.SWEEP_YMIN_GRID
+
+
+def test_series_cost_bounded_by_cutoff(fresh_memos):
+    # Each series call reads a count of coefficients set by u alone, which
+    # falls as the cutoff rises: at most 37 anywhere above the switch, and
+    # a scan leaves each table exactly as long as its largest count.
+    for a in (math.nextafter(quadrature._Y_STAR, math.inf), 1.5000001,
+              *_geomspace(1.55, Y_MIN_MAX, 200)):
+        for series in _SERIES:
+            fresh_memos()
+            series(a)
+            assert 3 < len(series.table) <= 37, (a, len(series.table))
+    fresh_memos()
+    grid = _sweep_grid()
+    read = {}
+    for series in _SERIES:
+        for a in grid:
+            if a > quadrature._Y_STAR:
+                fresh_memos()
+                series(a)
+                read[series] = max(read.get(series, 0), len(series.table))
+    fresh_memos()
+    ymin_sensitivity("kappa1", grid)
+    ymin_sensitivity("kappa2", grid)
+    assert [len(series.table) for series in _SERIES] == [read[s] for s in _SERIES]
 
 
 def test_bars_above_switch_tight():
