@@ -34,11 +34,9 @@ forms; the two must agree to 5e-15 relative (verify's
 radial_dual_route_nle200 row for n <= 200; the test suite up to n = 1000).
 
 `radial_record(n, method)` gives one n by a named route, memoized for the
-last _RECORD_MEMO keys (a record with its cache entry takes about 205 bytes,
-so the memo holds at most about 0.9 MB). Of the package, only `verify`
-imports this module; its derivation of the sums to infinity calls
-`_closed_form` for the terms n = 2..9. The spectral sums read no record of
-one n (see `sums`).
+last _RECORD_MEMO keys (about 205 bytes each, 0.9 MB at most). Of the
+package, only `verify` imports this module; its Rydberg terms read the
+Horner integers alone.
 
 The angular sums over m and Cartesian components that accompany these
 integrals in second-order coefficients reduce to a unit factor for
@@ -58,13 +56,6 @@ class RadialIntegralRecord(NamedTuple):
     I1: float
     I2: float
     I3: float
-
-
-def transition_energy(n: int) -> float:
-    """Excitation energy E_n - E_1 = 1/2 - 1/(2 n^2) hartree."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    return 0.5 - 0.5 / (n * n)
 
 
 def _closed_form(n: int) -> tuple[float, float, float]:
@@ -112,7 +103,7 @@ def _integrals_of(n: int, s1: int, s2: int, s3: int) -> tuple[float, float, floa
             4 * n * n * s3 / (den * m * m) / root)
 
 
-# Bound of radial_record's memo, above the distinct keys of any one run: 202
+# Bound of radial_record's memo, above the distinct keys of any one run: 199
 # in verify, 996 in the benchmark's replay of it.
 _RECORD_MEMO = 4096
 
@@ -132,5 +123,4 @@ def radial_record(n: int, method: str = "closed_form") -> RadialIntegralRecord:
               "exact": lambda n: _integrals_of(n, *_horner_sums(n))}
     if method not in routes:
         raise ValueError(f"unknown method {method!r}")
-    i1, i2, i3 = routes[method](int(n))
-    return RadialIntegralRecord(I1=i1, I2=i2, I3=i3)
+    return RadialIntegralRecord(*routes[method](int(n)))

@@ -270,8 +270,8 @@ _Y_STAR = 1.5
 _ROUNDING = 12.0 * sys.float_info.epsilon
 
 
-def _kappa1_direct(a: float) -> tuple[list[float], float]:
-    """Addends of 3pi/64 - 2/15 - F1(a) + G1(a), and no truncation.
+def _kappa1_direct(a: float) -> list[float]:
+    """Addends of 3pi/64 - 2/15 - F1(a) + G1(a).
 
     F1(y) = (3y^4 atan y + 3y^3 + 6y^2 atan y + 5y - 5 atan y)/(32(1+y^2)^2)
     is the antiderivative of y atan(y)/(1+y^2)^3, G1(y) =
@@ -283,17 +283,17 @@ def _kappa1_direct(a: float) -> tuple[list[float], float]:
     g = 15.0 * (1.0 + a * a) ** 2.5
     return [3.0 * math.pi / 64.0, -2.0 / 15.0,
             -3.0 * a**4 * at / f, -3.0 * a**3 / f, -6.0 * a * a * at / f,
-            -5.0 * a / f, 5.0 * at / f, 2.0 * a**5 / g, 5.0 * a**3 / g], 0.0
+            -5.0 * a / f, 5.0 * at / f, 2.0 * a**5 / g, 5.0 * a**3 / g]
 
 
-def _kappa2_direct(a: float) -> tuple[list[float], float]:
-    """Addends of 1/18 - F2(a), and no truncation, where
+def _kappa2_direct(a: float) -> list[float]:
+    """Addends of 1/18 - F2(a), where
     F2(y) = [y (15y^8 + 70y^6 + 128y^4 - 70y^2 - 15) + 15 (1+y^2)^5 atan y]
     / (135pi (1+y^2)^5) is the antiderivative of (256/27pi) y^4/(1+y^2)^6.
     """
     d = 135.0 * math.pi * (1.0 + a * a) ** 5
     return [1.0 / 18.0, -15.0 * a**9 / d, -70.0 * a**7 / d, -128.0 * a**5 / d,
-            70.0 * a**3 / d, 15.0 * a / d, -math.atan(a) / (9.0 * math.pi)], 0.0
+            70.0 * a**3 / d, 15.0 * a / d, -math.atan(a) / (9.0 * math.pi)]
 
 
 # The three series below, sum_k c_k u^(k + p) with u = 1/(1 + a^2) <= 4/13
@@ -390,13 +390,11 @@ def _kappa1_series(a: float) -> tuple[float, float, float]:
 def _continuum(direct: Callable, series: Callable,
                y_min: float) -> ContinuumResult:
     _check_y_min(y_min)
-    if y_min <= _Y_STAR:
-        terms, tail = direct(y_min)
-        value, size = math.fsum(terms), math.fsum(map(abs, terms))
-    else:
+    if y_min > _Y_STAR:
         value, size, tail = series(y_min)
-    return ContinuumResult(value=value, y_min=y_min,
-                           estimated_error=_ROUNDING * size + tail)
+        return ContinuumResult(value, y_min, _ROUNDING * size + tail)
+    terms = direct(y_min)
+    return ContinuumResult(math.fsum(terms), y_min, _ROUNDING * math.fsum(map(abs, terms)))
 
 
 def kappa1_continuum(y_min: float = 1.0,

@@ -39,13 +39,9 @@ _ZETA_EM_COEFFS = (1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0, -1.0 / 1209600.0,
                    1.0 / 47900160.0)
 _ZETA_EM_OMITTED = 691.0 / 2730.0 / 479001600.0
 
-# A stated bound, relative, on the rounding of the float terms and of the
-# sums that hold them. A term is within 8.3 eps of its exact value up to
-# n = 1e5, but their errors do not add in one direction: those of n = 2..9
-# add to 1.43 eps of their sum at most (against 60-digit exact-route terms).
-# A tail term c_k zeta(3+2k, n_max+1) is within 2.65 eps (the zeta; see
-# hurwitz_zeta) plus 0.5 eps (its product), under the 4 eps charged;
-# math.fsum adds one rounding of the sum.
+# A stated bound, relative, on the rounding of a tail term c_k zeta(3+2k,
+# n_max+1): 2.65 eps for the zeta (see hurwitz_zeta) and 0.5 eps for the
+# product, under the 4 eps charged; math.fsum adds one rounding of the sum.
 _ROUNDING = 4 * sys.float_info.epsilon
 
 
@@ -206,14 +202,14 @@ class SpectralSumResult(NamedTuple):
 
 
 # (S_inf, its bar) of each series, written with repr: verify derives each
-# pair as math.fsum of the closed-form terms n = 2..9 and of the expansion's
-# sum at a = 10, and rydberg_tables_exact holds the entries equal to it.
+# pair from the exact terms n = 2..9 and the expansion's sum at a = 10, and
+# rydberg_tables_exact holds the entries equal to it.
 _SUMS_TO_INFINITY = {
-    "kappa1": (0.20874842692572435, 2.0884411479839428e-16),
-    "kappa2": (0.07962086489387006, 7.966649364866014e-17),
-    "polarizability": (3.6632578903094717, 3.664266266452007e-15),
-    "bethe": (0.33701697235607203, 3.374814224571508e-16),
-    "oscillator": (0.565004150674852, 5.65526455359885e-16),
+    "kappa1": (0.20874842692572437, 4.8435879679141803e-17),
+    "kappa2": (0.07962086489387006, 1.854960396313885e-17),
+    "polarizability": (3.6632578903094712, 8.448902081979e-16),
+    "bethe": (0.337016972356072, 8.064633186004985e-17),
+    "oscillator": (0.565004150674852, 1.3324064459097148e-16),
 }
 
 

@@ -6,13 +6,14 @@ value it bounds. A row whose quantity a subcommand reports reads it from
 that subcommand's report at its defaults or at the flag values the row
 names, made once per run; only what no subcommand reports is computed here
 from the library. So a fault in a handler fails `verify` instead of
-shipping past it. Each Rydberg series is defined once, in _SERIES. Their
-oracles are exact integer passes: the exact route's Horner integers against
-their closed forms, and the series' partial sums in fixed point. `sums`
-reads their c_k and sums to infinity from literal tables; this module
-derives every entry and requires it equal to its table entry in every
-bit. `run_checks()` evaluates the rows in order, so a deployed artifact can
-audit itself from the command line, and the acceptance gate
+shipping past it. Each Rydberg series is defined once, in _SERIES: a
+weight table entry, from which one exact function makes every term, and
+its 1/n^2 expansion. Their oracles are exact integer passes: the Horner
+integers against their closed forms, and the partial sums in fixed point.
+`sums` reads their c_k and sums to infinity from literal tables; this
+module derives every entry and requires it equal in every bit.
+`run_checks()` evaluates the rows in order, so a deployed artifact can audit
+itself from the command line, and the acceptance gate
 (tests/test_acceptance.py) asserts the same rows. The benchmark keeps its
 own copy of five of these bands in bench/spec.py, which a test holds equal
 to these rows.
@@ -102,11 +103,8 @@ _ORACLE_SPEC = quadrature.QuadratureSpec(abs_tol=1e-300, rel_tol=1e-12)
 # Rounding bar of the self-mass closed form and the engine's sum, relative:
 # with rel_tol 1e-12, the row's bar stays far below a 1e-8 relative gap.
 _DELTA_MASS_ROUNDING = 8 * sys.float_info.epsilon
-# The n at which the exact route's terms check the 1/n^2 expansion of every
-# Rydberg series, and the rounding bar of such a term, relative: each I_p is
-# within 2 ulp, dE within 1 and the term's own roundings add 2.5 at most.
+# The n at which the Horner integers' terms check each Rydberg expansion.
 _EXPANSION_N = (12, 30, 100)
-_EXACT_TERM_ROUNDING = 9 * sys.float_info.epsilon
 # Upper cut of the beta integral: its tail beyond, at most 1e3^-7/7, is far
 # below the integration tolerance.
 _BETA_CUT = 1e3
@@ -208,63 +206,84 @@ def _radial_route_gap(m: _Memo) -> float:
                for closed, exact in zip(hydrogen.radial_record(n, "closed_form"), record))
 
 
-_SCALE = 120
+# The fixed point of the Rydberg terms and of the x_p they are made from; a
+# term is within _TERM_FLOOR, 2 units of 2^-_SCALE, of exact (see _exact_term).
+_SCALE, _FEED = 120, 160
+_TERM_FLOOR = 2.0 ** (1 - _SCALE)
 
 
 class _Series(NamedTuple):
-    """One Rydberg series. `report` is the subcommand whose report carries
-    its sum, as `key`. `term` is t(n) from (I1, I2, I3, dE) of one n.
-    `exact_term` is t(n) times 2^_SCALE, floored, from n, d = n^2 - 1 and
-    q = (n-1)^(n-2)/(n+1)^(n+2) times 2^_SCALE. By the closed forms of the
-    S_p (see hydrogen), I2 I3 = 128 n^5 q^2, I3^2 = 256 n^7 q^2/d,
-    I2^2 = 64 n^3 d q^2, dE = d/(2 n^2) and
-    I1 I3 = 32 n^3 q (1 - d (5 n^2 - 1) q)/d. Each floor is off by less than
-    a unit: the sums to n = 400 are within 2^-98 of exact. `parts` gives
-    n^3 t(n) as a sum of parts w e^-c X_c(v) p(v) (1 - v)^-m, each
-    ((numerator, denominator) of w, c, m, coefficients of p in v)."""
+    """One Rydberg series, its sum reported by `report` as `key`. Its term
+    is t(n) = w I_a I_b dE^e, and `weight` is ((numerator, denominator) of
+    w, a, b, e). `parts` gives n^3 t(n) as a sum of w e^-c X_c(v) p(v)
+    (1 - v)^-m, each ((numerator, denominator) of w, c, m, coefficients of
+    p in v): the c_k come from them alone, so a wrong weight fails a row."""
 
     report: str
     key: str
-    term: Callable[[float, float, float, float], float]
-    exact_term: Callable[[int, int, int], int]
+    weight: tuple[tuple[int, int], int, int, int]
     parts: tuple[tuple[tuple[int, int], int, int, tuple[int, ...]], ...]
 
 
 _SERIES = {
-    "kappa1": _Series("kappas", "kappa1_discrete",
-                      lambda i1, i2, i3, de: (2.0 / 27.0) * i1 * i3 / de**2,
-                      lambda n, d, q: 256 * n**7 * q * ((1 << _SCALE) - d * (
-                          5 * n * n - 1) * q) // (27 * d**3 << _SCALE),
+    "kappa1": _Series("kappas", "kappa1_discrete", ((2, 27), 1, 3, -2),
                       (((256, 27), 2, 5, (1,)), ((-128, 27), 4, 6, (10, -2)))),
-    "kappa2": _Series("kappas", "kappa2_discrete",
-                      lambda i1, i2, i3, de: (1.0 / 27.0) * i2 * i3 / de,
-                      lambda n, d, q: 256 * n**7 * q * q // (27 * d << _SCALE),
+    "kappa2": _Series("kappas", "kappa2_discrete", ((1, 27), 2, 3, -1),
                       (((256, 27), 4, 5, (1,)),)),
     "polarizability": _Series("polarizability", "polarizability_discrete",
-                              lambda i1, i2, i3, de: (2.0 / 3.0) * i3 * i3 / de,
-                              lambda n, d, q: 1024 * n**9 * q * q // (3 * d * d << _SCALE),
-                              (((1024, 3), 4, 6, (1,)),)),
-    "bethe": _Series("bethe", "bethe_sum", lambda i1, i2, i3, de: i2 * i2,
-                     lambda n, d, q: 64 * n**3 * d * q * q >> _SCALE,
-                     (((64, 1), 4, 3, (1,)),)),
+                              ((2, 3), 3, 3, -1), (((1024, 3), 4, 6, (1,)),)),
+    "bethe": _Series("bethe", "bethe_sum", ((1, 1), 2, 2, 0), (((64, 1), 4, 3, (1,)),)),
     "oscillator": _Series("polarizability", "oscillator_strength_sum",
-                          lambda i1, i2, i3, de: (2.0 / 3.0) * de * i3 * i3,
-                          lambda n, d, q: 256 * n**5 * q * q // (3 << _SCALE),
-                          (((256, 3), 4, 4, (1,)),)),
+                          ((2, 3), 3, 3, 1), (((256, 3), 4, 4, (1,)),)),
 }
 
 
+def _exact_term(weight: tuple, n: int, xs: tuple[int, ...]) -> int:
+    """t(n) 2^_SCALE, floored, from a `weight` and xs, the x_p = S_p/(n+1)^(n+p)
+    of n times 2^_FEED. As I_p = 4 n^(p-1) x_p/sqrt(n d) and dE = d/(2 n^2),
+    d = n^2 - 1, t(n) = 16 w n^(a+b-3-2e) x_a x_b d^(e-1)/2^e. Either feed
+    below gives x_p within 2^-120 relative for n <= 400, under 2^-20 units of
+    the term; the floor (shifting first floors the same) adds under one."""
+    (num, den), a, b, e = weight
+    d = n * n - 1
+    if e < 1:
+        top = (num << 4 - e) * n ** (a + b - 3 - 2 * e) * xs[a - 1] * xs[b - 1]
+        return (top >> 2 * _FEED - _SCALE) // (den * d ** (1 - e))
+    top = (num << 4) * n ** (a + b - 3 - 2 * e) * d ** (e - 1) * xs[a - 1] * xs[b - 1]
+    return (top >> 2 * _FEED - _SCALE + e) // den
+
+
+@cache
+def _horner_feed(n: int) -> tuple[int, ...]:
+    """The x_p of n times 2^_FEED, floored, from the Horner integers."""
+    return tuple((s << _FEED) // (n + 1) ** (n + p)
+                 for p, s in enumerate(hydrogen._horner_sums(n), start=1))
+
+
+def _horner_term(name: str, n: int) -> float:
+    """t(n) of a series from the Horner integers, rounded once."""
+    return _exact_term(_SERIES[name].weight, n, _horner_feed(n)) / (1 << _SCALE)
+
+
+def _closed_feed(n: int) -> tuple[int, int, int]:
+    """The x_p of n times 2^_FEED from the S_p's closed forms, by one division:
+    with q = (n-1)^(n-2)/(n+1)^(n+2), x_1 = (1 - d (5n^2 - 1) q)/2, x_2 = 2n d q
+    and x_3 = 4n^2 q."""
+    d = n * n - 1
+    q = ((n - 1) ** (n - 2) << _FEED) // (n + 1) ** (n + 2)
+    return ((1 << _FEED) - d * (5 * n * n - 1) * q) >> 1, 2 * n * d * q, 4 * n * n * q
+
+
 def _expansion_oracle(m: _Memo) -> float:
-    """Worst |exact-route term - n^-3 sum_k c_k n^-2k| over the sum of their
-    bars, for every Rydberg series at every n of _EXPANSION_N."""
+    """Worst |Horner term - n^-3 sum_k c_k n^-2k| over the sum of their bars (a
+    term's is eps/2 of it and _TERM_FLOOR), at every n of _EXPANSION_N."""
     worst = 0.0
-    for name, series in _SERIES.items():
+    for name in _SERIES:
         for n in _EXPANSION_N:
-            exact = series.term(*hydrogen.radial_record(n, "exact"),
-                                hydrogen.transition_energy(n))
+            exact = _horner_term(name, n)
             value, bar = sums.expansion(name, lambda k: float(n) ** -(3 + 2 * k))
-            worst = max(worst, abs(exact - value)
-                        / (bar + _EXACT_TERM_ROUNDING * exact))
+            worst = max(worst, abs(exact - value) / (
+                bar + sys.float_info.epsilon / 2 * exact + _TERM_FLOOR))
     return worst
 
 
@@ -320,18 +339,15 @@ _HEAD = 9
 
 @cache
 def _sum_to_infinity(name: str) -> tuple[float, float]:
-    """S_inf, the sum of a series over n = 2..inf, and its error bar, as
-    sums tabulates them in _SUMS_TO_INFINITY: math.fsum of the closed-form
-    terms n = 2.._HEAD and of sum_k c_k zeta(3 + 2k, _HEAD + 1). The bar is
-    the expansion's, plus _ROUNDING of the terms and eps/2 of S_inf for the
-    fsum."""
-    term = _SERIES[name].term
-    head = [term(*hydrogen._closed_form(n), hydrogen.transition_energy(n))
-            for n in range(2, _HEAD + 1)]
+    """S_inf, the sum of a series over n = 2..inf, and its bar, as sums
+    tabulates them: math.fsum of the Horner terms n = 2.._HEAD and of
+    sum_k c_k zeta(3 + 2k, _HEAD + 1). The bar adds to the expansion's
+    eps/2 and _TERM_FLOOR of each term, and eps/2 of S_inf for the fsum."""
+    head = [_horner_term(name, n) for n in range(2, _HEAD + 1)]
     rest, bar = sums.expansion(name, lambda k: sums._zeta_weight(k, _HEAD))
-    total = math.fsum([*head, rest])
-    return total, (bar + sums._ROUNDING * math.fsum(head)
-                   + sys.float_info.epsilon / 2 * total)
+    total, eps = math.fsum([*head, rest]), sys.float_info.epsilon
+    return total, (bar + eps / 2 * math.fsum(head) + (_HEAD - 1) * _TERM_FLOOR
+                   + eps / 2 * total)
 
 
 def _table_mismatches(m: _Memo) -> int:
@@ -347,15 +363,14 @@ def _table_mismatches(m: _Memo) -> int:
 
 def _exact_partials() -> dict[str, int]:
     """name -> the sum of each Rydberg series over n = 2..N, N the default
-    n_max of its report, times 2^_SCALE; one division per n serves all five."""
+    n_max of its report, times 2^_SCALE; one division per n feeds all five."""
     n_maxes = {name: _params(series.report)["n_max"] for name, series in _SERIES.items()}
     totals = dict.fromkeys(_SERIES, 0)
     for n in range(2, max(n_maxes.values()) + 1):
-        d = n * n - 1
-        q = ((n - 1) ** (n - 2) << _SCALE) // (n + 1) ** (n + 2)
+        xs = _closed_feed(n)
         for name, series in _SERIES.items():
             if n <= n_maxes[name]:
-                totals[name] += series.exact_term(n, d, q)
+                totals[name] += _exact_term(series.weight, n, xs)
     return totals
 
 

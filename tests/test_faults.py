@@ -72,10 +72,20 @@ def _without_kappa1_e2_part(monkeypatch):
     monkeypatch.setitem(verify._SERIES, "kappa1", kappa1._replace(parts=kappa1.parts[1:]))
 
 
-def _oscillator_term_scaled(monkeypatch):
-    oscillator = verify._SERIES["oscillator"]
-    monkeypatch.setitem(verify._SERIES, "oscillator", oscillator._replace(
-        term=lambda *columns: 1.8 * oscillator.term(*columns)))
+def _weight_off(name: str, change: Callable[[tuple], tuple]):
+    """One series' weight table entry ((num, den), a, b, e) replaced by
+    change(entry)."""
+    def patch(monkeypatch):
+        series = verify._SERIES[name]
+        monkeypatch.setitem(verify._SERIES, name,
+                            series._replace(weight=change(series.weight)))
+    return patch
+
+
+def _oscillator_horner_term_scaled(monkeypatch):
+    term = verify._horner_term
+    monkeypatch.setattr(verify, "_horner_term", lambda name, n: (
+        1.8 if name == "oscillator" else 1.0) * term(name, n))
 
 
 def _tail_one_term_short(monkeypatch):
@@ -104,12 +114,6 @@ def _horner_s2_off_by_one(monkeypatch):
         s1, s2, s3 = horner(n)
         return s1, s2 + (n == 57), s3
     monkeypatch.setattr(hydrogen, "_horner_sums", off)
-
-
-def _exact_oscillator_term_scaled(monkeypatch):
-    oscillator = verify._SERIES["oscillator"]
-    monkeypatch.setitem(verify._SERIES, "oscillator", oscillator._replace(
-        exact_term=lambda *args: oscillator.exact_term(*args) * 9 // 5))
 
 
 def _closed_form_plain_powers(monkeypatch):
@@ -182,12 +186,11 @@ FAULTS: dict[str, Fault] = {
     # which reads it. The tabulated S_inf does not move, so a reported
     # partial reads the fault only in its tail, c_k times
     # zeta(3 + 2k, n_max + 1): above 3e-6 at k = 0, which moves every
-    # partial but polarizability's (n_max 400, the widest error) out of its
-    # exact sum; 1e-10 and below at k >= 1, which moves none.
+    # partial out of its exact sum; 1e-10 and below at k >= 1, which moves
+    # none.
     **{f"c{k}_{name}_off_in_10th_digit": Fault(
         _coefficient_off(name, k),
-        (_EXPANSION, _PARTIALS, _TABLES) if k == 0 and name != "polarizability"
-        else (_EXPANSION, _TABLES))
+        (_EXPANSION, _PARTIALS, _TABLES) if k == 0 else (_EXPANSION, _TABLES))
        for name in verify._SERIES for k in range(3)},
     # One ulp where no report and no other row reads: polarizability's c_23
     # is read at n_max = 2 alone, and a bar one ulp wider moves no row.
@@ -198,18 +201,23 @@ FAULTS: dict[str, Fault] = {
     # The parts of a series are read by verify's derivation of its c_k
     # alone: all 24 of kappa1's leave their table.
     "kappa1_without_e2_part": Fault(_without_kappa1_e2_part, (_TABLES,)),
-    # A term 1.8 times too large: the exact-route terms, built by the same
-    # term, leave the expansion, and verify's S_inf, whose terms n <= 9 it
-    # makes, leaves its table. The reported partials read no term, and the
-    # exact partials no float term, so both stay below 1.
-    "oscillator_term_x1.8": Fault(_oscillator_term_scaled, (_EXPANSION, _TABLES)),
+    # The oscillator's terms from the Horner integers 1.8 times too large:
+    # they feed the expansion row and verify's S_inf (n <= 9) alone, and
+    # those two rows fail. The reported partials read no term, and the exact
+    # partials are fed by the closed forms, so both stay below 1.
+    "oscillator_term_x1.8": Fault(_oscillator_horner_term_scaled, (_EXPANSION, _TABLES)),
+    # A wrong weight moves every term of its series alike, from either
+    # feed: the exact partials and verify's S_inf leave the reports and the
+    # tables, and only the expansion row, whose c_k come from the parts,
+    # tells which is wrong. The power of dE off, 0 for -1, takes kappa2's
+    # terms down by the factor dE.
+    "kappa2_dE_power_off": Fault(_weight_off("kappa2", lambda w: (*w[:3], 0)),
+                                 (_EXPANSION, _PARTIALS, _TABLES)),
     # The value, S_inf, stays in every band.
     "partial_tail_one_term_short": Fault(_tail_one_term_short, (_PARTIALS,)),
-    # The exact route's I2 scaled by 1 + 1e-13 as it is rounded: the
-    # exact-route terms of kappa2 and bethe leave the expansion, and the two
-    # routes disagree.
-    "exact_route_I2_off_1e-13": Fault(_velocity_form_off, (
-        _EXPANSION, "radial_dual_route_nle200")),
+    # The exact route's I2 scaled by 1 + 1e-13 as it is rounded: the two
+    # routes disagree. No Rydberg term reads a rounded I_p.
+    "exact_route_I2_off_1e-13": Fault(_velocity_form_off, ("radial_dual_route_nle200",)),
     # One unit in an integer of about 1e101 moves no float: only the
     # integer row sees it.
     "horner_S2_off_by_one_at_n57": Fault(
@@ -220,18 +228,20 @@ FAULTS: dict[str, Fault] = {
     **{f"{series.key}_partial_plus_1.5_error": Fault(_misreport(
         series.report, series.key, lambda e: e["partial"] + 1.5 * e["error"],
         "partial"), (_PARTIALS,)) for series in verify._SERIES.values()},
-    # verify's own exact oscillator term 1.8 times too large: its sum passes
-    # 1 (0.565 * 1.8 = 1.017).
+    # verify's one exact oscillator term 1.8 times too large, by its weight
+    # (6/5 for 2/3): its exact sum passes 1 (0.565 * 1.8 = 1.017), and S_inf
+    # and the expansion's terms move with it.
     "verify_exact_oscillator_term_x1.8": Fault(
-        _exact_oscillator_term_scaled, (_PARTIALS, "oscillator_partials_below_one")),
+        _weight_off("oscillator", lambda w: ((6, 5), *w[1:])),
+        (_EXPANSION, _PARTIALS, _TABLES, "oscillator_partials_below_one")),
     # verify checks the reported value, not its own recomputation.
     "kappas_net_coefficient_plus_1": Fault(
         _misreport("kappas", "net_coefficient", lambda e: e["value"] + 1.0),
         ("net_coefficient",)),
     # Plain ** puts I_3 off by 2.1e-14 at n <= 200: inside a 1e-10 band,
-    # outside the row's 5e-15. The terms n <= 9 of verify's S_inf move too.
+    # outside the row's 5e-15, the one row that reads the closed forms.
     "closed_form_powers_without_log1p": Fault(
-        _closed_form_plain_powers, (_TABLES, "radial_dual_route_nle200"),
+        _closed_form_plain_powers, ("radial_dual_route_nle200",),
         {"radial_dual_route_nle200": (1e-14, 1e-10)}),
     # The K15 centre weight scaled by 1 + 1e-13 biases every engine integral
     # past the oracle rows with the tightest bars. The weights cut to 15
@@ -297,7 +307,8 @@ class _Refused:
 def test_exact_rows_read_nothing_they_check(fresh_memos, monkeypatch):
     # With the reports made, the integer and exact-partials rows give the
     # same values while the expansion's coefficients, both of sums' tables,
-    # the zeta, the float terms and the float closed forms all refuse.
+    # the zeta, the terms from the Horner integers and the float closed
+    # forms all refuse.
     rows = {chk.name: chk for chk in verify.CHECKS}
     names = ("rydberg_integers_closed_form", "rydberg_partials_exact")
     expected = {name: rows[name].compute(verify._Memo({})) for name in names}
@@ -308,12 +319,10 @@ def test_exact_rows_read_nothing_they_check(fresh_memos, monkeypatch):
     def refuse(*args):
         raise AssertionError("an exact row read what it checks")
     for module, name in ((verify, "_coefficients"), (sums, "hurwitz_zeta"),
-                         (hydrogen, "_closed_form")):
+                         (verify, "_horner_term"), (hydrogen, "_closed_form")):
         monkeypatch.setattr(module, name, refuse)
     for name in ("_COEFFICIENTS", "_SUMS_TO_INFINITY"):
         monkeypatch.setattr(sums, name, _Refused())
-    for name, series in verify._SERIES.items():
-        monkeypatch.setitem(verify._SERIES, name, series._replace(term=refuse))
     fresh_memos()
     assert {name: rows[name].compute(memo) for name in names} == expected
 

@@ -5,7 +5,7 @@ import pytest
 
 import casimir_momentum.hydrogen as hyd
 from casimir_momentum import verify
-from casimir_momentum.hydrogen import radial_record, transition_energy
+from casimir_momentum.hydrogen import radial_record
 
 SQRT6 = math.sqrt(6.0)
 
@@ -14,26 +14,6 @@ SQRT6 = math.sqrt(6.0)
 I1_2 = 16.0 / (27.0 * SQRT6)
 I2_2 = 32.0 / (27.0 * SQRT6)
 I3_2 = 768.0 / (243.0 * SQRT6)
-
-
-def test_energy_values():
-    assert transition_energy(1) == 0.0
-    assert transition_energy(2) == 0.375
-    # E_n - E_1 from the bound-state energies E_n = -1/(2 n^2), bit for bit.
-    assert all(transition_energy(n) == -0.5 / (n * n) - -0.5 for n in range(1, 1000))
-
-
-def test_energy_monotone_to_zero():
-    # E_n - E_1 rises to 1/2 as E_n rises to zero.
-    values = [transition_energy(n) for n in range(1, 60)]
-    assert all(b > a for a, b in zip(values, values[1:]))
-    assert values[-1] < 0.5
-    assert transition_energy(10_000) == pytest.approx(0.5, abs=1e-8)
-
-
-def test_energy_rejects_nonpositive_n():
-    with pytest.raises(ValueError):
-        transition_energy(0)
 
 
 ROUTES = ("closed_form", "exact")
@@ -151,8 +131,9 @@ def test_exact_route_memory_bounded(fresh_memos):
 
 
 def _oscillator_strength(n):
-    """f(1s -> np) = (2/3) dE_n I_3(n)^2, by the oscillator series' term."""
-    return verify._SERIES["oscillator"].term(*radial_record(n), transition_energy(n))
+    """f(1s -> np) = (2/3) dE_n I_3(n)^2, by the oscillator series' weight
+    in verify's table, from the Horner integers."""
+    return verify._horner_term("oscillator", n)
 
 
 def test_oscillator_strengths():
@@ -170,7 +151,7 @@ def test_oscillator_strengths_positive():
 
 def test_closed_form_record_leaves_sums_table_empty(fresh_memos):
     # A single-n record computes its closed form alone: verify's derivation
-    # of the sums to infinity, which reads the closed forms, does not run.
+    # of the sums to infinity does not run.
     assert radial_record(5000, "closed_form") == hyd._closed_form(5000)
     assert verify._sum_to_infinity.cache_info().currsize == 0
 

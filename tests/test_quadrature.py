@@ -293,9 +293,8 @@ def _bounded(form, a):
     """(value, bar) of a direct form, its addends summed as _continuum sums
     them, or of a series, from its sum, magnitude and truncation."""
     out = form(a)
-    if len(out) == 2:
-        terms, tail = out
-        out = math.fsum(terms), math.fsum(map(abs, terms)), tail
+    if isinstance(out, list):
+        return math.fsum(out), quadrature._ROUNDING * math.fsum(map(abs, out))
     value, size, tail = out
     return value, quadrature._ROUNDING * size + tail
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from casimir_momentum import hydrogen, sums, verify
-from casimir_momentum.hydrogen import radial_record, transition_energy
+from casimir_momentum.hydrogen import radial_record
 from casimir_momentum.sums import (
     SpectralSumResult,
     bethe_sum,
@@ -269,17 +269,22 @@ def test_repeated_runs_bit_identical():
     assert a.tail_estimate == b.tail_estimate
 
 
-# Each series' term of n from the single-n interface: radial_record(n) and
-# transition_energy(n), in the series' own operand order.
+def _transition_energy(n: int) -> float:
+    """E_n - E_1 = 1/2 - 1/(2 n^2) hartree."""
+    return 0.5 - 0.5 / (n * n)
+
+
+# Each series' term of n from the single-n interface, radial_record(n), and
+# the transition energy, in the series' own operand order.
 _REFERENCE_TERMS = {
     kappa1_discrete: lambda n: (2.0 / 27.0) * radial_record(n).I1
-    * radial_record(n).I3 / transition_energy(n) ** 2,
+    * radial_record(n).I3 / _transition_energy(n) ** 2,
     kappa2_discrete: lambda n: (1.0 / 27.0) * radial_record(n).I2
-    * radial_record(n).I3 / transition_energy(n),
+    * radial_record(n).I3 / _transition_energy(n),
     polarizability_discrete: lambda n: (2.0 / 3.0) * radial_record(n).I3
-    * radial_record(n).I3 / transition_energy(n),
+    * radial_record(n).I3 / _transition_energy(n),
     bethe_sum: lambda n: radial_record(n).I2 * radial_record(n).I2,
-    oscillator_strength_sum: lambda n: (2.0 / 3.0) * transition_energy(n)
+    oscillator_strength_sum: lambda n: (2.0 / 3.0) * _transition_energy(n)
     * radial_record(n).I3 * radial_record(n).I3,
 }
 
@@ -331,13 +336,11 @@ def test_sum_within_error_of_sum_to_infinity(sum_to_infinity, fn, n_max, tail):
 
 def test_series_read_no_per_n_interface(fresh_memos, monkeypatch):
     # The five series at any n_max, from a cold start, call neither the
-    # closed forms nor radial_record nor transition_energy: S_inf is read
-    # from its table.
+    # closed forms nor radial_record: S_inf is read from its table.
     def refuse(*args):
         pytest.fail("a per-n interface was called")
     monkeypatch.setattr(hydrogen, "_closed_form", refuse)
     monkeypatch.setattr(hydrogen, "radial_record", refuse)
-    monkeypatch.setattr(hydrogen, "transition_energy", refuse)
     for fn in _REFERENCE_TERMS:
         for n_max in (2, 300, 10**5, 10**7):
             fn(n_max, tail=True)
@@ -413,6 +416,46 @@ def test_coefficients_bit_identical_to_direct_double_sum(name):
     reference = _reference_coefficients(name, 120)
     assert list(verify._coefficients(name, 121)) == reference
     assert list(sums._COEFFICIENTS[name]) == reference[:24]
+
+
+def _reference_term(weight, n: int) -> Fraction:
+    """w I_a I_b dE^e of n in rational arithmetic, from the Horner S_p: with
+    I_p = 4 n^(p-1) S_p/((n+1)^(n+p) sqrt((n-1) n (n+1))), I_a I_b is
+    rational, and dE = 1/2 - 1/(2 n^2)."""
+    (num, den), a, b, e = weight
+    s = hydrogen._horner_sums(n)
+    i = [Fraction(4 * n ** (p - 1) * s[p - 1], (n + 1) ** (n + p)) for p in (1, 2, 3)]
+    energy = Fraction(1, 2) - Fraction(1, 2 * n * n)
+    return Fraction(num, den) * i[a - 1] * i[b - 1] / ((n - 1) * n * (n + 1)) * energy**e
+
+
+@pytest.mark.parametrize("n", [*range(2, 61), 100, 200, 400])
+def test_exact_term_within_its_bound_of_rational_arithmetic(n):
+    # verify's one term function, fed by the Horner integers and by the
+    # closed forms of one division, is within _TERM_FLOOR of the rational
+    # term for every series.
+    bound = Fraction(verify._TERM_FLOOR) * 2**verify._SCALE
+    for xs in (verify._horner_feed(n), verify._closed_feed(n)):
+        for name, series in verify._SERIES.items():
+            exact = _reference_term(series.weight, n) * 2**verify._SCALE
+            assert abs(verify._exact_term(series.weight, n, xs) - exact) < bound, name
+
+
+def test_sums_to_infinity_and_expansion_row_read_no_float_route(fresh_memos, monkeypatch):
+    # verify's S_inf and its expansion row read the Horner integers alone:
+    # they give the same values while the float closed forms, radial_record
+    # and the rounded I_p all refuse.
+    def derived():
+        return ({name: verify._sum_to_infinity(name) for name in verify._SERIES},
+                verify._expansion_oracle(verify._Memo({})))
+    expected = derived()
+    fresh_memos()
+
+    def refuse(*args):
+        pytest.fail("a float radial route was called")
+    for name in ("_closed_form", "radial_record", "_integrals_of"):
+        monkeypatch.setattr(hydrogen, name, refuse)
+    assert derived() == expected
 
 
 def test_zeta_memo_bounded():
