@@ -36,7 +36,7 @@ radial_dual_route_nle200 row for n <= 200; the test suite up to n = 1000).
 `radial_record(n, method)` gives one n by a named route, memoized for the
 last _RECORD_MEMO keys (about 205 bytes each, 0.9 MB at most). Of the
 package, only `verify` imports this module; its Rydberg terms read the
-Horner integers alone.
+closed forms of the S_p, and the Horner integers are only their oracle.
 
 The angular sums over m and Cartesian components that accompany these
 integrals in second-order coefficients reduce to a unit factor for

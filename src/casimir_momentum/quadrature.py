@@ -16,7 +16,8 @@ use the engine: both integrands have elementary antiderivatives, evaluated
 directly for y_min <= 1.5 and above, where the antiderivatives cancel, as
 series in u = 1/(1 + y_min^2) whose terms are incomplete beta functions
 expanded binomially, each a polynomial in u taken by Horner's rule to a term
-count set by u. Each reports a bound on its rounding and truncation as
+count set by u, from a fixed table cached on first use; u and the count are
+made once per cutoff. Each reports a bound on its rounding and truncation as
 estimated_error. The engine on the public integrands is their oracle
 (verify's kappa*_continuum_engine_* rows), and the tolerances a caller
 passes to them steer nothing.
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import math
 import sys
+from functools import cache
 from itertools import count
 from operator import mul
 from typing import Callable, NamedTuple, Sequence
@@ -300,72 +302,71 @@ def _kappa2_direct(a: float) -> list[float]:
 # for a > _Y_STAR. With t = 1/y and w = t^2/(1 + t^2), each integrand is
 # (1/2) w^(p-1) (1 - w)^q dw over [0, u], an incomplete beta function; the
 # binomial series of (1 - w)^q, integrated term by term, gives c_k, an exact
-# ratio rounded once, kappa2's then divided by pi. kappa2_continuum is
-# (256/27pi) int t^6/(1+t^2)^6 over [0, 1/a], with p = 7/2 and q = 3/2:
-# c_k = 768 C(2k, k) / (27 4^k (2k-1)(2k-3)(2k+7)) / pi.
-def _kappa2_coefficient(k: int) -> float:
-    return (768 * math.comb(2 * k, k)
-            / (27 * 4**k * (2 * k - 1) * (2 * k - 3) * (2 * k + 7)) / math.pi)
-
-
-def _kappa1_by_parts_coefficient(k: int) -> float:
-    return math.comb(2 * k, k) / (4 * 4**k * (2 * k + 5))
-
-
-def _kappa1_binomial_coefficient(k: int) -> float:
-    return math.comb(2 * k, k) / (2 * 4**k * (2 * k - 1) * (k + 2))
-
-
+# ratio rounded once, kappa2's then divided by pi. Each table holds
+# c_0.._TERMS_MAX and is made on first use, not at import.
+#
 # Natural log of 2^60: a series of n(u) = max(3, ceil(_LN_2_TO_60 / ln(1/u)))
-# terms leaves out u^n(u) <= 2^-60 of its leading power, at most 36 terms
-# above _Y_STAR. Rounding in the quotient can move that target by a term at
-# most; the truncation a series reports is its own first term left out, so
-# its bound holds either way.
+# terms leaves out u^n(u) <= 2^-60 of its leading power, at most _TERMS_MAX =
+# 36 above _Y_STAR, where the quotient is below 35.29. Rounding in it can move
+# that target by a term at most; the truncation a series reports is its own
+# first term left out, so its bound holds either way.
 _LN_2_TO_60 = 60.0 * math.log(2.0)
+_TERMS_MAX = math.ceil(_LN_2_TO_60 / math.log1p(_Y_STAR**2))
 
 
-class _BetaSeries:
-    """One of those series: its coefficients, its first power p, and its
-    table of c_k, made on first use, not at import, and grown to exactly
-    the count a call reads (a just above _Y_STAR reads c_0..c_36, a = 10
-    c_0..c_10). The table is replaced whole, never appended to, as threads
-    may read it while another grows it."""
+@cache
+def _kappa2_coefficients() -> tuple[float, ...]:
+    """kappa2_continuum is (256/27pi) int t^6/(1+t^2)^6 over [0, 1/a], with
+    p = 7/2 and q = 3/2: c_k = 768 C(2k, k)/(27 4^k (2k-1)(2k-3)(2k+7))/pi."""
+    return tuple(768 * math.comb(2 * k, k)
+                 / (27 * 4**k * (2 * k - 1) * (2 * k - 3) * (2 * k + 7)) / math.pi
+                 for k in range(_TERMS_MAX + 1))
 
-    def __init__(self, coefficient: Callable[[int], float], p: float) -> None:
-        self.coefficient = coefficient
-        self.p = p
-        self.table: tuple[float, ...] = ()
 
-    def __call__(self, a: float) -> tuple[float, float, float]:
-        """The sum of c_k u^(k + p) over k < n(u), u = 1/(1 + a^2), the sum
-        of those terms' magnitudes, and a bound on what is left out.
+@cache
+def _kappa1_by_parts_coefficients() -> tuple[float, ...]:
+    return tuple(math.comb(2 * k, k) / (4 * 4**k * (2 * k + 5))
+                 for k in range(_TERMS_MAX + 1))
 
-        The polynomial in u is taken by Horner's rule, then multiplied once
-        by (1 + a^2)^-p. Only c_0 and c_1 can be negative, so the magnitudes
-        sum to the series plus twice those terms. In each of the three
-        series c_(k+1)/c_k lies in (0, 1) from k = 2 on, so the terms keep
-        one sign and |t_(k+1)/t_k| < u: what is left out from the first term
-        t_n left out is below |t_n|/(1 - u), with t_n = c_n/(1 + a^2)^(n + p).
-        """
-        b = 1.0 + a * a
-        u = 1.0 / b
-        n = max(3, math.ceil(_LN_2_TO_60 / math.log(b)))
-        table = self.table
-        if len(table) <= n:
-            table += tuple(map(self.coefficient, range(len(table), n + 1)))
-            self.table = table
+
+@cache
+def _kappa1_binomial_coefficients() -> tuple[float, ...]:
+    return tuple(math.comb(2 * k, k) / (2 * 4**k * (2 * k - 1) * (k + 2))
+                 for k in range(_TERMS_MAX + 1))
+
+
+def _term_count(b: float) -> int:
+    """n(u) for u = 1/b."""
+    return max(3, math.ceil(_LN_2_TO_60 / math.log(b)))
+
+
+def _series(a: float, *series: tuple[tuple[float, ...], float]
+            ) -> list[tuple[float, float, float]]:
+    """For each (table of c_k, first power p) given: the sum of c_k u^(k + p)
+    over k < n(u), u = 1/(1 + a^2), the sum of those terms' magnitudes, and
+    a bound on what is left out. b = 1 + a^2, u and n(u) are made once for
+    all the series.
+
+    Each polynomial in u is taken by Horner's rule, then multiplied once by
+    b^-p. Only c_0 and c_1 can be negative, so the magnitudes sum to the
+    series plus twice those terms. In each of the three series c_(k+1)/c_k
+    lies in (0, 1) from k = 2 on, so the terms keep one sign and
+    |t_(k+1)/t_k| < u: what is left out from the first term t_n left out is
+    below |t_n|/(1 - u), with t_n = c_n/b^(n + p).
+    """
+    b = 1.0 + a * a
+    u = 1.0 / b
+    n = _term_count(b)
+    out = []
+    for table, p in series:
         total = 0.0
         for c in table[n - 1::-1]:
             total = total * u + c
-        scale = b ** -self.p
+        scale = b ** -p
         negative = min(table[0], 0.0) + min(table[1], 0.0) * u
-        return (total * scale, (total - 2.0 * negative) * scale,
-                abs(table[n] / b ** (n + self.p)) / (1.0 - u))
-
-
-_KAPPA1_BY_PARTS = _BetaSeries(_kappa1_by_parts_coefficient, 2.5)
-_KAPPA1_BINOMIAL = _BetaSeries(_kappa1_binomial_coefficient, 2.0)
-_KAPPA2 = _BetaSeries(_kappa2_coefficient, 3.5)
+        out.append((total * scale, (total - 2.0 * negative) * scale,
+                    abs(table[n] / b ** (n + p)) / (1.0 - u)))
+    return out
 
 
 def _kappa1_series(a: float) -> tuple[float, float, float]:
@@ -382,9 +383,13 @@ def _kappa1_series(a: float) -> tuple[float, float, float]:
     on u^(k+2).
     """
     front = math.atan(a) / (4.0 * (1.0 + a * a) ** 2)
-    s1, m1, e1 = _KAPPA1_BY_PARTS(a)
-    s2, m2, e2 = _KAPPA1_BINOMIAL(a)
+    (s1, m1, e1), (s2, m2, e2) = _series(a, (_kappa1_by_parts_coefficients(), 2.5),
+                                         (_kappa1_binomial_coefficients(), 2.0))
     return math.fsum((front, s1, s2)), math.fsum((front, m1, m2)), e1 + e2
+
+
+def _kappa2_series(a: float) -> tuple[float, float, float]:
+    return _series(a, (_kappa2_coefficients(), 3.5))[0]
 
 
 def _continuum(direct: Callable, series: Callable,
@@ -418,7 +423,7 @@ def kappa2_continuum(y_min: float = 1.0,
     kappa1_continuum; at y_min = 0 it is (256/27pi) * (3pi/512) = 1/18.
     `spec` steers nothing, as there.
     """
-    return _continuum(_kappa2_direct, _KAPPA2, y_min)
+    return _continuum(_kappa2_direct, _kappa2_series, y_min)
 
 
 def ymin_sensitivity(

@@ -7,9 +7,10 @@ that subcommand's report at its defaults or at the flag values the row
 names, made once per run; only what no subcommand reports is computed here
 from the library. So a fault in a handler fails `verify` instead of
 shipping past it. Each Rydberg series is defined once, in _SERIES: a
-weight table entry, from which one exact function makes every term, and
-its 1/n^2 expansion. Their oracles are exact integer passes: the Horner
-integers against their closed forms, and the partial sums in fixed point.
+weight table entry, from which one exact function makes every term from
+the closed forms of the S_p, and its 1/n^2 expansion. Their oracles are
+exact integer passes: the Horner integers against those closed forms, and
+the partial sums in fixed point.
 `sums` reads their c_k and sums to infinity from literal tables; this
 module derives every entry and requires it equal in every bit.
 `run_checks()` evaluates the rows in order, so a deployed artifact can audit
@@ -103,7 +104,7 @@ _ORACLE_SPEC = quadrature.QuadratureSpec(abs_tol=1e-300, rel_tol=1e-12)
 # Rounding bar of the self-mass closed form and the engine's sum, relative:
 # with rel_tol 1e-12, the row's bar stays far below a 1e-8 relative gap.
 _DELTA_MASS_ROUNDING = 8 * sys.float_info.epsilon
-# The n at which the Horner integers' terms check each Rydberg expansion.
+# The n at which the exact terms check each Rydberg expansion.
 _EXPANSION_N = (12, 30, 100)
 # Upper cut of the beta integral: its tail beyond, at most 1e3^-7/7, is far
 # below the integration tolerance.
@@ -241,9 +242,9 @@ _SERIES = {
 def _exact_term(weight: tuple, n: int, xs: tuple[int, ...]) -> int:
     """t(n) 2^_SCALE, floored, from a `weight` and xs, the x_p = S_p/(n+1)^(n+p)
     of n times 2^_FEED. As I_p = 4 n^(p-1) x_p/sqrt(n d) and dE = d/(2 n^2),
-    d = n^2 - 1, t(n) = 16 w n^(a+b-3-2e) x_a x_b d^(e-1)/2^e. Either feed
-    below gives x_p within 2^-120 relative for n <= 400, under 2^-20 units of
-    the term; the floor (shifting first floors the same) adds under one."""
+    d = n^2 - 1, t(n) = 16 w n^(a+b-3-2e) x_a x_b d^(e-1)/2^e. _closed_feed
+    gives x_p within 2^-120 relative for n <= 400, under 2^-20 units of the
+    term; the floor (shifting first floors the same) adds under one."""
     (num, den), a, b, e = weight
     d = n * n - 1
     if e < 1:
@@ -251,18 +252,6 @@ def _exact_term(weight: tuple, n: int, xs: tuple[int, ...]) -> int:
         return (top >> 2 * _FEED - _SCALE) // (den * d ** (1 - e))
     top = (num << 4) * n ** (a + b - 3 - 2 * e) * d ** (e - 1) * xs[a - 1] * xs[b - 1]
     return (top >> 2 * _FEED - _SCALE + e) // den
-
-
-@cache
-def _horner_feed(n: int) -> tuple[int, ...]:
-    """The x_p of n times 2^_FEED, floored, from the Horner integers."""
-    return tuple((s << _FEED) // (n + 1) ** (n + p)
-                 for p, s in enumerate(hydrogen._horner_sums(n), start=1))
-
-
-def _horner_term(name: str, n: int) -> float:
-    """t(n) of a series from the Horner integers, rounded once."""
-    return _exact_term(_SERIES[name].weight, n, _horner_feed(n)) / (1 << _SCALE)
 
 
 def _closed_feed(n: int) -> tuple[int, int, int]:
@@ -274,13 +263,18 @@ def _closed_feed(n: int) -> tuple[int, int, int]:
     return ((1 << _FEED) - d * (5 * n * n - 1) * q) >> 1, 2 * n * d * q, 4 * n * n * q
 
 
+def _term(name: str, n: int) -> float:
+    """t(n) of a series, rounded once."""
+    return _exact_term(_SERIES[name].weight, n, _closed_feed(n)) / (1 << _SCALE)
+
+
 def _expansion_oracle(m: _Memo) -> float:
-    """Worst |Horner term - n^-3 sum_k c_k n^-2k| over the sum of their bars (a
+    """Worst |exact term - n^-3 sum_k c_k n^-2k| over the sum of their bars (a
     term's is eps/2 of it and _TERM_FLOOR), at every n of _EXPANSION_N."""
     worst = 0.0
     for name in _SERIES:
         for n in _EXPANSION_N:
-            exact = _horner_term(name, n)
+            exact = _term(name, n)
             value, bar = sums.expansion(name, lambda k: float(n) ** -(3 + 2 * k))
             worst = max(worst, abs(exact - value) / (
                 bar + sys.float_info.epsilon / 2 * exact + _TERM_FLOOR))
@@ -340,10 +334,10 @@ _HEAD = 9
 @cache
 def _sum_to_infinity(name: str) -> tuple[float, float]:
     """S_inf, the sum of a series over n = 2..inf, and its bar, as sums
-    tabulates them: math.fsum of the Horner terms n = 2.._HEAD and of
+    tabulates them: math.fsum of the terms n = 2.._HEAD and of
     sum_k c_k zeta(3 + 2k, _HEAD + 1). The bar adds to the expansion's
     eps/2 and _TERM_FLOOR of each term, and eps/2 of S_inf for the fsum."""
-    head = [_horner_term(name, n) for n in range(2, _HEAD + 1)]
+    head = [_term(name, n) for n in range(2, _HEAD + 1)]
     rest, bar = sums.expansion(name, lambda k: sums._zeta_weight(k, _HEAD))
     total, eps = math.fsum([*head, rest]), sys.float_info.epsilon
     return total, (bar + eps / 2 * math.fsum(head) + (_HEAD - 1) * _TERM_FLOOR

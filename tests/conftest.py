@@ -51,17 +51,15 @@ def sum_to_infinity() -> dict[str, str]:
 
 @pytest.fixture
 def fresh_memos():
-    """Empties every memo of hydrogen, sums, quadrature and verify (its
-    derivation of the sums tables) before and after the test: each object
-    with a cache_clear, and each _BetaSeries table. The test gets the reset
-    itself, to empty them again mid-test."""
+    """Empties every memo of hydrogen, sums, quadrature (its continuum
+    series' tables) and verify (its derivation of the sums tables) before
+    and after the test: each object with a cache_clear. The test gets the
+    reset itself, to empty them again mid-test."""
     def reset() -> None:
         for module in (hydrogen, sums, quadrature, verify):
             for obj in vars(module).values():
                 if hasattr(obj, "cache_clear"):
                     obj.cache_clear()
-                elif isinstance(obj, quadrature._BetaSeries):
-                    obj.table = ()
     reset()
     yield reset
     reset()

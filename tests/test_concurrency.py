@@ -6,6 +6,7 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from functools import cache
 from pathlib import Path
 
 import casimir_momentum.hydrogen as hyd
@@ -29,22 +30,22 @@ SRC = str(Path(hyd.__file__).resolve().parents[1])
 
 def test_engine_reentrant_under_threads(monkeypatch):
     # The engine, and the closed forms on both sides of their switch to the
-    # series, whose tables of coefficients are made on first use and grown
-    # while other threads read them. Eight threads run every call behind a
-    # barrier, from the cutoffs above the switch up, so all of them grow the
-    # three tables at once; each coefficient yields the interpreter lock
-    # before it is made, which a table that is appended to would not survive.
+    # series, whose tables of coefficients are cached on first use. Eight
+    # threads run every call behind a barrier, from the cutoffs above the
+    # switch up and from empty caches, so all of them make the three tables
+    # at once; each table yields the interpreter lock at every coefficient
+    # before it is cached.
     grid = [0.1 * k for k in range(1, 17)] + [1.5 + 0.25 * k for k in range(1, 17)]
     calls = [lambda y: integrate_to_inf(kappa2_continuum_integrand, y).value,
              lambda y: kappa1_continuum(y).value,
              lambda y: kappa2_continuum(y).value]
     order = grid[16:] + grid[:16]
     serial = [f(y) for y in order for f in calls]
-    for series in (quadrature._KAPPA2, quadrature._KAPPA1_BY_PARTS,
-                   quadrature._KAPPA1_BINOMIAL):
-        monkeypatch.setattr(series, "table", ())
-        monkeypatch.setattr(series, "coefficient", lambda k, c=series.coefficient:
-                            time.sleep(0) or c(k))
+    for name in ("_kappa2_coefficients", "_kappa1_by_parts_coefficients",
+                 "_kappa1_binomial_coefficients"):
+        made = getattr(quadrature, name).__wrapped__
+        monkeypatch.setattr(quadrature, name, cache(
+            lambda made=made: tuple(time.sleep(0) or c for c in made())))
     barrier = threading.Barrier(8)
 
     def run(_):

@@ -38,7 +38,7 @@ def _python(code: str, python: str = sys.executable,
 
 
 # One fresh process imports the package and records what that loads, then
-# reads the continuum series' first-use tables.
+# counts the continuum series' tables its caches hold.
 _IMPORT_ONLY = (
     "import json, sys\n"
     "before = set(sys.modules)\n"
@@ -46,8 +46,9 @@ _IMPORT_ONLY = (
     "after = set(sys.modules)\n"
     "from casimir_momentum import quadrature\n"
     "print(json.dumps({'new': sorted(after - before), 'loaded': sorted(after),\n"
-    "    'tables': [len(s.table) for s in (quadrature._KAPPA2,\n"
-    "               quadrature._KAPPA1_BY_PARTS, quadrature._KAPPA1_BINOMIAL)]}))")
+    "    'tables': [f.cache_info().currsize for f in (quadrature._kappa2_coefficients,\n"
+    "        quadrature._kappa1_by_parts_coefficients,\n"
+    "        quadrature._kappa1_binomial_coefficients)]}))")
 
 # One fresh process per subcommand, with numpy and dataclasses both blocked:
 # it records the modules loaded after its json report, then writes its
@@ -319,3 +320,32 @@ def test_root_unknown_name_raises_attribute_error():
     namespace: dict = {}
     exec("from casimir_momentum import budget, renorm", namespace)
     assert namespace["renorm"] is importlib.import_module("casimir_momentum.renorm")
+
+
+_REPLAY = """
+import io, json, sys
+from contextlib import redirect_stderr, redirect_stdout
+sys.path.insert(0, {bench!r})
+import spec, worker
+from casimir_momentum.cli import run
+outs = []
+for argv in sum(spec.CLI_WORKLOADS.values(), []):
+    out, err = io.TextIOWrapper(io.BytesIO()), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        assert run(argv) == 0 and '# timing:' in err.getvalue(), argv
+    outs.append(worker.replay({{'argv': argv, 'report': out.buffer.getvalue().decode()}}))
+outs += [worker.replay({{'sweep_seed': 1}}), worker.verify_cold()]
+print(json.dumps([[o['unavailable'], o.get('serialize_matches')] for o in outs]))
+"""
+
+
+def test_benchmark_replay_reaches_every_layer():
+    # One fresh process runs each benchmark invocation through cli.run, then
+    # bench/worker.py's traced replay of its report, of the library sweep and
+    # of a cold verify. A public name, argument or config key the replay
+    # reads and the package lost would turn a layer null, or a serialize
+    # that no longer gives the CLI's bytes would show.
+    proc = _python(_REPLAY.format(bench=str(Path(SRC).parent / "bench")))
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)
+    assert results == [[{}, True]] * (len(results) - 2) + [[{}, None]] * 2

@@ -82,9 +82,9 @@ def _weight_off(name: str, change: Callable[[tuple], tuple]):
     return patch
 
 
-def _oscillator_horner_term_scaled(monkeypatch):
-    term = verify._horner_term
-    monkeypatch.setattr(verify, "_horner_term", lambda name, n: (
+def _oscillator_term_scaled(monkeypatch):
+    term = verify._term
+    monkeypatch.setattr(verify, "_term", lambda name, n: (
         1.8 if name == "oscillator" else 1.0) * term(name, n))
 
 
@@ -201,11 +201,11 @@ FAULTS: dict[str, Fault] = {
     # The parts of a series are read by verify's derivation of its c_k
     # alone: all 24 of kappa1's leave their table.
     "kappa1_without_e2_part": Fault(_without_kappa1_e2_part, (_TABLES,)),
-    # The oscillator's terms from the Horner integers 1.8 times too large:
-    # they feed the expansion row and verify's S_inf (n <= 9) alone, and
-    # those two rows fail. The reported partials read no term, and the exact
-    # partials are fed by the closed forms, so both stay below 1.
-    "oscillator_term_x1.8": Fault(_oscillator_horner_term_scaled, (_EXPANSION, _TABLES)),
+    # The oscillator's rounded terms 1.8 times too large: they feed the
+    # expansion row and verify's S_inf (n <= 9) alone, and those two rows
+    # fail. The reported partials read no term, and the exact partials sum
+    # the integer terms, so both stay below 1.
+    "oscillator_term_x1.8": Fault(_oscillator_term_scaled, (_EXPANSION, _TABLES)),
     # A wrong weight moves every term of its series alike, from either
     # feed: the exact partials and verify's S_inf leave the reports and the
     # tables, and only the expansion row, whose c_k come from the parts,
@@ -307,8 +307,7 @@ class _Refused:
 def test_exact_rows_read_nothing_they_check(fresh_memos, monkeypatch):
     # With the reports made, the integer and exact-partials rows give the
     # same values while the expansion's coefficients, both of sums' tables,
-    # the zeta, the terms from the Horner integers and the float closed
-    # forms all refuse.
+    # the zeta, the rounded terms and the float closed forms all refuse.
     rows = {chk.name: chk for chk in verify.CHECKS}
     names = ("rydberg_integers_closed_form", "rydberg_partials_exact")
     expected = {name: rows[name].compute(verify._Memo({})) for name in names}
@@ -319,7 +318,7 @@ def test_exact_rows_read_nothing_they_check(fresh_memos, monkeypatch):
     def refuse(*args):
         raise AssertionError("an exact row read what it checks")
     for module, name in ((verify, "_coefficients"), (sums, "hurwitz_zeta"),
-                         (verify, "_horner_term"), (hydrogen, "_closed_form")):
+                         (verify, "_term"), (hydrogen, "_closed_form")):
         monkeypatch.setattr(module, name, refuse)
     for name in ("_COEFFICIENTS", "_SUMS_TO_INFINITY"):
         monkeypatch.setattr(sums, name, _Refused())

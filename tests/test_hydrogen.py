@@ -131,9 +131,8 @@ def test_exact_route_memory_bounded(fresh_memos):
 
 
 def _oscillator_strength(n):
-    """f(1s -> np) = (2/3) dE_n I_3(n)^2, by the oscillator series' weight
-    in verify's table, from the Horner integers."""
-    return verify._horner_term("oscillator", n)
+    """f(1s -> np) = (2/3) dE_n I_3(n)^2, verify's oscillator term."""
+    return verify._term("oscillator", n)
 
 
 def test_oscillator_strengths():

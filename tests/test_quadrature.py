@@ -1,9 +1,8 @@
-import importlib.util
+import functools
 import math
 import re
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -299,26 +298,43 @@ def _bounded(form, a):
     return value, quadrature._ROUNDING * size + tail
 
 
+# Each series' table of c_k and its first power p.
+_SERIES = [(quadrature._kappa2_coefficients, 3.5),
+           (quadrature._kappa1_by_parts_coefficients, 2.5),
+           (quadrature._kappa1_binomial_coefficients, 2.0)]
+
+
+@functools.cache
+def _table(coefficients):
+    """c_0..c_240 of a series by its own formula, all that the tests below
+    read (46 at a = 1.25, below the switch); its cached table is the first
+    _TERMS_MAX + 1 of them."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quadrature, "_TERMS_MAX", 240)
+        table = coefficients.__wrapped__()
+    assert table[:quadrature._TERMS_MAX + 1] == coefficients()
+    return table
+
+
+def _read(series, a):
+    """The series at a alone, and the count n of terms it sums."""
+    return (quadrature._series(a, (_table(series[0]), series[1]))[0],
+            quadrature._term_count(1.0 + a * a))
+
+
 @pytest.mark.parametrize("direct,series", [
     (quadrature._kappa1_direct, quadrature._kappa1_series),
-    pytest.param(quadrature._kappa2_direct, quadrature._KAPPA2,
+    pytest.param(quadrature._kappa2_direct, quadrature._kappa2_series,
                  id="_kappa2_direct-_KAPPA2"),
 ])
-def test_direct_form_and_series_agree_within_bounds(direct, series):
+def test_direct_form_and_series_agree_within_bounds(monkeypatch, direct, series):
+    # From 1.25, below the switch, where the series read past _TERMS_MAX.
+    for coefficients, _ in _SERIES:
+        monkeypatch.setattr(quadrature, coefficients.__name__,
+                            lambda table=_table(coefficients): table)
     for a in _linspace(1.25, 2.5, 126):
         (v_d, e_d), (v_s, e_s) = _bounded(direct, a), _bounded(series, a)
         assert abs(v_d - v_s) <= e_d + e_s, a
-
-
-_SERIES = [quadrature._KAPPA2, quadrature._KAPPA1_BY_PARTS, quadrature._KAPPA1_BINOMIAL]
-
-
-def _read(monkeypatch, series, a):
-    """series(a) from an empty table, and the count n of terms it summed:
-    the table holds exactly c_0..c_n, the last for the first term left out."""
-    monkeypatch.setattr(series, "table", ())
-    out = series(a)
-    return out, len(series.table) - 1
 
 
 def _within(value, bar, exact, u, half):
@@ -332,19 +348,20 @@ def _within(value, bar, exact, u, half):
 
 
 @pytest.mark.parametrize("series", _SERIES)
-def test_series_horner_sum_within_rounding_of_exact(monkeypatch, series):
+def test_series_horner_sum_within_rounding_of_exact(series):
     # The Horner sum and the magnitude sum each lie within _ROUNDING of the
     # magnitude of sum_(k<n) c_k u^(k+p), taken exactly from the series' own
     # c_k and u = 1/(1 + a^2) of the float a, with sqrt(u) squared away
     # where p is a half-integer. Points from 1.25, below the switch, where n
     # is largest, to the ceiling.
-    whole = int(series.p)
+    coefficients, p = series
+    whole = int(p)
     for a in (*_linspace(1.25, 1.5, 11), 1.5000001, 1.55, 3.15, 10.0, 1e3, 1e6):
-        (value, size, _), n = _read(monkeypatch, series, a)
+        (value, size, _), n = _read(series, a)
         u = 1 / (1 + Fraction(a) ** 2)
-        terms = [Fraction(series.coefficient(k)) * u ** (k + whole) for k in range(n)]
+        terms = [Fraction(c) * u ** (k + whole) for k, c in enumerate(_table(coefficients)[:n])]
         bar = quadrature._ROUNDING * size
-        half = series.p != whole
+        half = p != whole
         assert _within(value, bar, sum(terms), u, half), a
         assert _within(size, bar, sum(map(abs, terms)), u, half), a
 
@@ -352,72 +369,51 @@ def test_series_horner_sum_within_rounding_of_exact(monkeypatch, series):
 def _exact_coefficient(series, k):
     """c_k as an exact Fraction, kappa2's times pi; the series' own c_k is
     it rounded once (kappa2's then divided by pi)."""
+    coefficients, _ = series
     c = Fraction(math.comb(2 * k, k), 4**k)
-    if series is quadrature._KAPPA2:
+    if coefficients is quadrature._kappa2_coefficients:
         c = 768 * c / (27 * (2 * k - 1) * (2 * k - 3) * (2 * k + 7))
-        assert series.coefficient(k) == float(c) / math.pi, k
+        assert _table(coefficients)[k] == float(c) / math.pi, k
     else:
-        c /= (4 * (2 * k + 5) if series is quadrature._KAPPA1_BY_PARTS
+        c /= (4 * (2 * k + 5) if coefficients is quadrature._kappa1_by_parts_coefficients
               else 2 * (2 * k - 1) * (k + 2))
-        assert series.coefficient(k) == float(c), k
+        assert _table(coefficients)[k] == float(c), k
     return c
 
 
 @pytest.mark.parametrize("series", _SERIES)
-def test_series_truncation_covers_exact_tail(monkeypatch, series):
+def test_series_truncation_covers_exact_tail(series):
     # The 200 terms after the last one summed, exactly: c_k u^(k+p) with
     # u = 1/(1 + a^2) of the float a, and sqrt(u) squared away where p is
     # a half-integer. kappa2's c_k carry 1/pi, so its truncation is scaled
     # by Fraction(math.pi), which is below pi.
+    coefficients, p = series
+    whole = int(p)
     for a in (1.5000001, 1.55, 3.15, 1e6):
-        (_, _, truncation), n = _read(monkeypatch, series, a)
+        (_, _, truncation), n = _read(series, a)
         u = 1 / (1 + Fraction(a) ** 2)
-        whole = int(series.p)
         tail = sum(_exact_coefficient(series, k) * u ** (k + whole)
                    for k in range(n, n + 200))
         bound = Fraction(truncation)
-        if series is quadrature._KAPPA2:
+        if coefficients is quadrature._kappa2_coefficients:
             bound *= Fraction(math.pi)
         assert tail > 0 and bound > 0, a
-        if series.p == whole:
+        if p == whole:
             assert bound >= tail, a
         else:
             assert bound**2 >= u * tail**2, a
 
 
-def _sweep_grid():
-    """The benchmark's y_min grid for its lib-sweep (bench/spec.py imports
-    only the standard library)."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "spec.py"
-    module_spec = importlib.util.spec_from_file_location("bench_spec", path)
-    bench = importlib.util.module_from_spec(module_spec)
-    module_spec.loader.exec_module(bench)
-    return bench.SWEEP_YMIN_GRID
-
-
-def test_series_cost_bounded_by_cutoff(fresh_memos):
-    # Each series call reads a count of coefficients set by u alone, which
-    # falls as the cutoff rises: at most 37 anywhere above the switch, and
-    # a scan leaves each table exactly as long as its largest count.
-    for a in (math.nextafter(quadrature._Y_STAR, math.inf), 1.5000001,
-              *_geomspace(1.55, Y_MIN_MAX, 200)):
-        for series in _SERIES:
-            fresh_memos()
-            series(a)
-            assert 3 < len(series.table) <= 37, (a, len(series.table))
-    fresh_memos()
-    grid = _sweep_grid()
-    read = {}
-    for series in _SERIES:
-        for a in grid:
-            if a > quadrature._Y_STAR:
-                fresh_memos()
-                series(a)
-                read[series] = max(read.get(series, 0), len(series.table))
-    fresh_memos()
-    ymin_sensitivity("kappa1", grid)
-    ymin_sensitivity("kappa2", grid)
-    assert [len(series.table) for series in _SERIES] == [read[s] for s in _SERIES]
+def test_series_cost_bounded_by_cutoff():
+    # A cutoff above the switch sums a count of coefficients set by u alone,
+    # from _TERMS_MAX = 36 just above the switch down to 3; each table holds
+    # c_0.._TERMS_MAX, the last for the first term left out.
+    grid = [math.nextafter(quadrature._Y_STAR, math.inf), 1.5000001,
+            *_geomspace(1.55, Y_MIN_MAX, 200)]
+    counts = [quadrature._term_count(1.0 + a * a) for a in grid]
+    assert counts[0] == quadrature._TERMS_MAX == 36 and counts[-1] == 3
+    assert counts == sorted(counts, reverse=True)
+    assert [len(coefficients()) for coefficients, _ in _SERIES] == [37] * 3
 
 
 def test_bars_above_switch_tight():
