@@ -8,8 +8,8 @@ identities, and an itemized pseudo-momentum budget.
 
 `import casimir_momentum` loads the sums and quadrature modules only, whose
 exports a library sweep calls. The exports of budget, renorm and units load
-on first access. The radial integrals of `hydrogen`, which only `verify`
-reads, and the adaptive engine of `quadrature` are reached through their
+on first access. The radial integrals of `hydrogen` and the adaptive
+engine of `engine`, which only `verify` reads, are reached through their
 submodules.
 """
 

@@ -8,13 +8,14 @@ parts itemized, their total, and order-of-magnitude bounds that are
 reported but never added into the total. _PROVENANCE states the formula of
 each item. All vectors are SI (kg m/s); inputs are SI field vectors.
 Vectors are 3-tuples of floats (Vec3); cross, dot, norm and scaled are the
-four helpers below.
+four helpers below. handle_budget, the budget subcommand's handler, lives
+here too, so a process compiles it only when it runs that subcommand.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Mapping, NamedTuple
+from typing import Any, Mapping, NamedTuple
 
 from .units import (ADOPTED_KAPPA1, ADOPTED_KAPPA2, POLARIZABILITY_CHOICES,
                     POLARIZABILITY_EXACT_AU, AtomicParams, constants)
@@ -188,3 +189,16 @@ def assemble_budget(
         provenance={**_PROVENANCE, "alpha0_si": _PROVENANCE["alpha0_si"].format(
             choice=polarizability_choice)},
     )
+
+
+def handle_budget(p: dict[str, Any]) -> dict[str, tuple[dict[str, Any], str]]:
+    """The budget subcommand's report rows, name -> (entry, provenance), for
+    its checked parameters; every item in _PROVENANCE order."""
+    fields = FieldConfiguration(E0=p["E0"], B0=p["B0"], Q0=p["Q0"])
+    bud = assemble_budget(fields, kappa1=p["kappa1"], kappa2=p["kappa2"],
+                          polarizability_choice=p["polarizability"].replace("-", "_"))
+    values = bud._asdict()
+    values.update((f"relativistic_{key}", value)
+                  for key, value in bud.relativistic_terms.items())
+    return {name: ({"value": values[name], "error": None}, text)
+            for name, text in bud.provenance.items()}

@@ -5,7 +5,11 @@ float repr, newline-terminated), CSV with one row per scalar quantity, or a
 plain-text table. Identical invocations produce byte-identical report bytes;
 wall-clock timing is diagnostic only and goes to stderr. Exit codes: 0 on
 success, 2 on a validation/usage error, 1 on a failed `verify` check or a
-QuadratureError from its engine rows. Handlers import the modules only they use.
+QuadratureError from its engine rows. The handlers of kappas, polarizability,
+bethe and continuum are here, as the package root loads their libraries
+anyway. Those of renorm, rho-c, budget and verify live beside their
+libraries, which import nothing from here; each is imported when its
+subcommand runs, so a process compiles only the handler it runs.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import json
 import math
 import sys
 import time
+from importlib import import_module
 from typing import Any, Callable, NamedTuple
 
 from . import __version__, quadrature, sums, units
@@ -320,115 +325,12 @@ def _handle_continuum(p: dict[str, Any]) -> dict[str, Row]:
         for row in quadrature.ymin_sensitivity(name, p["ymin_grid"])}
 
 
-def _handle_renorm(p: dict[str, Any]) -> dict[str, Row]:
-    from . import renorm
-    const = constants()
-    rows: dict[str, Row] = {}
-    deltas = {}
-    for label, mass in (("electron", const.electron_mass),
-                        ("proton", const.proton_mass)):
-        lam = p["cutoff_ratio"] * mass * const.light_speed_c0 / const.hbar
-        _require(math.isfinite(lam), f"--cutoff-ratio overflows the {label} cutoff")
-        deltas[label] = renorm.delta_mass(mass, lam)
-        rows[f"delta_mass_{label}"] = _row(
-            deltas[label], "electromagnetic self-mass (4 alpha hbar^2/3pi) "
-            "int k dk/(hbar^2k^2/2m + hbar c0 k) at hbar*Lambda/(m c0) = "
-            f"{p['cutoff_ratio']:g}")
-    big = p["big_ratio"] * const.electron_mass * const.light_speed_c0 / const.hbar
-    grid = [big * 2.0**k for k in range(5)]
-    _require(math.isfinite(grid[-1]), "--big-ratio overflows the electron cutoff")
-    rows["doubling_increment_electron"] = _row(
-        renorm.delta_mass(const.electron_mass, 2 * big)
-        - renorm.delta_mass(const.electron_mass, big),
-        "delta_m(2 Lambda) - delta_m(Lambda) at hbar*Lambda/(m c0) = "
-        f"{p['big_ratio']:g}; tends to (8 alpha m/3pi) ln 2")
-    rows["doubling_increment_limit"] = _row(
-        (8 * const.fine_structure_alpha * const.electron_mass / (3 * math.pi))
-        * math.log(2.0), "(8 alpha m/3pi) ln 2")
-    atom = units.AtomicParams.hydrogen()
-    dm1, dm2 = (deltas[label] / const.electron_mass for label in ("proton", "electron"))
-    _require(dm1 < atom.m1 and dm2 < atom.m2,
-             "--cutoff-ratio makes a self-mass reach its mass (above about 2.6e70)")
-    rows["reduced_mass_shift"] = _row(
-        renorm.reduced_mass_shift(atom, dm1, dm2),
-        "-dm1/m1^2 - dm2/m2^2 in electron-mass units; first-order change of "
-        "1/mu when both masses absorb their self-energy")
-    rows["delta_mass_log_slope"] = _row(renorm.divergence_exponent(
-        lambda lam: renorm.delta_mass(const.electron_mass, lam), grid),
-        "fitted d log(delta_m)/d log(Lambda) at large cutoff; tends to 0 "
-        "(logarithmic divergence)")
-    return rows
-
-
-def _handle_rho_c(p: dict[str, Any]) -> dict[str, Row]:
-    from . import renorm
-    from .renorm import CutoffScheme, DispersionModel
-    const = constants()
-    if p["model"] == "dispersionless":
-        model, model_flag = DispersionModel.dispersionless(p["eps_r"]), "--eps-r"
-    else:
-        model, model_flag = DispersionModel.free_electron(p["n_e"]), "--n-e"
-    if p["omega_max"] is not None:
-        cutoff, cutoff_flag = CutoffScheme.frequency(p["omega_max"]), "--omega-max"
-    else:
-        l_min = p["l_min"] if p["l_min"] is not None \
-            else const.classical_electron_radius
-        cutoff, cutoff_flag = CutoffScheme.length(l_min), "--l-min"
-    omega = cutoff.omega_max(const)
-    try:
-        value = renorm.casimir_mass_density(model, cutoff, const)
-        if p["fit_exponent"]:
-            grid = [omega * 2.0**k for k in range(4)]
-            slope = renorm.divergence_exponent(model, grid, const)
-    except renorm.MassDensityOverflow as exc:
-        raise CliValidationError(
-            f"{exc} (set by {cutoff_flag} and {model_flag})") from None
-    rows = {
-        "rho_c": _row(value, "(2/3)(hbar/pi^3 c0^5) int (eps_r - 1) omega^3 "
-                      "d omega up to the cutoff; closed-form antiderivative per "
-                      "model"),
-        "omega_max": _row(omega, "effective frequency cutoff (length cutoffs "
-                          "map as pi c0 / l_min)"),
-    }
-    if p["model"] == "free-electron":
-        reference = p["n_e"] * const.electron_mass / const.fine_structure_alpha
-        rows["reference_mass_density"] = _row(reference, "n_e m_e / alpha")
-        rows["ratio_to_reference"] = _row(abs(value) / reference, "|rho_c| / "
-                                          "(n_e m_e/alpha); order unity at the "
-                                          "electron-radius cutoff")
-    if p["fit_exponent"]:
-        rows["divergence_exponent"] = _row(
-            slope, "least-squares slope of log|rho_c| against log omega_max "
-            "over a geometric cutoff sweep (4 for dispersionless, 2 for the "
-            "free-electron model)")
-    return rows
-
-
-def _handle_budget(p: dict[str, Any]) -> dict[str, Row]:
-    from . import budget
-    fields = budget.FieldConfiguration(E0=p["E0"], B0=p["B0"], Q0=p["Q0"])
-    bud = budget.assemble_budget(
-        fields, kappa1=p["kappa1"], kappa2=p["kappa2"],
-        polarizability_choice=p["polarizability"].replace("-", "_"))
-    values = bud._asdict()
-    values.update((f"relativistic_{key}", value)
-                  for key, value in bud.relativistic_terms.items())
-    return {name: _row(values[name], text) for name, text in bud.provenance.items()}
-
-
-def _handle_verify(p: dict[str, Any]) -> dict[str, Row]:
-    from . import verify
-    cost: dict[str, float] = {}
-    checks = verify.run_checks(cost)
-    rows: dict[str, Row] = {}
-    for chk in checks:
-        print(f"# check {chk.name}: {cost[chk.name]:.3f} s", file=sys.stderr)
-        rows[chk.name] = ({"value": chk.value, "error": None,
-                           "pass": bool(chk.passed), "target": chk.target},
-                          ("PASS " if chk.passed else "FAIL ") + chk.target)
-    rows["checks_failed"] = _row(sum(not c.passed for c in checks),
-                                 "number of failed oracle/invariant checks")
-    return rows
+def _deferred(module: str, name: str) -> Callable[[dict[str, Any]], dict[str, Row]]:
+    """The handler `name` of the package module `module`, imported when it is
+    called, inside the run's timer, so no other subcommand compiles it."""
+    def handler(p: dict[str, Any]) -> dict[str, Row]:
+        return getattr(import_module(f".{module}", __package__), name)(p)
+    return handler
 
 
 class Subcommand(NamedTuple):
@@ -465,7 +367,7 @@ SUBCOMMANDS: dict[str, Subcommand] = {
             *_TOLERANCES)),
     "renorm": Subcommand(
         "electromagnetic self-mass, its logarithmic divergence, and the "
-        "reduced-mass shift", _handle_renorm, (
+        "reduced-mass shift", _deferred("renorm", "handle_renorm"), (
             Param("cutoff_ratio", float, 2.0, "self-mass cutoff hbar*Lambda/(m c0)",
                   check=_POSITIVE),
             Param("big_ratio", float, 1e4, "cutoff of the doubling check", check=(
@@ -473,7 +375,7 @@ SUBCOMMANDS: dict[str, Subcommand] = {
                 "must be >= 1e4 for the logarithmic-increment check")))),
     "rho-c": Subcommand(
         "regularized vacuum mass density and its cutoff scaling",
-        _handle_rho_c, (
+        _deferred("renorm", "handle_rho_c"), (
             Param("model", str, "free-electron", "dispersion model",
                   choices=("dispersionless", "free-electron")),
             Param("eps_r", float, 2.0, "dispersionless permittivity",
@@ -486,7 +388,7 @@ SUBCOMMANDS: dict[str, Subcommand] = {
             _switch("fit_exponent", "fit the cutoff power"))),
     "budget": Subcommand(
         "itemized momentum budget for given external fields",
-        _handle_budget, (
+        _deferred("budget", "handle_budget"), (
             _triple("E0", "1e5,0,0", "V/m"), _triple("B0", "0,1,0", "T"),
             _triple("Q0", "0,0,0", "kg m/s"),
             Param("kappa1", float, units.ADOPTED_KAPPA1, "first vacuum "
@@ -498,7 +400,7 @@ SUBCOMMANDS: dict[str, Subcommand] = {
                                 for c in units.POLARIZABILITY_CHOICES)))),
     "verify": Subcommand(
         "run the oracle/invariant suite and print a pass/fail table",
-        _handle_verify),
+        _deferred("verify", "handle_verify")),
 }
 
 def build_parser(only: str | None = None) -> argparse.ArgumentParser:
@@ -600,7 +502,7 @@ def run(argv: list[str] | None = None) -> int:
         else:
             sys.stdout.buffer.write(blob)
             sys.stdout.flush()
-        print(f"# timing: {elapsed:.3f} s", file=sys.stderr)
+        print(f"# timing: {elapsed:.6f} s", file=sys.stderr)
         if args.subcommand == "verify":
             return 0 if results["checks_failed"]["value"] == 0 else 1
         return 0

@@ -3,13 +3,15 @@
 Everything here is SI. Each regularized integral is evaluated by its
 closed-form antiderivative. The adaptive engine checks the self-mass
 against its integral in `verify` (the delta_mass_engine row), never here.
+The handlers of the renorm and rho-c subcommands live here too, so a
+process compiles them only when it runs one of them.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from typing import Callable, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from .units import AtomicParams, PhysicalConstants, constants
 
@@ -203,3 +205,98 @@ def divergence_exponent(model_or_fn: DispersionModel | Callable[[float], float],
     dx = [x - x_mean for x in xs]
     return (math.fsum(d * (y - y_mean) for d, y in zip(dx, ys))
             / math.fsum(d * d for d in dx))
+
+
+# --- the renorm and rho-c subcommands ----------------------------------------
+# Each handler takes its subcommand's checked parameters and returns its
+# report rows, name -> (entry, provenance). A refusal is a ValueError that
+# names the flag; the command line turns it into exit 2.
+
+_Row = tuple[dict[str, Any], str]
+
+
+def _row(value: float, provenance: str) -> _Row:
+    return {"value": value, "error": None}, provenance
+
+
+def handle_renorm(p: dict[str, Any]) -> dict[str, _Row]:
+    const = constants()
+    rows: dict[str, _Row] = {}
+    deltas = {}
+    for label, mass in (("electron", const.electron_mass),
+                        ("proton", const.proton_mass)):
+        lam = p["cutoff_ratio"] * mass * const.light_speed_c0 / const.hbar
+        if not math.isfinite(lam):
+            raise ValueError(f"--cutoff-ratio overflows the {label} cutoff")
+        deltas[label] = delta_mass(mass, lam)
+        rows[f"delta_mass_{label}"] = _row(
+            deltas[label], "electromagnetic self-mass (4 alpha hbar^2/3pi) "
+            "int k dk/(hbar^2k^2/2m + hbar c0 k) at hbar*Lambda/(m c0) = "
+            f"{p['cutoff_ratio']:g}")
+    big = p["big_ratio"] * const.electron_mass * const.light_speed_c0 / const.hbar
+    grid = [big * 2.0**k for k in range(5)]
+    if not math.isfinite(grid[-1]):
+        raise ValueError("--big-ratio overflows the electron cutoff")
+    rows["doubling_increment_electron"] = _row(
+        delta_mass(const.electron_mass, 2 * big)
+        - delta_mass(const.electron_mass, big),
+        "delta_m(2 Lambda) - delta_m(Lambda) at hbar*Lambda/(m c0) = "
+        f"{p['big_ratio']:g}; tends to (8 alpha m/3pi) ln 2")
+    rows["doubling_increment_limit"] = _row(
+        (8 * const.fine_structure_alpha * const.electron_mass / (3 * math.pi))
+        * math.log(2.0), "(8 alpha m/3pi) ln 2")
+    atom = AtomicParams.hydrogen()
+    dm1, dm2 = (deltas[label] / const.electron_mass for label in ("proton", "electron"))
+    if not (dm1 < atom.m1 and dm2 < atom.m2):
+        raise ValueError("--cutoff-ratio makes a self-mass reach its mass "
+                         "(above about 2.6e70)")
+    rows["reduced_mass_shift"] = _row(
+        reduced_mass_shift(atom, dm1, dm2),
+        "-dm1/m1^2 - dm2/m2^2 in electron-mass units; first-order change of "
+        "1/mu when both masses absorb their self-energy")
+    rows["delta_mass_log_slope"] = _row(divergence_exponent(
+        lambda lam: delta_mass(const.electron_mass, lam), grid),
+        "fitted d log(delta_m)/d log(Lambda) at large cutoff; tends to 0 "
+        "(logarithmic divergence)")
+    return rows
+
+
+def handle_rho_c(p: dict[str, Any]) -> dict[str, _Row]:
+    const = constants()
+    if p["model"] == "dispersionless":
+        model, model_flag = DispersionModel.dispersionless(p["eps_r"]), "--eps-r"
+    else:
+        model, model_flag = DispersionModel.free_electron(p["n_e"]), "--n-e"
+    if p["omega_max"] is not None:
+        cutoff, cutoff_flag = CutoffScheme.frequency(p["omega_max"]), "--omega-max"
+    else:
+        l_min = p["l_min"] if p["l_min"] is not None \
+            else const.classical_electron_radius
+        cutoff, cutoff_flag = CutoffScheme.length(l_min), "--l-min"
+    omega = cutoff.omega_max(const)
+    try:
+        value = casimir_mass_density(model, cutoff, const)
+        if p["fit_exponent"]:
+            grid = [omega * 2.0**k for k in range(4)]
+            slope = divergence_exponent(model, grid, const)
+    except MassDensityOverflow as exc:
+        raise ValueError(f"{exc} (set by {cutoff_flag} and {model_flag})") from None
+    rows = {
+        "rho_c": _row(value, "(2/3)(hbar/pi^3 c0^5) int (eps_r - 1) omega^3 "
+                      "d omega up to the cutoff; closed-form antiderivative per "
+                      "model"),
+        "omega_max": _row(omega, "effective frequency cutoff (length cutoffs "
+                          "map as pi c0 / l_min)"),
+    }
+    if p["model"] == "free-electron":
+        reference = p["n_e"] * const.electron_mass / const.fine_structure_alpha
+        rows["reference_mass_density"] = _row(reference, "n_e m_e / alpha")
+        rows["ratio_to_reference"] = _row(abs(value) / reference, "|rho_c| / "
+                                          "(n_e m_e/alpha); order unity at the "
+                                          "electron-radius cutoff")
+    if p["fit_exponent"]:
+        rows["divergence_exponent"] = _row(
+            slope, "least-squares slope of log|rho_c| against log omega_max "
+            "over a geometric cutoff sweep (4 for dispersionless, 2 for the "
+            "free-electron model)")
+    return rows

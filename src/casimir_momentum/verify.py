@@ -17,7 +17,8 @@ module derives every entry and requires it equal in every bit.
 itself from the command line, and the acceptance gate
 (tests/test_acceptance.py) asserts the same rows. The benchmark keeps its
 own copy of five of these bands in bench/spec.py, which a test holds equal
-to these rows.
+to these rows. handle_verify, the subcommand's handler, lives here, and only
+this module imports the adaptive engine.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from functools import cache
 from itertools import accumulate
 from typing import Any, Callable, NamedTuple
 
-from . import budget, cli, hydrogen, quadrature, sums, units
+from . import budget, cli, engine, hydrogen, quadrature, sums, units
 from .units import constants
 
 
@@ -146,19 +147,19 @@ def _reduced_mass_shift_error(m: _Memo) -> float:
     return float(abs(formula - centered) / abs(centered))
 
 
-def _engine(which: str, y_min: float) -> quadrature.QuadratureResult:
+def _engine(which: str, y_min: float) -> engine.QuadratureResult:
     """The adaptive engine's integral of a continuum integrand from y_min."""
-    return quadrature.integrate_to_inf(
-        getattr(quadrature, f"{which}_continuum_integrand"), y_min, _ORACLE_SPEC)
+    return engine.integrate_to_inf(
+        getattr(engine, f"{which}_continuum_integrand"), y_min, _ORACLE_SPEC)
 
 
 def _continuum_oracle(which: str, y_min: float) -> Callable[[_Memo], float]:
     """|engine - reported closed form| over the sum of their bars at y_min."""
     def ratio(m: _Memo) -> float:
-        engine = m(_engine, which, y_min)
+        run = m(_engine, which, y_min)
         closed = m(_report, "continuum", _ORACLE_GRID)[
             f"{which}_continuum[ymin={y_min:g}]"][0]
-        return abs(engine.value - closed["value"]) / (engine.error + closed["error"])
+        return abs(run.value - closed["value"]) / (run.error + closed["error"])
     return ratio
 
 
@@ -171,7 +172,7 @@ def _delta_mass_oracle(m: _Memo) -> float:
     p = _params("renorm")
     worst = 0.0
     for ratio in (p["cutoff_ratio"], p["big_ratio"], 2 * p["big_ratio"], 1e-6):
-        engine = quadrature.integrate_adaptive(
+        run = engine.integrate_adaptive(
             lambda u: 1.0 / (2.0 + u), 0.0, ratio, _ORACLE_SPEC,
             breakpoints=[ratio * 0.5**k for k in range(1, 40)])
         for label, mass in (("electron", _C.electron_mass),
@@ -179,8 +180,8 @@ def _delta_mass_oracle(m: _Memo) -> float:
             closed = _reported("renorm", f"delta_mass_{label}",
                                (("cutoff_ratio", ratio),))(m)
             front = 8.0 * _C.fine_structure_alpha * mass / (3.0 * math.pi)
-            worst = max(worst, abs(front * engine.value - closed)
-                        / (front * engine.error + _DELTA_MASS_ROUNDING * closed))
+            worst = max(worst, abs(front * run.value - closed)
+                        / (front * run.error + _DELTA_MASS_ROUNDING * closed))
     return worst
 
 
@@ -496,7 +497,7 @@ CHECKS: tuple[Check, ...] = (
             _continuum_oracle(which, y_min), rule=lambda r: r <= 1.0,
             text="engine within its error plus the closed form's")
       for which in ("kappa1", "kappa2") for y_min in _ORACLE_YMIN),
-    Check("beta_integral_closed_form", lambda m: quadrature.integrate_adaptive(
+    Check("beta_integral_closed_form", lambda m: engine.integrate_adaptive(
         lambda y: y**4 / (1 + y * y)**6, 0.0, _BETA_CUT).value,
         3 * math.pi / 512, 1e-9, text="3 pi/512 to 1e-9"),
 
@@ -580,3 +581,20 @@ def run_checks(cost: dict[str, float] | None = None) -> list[CheckResult]:
         out.append(CheckResult(chk.name, float(value) if chk.shown else None,
                                chk.target, chk.passes(value)))
     return out
+
+
+def handle_verify(p: dict[str, Any]) -> dict[str, cli.Row]:
+    """The verify subcommand's rows: one per check, then the failure count.
+    Each check's cost goes to stderr, never into the report."""
+    cost: dict[str, float] = {}
+    checks = run_checks(cost)
+    rows: dict[str, cli.Row] = {}
+    for chk in checks:
+        print(f"# check {chk.name}: {cost[chk.name]:.6f} s", file=sys.stderr)
+        rows[chk.name] = ({"value": chk.value, "error": None,
+                           "pass": bool(chk.passed), "target": chk.target},
+                          ("PASS " if chk.passed else "FAIL ") + chk.target)
+    rows["checks_failed"] = ({"value": sum(not c.passed for c in checks),
+                              "error": None},
+                             "number of failed oracle/invariant checks")
+    return rows

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from casimir_momentum import quadrature, sums, verify
+from casimir_momentum import engine, sums, verify
 from casimir_momentum.cli import (SUBCOMMANDS, ReportEnvelope, RunConfig,
                                   build_parser, run, serialize)
 from casimir_momentum.quadrature import QuadratureSpec
@@ -52,7 +52,7 @@ def test_kappas_json_contents():
         assert key in payload["config"]
     assert payload["config"]["ymin2"] == 1.0
     assert proc.stdout.endswith(b"\n")
-    assert b"timing" in proc.stderr
+    assert re.search(rb"^# timing: \d+\.\d{6} s$", proc.stderr, re.M)
 
 
 def test_byte_identical_repeated_runs():
@@ -340,7 +340,7 @@ def test_verify_reports_cost_of_each_check(capsys):
     assert run(["verify"]) == 0
     err = capsys.readouterr().err
     for chk in verify.CHECKS:
-        assert re.search(rf"^# check {chk.name}: \d+\.\d{{3}} s$", err, re.M), \
+        assert re.search(rf"^# check {chk.name}: \d+\.\d{{6}} s$", err, re.M), \
             chk.name
 
 
@@ -354,7 +354,7 @@ def test_numerical_failure_exit_1_with_diagnostic(capsys, monkeypatch):
     # A sawtooth of period 1e-9 that no 2000 bisections resolve exhausts the
     # subdivision budget of verify's engine oracle on the kappa1 integrand; no
     # accepted flag value makes the real integrands do so.
-    monkeypatch.setattr(quadrature, "kappa1_continuum_integrand",
+    monkeypatch.setattr(engine, "kappa1_continuum_integrand",
                         lambda y: (y * 1e9 % 1.0) / (1.0 + y * y))
     assert run(["verify"]) == 1
     err = capsys.readouterr().err
@@ -364,7 +364,7 @@ def test_numerical_failure_exit_1_with_diagnostic(capsys, monkeypatch):
 
 def test_rel_tol_below_float_epsilon_refused_before_quadrature(capsys, monkeypatch):
     # Below the float epsilon no quadrature can meet the tolerance.
-    monkeypatch.setattr(quadrature, "integrate_to_inf",
+    monkeypatch.setattr(engine, "integrate_to_inf",
                         lambda *a, **k: pytest.fail("the quadrature ran"))
     assert run(["continuum", "--rel-tol=1e-300"]) == 2
     assert "--rel-tol" in capsys.readouterr().err

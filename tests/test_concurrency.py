@@ -11,12 +11,8 @@ from pathlib import Path
 
 import casimir_momentum.hydrogen as hyd
 from casimir_momentum import quadrature
-from casimir_momentum.quadrature import (
-    integrate_to_inf,
-    kappa1_continuum,
-    kappa2_continuum,
-    kappa2_continuum_integrand,
-)
+from casimir_momentum.engine import integrate_to_inf, kappa2_continuum_integrand
+from casimir_momentum.quadrature import kappa1_continuum, kappa2_continuum
 from casimir_momentum.sums import (
     bethe_sum,
     kappa1_discrete,

@@ -222,13 +222,14 @@ def test_verify_loads_no_fractions(fresh_run):
     assert not loaded, sorted(loaded)
 
 
-# The modules a subcommand must not load; only verify loads hydrogen.
+# The modules a subcommand must not load; only verify loads hydrogen and
+# the adaptive engine.
 _NOT_LOADED = {
     **dict.fromkeys(("continuum", "kappas", "bethe", "polarizability"),
-                    {"budget", "hydrogen", "renorm", "verify"}),
-    "budget": {"hydrogen", "renorm", "verify"},
-    "renorm": {"budget", "hydrogen", "verify"},
-    "rho-c": {"budget", "hydrogen", "verify"},
+                    {"budget", "engine", "hydrogen", "renorm", "verify"}),
+    "budget": {"engine", "hydrogen", "renorm", "verify"},
+    "renorm": {"budget", "engine", "hydrogen", "verify"},
+    "rho-c": {"budget", "engine", "hydrogen", "verify"},
 }
 
 
@@ -258,24 +259,59 @@ def _imported_submodules(tree: ast.Module) -> set[str]:
     return found
 
 
+def _module_trees() -> dict[str, ast.Module]:
+    """Each module of the package by name, parsed."""
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted((Path(SRC) / "casimir_momentum").glob("*.py"))}
+
+
 def test_only_verify_imports_hydrogen():
     # The radial integrals serve verify's oracles alone; the sums read
     # literal tables. No other module of the package imports hydrogen, by
     # a relative or an absolute import.
-    importers = sorted(
-        path.stem for path in (Path(SRC) / "casimir_momentum").glob("*.py")
-        if "hydrogen" in _imported_submodules(ast.parse(path.read_text(encoding="utf-8"))))
+    importers = sorted(name for name, tree in _module_trees().items()
+                       if "hydrogen" in _imported_submodules(tree))
     assert importers == ["verify"]
 
 
+def test_only_verify_imports_the_engine():
+    # The adaptive engine is verify's oracle and no report runs it. Apart
+    # from verify, only quadrature's module __getattr__ names it: the
+    # forwarder of the benchmark's replay, which no subcommand calls.
+    trees = _module_trees()
+    body = trees["quadrature"].body
+    forwarder, = (node for node in body if isinstance(node, ast.FunctionDef)
+                  and node.name == "__getattr__")
+    assert "engine" in _imported_submodules(forwarder)
+    body.remove(forwarder)
+    importers = sorted(name for name, tree in trees.items()
+                       if "engine" in _imported_submodules(tree))
+    assert importers == ["verify"]
+
+
+# The modules that compute; the command line and verify read them.
+_LIBRARIES = ("budget", "engine", "hydrogen", "quadrature", "renorm", "sums",
+              "units")
+
+
+def test_no_library_imports_cli():
+    # A handler beside its library returns plain (entry, provenance) rows
+    # and refuses with a ValueError, so no library loads the command line.
+    trees = _module_trees()
+    assert set(_LIBRARIES) < set(trees)
+    importers = [name for name in _LIBRARIES
+                 if "cli" in _imported_submodules(trees[name])]
+    assert importers == []
+
+
 def test_renorm_runs_no_engine(monkeypatch):
-    from casimir_momentum import quadrature, renorm
+    from casimir_momentum import engine, renorm
     from casimir_momentum.cli import run
 
     def refuse(*args, **kwargs):
         raise AssertionError("the adaptive engine ran")
 
-    monkeypatch.setattr(quadrature, "integrate_adaptive", refuse)
+    monkeypatch.setattr(engine, "integrate_adaptive", refuse)
     assert run(["renorm"]) == 0
     assert not hasattr(renorm, "integrate_adaptive")
 
@@ -294,13 +330,21 @@ def test_every_root_export_is_its_submodules_object():
         assert all(getattr(casimir_momentum, name) is obj for obj in owners), name
 
 
+_ENGINE_NAMES = ("integrate_adaptive", "integrate_to_inf", "QuadratureResult",
+                 "kappa1_continuum_integrand", "kappa2_continuum_integrand")
+
+
 def test_root_exports_no_oracle_name():
     # The radial records and the adaptive engine are reached through their
-    # submodules: no report or sweep calls them through the root.
+    # submodules: no report or sweep calls them through the root. The
+    # engine's names are its own, not quadrature's.
+    from casimir_momentum import engine, quadrature
     for name in ("radial_record", "RadialIntegralRecord", "energy",
-                 "integrate_adaptive", "integrate_to_inf", "QuadratureError"):
+                 "QuadratureError", *_ENGINE_NAMES):
         assert name not in casimir_momentum.__all__, name
         assert not hasattr(casimir_momentum, name), name
+    for name in _ENGINE_NAMES:
+        assert name in vars(engine) and name not in vars(quadrature), name
 
 
 def test_root_dir_and_star_import_list_the_lazy_names():
@@ -327,15 +371,18 @@ import io, json, sys
 from contextlib import redirect_stderr, redirect_stdout
 sys.path.insert(0, {bench!r})
 import spec, worker
+from run import TIMING_RE
 from casimir_momentum.cli import run
-outs = []
+outs, timings = [], []
 for argv in sum(spec.CLI_WORKLOADS.values(), []):
     out, err = io.TextIOWrapper(io.BytesIO()), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        assert run(argv) == 0 and '# timing:' in err.getvalue(), argv
+        assert run(argv) == 0, argv
+    timings.append([argv, float(TIMING_RE.search(err.getvalue().encode()).group(1))])
     outs.append(worker.replay({{'argv': argv, 'report': out.buffer.getvalue().decode()}}))
 outs += [worker.replay({{'sweep_seed': 1}}), worker.verify_cold()]
-print(json.dumps([[o['unavailable'], o.get('serialize_matches')] for o in outs]))
+print(json.dumps({{'replays': [[o['unavailable'], o.get('serialize_matches')] for o in outs],
+                  'timings': timings}}))
 """
 
 
@@ -344,8 +391,13 @@ def test_benchmark_replay_reaches_every_layer():
     # bench/worker.py's traced replay of its report, of the library sweep and
     # of a cold verify. A public name, argument or config key the replay
     # reads and the package lost would turn a layer null, or a serialize
-    # that no longer gives the CLI's bytes would show.
+    # that no longer gives the CLI's bytes would show. Each invocation's
+    # "# timing:" line, read by bench/run.py's own pattern, must be above 0:
+    # a handler that read 0 would sum cli.compute_s to 0 and null the
+    # traced bench's trace fractions.
     proc = _python(_REPLAY.format(bench=str(Path(SRC).parent / "bench")))
     assert proc.returncode == 0, proc.stderr
     results = json.loads(proc.stdout)
-    assert results == [[{}, True]] * (len(results) - 2) + [[{}, None]] * 2
+    replays = results["replays"]
+    assert replays == [[{}, True]] * (len(replays) - 2) + [[{}, None]] * 2
+    assert [argv for argv, seconds in results["timings"] if not seconds > 0] == []

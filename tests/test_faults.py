@@ -19,8 +19,8 @@ from typing import Any, Callable, NamedTuple
 
 import pytest
 
-from casimir_momentum import (budget, cli, hydrogen, quadrature, renorm, sums,
-                              units, verify)
+from casimir_momentum import (budget, cli, engine, hydrogen, renorm, sums, units,
+                              verify)
 from casimir_momentum.units import constants
 
 
@@ -130,16 +130,16 @@ def _closed_form_plain_powers(monkeypatch):
 
 
 def _centre_weight_off(monkeypatch):
-    weights = list(quadrature._WEIGHTS_K)
+    weights = list(engine._WEIGHTS_K)
     weights[7] *= 1 + 1e-13
-    monkeypatch.setattr(quadrature, "_WEIGHTS_K", tuple(weights))
+    monkeypatch.setattr(engine, "_WEIGHTS_K", tuple(weights))
 
 
 def _faked_engine(monkeypatch):
     class FakeResult:
         value = 123.456
         error = 0.0
-    monkeypatch.setattr(quadrature, "integrate_adaptive", lambda *a, **k: FakeResult())
+    monkeypatch.setattr(engine, "integrate_adaptive", lambda *a, **k: FakeResult())
 
 
 def _self_mass_plain_log(monkeypatch):

@@ -6,20 +6,22 @@ from fractions import Fraction
 
 import pytest
 
-from casimir_momentum import quadrature, verify
+from casimir_momentum import engine, quadrature, verify
 from casimir_momentum.cli import run
+from casimir_momentum.engine import (
+    integrate_adaptive,
+    integrate_to_inf,
+    kappa1_continuum_integrand,
+    kappa2_continuum_integrand,
+)
 from casimir_momentum.quadrature import (
     DEFAULT_SPEC,
     Y_MIN_MAX,
     ContinuumResult,
     QuadratureError,
     QuadratureSpec,
-    integrate_adaptive,
-    integrate_to_inf,
     kappa1_continuum,
-    kappa1_continuum_integrand,
     kappa2_continuum,
-    kappa2_continuum_integrand,
     ymin_sensitivity,
 )
 
@@ -70,7 +72,7 @@ def test_error_estimate_honest(f, a, b, true):
 
 
 def test_max_subdivisions_failure_carries_best_estimate(monkeypatch):
-    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 3)
+    monkeypatch.setattr(engine, "_MAX_SUBDIVISIONS", 3)
     spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-16)
     with pytest.raises(QuadratureError) as info:
         integrate_adaptive(lambda x: abs(x - 1.0 / 3.0) ** 0.5, 0.0, 1.0, spec)
@@ -84,7 +86,7 @@ def test_max_subdivisions_failure_carries_best_estimate(monkeypatch):
 def test_gauss_kronrod_rules_exact_on_monomials():
     # K15 integrates x^d exactly for d <= 22 and G7 for d <= 13; cut to 15
     # digits, the K15 weights summed to 2 - 6e-15, 13 ulps short.
-    from casimir_momentum.quadrature import _NODES, _WEIGHTS_G, _WEIGHTS_K
+    from casimir_momentum.engine import _NODES, _WEIGHTS_G, _WEIGHTS_K
     for rule, nodes, degree in ((_WEIGHTS_K, _NODES, 22),
                                 (_WEIGHTS_G, _NODES[1::2], 13)):
         for d in range(degree + 1):
@@ -96,7 +98,7 @@ def test_gauss_kronrod_rules_exact_on_monomials():
 def test_segment_estimate_sums_correctly_rounded():
     # math.fsum, not a plain or a compensated running sum (the builtin sum
     # is one or the other by Python version): the same bytes on every version.
-    from casimir_momentum.quadrature import _NODES, _WEIGHTS_K, _segment
+    from casimir_momentum.engine import _NODES, _WEIGHTS_K, _segment
     fs = [(-1) ** j * 10.0 ** (8 * (j % 3)) * (1 + j / 7) for j in range(15)]
     running = 0.0
     for f, w in zip(fs, _WEIGHTS_K):
@@ -441,8 +443,8 @@ def test_scans_decrease_strictly_up_to_ceiling():
 def test_continuum_runs_without_the_engine(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("the quadrature engine ran")
-    monkeypatch.setattr(quadrature, "integrate_to_inf", refuse)
-    monkeypatch.setattr(quadrature, "integrate_adaptive", refuse)
+    monkeypatch.setattr(engine, "integrate_to_inf", refuse)
+    monkeypatch.setattr(engine, "integrate_adaptive", refuse)
     for y_min in (0.0, 1.0, 2.0, Y_MIN_MAX):
         kappa1_continuum(y_min)
         kappa2_continuum(y_min)

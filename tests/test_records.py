@@ -5,10 +5,10 @@ the CLI."""
 
 import pytest
 
-from casimir_momentum import (budget, cli, hydrogen, quadrature, renorm, sums,
-                              units, verify)
+from casimir_momentum import (budget, cli, engine, hydrogen, quadrature, renorm,
+                              sums, units, verify)
 
-MODULES = (units, budget, renorm, sums, quadrature, hydrogen, cli, verify)
+MODULES = (units, budget, renorm, sums, quadrature, engine, hydrogen, cli, verify)
 
 _FIELDS = budget.FieldConfiguration(E0=(1e5, 0.0, 0.0), B0=(0.0, 1.0, 0.0),
                                     Q0=(0.0, 0.0, 0.0))
@@ -25,7 +25,7 @@ EXAMPLES = {
     renorm.CutoffScheme: lambda: renorm.CutoffScheme.frequency(1e20),
     sums.SpectralSumResult: lambda: sums.bethe_sum(20),
     quadrature.QuadratureSpec: quadrature.QuadratureSpec,
-    quadrature.QuadratureResult: lambda: quadrature.QuadratureResult(
+    engine.QuadratureResult: lambda: engine.QuadratureResult(
         1.0, 1e-15, 15, 1),
     quadrature.ContinuumResult: lambda: quadrature.kappa2_continuum(1.0),
     hydrogen.RadialIntegralRecord: lambda: hydrogen.radial_record(2),

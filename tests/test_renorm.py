@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from casimir_momentum import quadrature, renorm, verify
+from casimir_momentum import engine, renorm, verify
 from casimir_momentum.cli import run
 from casimir_momentum.renorm import (
     CutoffScheme,
@@ -174,13 +174,13 @@ def test_delta_mass_validation():
 def test_delta_mass_engine_row_passes_and_runs_the_engine(monkeypatch):
     # The row runs the engine once per cutoff ratio, for both masses, and
     # it never runs inside delta_mass.
-    runs, integrate = [], quadrature.integrate_adaptive
+    runs, integrate = [], engine.integrate_adaptive
 
     def capture(*args, **kwargs):
         runs.append(integrate(*args, **kwargs))
         return runs[-1]
 
-    monkeypatch.setattr(quadrature, "integrate_adaptive", capture)
+    monkeypatch.setattr(engine, "integrate_adaptive", capture)
     delta_mass(CONST.electron_mass, 1e4 * CONST.electron_mass
                * CONST.light_speed_c0 / CONST.hbar)
     assert runs == []
