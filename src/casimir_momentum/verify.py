@@ -590,7 +590,7 @@ def handle_verify(p: dict[str, Any]) -> dict[str, cli.Row]:
     checks = run_checks(cost)
     rows: dict[str, cli.Row] = {}
     for chk in checks:
-        print(f"# check {chk.name}: {cost[chk.name]:.6f} s", file=sys.stderr)
+        cli.diagnose(f"# check {chk.name}: {cost[chk.name]:.6f} s")
         rows[chk.name] = ({"value": chk.value, "error": None,
                            "pass": bool(chk.passed), "target": chk.target},
                           ("PASS " if chk.passed else "FAIL ") + chk.target)

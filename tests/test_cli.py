@@ -2,11 +2,14 @@ import contextlib
 import csv
 import io
 import json
+import os
 import re
+import runpy
 import subprocess
 import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -29,9 +32,9 @@ def _run(*args):
                                        err.getvalue().encode())
 
 
-def _run_process(*args):
+def _run_process(*args, env=None):
     """`python -m casimir_momentum` with args, as a fresh process."""
-    return subprocess.run(BASE + list(args), capture_output=True)
+    return subprocess.run(BASE + list(args), capture_output=True, env=env)
 
 
 def test_kappas_json_contents():
@@ -477,3 +480,113 @@ def test_parser_of_invoked_subcommand_prints_as_full_parser(argv):
     assert (ran.returncode, ran.stdout, ran.stderr) == \
         (full.returncode, full.stdout, full.stderr)
     assert ran.stdout or ran.stderr
+
+
+# --- fresh processes: main() ends the process once both streams are flushed
+
+# Every invocation the benchmark times, as bench/spec.py lists it.
+BENCH_ARGVS = [argv for argvs in runpy.run_path(
+    str(Path(__file__).resolve().parent.parent / "bench" / "spec.py"))
+    ["CLI_WORKLOADS"].values() for argv in argvs]
+TIMING_LINE = re.compile(rb"# timing: \d+\.\d{6} s")
+CHECK_LINE = re.compile(rb"# check (\S+): \d+\.\d{6} s")
+
+
+@pytest.mark.parametrize("argv", BENCH_ARGVS, ids=" ".join)
+def test_fresh_process_reports_as_run(tmp_path, argv):
+    # The report a fresh process writes, to a pipe or to --output, is the
+    # one run(argv) gives in-process (the config echoes the --output path,
+    # so both write the same one). Stderr holds only the diagnostics: for
+    # verify one cost line per row, then one timing line.
+    expected, report = _run(*argv), tmp_path / "report"
+    to_file = ("--output", str(report))
+    assert _run(*argv, *to_file).returncode == 0
+    expected_file = report.read_bytes()
+    report.unlink()
+    piped, written = _run_process(*argv), _run_process(*argv, *to_file)
+    assert (piped.stdout, written.stdout) == (expected.stdout, b"")
+    assert report.read_bytes() == expected_file
+    rows = [chk.name for chk in verify.CHECKS] if argv[0] == "verify" else []
+    for proc in (piped, written):
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert [TIMING_LINE.fullmatch(line) is not None for line in lines] == \
+            [False] * len(rows) + [True]
+        assert [CHECK_LINE.fullmatch(line)[1].decode() for line in lines[:-1]] == rows
+
+
+def _env(unbuffered: bool) -> dict[str, str]:
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONUNBUFFERED": "1"} if unbuffered else env
+
+
+def _run_redirected(redirect, *args, unbuffered):
+    """`python -m casimir_momentum` with args, as a fresh process whose
+    streams a shell redirects first: '>&-' closes stdout, '2>&-' stderr."""
+    return subprocess.run(["sh", "-c", f'exec "$@" {redirect}', "sh", *BASE, *args],
+                          capture_output=True, env=_env(unbuffered))
+
+
+BUFFERING = pytest.mark.parametrize("unbuffered", [False, True],
+                                    ids=["buffered", "unbuffered"])
+NEEDS_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                    reason="no /dev/full on this platform")
+
+
+def test_refused_flag_exits_2_naming_it():
+    proc = _run_process("kappas", "--n-max", "1")
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert b"--n-max" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["kappas", "--help"],
+                                  ["budget", "--config-dump"]], ids=" ".join)
+def test_help_version_and_config_dump_exit_0_in_full(monkeypatch, argv):
+    # Buffered, so the text is lost unless main() flushes it; at one width.
+    monkeypatch.setenv("COLUMNS", "80")
+    expected = _run(*argv)
+    proc = _run_process(*argv, env={**_env(False), "COLUMNS": "80"})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected.stdout, b"")
+    assert proc.stdout.endswith(b"\n")
+
+
+def test_run_that_raises_prints_its_traceback_and_exits_1():
+    proc = subprocess.run([sys.executable, "-c",
+                           "from casimir_momentum import cli\n"
+                           "def run(argv=None):\n"
+                           "    raise RuntimeError('no report')\n"
+                           "cli.run = run\n"
+                           "cli.main()\n"], capture_output=True)
+    assert proc.returncode == 1
+    assert b"Traceback" in proc.stderr
+    assert proc.stderr.endswith(b"RuntimeError: no report\n")
+
+
+@BUFFERING
+@pytest.mark.parametrize("redirect", [">&-", pytest.param(">/dev/full",
+                                                          marks=NEEDS_DEV_FULL)])
+def test_report_that_cannot_be_written_exits_2(redirect, unbuffered):
+    proc = _run_redirected(redirect, "budget", unbuffered=unbuffered)
+    assert proc.returncode == 2
+    assert re.fullmatch(rb"error: cannot write report to stdout: .+\n", proc.stderr)
+
+
+@BUFFERING
+def test_closed_stderr_keeps_the_report_and_exit_0(unbuffered):
+    # The timing line cannot be written; it is dropped, not sent to stdout.
+    proc = _run_redirected("2>&-", "budget", unbuffered=unbuffered)
+    assert (proc.returncode, proc.stdout) == (0, _run("budget").stdout)
+
+
+@NEEDS_DEV_FULL
+def test_failed_flush_at_exit_exits_as_python_does():
+    # --help leaves its text in stdout's buffer; when main()'s flush of it
+    # fails, the process exits as a plain script whose last flush fails.
+    script = [sys.executable, "-c", "print('help')"]
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(BASE + ["--help"], stdout=full, stderr=subprocess.PIPE,
+                              env=_env(False))
+        plain = subprocess.run(script, stdout=full, stderr=subprocess.PIPE,
+                               env=_env(False))
+    assert proc.returncode == plain.returncode != 0
+    assert proc.stderr.splitlines()[-1] == plain.stderr.splitlines()[-1]
