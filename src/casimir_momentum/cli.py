@@ -24,7 +24,7 @@ import os
 import sys
 import time
 from importlib import import_module
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, NamedTuple, NoReturn
 
 from . import __version__, quadrature, sums, units
 from .quadrature import QuadratureError
@@ -407,11 +407,33 @@ SUBCOMMANDS: dict[str, Subcommand] = {
         _deferred("verify", "handle_verify")),
 }
 
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and the class of its subcommands' parsers, whose
+    text for stderr (usage and errors) goes as diagnose writes it: past the
+    buffer, and dropped if stderr refuses it, so a refused flag exits 2
+    with stderr closed too, and writes nothing to stdout. Help and version
+    text go to stdout as argparse writes them."""
+
+    def _print_message(self, message: str, file: Any = None) -> None:
+        if message and file is sys.stderr:
+            diagnose(message.removesuffix("\n"))
+        else:
+            super()._print_message(message, file)
+
+    def error(self, message: str) -> NoReturn:
+        # A process started without stderr has it None, and argparse would
+        # print the usage to stdout.
+        if sys.stderr is None:
+            self.exit(2)
+        super().error(message)
+
+
 def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     """The parser of every subcommand. Given `only`, the others are listed
     by name and help but get no arguments, which parses, helps and fails on
     `only` alike at a fraction of the cost."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="casimir-momentum",
         description="Vacuum corrections to the field-induced momentum of "
                     "hydrogen: spectral sums, continuum integrals, cutoff "
@@ -438,14 +460,15 @@ def _write_now(stream: Any, data: str | bytes) -> None:
     """Write to a standard stream at once, or raise OSError if it is closed
     or refuses the bytes. They go past the stream's buffer, so a failed
     write leaves none behind for the flush at exit to fail on again. Text
-    goes as it is to a stream with no buffer, such as io.StringIO."""
+    goes as it is, and bytes decoded from UTF-8 (the reports' encoding), to
+    a stream with no buffer, such as io.StringIO."""
     if stream is None:                  # the process started without that fd
         raise OSError(errno.EBADF, "stream is closed")
     stream.flush()
+    if not hasattr(stream, "buffer"):
+        stream.write(data if isinstance(data, str) else data.decode("utf-8"))
+        return
     if isinstance(data, str):
-        if not hasattr(stream, "buffer"):
-            stream.write(data)
-            return
         data = data.encode(stream.encoding, stream.errors)
     out = getattr(stream.buffer, "raw", stream.buffer)
     view = memoryview(data)

@@ -34,9 +34,11 @@ forms; the two must agree to 5e-15 relative (verify's
 radial_dual_route_nle200 row for n <= 200; the test suite up to n = 1000).
 
 `radial_record(n, method)` gives one n by a named route, memoized for the
-last _RECORD_MEMO keys (about 205 bytes each, 0.9 MB at most). Of the
-package, only `verify` imports this module; its Rydberg terms read the
-closed forms of the S_p, and the Horner integers are only their oracle.
+last _RECORD_MEMO keys (about 205 bytes each, 0.9 MB at most); the
+benchmark's replay and the tests call it. Of the package, only `verify`
+imports this module. It reads both routes directly, never `radial_record`
+and its memo: its Rydberg terms read the closed forms of the S_p, and the
+Horner integers are only their oracle.
 
 The angular sums over m and Cartesian components that accompany these
 integrals in second-order coefficients reduce to a unit factor for
@@ -103,8 +105,8 @@ def _integrals_of(n: int, s1: int, s2: int, s3: int) -> tuple[float, float, floa
             4 * n * n * s3 / (den * m * m) / root)
 
 
-# Bound of radial_record's memo, above the distinct keys of any one run: 199
-# in verify, 996 in the benchmark's replay of it.
+# Bound of radial_record's memo, above the distinct keys of any one run: 996
+# in the benchmark's replay of verify, which itself reads no record.
 _RECORD_MEMO = 4096
 
 

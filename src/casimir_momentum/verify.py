@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 import sys
 import time
-from functools import cache
 from itertools import accumulate
 from typing import Any, Callable, NamedTuple
 
@@ -44,7 +43,8 @@ class CheckResult(NamedTuple):
 
 
 class _Memo:
-    """The intermediates one run_checks() call shares between its checks.
+    """What one run_checks() call shares between its checks: the module's
+    only cache, so no run's answer depends on an earlier run.
 
     `memo(fn, *args)` computes fn(*args) on first use and returns the same
     result afterwards; `cost` holds the seconds each finished check took.
@@ -205,7 +205,7 @@ def _radial_route_gap(m: _Memo) -> float:
     """Worst relative gap of the exact route to the closed forms, n <= 200."""
     return max(abs(exact - closed) / closed
                for n, record in enumerate(m(_horner_pass)[1], start=2)
-               for closed, exact in zip(hydrogen.radial_record(n, "closed_form"), record))
+               for closed, exact in zip(hydrogen._closed_form(n), record))
 
 
 # The fixed point of the Rydberg terms and of the x_p they are made from; a
@@ -290,7 +290,6 @@ def _expansion_oracle(m: _Memo) -> float:
 _ONE = 1 << 256
 
 
-@cache
 def _exp_minus(c: int) -> int:
     """e^-c times _ONE: sum_{i<100} (-c)^i/i!, whose rest is below 2^-300
     for c <= 4."""
@@ -304,13 +303,13 @@ def _exp_minus(c: int) -> int:
     return total
 
 
-@cache
-def _coefficients(name: str, count: int) -> tuple[float, ...]:
+def _coefficients(memo: _Memo, name: str, count: int) -> tuple[float, ...]:
     """c_0..c_(count-1) of a series, each rounded once. For each part, the
     coefficients x_k of X_c(v), times _ONE, follow from the recurrence
     k x_k = sum_{j=1}^k (-c j/(2j+1)) x_{k-j} of X' = (log X)' X; m running
     sums make those of X_c(v) (1 - v)^-m, exactly; and the coefficient of
-    v^k in p(v) X_c(v) (1 - v)^-m is sum_d p_d times that of v^(k-d)."""
+    v^k in p(v) X_c(v) (1 - v)^-m is sum_d p_d times that of v^(k-d).
+    Each e^-c comes from the run's memo, which all five series share."""
     totals = [0] * count
     for (num, den), c, m, poly in _SERIES[name].parts:
         xs = [_ONE]
@@ -319,8 +318,9 @@ def _coefficients(name: str, count: int) -> tuple[float, ...]:
                           for j in range(1, k + 1)) // k)
         for _ in range(m):
             xs = list(accumulate(xs))
+        scale = num * memo(_exp_minus, c)
         for k in range(count):
-            totals[k] += num * _exp_minus(c) * sum(
+            totals[k] += scale * sum(
                 p * xs[k - d] for d, p in enumerate(poly[:k + 1])) // den
     return tuple(total / _ONE**2 for total in totals)
 
@@ -332,7 +332,6 @@ def _coefficients(name: str, count: int) -> tuple[float, ...]:
 _HEAD = 9
 
 
-@cache
 def _sum_to_infinity(name: str) -> tuple[float, float]:
     """S_inf, the sum of a series over n = 2..inf, and its bar, as sums
     tabulates them: math.fsum of the terms n = 2.._HEAD and of
@@ -351,7 +350,7 @@ def _table_mismatches(m: _Memo) -> int:
     derivation reads the tabulated c_k, so where the count is 0 it is the
     S_inf of the derived c_k."""
     return sum(
-        sum(c != d for c, d in zip(table, _coefficients(name, len(table))))
+        sum(c != d for c, d in zip(table, _coefficients(m, name, len(table))))
         + (sums._SUMS_TO_INFINITY[name] != _sum_to_infinity(name))
         for name, table in sums._COEFFICIENTS.items())
 

@@ -3,7 +3,7 @@ import warnings
 
 import pytest
 
-from casimir_momentum import hydrogen, quadrature, sums, verify
+from casimir_momentum import hydrogen, quadrature, sums
 from casimir_momentum.cli import run
 from casimir_momentum.renorm import PlasmaCutoffWarning
 
@@ -51,12 +51,12 @@ def sum_to_infinity() -> dict[str, str]:
 
 @pytest.fixture
 def fresh_memos():
-    """Empties every memo of hydrogen, sums, quadrature (its continuum
-    series' tables) and verify (its derivation of the sums tables) before
-    and after the test: each object with a cache_clear. The test gets the
-    reset itself, to empty them again mid-test."""
+    """Empties every memo of hydrogen, sums and quadrature (its continuum
+    series' tables) before and after the test: each object with a
+    cache_clear. The test gets the reset itself, to empty them again
+    mid-test."""
     def reset() -> None:
-        for module in (hydrogen, sums, quadrature, verify):
+        for module in (hydrogen, sums, quadrature):
             for obj in vars(module).values():
                 if hasattr(obj, "cache_clear"):
                     obj.cache_clear()

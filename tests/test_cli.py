@@ -578,6 +578,24 @@ def test_closed_stderr_keeps_the_report_and_exit_0(unbuffered):
     assert (proc.returncode, proc.stdout) == (0, _run("budget").stdout)
 
 
+@BUFFERING
+@pytest.mark.parametrize("redirect", ["2>&-", "2</dev/null"])
+def test_refused_flag_with_stderr_unwritable_exits_2(redirect, unbuffered):
+    # argparse's usage and error text cannot be written, to a closed stderr
+    # or to one open for reading only. It is dropped, never sent to stdout,
+    # and the exit code stays argparse's 2.
+    proc = _run_redirected(redirect, "kappas", "--bogus", unbuffered=unbuffered)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+
+
+def test_report_to_a_stdout_with_no_buffer_is_its_text():
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(["budget"])
+    assert code == 0
+    assert out.getvalue().encode("utf-8") == _run("budget").stdout
+
+
 @NEEDS_DEV_FULL
 def test_failed_flush_at_exit_exits_as_python_does():
     # --help leaves its text in stdout's buffer; when main()'s flush of it

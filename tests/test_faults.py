@@ -10,8 +10,8 @@ the kappas report takes, which only a minute-long handler could fail.
 `serialization_deterministic` serializes one envelope twice in one process;
 identity across processes is held by test_cli's
 test_byte_identical_repeated_runs, test_deps'
-test_reports_identical_across_python_versions and the benchmark's per-argv
-byte check.
+test_reports_identical_across_python_versions, test_report_ledger's
+committed ledger and the benchmark's per-argv byte check.
 """
 
 import math
@@ -90,12 +90,11 @@ def _oscillator_term_scaled(monkeypatch):
 
 def _tail_one_term_short(monkeypatch):
     # partial = S_inf - tail(n_max + 1) leaves out the term n_max + 1. verify's
-    # derivation of S_inf, which reads the weights at a = 10, is worked out
-    # first, from the weights unpatched: the fault is in the partials alone.
-    for name in verify._SERIES:
-        verify._sum_to_infinity(name)
+    # derivation of S_inf reads the weights at n_max = _HEAD, which stay
+    # unshifted: the fault is in the partials alone.
     weight = sums._zeta_weight
-    monkeypatch.setattr(sums, "_zeta_weight", lambda k, n_max: weight(k, n_max + 1))
+    monkeypatch.setattr(sums, "_zeta_weight", lambda k, n_max: weight(
+        k, n_max + (n_max != verify._HEAD)))
 
 
 def _velocity_form_off(monkeypatch):
@@ -295,6 +294,37 @@ def test_seeded_fault_fails_exactly_its_rows(fresh_memos, monkeypatch, fault):
     values = {res.name: res.value for res in results}
     for name, (low, high) in seeded.bounds.items():
         assert low < values[name] < high, (name, values[name])
+
+
+def test_a_run_works_out_each_exp_once_and_fills_no_record(fresh_memos, monkeypatch):
+    # e^-2 and e^-4 are shared through the run's memo by all five series,
+    # and the closed forms are read directly, not through radial_record.
+    calls = []
+    exp_minus = verify._exp_minus
+    monkeypatch.setattr(verify, "_exp_minus", lambda c: calls.append(c) or exp_minus(c))
+    verify.run_checks()
+    assert sorted(calls) == [2, 4]
+    assert hydrogen.radial_record.cache_info().currsize == 0
+
+
+# Faults in what verify derives itself: the coefficients, the terms and the
+# closed forms it holds the exact route to.
+_WARM_SEEDED = ("kappa1_without_e2_part", "oscillator_term_x1.8", "kappa2_dE_power_off",
+                "verify_exact_oscillator_term_x1.8", "closed_form_powers_without_log1p")
+
+
+def test_seeded_fault_after_a_run_fails_exactly_its_rows(fresh_memos, monkeypatch):
+    # A run leaves nothing behind that a later run reads: after one unseeded
+    # run, with no memo cleared, each fault still fails exactly its rows.
+    assert all(res.passed for res in verify.run_checks())
+    missed = {}
+    for fault in _WARM_SEEDED:
+        with monkeypatch.context() as patched:
+            FAULTS[fault].patch(patched)
+            failed = tuple(res.name for res in verify.run_checks() if not res.passed)
+        if failed != FAULTS[fault].failed:
+            missed[fault] = failed
+    assert not missed, missed
 
 
 class _Refused:

@@ -148,11 +148,13 @@ def test_oscillator_strengths_positive():
     assert all(_oscillator_strength(n) > 0 for n in range(2, 40))
 
 
-def test_closed_form_record_leaves_sums_table_empty(fresh_memos):
+def test_closed_form_record_leaves_sums_table_empty(fresh_memos, monkeypatch):
     # A single-n record computes its closed form alone: verify's derivation
     # of the sums to infinity does not run.
+    def refuse(name):
+        raise AssertionError("a record derived a sum to infinity")
+    monkeypatch.setattr(verify, "_sum_to_infinity", refuse)
     assert radial_record(5000, "closed_form") == hyd._closed_form(5000)
-    assert verify._sum_to_infinity.cache_info().currsize == 0
 
 
 def test_record_memo_bounded(fresh_memos):

@@ -434,7 +434,7 @@ def _reference_coefficients(name: str, k_max: int) -> list[float]:
 def test_coefficients_bit_identical_to_direct_double_sum(name):
     # verify's derivation to k = 120, and the table sums reads, c_0..c_23.
     reference = _reference_coefficients(name, 120)
-    assert list(verify._coefficients(name, 121)) == reference
+    assert list(verify._coefficients(verify._Memo({}), name, 121)) == reference
     assert list(sums._COEFFICIENTS[name]) == reference[:24]
 
 
