@@ -5,11 +5,12 @@ float repr, newline-terminated), CSV with one row per scalar quantity, or a
 plain-text table. Identical invocations produce byte-identical report bytes;
 wall-clock timing is diagnostic only and goes to stderr. Exit codes: 0 on
 success, 2 on a validation/usage error or a report that cannot be written,
-1 on a failed `verify` check or a QuadratureError from its engine rows. The
-handlers of kappas, polarizability, bethe and continuum are here, as the
-package root loads their libraries anyway. Those of renorm, rho-c, budget
-and verify live beside their libraries, which import nothing from here;
-each is imported when its subcommand runs, so a process compiles only the
+1 if a row of the written report failed (its "pass" False: only `verify`
+has such rows, and a check that raises fails its row alone). The handlers
+of kappas, polarizability, bethe and continuum are here, as the package
+root loads their libraries anyway. Those of renorm, rho-c, budget and
+verify live beside their libraries, which import nothing from here; each
+is imported when its subcommand runs, so a process compiles only the
 handler it runs.
 """
 
@@ -27,12 +28,7 @@ from importlib import import_module
 from typing import Any, Callable, NamedTuple, NoReturn
 
 from . import __version__, quadrature, sums, units
-from .quadrature import QuadratureError
 from .units import constants
-
-
-class CliValidationError(ValueError):
-    """Bad parameter values detected before any computation runs."""
 
 
 class RunConfig(NamedTuple):
@@ -71,18 +67,15 @@ def _jsonable(obj: Any) -> Any:
 
 
 def _flatten_for_rows(results: dict[str, dict[str, Any]]):
-    """Scalar rows (quantity, value, error) with vectors split per component."""
-    rows = []
-    for name, entry in results.items():
-        value = entry.get("value")
-        error = entry.get("error")
+    """Scalar rows (result key, quantity, value, error), vectors split per
+    component: each component's quantity is its key with _x, _y or _z."""
+    for key, entry in results.items():
+        value, error = entry.get("value"), entry.get("error")
         if isinstance(value, (list, tuple)):
-            comps = _jsonable(value)
-            for suffix, comp in zip(("x", "y", "z"), comps):
-                rows.append((f"{name}_{suffix}", comp, error))
+            for suffix, comp in zip("xyz", _jsonable(value)):
+                yield key, f"{key}_{suffix}", comp, error
         else:
-            rows.append((name, _jsonable(value), error))
-    return rows
+            yield key, key, _jsonable(value), error
 
 
 def serialize(report: ReportEnvelope, output_format: str) -> bytes:
@@ -101,17 +94,16 @@ def serialize(report: ReportEnvelope, output_format: str) -> bytes:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["quantity", "value", "error", "provenance"])
-        for name, value, error in _flatten_for_rows(report.results):
-            prov = report.provenance.get(name, report.provenance.get(
-                name.rsplit("_", 1)[0], ""))
+        for key, name, value, error in _flatten_for_rows(report.results):
             writer.writerow([name, repr(value) if isinstance(value, float) else value,
-                             "" if error is None else repr(float(error)), prov])
+                             "" if error is None else repr(float(error)),
+                             report.provenance.get(key, "")])
         return buf.getvalue().encode("utf-8")
     if output_format == "text":
         lines = [f"# casimir-momentum {report.artifact_version}: "
                  f"{report.config.subcommand}"]
-        for name, value, error in _flatten_for_rows(report.results):
-            entry = report.results.get(name, {})
+        for key, name, value, error in _flatten_for_rows(report.results):
+            entry = report.results[key]
             flag = ""
             if "pass" in entry:
                 flag = "[PASS] " if entry["pass"] else "[FAIL] "
@@ -121,7 +113,7 @@ def serialize(report: ReportEnvelope, output_format: str) -> bytes:
             err = "" if error is None else f"  (err <= {float(error):.3e})"
             lines.append(f"{flag}{name:42s} {value!r}{err}")
         return ("\n".join(lines) + "\n").encode("utf-8")
-    raise CliValidationError(f"unknown output format {output_format!r}")
+    raise ValueError(f"unknown output format {output_format!r}")
 
 
 # --- parameters: each declared once, as a Param in SUBCOMMANDS -------------
@@ -140,7 +132,7 @@ _N_MAX_CEILING = 100_000
 
 def _require(cond: bool, message: str) -> None:
     if not cond:
-        raise CliValidationError(message)
+        raise ValueError(message)
 
 
 def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
@@ -148,7 +140,7 @@ def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
     try:
         values = tuple(float(x) for x in text.split(","))
     except ValueError:
-        raise CliValidationError(f"{flag}: could not parse {text!r}") from None
+        raise ValueError(f"{flag}: could not parse {text!r}") from None
     _require(all(map(math.isfinite, values)), f"{flag} values must be finite")
     return values
 
@@ -175,7 +167,7 @@ class Param(NamedTuple):
         return f"--{self.name.replace('_', '-')}"
 
     def checked(self, value: Any) -> Any:
-        """The value the handler gets, or CliValidationError naming the flag.
+        """The value the handler gets, or a ValueError naming the flag.
 
         Flag values arrive typed by argparse, --config-load values as raw
         JSON, so both pass the same type, finiteness, choice and range checks.
@@ -505,11 +497,11 @@ def _effective_params(args: argparse.Namespace,
             with open(args.config_load, "r", encoding="utf-8") as fh:
                 loaded = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            raise CliValidationError(f"cannot load config: {exc}") from exc
+            raise ValueError(f"cannot load config: {exc}") from exc
         _require(isinstance(loaded, dict),
                  f"config file {args.config_load!r} must hold a JSON object")
         if loaded.get("subcommand") not in (None, args.subcommand):
-            raise CliValidationError(
+            raise ValueError(
                 f"config file is for subcommand {loaded.get('subcommand')!r}, "
                 f"not {args.subcommand!r}")
         unknown = sorted(set(loaded) - {p.name for p in params}
@@ -567,12 +559,8 @@ def run(argv: list[str] | None = None) -> int:
         elif _to_stdout(blob):
             return 2
         diagnose(f"# timing: {elapsed:.6f} s")
-        if args.subcommand == "verify":
-            return 0 if results["checks_failed"]["value"] == 0 else 1
-        return 0
-    except QuadratureError as exc:
-        diagnose(f"numerical failure: {exc}")
-        return 1
+        # Exit 1 if a row failed; only verify's rows carry "pass".
+        return 0 if all(entry.get("pass", True) for entry in results.values()) else 1
     except ValueError as exc:
         diagnose(f"error: {exc}")
         return 2

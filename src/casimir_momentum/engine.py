@@ -5,7 +5,8 @@ with a QUADPACK-style error estimate, written over Python floats. An
 integrand is a function of one float that returns a float, called at the
 15 Kronrod nodes of each segment in turn. A nan or inf value, or an
 OverflowError or ZeroDivisionError raised by the integrand, is reported as
-ValueError("integrand is not finite at x=...") with the first bad node.
+ValueError("integrand is not finite at x=...") with the first bad node; a
+subdivision budget spent short of the tolerances, as QuadratureError.
 
 Semi-infinite integrals are mapped onto [0, 1) with the rational substitution
 y = a + t/(1 - t), so the reported error estimate covers the whole tail
@@ -13,7 +14,8 @@ instead of relying on a raw large cutoff.
 
 No report runs the engine: only `verify` imports this module, to check the
 continuum integrals of `quadrature` against the two integrands below, the
-self-mass of `renorm` and a beta integral.
+self-mass of `renorm` and a beta integral; a row whose integration raises
+fails alone.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from itertools import count
 from operator import mul
 from typing import Callable, NamedTuple, Sequence
 
-from .quadrature import DEFAULT_SPEC, QuadratureError, QuadratureSpec
+from .quadrature import DEFAULT_SPEC, QuadratureSpec
 
 # Gauss-Kronrod (G7, K15) nodes and weights on [-1, 1]; Kronrod nodes are
 # symmetric, listed here for x >= 0. QUADPACK's dqk15 constants to 33 digits,
@@ -58,6 +60,10 @@ Integrand = Callable[[float], float]
 
 # Bisections one adaptive integration may make before it gives up.
 _MAX_SUBDIVISIONS = 2000
+
+
+class QuadratureError(RuntimeError):
+    """Subdivision budget exhausted; the message states the best estimate."""
 
 
 class QuadratureResult(NamedTuple):

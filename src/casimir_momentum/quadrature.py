@@ -9,8 +9,8 @@ count are made once per cutoff. Each reports a bound on its rounding and
 truncation as estimated_error. Their oracle is the adaptive engine on the
 integrands, both in `engine`, which only `verify` imports (its
 kappa*_continuum_engine_* rows); the tolerances a caller passes here steer
-nothing. This module keeps the engine's tolerances, QuadratureSpec, and its
-failure, QuadratureError, which the command line reads without the engine.
+nothing. This module keeps the engine's tolerances, QuadratureSpec, which
+the --rel-tol and --abs-tol checks read without the engine.
 """
 
 from __future__ import annotations
@@ -30,10 +30,6 @@ class QuadratureSpec(NamedTuple):
 
 
 DEFAULT_SPEC = QuadratureSpec()
-
-
-class QuadratureError(RuntimeError):
-    """Subdivision budget exhausted; the message states the best estimate."""
 
 
 # The engine names the benchmark's traced replay (bench/worker.py, _probes)

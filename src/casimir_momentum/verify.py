@@ -245,14 +245,14 @@ def _exact_term(weight: tuple, n: int, xs: tuple[int, ...]) -> int:
     of n times 2^_FEED. As I_p = 4 n^(p-1) x_p/sqrt(n d) and dE = d/(2 n^2),
     d = n^2 - 1, t(n) = 16 w n^(a+b-3-2e) x_a x_b d^(e-1)/2^e. _closed_feed
     gives x_p within 2^-120 relative for n <= 400, under 2^-20 units of the
-    term; the floor (shifting first floors the same) adds under one."""
+    term; the floor (shifting first floors the same) adds under one.
+    d^(e-1) stands above the line for e >= 1 and below it for e < 1, so
+    every factor is an integer."""
     (num, den), a, b, e = weight
     d = n * n - 1
-    if e < 1:
-        top = (num << 4 - e) * n ** (a + b - 3 - 2 * e) * xs[a - 1] * xs[b - 1]
-        return (top >> 2 * _FEED - _SCALE) // (den * d ** (1 - e))
-    top = (num << 4) * n ** (a + b - 3 - 2 * e) * d ** (e - 1) * xs[a - 1] * xs[b - 1]
-    return (top >> 2 * _FEED - _SCALE + e) // den
+    top = ((num << 4) * n ** (a + b - 3 - 2 * e) * d ** max(e - 1, 0)
+           * xs[a - 1] * xs[b - 1])
+    return (top >> 2 * _FEED - _SCALE + e) // (den * d ** max(1 - e, 0))
 
 
 def _closed_feed(n: int) -> tuple[int, int, int]:
@@ -569,16 +569,24 @@ def run_checks(cost: dict[str, float] | None = None) -> list[CheckResult]:
 
     If given, `cost` receives the seconds each check's value took, by name;
     a check's cost includes the whole report, or other shared intermediate,
-    it is the first to need.
+    it is the first to need. A check that raises fails alone, its value
+    None, named with the exception in one stderr line. A report whose
+    handler raised is not kept: each row that reads it makes it again.
     """
     memo = _Memo({} if cost is None else cost)
     out = []
     for chk in CHECKS:
         t0 = time.perf_counter()
-        value = chk.compute(memo)
+        try:
+            value = chk.compute(memo)
+            result = CheckResult(chk.name, float(value) if chk.shown else None,
+                                 chk.target, chk.passes(value))
+        except Exception as exc:
+            cli.diagnose(f"error: check {chk.name} raised "
+                         f"{type(exc).__name__}: {exc}")
+            result = CheckResult(chk.name, None, chk.target, False)
         memo.cost[chk.name] = time.perf_counter() - t0
-        out.append(CheckResult(chk.name, float(value) if chk.shown else None,
-                               chk.target, chk.passes(value)))
+        out.append(result)
     return out
 
 

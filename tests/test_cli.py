@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import re
 import runpy
@@ -360,9 +361,50 @@ def test_numerical_failure_exit_1_with_diagnostic(capsys, monkeypatch):
     monkeypatch.setattr(engine, "kappa1_continuum_integrand",
                         lambda y: (y * 1e9 % 1.0) / (1.0 + y * y))
     assert run(["verify"]) == 1
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert "max_subdivisions" in err
     assert "value=" in err  # best estimate attached to the diagnostic
+    # The report is still written, the engine rows of kappa1 failed in it.
+    results = json.loads(out)["results"]
+    failed = {name for name, entry in results.items() if entry.get("pass") is False}
+    assert failed == {f"kappa1_continuum_engine_ymin{y:g}" for y in verify._ORACLE_YMIN}
+    assert results["checks_failed"]["value"] == len(failed)
+
+
+def test_raising_row_fails_alone_and_the_report_is_written(capsys, monkeypatch):
+    # A nan integrand makes the engine raise ValueError in each kappa1
+    # engine row: those rows fail, named on stderr, and every other row of
+    # the report still passes, with its cost line.
+    monkeypatch.setattr(engine, "kappa1_continuum_integrand", lambda y: math.nan)
+    assert run(["verify"]) == 1
+    out, err = capsys.readouterr()
+    results = json.loads(out)["results"]
+    raised = [f"kappa1_continuum_engine_ymin{y:g}" for y in verify._ORACLE_YMIN]
+    assert results["checks_failed"]["value"] == len(raised)
+    for chk in verify.CHECKS:
+        entry = results[chk.name]
+        assert entry["pass"] is (chk.name not in raised), chk.name
+        assert re.search(rf"^# check {re.escape(chk.name)}: \d+\.\d{{6}} s$", err,
+                         re.M), chk.name
+    for name in raised:
+        assert results[name]["value"] is None
+        assert re.search(rf"^error: check {re.escape(name)} raised ValueError: "
+                         r"integrand is not finite at x=", err, re.M), name
+
+
+def test_failed_row_of_any_subcommand_exits_1_after_its_report(capsys, monkeypatch):
+    # The exit status comes from the rows, whichever subcommand gave them.
+    cmd = SUBCOMMANDS["bethe"]
+
+    def handler(params):
+        rows = cmd.handler(params)
+        rows["probe"] = ({"value": 1.0, "error": None, "pass": False}, "a failed row")
+        return rows
+    monkeypatch.setitem(SUBCOMMANDS, "bethe", cmd._replace(handler=handler))
+    assert run(["bethe"]) == 1
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["probe"]["pass"] is False
+    assert "bethe_sum" in results
 
 
 def test_rel_tol_below_float_epsilon_refused_before_quadrature(capsys, monkeypatch):

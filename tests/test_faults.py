@@ -1,7 +1,9 @@
 """Seeded faults: each plausible fault and the exact `verify` rows it fails.
 
 FAULTS maps a fault id to the patch that seeds it and the rows it fails, in
-CHECKS order. MISREPORTS scales each nonzero value of each subcommand's
+CHECKS order. RAISES, part of FAULTS, holds the faults under which a row's
+computation raises: each such row fails alone, named on stderr, and the
+run goes on. MISREPORTS scales each nonzero value of each subcommand's
 report at its defaults by 1.5 in the handler; UNREAD names the values whose
 misreport fails no row, the open gap of the oracle suite.
 
@@ -15,6 +17,7 @@ committed ledger and the benchmark's per-argv byte check.
 """
 
 import math
+import re
 from typing import Any, Callable, NamedTuple
 
 import pytest
@@ -141,6 +144,24 @@ def _faked_engine(monkeypatch):
     monkeypatch.setattr(engine, "integrate_adaptive", lambda *a, **k: FakeResult())
 
 
+def _nan_integrand(monkeypatch):
+    monkeypatch.setattr(engine, "kappa1_continuum_integrand", lambda y: math.nan)
+
+
+def _no_bisection(monkeypatch):
+    monkeypatch.setattr(engine, "_MAX_SUBDIVISIONS", 0)
+
+
+def _handler_raises(subcommand: str):
+    """A patch under which the subcommand's handler raises."""
+    def patch(monkeypatch: pytest.MonkeyPatch) -> None:
+        def handler(params):
+            raise RuntimeError(f"{subcommand} handler failed")
+        monkeypatch.setitem(cli.SUBCOMMANDS, subcommand,
+                            cli.SUBCOMMANDS[subcommand]._replace(handler=handler))
+    return patch
+
+
 def _self_mass_plain_log(monkeypatch):
     def plain_log(mass, lambda_cut):
         const = constants()
@@ -180,7 +201,27 @@ def _constant_off(name: str):
 _EXPANSION, _PARTIALS = "rydberg_expansion_exact_route", "rydberg_partials_exact"
 _TABLES = "rydberg_tables_exact"
 
+RAISES: dict[str, Fault] = {
+    # A nan integrand: the engine's ValueError, in each kappa1 engine row.
+    "kappa1_integrand_nan": Fault(_nan_integrand, tuple(
+        f"kappa1_continuum_engine_ymin{y_min:g}" for y_min in verify._ORACLE_YMIN)),
+    # No bisection allowed: QuadratureError in each engine integral that its
+    # first partition leaves short of the tolerance. The 40 seeded segments
+    # of delta_mass_engine meet it, as do the engine rows at y_min 1 and 2.
+    "engine_without_bisection": Fault(_no_bisection, (
+        "kappa2_continuum_closed_form",
+        *(f"{which}_continuum_engine_ymin{y_min:g}"
+          for which in ("kappa1", "kappa2") for y_min in (0.0, 1e-3, 10.0, 1e4)),
+        "beta_integral_closed_form")),
+    # The budget report is never made: each row that reads it makes it
+    # again, and fails.
+    "budget_handler_raises": Fault(_handler_raises("budget"), (
+        "mass_coefficient_itemization", "abraham_parallel_to_BxE",
+        "budget_items_defining_products")),
+}
+
 FAULTS: dict[str, Fault] = {
+    **RAISES,
     # A tabulated c_k leaves its derivation, and so does verify's S_inf,
     # which reads it. The tabulated S_inf does not move, so a reported
     # partial reads the fault only in its tail, c_k times
@@ -294,6 +335,19 @@ def test_seeded_fault_fails_exactly_its_rows(fresh_memos, monkeypatch, fault):
     values = {res.name: res.value for res in results}
     for name, (low, high) in seeded.bounds.items():
         assert low < values[name] < high, (name, values[name])
+
+
+@pytest.mark.parametrize("fault", RAISES)
+def test_raising_row_fails_alone_with_one_line(fresh_memos, monkeypatch, capsys, fault):
+    # Each raising row gets one stderr line naming it and the exception,
+    # and the value None; the run goes on to the next row.
+    RAISES[fault].patch(monkeypatch)
+    results = verify.run_checks()
+    raised = re.findall(r"^error: check (\S+) raised \w+: .+$",
+                        capsys.readouterr().err, re.M)
+    assert tuple(raised) == RAISES[fault].failed
+    assert all(res.value is None for res in results if res.name in raised)
+    assert len(results) == len(verify.CHECKS)
 
 
 def test_a_run_works_out_each_exp_once_and_fills_no_record(fresh_memos, monkeypatch):

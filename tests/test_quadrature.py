@@ -9,6 +9,7 @@ import pytest
 from casimir_momentum import engine, quadrature, verify
 from casimir_momentum.cli import run
 from casimir_momentum.engine import (
+    QuadratureError,
     integrate_adaptive,
     integrate_to_inf,
     kappa1_continuum_integrand,
@@ -18,7 +19,6 @@ from casimir_momentum.quadrature import (
     DEFAULT_SPEC,
     Y_MIN_MAX,
     ContinuumResult,
-    QuadratureError,
     QuadratureSpec,
     kappa1_continuum,
     kappa2_continuum,
