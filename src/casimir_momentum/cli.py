@@ -6,17 +6,18 @@ plain-text table. Identical invocations produce byte-identical report bytes;
 wall-clock timing is diagnostic only and goes to stderr. Exit codes: 0 on
 success, 2 on a validation/usage error or a report that cannot be written,
 1 if a row of the written report failed (its "pass" False: only `verify`
-has such rows, and a check that raises fails its row alone). The handlers
-of kappas, polarizability, bethe and continuum are here, as the package
-root loads their libraries anyway. Those of renorm, rho-c, budget and
-verify live beside their libraries, which import nothing from here; each
-is imported when its subcommand runs, so a process compiles only the
-handler it runs.
+has such rows, and a check that raises fails its row alone).
+
+This module is the front end only: the SUBCOMMANDS table, the parser that
+reads it, the config echo and the serialization. The handlers live in
+other modules, which import nothing from here: kappas, polarizability,
+bethe and continuum in `spectral`, renorm and rho-c in `renorm`, budget in
+`budget` and verify in `verify`. Each is imported when its subcommand
+runs, so a process compiles only the handler it runs.
 """
 
 from __future__ import annotations
 
-import argparse
 import errno
 import io
 import json
@@ -28,7 +29,6 @@ from importlib import import_module
 from typing import Any, Callable, NamedTuple, NoReturn
 
 from . import __version__, quadrature, sums, units
-from .units import constants
 
 
 class RunConfig(NamedTuple):
@@ -169,8 +169,9 @@ class Param(NamedTuple):
     def checked(self, value: Any) -> Any:
         """The value the handler gets, or a ValueError naming the flag.
 
-        Flag values arrive typed by argparse, --config-load values as raw
-        JSON, so both pass the same type, finiteness, choice and range checks.
+        Flag values arrive converted by the parser with `type` alone,
+        --config-load values as raw JSON, and both pass these type,
+        finiteness, choice and range checks, which are their only checks.
         """
         if value is None and self.default is None:
             return None
@@ -243,84 +244,6 @@ _FORMAT = Param("format", str, "json", "report format",
 Row = tuple[dict[str, Any], str]   # a report row: its entry and its provenance
 
 
-def _row(value: Any, provenance: str, error: Any = None) -> Row:
-    return {"value": value, "error": error}, provenance
-
-
-def _sum_row(res: sums.SpectralSumResult, provenance: str) -> Row:
-    return {"value": res.value, "error": res.error_bound,
-            "tail_estimate": res.tail_estimate, "partial": res.partial,
-            "n_max": res.n_max}, (f"{provenance}; tail beyond n_max from the exact "
-                                  "1/n^2 expansion of the terms (0 with --tail off)")
-
-
-def _handle_kappas(p: dict[str, Any]) -> dict[str, Row]:
-    k1d = sums.kappa1_discrete(p["n_max"], p["tail"])
-    k2d = sums.kappa2_discrete(p["n_max"], p["tail"])
-    k1c = quadrature.kappa1_continuum(p["ymin"])
-    k2c = quadrature.kappa2_continuum(p["ymin2"])
-    k1 = k1d.value + k1c.value
-    k2 = k2d.value + k2c.value
-    net = -k1 + k2
-    alpha = constants().fine_structure_alpha
-    return {
-        "kappa1_discrete": _sum_row(k1d, "(2/27) sum I1(n) I3(n)/dE_n^2 over np states"),
-        "kappa2_discrete": _sum_row(k2d, "(1/27) sum I2(n) I3(n)/dE_n over np states"),
-        "kappa1_continuum": _row(k1c.value, "plane-wave continuum integral of "
-                                 "y^3/(y^2+1)^3 (arctan y/y^2 - 1/(y sqrt(y^2+1))) "
-                                 "from y_min", error=k1c.estimated_error),
-        "kappa2_continuum": _row(k2c.value, "(256/27pi) integral of y^4/(y^2+1)^6 "
-                                 "from y_min", error=k2c.estimated_error),
-        "kappa1_total": _row(k1, "discrete sum plus continuum part"),
-        "kappa2_total": _row(k2, "discrete sum plus continuum part"),
-        "net_coefficient": _row(net, "-kappa1_total + kappa2_total"),
-        "relative_momentum_shift": _row(net * alpha**2, "net coefficient times "
-                                        "alpha^2; relative vacuum shift of the "
-                                        "field-induced momentum"),
-    }
-
-
-def _handle_polarizability(p: dict[str, Any]) -> dict[str, Row]:
-    pol = sums.polarizability_discrete(p["n_max"], p["tail"])
-    osc = sums.oscillator_strength_sum(p["n_max"], p["tail"])
-    exact = units.POLARIZABILITY_EXACT_AU
-    return {
-        "polarizability_discrete": _sum_row(pol, "(2/3) sum I3(n)^2/dE_n, atomic "
-                                            "units of 4 pi eps0 a0^3; bound "
-                                            "states only"),
-        "polarizability_exact_total": _row(exact, "exact static polarizability "
-                                           "18 pi a0^3 = 4.5 atomic units, bound "
-                                           "plus continuum"),
-        "continuum_deficit": _row(exact - pol.value, "exact total minus the "
-                                  "discrete sum", error=pol.error_bound),
-        "oscillator_strength_sum": _sum_row(osc, "(2/3) sum dE_n I3(n)^2; below "
-                                            "1 by the one-electron sum rule"),
-    }
-
-
-def _handle_bethe(p: dict[str, Any]) -> dict[str, Row]:
-    sb = sums.bethe_sum(p["n_max"], p["tail"])
-    return {
-        "bethe_sum": _sum_row(sb, "sum of squared unit-vector matrix elements "
-                              "|<1s|r_hat|np>|^2 at constant excitation log"),
-        "log_value": _row(p["log_value"], "externally supplied excitation-"
-                          "spectrum logarithm (input, never computed here)"),
-        "normalization_coefficient": _row(
-            sums.normalization_constant(p["log_value"], sb),
-            "(1/pi)(-log - 1/2) S_B; ground-state normalization deficit per "
-            "alpha^3"),
-    }
-
-
-def _handle_continuum(p: dict[str, Any]) -> dict[str, Row]:
-    names = ("kappa1", "kappa2") if p["which"] == "both" else (p["which"],)
-    return {f"{name}_continuum[ymin={row.y_min:g}]": _row(
-        row.value, "plane-wave continuum integral, lower cutoff swept to "
-        "expose the q > 1/a0 validity limit", error=row.estimated_error)
-        for name in names
-        for row in quadrature.ymin_sensitivity(name, p["ymin_grid"])}
-
-
 def _deferred(module: str, name: str) -> Callable[[dict[str, Any]], dict[str, Row]]:
     """The handler `name` of the package module `module`, imported when it is
     called, inside the run's timer, so no other subcommand compiles it."""
@@ -338,24 +261,24 @@ class Subcommand(NamedTuple):
 SUBCOMMANDS: dict[str, Subcommand] = {
     "kappas": Subcommand(
         "discrete and continuum coupling coefficients and their adopted totals",
-        _handle_kappas, (
+        _deferred("spectral", "handle_kappas"), (
             _n_max(sums.DEFAULT_N_MAX_KAPPA), _TAIL,
             Param("ymin", float, 1.0, "kappa1 continuum cutoff", check=_Y_MIN),
             Param("ymin2", float, 1.0, "kappa2 continuum cutoff", check=_Y_MIN),
             *_TOLERANCES)),
     "polarizability": Subcommand(
         "discrete static polarizability and oscillator-strength sums",
-        _handle_polarizability,
+        _deferred("spectral", "handle_polarizability"),
         (_n_max(sums.DEFAULT_N_MAX_POLARIZABILITY), _TAIL)),
     "bethe": Subcommand(
         "constant-log matrix-element sum and the normalization coefficient",
-        _handle_bethe, (
+        _deferred("spectral", "handle_bethe"), (
             _n_max(sums.DEFAULT_N_MAX_KAPPA), _TAIL,
             Param("log_value", float, sums.DEFAULT_LAMB_LOG,
                   "excitation-spectrum logarithm, supplied from outside"))),
     "continuum": Subcommand(
         "lower-cutoff sensitivity scan of the continuum integrals",
-        _handle_continuum, (
+        _deferred("spectral", "handle_continuum"), (
             Param("which", str, "both", "integral to scan",
                   choices=("kappa1", "kappa2", "both")),
             Param("ymin_grid", str, "0,0.5,1,2", "comma-separated cutoffs",
@@ -400,52 +323,133 @@ SUBCOMMANDS: dict[str, Subcommand] = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser, and the class of its subcommands' parsers, whose
-    text for stderr (usage and errors) goes as diagnose writes it: past the
-    buffer, and dropped if stderr refuses it, so a refused flag exits 2
-    with stderr closed too, and writes nothing to stdout. Help and version
-    text go to stdout as argparse writes them."""
+# --- the command line, read from SUBCOMMANDS --------------------------------
 
-    def _print_message(self, message: str, file: Any = None) -> None:
-        if message and file is sys.stderr:
-            diagnose(message.removesuffix("\n"))
-        else:
-            super()._print_message(message, file)
-
-    def error(self, message: str) -> NoReturn:
-        # A process started without stderr has it None, and argparse would
-        # print the usage to stdout.
-        if sys.stderr is None:
-            self.exit(2)
-        super().error(message)
+_PROG = "casimir-momentum"
+_DESCRIPTION = ("Vacuum corrections to the field-induced momentum of hydrogen: "
+                "spectral sums, continuum integrals, cutoff regularization, and "
+                "an itemized momentum budget.")
+_HELP_FLAGS = ("-h", "--help")
+# The options of every subcommand besides its Params: (flag, metavar, help).
+# Only --config-dump takes no value.
+_COMMON = (
+    ("--output", "PATH", "write the report to PATH instead of stdout"),
+    ("--config-load", "FILE", "take parameter values from a --config-dump "
+     "file; flags given here override them"),
+    ("--config-dump", None, "print the effective configuration as JSON and "
+     "stop"),
+)
 
 
-def build_parser(only: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand. Given `only`, the others are listed
-    by name and help but get no arguments, which parses, helps and fails on
-    `only` alike at a fraction of the cost."""
-    parser = _Parser(
-        prog="casimir-momentum",
-        description="Vacuum corrections to the field-induced momentum of "
-                    "hydrogen: spectral sums, continuum integrals, cutoff "
-                    "regularization, and an itemized momentum budget.",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
-    for name, cmd in SUBCOMMANDS.items():
-        sp = sub.add_parser(name, help=cmd.help)
-        if only is not None and name != only:
-            continue
-        for p in (*cmd.params, _FORMAT):
-            # default=None, so a config-file value can stand in for the flag.
-            default = "" if p.default is None else f" (default {p.default})"
-            sp.add_argument(p.flag, dest=p.name, type=p.type, choices=p.choices,
-                            default=None, help=p.help + default)
-        sp.add_argument("--output", default=None, metavar="PATH")
-        sp.add_argument("--config-load", default=None, metavar="FILE")
-        sp.add_argument("--config-dump", action="store_true")
-    return parser
+class _Args(NamedTuple):
+    """One command line: the subcommand, each of its Params' values (and
+    --format's) converted by Param.type, None where the flag is absent, and
+    the common options."""
+
+    subcommand: str
+    values: dict[str, Any]
+    output: str | None
+    config_load: str | None
+    config_dump: bool
+
+
+def _options(name: str) -> list[tuple[str, str | None, str]]:
+    """(flag, metavar, help) of each option of the subcommand `name`."""
+    return [(p.flag, "{" + ",".join(p.choices) + "}" if p.choices else p.name.upper(),
+             p.help + ("" if p.default is None else f" (default {p.default})"))
+            for p in (*SUBCOMMANDS[name].params, _FORMAT)] + list(_COMMON)
+
+
+def _usage(name: str | None) -> str:
+    """The usage line of the top level (None) or of one subcommand."""
+    if name is None:
+        return f"usage: {_PROG} [-h] [--version] SUBCOMMAND ..."
+    return " ".join([f"usage: {_PROG} {name} [-h]", *(
+        f"[{flag}]" if metavar is None else f"[{flag} {metavar}]"
+        for flag, metavar, _ in _options(name))])
+
+
+def _help(name: str | None) -> str:
+    """The help text of the top level (None) or of one subcommand."""
+    helps = [("-h, --help", "show this help and exit")]
+    if name is None:
+        intro, sections = _DESCRIPTION, [
+            ("subcommands", [(sub, cmd.help) for sub, cmd in SUBCOMMANDS.items()]),
+            ("options", helps + [("--version", "show the version and exit")])]
+    else:
+        intro, sections = SUBCOMMANDS[name].help, [("options", helps + [
+            (flag if metavar is None else f"{flag} {metavar}", text)
+            for flag, metavar, text in _options(name)])]
+    lines = [_usage(name), "", intro]
+    for title, rows in sections:
+        lines += ["", f"{title}:", *(f"  {left:<24} {text}" for left, text in rows)]
+    return "\n".join(lines)
+
+
+def _refuse(name: str | None, message: str) -> NoReturn:
+    diagnose(_usage(name))
+    diagnose(f"error: {message}")
+    raise SystemExit(2)
+
+
+class _Parser:
+    """The parser of the whole table. parse_args(argv) returns _Args,
+    or ends with SystemExit: 0 after printing help or the version to
+    stdout, 2 after writing the usage line and an error naming the refused
+    word to stderr.
+
+    The first word is -h/--help, --version or a subcommand; after it come
+    --flag VALUE or --flag=VALUE, exact names only, the word after a flag
+    being its value as written (so a negative number is a value), and the
+    last of a repeated flag wins. Values are only converted here: choices,
+    finiteness and ranges are Param.checked's, for flags and --config-load
+    alike.
+    """
+
+    def parse_args(self, argv: list[str]) -> _Args:
+        if not argv:
+            diagnose(_usage(None))
+            raise SystemExit(2)
+        name, words = argv[0], iter(argv[1:])
+        if name in _HELP_FLAGS or name == "--version":
+            print(_help(None) if name in _HELP_FLAGS else __version__)
+            raise SystemExit(0)
+        if name not in SUBCOMMANDS:
+            _refuse(None, f"expected a subcommand ({', '.join(SUBCOMMANDS)}), "
+                          f"got {name!r}")
+        params = {p.flag: p for p in (*SUBCOMMANDS[name].params, _FORMAT)}
+        values = dict.fromkeys(p.name for p in params.values())
+        common = {flag: None for flag, metavar, _ in _COMMON if metavar}
+        config_dump = False
+        for word in words:
+            if word in _HELP_FLAGS:
+                print(_help(name))
+                raise SystemExit(0)
+            if word == "--config-dump":
+                config_dump = True
+                continue
+            flag, eq, text = word.partition("=")
+            if flag not in params and flag not in common:
+                _refuse(name, f"unrecognized argument {word!r}")
+            if not eq:
+                text = next(words, None)
+                if text is None:
+                    _refuse(name, f"{flag} expects a value")
+            if flag in common:
+                common[flag] = text
+                continue
+            p = params[flag]
+            try:
+                values[p.name] = p.type(text)
+            except ValueError:
+                _refuse(name, f"{flag}: invalid {p.type.__name__} value {text!r}")
+        return _Args(name, values, common["--output"], common["--config-load"],
+                     config_dump)
+
+
+def build_parser() -> _Parser:
+    """The command-line parser, read from SUBCOMMANDS."""
+    return _Parser()
 
 
 def _write_now(stream: Any, data: str | bytes) -> None:
@@ -488,7 +492,7 @@ def _to_stdout(blob: bytes) -> int:
     return 0
 
 
-def _effective_params(args: argparse.Namespace,
+def _effective_params(args: _Args,
                       params: tuple[Param, ...]) -> dict[str, Any]:
     """Materialize parameters as given: explicit flag > config file > default."""
     loaded: dict[str, Any] = {}
@@ -509,23 +513,17 @@ def _effective_params(args: argparse.Namespace,
         _require(not unknown, f"config file {args.config_load!r} has keys "
                  f"{args.subcommand} does not take: {', '.join(unknown)}")
     # A loaded key counts, null too; Param.checked refuses null if the default is set.
-    return {p.name: getattr(args, p.name) if getattr(args, p.name) is not None
+    return {p.name: args.values[p.name] if args.values[p.name] is not None
             else loaded.get(p.name, p.default) for p in params}
 
 
 def run(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # The top level takes no option with a value, so the first word that is
-    # not an option names the subcommand, if any does.
-    parser = build_parser(next((a for a in argv if not a.startswith("-")), ""))
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if not args.subcommand:
-        diagnose(parser.format_usage().rstrip("\n"))
-        return 2
 
     try:
         cmd = SUBCOMMANDS[args.subcommand]

@@ -5,7 +5,8 @@ with a QUADPACK-style error estimate, written over Python floats. An
 integrand is a function of one float that returns a float, called at the
 15 Kronrod nodes of each segment in turn. A nan or inf value, or an
 OverflowError or ZeroDivisionError raised by the integrand, is reported as
-ValueError("integrand is not finite at x=...") with the first bad node; a
+ValueError("integrand is not finite at x=...") with the first bad node (at
+y=... under integrate_to_inf, the point of the original range); a
 subdivision budget spent short of the tolerances, as QuadratureError.
 
 Semi-infinite integrals are mapped onto [0, 1) with the rational substitution
@@ -181,12 +182,22 @@ def integrate_to_inf(
 
     The integrand must decay fast enough that f(y)/(1-t)^2 -> 0 as t -> 1
     (any decay faster than y^-2). Gauss-Kronrod nodes are interior, so f is
-    never evaluated at t = 1.
+    never evaluated at t = 1. A value of f that is not finite, or an
+    OverflowError or ZeroDivisionError it raises, is reported as
+    ValueError("integrand is not finite at y=...") with that y, not the
+    mapped node t.
     """
 
     def g(t: float) -> float:
         omt = 1.0 - t
-        return f(a + t / omt) / (omt * omt)
+        y = a + t / omt
+        try:
+            v = f(y)
+        except (OverflowError, ZeroDivisionError):
+            v = math.nan
+        if not math.isfinite(v):
+            raise ValueError(f"integrand is not finite at y={y!r}")
+        return v / (omt * omt)
 
     # Seed points cluster resolution near t=1 where the tail lives.
     return integrate_adaptive(g, 0.0, 1.0, spec,

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import casimir_momentum
 from casimir_momentum import engine, sums, verify
 from casimir_momentum.cli import (SUBCOMMANDS, ReportEnvelope, RunConfig,
                                   build_parser, run, serialize)
@@ -386,10 +387,12 @@ def test_raising_row_fails_alone_and_the_report_is_written(capsys, monkeypatch):
         assert entry["pass"] is (chk.name not in raised), chk.name
         assert re.search(rf"^# check {re.escape(chk.name)}: \d+\.\d{{6}} s$", err,
                          re.M), chk.name
-    for name in raised:
+    # Each line names the y of the original range, past the row's cutoff.
+    for name, y_min in zip(raised, verify._ORACLE_YMIN):
         assert results[name]["value"] is None
-        assert re.search(rf"^error: check {re.escape(name)} raised ValueError: "
-                         r"integrand is not finite at x=", err, re.M), name
+        line = re.search(rf"^error: check {re.escape(name)} raised ValueError: "
+                         r"integrand is not finite at y=(\S+)$", err, re.M)
+        assert line and float(line[1]) >= y_min, name
 
 
 def test_failed_row_of_any_subcommand_exits_1_after_its_report(capsys, monkeypatch):
@@ -491,37 +494,54 @@ def test_serialize_refuses_a_record(fmt):
     assert serialize(plain, fmt)
 
 
-def _run_full_parser(argv: list[str]) -> subprocess.CompletedProcess:
-    """What run(argv) prints and returns, up to parsing, from the parser of
-    every subcommand: for argv that stop there with help, usage or an error."""
-    out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
-    parser = build_parser()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            args = parser.parse_args(argv)
-        except SystemExit as exc:
-            code = int(exc.code or 0)
-        else:
-            assert not args.subcommand, argv
-            parser.print_usage(sys.stderr)
-            code = 2
-    out.flush()
-    return subprocess.CompletedProcess(argv, code, out.buffer.getvalue(),
-                                       err.getvalue().encode())
+# Each argv that stops in the parser or its checks: None where it prints
+# help or the version and exits 0, else the word that its refusal, exit 2,
+# names. Each exit code is the one these argv had under argparse.
+PARSER_STOPS = {
+    (): "usage:", ("--help",): None, ("-h",): None, ("--version",): None,
+    ("--bogus",): "--bogus", ("nosuch",): "nosuch", ("-",): "'-'",
+    **{(name, "--help"): None for name in SUBCOMMANDS},
+    ("kappas", "--bogus"): "--bogus", ("kappas", "--n-max"): "--n-max",
+    ("--bogus", "bethe", "--tail", "on"): "--bogus",
+    ("polarizability", "--format", "xml"): "xml", ("budget", "--E0"): "--E0",
+    ("verify", "1"): "'1'",
+}
 
 
-@pytest.mark.parametrize("argv", [
-    [], ["--help"], ["-h"], ["--version"], ["--bogus"], ["nosuch"], ["-"],
-    *([name, "--help"] for name in SUBCOMMANDS),
-    ["kappas", "--bogus"], ["kappas", "--n-max"], ["--bogus", "bethe", "--tail", "on"],
-    ["polarizability", "--format", "xml"], ["budget", "--E0"], ["verify", "1"],
-])
+@pytest.mark.parametrize("argv", [list(argv) for argv in PARSER_STOPS])
 def test_parser_of_invoked_subcommand_prints_as_full_parser(argv):
-    # run builds the arguments of the invoked subcommand only.
-    ran, full = _run(*argv), _run_full_parser(argv)
-    assert (ran.returncode, ran.stdout, ran.stderr) == \
-        (full.returncode, full.stdout, full.stderr)
-    assert ran.stdout or ran.stderr
+    # run parses with the one parser of the whole table: help and the
+    # version go to stdout alone, a refusal to stderr alone.
+    proc, named = _run(*argv), PARSER_STOPS[tuple(argv)]
+    if named is None:
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout.startswith(b"usage: casimir-momentum ") or \
+            proc.stdout == f"{casimir_momentum.__version__}\n".encode()
+    else:
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert named.encode() in proc.stderr, proc.stderr
+
+
+def test_flag_forms_exact_names_and_parsed_values():
+    # --flag=VALUE and --flag VALUE are one form, and the last of a repeated
+    # flag wins. The word after a flag is its value as written, so a
+    # negative number parses. A flag name is never abbreviated.
+    same = [_run(*argv) for argv in (["kappas", "--n-max=60"], ["kappas", "--n-max", "60"],
+                                     ["kappas", "--n-max", "40", "--n-max", "60"])]
+    assert [proc.returncode for proc in same] == [0, 0, 0]
+    assert same[0].stdout == same[1].stdout == same[2].stdout
+    assert json.loads(same[0].stdout)["config"]["n_max"] == 60
+    for argv in (["budget", "--E0", "-1,0,0"], ["budget", "--kappa1", "-1e-3"]):
+        assert _run(*argv).returncode == 0, argv
+    refused = _run("kappas", "--n-m", "60")
+    assert (refused.returncode, refused.stdout) == (2, b"")
+    assert b"'--n-m'" in refused.stderr
+    # The parser converts by Param.type alone and leaves absent flags None.
+    args = build_parser().parse_args(["bethe", "--n-max", "7", "--format=csv",
+                                      "--output", "r.csv", "--config-dump"])
+    assert (args.subcommand, args.output, args.config_load, args.config_dump) == \
+        ("bethe", "r.csv", None, True)
+    assert args.values == {"n_max": 7, "tail": None, "log_value": None, "format": "csv"}
 
 
 # --- fresh processes: main() ends the process once both streams are flushed
@@ -623,9 +643,9 @@ def test_closed_stderr_keeps_the_report_and_exit_0(unbuffered):
 @BUFFERING
 @pytest.mark.parametrize("redirect", ["2>&-", "2</dev/null"])
 def test_refused_flag_with_stderr_unwritable_exits_2(redirect, unbuffered):
-    # argparse's usage and error text cannot be written, to a closed stderr
-    # or to one open for reading only. It is dropped, never sent to stdout,
-    # and the exit code stays argparse's 2.
+    # The parser's usage and error lines cannot be written, to a closed
+    # stderr or to one open for reading only. They are dropped, never sent
+    # to stdout, and the exit code stays 2.
     proc = _run_redirected(redirect, "kappas", "--bogus", unbuffered=unbuffered)
     assert (proc.returncode, proc.stdout) == (2, b"")
 

@@ -227,9 +227,9 @@ def test_verify_loads_no_fractions(fresh_run):
 _NOT_LOADED = {
     **dict.fromkeys(("continuum", "kappas", "bethe", "polarizability"),
                     {"budget", "engine", "hydrogen", "renorm", "verify"}),
-    "budget": {"engine", "hydrogen", "renorm", "verify"},
-    "renorm": {"budget", "engine", "hydrogen", "verify"},
-    "rho-c": {"budget", "engine", "hydrogen", "verify"},
+    "budget": {"engine", "hydrogen", "renorm", "spectral", "verify"},
+    "renorm": {"budget", "engine", "hydrogen", "spectral", "verify"},
+    "rho-c": {"budget", "engine", "hydrogen", "spectral", "verify"},
 }
 
 
@@ -238,6 +238,14 @@ def test_subcommand_loads_only_what_it_runs(subcommand, fresh_run):
     loaded = _package_modules(fresh_run(subcommand).loaded)
     assert "cli" in loaded
     assert not loaded & _NOT_LOADED[subcommand], sorted(loaded)
+
+
+def test_no_subcommand_loads_argparse(fresh_run):
+    # The command line is parsed from the SUBCOMMANDS table, so no process
+    # pays for argparse, nor for the gettext and locale its parsers load.
+    for argv in ALL_RUNS:
+        loaded = {"argparse", "gettext", "locale"} & fresh_run(*argv).loaded
+        assert not loaded, (argv, sorted(loaded))
 
 
 def _imported_submodules(tree: ast.Module) -> set[str]:
@@ -289,9 +297,10 @@ def test_only_verify_imports_the_engine():
     assert importers == ["verify"]
 
 
-# The modules that compute; the command line and verify read them.
-_LIBRARIES = ("budget", "engine", "hydrogen", "quadrature", "renorm", "sums",
-              "units")
+# The modules that compute, and spectral, whose handlers read sums and
+# quadrature; the command line and verify read them.
+_LIBRARIES = ("budget", "engine", "hydrogen", "quadrature", "renorm", "spectral",
+              "sums", "units")
 
 
 def test_no_library_imports_cli():

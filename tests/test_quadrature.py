@@ -141,6 +141,22 @@ def test_raising_integrand_reported_as_not_finite(f):
         f(x)
 
 
+@pytest.mark.parametrize("f, raised", [
+    (lambda y: math.nan if y > 3.0 else math.exp(-y), None),
+    (lambda y: math.exp(700.0 * y), OverflowError),     # for y > 1.014
+], ids=["nan", "overflow"])
+def test_to_inf_names_the_y_where_the_integrand_failed(f, raised):
+    # The y of [a, inf), not the node t of [0, 1) the range is mapped onto.
+    with pytest.raises(ValueError, match="not finite at y=") as info:
+        integrate_to_inf(f, 2.0)
+    y = float(str(info.value).rsplit("=", 1)[1])
+    if raised is None:
+        assert y > 3.0 and math.isnan(f(y))
+    else:
+        with pytest.raises(raised):
+            f(y)
+
+
 def test_infinite_range_transform():
     res = integrate_to_inf(lambda y: math.exp(-y), 0.0)
     assert abs(res.value - 1.0) < 1e-12
