@@ -24,7 +24,7 @@ from .sums import (SpectralSumResult, bethe_sum, kappa1_discrete,
 # Each lazy export and the submodule it comes from (PEP 562).
 _LAZY = {name: module for module, names in (
     ("budget", ("ADOPTED_KAPPA1", "ADOPTED_KAPPA2", "FieldConfiguration",
-                "MomentumBudget", "assemble_budget")),
+                "assemble_budget")),
     ("renorm", ("CutoffScheme", "DispersionModel", "casimir_mass_density",
                 "delta_mass", "divergence_exponent", "reduced_mass_shift")),
     ("units", ("AtomicParams", "PhysicalConstants", "constants")),

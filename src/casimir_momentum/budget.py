@@ -5,17 +5,18 @@ decomposition at once: the classical field-induced (Abraham) momentum, its
 quantum-vacuum (Casimir) correction and their signed ratio, the
 binding-energy correction to the kinetic momentum with its Darwin and p^4
 parts itemized, their total, and order-of-magnitude bounds that are
-reported but never added into the total. _PROVENANCE states the formula of
-each item. All vectors are SI (kg m/s); inputs are SI field vectors.
-Vectors are 3-tuples of floats (Vec3); cross, dot, norm and scaled are the
-four helpers below. handle_budget, the budget subcommand's handler, lives
-here too, so a process compiles it only when it runs that subcommand.
+reported but never added into the total. It returns a plain dict, keyed and
+ordered as the report; _PROVENANCE states the formula of each item. All
+vectors are SI (kg m/s) 3-tuples of floats (Vec3), inputs SI field vectors;
+cross, dot, norm and scaled are the four helpers below. handle_budget, the
+budget subcommand's handler, pairs each item with its provenance; it lives
+here, so a process compiles it only when it runs that subcommand.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Mapping, NamedTuple
+from typing import Any, NamedTuple
 
 from .units import (ADOPTED_KAPPA1, ADOPTED_KAPPA2, POLARIZABILITY_CHOICES,
                     POLARIZABILITY_EXACT_AU, AtomicParams, constants)
@@ -62,28 +63,7 @@ class FieldConfiguration(NamedTuple):
     Q0: Vec3  # kg m/s
 
 
-class MomentumBudget(NamedTuple):
-    """Itemized momentum contributions; bounds are never part of the total."""
-
-    abraham: Vec3                       # kg m/s
-    casimir_correction: Vec3            # kg m/s
-    casimir_relative_shift: float       # (-k1 + k2) a^2, sign carried
-    kinetic: Vec3                       # Q0, kg m/s
-    kinetic_mass_factor: float          # E_bind / (M c0^2), dimensionless
-    kinetic_correction: Vec3            # kinetic_mass_factor * Q0
-    total: Vec3                         # the four items above, bounds excluded
-    relativistic_terms: Mapping[str, float]
-    transverse_bound: float             # magnitude estimate, kg m/s
-    relativistic_field_bound: float     # order alpha^2 (m_e/M) |abraham|
-    polarizability_vacuum_item: float   # zero: no alpha^2 vacuum part exists
-    kappa1: float
-    kappa2: float
-    alpha0_si: float                    # polarizability volume, m^3
-    provenance: Mapping[str, str]
-
-
-# The provenance of every item the budget report carries, in report order;
-# "relativistic_<key>" is the item of relativistic_terms[key].
+# The provenance of every item the budget report carries, in report order.
 _PROVENANCE = {
     "abraham": "eps0 * alpha(0) * B0 x E0; alpha(0) = 18 pi a0^3 exact for "
                "ground-state hydrogen",
@@ -127,8 +107,9 @@ def assemble_budget(
     kappa1: float = ADOPTED_KAPPA1,
     kappa2: float = ADOPTED_KAPPA2,
     polarizability_choice: str = "exact",
-) -> MomentumBudget:
-    """Full itemized budget of ground-state hydrogen in one field configuration.
+) -> dict[str, Any]:
+    """Full itemized budget of ground-state hydrogen in one field configuration:
+    every item of the report, keyed and ordered as _PROVENANCE.
 
     polarizability_choice selects alpha(0): the exact value 18 pi a0^3
     (default), the computed discrete sum (bound states only), or the exact
@@ -163,42 +144,37 @@ def assemble_budget(
         1.0, dot(dp_vac, p_a)) * norm(dp_vac) / size
     factor = HYDROGEN_BINDING_ENERGY_J / (total_mass_kg * const.light_speed_c0**2)
     dp_kin = scaled(factor, fields.Q0)
-    rel_terms = {
-        "darwin_coefficient": _DARWIN_MASS_THIRDS / 3,
-        "p4_coefficient": _P4_MASS_THIRDS / 3,
-        "net": (_DARWIN_MASS_THIRDS + _P4_MASS_THIRDS) / 3,
-        "bartlett_power_alpha2_coeff": RELATIVISTIC_POLARIZABILITY_COEFF,
-    }
-    return MomentumBudget(
-        abraham=p_a,
-        casimir_correction=dp_vac,
-        casimir_relative_shift=shift,
-        kinetic=fields.Q0,
-        kinetic_mass_factor=factor,
-        kinetic_correction=dp_kin,
-        total=tuple(a + c + k + kc for a, c, k, kc in zip(
+    return {
+        "abraham": p_a,
+        "casimir_correction": dp_vac,
+        "casimir_relative_shift": shift,
+        "kinetic": fields.Q0,
+        "kinetic_mass_factor": factor,
+        "kinetic_correction": dp_kin,
+        "total": tuple(a + c + k + kc for a, c, k, kc in zip(
             p_a, dp_vac, fields.Q0, dp_kin)),
-        relativistic_terms=rel_terms,
-        transverse_bound=alpha * abs(factor) * norm(fields.Q0) + alpha**3 * size,
-        relativistic_field_bound=alpha**2 * (const.electron_mass
-                                             / total_mass_kg) * size,
-        polarizability_vacuum_item=0.0,
-        kappa1=kappa1,
-        kappa2=kappa2,
-        alpha0_si=alpha0_si,
-        provenance={**_PROVENANCE, "alpha0_si": _PROVENANCE["alpha0_si"].format(
-            choice=polarizability_choice)},
-    )
+        "transverse_bound": alpha * abs(factor) * norm(fields.Q0) + alpha**3 * size,
+        "relativistic_field_bound": alpha**2 * (const.electron_mass
+                                                / total_mass_kg) * size,
+        "polarizability_vacuum_item": 0.0,
+        "alpha0_si": alpha0_si,
+        "kappa1": kappa1,
+        "kappa2": kappa2,
+        "relativistic_darwin_coefficient": _DARWIN_MASS_THIRDS / 3,
+        "relativistic_p4_coefficient": _P4_MASS_THIRDS / 3,
+        "relativistic_net": (_DARWIN_MASS_THIRDS + _P4_MASS_THIRDS) / 3,
+        "relativistic_bartlett_power_alpha2_coeff": RELATIVISTIC_POLARIZABILITY_COEFF,
+    }
 
 
 def handle_budget(p: dict[str, Any]) -> dict[str, tuple[dict[str, Any], str]]:
     """The budget subcommand's report rows, name -> (entry, provenance), for
     its checked parameters; every item in _PROVENANCE order."""
-    fields = FieldConfiguration(E0=p["E0"], B0=p["B0"], Q0=p["Q0"])
-    bud = assemble_budget(fields, kappa1=p["kappa1"], kappa2=p["kappa2"],
-                          polarizability_choice=p["polarizability"].replace("-", "_"))
-    values = bud._asdict()
-    values.update((f"relativistic_{key}", value)
-                  for key, value in bud.relativistic_terms.items())
-    return {name: ({"value": values[name], "error": None}, text)
-            for name, text in bud.provenance.items()}
+    choice = p["polarizability"].replace("-", "_")
+    items = assemble_budget(FieldConfiguration(E0=p["E0"], B0=p["B0"], Q0=p["Q0"]),
+                            kappa1=p["kappa1"], kappa2=p["kappa2"],
+                            polarizability_choice=choice)
+    provenance = {**_PROVENANCE,
+                  "alpha0_si": _PROVENANCE["alpha0_si"].format(choice=choice)}
+    return {name: ({"value": value, "error": None}, provenance[name])
+            for name, value in items.items()}

@@ -3,10 +3,11 @@
 Reports are deterministic: canonical JSON (sorted keys, shortest round-trip
 float repr, newline-terminated), CSV with one row per scalar quantity, or a
 plain-text table. Identical invocations produce byte-identical report bytes;
-wall-clock timing is diagnostic only and goes to stderr. Exit codes: 0 on
-success, 2 on a validation/usage error or a report that cannot be written,
-1 if a row of the written report failed (its "pass" False: only `verify`
-has such rows, and a check that raises fails its row alone).
+wall-clock timing is diagnostic only and goes to stderr. Every byte goes
+through _write_now. Exit codes: 0 on success, 2 on a validation/usage error
+or a report, help or version that cannot be written, 1 if a row of the
+written report failed (its "pass" False: only `verify` has such rows, and a
+check that raises fails its row alone).
 
 This module is the front end only: the SUBCOMMANDS table, the parser that
 reads it, the config echo and the serialization. The handlers live in
@@ -394,9 +395,9 @@ def _refuse(name: str | None, message: str) -> NoReturn:
 
 class _Parser:
     """The parser of the whole table. parse_args(argv) returns _Args,
-    or ends with SystemExit: 0 after printing help or the version to
-    stdout, 2 after writing the usage line and an error naming the refused
-    word to stderr.
+    or ends with SystemExit: 0 after writing help or the version to stdout
+    (2 if that write fails), 2 after writing the usage line and an error
+    naming the refused word to stderr.
 
     The first word is -h/--help, --version or a subcommand; after it come
     --flag VALUE or --flag=VALUE, exact names only, the word after a flag
@@ -412,8 +413,8 @@ class _Parser:
             raise SystemExit(2)
         name, words = argv[0], iter(argv[1:])
         if name in _HELP_FLAGS or name == "--version":
-            print(_help(None) if name in _HELP_FLAGS else __version__)
-            raise SystemExit(0)
+            text = _help(None) if name in _HELP_FLAGS else __version__
+            raise SystemExit(_to_stdout(f"{text}\n".encode("utf-8")))
         if name not in SUBCOMMANDS:
             _refuse(None, f"expected a subcommand ({', '.join(SUBCOMMANDS)}), "
                           f"got {name!r}")
@@ -423,8 +424,7 @@ class _Parser:
         config_dump = False
         for word in words:
             if word in _HELP_FLAGS:
-                print(_help(name))
-                raise SystemExit(0)
+                raise SystemExit(_to_stdout(f"{_help(name)}\n".encode("utf-8")))
             if word == "--config-dump":
                 config_dump = True
                 continue
@@ -454,10 +454,10 @@ def build_parser() -> _Parser:
 
 def _write_now(stream: Any, data: str | bytes) -> None:
     """Write to a standard stream at once, or raise OSError if it is closed
-    or refuses the bytes. They go past the stream's buffer, so a failed
-    write leaves none behind for the flush at exit to fail on again. Text
-    goes as it is, and bytes decoded from UTF-8 (the reports' encoding), to
-    a stream with no buffer, such as io.StringIO."""
+    or refuses the bytes. They go past the stream's buffer, so none are left
+    in it for a flush at exit (main() makes none). Text goes as it is, and
+    bytes decoded from UTF-8 (the reports' encoding), to a stream with no
+    buffer, such as io.StringIO."""
     if stream is None:                  # the process started without that fd
         raise OSError(errno.EBADF, "stream is closed")
     stream.flush()
@@ -496,7 +496,7 @@ def _effective_params(args: _Args,
                       params: tuple[Param, ...]) -> dict[str, Any]:
     """Materialize parameters as given: explicit flag > config file > default."""
     loaded: dict[str, Any] = {}
-    if args.config_load:
+    if args.config_load is not None:
         try:
             with open(args.config_load, "r", encoding="utf-8") as fh:
                 loaded = json.load(fh)
@@ -547,7 +547,7 @@ def run(argv: list[str] | None = None) -> int:
                                 results=results, provenance=provenance,
                                 timing_seconds=elapsed)
         blob = serialize(report, fmt)
-        if out_path:
+        if out_path is not None:
             try:
                 with open(out_path, "wb") as fh:
                     fh.write(blob)
@@ -567,19 +567,12 @@ def run(argv: list[str] | None = None) -> int:
 def main() -> None:
     """Entry point of `python -m casimir_momentum` and of the console script.
 
-    Flushes both standard streams after run() and ends the process there,
-    with os._exit: the interpreter's teardown, which frees every module,
-    takes a few ms and writes nothing (an --output file is closed by then,
-    and the package registers no atexit handler). If run() or a flush
-    raises, the process exits the usual way, so a failure looks as it
-    would without this. In-process callers use run(argv), which returns
-    the exit code.
+    Every byte run() writes goes through _write_now, past the streams'
+    buffers, so when it returns no buffer holds anything and the process
+    ends there, with os._exit: the interpreter's teardown, which frees every
+    module, takes a few ms and writes nothing (an --output file is closed by
+    then, and the package registers no atexit handler). If run() raises,
+    the process prints its traceback and exits 1 as usual. In-process
+    callers use run(argv), which returns the exit code.
     """
-    code = run()
-    try:
-        for stream in (sys.stdout, sys.stderr):
-            if stream is not None:
-                stream.flush()
-    except (OSError, ValueError):
-        sys.exit(code)
-    os._exit(code)
+    os._exit(run())

@@ -6,8 +6,9 @@ integrand is a function of one float that returns a float, called at the
 15 Kronrod nodes of each segment in turn. A nan or inf value, or an
 OverflowError or ZeroDivisionError raised by the integrand, is reported as
 ValueError("integrand is not finite at x=...") with the first bad node (at
-y=... under integrate_to_inf, the point of the original range); a
-subdivision budget spent short of the tolerances, as QuadratureError.
+y=... under integrate_to_inf, the point of the original range), a rule
+that _finite alone states; a subdivision budget spent short of the
+tolerances, as QuadratureError.
 
 Semi-infinite integrals are mapped onto [0, 1) with the rational substitution
 y = a + t/(1 - t), so the reported error estimate covers the whole tail
@@ -74,12 +75,23 @@ class QuadratureResult(NamedTuple):
     subdivisions: int
 
 
+def _finite(f: Integrand, x: float, name: str) -> float:
+    """f(x), or a ValueError naming the point as `name` if that value is not
+    finite or f raises OverflowError or ZeroDivisionError."""
+    try:
+        v = f(x)
+    except (OverflowError, ZeroDivisionError):
+        v = math.nan
+    if not math.isfinite(v):
+        raise ValueError(f"integrand is not finite at {name}={x!r}")
+    return v
+
+
 def _segment(f: Integrand, lo: float, hi: float) -> tuple[float, float]:
     """(K15 value, error) of f over [lo, hi].
 
-    f is called at the 15 Kronrod nodes in ascending order; the first node
-    at which it is not finite, or raises OverflowError or ZeroDivisionError,
-    is named in a ValueError.
+    f is called at the 15 Kronrod nodes in ascending order, each through
+    _finite, so the first bad node is named in a ValueError.
 
     The error is QUADPACK's sharpening of |K15 - G7|:
     resasc t^1.5 with t = min(1, 200 |K15 - G7| / resasc), resasc being the
@@ -90,16 +102,7 @@ def _segment(f: Integrand, lo: float, hi: float) -> tuple[float, float]:
     """
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    fs = []
-    for t in _NODES:
-        x = mid + half * t
-        try:
-            v = f(x)
-        except (OverflowError, ZeroDivisionError):
-            v = math.nan
-        if not math.isfinite(v):
-            raise ValueError(f"integrand is not finite at x={x!r}")
-        fs.append(v)
+    fs = [_finite(f, mid + half * t, "x") for t in _NODES]
     k15 = math.fsum(map(mul, fs, _WEIGHTS_K))
     resk = k15 * half
     err = abs(resk - math.fsum(map(mul, fs[1::2], _WEIGHTS_G)) * half)
@@ -182,22 +185,13 @@ def integrate_to_inf(
 
     The integrand must decay fast enough that f(y)/(1-t)^2 -> 0 as t -> 1
     (any decay faster than y^-2). Gauss-Kronrod nodes are interior, so f is
-    never evaluated at t = 1. A value of f that is not finite, or an
-    OverflowError or ZeroDivisionError it raises, is reported as
-    ValueError("integrand is not finite at y=...") with that y, not the
-    mapped node t.
+    never evaluated at t = 1. f is called through _finite, so a bad value
+    is reported at y=..., not at the mapped node t.
     """
 
     def g(t: float) -> float:
         omt = 1.0 - t
-        y = a + t / omt
-        try:
-            v = f(y)
-        except (OverflowError, ZeroDivisionError):
-            v = math.nan
-        if not math.isfinite(v):
-            raise ValueError(f"integrand is not finite at y={y!r}")
-        return v / (omt * omt)
+        return _finite(f, a + t / omt, "y") / (omt * omt)
 
     # Seed points cluster resolution near t=1 where the tail lives.
     return integrate_adaptive(g, 0.0, 1.0, spec,

@@ -33,12 +33,13 @@ The exact route is the module's built-in oracle and never reads the closed
 forms; the two must agree to 5e-15 relative (verify's
 radial_dual_route_nle200 row for n <= 200; the test suite up to n = 1000).
 
-`radial_record(n, method)` gives one n by a named route, memoized for the
-last _RECORD_MEMO keys (about 205 bytes each, 0.9 MB at most); the
-benchmark's replay and the tests call it. Of the package, only `verify`
-imports this module. It reads both routes directly, never `radial_record`
-and its memo: its Rydberg terms read the closed forms of the S_p, and the
-Horner integers are only their oracle.
+`radial_record(n, method)` gives the plain (I1, I2, I3) tuple of one n by a
+named route, memoized for the last _RECORD_MEMO keys (about 260 bytes each
+with its key under tracemalloc, 1.1 MB at most); the benchmark's replay and
+the tests call it. Of the package, only `verify` imports this module. It
+reads both routes directly, never `radial_record` and its memo: its Rydberg
+terms read the closed forms of the S_p, and the Horner integers are only
+their oracle.
 
 The angular sums over m and Cartesian components that accompany these
 integrals in second-order coefficients reduce to a unit factor for
@@ -49,15 +50,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import NamedTuple
-
-
-class RadialIntegralRecord(NamedTuple):
-    """The triple I_1(n), I_2(n), I_3(n) of one n, by one route."""
-
-    I1: float
-    I2: float
-    I3: float
 
 
 def _closed_form(n: int) -> tuple[float, float, float]:
@@ -111,8 +103,8 @@ _RECORD_MEMO = 4096
 
 
 @lru_cache(maxsize=_RECORD_MEMO)
-def radial_record(n: int, method: str = "closed_form") -> RadialIntegralRecord:
-    """The full (I1, I2, I3) record by one named route, "closed_form" or
+def radial_record(n: int, method: str = "closed_form") -> tuple[float, float, float]:
+    """The plain (I1, I2, I3) of n by one named route, "closed_form" or
     "exact", memoized for the last _RECORD_MEMO keys."""
     # For its callers, verify and the benchmark's replay; no flag sets n.
     if not (n >= 2 and n % 1 == 0):
@@ -125,4 +117,4 @@ def radial_record(n: int, method: str = "closed_form") -> RadialIntegralRecord:
               "exact": lambda n: _integrals_of(n, *_horner_sums(n))}
     if method not in routes:
         raise ValueError(f"unknown method {method!r}")
-    return RadialIntegralRecord(*routes[method](int(n)))
+    return routes[method](int(n))

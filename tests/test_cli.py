@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import csv
 import io
@@ -624,12 +625,24 @@ def test_run_that_raises_prints_its_traceback_and_exits_1():
     assert proc.stderr.endswith(b"RuntimeError: no report\n")
 
 
+# Each stdout that refuses a write, closed or full, with each argv that
+# writes to it: a report (budget's, under the redirect's id alone), help or
+# the version.
+_UNWRITABLE_STDOUT = [
+    pytest.param(redirect, argv,
+                 id=redirect if argv == ["budget"] else " ".join([redirect, *argv]),
+                 marks=[NEEDS_DEV_FULL] if redirect == ">/dev/full" else [])
+    for redirect in (">&-", ">/dev/full")
+    for argv in (["budget"], ["--help"], ["--version"], ["kappas", "--help"])]
+
+
 @BUFFERING
-@pytest.mark.parametrize("redirect", [">&-", pytest.param(">/dev/full",
-                                                          marks=NEEDS_DEV_FULL)])
-def test_report_that_cannot_be_written_exits_2(redirect, unbuffered):
-    proc = _run_redirected(redirect, "budget", unbuffered=unbuffered)
-    assert proc.returncode == 2
+@pytest.mark.parametrize("redirect, argv", _UNWRITABLE_STDOUT)
+def test_report_that_cannot_be_written_exits_2(redirect, argv, unbuffered):
+    # Help and the version take the report's one write path, so each fails
+    # as a report does, with no traceback and no failed flush at exit.
+    proc = _run_redirected(redirect, *argv, unbuffered=unbuffered)
+    assert (proc.returncode, proc.stdout) == (2, b"")
     assert re.fullmatch(rb"error: cannot write report to stdout: .+\n", proc.stderr)
 
 
@@ -650,6 +663,18 @@ def test_refused_flag_with_stderr_unwritable_exits_2(redirect, unbuffered):
     assert (proc.returncode, proc.stdout) == (2, b"")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["budget", "--output="], b"error: cannot write '': "),
+    (["kappas", "--config-load="], b"error: cannot load config: "),
+], ids=["budget --output=", "kappas --config-load="])
+def test_empty_path_flag_is_a_path_that_cannot_be_opened(argv, message):
+    # An empty --output or --config-load is given, not absent: it neither
+    # sends the report to stdout nor runs at the defaults.
+    proc = _run(*argv)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.startswith(message) and proc.stderr.count(b"\n") == 1
+
+
 def test_report_to_a_stdout_with_no_buffer_is_its_text():
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -658,15 +683,27 @@ def test_report_to_a_stdout_with_no_buffer_is_its_text():
     assert out.getvalue().encode("utf-8") == _run("budget").stdout
 
 
-@NEEDS_DEV_FULL
-def test_failed_flush_at_exit_exits_as_python_does():
-    # --help leaves its text in stdout's buffer; when main()'s flush of it
-    # fails, the process exits as a plain script whose last flush fails.
-    script = [sys.executable, "-c", "print('help')"]
-    with open("/dev/full", "wb") as full:
-        proc = subprocess.run(BASE + ["--help"], stdout=full, stderr=subprocess.PIPE,
-                              env=_env(False))
-        plain = subprocess.run(script, stdout=full, stderr=subprocess.PIPE,
-                               env=_env(False))
-    assert proc.returncode == plain.returncode != 0
-    assert proc.stderr.splitlines()[-1] == plain.stderr.splitlines()[-1]
+@BUFFERING
+def test_fresh_process_keeps_its_warning(unbuffered):
+    # main() ends the process with os._exit and flushes nothing, so a
+    # warning written to stderr by the warnings module must already be out.
+    proc = subprocess.run(BASE + ["rho-c", "--omega-max", "1e10"],
+                          capture_output=True, env=_env(unbuffered))
+    assert proc.returncode == 0
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 3, proc.stderr
+    assert re.fullmatch(rb".+:\d+: PlasmaCutoffWarning: cutoff 1\.000e\+10 rad/s .+",
+                        lines[0])
+    assert lines[1].startswith(b"  ")
+    assert TIMING_LINE.fullmatch(lines[2])
+
+
+def test_no_package_module_calls_print():
+    # Every byte the CLI writes goes through cli._write_now, past the
+    # streams' buffers, which is what lets main() skip the flush at exit.
+    package = Path(casimir_momentum.__file__).parent
+    calls = [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "print"]
+    assert calls == []

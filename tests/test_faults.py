@@ -176,9 +176,9 @@ def _kinetic_correction_doubled(monkeypatch):
 
     def doubled(*args, **kwargs):
         bud = assemble(*args, **kwargs)
-        return bud._replace(
-            kinetic_correction=budget.scaled(2.0, bud.kinetic_correction),
-            total=tuple(map(sum, zip(bud.total, bud.kinetic_correction))))
+        return {**bud,
+                "kinetic_correction": budget.scaled(2.0, bud["kinetic_correction"]),
+                "total": tuple(map(sum, zip(bud["total"], bud["kinetic_correction"])))}
     monkeypatch.setattr(budget, "assemble_budget", doubled)
 
 

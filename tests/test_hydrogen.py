@@ -49,7 +49,7 @@ def test_gordon_product_form_cross_check():
         log_gordon = (math.log(16.0) + 3.5 * math.log(n)
                       + (n - 2.5) * math.log(n - 1.0)
                       - (n + 2.5) * math.log(n + 1.0))
-        assert radial_record(n).I3 == pytest.approx(math.exp(log_gordon), rel=1e-11)
+        assert radial_record(n)[2] == pytest.approx(math.exp(log_gordon), rel=1e-11)
 
 
 @pytest.mark.parametrize("n", [*range(2, 61), 100, 250, 400])
@@ -139,7 +139,7 @@ def test_oscillator_strengths():
     assert _oscillator_strength(2) == pytest.approx(0.41620, abs=1e-4)
     assert _oscillator_strength(3) == pytest.approx(0.07910, abs=1e-4)
     # Brute-force construction from the exact route.
-    i3 = radial_record(2, "exact").I3
+    i3 = radial_record(2, "exact")[2]
     assert _oscillator_strength(2) == pytest.approx(
         (2.0 / 3.0) * 0.375 * i3 * i3, rel=1e-10)
 
@@ -170,7 +170,7 @@ def test_dipole_integral_asymptotic_decay():
     # I_3(n) n^(3/2) settles to a nonzero constant (16/e^2); successive
     # doubling differences must shrink (Cauchy behavior of the ratio).
     ns = [50, 100, 200, 400]
-    ratios = [radial_record(n).I3 * n**1.5 for n in ns]
+    ratios = [radial_record(n)[2] * n**1.5 for n in ns]
     diffs = [abs(b - a) for a, b in zip(ratios, ratios[1:])]
     assert diffs[1] < diffs[0]
     assert diffs[2] < diffs[1]

@@ -1,7 +1,8 @@
 """The record contract: every public record type is one plain, immutable
 named tuple. No record checks its fields: each flag rule is checked once, by
 its `cli.Param`, and the library checks only what guards callers outside
-the CLI."""
+the CLI. No record restates a report: the budget's items are a plain dict
+keyed as its report, and a radial record is a plain (I1, I2, I3) tuple."""
 
 import pytest
 
@@ -20,7 +21,6 @@ EXAMPLES = {
     units.PhysicalConstants: units.constants,
     units.AtomicParams: units.AtomicParams.hydrogen,
     budget.FieldConfiguration: lambda: _FIELDS,
-    budget.MomentumBudget: lambda: budget.assemble_budget(_FIELDS),
     renorm.DispersionModel: lambda: renorm.DispersionModel.dispersionless(2.0),
     renorm.CutoffScheme: lambda: renorm.CutoffScheme.frequency(1e20),
     sums.SpectralSumResult: lambda: sums.bethe_sum(20),
@@ -28,7 +28,6 @@ EXAMPLES = {
     engine.QuadratureResult: lambda: engine.QuadratureResult(
         1.0, 1e-15, 15, 1),
     quadrature.ContinuumResult: lambda: quadrature.kappa2_continuum(1.0),
-    hydrogen.RadialIntegralRecord: lambda: hydrogen.radial_record(2),
     cli.RunConfig: lambda: _CONFIG,
     cli.ReportEnvelope: lambda: cli.ReportEnvelope("test", _CONFIG, {}, {}, 0.0),
     cli.Param: lambda: cli.SUBCOMMANDS["kappas"].params[0],
@@ -74,11 +73,6 @@ def test_renorm_records_are_not_tagged_unions():
                renorm.CutoffScheme.length(1e-12))
     assert [rec for rec in records if None in rec] == []
     assert "kind" not in renorm.DispersionModel._fields + renorm.CutoffScheme._fields
-
-
-def test_momentum_budgets_never_share_provenance():
-    first, second = (budget.assemble_budget(_FIELDS) for _ in range(2))
-    assert first.provenance is not second.provenance
 
 
 def test_check_results_leave_the_cost_out():

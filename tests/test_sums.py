@@ -278,15 +278,15 @@ def _transition_energy(n: int) -> float:
 # Each series' term of n from the single-n interface, radial_record(n), and
 # the transition energy, in the series' own operand order.
 _REFERENCE_TERMS = {
-    kappa1_discrete: lambda n: (2.0 / 27.0) * radial_record(n).I1
-    * radial_record(n).I3 / _transition_energy(n) ** 2,
-    kappa2_discrete: lambda n: (1.0 / 27.0) * radial_record(n).I2
-    * radial_record(n).I3 / _transition_energy(n),
-    polarizability_discrete: lambda n: (2.0 / 3.0) * radial_record(n).I3
-    * radial_record(n).I3 / _transition_energy(n),
-    bethe_sum: lambda n: radial_record(n).I2 * radial_record(n).I2,
+    kappa1_discrete: lambda n: (2.0 / 27.0) * radial_record(n)[0]
+    * radial_record(n)[2] / _transition_energy(n) ** 2,
+    kappa2_discrete: lambda n: (1.0 / 27.0) * radial_record(n)[1]
+    * radial_record(n)[2] / _transition_energy(n),
+    polarizability_discrete: lambda n: (2.0 / 3.0) * radial_record(n)[2]
+    * radial_record(n)[2] / _transition_energy(n),
+    bethe_sum: lambda n: radial_record(n)[1] * radial_record(n)[1],
     oscillator_strength_sum: lambda n: (2.0 / 3.0) * _transition_energy(n)
-    * radial_record(n).I3 * radial_record(n).I3,
+    * radial_record(n)[2] * radial_record(n)[2],
 }
 
 
